@@ -458,12 +458,7 @@ fn run_obs_artifact() -> Result<String, String> {
     let mut chrome = pels_obs::ChromeTrace::new();
     chrome.add_sim_trace(&report.trace);
     for s in &power.samples {
-        let series: Vec<(&str, f64)> = s
-            .components
-            .iter()
-            .map(|(name, uw)| (name.as_str(), *uw))
-            .collect();
-        chrome.add_counter("power_uw", s.start.as_us_f64(), &series);
+        chrome.add_counter("power_uw", s.start.as_us_f64(), &s.components);
         chrome.add_counter("power_total_uw", s.start.as_us_f64(), &[("total", s.total_uw)]);
     }
     // Projected state of charge as its own counter track. The curve

@@ -41,9 +41,10 @@ pub struct EnergyLedger {
     windows: usize,
     /// Σ total power × duration, µW·ps (components + analog floor).
     total_uwps: f64,
-    /// Per-component Σ power × duration, µW·ps, keyed by component name
-    /// (BTreeMap ⇒ iteration in sorted-name order, deterministic).
-    components: BTreeMap<String, f64>,
+    /// Per-component Σ power × duration, µW·ps, keyed by the interned
+    /// component name (BTreeMap ⇒ iteration in sorted-name order,
+    /// deterministic). Each key adds in sample order.
+    components: BTreeMap<&'static str, f64>,
 }
 
 /// One row of the blame table: a component (or the analog floor) and
@@ -73,8 +74,8 @@ impl EnergyLedger {
             ledger.span_ps += s.end.as_ps() - s.start.as_ps();
             ledger.windows += 1;
             ledger.total_uwps += s.total_uw * d;
-            for (name, uw) in &s.components {
-                *ledger.components.entry(name.clone()).or_insert(0.0) += uw * d;
+            for &(name, uw) in &s.components {
+                *ledger.components.entry(name).or_insert(0.0) += uw * d;
             }
         }
         ledger
@@ -87,8 +88,8 @@ impl EnergyLedger {
         self.span_ps = self.span_ps.saturating_add(other.span_ps);
         self.windows += other.windows;
         self.total_uwps += other.total_uwps;
-        for (name, uwps) in &other.components {
-            *self.components.entry(name.clone()).or_insert(0.0) += uwps;
+        for (&name, uwps) in &other.components {
+            *self.components.entry(name).or_insert(0.0) += uwps;
         }
     }
 
@@ -119,8 +120,8 @@ impl EnergyLedger {
     }
 
     /// Component names in sorted order.
-    pub fn component_names(&self) -> Vec<&str> {
-        self.components.keys().map(String::as_str).collect()
+    pub fn component_names(&self) -> Vec<&'static str> {
+        self.components.keys().copied().collect()
     }
 
     /// The residual energy not attributed to any component — the
@@ -160,8 +161,8 @@ impl EnergyLedger {
         let mut rows: Vec<BlameRow> = self
             .components
             .iter()
-            .map(|(name, &uwps)| BlameRow {
-                name: name.clone(),
+            .map(|(&name, &uwps)| BlameRow {
+                name: name.to_string(),
                 uj: uwps / UWPS_PER_UJ,
                 share: share(uwps),
             })

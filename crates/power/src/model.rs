@@ -1,16 +1,31 @@
 //! The activity → power model.
+//!
+//! [`PowerModel::report`] is the one evaluator every power figure goes
+//! through — whole-window reports, every [`crate::PowerTimeline`]
+//! sample and the lifetime fallback. It walks the dense
+//! [`ActivitySet`] rows by interned [`ComponentId`], reads areas from a
+//! table indexed by the same id, resolves each unregistered name once
+//! and keeps per-kind energy in a `[Energy; ActivityKind::COUNT]` array,
+//! so evaluating a window allocates two short vectors and hashes no
+//! strings.
+//!
+//! Its floating-point summation order is a contract (pinned bit-for-bit
+//! by `tests/power_golden.rs`): per component, kinds add in
+//! [`ActivityKind::ALL`] order skipping zero counts; per-kind energy adds
+//! across components in name order; components are stable-sorted by
+//! descending total with ties in name order; [`PowerReport::total`]
+//! folds in that order and then adds the analog floor.
 
 use crate::calibration::Calibration;
 use crate::units::{Energy, Power};
-use pels_sim::{ActivityKind, ActivitySet, SimTime};
-use std::collections::BTreeMap;
+use pels_sim::{ActivityKind, ActivitySet, ComponentId, SimTime};
 use std::fmt;
 
 /// Power attributed to one component over the measurement window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentPower {
-    /// Component name (matches the activity-set names).
-    pub name: String,
+    /// Component name (the interned activity-set name).
+    pub name: &'static str,
     /// Activity-driven (dynamic) power, including clock tree.
     pub dynamic: Power,
     /// Leakage share.
@@ -30,7 +45,7 @@ pub struct PowerReport {
     window: SimTime,
     components: Vec<ComponentPower>,
     constant: Power,
-    kind_energy: BTreeMap<ActivityKind, Energy>,
+    kind_energy: [Energy; ActivityKind::COUNT],
 }
 
 impl PowerReport {
@@ -69,8 +84,8 @@ impl PowerReport {
             ActivityKind::ScmRead,
             ActivityKind::ScmWrite,
         ]
-        .iter()
-        .filter_map(|k| self.kind_energy.get(k).copied())
+        .into_iter()
+        .map(|k| self.kind_energy(k))
         .sum();
         let sram_static = self
             .component("sram")
@@ -88,8 +103,8 @@ impl PowerReport {
             return Power::ZERO;
         };
         let access: Energy = [ActivityKind::SramRead, ActivityKind::SramWrite]
-            .iter()
-            .filter_map(|k| self.kind_energy.get(k).copied())
+            .into_iter()
+            .map(|k| self.kind_energy(k))
             .sum();
         let access_p = access.over(self.window);
         if c.dynamic.as_uw() > access_p.as_uw() {
@@ -101,7 +116,7 @@ impl PowerReport {
 
     /// Energy charged to an activity kind over the window.
     pub fn kind_energy(&self, kind: ActivityKind) -> Energy {
-        self.kind_energy.get(&kind).copied().unwrap_or(Energy::ZERO)
+        self.kind_energy[kind.index()]
     }
 }
 
@@ -126,7 +141,12 @@ impl fmt::Display for PowerReport {
 #[derive(Debug, Clone)]
 pub struct PowerModel {
     calibration: Calibration,
-    areas: BTreeMap<String, f64>,
+    /// Logic area per registered component, indexed by
+    /// [`ComponentId::index`]; `None` for ids never registered.
+    areas: Vec<Option<f64>>,
+    /// Registered components in name order, names resolved once at
+    /// registration.
+    registered: Vec<(&'static str, ComponentId)>,
 }
 
 impl PowerModel {
@@ -134,7 +154,8 @@ impl PowerModel {
     pub fn new(calibration: Calibration) -> Self {
         PowerModel {
             calibration,
-            areas: BTreeMap::new(),
+            areas: Vec::new(),
+            registered: Vec::new(),
         }
     }
 
@@ -143,12 +164,25 @@ impl PowerModel {
         &self.calibration
     }
 
-    /// Registers a component and its logic area. Components appearing in
-    /// the activity set without registration contribute event energy but
-    /// no clock/leakage share.
-    pub fn add_component(&mut self, name: impl Into<String>, area_kge: f64) -> &mut Self {
-        self.areas.insert(name.into(), area_kge);
+    /// Registers a component and its logic area (re-registering a name
+    /// replaces its area). Components appearing in the activity set
+    /// without registration contribute event energy but no clock/leakage
+    /// share.
+    pub fn add_component(&mut self, name: impl AsRef<str>, area_kge: f64) -> &mut Self {
+        let id = ComponentId::intern(name.as_ref());
+        if self.areas.len() <= id.index() {
+            self.areas.resize(id.index() + 1, None);
+        }
+        if self.areas[id.index()].replace(area_kge).is_none() {
+            let name = id.name();
+            let at = self.registered.partition_point(|&(n, _)| n < name);
+            self.registered.insert(at, (name, id));
+        }
         self
+    }
+
+    fn area(&self, id: ComponentId) -> Option<f64> {
+        self.areas.get(id.index()).copied().flatten()
     }
 
     /// Evaluates a measurement window.
@@ -156,58 +190,59 @@ impl PowerModel {
     /// `activity` must contain a [`ActivityKind::ClockCycle`] entry per
     /// clocked component (the SoC harness records one per cycle the
     /// component's clock was running — WFI-gated components record
-    /// none).
+    /// none). Every registered component appears in the report (it leaks
+    /// whether active or not), as does every unregistered component with
+    /// recorded activity.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
     pub fn report(&self, activity: &ActivitySet, window: SimTime) -> PowerReport {
         assert!(window.as_ps() > 0, "window must be non-zero");
-        let mut per_component: BTreeMap<String, Energy> = BTreeMap::new();
-        let mut kind_energy: BTreeMap<ActivityKind, Energy> = BTreeMap::new();
-
-        for (component, kind, n) in activity.iter() {
-            let e = if kind == ActivityKind::ClockCycle {
-                let area = self.areas.get(component).copied().unwrap_or(0.0);
-                self.calibration.clock_energy(area, n)
-            } else {
-                self.calibration.event_energy(kind, n)
-            };
-            *per_component
-                .entry(component.to_owned())
-                .or_insert(Energy::ZERO) += e;
-            *kind_energy.entry(kind).or_insert(Energy::ZERO) += e;
-        }
-
-        // Every registered component leaks whether active or not.
-        let mut components: Vec<ComponentPower> = Vec::new();
-        let mut named: std::collections::BTreeSet<String> =
-            per_component.keys().cloned().collect();
-        named.extend(self.areas.keys().cloned());
-        for name in named {
-            let dynamic = per_component
-                .get(&name)
-                .copied()
-                .unwrap_or(Energy::ZERO)
-                .over(window);
-            let mut leakage = self
-                .calibration
-                .logic_leakage(self.areas.get(&name).copied().unwrap_or(0.0));
-            if name == "sram" {
-                leakage += Power::from_uw(self.calibration.sram_leak_uw);
+        // The registered inventory plus any unregistered component that
+        // recorded activity, in name order: the order energies add in.
+        let mut order = self.registered.clone();
+        for (id, _) in activity.rows() {
+            if self.area(id).is_none() {
+                order.push((id.name(), id));
             }
-            components.push(ComponentPower {
-                name,
-                dynamic,
-                leakage,
-            });
         }
-        components.sort_by(|a, b| {
-            b.total()
-                .as_uw()
-                .partial_cmp(&a.total().as_uw())
-                .expect("power values are finite")
-        });
+        if order.len() > self.registered.len() {
+            order.sort_unstable_by_key(|&(name, _)| name);
+        }
+
+        let mut kind_energy = [Energy::ZERO; ActivityKind::COUNT];
+        let mut components: Vec<ComponentPower> = order
+            .into_iter()
+            .map(|(name, id)| {
+                let area = self.area(id).unwrap_or(0.0);
+                let row = activity.row(id);
+                let mut energy = Energy::ZERO;
+                for kind in ActivityKind::ALL {
+                    let n = row[kind.index()];
+                    if n == 0 {
+                        continue;
+                    }
+                    let e = if kind == ActivityKind::ClockCycle {
+                        self.calibration.clock_energy(area, n)
+                    } else {
+                        self.calibration.event_energy(kind, n)
+                    };
+                    energy += e;
+                    kind_energy[kind.index()] += e;
+                }
+                let mut leakage = self.calibration.logic_leakage(area);
+                if name == "sram" {
+                    leakage += Power::from_uw(self.calibration.sram_leak_uw);
+                }
+                ComponentPower {
+                    name,
+                    dynamic: energy.over(window),
+                    leakage,
+                }
+            })
+            .collect();
+        components.sort_by(|a, b| b.total().as_uw().total_cmp(&a.total().as_uw()));
 
         PowerReport {
             window,
@@ -321,6 +356,46 @@ mod tests {
                 < 1e-9
         );
         assert_eq!(r.kind_energy(ActivityKind::ScmRead).as_pj(), 0.0);
+    }
+
+    #[test]
+    fn unregistered_components_report_in_name_order_with_registered_ones() {
+        let m = model();
+        let mut a = ActivitySet::new();
+        // Equal zero-power rows (a ClockCycle with no area costs
+        // nothing) keep name order through the stable sort.
+        a.record_named("model-zz", ActivityKind::ClockCycle, 10);
+        a.record_named("model-aa", ActivityKind::ClockCycle, 10);
+        let r = m.report(&a, window());
+        let names: Vec<&str> = r.components().iter().map(|c| c.name).collect();
+        let want = ["sram", "ibex", "pels.link0", "model-aa", "model-zz"];
+        assert_eq!(names, want);
+    }
+
+    #[test]
+    fn re_registering_a_component_replaces_its_area() {
+        let mut m = model();
+        m.add_component("ibex", 54.0);
+        let r = m.report(&ActivitySet::new(), window());
+        assert_eq!(r.components().len(), 3);
+        let leak = r.component("ibex").unwrap().leakage.as_uw();
+        assert_eq!(leak, m.calibration().logic_leakage(54.0).as_uw());
+    }
+
+    #[test]
+    fn nan_rate_of_an_unexercised_kind_still_reports() {
+        // Zero counts are skipped, so a NaN rate nobody uses never
+        // reaches the units; the report is complete and ordered.
+        let mut m = model();
+        m.calibration.e_scm_write_pj = f64::NAN;
+        let mut a = ActivitySet::new();
+        a.record_named("ibex", ActivityKind::ClockCycle, 1000);
+        a.record_named("sram", ActivityKind::SramRead, 10);
+        let r = m.report(&a, window());
+        assert!(r.total().as_uw().is_finite());
+        assert_eq!(r.kind_energy(ActivityKind::ScmWrite), Energy::ZERO);
+        let totals: Vec<f64> = r.components().iter().map(|c| c.total().as_uw()).collect();
+        assert!(totals.windows(2).all(|w| w[0] >= w[1]));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! the paper's Figure 5 comparison. Each sample carries the window's
 //! span in simulated time, the total SoC power, and the per-component
 //! breakdown, ready for counter-track export or a terminal sparkline.
+//! Every sample comes from [`PowerModel::report`], the crate's one
+//! evaluator.
 
 use crate::model::PowerModel;
-use pels_sim::{ActivityTimeline, Frequency, SimTime};
+use pels_sim::{ActivitySet, ActivityTimeline, Frequency, SimTime};
 
 /// Power over one timeline window.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,10 +23,25 @@ pub struct PowerSample {
     pub total_uw: f64,
     /// Per-component total power (dynamic + leakage), µW, sorted
     /// descending — the order [`PowerModel::report`] produces.
-    pub components: Vec<(String, f64)>,
+    pub components: Vec<(&'static str, f64)>,
 }
 
 impl PowerSample {
+    /// Evaluates `model` over `activity` recorded in `[start, end)`.
+    fn evaluate(model: &PowerModel, activity: &ActivitySet, start: SimTime, end: SimTime) -> Self {
+        let report = model.report(activity, SimTime::from_ps(end.as_ps() - start.as_ps()));
+        PowerSample {
+            start,
+            end,
+            total_uw: report.total().as_uw(),
+            components: report
+                .components()
+                .iter()
+                .map(|c| (c.name, c.total().as_uw()))
+                .collect(),
+        }
+    }
+
     /// Window duration.
     pub fn duration(&self) -> SimTime {
         self.end.saturating_sub(self.start)
@@ -34,7 +51,7 @@ impl PowerSample {
     pub fn component_uw(&self, name: &str) -> f64 {
         self.components
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|&&(n, _)| n == name)
             .map(|(_, p)| *p)
             .unwrap_or(0.0)
     }
@@ -64,24 +81,25 @@ impl PowerTimeline {
             .iter()
             .filter(|w| w.end_cycle > w.start_cycle)
             .map(|w| {
-                let start = clock.cycles(w.start_cycle);
-                let end = clock.cycles(w.end_cycle);
-                let duration = SimTime::from_ps(end.as_ps() - start.as_ps());
-                let report = model.report(&w.activity, duration);
-                let components = report
-                    .components()
-                    .iter()
-                    .map(|c| (c.name.clone(), c.total().as_uw()))
-                    .collect();
-                PowerSample {
-                    start,
-                    end,
-                    total_uw: report.total().as_uw(),
-                    components,
-                }
+                let (start, end) = (clock.cycles(w.start_cycle), clock.cycles(w.end_cycle));
+                PowerSample::evaluate(model, &w.activity, start, end)
             })
             .collect();
         PowerTimeline { samples }
+    }
+
+    /// A single-sample timeline covering `[0, window)` — the whole
+    /// measurement window evaluated at once, for runs that sampled no
+    /// activity timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn from_window(model: &PowerModel, activity: &ActivitySet, window: SimTime) -> Self {
+        let sample = PowerSample::evaluate(model, activity, SimTime::ZERO, window);
+        PowerTimeline {
+            samples: vec![sample],
+        }
     }
 
     /// Number of samples.
@@ -100,11 +118,11 @@ impl PowerTimeline {
     }
 
     /// Sorted union of every component name appearing in any sample.
-    pub fn component_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
+    pub fn component_names(&self) -> Vec<&'static str> {
+        let mut names: Vec<&'static str> = self
             .samples
             .iter()
-            .flat_map(|s| s.components.iter().map(|(n, _)| n.clone()))
+            .flat_map(|s| s.components.iter().map(|&(n, _)| n))
             .collect();
         names.sort();
         names.dedup();
@@ -240,13 +258,29 @@ mod tests {
     }
 
     #[test]
+    fn single_window_timeline_matches_the_whole_window_report() {
+        let m = model();
+        let w = busy_window(0, 400, 70);
+        let window = SimTime::from_ns(4_000);
+        let pt = PowerTimeline::from_window(&m, &w.activity, window);
+        assert_eq!(pt.len(), 1);
+        let s = &pt.samples[0];
+        assert_eq!((s.start, s.end), (SimTime::ZERO, window));
+        let report = m.report(&w.activity, window);
+        assert_eq!(s.total_uw.to_bits(), report.total().as_uw().to_bits());
+        let want: Vec<&str> = report.components().iter().map(|c| c.name).collect();
+        let got: Vec<&str> = s.components.iter().map(|&(n, _)| n).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn component_names_are_sorted_union() {
         let mut t = ActivityTimeline::new(10);
         t.windows.push(busy_window(0, 10, 1));
         let pt = PowerTimeline::from_activity(&model(), &t, Frequency::from_mhz(50.0));
         let names = pt.component_names();
-        assert!(names.contains(&"ibex".to_string()));
-        assert!(names.contains(&"sram".to_string()));
+        assert!(names.contains(&"ibex"));
+        assert!(names.contains(&"sram"));
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);

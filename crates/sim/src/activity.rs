@@ -163,8 +163,21 @@ impl ActivitySet {
         self.record(ComponentId::intern(component), kind, n);
     }
 
-    fn row(&self, component: ComponentId) -> &Row {
+    /// The counter row of `component`, indexed by [`ActivityKind::index`]
+    /// (all zeros when the component never recorded).
+    pub fn row(&self, component: ComponentId) -> &[u64; ActivityKind::COUNT] {
         self.counts.get(component.index()).unwrap_or(&ZERO_ROW)
+    }
+
+    /// Every component with at least one non-zero counter and its row,
+    /// in id (interning) order — the dense view evaluators walk without
+    /// resolving names.
+    pub fn rows(&self) -> impl Iterator<Item = (ComponentId, &[u64; ActivityKind::COUNT])> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| **row != ZERO_ROW)
+            .map(|(i, row)| (ComponentId::from_index(i), row))
     }
 
     /// Count of `kind` recorded for the component with id `component`.
@@ -194,13 +207,12 @@ impl ActivitySet {
     }
 
     /// Ids of components with at least one non-zero counter, sorted by
-    /// name for deterministic reporting.
+    /// name for deterministic reporting. Each name is resolved once: a
+    /// comparator calling [`ComponentId::name`] would lock the global
+    /// registry twice per comparison.
     fn present(&self) -> Vec<ComponentId> {
-        let mut ids: Vec<ComponentId> = (0..self.counts.len())
-            .filter(|&i| self.counts[i] != ZERO_ROW)
-            .map(ComponentId::from_index)
-            .collect();
-        ids.sort_by_key(|id| id.name());
+        let mut ids: Vec<ComponentId> = self.rows().map(|(id, _)| id).collect();
+        ids.sort_by_cached_key(|id| id.name());
         ids
     }
 
@@ -374,6 +386,23 @@ mod tests {
                 ("act-iter-b", ActivityKind::RegWrite, 1),
             ]
         );
+    }
+
+    #[test]
+    fn rows_skip_zero_rows_in_id_order() {
+        let x = ComponentId::intern("act-rows-x");
+        let pad = ComponentId::intern("act-rows-pad");
+        let y = ComponentId::intern("act-rows-y");
+        let mut s = ActivitySet::new();
+        s.record(y, ActivityKind::ScmRead, 4);
+        s.record(x, ActivityKind::ClockCycle, 2);
+        let got: Vec<_> = s
+            .rows()
+            .map(|(id, row)| (id, row[ActivityKind::ScmRead.index()]))
+            .collect();
+        assert_eq!(got, vec![(x, 0), (y, 4)]);
+        assert_eq!(s.row(pad), &[0; ActivityKind::COUNT]);
+        assert_eq!(s.row(x)[ActivityKind::ClockCycle.index()], 2);
     }
 
     #[test]

@@ -24,9 +24,7 @@ use pels_core::{ActionMode, Command, Cond, PelsConfig, Program, TriggerCond};
 use pels_desc::{DescError, ExecMode, ScenarioDesc};
 use pels_interconnect::{ApbSlave, ArbiterKind, Topology};
 use pels_periph::{Spi, Timer};
-use pels_power::{
-    Battery, EnergyLedger, LifetimeReport, PowerModel, PowerReport, PowerSample, PowerTimeline,
-};
+use pels_power::{Battery, EnergyLedger, LifetimeReport, PowerModel, PowerReport, PowerTimeline};
 use pels_sim::{ActivitySet, EventVector, Frequency, SimTime, Trace};
 use std::fmt;
 use std::ops::Deref;
@@ -718,22 +716,7 @@ impl Scenario {
             let model = power_setup::power_model_for(self.pels());
             let pt = match &timeline {
                 Some(t) => PowerTimeline::from_activity(&model, t, self.freq()),
-                None => {
-                    let report = model.report(&activity, window);
-                    let components = report
-                        .components()
-                        .iter()
-                        .map(|c| (c.name.clone(), c.total().as_uw()))
-                        .collect();
-                    PowerTimeline {
-                        samples: vec![PowerSample {
-                            start: SimTime::ZERO,
-                            end: window,
-                            total_uw: report.total().as_uw(),
-                            components,
-                        }],
-                    }
-                }
+                None => PowerTimeline::from_window(&model, &activity, window),
             };
             let ledger = EnergyLedger::from_timeline(&pt);
             let projection = Battery::coin_cell().project(&ledger);

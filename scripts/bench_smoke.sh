@@ -103,6 +103,26 @@ cargo run -q --release -p pels-bench --bin desc_check
 cargo test -q --test desc_fuzz
 echo "bench_smoke: description corpus + fuzzer OK"
 
+# Benchmark gate: the perfbench package (its own Cargo workspace, built
+# against crates/ through path dependencies) must build, pass its unit
+# tests, and run one short round of each BENCHMARK.json workload with
+# every correctness check green — all events complete, fleet digest
+# stable across rounds, cheapest job equal to the naive scheduler,
+# lifetime ledgers telescoping. The result is the last stdout line.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for workload in linking lifetime; do
+    result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$result" in
+        *'"correct": true'*) ;;
+        *)
+            echo "bench_smoke: perfbench $workload round failed: $result" >&2
+            exit 1
+            ;;
+    esac
+done
+echo "bench_smoke: perfbench tests + linking/lifetime rounds OK"
+
 # Hygiene: every generated artifact class must stay ignored — a missing
 # pattern means `git status` noise at best and a committed multi-MB
 # artifact at worst.
