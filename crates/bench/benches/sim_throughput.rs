@@ -71,63 +71,6 @@ fn main() {
         });
     }
 
-    // Superblock execution: straight-line code is the best case (one
-    // sealed block covers the whole loop body), branch-heavy code the
-    // worst (every branch closes a block after a couple of steps), and
-    // pair-dense code is where op fusion pays. Each measured on all
-    // three tiers — fused, unfused superblocks, single-step — with
-    // everything else identical.
-    let straight: Vec<u32> = vec![
-        asm::addi(1, 1, 1),
-        asm::add(2, 2, 1),
-        asm::xor(3, 3, 1),
-        asm::addi(4, 4, 3),
-        asm::add(5, 5, 2),
-        asm::addi(6, 6, 1),
-        asm::add(7, 7, 6),
-        asm::xor(8, 8, 7),
-        asm::addi(9, 9, 2),
-        asm::add(10, 10, 9),
-        asm::jal(0, -40),
-    ];
-    let branchy: Vec<u32> = vec![
-        asm::addi(1, 1, 1),     // 0x00
-        asm::andi(2, 1, 1),     // 0x04
-        asm::beq(2, 0, 8),      // 0x08: skip the odd-path increment
-        asm::addi(3, 3, 1),     // 0x0C
-        asm::addi(4, 4, 1),     // 0x10
-        asm::jal(0, -0x14),     // 0x14
-    ];
-    let pair_dense: Vec<u32> = vec![
-        asm::lui(5, 0x1000),    // lui+addi fuse
-        asm::addi(5, 5, 0x21),
-        asm::addi(1, 1, 1),     // same-rd immediate chains fuse
-        asm::addi(1, 1, 2),
-        asm::addi(2, 2, 3),
-        asm::addi(2, 2, 5),
-        asm::slt(12, 0, 5),     // compare feeds its branch: fuses
-        asm::bne(12, 0, -28),
-    ];
-    for (kernel, program) in [
-        ("straight_line", &straight),
-        ("branch_heavy", &branchy),
-        ("pair_dense", &pair_dense),
-    ] {
-        for mode in ["fused", "superblock", "single_step"] {
-            bench.run_throughput(&format!("superblock/{kernel}/{mode}"), CYCLES, || {
-                let mut soc = busy_cpu_soc(false);
-                soc.load_program(RESET_PC, program);
-                match mode {
-                    "superblock" => soc.cpu_mut().set_fusion_enabled(false),
-                    "single_step" => soc.cpu_mut().set_superblocks_enabled(false),
-                    _ => {}
-                }
-                soc.run(CYCLES);
-                soc.cycle()
-            });
-        }
-    }
-
     // End-to-end active path: the same scenarios with the fast path off
     // (`ExecMode::Naive`) — the before/after pair behind the tracked
     // `linking_speedup` / `irq_speedup` fields.

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Validates `OBS_metrics.json` (a flat object of non-negative integer
-//! counters, with the decode-cache, scheduler, superblock/fusion and
-//! fleet-worker keys present and nonzero), `OBS_trace.json` (well-formed
+//! counters, with the decode-cache, scheduler and fleet-worker keys
+//! present and nonzero), `OBS_trace.json` (well-formed
 //! Chrome trace-event JSON that must include `"ph": "C"` power counter
 //! tracks and `"ph": "s"`/`"f"` causal flow arrows),
 //! `OBS_timeline.json` (at least one window, monotone contiguous
@@ -26,20 +26,15 @@ use pels_obs::json::{self, Value};
 use std::process::ExitCode;
 
 /// Counters the reference `--obs` workload must drive to a nonzero
-/// value: a zero here means the busy-CPU scenario, the fused spin loop
-/// or the fleet pass no longer exercises that layer.
+/// value: a zero here means the busy-CPU scenario or the fleet pass no
+/// longer exercises that layer.
 const NONZERO_KEYS: &[&str] = &[
     "cpu.cycles",
     "cpu.retired",
     "cpu.decode_cache.hits",
     "cpu.decode_cache.misses",
-    "cpu.superblock.runs",
-    "cpu.superblock.instrs",
-    "cpu.fused.ops",
-    "cpu.fused.pairs",
     "soc.sched.rebuilds",
     "soc.sched.sleeps",
-    "soc.sprint.spans",
     "fleet.jobs",
     "fleet.workers",
     "fleet.worker0.jobs",
@@ -73,11 +68,12 @@ const KNOWN_ENERGY_KEYS: &[&str] = &[
 /// Every counter the CPU and scheduler publishers may emit, by exact
 /// name — the schema side of `Cpu::publish_metrics` and
 /// `Soc::publish_metrics`. A `cpu.`-, `soc.sched.`- or
-/// `soc.sprint.`-prefixed key in the
-/// snapshot that is not listed here fails the gate: that is how producer
-/// renames and silent additions get caught as drift instead of shipping
-/// two names for one counter. Extend this list in the same change that
-/// adds or renames a published counter.
+/// `soc.sprint.`-prefixed key in the snapshot that is not listed here
+/// fails the gate: that is how producer renames and silent additions get
+/// caught as drift instead of shipping two names for one counter. No
+/// `soc.sprint.` key is listed — the sprint route was removed, so a
+/// publisher that brings one back fails here. Extend this list in the
+/// same change that adds or renames a published counter.
 const KNOWN_CPU_SCHED_KEYS: &[&str] = &[
     "cpu.cycles",
     "cpu.retired",
@@ -88,13 +84,6 @@ const KNOWN_CPU_SCHED_KEYS: &[&str] = &[
     "cpu.irq.overhead_cycles",
     "cpu.sleep_cycles",
     "cpu.stall_cycles",
-    "cpu.superblock.blocks_built",
-    "cpu.superblock.runs",
-    "cpu.superblock.instrs",
-    "cpu.superblock.cycles",
-    "cpu.superblock.verify_aborts",
-    "cpu.fused.ops",
-    "cpu.fused.pairs",
     "soc.sched.fast_cycles",
     "soc.sched.stirred_cycles",
     "soc.sched.naive_cycles",
@@ -103,10 +92,6 @@ const KNOWN_CPU_SCHED_KEYS: &[&str] = &[
     "soc.sched.rebuilds",
     "soc.sched.wakes",
     "soc.sched.sleeps",
-    "soc.sprint.spans",
-    "soc.sprint.proofs",
-    "soc.sprint.token_hits",
-    "soc.sprint.invalidations",
 ];
 
 fn check_metrics(path: &str) -> Result<(), String> {

@@ -333,9 +333,9 @@ fn flows_to_json(sections: &[(&str, &pels_soc::ScenarioReport)]) -> String {
 }
 
 /// The `--obs` pass: runs a busy-CPU scenario (activity timeline
-/// sampled every [`OBS_TIMELINE_WINDOW`] cycles), a fused-superblock
-/// spin workload and a small fleet with full metrics collection, plus
-/// the three flow-traced latency probes. Exports the merged counter
+/// sampled every [`OBS_TIMELINE_WINDOW`] cycles) and a small fleet with
+/// full metrics collection, plus the three flow-traced latency probes.
+/// Exports the merged counter
 /// snapshot, the Chrome trace (simulated-time events + flow arrows +
 /// host-time spans + power counter tracks), the power timeline and the
 /// per-stage flow decomposition, and renders the latency histogram,
@@ -359,38 +359,6 @@ fn run_obs_artifact() -> Result<String, String> {
         .try_run()
         .map_err(|e| format!("obs scenario failed: {e}"))?;
     reg.absorb(report.metrics.as_ref().expect("obs(true) snapshot"));
-
-    // Busy-linking fused workload: the interrupt handler alone retires
-    // too few straight-line ALU ops for the superblock and fusion tiers
-    // to engage, so those counters would vanish from the snapshot (zero
-    // values are filtered). A spinning fusible loop — `lui+addi` and an
-    // ALU-immediate chain through one live destination — drives
-    // `cpu.superblock.*`, `cpu.fused.*` and `soc.sprint.*` to honest
-    // nonzero values.
-    {
-        use pels_cpu::asm;
-        let mut soc = pels_soc::SocBuilder::new().build();
-        soc.load_program(
-            pels_soc::mem_map::RESET_PC,
-            &[
-                asm::lui(1, 0x1234_5000),
-                asm::addi(1, 1, 0x678),
-                asm::addi(2, 2, 1),
-                asm::addi(2, 2, 1),
-                asm::jal(0, -16),
-            ],
-        );
-        let _span = pels_obs::profile::span("obs.fused_spin");
-        soc.run(4096);
-        // Publish into a private registry and absorb the (zero-filtered)
-        // snapshot: `publish_metrics` has set semantics, so publishing
-        // straight into `reg` would overwrite the scenario's counters
-        // with this workload's (including zeros for layers it never
-        // touches, e.g. the scheduler's sleep counter).
-        let mut spin_reg = pels_obs::MetricsRegistry::new();
-        soc.publish_metrics(&mut spin_reg);
-        reg.absorb(&spin_reg.snapshot());
-    }
 
     // A small fleet on one worker — single-worker attribution is
     // deterministic, so `fleet.worker0.jobs` is reliably nonzero for the

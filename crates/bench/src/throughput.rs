@@ -2,7 +2,7 @@
 //! wall-clock second) — the meta-benchmark for the behavioural substrate
 //! itself, tracked across PRs via `BENCH_sim_throughput.json`.
 //!
-//! Three workloads bound the space:
+//! Four workloads bound the space:
 //!
 //! * **idle SoC** — CPU parked in `wfi`, all peripherals quiescent: the
 //!   dominant state of the paper's duty-cycled ULP workloads and the one
@@ -14,12 +14,8 @@
 //! * **IRQ baseline** — the same scenario mediated by Ibex interrupts
 //!   (CPU wake/sleep traffic every event).
 //! * **busy linking workload** — a PELS link fires while the CPU crunches
-//!   a straight-line kernel that never sleeps: the workload superblock
-//!   execution accelerates. Measured on three tiers — fused superblocks
-//!   (the default fast path), unfused superblocks (the pre-fusion
-//!   path), and the CPU forced to single-step — so both the superblock
-//!   speedup (`linking_superblock_speedup`) and the op-fusion speedup
-//!   on top of it (`linking_fused_speedup`) are tracked numbers.
+//!   a straight-line kernel that never sleeps, so every cycle retires
+//!   through the decode-cached single-step path (`linking_busy_cpu`).
 
 use crate::harness::{fmt_rate, Bench};
 use pels_sim::Frequency;
@@ -34,7 +30,7 @@ use pels_soc::mem_map::RESET_PC;
 pub const IDLE_CYCLES: u64 = 200_000;
 
 /// Simulated cycles per busy-linking measurement iteration.
-pub const SUPERBLOCK_CYCLES: u64 = 200_000;
+pub const BUSY_CYCLES: u64 = 200_000;
 
 /// One measured workload.
 #[derive(Debug, Clone)]
@@ -55,24 +51,11 @@ fn idle_soc(naive: bool) -> pels_soc::Soc {
     soc
 }
 
-/// Execution tier a busy-linking measurement runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusyTier {
-    /// The default fast path: superblocks executed from the fused
-    /// op program.
-    Fused,
-    /// Superblocks with op fusion disabled — the generic per-step
-    /// block loop (the pre-fusion reference).
-    Superblock,
-    /// One instruction per scheduler visit.
-    SingleStep,
-}
-
 /// A PELS link toggles a GPIO on every timer compare while the CPU
 /// crunches a straight-line ALU kernel — peripheral events keep flowing,
 /// but the CPU never sleeps, so host throughput is bound by instruction
 /// execution rather than by whole-SoC skips.
-pub fn busy_linking_soc(tier: BusyTier) -> pels_soc::Soc {
+pub fn busy_linking_soc() -> pels_soc::Soc {
     let mut soc = SocBuilder::new().build();
     soc.trace_mut().set_enabled(false);
     soc.pels_mut()
@@ -92,11 +75,9 @@ pub fn busy_linking_soc(tier: BusyTier) -> pels_soc::Soc {
             .expect("valid"),
         )
         .expect("fits");
-    // A 14-deep chain of register-only ALU ops closed by a compare-and-
-    // branch: one sealed superblock covering the whole loop body, with a
-    // pair-dense instruction mix (lui+addi, same-rd immediate chains and
-    // a compare feeding its branch) so the fused tier exercises every
-    // fusion class, plus register-register singles for the generic path.
+    // A 14-deep loop of register-only ALU ops closed by a compare-and-
+    // branch: no loads, stores or `wfi`, so the CPU retires an
+    // instruction on every non-stall cycle.
     soc.load_program(
         RESET_PC,
         &[
@@ -120,11 +101,6 @@ pub fn busy_linking_soc(tier: BusyTier) -> pels_soc::Soc {
     soc.timer_mut()
         .write(Timer::CTRL, Timer::CTRL_ENABLE)
         .unwrap();
-    match tier {
-        BusyTier::Fused => {}
-        BusyTier::Superblock => soc.cpu_mut().set_fusion_enabled(false),
-        BusyTier::SingleStep => soc.cpu_mut().set_superblocks_enabled(false),
-    }
     soc
 }
 
@@ -177,25 +153,17 @@ pub fn measure(samples: usize) -> Vec<ThroughputRow> {
         });
     }
 
-    // The busy-CPU linking workload across the three execution tiers
-    // (everything but the tier identical, and all three simulate
-    // bit-identical SoCs).
-    for (name, tier) in [
-        ("linking_fused", BusyTier::Fused),
-        ("linking_superblock", BusyTier::Superblock),
-        ("linking_superblock_single_step", BusyTier::SingleStep),
-    ] {
-        let rate = bench.run_throughput(name, SUPERBLOCK_CYCLES, || {
-            let mut soc = busy_linking_soc(tier);
-            soc.run(SUPERBLOCK_CYCLES);
-            soc.cycle()
-        });
-        rows.push(ThroughputRow {
-            name,
-            cycles: SUPERBLOCK_CYCLES,
-            cycles_per_sec: rate,
-        });
-    }
+    let name = "linking_busy_cpu";
+    let rate = bench.run_throughput(name, BUSY_CYCLES, || {
+        let mut soc = busy_linking_soc();
+        soc.run(BUSY_CYCLES);
+        soc.cycle()
+    });
+    rows.push(ThroughputRow {
+        name,
+        cycles: BUSY_CYCLES,
+        cycles_per_sec: rate,
+    });
     rows
 }
 
@@ -210,18 +178,6 @@ pub fn speedup_vs(rows: &[ThroughputRow], fast: &str, reference: &str) -> Option
 /// `<name>_naive`).
 pub fn speedup_of(rows: &[ThroughputRow], name: &str) -> Option<f64> {
     speedup_vs(rows, name, &format!("{name}_naive"))
-}
-
-/// The superblock-execution speedup on the busy linking workload (its
-/// reference row retires one instruction per scheduler visit).
-pub fn superblock_speedup(rows: &[ThroughputRow]) -> Option<f64> {
-    speedup_vs(rows, "linking_superblock", "linking_superblock_single_step")
-}
-
-/// The op-fusion speedup on the busy linking workload: the fused tier
-/// over the unfused superblock tier (the pre-fusion fast path).
-pub fn fused_speedup(rows: &[ThroughputRow]) -> Option<f64> {
-    speedup_vs(rows, "linking_fused", "linking_superblock")
 }
 
 /// The idle-path speedup (fast over naive) from a measured row set.
@@ -251,23 +207,13 @@ pub fn render(rows: &[ThroughputRow]) -> String {
     if let Some(x) = speedup_of(rows, "irq_baseline") {
         s.push_str(&format!("  active-path speedup (irq baseline): {x:.1}x\n"));
     }
-    if let Some(x) = superblock_speedup(rows) {
-        s.push_str(&format!(
-            "  superblock speedup (busy linking workload): {x:.1}x\n"
-        ));
-    }
-    if let Some(x) = fused_speedup(rows) {
-        s.push_str(&format!(
-            "  op-fusion speedup (fused over unfused superblocks): {x:.1}x\n"
-        ));
-    }
     s
 }
 
 /// Version of the `BENCH_sim_throughput.json` schema, recorded in the
 /// artifact itself. Bump when a key is renamed or its meaning changes
 /// (adding keys is non-breaking: the writer merges, never drops).
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Parses the flat JSON objects the `BENCH_*` artifacts use — one
 /// `"key": value` pair per entry, values numbers or strings, no nesting —
@@ -331,12 +277,6 @@ pub fn merge_json(rows: &[ThroughputRow], samples: usize, existing: Option<&str>
     }
     if let Some(x) = speedup_of(rows, "irq_baseline") {
         updates.push(("irq_speedup".into(), format!("{x:.2}")));
-    }
-    if let Some(x) = superblock_speedup(rows) {
-        updates.push(("linking_superblock_speedup".into(), format!("{x:.2}")));
-    }
-    if let Some(x) = fused_speedup(rows) {
-        updates.push(("linking_fused_speedup".into(), format!("{x:.2}")));
     }
     updates.push(("idle_cycles_per_iter".into(), IDLE_CYCLES.to_string()));
     // Host metadata: numbers in this artifact are only comparable on a
@@ -440,68 +380,20 @@ mod tests {
     }
 
     #[test]
-    fn superblock_pair_serializes_its_speedup() {
-        let rows = vec![
-            ThroughputRow {
-                name: "linking_superblock",
-                cycles: 10,
-                cycles_per_sec: 9e7,
-            },
-            ThroughputRow {
-                name: "linking_superblock_single_step",
-                cycles: 10,
-                cycles_per_sec: 3e7,
-            },
-        ];
-        assert_eq!(superblock_speedup(&rows), Some(3.0));
-        let j = to_json(&rows, 10);
-        assert!(j.contains("\"linking_superblock_speedup\": 3.00"));
-        // The single-step row is a reference, never paired as `_naive`.
-        assert!(speedup_of(&rows, "linking_superblock").is_none());
-    }
-
-    #[test]
-    fn fused_tier_serializes_its_speedup_over_superblocks() {
-        let rows = vec![
-            ThroughputRow {
-                name: "linking_fused",
-                cycles: 10,
-                cycles_per_sec: 1.8e8,
-            },
-            ThroughputRow {
-                name: "linking_superblock",
-                cycles: 10,
-                cycles_per_sec: 9e7,
-            },
-        ];
-        assert_eq!(fused_speedup(&rows), Some(2.0));
-        let j = to_json(&rows, 10);
-        assert!(j.contains("\"linking_fused_speedup\": 2.00"));
-    }
-
-    #[test]
-    fn busy_linking_workloads_simulate_identically() {
-        // The measurement must time identical simulations: same final
-        // cycle, retirement and GPIO traffic on all three execution
-        // tiers — and each tier must actually run on its own path.
-        let mut fused = busy_linking_soc(BusyTier::Fused);
-        let mut unfused = busy_linking_soc(BusyTier::Superblock);
-        let mut single = busy_linking_soc(BusyTier::SingleStep);
-        fused.run(2_000);
-        unfused.run(2_000);
-        single.run(2_000);
-        for other in [&unfused, &single] {
-            assert_eq!(fused.cycle(), other.cycle());
-            assert_eq!(fused.cpu().cycles(), other.cpu().cycles());
-            assert_eq!(fused.cpu().retired(), other.cpu().retired());
-        }
-        let activity = fused.drain_activity();
-        assert_eq!(activity, unfused.drain_activity());
-        assert_eq!(activity, single.drain_activity());
-        assert!(fused.superblock_stats().fused_ops > 0);
-        assert!(unfused.superblock_stats().block_runs > 0);
-        assert_eq!(unfused.superblock_stats().fused_ops, 0);
-        assert_eq!(single.superblock_stats().block_runs, 0);
+    fn busy_linking_workload_simulates_identically_to_naive() {
+        // The measurement must time the simulation the naive reference
+        // path would run: same final cycle, retirement and activity.
+        let mut fast = busy_linking_soc();
+        let mut naive = busy_linking_soc();
+        naive.set_naive_scheduling(true);
+        naive.cpu_mut().set_decode_cache_enabled(false);
+        fast.run(2_000);
+        naive.run(2_000);
+        assert_eq!(fast.cycle(), naive.cycle());
+        assert_eq!(fast.cpu().cycles(), naive.cpu().cycles());
+        assert_eq!(fast.cpu().retired(), naive.cpu().retired());
+        assert!(fast.cpu().retired() > 1_000, "the CPU never sleeps");
+        assert_eq!(fast.drain_activity(), naive.drain_activity());
     }
 
     #[test]

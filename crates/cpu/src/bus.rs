@@ -68,19 +68,6 @@ pub trait CpuBus {
     /// implementation charges fetch activity to the memory it reads.
     fn fetch(&mut self, addr: u32) -> u32;
 
-    /// Reads the instruction word at `addr` with **no side effects** —
-    /// no fetch accounting, no activity charged. The superblock bulk
-    /// verifier peeks every word a sealed block covers before deciding
-    /// to execute it; the real fetch traffic is emitted afterwards (or
-    /// by the per-step path, on a mismatch).
-    fn peek_fetch(&self, addr: u32) -> u32;
-
-    /// Charges `n` word fetches' accounting without transferring data:
-    /// the bulk verifier already peeked the words, so this emits the
-    /// same fetch-count/activity side effects `n` [`CpuBus::fetch`]
-    /// calls would, in one step.
-    fn charge_fetches(&mut self, n: u32);
-
     /// Issues a data access.
     fn data(&mut self, req: DataReq) -> DataResult;
 
@@ -187,17 +174,6 @@ impl CpuBus for SimpleBus {
             .get((addr / 4) as usize)
             .copied()
             .unwrap_or(0)
-    }
-
-    fn peek_fetch(&self, addr: u32) -> u32 {
-        self.words
-            .get((addr / 4) as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    fn charge_fetches(&mut self, n: u32) {
-        self.fetches += u64::from(n);
     }
 
     fn data(&mut self, req: DataReq) -> DataResult {

@@ -73,532 +73,6 @@ const INVALID_LINE: DecodedLine = DecodedLine {
     instr: Instr::Fence,
 };
 
-/// Entries in the direct-mapped superblock cache, indexed by the block's
-/// start pc bits `[1..]`.
-const SUPERBLOCK_ENTRIES: usize = 64;
-
-/// Maximum instructions chained into one superblock.
-const SUPERBLOCK_MAX_LEN: usize = 32;
-
-/// One decoded instruction inside a superblock: the decode plus the raw
-/// bits it came from, re-verified against a fresh fetch on every block
-/// execution (the same stale-decode defence as [`DecodedLine`]).
-#[derive(Debug, Clone, Copy)]
-struct BlockStep {
-    pc: u32,
-    raw: u32,
-    size: u32,
-    instr: Instr,
-}
-
-const INVALID_STEP: BlockStep = BlockStep {
-    pc: 1,
-    raw: 0,
-    size: 0,
-    instr: Instr::Fence,
-};
-
-/// How a fused step's raw bits sit in memory, precomputed at seal time so
-/// the per-step re-verify is a single fetch + compare on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FetchKind {
-    /// 32-bit instruction, word aligned: the whole word must match.
-    Word,
-    /// 16-bit parcel in the low half of its word.
-    LowHalf,
-    /// 16-bit parcel in the high half of its word.
-    HighHalf,
-    /// 32-bit instruction straddling a word boundary (second fetch).
-    Straddle,
-}
-
-/// Pre-resolved fetch/verify plan for one architectural instruction
-/// inside a fused superblock.
-#[derive(Debug, Clone, Copy)]
-struct StepFetch {
-    /// Word-aligned address of the (first) fetch.
-    aligned: u32,
-    /// Expected raw bits, positioned per `kind`.
-    raw: u32,
-    kind: FetchKind,
-}
-
-const INVALID_FETCH: StepFetch = StepFetch {
-    aligned: 0,
-    raw: 0,
-    kind: FetchKind::Word,
-};
-
-/// A specialized host-level operation compiled from one or two sealed
-/// block steps: register indices and immediates are pre-resolved out of
-/// [`Instr`], pcs (fallthroughs, jump/branch targets, `auipc` results)
-/// are constant-folded, and a small set of two-instruction patterns is
-/// collapsed into single ops. Execution skips the general
-/// decode/`execute` dispatch entirely.
-#[derive(Debug, Clone, Copy)]
-enum FusedOp {
-    /// `lui`/`auipc`: the result is a seal-time constant.
-    SetImm { rd: u8, value: u32 },
-    /// `rd = rs1 op imm`.
-    AluImm { op: AluOp, rd: u8, rs1: u8, imm: u32 },
-    /// `rd = rs1 op rs2`.
-    Alu { op: AluOp, rd: u8, rs1: u8, rs2: u8 },
-    /// M-extension op with its extra stall precomputed.
-    MulDiv {
-        op: MulDivOp,
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-        extra: u32,
-    },
-    /// `jal` with link and target constant-folded.
-    Jal { rd: u8, link: u32, target: u32 },
-    /// `jalr` (target depends on `rs1`; link is constant).
-    Jalr {
-        rd: u8,
-        rs1: u8,
-        offset: u32,
-        link: u32,
-    },
-    /// Conditional branch with both successor pcs constant-folded.
-    Branch {
-        op: BranchOp,
-        rs1: u8,
-        rs2: u8,
-        taken: u32,
-        fallthrough: u32,
-    },
-    /// Fused `lui rd, hi` + `addi rd, rd, lo`: the folded constant is
-    /// materialised in one write (the intermediate value is dead).
-    LuiAddi { rd: u8, value: u32 },
-    /// Fused ALU-immediate chain through one live destination
-    /// (`op1 rd, rs1, imm1` + `op2 rd, rd, imm2`, `rd != x0`).
-    AluImmPair {
-        rd: u8,
-        rs1: u8,
-        op1: AluOp,
-        imm1: u32,
-        op2: AluOp,
-        imm2: u32,
-    },
-    /// Fused compare + sealing branch (`slt[u] rd, rs1, rs2` +
-    /// `beq`/`bne` of `rd` against `x0`): the comparison feeds the
-    /// branch decision directly.
-    CmpBranch {
-        rd: u8,
-        rs1: u8,
-        rs2: u8,
-        unsigned: bool,
-        /// Branch taken when the comparison result is this value.
-        taken_if_set: bool,
-        taken: u32,
-        fallthrough: u32,
-    },
-}
-
-/// One element of a block's fused program: the op, which sealed steps it
-/// covers (for the generic-path fallback on budget boundaries and verify
-/// aborts), and the pc it retires to. The constituents' verify plans
-/// live in the parallel `BlockLine::fused_fetch` array so the
-/// bulk-verified fast path never touches them.
-#[derive(Debug, Clone, Copy)]
-struct FusedEntry {
-    op: FusedOp,
-    /// Index of the first covered step in `BlockLine::steps`.
-    step: u8,
-    /// Architectural instructions covered (1 or 2).
-    n: u8,
-    /// pc after the entry retires (control-flow ops override it).
-    next_pc: u32,
-}
-
-const INVALID_FUSED: FusedEntry = FusedEntry {
-    op: FusedOp::SetImm { rd: 0, value: 0 },
-    step: 0,
-    n: 1,
-    next_pc: 0,
-};
-
-/// Per-step verify plans of one fused entry (the per-step fallback path
-/// only — the bulk-verified fast path checks whole words instead).
-#[derive(Debug, Clone, Copy)]
-struct FusedFetch {
-    /// Verify plan of the first constituent.
-    fetch: StepFetch,
-    /// Verify plan of the second constituent (`n == 2` only).
-    fetch2: StepFetch,
-}
-
-const INVALID_FUSED_FETCH: FusedFetch = FusedFetch {
-    fetch: INVALID_FETCH,
-    fetch2: INVALID_FETCH,
-};
-
-/// Upper bound on distinct aligned words a block's sequential execution
-/// fetches: one per 4-byte step plus one for a trailing straddle.
-const SUPERBLOCK_MAX_WORDS: usize = SUPERBLOCK_MAX_LEN + 1;
-
-/// One word of a block's bulk-verify plan: which bits of the word belong
-/// to instruction parcels, and what they must still hold. Bits outside
-/// `mask` (e.g. the unused half past a final compressed step) may change
-/// freely without staling the block.
-#[derive(Debug, Clone, Copy)]
-struct VerifyWord {
-    aligned: u32,
-    expected: u32,
-    mask: u32,
-}
-
-const INVALID_WORD: VerifyWord = VerifyWord {
-    aligned: 1,
-    expected: 0,
-    mask: 0,
-};
-
-/// One superblock cache line: up to [`SUPERBLOCK_MAX_LEN`] consecutive
-/// decoded instructions starting at `start`, plus the fused program and
-/// bulk-verify plan compiled from them at seal time. As with the decode
-/// cache, an odd `start` can never match a real pc and marks the line
-/// invalid.
-#[derive(Debug, Clone, Copy)]
-struct BlockLine {
-    start: u32,
-    len: u32,
-    steps: [BlockStep; SUPERBLOCK_MAX_LEN],
-    /// Entries of the fused program (each covers 1–2 steps).
-    fused_len: u32,
-    fused: [FusedEntry; SUPERBLOCK_MAX_LEN],
-    /// Verify plans parallel to `fused` (per-step fallback only).
-    fused_fetch: [FusedFetch; SUPERBLOCK_MAX_LEN],
-    /// Words of the bulk-verify plan, in fetch order.
-    words_len: u32,
-    words: [VerifyWord; SUPERBLOCK_MAX_WORDS],
-    /// Worst-case cycles the whole block can bill (every branch on its
-    /// slower outcome): a budget at or above this covers the block.
-    max_cycles: u32,
-}
-
-const INVALID_BLOCK: BlockLine = BlockLine {
-    start: 1,
-    len: 0,
-    steps: [INVALID_STEP; SUPERBLOCK_MAX_LEN],
-    fused_len: 0,
-    fused: [INVALID_FUSED; SUPERBLOCK_MAX_LEN],
-    fused_fetch: [INVALID_FUSED_FETCH; SUPERBLOCK_MAX_LEN],
-    words_len: 0,
-    words: [INVALID_WORD; SUPERBLOCK_MAX_WORDS],
-    max_cycles: 0,
-};
-
-/// In-progress superblock accumulator, grown as a side effect of
-/// single-step execution (so chaining costs no extra fetches or decodes).
-#[derive(Debug)]
-struct BlockChain {
-    start: u32,
-    next_pc: u32,
-    len: u32,
-    steps: [BlockStep; SUPERBLOCK_MAX_LEN],
-}
-
-/// How an instruction participates in superblock chaining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StepClass {
-    /// Register-only: chains, and the block continues past it.
-    Chain,
-    /// Branch/jump: executes inside a block but terminates it.
-    Close,
-    /// Bus access, CSR/system, `fence`, or trap-capable: never enters a
-    /// block; the chain ends just before it.
-    Break,
-}
-
-fn classify(instr: &Instr) -> StepClass {
-    match instr {
-        Instr::Lui { .. }
-        | Instr::Auipc { .. }
-        | Instr::AluImm { .. }
-        | Instr::Alu { .. }
-        | Instr::MulDiv { .. } => StepClass::Chain,
-        Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Branch { .. } => StepClass::Close,
-        _ => StepClass::Break,
-    }
-}
-
-/// Precomputes a step's fetch/verify plan from its pc, size and raw bits.
-fn step_fetch(step: &BlockStep) -> StepFetch {
-    let aligned = step.pc & !3;
-    let kind = match (step.pc & 2 == 0, step.size) {
-        (true, 4) => FetchKind::Word,
-        (true, _) => FetchKind::LowHalf,
-        (false, 2) => FetchKind::HighHalf,
-        (false, _) => FetchKind::Straddle,
-    };
-    StepFetch {
-        aligned,
-        raw: step.raw,
-        kind,
-    }
-}
-
-/// Compiles sealed block steps into the block's fused program, returning
-/// the entry count. Each entry covers one step, or two when a fusable
-/// pattern matches (see [`fuse_pair`]).
-fn compile_fused(
-    steps: &[BlockStep],
-    out: &mut [FusedEntry; SUPERBLOCK_MAX_LEN],
-    fetches: &mut [FusedFetch; SUPERBLOCK_MAX_LEN],
-) -> u32 {
-    let mut n = 0usize;
-    let mut i = 0usize;
-    while i < steps.len() {
-        let (op, covered) = match steps
-            .get(i + 1)
-            .and_then(|b| fuse_pair(&steps[i], b))
-        {
-            Some(op) => (op, 2usize),
-            None => (fuse_one(&steps[i]), 1usize),
-        };
-        let last = &steps[i + covered - 1];
-        out[n] = FusedEntry {
-            op,
-            step: i as u8,
-            n: covered as u8,
-            next_pc: last.pc.wrapping_add(last.size),
-        };
-        fetches[n] = FusedFetch {
-            fetch: step_fetch(&steps[i]),
-            fetch2: if covered == 2 {
-                step_fetch(last)
-            } else {
-                INVALID_FETCH
-            },
-        };
-        n += 1;
-        i += covered;
-    }
-    n as u32
-}
-
-/// Compiles a block's bulk-verify plan: every aligned word its
-/// sequential execution fetches, in fetch order, with the bits covered
-/// by instruction parcels. Also returns the block's worst-case cycle
-/// bill (every branch taken on its slower outcome), so `run_block` can
-/// tell when a budget is guaranteed to cover the whole block.
-fn compile_words(
-    steps: &[BlockStep],
-    out: &mut [VerifyWord; SUPERBLOCK_MAX_WORDS],
-) -> (u32, u32) {
-    fn push(
-        out: &mut [VerifyWord; SUPERBLOCK_MAX_WORDS],
-        n: &mut usize,
-        aligned: u32,
-        expected: u32,
-        mask: u32,
-    ) {
-        // Sequential steps revisit a word only consecutively, exactly
-        // like the prefetch buffer: merge into the open word.
-        if *n > 0 && out[*n - 1].aligned == aligned {
-            out[*n - 1].expected |= expected;
-            out[*n - 1].mask |= mask;
-        } else {
-            out[*n] = VerifyWord {
-                aligned,
-                expected,
-                mask,
-            };
-            *n += 1;
-        }
-    }
-    let mut n = 0usize;
-    let mut max_cycles = 0u32;
-    for step in steps {
-        let fs = step_fetch(step);
-        match fs.kind {
-            FetchKind::Word => push(out, &mut n, fs.aligned, fs.raw, 0xFFFF_FFFF),
-            FetchKind::LowHalf => push(out, &mut n, fs.aligned, fs.raw, 0xFFFF),
-            FetchKind::HighHalf => push(out, &mut n, fs.aligned, fs.raw << 16, 0xFFFF_0000),
-            FetchKind::Straddle => {
-                push(out, &mut n, fs.aligned, (fs.raw & 0xFFFF) << 16, 0xFFFF_0000);
-                push(out, &mut n, fs.aligned + 4, fs.raw >> 16, 0xFFFF);
-            }
-        }
-        max_cycles += match step.instr {
-            Instr::MulDiv { op, .. } => match op {
-                MulDivOp::Mul | MulDivOp::Mulh | MulDivOp::Mulhsu | MulDivOp::Mulhu => timing::MUL,
-                _ => timing::DIV,
-            },
-            Instr::Jal { .. } | Instr::Jalr { .. } => timing::JUMP,
-            Instr::Branch { .. } => timing::BRANCH_TAKEN.max(timing::BRANCH_NOT_TAKEN),
-            _ => timing::ALU,
-        };
-    }
-    (n as u32, max_cycles)
-}
-
-/// Specializes one block step: register indices and immediates lifted
-/// out of [`Instr`], pcs (`auipc` results, link values, jump/branch
-/// targets, fallthroughs) constant-folded, M-extension stall
-/// precomputed.
-fn fuse_one(step: &BlockStep) -> FusedOp {
-    let pc = step.pc;
-    let next_pc = pc.wrapping_add(step.size);
-    match step.instr {
-        Instr::Lui { rd, imm } => FusedOp::SetImm { rd, value: imm },
-        Instr::Auipc { rd, imm } => FusedOp::SetImm {
-            rd,
-            value: pc.wrapping_add(imm),
-        },
-        Instr::AluImm { op, rd, rs1, imm } => FusedOp::AluImm {
-            op,
-            rd,
-            rs1,
-            imm: imm as u32,
-        },
-        Instr::Alu { op, rd, rs1, rs2 } => FusedOp::Alu { op, rd, rs1, rs2 },
-        Instr::MulDiv { op, rd, rs1, rs2 } => {
-            let cost = match op {
-                MulDivOp::Mul | MulDivOp::Mulh | MulDivOp::Mulhsu | MulDivOp::Mulhu => timing::MUL,
-                _ => timing::DIV,
-            };
-            FusedOp::MulDiv {
-                op,
-                rd,
-                rs1,
-                rs2,
-                extra: cost - 1,
-            }
-        }
-        Instr::Jal { rd, offset } => FusedOp::Jal {
-            rd,
-            link: next_pc,
-            target: pc.wrapping_add(offset as u32),
-        },
-        Instr::Jalr { rd, rs1, offset } => FusedOp::Jalr {
-            rd,
-            rs1,
-            offset: offset as u32,
-            link: next_pc,
-        },
-        Instr::Branch {
-            op,
-            rs1,
-            rs2,
-            offset,
-        } => FusedOp::Branch {
-            op,
-            rs1,
-            rs2,
-            taken: pc.wrapping_add(offset as u32),
-            fallthrough: next_pc,
-        },
-        // `classify` admits only the arms above into blocks.
-        _ => unreachable!("non-chainable instruction inside a sealed block"),
-    }
-}
-
-/// Tries to fuse two adjacent steps into one op. Every pattern has a
-/// zero-stall ALU head writing `rd != x0` (so the budget-boundary and
-/// stale-second fallbacks can retire the head standalone, and so the
-/// `x0` discard special case can't change semantics):
-///
-/// - `lui rd, hi` + `addi rd, rd, lo`: the folded 32-bit constant;
-/// - `op1 rd, rs1, imm1` + `op2 rd, rd, imm2`: an ALU-immediate chain
-///   through one live destination (the intermediate value is dead);
-/// - `slt`/`sltu rd, rs1, rs2` + `beq`/`bne` of `rd` against `x0`
-///   (either operand order): the comparison feeds the branch directly.
-fn fuse_pair(a: &BlockStep, b: &BlockStep) -> Option<FusedOp> {
-    match (a.instr, b.instr) {
-        (
-            Instr::Lui { rd, imm },
-            Instr::AluImm {
-                op: AluOp::Add,
-                rd: rd2,
-                rs1,
-                imm: lo,
-            },
-        ) if rd != 0 && rd2 == rd && rs1 == rd => Some(FusedOp::LuiAddi {
-            rd,
-            value: imm.wrapping_add(lo as u32),
-        }),
-        (
-            Instr::AluImm {
-                op: op1,
-                rd,
-                rs1,
-                imm: imm1,
-            },
-            Instr::AluImm {
-                op: op2,
-                rd: rd2,
-                rs1: rs1b,
-                imm: imm2,
-            },
-        ) if rd != 0 && rd2 == rd && rs1b == rd => Some(FusedOp::AluImmPair {
-            rd,
-            rs1,
-            op1,
-            imm1: imm1 as u32,
-            op2,
-            imm2: imm2 as u32,
-        }),
-        (
-            Instr::Alu {
-                op: cmp,
-                rd,
-                rs1,
-                rs2,
-            },
-            Instr::Branch {
-                op: br,
-                rs1: b1,
-                rs2: b2,
-                offset,
-            },
-        ) if rd != 0
-            && matches!(cmp, AluOp::Slt | AluOp::Sltu)
-            && matches!(br, BranchOp::Eq | BranchOp::Ne)
-            && ((b1 == rd && b2 == 0) || (b1 == 0 && b2 == rd)) =>
-        {
-            Some(FusedOp::CmpBranch {
-                rd,
-                rs1,
-                rs2,
-                unsigned: cmp == AluOp::Sltu,
-                taken_if_set: br == BranchOp::Ne,
-                taken: b.pc.wrapping_add(offset as u32),
-                fallthrough: b.pc.wrapping_add(b.size),
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Cumulative superblock-layer counters (see [`Cpu::superblock_stats`]).
-///
-/// Like the decode-cache hit/miss counts, these describe the *host-side
-/// accelerator*, not the modelled hardware — they legitimately differ
-/// between superblock and single-step runs of the same workload, so
-/// differential tests must not compare them across modes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SuperblockStats {
-    /// Blocks sealed into the block cache.
-    pub blocks_built: u64,
-    /// Block-cache entries executed by [`Cpu::run_block`].
-    pub block_runs: u64,
-    /// Instructions retired from inside blocks.
-    pub block_instrs: u64,
-    /// Cycles billed in bulk by [`Cpu::run_block`].
-    pub block_cycles: u64,
-    /// Raw-bits re-verification failures (self-modified code caught at
-    /// block execution time).
-    pub verify_aborts: u64,
-    /// Fused ops executed by the fused tier (each covers 1–2 retired
-    /// instructions).
-    pub fused_ops: u64,
-    /// Fused ops covering two architectural instructions.
-    pub fused_pairs: u64,
-}
-
 /// The Ibex-class RV32IM core.
 ///
 /// Drive it with one [`Cpu::tick`] per clock cycle, passing the sampled
@@ -630,26 +104,6 @@ pub struct Cpu {
     dcache_enabled: bool,
     dcache_hits: u64,
     dcache_misses: u64,
-    /// Direct-mapped superblock cache: chains of decoded instructions
-    /// executed and billed in bulk by [`Cpu::run_block`]. Like the decode
-    /// cache, purely a host-side accelerator — every step re-verifies its
-    /// raw bits against a fresh fetch, so execution is bit-identical with
-    /// blocks on or off.
-    blocks: Box<[BlockLine; SUPERBLOCK_ENTRIES]>,
-    /// Superblock under construction (grown during single-step execution).
-    chain: Box<BlockChain>,
-    sb_enabled: bool,
-    /// Whether sealed blocks execute through their fused program (the
-    /// specialized op array) or the generic decoded-step loop. Both
-    /// tiers are bit-identical; the flag exists so benchmarks and
-    /// differential tests can measure the unfused superblock tier.
-    fuse_enabled: bool,
-    sb: SuperblockStats,
-    /// A fetch completed by `run_block`'s verify step whose instruction
-    /// could not execute inside the block (the raw bits were stale):
-    /// `(pc, raw, size)` handed to the next `fetch_decode` so the fetch
-    /// traffic already paid is not paid again.
-    handoff: Option<(u32, u32, u32)>,
     // Statistics / activity.
     cycles: u64,
     retired: u64,
@@ -684,17 +138,6 @@ impl Cpu {
             dcache_enabled: true,
             dcache_hits: 0,
             dcache_misses: 0,
-            blocks: Box::new([INVALID_BLOCK; SUPERBLOCK_ENTRIES]),
-            chain: Box::new(BlockChain {
-                start: 1,
-                next_pc: 1,
-                len: 0,
-                steps: [INVALID_STEP; SUPERBLOCK_MAX_LEN],
-            }),
-            sb_enabled: true,
-            fuse_enabled: true,
-            sb: SuperblockStats::default(),
-            handoff: None,
             cycles: 0,
             retired: 0,
             fetches: 0,
@@ -789,50 +232,8 @@ impl Cpu {
     }
 
     /// Decoded-instruction cache `(hits, misses)` since reset/disable.
-    /// Block-level counters for the superblock layer built on top of the
-    /// cache live in [`Cpu::superblock_stats`].
     pub fn decode_cache_stats(&self) -> (u64, u64) {
         (self.dcache_hits, self.dcache_misses)
-    }
-
-    /// Enables or disables superblock execution ([`Cpu::run_block`]).
-    /// Like the decode cache, superblocks are a host-side accelerator
-    /// only — both settings execute bit-identically (same fetch counts,
-    /// timing and architectural effects); the differential suites in
-    /// `tests/active_path.rs` and `crates/cpu/tests/decode_cache.rs` run
-    /// the same workloads under both to prove it. Disabling also flushes
-    /// the block cache and clears the statistics.
-    pub fn set_superblocks_enabled(&mut self, enabled: bool) {
-        if !enabled {
-            self.flush_superblocks();
-            self.sb = SuperblockStats::default();
-        }
-        self.sb_enabled = enabled;
-    }
-
-    /// Whether superblock execution is active.
-    pub fn superblocks_enabled(&self) -> bool {
-        self.sb_enabled
-    }
-
-    /// Enables or disables op fusion inside sealed superblocks. With
-    /// fusion off, [`Cpu::run_block`] walks the generic decoded-step
-    /// loop instead of the fused program — bit-identical either way (the
-    /// fused tier re-verifies the same raw bits and bills the same
-    /// cycles), so no flush is needed on toggle; the fused program is
-    /// compiled unconditionally at seal time.
-    pub fn set_fusion_enabled(&mut self, enabled: bool) {
-        self.fuse_enabled = enabled;
-    }
-
-    /// Whether sealed blocks execute through their fused programs.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fuse_enabled
-    }
-
-    /// Cumulative superblock counters since reset/disable.
-    pub fn superblock_stats(&self) -> SuperblockStats {
-        self.sb
     }
 
     /// Publishes the core's cumulative counters into an observability
@@ -848,30 +249,13 @@ impl Cpu {
         reg.set_named("cpu.irq.overhead_cycles", self.irq_overhead_cycles);
         reg.set_named("cpu.sleep_cycles", self.sleep_cycles);
         reg.set_named("cpu.stall_cycles", self.stall_cycles);
-        reg.set_named("cpu.superblock.blocks_built", self.sb.blocks_built);
-        reg.set_named("cpu.superblock.runs", self.sb.block_runs);
-        reg.set_named("cpu.superblock.instrs", self.sb.block_instrs);
-        reg.set_named("cpu.superblock.cycles", self.sb.block_cycles);
-        reg.set_named("cpu.superblock.verify_aborts", self.sb.verify_aborts);
-        reg.set_named("cpu.fused.ops", self.sb.fused_ops);
-        reg.set_named("cpu.fused.pairs", self.sb.fused_pairs);
     }
 
-    /// Invalidates every decoded-instruction cache line and superblock
-    /// (the `fence.i` path; stores need no invalidation because hits and
-    /// block steps re-verify the raw instruction bits).
+    /// Invalidates every decoded-instruction cache line (the `fence.i`
+    /// path; stores need no invalidation because hits re-verify the raw
+    /// instruction bits).
     fn flush_decode_cache(&mut self) {
         self.dcache.fill(INVALID_LINE);
-        self.flush_superblocks();
-    }
-
-    /// Invalidates every superblock line and abandons the chain under
-    /// construction.
-    fn flush_superblocks(&mut self) {
-        for line in self.blocks.iter_mut() {
-            line.start = 1;
-        }
-        self.chain.len = 0;
     }
 
     /// Accounts `k` cycles of WFI sleep (or halt) in one step, exactly as
@@ -951,12 +335,7 @@ impl Cpu {
                     }
                 }
                 match self.fetch_decode(bus) {
-                    Ok((instr, raw, size)) => {
-                        if self.sb_enabled {
-                            self.superblock_note(instr, raw, size);
-                        }
-                        self.execute(instr, size, bus);
-                    }
+                    Ok((instr, size)) => self.execute(instr, size, bus),
                     Err(e) => self.halt(HaltCause::IllegalInstruction(e)),
                 }
             }
@@ -965,552 +344,15 @@ impl Cpu {
 
     /// Runs until the core halts or sleeps, up to `max_cycles`. Returns
     /// the cycles consumed. Interrupt lines are held at `irq`.
-    ///
-    /// Uses [`Cpu::run_block`] opportunistically; the result is
-    /// bit-identical to ticking `max_cycles` times.
     pub fn run(&mut self, bus: &mut impl CpuBus, irq: u32, max_cycles: u64) -> u64 {
         let start = self.cycles;
         while self.cycles - start < max_cycles {
             if self.state == CpuState::Halted || self.state == CpuState::Sleeping {
                 break;
             }
-            let remaining = max_cycles - (self.cycles - start);
-            if self.run_block(bus, irq, remaining) == 0 {
-                self.tick(bus, irq);
-            }
+            self.tick(bus, irq);
         }
         self.cycles - start
-    }
-
-    /// Executes cached superblocks starting at the current pc, billing
-    /// their cycles in bulk, for at most `budget` cycles. Returns the
-    /// cycles consumed (0 when nothing could run in bulk — the caller
-    /// must then [`Cpu::tick`] normally).
-    ///
-    /// The contract is exact equivalence: after `run_block` returns `k`,
-    /// every architectural and accounting observable (registers, pc,
-    /// CSRs, fetch traffic and prefetch-buffer state, `retired`,
-    /// `stall_cycles`, pipeline state) matches what `k` consecutive
-    /// [`Cpu::tick`] calls with the same `irq` image would have produced.
-    /// That holds because:
-    ///
-    /// - blocks contain only register-only and branch/jump instructions
-    ///   (see [`StepClass`]) — nothing that can touch the bus, CSRs,
-    ///   `mie`/`mstatus`, or trap — so one interrupt-deliverability check
-    ///   on entry covers the whole span;
-    /// - each step re-fetches its raw bits through the prefetch buffer
-    ///   (the exact traffic `fetch_decode` would generate) and verifies
-    ///   them; a mismatch (self-modified code) aborts the block and hands
-    ///   the already-fetched bits to the next `fetch_decode`;
-    /// - an instruction's trailing stall is converted to bulk cycles only
-    ///   up to the budget; any remainder stays in `stall` for the
-    ///   per-cycle path, exactly as if the budget boundary had fallen
-    ///   mid-stall.
-    pub fn run_block(&mut self, bus: &mut impl CpuBus, irq: u32, budget: u64) -> u64 {
-        if !self.sb_enabled || budget == 0 || self.state != CpuState::Running {
-            return 0;
-        }
-        self.csrs.mip = irq;
-        let mut used: u64 = 0;
-        // Leftover multi-cycle-instruction stall: burn it in bulk,
-        // exactly as that many stall ticks would.
-        if self.stall > 0 {
-            let take = u64::from(self.stall).min(budget);
-            self.stall -= take as u32;
-            self.stall_cycles += take;
-            used = take;
-        }
-        // One interrupt check per entry: `mip` is pinned for the whole
-        // span and block instructions cannot write `mie`/`mstatus`, so
-        // deliverability cannot change until the block path exits.
-        let irq_deliverable =
-            self.csrs.interrupts_enabled() && self.csrs.pending_interrupt().is_some();
-        if !irq_deliverable {
-            // Bulk-verified blocks, by cache index: nothing inside
-            // `run_block` can write memory (block steps are
-            // register-only or control flow), so a block verified once
-            // stays verified for the whole call — repeat iterations of a
-            // hot loop charge the sweep's fetch accounting without
-            // re-comparing.
-            let mut verified: u64 = 0;
-            'blocks: while used < budget {
-                let idx = (self.pc >> 1) as usize & (SUPERBLOCK_ENTRIES - 1);
-                if self.blocks[idx].start != self.pc {
-                    break;
-                }
-                self.sb.block_runs += 1;
-                if self.fuse_enabled {
-                    let flen = self.blocks[idx].fused_len as usize;
-                    // Budget covers the block even on its worst-case
-                    // timing path: verify every word once up front, then
-                    // execute the fused program with no per-step
-                    // re-verify or budget checks. On a verify miss,
-                    // `bulk_verify` backs out with no side effects and
-                    // the per-step loop below aborts bit-exactly.
-                    let covered = budget - used >= u64::from(self.blocks[idx].max_cycles);
-                    let clean = covered
-                        && if verified & (1 << idx) != 0 {
-                            // Already verified this call: charge the
-                            // sweep's exact fetch accounting. Memory is
-                            // frozen for the whole call, so the word
-                            // values (including the last word re-peeked
-                            // into the prefetch buffer) are unchanged.
-                            let wl = self.blocks[idx].words_len as usize;
-                            let first = self.blocks[idx].words[0].aligned;
-                            let last = self.blocks[idx].words[wl - 1].aligned;
-                            let hit0 = matches!(self.fetch_buf, Some((a, _)) if a == first);
-                            let misses = wl as u32 - u32::from(hit0);
-                            self.fetches += u64::from(misses);
-                            bus.charge_fetches(misses);
-                            self.fetch_buf = Some((last, bus.peek_fetch(last)));
-                            true
-                        } else {
-                            let ok = self.bulk_verify(idx, bus);
-                            if ok {
-                                verified |= 1 << idx;
-                            }
-                            ok
-                        };
-                    if clean {
-                        for e in 0..flen {
-                            let entry = self.blocks[idx].fused[e];
-                            used += self.execute_fused(&entry, budget - used);
-                            self.sb.block_instrs += u64::from(entry.n);
-                            self.sb.fused_ops += 1;
-                            if entry.n == 2 {
-                                self.sb.fused_pairs += 1;
-                            }
-                        }
-                        continue;
-                    }
-                    // Fused tier, per-step: walk the specialized op
-                    // array compiled at seal time. Each entry
-                    // re-verifies its raw bits (the exact fetch traffic
-                    // `fetch_decode` would generate) before executing,
-                    // so self-modifying code aborts bit-exactly, as in
-                    // the generic loop below.
-                    for e in 0..flen {
-                        if used == budget {
-                            break 'blocks;
-                        }
-                        let entry = self.blocks[idx].fused[e];
-                        debug_assert_eq!(
-                            self.pc, self.blocks[idx].steps[entry.step as usize].pc,
-                            "fused program tracks the step layout"
-                        );
-                        let ff = self.blocks[idx].fused_fetch[e];
-                        if let Some((raw, size)) = self.verify_step(ff.fetch, bus) {
-                            self.abort_block(idx, self.pc, raw, size);
-                            break 'blocks;
-                        }
-                        if entry.n == 2 {
-                            if budget - used < 2 {
-                                // No room for both halves: retire the
-                                // head through the generic path (pair
-                                // heads are zero-stall ALU ops, so it
-                                // fits the one remaining cycle exactly).
-                                let step = self.blocks[idx].steps[entry.step as usize];
-                                self.execute(step.instr, step.size, bus);
-                                self.sb.block_instrs += 1;
-                                debug_assert_eq!(self.stall, 0);
-                                used += 1;
-                                break 'blocks;
-                            }
-                            if let Some((raw, size)) = self.verify_step(ff.fetch2, bus) {
-                                // Second half went stale: retire the head
-                                // generically, then abort at the second
-                                // half's pc with the fresh bits. The head
-                                // is a register-only op, so fetching the
-                                // second half before executing it is
-                                // traffic-identical to the generic order.
-                                let step = self.blocks[idx].steps[entry.step as usize];
-                                self.execute(step.instr, step.size, bus);
-                                self.sb.block_instrs += 1;
-                                used += 1;
-                                self.abort_block(idx, self.pc, raw, size);
-                                break 'blocks;
-                            }
-                        }
-                        used += self.execute_fused(&entry, budget - used);
-                        self.sb.block_instrs += u64::from(entry.n);
-                        self.sb.fused_ops += 1;
-                        if entry.n == 2 {
-                            self.sb.fused_pairs += 1;
-                        }
-                    }
-                } else {
-                    let len = self.blocks[idx].len as usize;
-                    for k in 0..len {
-                        if used == budget {
-                            break 'blocks;
-                        }
-                        let step = self.blocks[idx].steps[k];
-                        let pc = self.pc;
-                        debug_assert_eq!(pc, step.pc, "superblock layout is sequential");
-                        // Re-fetch through the prefetch buffer — the exact
-                        // traffic `fetch_decode` would generate — and verify
-                        // the cached raw bits (self-modifying-code safety).
-                        let aligned = pc & !3;
-                        let word = self.fetch_word(aligned, bus);
-                        let low_half = if pc & 2 == 0 {
-                            (word & 0xFFFF) as u16
-                        } else {
-                            (word >> 16) as u16
-                        };
-                        let (raw, size) = if is_compressed(low_half) {
-                            (u32::from(low_half), 2)
-                        } else if pc & 2 == 0 {
-                            (word, 4)
-                        } else {
-                            let next = self.fetch_word(aligned + 4, bus);
-                            (u32::from(low_half) | (next << 16), 4)
-                        };
-                        if raw != step.raw || size != step.size {
-                            // Stale decode: drop the block and hand the
-                            // freshly fetched bits to the per-cycle path.
-                            self.abort_block(idx, pc, raw, size);
-                            break 'blocks;
-                        }
-                        self.execute(step.instr, step.size, bus);
-                        self.sb.block_instrs += 1;
-                        // Convert the instruction's stall into bulk cycles up
-                        // to the budget; a remainder stays in `stall` for the
-                        // per-cycle path.
-                        let extra = u64::from(self.stall);
-                        let take = extra.min(budget - used - 1);
-                        self.stall -= take as u32;
-                        self.stall_cycles += take;
-                        used += 1 + take;
-                        if self.state != CpuState::Running {
-                            break 'blocks;
-                        }
-                    }
-                }
-            }
-        }
-        self.sb.block_cycles += used;
-        self.cycles += used;
-        self.csrs.mcycle += used;
-        used
-    }
-
-    /// Verifies every covered instruction bit of the sealed block at
-    /// `idx` in one sweep. Phase one peeks each word of the block's
-    /// verify plan with no side effects (the first word may still sit in
-    /// the prefetch buffer, whose contents are what the per-step path
-    /// would compare against); on a full match, phase two charges
-    /// exactly the fetch accounting the per-step path's sequential
-    /// `fetch_word` calls would generate and returns `true`. On any
-    /// mismatch it
-    /// returns `false` with **no** side effects, so the per-step loop
-    /// re-verifies and aborts bit-exactly.
-    fn bulk_verify(&mut self, idx: usize, bus: &mut impl CpuBus) -> bool {
-        let wlen = self.blocks[idx].words_len as usize;
-        let mut misses = 0u32;
-        let mut last = (0u32, 0u32);
-        for w in 0..wlen {
-            let vw = self.blocks[idx].words[w];
-            let word = match self.fetch_buf {
-                // Only the first fetch can hit the buffer: every later
-                // word is read right after its predecessor replaced it.
-                Some((a, v)) if w == 0 && a == vw.aligned => v,
-                _ => {
-                    misses += 1;
-                    bus.peek_fetch(vw.aligned)
-                }
-            };
-            if (word ^ vw.expected) & vw.mask != 0 {
-                return false;
-            }
-            last = (vw.aligned, word);
-        }
-        if wlen > 0 {
-            // Emit the sweep's exact fetch accounting in one step: every
-            // peeked word is one fetch the per-step path would issue, and
-            // the buffer ends holding the block's last word.
-            self.fetches += u64::from(misses);
-            bus.charge_fetches(misses);
-            self.fetch_buf = Some(last);
-        }
-        true
-    }
-
-    /// Verifies one fused step's raw bits against a fresh fetch through
-    /// the prefetch buffer, generating exactly the traffic
-    /// [`Cpu::fetch_decode`] would. Returns `None` when the bits match;
-    /// on a mismatch returns the freshly reconstructed `(raw, size)` for
-    /// the abort handoff — including the second fetch of a straddling
-    /// replacement, and skipping it when the replacement is compressed,
-    /// just as the generic fetch path would.
-    fn verify_step(&mut self, fs: StepFetch, bus: &mut impl CpuBus) -> Option<(u32, u32)> {
-        let word = self.fetch_word(fs.aligned, bus);
-        match fs.kind {
-            FetchKind::Word => {
-                if word == fs.raw {
-                    return None;
-                }
-                let low = (word & 0xFFFF) as u16;
-                Some(if is_compressed(low) {
-                    (u32::from(low), 2)
-                } else {
-                    (word, 4)
-                })
-            }
-            FetchKind::LowHalf => {
-                if word & 0xFFFF == fs.raw {
-                    return None;
-                }
-                let low = (word & 0xFFFF) as u16;
-                Some(if is_compressed(low) {
-                    (u32::from(low), 2)
-                } else {
-                    (word, 4)
-                })
-            }
-            FetchKind::HighHalf => {
-                if word >> 16 == fs.raw {
-                    return None;
-                }
-                let low = (word >> 16) as u16;
-                Some(if is_compressed(low) {
-                    (u32::from(low), 2)
-                } else {
-                    let next = self.fetch_word(fs.aligned + 4, bus);
-                    (u32::from(low) | (next << 16), 4)
-                })
-            }
-            FetchKind::Straddle => {
-                let low = (word >> 16) as u16;
-                if is_compressed(low) {
-                    // The first parcel turned compressed: the generic
-                    // path would never issue the second fetch.
-                    return Some((u32::from(low), 2));
-                }
-                let next = self.fetch_word(fs.aligned + 4, bus);
-                let raw = u32::from(low) | (next << 16);
-                if raw == fs.raw {
-                    None
-                } else {
-                    Some((raw, 4))
-                }
-            }
-        }
-    }
-
-    /// Drops the block at `idx` (stale raw bits caught by the verify)
-    /// and hands the freshly fetched bits at `pc` to the next
-    /// `fetch_decode` so the fetch traffic already paid is not repeated.
-    fn abort_block(&mut self, idx: usize, pc: u32, raw: u32, size: u32) {
-        self.sb.verify_aborts += 1;
-        self.blocks[idx].start = 1;
-        self.handoff = Some((pc, raw, size));
-    }
-
-    /// Executes one fused entry, updating architectural state and
-    /// accounting exactly as its constituent instructions would through
-    /// `execute` + the generic loop's stall conversion, and returns the
-    /// cycles consumed (`>= entry.n`; a stall remainder past `remaining`
-    /// stays in `stall` for the per-cycle path). The caller guarantees
-    /// `remaining >= entry.n`. Fused ops are register-only or
-    /// block-sealing control flow, so the pipeline stays `Running`.
-    fn execute_fused(&mut self, entry: &FusedEntry, remaining: u64) -> u64 {
-        let mut extra: u32 = 0;
-        let mut next_pc = entry.next_pc;
-        match entry.op {
-            FusedOp::SetImm { rd, value } => self.regs.set(rd, value),
-            FusedOp::AluImm { op, rd, rs1, imm } => {
-                let a = self.regs.read(rs1);
-                self.regs.set(rd, alu(op, a, imm));
-            }
-            FusedOp::Alu { op, rd, rs1, rs2 } => {
-                let a = self.regs.read(rs1);
-                let b = self.regs.read(rs2);
-                self.regs.set(rd, alu(op, a, b));
-            }
-            FusedOp::MulDiv {
-                op,
-                rd,
-                rs1,
-                rs2,
-                extra: e,
-            } => {
-                let a = self.regs.read(rs1);
-                let b = self.regs.read(rs2);
-                self.regs.set(rd, muldiv(op, a, b));
-                extra = e;
-            }
-            FusedOp::Jal { rd, link, target } => {
-                self.regs.set(rd, link);
-                next_pc = target;
-                extra = timing::JUMP - 1;
-            }
-            FusedOp::Jalr {
-                rd,
-                rs1,
-                offset,
-                link,
-            } => {
-                let target = self.regs.read(rs1).wrapping_add(offset) & !1;
-                self.regs.set(rd, link);
-                next_pc = target;
-                extra = timing::JUMP - 1;
-            }
-            FusedOp::Branch {
-                op,
-                rs1,
-                rs2,
-                taken,
-                fallthrough,
-            } => {
-                let a = self.regs.read(rs1);
-                let b = self.regs.read(rs2);
-                let t = match op {
-                    BranchOp::Eq => a == b,
-                    BranchOp::Ne => a != b,
-                    BranchOp::Lt => (a as i32) < (b as i32),
-                    BranchOp::Ge => (a as i32) >= (b as i32),
-                    BranchOp::Ltu => a < b,
-                    BranchOp::Geu => a >= b,
-                };
-                if t {
-                    next_pc = taken;
-                    extra = timing::BRANCH_TAKEN - 1;
-                } else {
-                    next_pc = fallthrough;
-                    extra = timing::BRANCH_NOT_TAKEN - 1;
-                }
-            }
-            FusedOp::LuiAddi { rd, value } => {
-                // `lui` writes rd; `addi` reads it and writes it again.
-                // The intermediate value is dead but its port activity
-                // is architectural.
-                self.regs.set(rd, value);
-                self.regs.count_ports(1, 1);
-            }
-            FusedOp::AluImmPair {
-                rd,
-                rs1,
-                op1,
-                imm1,
-                op2,
-                imm2,
-            } => {
-                let a = self.regs.read(rs1);
-                self.regs.set(rd, alu(op2, alu(op1, a, imm1), imm2));
-                self.regs.count_ports(1, 1);
-            }
-            FusedOp::CmpBranch {
-                rd,
-                rs1,
-                rs2,
-                unsigned,
-                taken_if_set,
-                taken,
-                fallthrough,
-            } => {
-                let a = self.regs.read(rs1);
-                let b = self.regs.read(rs2);
-                let cond = if unsigned {
-                    a < b
-                } else {
-                    (a as i32) < (b as i32)
-                };
-                self.regs.set(rd, u32::from(cond));
-                // The sealing branch reads rd and x0.
-                self.regs.count_ports(2, 0);
-                if cond == taken_if_set {
-                    next_pc = taken;
-                    extra = timing::BRANCH_TAKEN - 1;
-                } else {
-                    next_pc = fallthrough;
-                    extra = timing::BRANCH_NOT_TAKEN - 1;
-                }
-            }
-        }
-        self.pc = next_pc;
-        let n = u64::from(entry.n);
-        self.retired += n;
-        self.csrs.minstret += n;
-        // Bill the last constituent's trailing stall exactly as
-        // `retire` + the generic loop's bulk conversion would: the whole
-        // stall is accounted, and the part past the budget stays in
-        // `stall` for the per-cycle path. Pair heads are zero-stall, so
-        // only the last constituent ever contributes.
-        let extra64 = u64::from(extra);
-        let take = extra64.min(remaining - n);
-        self.stall = extra - take as u32;
-        self.stall_cycles += extra64 + take;
-        n + take
-    }
-
-    /// Grows the superblock chain with the instruction about to execute
-    /// at the current pc. Called from the single-step path, so chaining
-    /// is a free side effect of normal execution — no extra fetches or
-    /// decodes ever happen on a block's behalf.
-    fn superblock_note(&mut self, instr: Instr, raw: u32, size: u32) {
-        let pc = self.pc;
-        if self.chain.len > 0 && pc != self.chain.next_pc {
-            // Control arrived from elsewhere (interrupt entry, a partial
-            // block run): the accumulated prefix is still a valid block.
-            self.seal_chain();
-        }
-        let class = classify(&instr);
-        if self.chain.len > 0 {
-            match class {
-                StepClass::Chain => {
-                    self.chain_push(pc, raw, size, instr);
-                    if self.chain.len as usize == SUPERBLOCK_MAX_LEN {
-                        self.seal_chain();
-                    }
-                }
-                StepClass::Close => {
-                    self.chain_push(pc, raw, size, instr);
-                    self.seal_chain();
-                }
-                StepClass::Break => self.seal_chain(),
-            }
-        } else if class == StepClass::Chain {
-            // Start a new chain — unless a fresh block already starts
-            // here (a hot loop would otherwise rebuild its block on every
-            // single-stepped iteration).
-            let idx = (pc >> 1) as usize & (SUPERBLOCK_ENTRIES - 1);
-            let line = &self.blocks[idx];
-            if line.start == pc && line.steps[0].raw == raw {
-                return;
-            }
-            self.chain.start = pc;
-            self.chain.len = 0;
-            self.chain_push(pc, raw, size, instr);
-        }
-    }
-
-    fn chain_push(&mut self, pc: u32, raw: u32, size: u32, instr: Instr) {
-        let c = &mut self.chain;
-        c.steps[c.len as usize] = BlockStep { pc, raw, size, instr };
-        c.len += 1;
-        c.next_pc = pc.wrapping_add(size);
-    }
-
-    /// Stores the accumulated chain into the block cache (if it is long
-    /// enough to be worth executing in bulk) and resets the accumulator.
-    fn seal_chain(&mut self) {
-        let len = self.chain.len;
-        self.chain.len = 0;
-        if len < 2 {
-            return;
-        }
-        let start = self.chain.start;
-        let idx = (start >> 1) as usize & (SUPERBLOCK_ENTRIES - 1);
-        let line = &mut self.blocks[idx];
-        line.start = start;
-        line.len = len;
-        line.steps[..len as usize].copy_from_slice(&self.chain.steps[..len as usize]);
-        line.fused_len =
-            compile_fused(&self.chain.steps[..len as usize], &mut line.fused, &mut line.fused_fetch);
-        let (wlen, max_cycles) = compile_words(&self.chain.steps[..len as usize], &mut line.words);
-        line.words_len = wlen;
-        line.max_cycles = max_cycles;
-        self.sb.blocks_built += 1;
     }
 
     fn halt(&mut self, cause: HaltCause) {
@@ -1528,22 +370,9 @@ impl Cpu {
     /// hits or not; a hit only replaces the `decode`/`decode_compressed`
     /// work with a tag + raw-bits compare against the fetched word.
     ///
-    /// Returns `(instr, raw, size)`; the raw bits feed the superblock
-    /// chain builder.
-    fn fetch_decode(&mut self, bus: &mut impl CpuBus) -> Result<(Instr, u32, u32), DecodeError> {
+    /// Returns `(instr, size)`.
+    fn fetch_decode(&mut self, bus: &mut impl CpuBus) -> Result<(Instr, u32), DecodeError> {
         let pc = self.pc;
-        // A block verify abort already fetched this instruction's bits;
-        // reuse them so the fetch traffic is not paid twice.
-        if let Some((hpc, raw, size)) = self.handoff.take() {
-            if hpc == pc {
-                let instr = if size == 2 {
-                    decode_compressed(raw as u16, pc)?
-                } else {
-                    decode(raw, pc)?
-                };
-                return Ok((instr, raw, size));
-            }
-        }
         let aligned = pc & !3;
         let word = self.fetch_word(aligned, bus);
         let low_half = if pc & 2 == 0 {
@@ -1558,12 +387,12 @@ impl Cpu {
                 let line = self.dcache[idx];
                 if line.pc == pc && line.raw == raw {
                     self.dcache_hits += 1;
-                    return Ok((line.instr, raw, 2));
+                    return Ok((line.instr, 2));
                 }
             }
             let instr = decode_compressed(low_half, pc)?;
             self.fill_decode_cache(idx, pc, raw, instr);
-            return Ok((instr, raw, 2));
+            return Ok((instr, 2));
         }
         let full = if pc & 2 == 0 {
             word
@@ -1576,12 +405,12 @@ impl Cpu {
             let line = self.dcache[idx];
             if line.pc == pc && line.raw == full {
                 self.dcache_hits += 1;
-                return Ok((line.instr, full, 4));
+                return Ok((line.instr, 4));
             }
         }
         let instr = decode(full, pc)?;
         self.fill_decode_cache(idx, pc, full, instr);
-        Ok((instr, full, 4))
+        Ok((instr, 4))
     }
 
     fn fill_decode_cache(&mut self, idx: usize, pc: u32, raw: u32, instr: Instr) {

@@ -60,7 +60,7 @@ pub mod timing;
 
 pub use bus::{CpuBus, DataReq, DataResult, SimpleBus};
 pub use compressed::{decode_compressed, is_compressed};
-pub use core::{Cpu, CpuState, HaltCause, SuperblockStats};
+pub use core::{Cpu, CpuState, HaltCause};
 pub use csr::CsrFile;
 pub use decode::{decode, DecodeError};
 pub use instr::{AluOp, BranchOp, CsrOp, Instr, LoadOp, MulDivOp, StoreOp};

@@ -62,16 +62,6 @@ impl RegFile {
         }
     }
 
-    /// Accounts `reads` extra port reads and `writes` extra port writes
-    /// without touching register state. Fused superblock ops collapse
-    /// several architectural register accesses into one host-level
-    /// operation; the elided accesses still happened architecturally, so
-    /// their port activity must be billed.
-    pub fn count_ports(&mut self, reads: u64, writes: u64) {
-        self.reads += reads;
-        self.writes += writes;
-    }
-
     /// Port reads since construction.
     pub fn port_reads(&self) -> u64 {
         self.reads

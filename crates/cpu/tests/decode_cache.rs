@@ -123,11 +123,6 @@ fn compressed_and_straddling_loop_identical_with_cache_on_and_off() {
     ];
     let run = |cache: bool| {
         let (mut cpu, mut bus) = fresh(&p, cache);
-        // The hit-rate assertion below is about the decode cache, which
-        // only sees single-stepped instructions — block-mode execution
-        // bypasses it (superblock coverage lives in the tests further
-        // down).
-        cpu.set_superblocks_enabled(false);
         cpu.set_reg(8, 10); // loop bound
         cpu.run(&mut bus, 0, 1_000);
         assert_eq!(cpu.halt_cause(), Some(HaltCause::Ecall));
@@ -147,29 +142,29 @@ fn compressed_and_straddling_loop_identical_with_cache_on_and_off() {
 }
 
 /// Lockstep differential: the same program advanced in ragged cycle
-/// budgets with superblocks on and off must agree on every observable
-/// at every budget boundary — including boundaries that land mid-block
-/// and mid-stall.
+/// budgets with the cache on and off must agree on every observable at
+/// every budget boundary — including boundaries that land mid-stall
+/// inside a `div` or between a load/store pair.
 #[test]
-fn superblock_execution_matches_single_step_at_every_budget_boundary() {
-    // A loop mixing a chainable ALU run, a store/load pair (block
-    // breakers), and a backward branch (block closer).
+fn ragged_run_budgets_match_with_cache_on_and_off() {
     let p = [
-        asm::addi(5, 5, 1),      // 0x00
-        asm::addi(6, 6, 2),      // 0x04
-        asm::xor(7, 5, 6),       // 0x08
-        asm::add(7, 7, 5),       // 0x0C
-        asm::sw(0, 7, 0x100),    // 0x10
-        asm::lw(9, 0, 0x100),    // 0x14
-        asm::addi(10, 10, 1),    // 0x18
-        asm::bne(10, 8, -0x1C),  // 0x1C
-        asm::ecall(),            // 0x20
+        asm::lui(5, 0x1000),    // 0x00
+        asm::addi(5, 5, 37),    // 0x04
+        asm::addi(6, 6, 3),     // 0x08
+        asm::xor(7, 5, 6),      // 0x0C
+        asm::mul(9, 6, 7),      // 0x10
+        asm::div(11, 9, 6),     // 0x14: a 37-cycle step
+        asm::sw(0, 11, 0x100),  // 0x18
+        asm::lw(13, 0, 0x100),  // 0x1C
+        asm::addi(10, 10, 1),   // 0x20
+        asm::slt(12, 10, 8),    // 0x24
+        asm::bne(12, 0, -0x28), // 0x28: loop while x10 < x8
+        asm::ecall(),           // 0x2C
     ];
     let (mut on, mut bus_on) = fresh(&p, true);
-    let (mut off, mut bus_off) = fresh(&p, true);
-    off.set_superblocks_enabled(false);
-    on.set_reg(8, 25);
-    off.set_reg(8, 25);
+    let (mut off, mut bus_off) = fresh(&p, false);
+    on.set_reg(8, 21);
+    off.set_reg(8, 21);
     let budgets = [1u64, 2, 3, 5, 7, 1, 4, 32, 2, 9, 64, 1, 1, 3, 128];
     'outer: loop {
         for &k in &budgets {
@@ -189,126 +184,8 @@ fn superblock_execution_matches_single_step_at_every_budget_boundary() {
         }
     }
     assert_eq!(on.halt_cause(), Some(HaltCause::Ecall));
-    assert!(
-        on.superblock_stats().block_runs > 0,
-        "the fast side actually exercised block execution"
-    );
-    assert_eq!(off.superblock_stats().block_runs, 0, "single-step stays cold");
-}
-
-/// Patches the *middle* of a sealed superblock through a store. Layout
-/// (word addresses):
-///
-/// ```text
-/// 0x00 li32 x1, 0x68          patch address (mid-block)
-/// 0x08 li32 x2, <patched>     addi x5, x0, 99
-/// 0x10 jal  0x60              first execution seals the block
-/// 0x14 bne  x6, x0, 0x28      second return → done
-/// 0x18 addi x6, x0, 1
-/// 0x1C sw   x2, 0(x1)         patch the block's third step
-/// 0x20 fence.i | nop
-/// 0x24 jal  0x60              re-execute the (patched) block
-/// 0x28 ecall
-/// 0x60 addi x5, x5, 1         ┐
-/// 0x64 addi x5, x5, 2         │ the sealed block
-/// 0x68 addi x5, x5, 4         │ (overwritten with x5 ← 99)
-/// 0x6C jal  0x14              ┘
-/// ```
-fn block_patch_program(with_fence: bool) -> Vec<u32> {
-    let mut p = vec![0u32; 0x70 / 4];
-    let mut at = |addr: usize, words: &[u32]| {
-        for (i, &w) in words.iter().enumerate() {
-            p[addr / 4 + i] = w;
-        }
-    };
-    at(0x00, &asm::li32(1, 0x68));
-    at(0x08, &asm::li32(2, asm::addi(5, 0, 99)));
-    at(0x10, &[asm::jal(0, 0x60 - 0x10)]);
-    at(0x14, &[asm::bne(6, 0, 0x28 - 0x14)]);
-    at(0x18, &[asm::addi(6, 0, 1)]);
-    at(0x1C, &[asm::sw(1, 2, 0)]);
-    at(
-        0x20,
-        &[if with_fence {
-            asm::fence_i()
-        } else {
-            asm::addi(0, 0, 0)
-        }],
-    );
-    at(0x24, &[asm::jal(0, 0x60 - 0x24)]);
-    at(0x28, &[asm::ecall()]);
-    at(0x60, &[asm::addi(5, 5, 1)]);
-    at(0x64, &[asm::addi(5, 5, 2)]);
-    at(0x68, &[asm::addi(5, 5, 4)]);
-    at(0x6C, &[asm::jal(0, 0x14 - 0x6C)]);
-    p
-}
-
-#[test]
-fn self_modifying_code_across_block_boundary_with_fence_i() {
-    let p = block_patch_program(true);
-    let (mut cpu, mut bus) = fresh(&p, true);
-    cpu.run(&mut bus, 0, 300);
-    assert_eq!(cpu.halt_cause(), Some(HaltCause::Ecall));
-    assert_eq!(cpu.reg(5), 99, "patched mid-block instruction ran");
-    assert_eq!(
-        cpu.superblock_stats().verify_aborts,
-        0,
-        "fence.i flushed the block, so no stale entry survived to abort"
-    );
-}
-
-#[test]
-fn self_modifying_code_across_block_boundary_without_fence_i() {
-    // No fence: the stale sealed block is only caught by the per-step
-    // raw-bits re-verify, which must abort the block rather than replay
-    // the overwritten decode.
-    let p = block_patch_program(false);
-    let (mut cpu, mut bus) = fresh(&p, true);
-    cpu.run(&mut bus, 0, 300);
-    assert_eq!(cpu.halt_cause(), Some(HaltCause::Ecall));
-    assert_eq!(cpu.reg(5), 99, "patched mid-block instruction ran");
-    assert!(
-        cpu.superblock_stats().verify_aborts >= 1,
-        "the stale block entry was caught by re-verify"
-    );
-}
-
-#[test]
-fn block_patch_retires_identical_streams_in_both_modes() {
-    for with_fence in [true, false] {
-        let p = block_patch_program(with_fence);
-        let (mut on, mut bus_on) = fresh(&p, true);
-        on.run(&mut bus_on, 0, 300);
-        let (mut off, mut bus_off) = fresh(&p, true);
-        off.set_superblocks_enabled(false);
-        off.run(&mut bus_off, 0, 300);
-        let ctx = format!("fence={with_fence}");
-        assert_eq!(on.cycles(), off.cycles(), "{ctx}: cycles");
-        assert_eq!(on.retired(), off.retired(), "{ctx}: retired");
-        assert_eq!(bus_on.fetches, bus_off.fetches, "{ctx}: fetch traffic");
-        for r in 0..32 {
-            assert_eq!(on.reg(r), off.reg(r), "{ctx}: x{r}");
-        }
-        assert_eq!(on.halt_cause(), off.halt_cause(), "{ctx}: halt cause");
-    }
-}
-
-#[test]
-fn disabling_superblocks_flushes_and_resets_stats() {
-    let p = [
-        asm::addi(1, 0, 7),
-        asm::addi(2, 1, 1),
-        asm::addi(3, 2, 1),
-        asm::jal(0, -0xC),
-    ];
-    let (mut cpu, mut bus) = fresh(&p, true);
-    cpu.run(&mut bus, 0, 100);
-    assert!(cpu.superblocks_enabled());
-    assert!(cpu.superblock_stats().block_runs > 0);
-    cpu.set_superblocks_enabled(false);
-    assert!(!cpu.superblocks_enabled());
-    assert_eq!(cpu.superblock_stats(), pels_cpu::SuperblockStats::default());
+    let (hits, _) = on.decode_cache_stats();
+    assert!(hits > 0, "the loop body hit the cache");
 }
 
 #[test]
@@ -322,178 +199,4 @@ fn disabling_flushes_and_resets_stats() {
     cpu.set_decode_cache_enabled(false);
     assert!(!cpu.decode_cache_enabled());
     assert_eq!(cpu.decode_cache_stats(), (0, 0));
-}
-
-/// Three-way lockstep: fused superblocks, unfused superblocks and
-/// single-stepping advanced in ragged cycle budgets must agree on every
-/// observable at every budget boundary — including boundaries that land
-/// on a fused pair's head (the one-cycle-left fallback) and mid-stall
-/// inside a `div`.
-#[test]
-fn fused_execution_matches_unfused_and_single_step_at_every_budget() {
-    // Dense in fusable patterns: a lui+addi pair, a same-rd ALU-imm
-    // chain, a compare-and-branch pair, plus mul/div stall cases.
-    let p = [
-        asm::lui(5, 0x1000),    // 0x00 ┐ LuiAddi pair
-        asm::addi(5, 5, 37),    // 0x04 ┘
-        asm::addi(6, 6, 3),     // 0x08 ┐ AluImmPair (same rd)
-        asm::addi(6, 6, 5),     // 0x0C ┘
-        asm::xor(7, 5, 6),      // 0x10
-        asm::mul(9, 6, 7),      // 0x14
-        asm::div(11, 9, 6),     // 0x18: a 37-cycle step inside the block
-        asm::addi(10, 10, 1),   // 0x1C
-        asm::slt(12, 10, 8),    // 0x20 ┐ CmpBranch pair
-        asm::bne(12, 0, -0x24), // 0x24 ┘ loop while x10 < x8
-        asm::ecall(),           // 0x28
-    ];
-    let (mut fused, mut bus_fused) = fresh(&p, true);
-    let (mut unfused, mut bus_unfused) = fresh(&p, true);
-    unfused.set_fusion_enabled(false);
-    let (mut single, mut bus_single) = fresh(&p, true);
-    single.set_superblocks_enabled(false);
-    for cpu in [&mut fused, &mut unfused, &mut single] {
-        cpu.set_reg(8, 21);
-    }
-    let budgets = [1u64, 2, 3, 5, 7, 1, 4, 32, 2, 9, 64, 1, 1, 3, 128];
-    'outer: loop {
-        for &k in &budgets {
-            fused.run(&mut bus_fused, 0, k);
-            unfused.run(&mut bus_unfused, 0, k);
-            single.run(&mut bus_single, 0, k);
-            for (name, cpu, bus) in [
-                ("unfused", &unfused, &bus_unfused),
-                ("single", &single, &bus_single),
-            ] {
-                assert_eq!(fused.cycles(), cpu.cycles(), "{name}: cycles at {k}");
-                assert_eq!(fused.retired(), cpu.retired(), "{name}: retired at {k}");
-                assert_eq!(fused.pc(), cpu.pc(), "{name}: pc at {k}");
-                assert_eq!(fused.halt_cause(), cpu.halt_cause(), "{name}: halt at {k}");
-                assert_eq!(bus_fused.fetches, bus.fetches, "{name}: fetches at {k}");
-                for r in 0..32 {
-                    assert_eq!(fused.reg(r), cpu.reg(r), "{name}: x{r} at {k}");
-                }
-            }
-            if fused.halt_cause().is_some() {
-                break 'outer;
-            }
-        }
-    }
-    assert_eq!(fused.halt_cause(), Some(HaltCause::Ecall));
-    let s = fused.superblock_stats();
-    assert!(s.fused_pairs > 0, "the workload exercised pair fusion: {s:?}");
-    assert!(s.fused_ops > s.fused_pairs, "single fused ops ran too: {s:?}");
-    assert_eq!(
-        unfused.superblock_stats().fused_ops,
-        0,
-        "the unfused tier never touches the fused program"
-    );
-}
-
-/// Patches the *second half* of a fused lui+addi pair through a store,
-/// with no `fence.i`. Layout (word addresses):
-///
-/// ```text
-/// 0x00 li32 x1, 0x64          patch address (the pair's second half)
-/// 0x08 li32 x2, <patched>     addi x5, x5, 99
-/// 0x10 jal  0x60              first execution seals + fuses the block
-/// 0x14 bne  x6, x0, 0x28      second return → done
-/// 0x18 addi x6, x0, 1
-/// 0x1C sw   x2, 0(x1)         patch the pair's second half
-/// 0x20 nop
-/// 0x24 jal  0x60              re-execute the (patched) block
-/// 0x28 ecall
-/// 0x60 lui  x5, 0x1000        ┐ the fused pair
-/// 0x64 addi x5, x5, 7         ┘ (overwritten with x5 ← x5 + 99)
-/// 0x68 jal  0x14
-/// ```
-///
-/// The fused entry must retire the still-valid head generically (the
-/// architectural `lui` executes), abort on the stale second half, and
-/// hand the patched instruction to the generic frontend — bit-identical
-/// to unfused and single-stepped execution. The patched instruction
-/// accumulates into `x5`, so the final value proves the head executed
-/// exactly once on the aborting run: 0x1000 (the re-run `lui`) + 99.
-fn pair_patch_program() -> Vec<u32> {
-    let mut p = vec![0u32; 0x6C / 4];
-    let mut at = |addr: usize, words: &[u32]| {
-        for (i, &w) in words.iter().enumerate() {
-            p[addr / 4 + i] = w;
-        }
-    };
-    at(0x00, &asm::li32(1, 0x64));
-    at(0x08, &asm::li32(2, asm::addi(5, 5, 99)));
-    at(0x10, &[asm::jal(0, 0x60 - 0x10)]);
-    at(0x14, &[asm::bne(6, 0, 0x28 - 0x14)]);
-    at(0x18, &[asm::addi(6, 0, 1)]);
-    at(0x1C, &[asm::sw(1, 2, 0)]);
-    at(0x20, &[asm::nop()]);
-    at(0x24, &[asm::jal(0, 0x60 - 0x24)]);
-    at(0x28, &[asm::ecall()]);
-    at(0x60, &[asm::lui(5, 0x1000)]);
-    at(0x64, &[asm::addi(5, 5, 7)]);
-    at(0x68, &[asm::jal(0, 0x14 - 0x68)]);
-    p
-}
-
-#[test]
-fn self_modifying_code_over_a_fused_pair_aborts_bit_exactly() {
-    let p = pair_patch_program();
-    let (mut cpu, mut bus) = fresh(&p, true);
-    cpu.run(&mut bus, 0, 300);
-    assert_eq!(cpu.halt_cause(), Some(HaltCause::Ecall));
-    assert_eq!(
-        cpu.reg(5),
-        0x1000 + 99,
-        "the pair's head retired exactly once, then the patched half ran"
-    );
-    assert!(
-        cpu.superblock_stats().verify_aborts >= 1,
-        "the stale pair half was caught by re-verify"
-    );
-}
-
-#[test]
-fn pair_patch_retires_identical_streams_across_all_tiers() {
-    let p = pair_patch_program();
-    let (mut fused, mut bus_fused) = fresh(&p, true);
-    fused.run(&mut bus_fused, 0, 300);
-    let (mut unfused, mut bus_unfused) = fresh(&p, true);
-    unfused.set_fusion_enabled(false);
-    unfused.run(&mut bus_unfused, 0, 300);
-    let (mut single, mut bus_single) = fresh(&p, true);
-    single.set_superblocks_enabled(false);
-    single.run(&mut bus_single, 0, 300);
-    for (name, cpu, bus) in [
-        ("unfused", &unfused, &bus_unfused),
-        ("single", &single, &bus_single),
-    ] {
-        assert_eq!(fused.cycles(), cpu.cycles(), "{name}: cycles");
-        assert_eq!(fused.retired(), cpu.retired(), "{name}: retired");
-        assert_eq!(bus_fused.fetches, bus.fetches, "{name}: fetch traffic");
-        assert_eq!(fused.halt_cause(), cpu.halt_cause(), "{name}: halt cause");
-        for r in 0..32 {
-            assert_eq!(fused.reg(r), cpu.reg(r), "{name}: x{r}");
-        }
-    }
-}
-
-#[test]
-fn fusion_toggle_switches_tiers_without_flushing_blocks() {
-    let p = [
-        asm::addi(1, 0, 7),
-        asm::addi(2, 2, 1),
-        asm::addi(3, 2, 1),
-        asm::jal(0, -0xC),
-    ];
-    let (mut cpu, mut bus) = fresh(&p, true);
-    assert!(cpu.fusion_enabled());
-    cpu.run(&mut bus, 0, 100);
-    let warm = cpu.superblock_stats();
-    assert!(warm.fused_ops > 0, "default tier is fused: {warm:?}");
-    cpu.set_fusion_enabled(false);
-    assert!(!cpu.fusion_enabled());
-    cpu.run(&mut bus, 0, 100);
-    let cold = cpu.superblock_stats();
-    assert!(cold.block_runs > warm.block_runs, "blocks still run unfused");
-    assert_eq!(cold.fused_ops, warm.fused_ops, "fused counters frozen");
 }

@@ -659,6 +659,26 @@ mod tests {
     }
 
     #[test]
+    fn single_step_exec_mode_is_rejected_at_its_path() {
+        let text = ScenarioDesc::default()
+            .to_json()
+            .replace("\"exec\": \"fast\"", "\"exec\": \"single-step\"");
+        let e = ScenarioDesc::from_json(&text).unwrap_err();
+        assert_eq!(e.path, "/exec");
+        assert!(e.message.contains("unknown exec mode `single-step`"), "{e}");
+    }
+
+    #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let depth = 100_000;
+        let text = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let e = ScenarioDesc::from_json(&text).unwrap_err();
+        assert_eq!(e.path, "");
+        assert!(e.message.contains("malformed JSON"), "{e}");
+        assert!(e.message.contains("nesting"), "{e}");
+    }
+
+    #[test]
     fn schema_version_is_required_and_checked() {
         let text = SystemDesc::default()
             .to_json()

@@ -127,23 +127,19 @@ impl fmt::Display for Mediator {
 
 /// Which simulation path a scenario runs on.
 ///
-/// All three are observationally identical — same traces, latencies,
+/// Both are observationally identical — same traces, latencies,
 /// activity and architectural state (the differential suites in
 /// `tests/active_path.rs` and `tests/desc_fuzz.rs` prove it) — and differ
-/// only in speed. The slower modes exist *for* those differential tests
+/// only in speed. The naive mode exists *for* those differential tests
 /// and for before/after benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Every accelerator on: decode cache, active-slave scheduling,
-    /// quiescence skipping and CPU superblock execution.
+    /// Every accelerator on: decode cache, active-slave scheduling and
+    /// quiescence skipping.
     #[default]
     Fast,
-    /// Superblock execution off (the CPU retires one instruction per
-    /// scheduler visit), everything else on — the reference point of the
-    /// superblock differential suite.
-    SingleStep,
     /// The naive reference path: every peripheral ticks every cycle, no
-    /// decode cache, no superblocks.
+    /// decode cache.
     Naive,
 }
 
@@ -152,7 +148,6 @@ impl ExecMode {
     pub fn name(&self) -> &'static str {
         match self {
             ExecMode::Fast => "fast",
-            ExecMode::SingleStep => "single-step",
             ExecMode::Naive => "naive",
         }
     }
@@ -161,7 +156,6 @@ impl ExecMode {
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "fast" => Some(ExecMode::Fast),
-            "single-step" => Some(ExecMode::SingleStep),
             "naive" => Some(ExecMode::Naive),
             _ => None,
         }
@@ -214,7 +208,7 @@ mod tests {
         ] {
             assert_eq!(Mediator::from_name(m.name()), Some(m));
         }
-        for e in [ExecMode::Fast, ExecMode::SingleStep, ExecMode::Naive] {
+        for e in [ExecMode::Fast, ExecMode::Naive] {
             assert_eq!(ExecMode::from_name(e.name()), Some(e));
         }
         assert_eq!(Mediator::from_name("dma"), None);

@@ -38,8 +38,8 @@ pub struct ScenarioDesc {
     pub rmw_only: bool,
     /// Land readout data in L2 through the SPI µDMA channel.
     pub use_udma: bool,
-    /// Which simulation path to run on (fast / single-step / naive); all
-    /// three are observationally identical.
+    /// Which simulation path to run on (fast / naive); both are
+    /// observationally identical.
     pub exec: ExecMode,
     /// Collect an observability metrics snapshot with the report.
     /// Publishing happens after the simulation windows complete, so the

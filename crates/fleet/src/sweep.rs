@@ -384,13 +384,13 @@ mod tests {
     #[test]
     fn exec_mode_is_uniform_across_jobs() {
         let jobs = SweepSpec::new()
-            .exec_mode(ExecMode::SingleStep)
+            .exec_mode(ExecMode::Naive)
             .links(&[1, 2])
             .jobs()
             .unwrap();
         assert!(jobs.len() > 1);
         for (label, desc) in &jobs {
-            assert_eq!(desc.exec, ExecMode::SingleStep, "{label}");
+            assert_eq!(desc.exec, ExecMode::Naive, "{label}");
         }
     }
 }

@@ -93,13 +93,6 @@ impl L2Memory {
         }
     }
 
-    /// Charges `n` word reads' accounting without transferring data
-    /// (bulk-verified instruction fetches whose words were already
-    /// peeked).
-    pub fn charge_reads(&mut self, n: u64) {
-        self.reads += n;
-    }
-
     /// Counted read accesses so far.
     pub fn reads(&self) -> u64 {
         self.reads

@@ -48,4 +48,4 @@ pub use pels_desc::{DescError, ExecMode, ScenarioDesc, SystemDesc};
 pub use scenario::{
     LinkingStats, Mediator, Scenario, ScenarioBuilder, ScenarioError, ScenarioReport,
 };
-pub use soc::{ConfigError, SchedStats, SensorKind, Soc, SocBuilder, SprintStats};
+pub use soc::{ConfigError, SchedStats, SensorKind, Soc, SocBuilder};

@@ -596,14 +596,8 @@ impl Scenario {
         }
         match self.exec {
             ExecMode::Fast => {}
-            ExecMode::SingleStep => {
-                // Superblocks off only: the CPU retires one instruction
-                // per scheduler visit, every other accelerator stays on.
-                soc.cpu_mut().set_superblocks_enabled(false);
-            }
             ExecMode::Naive => {
                 // The reference path disables every accelerator.
-                soc.cpu_mut().set_superblocks_enabled(false);
                 soc.set_naive_scheduling(true);
                 soc.cpu_mut().set_decode_cache_enabled(false);
             }

@@ -365,28 +365,8 @@ impl SocBuilder {
             naive_ticking: false,
             clock_ids,
             sampler: None,
-            sprint_token: false,
-            sprint: SprintStats::default(),
         }
     }
-}
-
-/// Cumulative sprint-dispatch counters (see [`Soc::sprint_stats`]).
-///
-/// These describe the *host-side* sprint accelerator, not the modelled
-/// hardware — like `SuperblockStats`, they legitimately differ between
-/// execution modes, so they live outside [`SchedStats`] (which
-/// differential tests compare bit-for-bit across modes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SprintStats {
-    /// Successful sprints (spans that advanced at least one cycle).
-    pub spans: u64,
-    /// Full precondition proofs that established a fresh token.
-    pub proofs: u64,
-    /// Sprint entries served by a live token (re-proof skipped).
-    pub token_hits: u64,
-    /// Events that dropped a live token.
-    pub invalidations: u64,
 }
 
 /// State of the passive windowed activity sampler (see
@@ -578,13 +558,6 @@ pub struct Soc {
     /// Windowed activity sampler; `None` (the default) keeps every run
     /// loop's sampling cost at a single predictable branch.
     sampler: Option<Box<TimelineSampler>>,
-    /// Cached sprint eligibility: when set, the token-cacheable
-    /// preconditions of [`Soc::try_cpu_sprint`] were proven and no event
-    /// that could change them has happened since, so consecutive sprints
-    /// skip the re-proof. Dropped by [`Soc::invalidate_sprint_token`].
-    sprint_token: bool,
-    /// Sprint-dispatch counters (host-side; never part of `SchedStats`).
-    sprint: SprintStats,
 }
 
 impl std::fmt::Debug for Soc {
@@ -636,7 +609,7 @@ struct CpuPort<'a> {
     activity: &'a mut ActivitySet,
     trace: &'a mut Trace,
     /// Time of the cycle this port was built for (handler load/store flow
-    /// hops; exact — `run_block` never issues data accesses).
+    /// hops).
     time: SimTime,
     cpu_id: ComponentId,
 }
@@ -648,18 +621,6 @@ impl CpuBus for CpuPort<'_> {
             "instruction fetch outside L2: {addr:#x}"
         );
         self.l2.read_word(addr - L2_BASE)
-    }
-
-    fn peek_fetch(&self, addr: u32) -> u32 {
-        debug_assert!(
-            (L2_BASE..L2_BASE + L2_SIZE).contains(&addr),
-            "instruction fetch outside L2: {addr:#x}"
-        );
-        self.l2.peek_word(addr - L2_BASE)
-    }
-
-    fn charge_fetches(&mut self, n: u32) {
-        self.l2.charge_reads(u64::from(n));
     }
 
     fn data(&mut self, req: DataReq) -> DataResult {
@@ -776,9 +737,6 @@ impl Soc {
 
     /// Mutable PELS access (programming).
     pub fn pels_mut(&mut self) -> &mut Pels {
-        // Reprogramming can unsettle the steady output the sprint token
-        // relies on.
-        self.invalidate_sprint_token();
         &mut self.pels
     }
 
@@ -824,7 +782,6 @@ impl Soc {
         // A direct mutable poke bypasses the bus, so none of the wake
         // conditions would notice it: sync the skipped span and force
         // the slave awake so its next tick sees the poked state.
-        self.invalidate_sprint_token();
         self.sync_slaves();
         self.sleep[id.index()] = SlaveSleep::Awake;
         self.sched.rebuild(&self.sleep);
@@ -936,17 +893,6 @@ impl Soc {
         self.cpu.decode_cache_stats()
     }
 
-    /// CPU superblock counters (see [`pels_cpu::Cpu::superblock_stats`]).
-    pub fn superblock_stats(&self) -> pels_cpu::SuperblockStats {
-        self.cpu.superblock_stats()
-    }
-
-    /// Sprint-dispatch counters: spans run, full precondition proofs,
-    /// token hits and invalidations. Cumulative since construction.
-    pub fn sprint_stats(&self) -> SprintStats {
-        self.sprint
-    }
-
     /// Publishes CPU, scheduler and fabric counters into an
     /// observability registry (gauge semantics — idempotent at a given
     /// point in the run). Keys: `cpu.*`, `soc.sched.*`, `fabric.*`, and
@@ -962,10 +908,6 @@ impl Soc {
         reg.set_named("soc.sched.rebuilds", s.rebuilds);
         reg.set_named("soc.sched.wakes", s.wakes);
         reg.set_named("soc.sched.sleeps", s.sleeps);
-        reg.set_named("soc.sprint.spans", self.sprint.spans);
-        reg.set_named("soc.sprint.proofs", self.sprint.proofs);
-        reg.set_named("soc.sprint.token_hits", self.sprint.token_hits);
-        reg.set_named("soc.sprint.invalidations", self.sprint.invalidations);
         let f = self.fabric.stats();
         reg.set_named("fabric.transfers", f.transfers);
         reg.set_named("fabric.stall_cycles", f.stall_cycles);
@@ -987,10 +929,6 @@ impl Soc {
     ///
     /// Panics if `line >= 64`.
     pub fn inject_event(&mut self, line: u32) {
-        // Injection is also re-checked per sprint entry; dropping the
-        // token keeps the invalidation rule uniform (the consuming step
-        // can wake sleepers and change the wire image).
-        self.invalidate_sprint_token();
         self.injected.set(line);
         // An injected pulse is an originating stimulus: mint its flow and
         // stage it on the wire the consuming step will sample.
@@ -1012,7 +950,6 @@ impl Soc {
     /// activity and architectural state — the differential property test
     /// in `tests/` proves it).
     pub fn set_naive_scheduling(&mut self, naive: bool) {
-        self.invalidate_sprint_token();
         self.sync_slaves();
         if naive {
             // Naive ticking never re-evaluates sleep state, so any slave
@@ -1073,9 +1010,6 @@ impl Soc {
     }
 
     fn step_inner(&mut self) {
-        // A full step can change everything the sprint token caches
-        // (slave sleep state, wires, fabric and PELS activity).
-        self.invalidate_sprint_token();
         let time = self.time();
         let cycle = self.cycle;
 
@@ -1376,152 +1310,11 @@ impl Soc {
         span
     }
 
-    /// Attempts to grant the *running* CPU a bounded multi-cycle budget
-    /// and retire whole superblocks in one visit ([`Cpu::run_block`]) —
-    /// the busy-CPU dual of [`Soc::try_skip`]. Returns the cycles
-    /// advanced (0 if the SoC is not provably inert around the CPU).
-    ///
-    /// The span is only entered when every cycle in it would have taken
-    /// the fast scheduler path with nothing but the CPU acting: every
-    /// peripheral asleep, strictly before its deadline, unwakeable by the
-    /// standing wires or by fabric traffic, the fabric empty, PELS steady
-    /// with a self-reproducing wire image, and no deliverable interrupt.
-    /// Block instructions are register-only (no bus, CSR or trap
-    /// activity), so none of those conditions can change inside the span;
-    /// the budget is additionally capped at the nearest peripheral
-    /// deadline and the open timeline-window boundary, keeping
-    /// `SchedStats` (sprinted cycles are exactly the fast-path cycles
-    /// single-stepping would count), skip spans, windowed timelines and
-    /// interrupt delivery bit-identical to single-stepped execution. The
-    /// differential suite in `tests/active_path.rs` proves it.
-    fn try_cpu_sprint(&mut self, budget: u64) -> u64 {
-        // Cycle- and caller-dependent conditions are re-checked on every
-        // entry: they legitimately change between consecutive sprints
-        // (injection, CPU state, the advancing cycle) and are O(1).
-        if self.naive_ticking || budget == 0 || !self.injected.is_empty() {
-            return 0;
-        }
-        if self.cpu.state() != CpuState::Running {
-            return 0;
-        }
-        // Everything else — the expensive part of the proof — is cached
-        // in the sprint token: a successful sprint changes nothing the
-        // guards depend on (block instructions are register-only, PELS
-        // and fabric idle-advance, no slave state moves), so the proof
-        // holds until an invalidating event drops the token.
-        if self.sprint_token {
-            self.sprint.token_hits += 1;
-            debug_assert!(
-                self.sprint_guards_hold(),
-                "live sprint token must imply the guard preconditions"
-            );
-        } else {
-            if !self.sprint_guards_hold() {
-                return 0;
-            }
-            self.sprint_token = true;
-            self.sprint.proofs += 1;
-        }
-        let remain = self.sched.next_deadline.saturating_sub(self.cycle);
-        if remain == 0 {
-            return 0;
-        }
-        // Never sprint across a timeline-window boundary: single-stepping
-        // closes the window exactly at the boundary cycle.
-        let mut span = budget.min(remain);
-        if let Some(s) = &self.sampler {
-            span = span.min(s.next_boundary.saturating_sub(self.cycle));
-        }
-        if span == 0 {
-            return 0;
-        }
-        let used = {
-            let time = self.time();
-            let mut bus = CpuPort {
-                l2: &mut self.l2,
-                fabric: &mut self.fabric,
-                master: self.cpu_master,
-                pels: &mut self.pels,
-                pels_id: self.clock_ids.pels,
-                activity: &mut self.activity,
-                trace: &mut self.trace,
-                time,
-                cpu_id: self.clock_ids.ibex,
-            };
-            self.cpu.run_block(&mut bus, self.irq_pending, span)
-        };
-        if used == 0 {
-            return 0;
-        }
-        // Whole-span bookkeeping, exactly as `used` fast-path cycles of
-        // `step_inner` would have accounted: PELS and fabric idle-advance,
-        // the wire image reproduces itself, and every cycle was a
-        // fast-path cycle with the CPU awake.
-        self.pels.skip_cycles(used);
-        self.fabric.skip_cycles(used);
-        self.cycle += used;
-        self.window_cycles += used;
-        self.cpu_awake_cycles += used;
-        self.sched.stats.fast_cycles += used;
-        self.sprint.spans += 1;
-        used
-    }
-
-    /// The token-cacheable preconditions of [`Soc::try_cpu_sprint`]:
-    /// every slave asleep, unwakeable by the standing wires, not about
-    /// to be stirred by fabric traffic, the fabric empty, and PELS
-    /// latched steady on exactly the wire image. Cycle-dependent
-    /// conditions (deadlines, window boundaries, injection, CPU state)
-    /// are *not* covered — those are re-checked on every entry.
-    fn sprint_guards_hold(&self) -> bool {
-        if !self.sched.active.is_empty() {
-            return false;
-        }
-        let wires = self.prev_wires;
-        if wires.intersects(self.sched.wake_union) {
-            return false;
-        }
-        // A sleeper whose registers last cycle's fabric phases touched
-        // (or that a pending request targets) would be stirred awake this
-        // cycle — the sprint must not paper over that wake.
-        if (self.fabric.targeted_slaves() | self.fabric.touched_slaves()) & self.sched.asleep != 0
-        {
-            return false;
-        }
-        if !self.fabric.is_quiescent() {
-            return false;
-        }
-        // All slaves sleep, so the peripheral pulse image is empty and
-        // PELS must already be latched steady on exactly the standing
-        // wires (same argument as `try_skip`); block instructions cannot
-        // reach PELS config, so it stays steady for the whole span.
-        matches!(
-            self.pels.steady_output(EventVector::EMPTY),
-            Some(visible) if visible == wires
-        )
-    }
-
-    /// Drops the cached sprint-eligibility token. Called on every event
-    /// that can change the token-cached preconditions: a full SoC step
-    /// (wakes, sleeps, wire/pulse changes, fabric activity), direct
-    /// peripheral or PELS pokes, event injection, and scheduler-mode
-    /// flips.
-    fn invalidate_sprint_token(&mut self) {
-        if self.sprint_token {
-            self.sprint_token = false;
-            self.sprint.invalidations += 1;
-        }
-    }
-
-    /// Runs `n` cycles, jumping over whole-SoC idle spans and sprinting
-    /// through cached CPU superblocks when possible.
+    /// Runs `n` cycles, jumping over whole-SoC idle spans when possible.
     pub fn run(&mut self, n: u64) {
         let mut done = 0;
         while done < n {
-            let mut advanced = self.try_skip(n - done);
-            if advanced == 0 {
-                advanced = self.try_cpu_sprint(n - done);
-            }
+            let advanced = self.try_skip(n - done);
             if advanced == 0 {
                 self.step_inner();
                 done += 1;
@@ -1536,19 +1329,12 @@ impl Soc {
     /// Runs until `pred(self)` holds or `max_cycles` elapse; returns
     /// `true` if the predicate was met.
     ///
-    /// Never jumps over idle spans (the predicate could observe any
-    /// peripheral state). The one granted shortcut is the CPU superblock
-    /// sprint: while the rest of the SoC is provably inert and only the
-    /// CPU acts, the predicate is evaluated at superblock boundaries
-    /// rather than every cycle. Nothing outside the CPU changes inside
-    /// such a span, so predicates over peripheral, PELS, fabric or trace
-    /// state remain cycle-exact; a predicate that watches CPU
-    /// architectural state (registers, pc) at sub-block granularity
-    /// should disable superblocks first
-    /// ([`pels_cpu::Cpu::set_superblocks_enabled`], or running the
-    /// scenario with `ExecMode::SingleStep`). Use [`Soc::run_for_trace_count`]
-    /// when the condition is a trace-entry count — that one can also
-    /// skip idle spans.
+    /// Steps one cycle at a time and checks the predicate before every
+    /// cycle, so it is cycle-exact for any state it watches — CPU
+    /// registers and pc included. It never jumps over idle spans (the
+    /// predicate could observe any peripheral state); use
+    /// [`Soc::run_for_trace_count`] when the condition is a trace-entry
+    /// count — that one can skip idle spans.
     pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&Soc) -> bool) -> bool {
         let end = self.cycle.saturating_add(max_cycles);
         while self.cycle < end {
@@ -1556,9 +1342,7 @@ impl Soc {
             if pred(self) {
                 return true;
             }
-            if self.try_cpu_sprint(end - self.cycle) == 0 {
-                self.step_inner();
-            }
+            self.step_inner();
             self.timeline_tick();
         }
         self.sync_slaves();
@@ -1600,9 +1384,7 @@ impl Soc {
                 self.sync_slaves();
                 return done;
             }
-            if self.try_skip(end - self.cycle) == 0
-                && self.try_cpu_sprint(end - self.cycle) == 0
-            {
+            if self.try_skip(end - self.cycle) == 0 {
                 self.step_inner();
             }
             self.timeline_tick();
@@ -1964,222 +1746,5 @@ mod tests {
             ConfigError::Desc(e) => assert_eq!(e.path, "/peripherals/1/offset"),
             other => panic!("expected a Desc error, got {other:?}"),
         }
-    }
-
-    /// A SoC spinning in a register-only loop with every peripheral
-    /// asleep — the sprint-eligible steady state. Each guard test starts
-    /// from a machine where `try_cpu_sprint` provably works, then
-    /// arranges exactly one precondition violation.
-    fn sprinting_soc() -> Soc {
-        let mut soc = SocBuilder::new().build();
-        let mut p = vec![];
-        p.extend(asm::li32(1, 0));
-        p.push(asm::addi(1, 1, 1));
-        p.push(asm::jal(0, -4));
-        soc.load_program(RESET_PC, &p);
-        soc.run(400);
-        assert_eq!(soc.cpu().state(), CpuState::Running);
-        // Align to a superblock boundary: a 3-cycle budget is exactly one
-        // loop iteration, so a successful sprint lands back in the same
-        // aligned state and every later sprint attempt can retire work
-        // (a partial budget would otherwise leave the pc mid-block).
-        let mut aligned = false;
-        for _ in 0..8 {
-            if soc.try_cpu_sprint(3) > 0 {
-                aligned = true;
-                break;
-            }
-            soc.step();
-        }
-        assert!(aligned, "fixture must sprint before a guard is violated");
-        soc
-    }
-
-    #[test]
-    fn sprint_bails_on_injected_events() {
-        let mut soc = sprinting_soc();
-        soc.inject_event(42);
-        assert_eq!(soc.try_cpu_sprint(64), 0, "pending injection vetoes the sprint");
-    }
-
-    #[test]
-    fn sprint_bails_on_an_active_slave() {
-        let mut soc = sprinting_soc();
-        // A direct poke forces the slave awake (and drops the token).
-        let _ = soc.timer_mut();
-        assert!(!soc.sched.active.is_empty());
-        assert_eq!(soc.try_cpu_sprint(64), 0, "an awake slave vetoes the sprint");
-    }
-
-    #[test]
-    fn sprint_bails_on_wake_wire_overlap() {
-        let mut soc = sprinting_soc();
-        soc.sprint_token = false; // poking below bypasses the invalidation hooks
-        let line = EventVector::mask_of(&[60]);
-        soc.sched.wake_union |= line;
-        soc.prev_wires |= line;
-        assert_eq!(
-            soc.try_cpu_sprint(64),
-            0,
-            "a standing wire that can wake a sleeper vetoes the sprint"
-        );
-    }
-
-    #[test]
-    fn sprint_bails_on_a_due_deadline() {
-        let mut soc = sprinting_soc();
-        soc.sched.next_deadline = soc.cycle();
-        assert_eq!(soc.try_cpu_sprint(64), 0, "a due sleeper deadline leaves no span");
-    }
-
-    #[test]
-    fn sprint_bails_on_a_stirred_sleeper() {
-        let mut soc = sprinting_soc();
-        soc.sprint_token = false;
-        // A pending request targeting a sleeping slave would stir it
-        // awake on the next fabric tick.
-        let addr = apb_reg(GPIO_OFFSET, Gpio::PADOUTSET);
-        soc.fabric
-            .issue(soc.cpu_master, ApbRequest::read(addr))
-            .unwrap();
-        assert_ne!(
-            (soc.fabric.targeted_slaves() | soc.fabric.touched_slaves()) & soc.sched.asleep,
-            0,
-            "the request must target a sleeper"
-        );
-        assert_eq!(soc.try_cpu_sprint(64), 0, "a stirred sleeper vetoes the sprint");
-    }
-
-    #[test]
-    fn sprint_bails_on_a_busy_fabric() {
-        let mut soc = sprinting_soc();
-        soc.sprint_token = false;
-        // An address outside every slave's range keeps `targeted_slaves`
-        // empty (nothing decodes), isolating the quiescence guard from
-        // the stirred-sleeper guard: the pending request alone makes the
-        // fabric busy.
-        soc.fabric
-            .issue(soc.cpu_master, ApbRequest::read(0xDEAD_0000))
-            .unwrap();
-        assert_eq!(soc.fabric.targeted_slaves() & soc.sched.asleep, 0);
-        assert!(!soc.fabric.is_quiescent());
-        assert_eq!(soc.try_cpu_sprint(64), 0, "a busy fabric vetoes the sprint");
-    }
-
-    #[test]
-    fn sprint_bails_on_unsettled_pels() {
-        let mut soc = sprinting_soc();
-        soc.sprint_token = false;
-        // A standing wire PELS does not reproduce (line 60 is driven by
-        // nothing) means the image is still settling — but it must not
-        // be able to wake a sleeper, or the earlier guard fires instead.
-        let line = EventVector::mask_of(&[60]);
-        assert!(!line.intersects(soc.sched.wake_union));
-        soc.prev_wires |= line;
-        assert_eq!(
-            soc.try_cpu_sprint(64),
-            0,
-            "a wire image PELS does not hold steady vetoes the sprint"
-        );
-    }
-
-    #[test]
-    fn sprint_bails_at_a_window_boundary() {
-        let mut soc = sprinting_soc();
-        soc.start_timeline(1_000);
-        soc.sampler.as_mut().expect("sampling started").next_boundary = soc.cycle();
-        assert_eq!(
-            soc.try_cpu_sprint(64),
-            0,
-            "an open window boundary at the current cycle leaves no span"
-        );
-    }
-
-    #[test]
-    fn sprint_token_caches_the_proof_across_consecutive_sprints() {
-        let mut soc = sprinting_soc();
-        // A benign poke drops any token the fixture left live without
-        // moving the CPU off its superblock boundary (a full `step`
-        // would leave the pc mid-block and the next `run_block` would
-        // retire nothing). One-iteration budgets keep it aligned.
-        let _ = soc.pels_mut();
-        let s0 = soc.sprint_stats();
-        assert!(soc.try_cpu_sprint(3) > 0);
-        assert!(soc.try_cpu_sprint(3) > 0);
-        let s1 = soc.sprint_stats();
-        assert_eq!(s1.proofs, s0.proofs + 1, "one full proof covers both sprints");
-        assert_eq!(s1.token_hits, s0.token_hits + 1, "second sprint hit the token");
-        let _ = soc.pels_mut();
-        let s2 = soc.sprint_stats();
-        assert_eq!(s2.invalidations, s1.invalidations + 1, "a poke drops the token");
-        assert!(soc.try_cpu_sprint(3) > 0);
-        assert_eq!(soc.sprint_stats().proofs, s1.proofs + 1, "the next sprint re-proves");
-    }
-
-    /// Runs the sprint fixture program on two SoCs — superblock sprints
-    /// enabled vs fully single-stepped — applying the same mid-run
-    /// stimulus to both, and asserts the end states are bit-identical.
-    fn assert_sprint_identical(stimulus: impl Fn(&mut Soc)) {
-        let mut p = vec![];
-        p.extend(asm::li32(1, 0));
-        p.push(asm::addi(1, 1, 1));
-        p.push(asm::jal(0, -4));
-        let mut fast = SocBuilder::new().build();
-        let mut slow = SocBuilder::new().build();
-        slow.cpu_mut().set_superblocks_enabled(false);
-        for soc in [&mut fast, &mut slow] {
-            soc.load_program(RESET_PC, &p);
-            soc.run(150);
-            stimulus(soc);
-            soc.run(500);
-        }
-        assert!(fast.sprint_stats().spans > 0, "fast run must actually sprint");
-        assert_eq!(slow.sprint_stats().spans, 0, "reference run must not sprint");
-        assert_eq!(fast.cycle(), slow.cycle());
-        assert_eq!(fast.cpu().pc(), slow.cpu().pc());
-        assert_eq!(fast.cpu().retired(), slow.cpu().retired());
-        for r in 0..32 {
-            assert_eq!(fast.cpu().reg(r), slow.cpu().reg(r), "x{r}");
-        }
-        assert_eq!(fast.sched_stats(), slow.sched_stats());
-        assert_eq!(fast.trace().entries().len(), slow.trace().entries().len());
-        let ft = fast.take_timeline();
-        let st = slow.take_timeline();
-        assert_eq!(
-            ft.as_ref().map(|t| t.windows.iter().map(|w| (w.start_cycle, w.end_cycle)).collect::<Vec<_>>()),
-            st.as_ref().map(|t| t.windows.iter().map(|w| (w.start_cycle, w.end_cycle)).collect::<Vec<_>>()),
-            "window boundaries must match"
-        );
-        let fa = fast.drain_activity();
-        let sa = slow.drain_activity();
-        for kind in [
-            ActivityKind::ClockCycle,
-            ActivityKind::InstrFetch,
-            ActivityKind::InstrRetired,
-            ActivityKind::RegRead,
-            ActivityKind::RegWrite,
-        ] {
-            assert_eq!(fa.count("ibex", kind), sa.count("ibex", kind), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn sprinting_is_identical_to_single_step_across_injection() {
-        assert_sprint_identical(|soc| soc.inject_event(42));
-    }
-
-    #[test]
-    fn sprinting_is_identical_to_single_step_across_a_timer_wake() {
-        assert_sprint_identical(|soc| {
-            soc.timer_mut().write(Timer::CMP, 37).unwrap();
-            soc.timer_mut()
-                .write(Timer::CTRL, Timer::CTRL_ENABLE)
-                .unwrap();
-        });
-    }
-
-    #[test]
-    fn sprinting_is_identical_to_single_step_across_window_boundaries() {
-        assert_sprint_identical(|soc| soc.start_timeline(64));
     }
 }

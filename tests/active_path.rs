@@ -76,21 +76,16 @@ fn busy_workload_soc(naive: bool) -> Soc {
         .unwrap();
     soc.spi_mut().write(Spi::CMD, 1).unwrap();
     if naive {
-        soc.set_naive_scheduling(true);
-        soc.cpu_mut().set_decode_cache_enabled(false);
-        soc.cpu_mut().set_superblocks_enabled(false);
+        make_naive(&mut soc);
     }
     soc
 }
 
-/// The same busy workload with only the superblock layer disabled: the
-/// CPU retires one instruction per scheduler visit, but active-slave
-/// scheduling and the decode cache stay on — the reference point that
-/// isolates superblock execution.
-fn busy_workload_soc_single_step() -> Soc {
-    let mut soc = busy_workload_soc(false);
-    soc.cpu_mut().set_superblocks_enabled(false);
-    soc
+/// Forces `soc` onto the reference path `ExecMode::Naive` selects:
+/// every peripheral ticks every cycle and the decode cache is off.
+fn make_naive(soc: &mut Soc) {
+    soc.set_naive_scheduling(true);
+    soc.cpu_mut().set_decode_cache_enabled(false);
 }
 
 fn apply(soc: &mut Soc, op: Op) {
@@ -203,131 +198,22 @@ fn scenario_reports_identical_fast_vs_naive() {
     }
 }
 
-/// The superblock differential property: random stimulus schedules
-/// observe no difference between superblock execution (whole decoded
-/// blocks retired per scheduler visit, cycles billed in bulk) and
-/// single-instruction stepping — including the scheduler statistics,
-/// which must attribute sprinted cycles exactly as the fast path would
-/// have counted them one by one.
+/// IRQ delivery into a straight-line kernel, property-style: sweep the
+/// external event arrival cycle across several loop iterations and
+/// demand the interrupt is taken on exactly the same cycle on the fast
+/// path as on the naive reference — compared in 3-cycle chunks so a
+/// divergence pins to the cycle it happened, not just the endpoint.
 #[test]
-fn superblock_execution_is_observationally_identical_to_single_step() {
-    let mut rng = Rng::seed_from_u64(0x5B10_C0DE);
-    for case in 0..16 {
-        let ops: Vec<Op> = (0..rng.range_u64(4, 16))
-            .map(|_| match rng.index(8) {
-                0..=2 => Op::Run(rng.range_u64(1, 120)),
-                3 => Op::Run(rng.range_u64(200, 1_500)),
-                4 => Op::Inject([EV_TIMER_CMP, EV_GPIO_RISE, 9][rng.index(3)]),
-                5 => Op::PokeTimerCmp(rng.range_u64(1, 64) as u32),
-                6 => Op::GpioInput(rng.next_u32() & 0xF),
-                _ => Op::Drain,
-            })
-            .collect();
-        let mut fast = busy_workload_soc(false);
-        let mut single = busy_workload_soc_single_step();
-        for (i, &op) in ops.iter().enumerate() {
-            if let Op::Drain = op {
-                let af = activity_image(&fast.drain_activity());
-                let an = activity_image(&single.drain_activity());
-                assert_eq!(af, an, "case {case} op {i}: activity windows diverge");
-            } else {
-                apply(&mut fast, op);
-                apply(&mut single, op);
-            }
-            assert_identical(&fast, &single, &format!("case {case} op {i} ({op:?})"));
-            assert_eq!(
-                fast.sched_stats(),
-                single.sched_stats(),
-                "case {case} op {i}: SchedStats diverge"
-            );
-        }
-        let af = activity_image(&fast.drain_activity());
-        let an = activity_image(&single.drain_activity());
-        assert_eq!(af, an, "case {case}: final activity (power input) diverges");
-        let sb = fast.superblock_stats();
-        assert!(
-            sb.block_runs > 0,
-            "case {case}: the busy loop actually ran from superblocks"
-        );
-        assert_eq!(
-            single.superblock_stats().block_runs,
-            0,
-            "case {case}: the single-step reference never ran a block"
-        );
-    }
-}
-
-/// Scenario-level superblock identity across all three mediators: the
-/// full measured report — per-event latencies (hence every percentile),
-/// [`SchedStats`] (bit-for-bit), completed events, activity images,
-/// window durations and trace — matches [`ExecMode::SingleStep`], and the
-/// paper's headline latencies are unchanged cycle-for-cycle.
-#[test]
-fn scenario_reports_identical_superblocks_vs_single_step() {
-    for (mediator, paper_latency) in [
-        (Mediator::PelsSequenced, 7),
-        (Mediator::PelsInstant, 2),
-        (Mediator::IbexIrq, 16),
-    ] {
-        let fast = Scenario::iso_frequency(mediator).run();
-        let single = Scenario::iso_frequency(mediator)
-            .to_builder()
-            .exec_mode(ExecMode::SingleStep)
-            .build()
-            .expect("preset variant stays valid")
-            .run();
-        // The paper's headline numbers are pinned on the dedicated
-        // latency probe — re-check them under superblock execution.
-        let probe = Scenario::latency_probe(mediator)
-            .to_builder()
-            .exec_mode(ExecMode::Fast)
-            .build()
-            .expect("probe variant stays valid")
-            .run();
-        let ctx = format!("{mediator}");
-        assert_eq!(fast.events_completed, single.events_completed, "{ctx}: events");
-        assert_eq!(fast.latencies, single.latencies, "{ctx}: latencies");
-        assert_eq!(fast.stats, single.stats, "{ctx}: LinkingStats");
-        assert_eq!(fast.sched_stats, single.sched_stats, "{ctx}: SchedStats");
-        assert_eq!(
-            activity_image(&fast.active_activity),
-            activity_image(&single.active_activity),
-            "{ctx}: active-window activity"
-        );
-        assert_eq!(
-            activity_image(&fast.idle_activity),
-            activity_image(&single.idle_activity),
-            "{ctx}: idle-window activity"
-        );
-        assert_eq!(fast.active_window, single.active_window, "{ctx}: active window");
-        assert_eq!(
-            fast.trace.entries(),
-            single.trace.entries(),
-            "{ctx}: trace streams diverge"
-        );
-        assert_eq!(
-            probe.stats.min, paper_latency,
-            "{ctx}: paper latency preserved under superblocks"
-        );
-    }
-}
-
-/// IRQ delivery under superblocks, property-style: sweep the external
-/// event arrival cycle across several superblock spans and demand the
-/// interrupt is taken on exactly the same cycle as single-stepped
-/// execution — compared in 3-cycle chunks so a divergence pins to the
-/// cycle it happened, not just the endpoint.
-#[test]
-fn irq_delivery_under_superblocks_is_cycle_exact_across_block_span() {
+fn irq_delivery_in_straight_line_kernel_is_cycle_exact_vs_naive() {
     use pels_repro::cpu::csr::addr as csr;
     use pels_repro::soc::event_map::{irq_bit_for_event, EV_ADC_DONE};
 
     let bit = irq_bit_for_event(EV_ADC_DONE);
     let vector_table = RESET_PC + 0x200;
-    let build = |single_step: bool| {
+    let build = |naive: bool| {
         let mut soc = SocBuilder::new().build();
-        // Straight-line kernel: six chained ALU ops closed by a jump —
-        // an 8-cycle superblock span the IRQ arrival sweeps across.
+        // Straight-line kernel: six ALU ops closed by a jump — an
+        // 8-cycle loop body the IRQ arrival sweeps across.
         soc.load_program(
             RESET_PC,
             &[
@@ -349,40 +235,32 @@ fn irq_delivery_under_superblocks_is_cycle_exact_across_block_span() {
         cpu.csrs.write(csr::MTVEC, vector_table);
         cpu.csrs.write(csr::MIE, 1 << bit);
         cpu.csrs.write(csr::MSTATUS, 8); // MSTATUS.MIE
-        if single_step {
-            cpu.set_superblocks_enabled(false);
+        if naive {
+            make_naive(&mut soc);
         }
         soc
     };
 
     for arrival in 0..48u64 {
         let mut fast = build(false);
-        let mut single = build(true);
+        let mut naive = build(true);
         fast.run(arrival);
-        single.run(arrival);
+        naive.run(arrival);
         fast.inject_event(EV_ADC_DONE);
-        single.inject_event(EV_ADC_DONE);
+        naive.inject_event(EV_ADC_DONE);
         for chunk in 0..20 {
             fast.run(3);
-            single.run(3);
+            naive.run(3);
             assert_eq!(
                 fast.cpu().irq_entries(),
-                single.cpu().irq_entries(),
+                naive.cpu().irq_entries(),
                 "arrival {arrival} chunk {chunk}: IRQ entry cycle diverges"
             );
-            assert_identical(
-                &fast,
-                &single,
-                &format!("arrival {arrival} chunk {chunk}"),
-            );
+            assert_identical(&fast, &naive, &format!("arrival {arrival} chunk {chunk}"));
         }
         assert_eq!(fast.cpu().irq_entries(), 1, "arrival {arrival}: IRQ taken");
         assert_eq!(fast.cpu().reg(15), 1, "arrival {arrival}: handler ran once");
     }
-    // The sweep is only meaningful if the fast side actually sprints.
-    let mut fast = build(false);
-    fast.run(500);
-    assert!(fast.superblock_stats().block_runs > 0, "kernel ran from blocks");
 }
 
 /// `run_for_trace_count` (the skipping trace-wait the scenario harness
@@ -411,20 +289,15 @@ fn exec_mode_selection_is_explicit_and_last_wins() {
         .build()
         .unwrap();
     assert_eq!(naive.exec, ExecMode::Naive);
-    let single = Scenario::builder()
-        .exec_mode(ExecMode::SingleStep)
-        .build()
-        .unwrap();
-    assert_eq!(single.exec, ExecMode::SingleStep);
     let last_wins = Scenario::builder()
-        .exec_mode(ExecMode::SingleStep)
+        .exec_mode(ExecMode::Naive)
         .exec_mode(ExecMode::Fast)
         .build()
         .unwrap();
     assert_eq!(last_wins.exec, ExecMode::Fast);
 }
 
-/// A never-sleeping compute loop dense in the three fusion classes —
+/// A never-sleeping compute loop dense in dependent instruction pairs —
 /// a `lui+addi` pair, a same-rd ALU-immediate chain and an
 /// always-taken `slt+bne` compare-and-branch — with the timer-driven
 /// PELS toggle workload around it.
@@ -466,10 +339,10 @@ fn pair_dense_soc() -> Soc {
     soc
 }
 
-/// Three-tier SoC differential over the pair-dense workload: fused
-/// superblocks, unfused superblocks and single-stepping observe the
-/// same stimulus schedule bit-identically — trace, activity image,
-/// architectural and peripheral state at every step.
+/// SoC differential over the pair-dense workload: the fast path and the
+/// naive reference observe the same stimulus schedule bit-identically —
+/// trace, activity image, architectural and peripheral state at every
+/// step.
 #[test]
 fn fused_pair_workload_is_identical_across_tiers() {
     let ops = [
@@ -481,32 +354,23 @@ fn fused_pair_workload_is_identical_across_tiers() {
         Op::GpioInput(3),
         Op::Run(263),
     ];
-    let mut fused = pair_dense_soc();
-    let mut unfused = pair_dense_soc();
-    unfused.cpu_mut().set_fusion_enabled(false);
-    let mut single = pair_dense_soc();
-    single.cpu_mut().set_superblocks_enabled(false);
+    let mut fast = pair_dense_soc();
+    let mut naive = pair_dense_soc();
+    make_naive(&mut naive);
     for (i, &op) in ops.iter().enumerate() {
-        apply(&mut fused, op);
-        apply(&mut unfused, op);
-        apply(&mut single, op);
-        assert_identical(&fused, &unfused, &format!("unfused, op {i} ({op:?})"));
-        assert_identical(&fused, &single, &format!("single, op {i} ({op:?})"));
+        apply(&mut fast, op);
+        apply(&mut naive, op);
+        assert_identical(&fast, &naive, &format!("op {i} ({op:?})"));
     }
-    let af = activity_image(&fused.drain_activity());
-    let au = activity_image(&unfused.drain_activity());
-    let asg = activity_image(&single.drain_activity());
-    assert_eq!(af, au, "fused vs unfused activity (power input) diverges");
-    assert_eq!(af, asg, "fused vs single-step activity (power input) diverges");
-    let s = fused.superblock_stats();
-    assert!(s.fused_pairs > 0, "the workload exercised pair fusion: {s:?}");
-    assert_eq!(unfused.superblock_stats().fused_ops, 0, "unfused tier stays cold");
+    let af = activity_image(&fast.drain_activity());
+    let an = activity_image(&naive.drain_activity());
+    assert_eq!(af, an, "fast vs naive activity (power input) diverges");
 }
 
-/// IRQ delivery across *fused pairs*, property-style: sweep the
-/// external event arrival cycle across the pair-dense superblock span
-/// and demand the interrupt is taken on exactly the same cycle as
-/// single-stepped execution.
+/// IRQ delivery across the pair-dense kernel's dependent pairs,
+/// property-style: sweep the external event arrival cycle across the
+/// loop body and demand the interrupt is taken on exactly the same
+/// cycle on the fast path as on the naive reference.
 #[test]
 fn irq_delivery_across_fused_pairs_is_cycle_exact() {
     use pels_repro::cpu::csr::addr as csr;
@@ -514,7 +378,7 @@ fn irq_delivery_across_fused_pairs_is_cycle_exact() {
 
     let bit = irq_bit_for_event(EV_ADC_DONE);
     let vector_table = RESET_PC + 0x200;
-    let build = |single_step: bool| {
+    let build = |naive: bool| {
         let mut soc = SocBuilder::new().build();
         soc.load_program(
             RESET_PC,
@@ -535,41 +399,30 @@ fn irq_delivery_across_fused_pairs_is_cycle_exact() {
         cpu.csrs.write(csr::MTVEC, vector_table);
         cpu.csrs.write(csr::MIE, 1 << bit);
         cpu.csrs.write(csr::MSTATUS, 8); // MSTATUS.MIE
-        if single_step {
-            cpu.set_superblocks_enabled(false);
+        if naive {
+            make_naive(&mut soc);
         }
         soc
     };
 
     for arrival in 0..32u64 {
         let mut fast = build(false);
-        let mut single = build(true);
+        let mut naive = build(true);
         fast.run(arrival);
-        single.run(arrival);
+        naive.run(arrival);
         fast.inject_event(EV_ADC_DONE);
-        single.inject_event(EV_ADC_DONE);
+        naive.inject_event(EV_ADC_DONE);
         for chunk in 0..20 {
             fast.run(3);
-            single.run(3);
+            naive.run(3);
             assert_eq!(
                 fast.cpu().irq_entries(),
-                single.cpu().irq_entries(),
+                naive.cpu().irq_entries(),
                 "arrival {arrival} chunk {chunk}: IRQ entry cycle diverges"
             );
-            assert_identical(
-                &fast,
-                &single,
-                &format!("arrival {arrival} chunk {chunk}"),
-            );
+            assert_identical(&fast, &naive, &format!("arrival {arrival} chunk {chunk}"));
         }
         assert_eq!(fast.cpu().irq_entries(), 1, "arrival {arrival}: IRQ taken");
         assert_eq!(fast.cpu().reg(15), 1, "arrival {arrival}: handler ran once");
     }
-    // The sweep is only meaningful if the fast side actually fuses.
-    let mut fast = build(false);
-    fast.run(500);
-    assert!(
-        fast.superblock_stats().fused_pairs > 0,
-        "kernel ran from fused pairs"
-    );
 }

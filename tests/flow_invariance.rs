@@ -32,7 +32,7 @@ fn flow_recording_never_perturbs_any_mediator_or_exec_mode() {
         Mediator::PelsInstant,
         Mediator::IbexIrq,
     ] {
-        for exec in [ExecMode::Fast, ExecMode::SingleStep, ExecMode::Naive] {
+        for exec in [ExecMode::Fast, ExecMode::Naive] {
             let base = Scenario::iso_frequency(mediator)
                 .to_builder()
                 .exec_mode(exec)
@@ -66,12 +66,13 @@ fn flow_attribution_is_identical_across_exec_modes() {
                 .flow_report()
                 .expect("flow report")
         };
-        let fast = report_for(ExecMode::Fast);
         // The measured eot→actuation segment is architectural, so its
         // decomposition cannot depend on the host execution strategy.
-        for exec in [ExecMode::SingleStep, ExecMode::Naive] {
-            assert_eq!(fast, report_for(exec), "{mediator} {exec:?}");
-        }
+        assert_eq!(
+            report_for(ExecMode::Fast),
+            report_for(ExecMode::Naive),
+            "{mediator}"
+        );
     }
 }
 

@@ -9,7 +9,7 @@
 //! both ways and compare everything the simulation derives.
 
 use pels_fleet::{FleetEngine, SweepSpec};
-use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioReport, SocBuilder};
+use pels_repro::soc::{Mediator, Scenario, ScenarioReport, SocBuilder};
 
 /// Every simulation-derived field of two reports must match exactly.
 /// Host-time fields (there are none in `ScenarioReport`) and the metrics
@@ -113,55 +113,6 @@ fn timeline_sampling_never_perturbs_any_mediator() {
             assert_reports_identical(&plain, &sampled);
         }
     }
-}
-
-#[test]
-fn superblock_execution_never_perturbs_any_mediator() {
-    for mediator in [
-        Mediator::PelsSequenced,
-        Mediator::PelsInstant,
-        Mediator::IbexIrq,
-    ] {
-        let base = Scenario::iso_frequency(mediator);
-        let fast = base.run();
-        let single = base
-            .to_builder()
-            .exec_mode(ExecMode::SingleStep)
-            .build()
-            .unwrap()
-            .run();
-        // Everything simulation-derived must match. Decode-cache hit/miss
-        // counters are the one deliberate exception: block-mode execution
-        // bypasses the per-instruction cache probe, so those host-side
-        // counters legitimately differ between the two modes (exactly as
-        // they differ between cache-on and cache-off runs).
-        assert_eq!(fast.latencies, single.latencies);
-        assert_eq!(fast.events_completed, single.events_completed);
-        assert_eq!(fast.trace.entries(), single.trace.entries());
-        assert_eq!(fast.active_activity, single.active_activity);
-        assert_eq!(fast.idle_activity, single.idle_activity);
-        assert_eq!(fast.active_window, single.active_window);
-        assert_eq!(fast.idle_window, single.idle_window);
-        assert_eq!(fast.sched_stats, single.sched_stats);
-    }
-}
-
-#[test]
-fn fleet_digest_is_invariant_under_superblock_execution() {
-    let mediators = [Mediator::PelsSequenced, Mediator::IbexIrq];
-    let fast = FleetEngine::new(2)
-        .run_sweep(&SweepSpec::new().mediators(&mediators))
-        .unwrap();
-    let single = FleetEngine::new(1)
-        .run_sweep(
-            &SweepSpec::new()
-                .mediators(&mediators)
-                .exec_mode(ExecMode::SingleStep),
-        )
-        .unwrap();
-    // Superblock execution is a host-speed technique: the digest hashes
-    // every simulation-derived field of every job and must not move.
-    assert_eq!(fast.digest(), single.digest());
 }
 
 #[test]
