@@ -20,8 +20,7 @@ fn busy_cpu_soc(naive: bool) -> pels_soc::Soc {
     soc.trace_mut().set_enabled(false);
     soc.load_program(RESET_PC, &[asm::addi(1, 1, 1), asm::jal(0, -4)]);
     if naive {
-        soc.set_naive_scheduling(true);
-        soc.cpu_mut().set_decode_cache_enabled(false);
+        soc.set_exec_mode(ExecMode::Naive);
     }
     soc
 }
@@ -41,7 +40,7 @@ fn main() {
     // The naive every-cycle baseline the quiescence scheduler replaces.
     bench.run_throughput("idle_soc_naive", CYCLES, || {
         let mut soc = SocBuilder::new().build();
-        soc.set_naive_scheduling(true);
+        soc.set_exec_mode(ExecMode::Naive);
         soc.trace_mut().set_enabled(false);
         soc.run(CYCLES);
         soc.cycle()

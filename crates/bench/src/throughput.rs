@@ -45,7 +45,9 @@ pub struct ThroughputRow {
 
 fn idle_soc(naive: bool) -> pels_soc::Soc {
     let mut soc = SocBuilder::new().build();
-    soc.set_naive_scheduling(naive);
+    if naive {
+        soc.set_exec_mode(ExecMode::Naive);
+    }
     soc.trace_mut().set_enabled(false);
     soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
     soc
@@ -385,8 +387,7 @@ mod tests {
         // path would run: same final cycle, retirement and activity.
         let mut fast = busy_linking_soc();
         let mut naive = busy_linking_soc();
-        naive.set_naive_scheduling(true);
-        naive.cpu_mut().set_decode_cache_enabled(false);
+        naive.set_exec_mode(ExecMode::Naive);
         fast.run(2_000);
         naive.run(2_000);
         assert_eq!(fast.cycle(), naive.cycle());

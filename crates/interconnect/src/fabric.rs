@@ -97,10 +97,21 @@ struct InFlight {
     phase: Phase,
 }
 
+/// A request waiting for a grant, with its address decoded once at
+/// issue.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    request: ApbRequest,
+    /// Decoded `(slave index, offset)`; `None` when decode failed.
+    target: Option<(usize, u32)>,
+}
+
 #[derive(Debug)]
 struct MasterPort {
     id: ComponentId,
-    pending: Option<ApbRequest>,
+    pending: Option<Pending>,
+    /// Whether this master's granted transfer occupies a lane.
+    in_flight: bool,
     response: Option<ApbResponse>,
     /// Windowed stall count, reset by `drain_activity`.
     stall_cycles: u64,
@@ -130,6 +141,13 @@ pub struct ApbFabric<S> {
     /// one lane per slave plus a decode-error lane for the crossbar.
     lanes: Vec<Option<InFlight>>,
     arbiters: Vec<Box<dyn Arbiter>>,
+    /// Per-master request lines handed to a lane's arbiter; sized in
+    /// `add_master` and refilled in place, so ticking never allocates.
+    requests: Vec<bool>,
+    /// Masters with a request pending.
+    pending_count: usize,
+    /// Lanes with a transfer in flight.
+    in_flight_count: usize,
     cycle: u64,
     stats: FabricStats,
     id: ComponentId,
@@ -165,6 +183,9 @@ impl<S: ApbSlave> ApbFabric<S> {
             map: AddressMap::new(),
             lanes: Vec::new(),
             arbiters: Vec::new(),
+            requests: Vec::new(),
+            pending_count: 0,
+            in_flight_count: 0,
             cycle: 0,
             stats: FabricStats::default(),
             id: ComponentId::intern("fabric"),
@@ -183,6 +204,11 @@ impl<S: ApbSlave> ApbFabric<S> {
         };
         self.lanes = (0..n).map(|_| None).collect();
         self.arbiters = (0..n).map(|_| self.arbiter_kind.build()).collect();
+        // Rebuilding drops any transfer in flight.
+        self.in_flight_count = 0;
+        for port in &mut self.masters {
+            port.in_flight = false;
+        }
     }
 
     /// The configured topology.
@@ -200,11 +226,13 @@ impl<S: ApbSlave> ApbFabric<S> {
         self.masters.push(MasterPort {
             id: ComponentId::intern(name.as_ref()),
             pending: None,
+            in_flight: false,
             response: None,
             stall_cycles: 0,
             grants: 0,
             stall_total: 0,
         });
+        self.requests.push(false);
         MasterId(self.masters.len() - 1)
     }
 
@@ -222,6 +250,12 @@ impl<S: ApbSlave> ApbFabric<S> {
         }
         self.slaves.push(slave);
         self.rebuild_lanes();
+        // The map grew: re-decode anything already waiting.
+        for port in &mut self.masters {
+            if let Some(p) = &mut port.pending {
+                p.target = self.map.decode(p.request.addr);
+            }
+        }
         SlaveId(idx)
     }
 
@@ -273,14 +307,7 @@ impl<S: ApbSlave> ApbFabric<S> {
     /// Whether `master` can accept a new request this cycle.
     pub fn can_issue(&self, master: MasterId) -> bool {
         let port = &self.masters[master.0];
-        port.pending.is_none() && !self.master_in_flight(master.0)
-    }
-
-    fn master_in_flight(&self, master: usize) -> bool {
-        self.lanes
-            .iter()
-            .flatten()
-            .any(|f| f.master == master)
+        port.pending.is_none() && !port.in_flight
     }
 
     /// Queues a request on `master`'s port; it will arbitrate from the next
@@ -294,7 +321,11 @@ impl<S: ApbSlave> ApbFabric<S> {
         if !self.can_issue(master) {
             return Err(BusError::Busy);
         }
-        self.masters[master.0].pending = Some(request);
+        self.masters[master.0].pending = Some(Pending {
+            request,
+            target: self.map.decode(request.addr),
+        });
+        self.pending_count += 1;
         Ok(())
     }
 
@@ -330,27 +361,19 @@ impl<S: ApbSlave> ApbFabric<S> {
             .collect()
     }
 
-    /// Lane index a request on `addr` arbitrates in.
-    fn lane_of(&self, target: Option<(usize, u32)>) -> usize {
-        match self.topology {
-            Topology::Shared => 0,
-            Topology::PerSlaveCrossbar => match target {
-                Some((slave, _)) => slave,
-                None => self.slaves.len(), // decode-error lane
-            },
-        }
-    }
-
     /// Advances the bus by one clock cycle.
     ///
-    /// Phase order within the tick:
-    /// 1. in-flight transfers advance (setup → access; access completion
+    /// Each lane, in index order, does one of two things:
+    /// 1. a transfer in flight advances (setup → access; access completion
     ///    performs the slave read/write and registers the response);
-    /// 2. lanes that were idle at the start of the cycle grant one pending
-    ///    request each (its setup phase is this cycle).
+    /// 2. a lane idle at the start of the cycle grants one pending request
+    ///    (its setup phase is this cycle).
     ///
     /// Completion and a new grant never share a lane in one cycle, giving
-    /// the APB back-to-back rate of one transfer per two cycles.
+    /// the APB back-to-back rate of one transfer per two cycles. A pending
+    /// request belongs to exactly one lane, so lanes are independent and
+    /// visiting them in one pass equals advancing every lane before
+    /// granting any.
     pub fn tick(&mut self) {
         self.touched = 0;
         if !self.write_commits.is_empty() {
@@ -359,113 +382,125 @@ impl<S: ApbSlave> ApbFabric<S> {
         // Quiescent fast path: nothing pending, nothing in flight. Only
         // the cycle counter advances — stall/busy accounting would be
         // zero this cycle anyway.
-        if self.masters.iter().all(|p| p.pending.is_none())
-            && self.lanes.iter().all(Option::is_none)
-        {
+        if self.is_quiescent() {
             self.cycle += 1;
             return;
         }
-        let lanes_free_at_start: Vec<bool> = self.lanes.iter().map(|l| l.is_none()).collect();
-
-        // Phase 1: advance in-flight transfers.
-        #[allow(clippy::needless_range_loop)] // lane indexes two arrays
+        let mut busy = false;
         for lane in 0..self.lanes.len() {
-            let Some(mut flight) = self.lanes[lane].take() else {
-                continue;
-            };
-            // A transfer granted (setup) in cycle N reaches its access
-            // phase in cycle N+1; with zero wait states it completes there.
-            let finish = match flight.phase {
-                Phase::Setup => {
-                    let waits = match flight.target {
-                        Some((slave, offset)) => {
-                            self.slaves[slave].wait_states(offset, flight.request.dir)
-                        }
-                        None => 0,
-                    };
-                    if waits == 0 {
-                        true
-                    } else {
-                        flight.phase = Phase::Access { remaining: waits - 1 };
-                        false
-                    }
-                }
-                Phase::Access { remaining: 0 } => true,
-                Phase::Access { remaining } => {
-                    flight.phase = Phase::Access {
-                        remaining: remaining - 1,
-                    };
-                    false
-                }
-            };
-            if finish {
-                let result = self.complete(&flight);
-                self.masters[flight.master].response = Some(ApbResponse {
-                    request: flight.request,
-                    result,
-                    completed_cycle: self.cycle,
-                });
-                self.stats.transfers += 1;
-                match flight.request.dir {
-                    Dir::Read => self.stats.reads += 1,
-                    Dir::Write => self.stats.writes += 1,
-                }
-            } else {
-                self.lanes[lane] = Some(flight);
-            }
-        }
-
-        // Phase 2: grant new transfers on lanes idle at the start of the
-        // cycle.
-        let decoded: Vec<Option<(usize, u32)>> = self
-            .masters
-            .iter()
-            .map(|p| p.pending.map(|r| self.map.decode(r.addr)).unwrap_or(None))
-            .collect();
-        #[allow(clippy::needless_range_loop)] // lane indexes two arrays
-        for lane in 0..self.lanes.len() {
-            if !lanes_free_at_start[lane] || self.lanes[lane].is_some() {
-                continue;
-            }
-            let requests: Vec<bool> = self
-                .masters
-                .iter()
-                .enumerate()
-                .map(|(m, p)| {
-                    p.pending.is_some() && self.lane_of(decoded[m]) == lane
-                })
-                .collect();
-            if let Some(granted) = self.arbiters[lane].grant(&requests) {
-                let request = self.masters[granted]
-                    .pending
-                    .take()
-                    .expect("granted master has a pending request");
-                self.masters[granted].grants += 1;
-                self.lanes[lane] = Some(InFlight {
-                    master: granted,
-                    target: decoded[granted],
-                    request,
-                    phase: Phase::Setup,
-                });
+            if let Some(flight) = self.lanes[lane].take() {
+                busy = true;
+                self.advance(lane, flight);
+            } else if self.pending_count > 0 {
+                busy |= self.grant(lane);
             }
         }
 
         // Accounting.
-        for port in &mut self.masters {
-            if port.pending.is_some() {
-                port.stall_cycles += 1;
-                port.stall_total += 1;
-                self.stats.stall_cycles += 1;
+        if self.pending_count > 0 {
+            for port in &mut self.masters {
+                if port.pending.is_some() {
+                    port.stall_cycles += 1;
+                    port.stall_total += 1;
+                    self.stats.stall_cycles += 1;
+                }
             }
         }
         // Busy = a transfer occupied a lane at the start of the cycle
         // (setup/access in progress) or was granted during it.
-        if lanes_free_at_start.iter().any(|&free| !free)
-            || self.lanes.iter().any(Option::is_some)
-        {
+        if busy {
             self.stats.busy_cycles += 1;
         }
         self.cycle += 1;
+    }
+
+    /// Moves the transfer on `lane` one phase on, completing it (and
+    /// freeing the lane) at the end of its access phase.
+    fn advance(&mut self, lane: usize, mut flight: InFlight) {
+        // A transfer granted (setup) in cycle N reaches its access
+        // phase in cycle N+1; with zero wait states it completes there.
+        let finish = match flight.phase {
+            Phase::Setup => {
+                let waits = match flight.target {
+                    Some((slave, offset)) => {
+                        self.slaves[slave].wait_states(offset, flight.request.dir)
+                    }
+                    None => 0,
+                };
+                if waits == 0 {
+                    true
+                } else {
+                    flight.phase = Phase::Access { remaining: waits - 1 };
+                    false
+                }
+            }
+            Phase::Access { remaining: 0 } => true,
+            Phase::Access { remaining } => {
+                flight.phase = Phase::Access {
+                    remaining: remaining - 1,
+                };
+                false
+            }
+        };
+        if !finish {
+            self.lanes[lane] = Some(flight);
+            return;
+        }
+        let result = self.complete(&flight);
+        let port = &mut self.masters[flight.master];
+        port.in_flight = false;
+        port.response = Some(ApbResponse {
+            request: flight.request,
+            result,
+            completed_cycle: self.cycle,
+        });
+        self.in_flight_count -= 1;
+        self.stats.transfers += 1;
+        match flight.request.dir {
+            Dir::Read => self.stats.reads += 1,
+            Dir::Write => self.stats.writes += 1,
+        }
+    }
+
+    /// Arbitrates the idle `lane` among the masters whose pending request
+    /// maps to it; returns whether a transfer was granted.
+    fn grant(&mut self, lane: usize) -> bool {
+        let error_lane = self.slaves.len();
+        let topology = self.topology;
+        let mut any = false;
+        for (req, port) in self.requests.iter_mut().zip(&self.masters) {
+            *req = port.pending.is_some_and(|p| match topology {
+                Topology::Shared => true,
+                Topology::PerSlaveCrossbar => {
+                    p.target.map_or(error_lane, |(slave, _)| slave) == lane
+                }
+            });
+            any |= *req;
+        }
+        // An arbiter with no request line raised grants nobody and keeps
+        // its state, so it need not be asked.
+        if !any {
+            return false;
+        }
+        let Some(granted) = self.arbiters[lane].grant(&self.requests) else {
+            return false;
+        };
+        let port = &mut self.masters[granted];
+        let pending = port
+            .pending
+            .take()
+            .expect("granted master has a pending request");
+        port.grants += 1;
+        port.in_flight = true;
+        self.pending_count -= 1;
+        self.in_flight_count += 1;
+        self.lanes[lane] = Some(InFlight {
+            master: granted,
+            target: pending.target,
+            request: pending.request,
+            phase: Phase::Setup,
+        });
+        true
     }
 
     fn complete(&mut self, flight: &InFlight) -> Result<u32, BusError> {
@@ -519,8 +554,7 @@ impl<S: ApbSlave> ApbFabric<S> {
     /// master port and no transfer in flight on any lane. A quiescent
     /// fabric's [`ApbFabric::tick`] only advances the cycle counter.
     pub fn is_quiescent(&self) -> bool {
-        self.masters.iter().all(|p| p.pending.is_none())
-            && self.lanes.iter().all(Option::is_none)
+        self.pending_count == 0 && self.in_flight_count == 0
     }
 
     /// Advances the cycle counter by `k` without ticking — the
@@ -535,21 +569,19 @@ impl<S: ApbSlave> ApbFabric<S> {
     /// bit-per-slave-index mask. A slave in this mask will be read or
     /// written on some upcoming tick unless the master withdraws.
     pub fn targeted_slaves(&self) -> u64 {
+        let bit = |target: Option<(usize, u32)>| match target {
+            Some((slave, _)) if slave < 64 => 1u64 << slave,
+            _ => 0,
+        };
         let mut mask = 0u64;
-        for port in &self.masters {
-            if let Some(req) = port.pending {
-                if let Some((slave, _)) = self.map.decode(req.addr) {
-                    if slave < 64 {
-                        mask |= 1 << slave;
-                    }
-                }
+        if self.pending_count > 0 {
+            for p in self.masters.iter().filter_map(|port| port.pending) {
+                mask |= bit(p.target);
             }
         }
-        for flight in self.lanes.iter().flatten() {
-            if let Some((slave, _)) = flight.target {
-                if slave < 64 {
-                    mask |= 1 << slave;
-                }
+        if self.in_flight_count > 0 {
+            for flight in self.lanes.iter().flatten() {
+                mask |= bit(flight.target);
             }
         }
         mask

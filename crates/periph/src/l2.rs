@@ -47,6 +47,11 @@ impl L2Memory {
         (self.words.len() * 4) as u32
     }
 
+    /// Whether byte offset `addr` lies inside the memory.
+    pub fn contains(&self, addr: u32) -> bool {
+        ((addr / 4) as usize) < self.words.len()
+    }
+
     /// Reads the word containing byte offset `addr`, counting one SRAM
     /// read.
     ///
@@ -170,6 +175,13 @@ mod tests {
         assert_eq!(a.count("sram", ActivityKind::SramRead), 1);
         assert_eq!(a.count("sram", ActivityKind::SramWrite), 1);
         assert_eq!(l2.reads(), 0);
+    }
+
+    #[test]
+    fn contains_matches_the_size() {
+        let l2 = L2Memory::new(16);
+        assert!(l2.contains(0) && l2.contains(15));
+        assert!(!l2.contains(16) && !l2.contains(u32::MAX));
     }
 
     #[test]

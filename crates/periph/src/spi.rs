@@ -286,6 +286,10 @@ impl Peripheral for Spi {
         self.words_done += 1;
         if self.udma.is_active() {
             self.udma.push_word(word, ctx.l2);
+            if let Some(addr) = self.udma.take_fault() {
+                ctx.trace
+                    .record(ctx.time, self.id, "udma_err", u64::from(addr));
+            }
             if self.udma.take_done() {
                 if let Some(line) = self.udma_done_line {
                     ctx.raise(line, self.id, "udma_done");
@@ -307,10 +311,17 @@ impl Peripheral for Spi {
     }
 
     fn idle_hint(&self) -> IdleHint {
-        // Transfers count ActiveCycle per cycle, so a shifting SPI stays
-        // awake; an idle one waits for its start line or a CMD write.
+        // A shifting SPI publishes its word-completion deadline: until
+        // then a tick only advances `cycle_in_word` and counts one
+        // ActiveCycle, which `catch_up` replays in closed form. The
+        // completing tick — device exchange, L2 write or FIFO push,
+        // `udma_done`/`eot` pulses — lands on the deadline as a real tick.
+        // The subtraction saturates because lowering `CLKDIV` mid-word
+        // can leave `cycle_in_word` past the new divider (the next tick
+        // then completes the word). An idle SPI only reacts to its start
+        // line or a register access.
         if self.is_busy() {
-            IdleHint::Busy
+            IdleHint::IdleFor(u64::from(self.clkdiv.saturating_sub(self.cycle_in_word)))
         } else {
             IdleHint::Idle
         }
@@ -318,6 +329,26 @@ impl Peripheral for Spi {
 
     fn wake_mask(&self) -> EventVector {
         wake_mask_of(&[self.start_line])
+    }
+
+    fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
+        // Replays a skipped mid-word span: each skipped cycle counted one
+        // ActiveCycle and advanced the bit clock. The span ends strictly
+        // before the word-completing tick, so no word completes in it.
+        if !self.is_busy() || elapsed == 0 {
+            return;
+        }
+        debug_assert!(
+            elapsed < u64::from(self.clkdiv.saturating_sub(self.cycle_in_word)),
+            "skipped span must end before the word completes"
+        );
+        ctx.activity
+            .record(self.id, ActivityKind::ActiveCycle, elapsed);
+        self.cycle_in_word += elapsed as u32;
+    }
+
+    fn catch_up_is_noop(&self) -> bool {
+        !self.is_busy()
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
@@ -439,6 +470,155 @@ mod tests {
         let mut h = Harness::new();
         let out = h.run(&mut s, 4);
         assert!(out.is_set(3));
+    }
+
+    /// The hint the SoC scheduler would read after each of `n` ticks.
+    fn hints_over(s: &mut Spi, h: &mut Harness, n: u64) -> Vec<IdleHint> {
+        (0..n)
+            .map(|_| {
+                h.run(s, 1);
+                s.idle_hint()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_hint_publishes_exact_word_deadline() {
+        let mut s = spi_with(vec![1, 2]);
+        assert!(matches!(s.idle_hint(), IdleHint::Idle));
+        assert!(s.catch_up_is_noop());
+        s.write(Spi::CMD, 2).unwrap();
+        // clkdiv = 8: after the start (before any tick) the completing
+        // tick is 8 ticks away.
+        assert_eq!(s.idle_hint(), IdleHint::IdleFor(8));
+        assert!(!s.catch_up_is_noop());
+        let mut h = Harness::new();
+        h.run(&mut s, 1);
+        assert_eq!(s.idle_hint(), IdleHint::IdleFor(7));
+        // The word completes on the deadline; the next word publishes a
+        // fresh full-word deadline.
+        let out = h.run(&mut s, 7);
+        assert!(!out.is_set(3));
+        assert_eq!(s.words_done(), 1);
+        assert_eq!(s.idle_hint(), IdleHint::IdleFor(8));
+        let out = h.run(&mut s, 8);
+        assert!(out.is_set(3));
+        assert_eq!(s.idle_hint(), IdleHint::Idle);
+        assert!(s.catch_up_is_noop());
+    }
+
+    #[test]
+    fn lowering_clkdiv_mid_word_saturates_the_deadline() {
+        let mut s = spi_with(vec![0x5A]);
+        s.write(Spi::CMD, 1).unwrap();
+        let mut h = Harness::new();
+        h.run(&mut s, 5);
+        assert_eq!(s.idle_hint(), IdleHint::IdleFor(3));
+        // cycle_in_word (5) is now past the divider: the very next tick
+        // completes the word.
+        s.write(Spi::CLKDIV, 3).unwrap();
+        assert_eq!(s.idle_hint(), IdleHint::IdleFor(0));
+        let out = h.run(&mut s, 1);
+        assert!(out.is_set(3));
+        assert_eq!(s.last_word(), 0x5A);
+        // Lowered to exactly cycle_in_word + 1: due on the next tick.
+        let mut s = spi_with(vec![1]);
+        s.write(Spi::CMD, 1).unwrap();
+        h.run(&mut s, 5);
+        s.write(Spi::CLKDIV, 6).unwrap();
+        assert_eq!(s.idle_hint(), IdleHint::IdleFor(1));
+    }
+
+    #[test]
+    fn fastest_dividers_publish_no_multi_cycle_skip() {
+        // clkdiv 1: every tick completes a word, so the hint never lets
+        // the scheduler skip a cycle (it sleeps only on `IdleFor(n >= 2)`).
+        let mut s = spi_with(vec![1, 2, 3, 4]);
+        s.write(Spi::CLKDIV, 1).unwrap();
+        s.write(Spi::CMD, 4).unwrap();
+        assert_eq!(s.idle_hint(), IdleHint::IdleFor(1));
+        let mut h = Harness::new();
+        let hints = hints_over(&mut s, &mut h, 4);
+        assert_eq!(&hints[..3], &[IdleHint::IdleFor(1); 3]);
+        assert_eq!(hints[3], IdleHint::Idle);
+        assert_eq!(s.words_done(), 4);
+        // clkdiv 2: the mid-word tick is the only skippable one — a word
+        // boundary publishes 2, the tick after it 1.
+        let mut s = spi_with(vec![1, 2, 3]);
+        s.write(Spi::CLKDIV, 2).unwrap();
+        s.write(Spi::CMD, 3).unwrap();
+        assert_eq!(s.idle_hint(), IdleHint::IdleFor(2));
+        let hints = hints_over(&mut s, &mut h, 6);
+        assert_eq!(
+            hints,
+            [
+                IdleHint::IdleFor(1),
+                IdleHint::IdleFor(2),
+                IdleHint::IdleFor(1),
+                IdleHint::IdleFor(2),
+                IdleHint::IdleFor(1),
+                IdleHint::Idle,
+            ]
+        );
+    }
+
+    #[test]
+    fn catch_up_matches_ticked_word() {
+        // Reference: tick through the first seven cycles of a word.
+        let mut ticked = spi_with(vec![0x11, 0x22]);
+        ticked.write(Spi::CMD, 2).unwrap();
+        let mut h = Harness::new();
+        h.run(&mut ticked, 7);
+        // Candidate: replay the same seven mid-word cycles in closed form.
+        let mut skipped = spi_with(vec![0x11, 0x22]);
+        skipped.write(Spi::CMD, 2).unwrap();
+        let mut h2 = Harness::new();
+        h2.catch_up(&mut skipped, 7);
+        assert_eq!(skipped.cycle_in_word, ticked.cycle_in_word);
+        assert_eq!(skipped.idle_hint(), ticked.idle_hint());
+        assert_eq!(h2.activity, h.activity, "ActiveCycle replayed exactly");
+        assert_eq!(h2.trace.entries(), h.trace.entries());
+        // Both complete the word — observably — on the very next tick.
+        assert_eq!(h.run(&mut ticked, 1), h2.run(&mut skipped, 1));
+        assert_eq!(skipped.words_done(), 1);
+        assert_eq!(skipped.rx_level(), 1);
+        assert_eq!(skipped.last_word(), ticked.last_word());
+        // A span split across two syncs replays the same as one.
+        h.catch_up(&mut ticked, 3);
+        h2.catch_up(&mut skipped, 1);
+        h2.catch_up(&mut skipped, 2);
+        assert_eq!(skipped.cycle_in_word, ticked.cycle_in_word);
+        assert_eq!(h2.activity, h.activity);
+    }
+
+    #[test]
+    fn catch_up_on_an_idle_spi_is_a_no_op() {
+        let mut s = spi_with(vec![1]);
+        let mut h = Harness::new();
+        h.catch_up(&mut s, 100);
+        assert!(h.activity.iter().all(|(_, _, n)| n == 0));
+        assert_eq!(s.cycle_in_word, 0);
+    }
+
+    #[test]
+    fn out_of_range_udma_words_are_dropped_and_traced() {
+        let mut s = spi_with(vec![0x11, 0x22]);
+        s.wire_udma_done_event(4);
+        s.write(Spi::UDMA_SADDR, 0x7FFF_0000).unwrap();
+        s.write(Spi::UDMA_SIZE, 8).unwrap();
+        s.write(Spi::CMD, 2).unwrap();
+        let mut h = Harness::new();
+        let out = h.run(&mut s, 16);
+        assert!(out.is_set(3) && out.is_set(4), "eot and udma_done still pulse");
+        let errs: Vec<u64> = h
+            .trace
+            .entries()
+            .iter()
+            .filter(|e| e.label == "udma_err")
+            .map(|e| e.value)
+            .collect();
+        assert_eq!(errs, [0x7FFF_0000, 0x7FFF_0004]);
+        assert_eq!(h.l2.writes(), 0);
     }
 
     #[test]

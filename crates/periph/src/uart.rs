@@ -144,7 +144,12 @@ impl Peripheral for Uart {
         // Refill the TX FIFO from the armed µDMA buffer.
         while self.udma_bytes_left > 0 && !self.tx_fifo.is_full() {
             if self.udma_word_bytes == 0 {
-                match self.udma.pull_word(ctx.l2) {
+                let pulled = self.udma.pull_word(ctx.l2);
+                if let Some(addr) = self.udma.take_fault() {
+                    ctx.trace
+                        .record(ctx.time, self.id, "udma_err", u64::from(addr));
+                }
+                match pulled {
                     Some(w) => {
                         self.udma_word = w;
                         self.udma_word_bytes = 4;
@@ -269,6 +274,27 @@ mod tests {
         assert_eq!(u.sent(), b"hello");
         assert!(out.is_set(8), "done event after the message drains");
         assert!(!u.is_busy());
+    }
+
+    #[test]
+    fn out_of_range_udma_source_sends_zeros_and_traces() {
+        // Harness L2 is 4 KiB: the second word lies past its end.
+        let mut u = Uart::new("uart");
+        u.write(Uart::CLKDIV, 1).unwrap();
+        let mut h = Harness::new();
+        h.l2.load(0xFFC, &[u32::from_le_bytes(*b"wxyz")]);
+        u.write(Uart::UDMA_SADDR, 0xFFC).unwrap();
+        u.write(Uart::UDMA_SIZE, 6).unwrap();
+        h.run(&mut u, 12);
+        assert_eq!(u.sent(), b"wxyz\0\0");
+        let errs: Vec<u64> = h
+            .trace
+            .entries()
+            .iter()
+            .filter(|e| e.label == "udma_err")
+            .map(|e| e.value)
+            .collect();
+        assert_eq!(errs, [0x1000]);
     }
 
     #[test]

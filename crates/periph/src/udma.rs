@@ -6,8 +6,20 @@
 //! the per-peripheral channel engine reused by [`crate::Spi`] and
 //! [`crate::Adc`]: configure a target L2 buffer, stream words in, get a
 //! completion flag for the peripheral's event output.
+//!
+//! Both registers that arm a channel are firmware-writable, so any value
+//! must be safe: sizes round up to whole words and saturate at the
+//! largest whole-word size, and an access outside L2 is dropped (a read
+//! yields 0) and latched as a fault the peripheral reports, while the
+//! channel still advances (its address wrapping at 4 GiB).
 
 use crate::l2::L2Memory;
+
+/// `size_bytes` rounded up to whole words, saturating at the largest
+/// whole-word `u32`.
+fn word_size(size_bytes: u32) -> u32 {
+    size_bytes.checked_next_multiple_of(4).unwrap_or(!3)
+}
 
 /// One RX-direction µDMA channel (peripheral → L2).
 ///
@@ -29,6 +41,7 @@ pub struct UdmaChannel {
     saddr: u32,
     remaining: u32,
     done_pending: bool,
+    fault: Option<u32>,
     transferred_words: u64,
     continuous: bool,
     reload_addr: u32,
@@ -42,10 +55,10 @@ impl UdmaChannel {
     }
 
     /// Arms the channel: `size_bytes` of data will land at L2 byte address
-    /// `saddr`. Sizes are rounded up to whole words.
+    /// `saddr`. Sizes are rounded up to whole words (saturating).
     pub fn configure(&mut self, saddr: u32, size_bytes: u32) {
         self.saddr = saddr;
-        self.remaining = size_bytes.div_ceil(4) * 4;
+        self.remaining = word_size(size_bytes);
         self.reload_addr = saddr;
         self.reload_size = self.remaining;
         self.done_pending = false;
@@ -85,13 +98,18 @@ impl UdmaChannel {
 
     /// Streams one word into L2. Returns `false` (word refused) when the
     /// channel is idle. Sets the done flag when the configured size
-    /// completes.
+    /// completes. A word aimed outside L2 is dropped and latched for
+    /// [`UdmaChannel::take_fault`]; the channel advances either way.
     pub fn push_word(&mut self, word: u32, l2: &mut L2Memory) -> bool {
         if !self.is_active() {
             return false;
         }
-        l2.write_word(self.saddr, word);
-        self.saddr += 4;
+        if l2.contains(self.saddr) {
+            l2.write_word(self.saddr, word);
+        } else {
+            self.fault = Some(self.saddr);
+        }
+        self.saddr = self.saddr.wrapping_add(4);
         self.remaining -= 4;
         self.transferred_words += 1;
         if self.remaining == 0 {
@@ -107,6 +125,12 @@ impl UdmaChannel {
     /// Takes the completion flag (a single pulse per completed transfer).
     pub fn take_done(&mut self) -> bool {
         std::mem::take(&mut self.done_pending)
+    }
+
+    /// Takes the L2 address of the last word dropped for lying outside
+    /// L2, if any since the previous call.
+    pub fn take_fault(&mut self) -> Option<u32> {
+        self.fault.take()
     }
 }
 
@@ -133,6 +157,7 @@ pub struct UdmaTxChannel {
     saddr: u32,
     remaining: u32,
     done_pending: bool,
+    fault: Option<u32>,
     transferred_words: u64,
 }
 
@@ -142,11 +167,11 @@ impl UdmaTxChannel {
         Self::default()
     }
 
-    /// Arms the channel to stream `size_bytes` (rounded up to words)
-    /// from L2 byte address `saddr`.
+    /// Arms the channel to stream `size_bytes` (rounded up to words,
+    /// saturating) from L2 byte address `saddr`.
     pub fn configure(&mut self, saddr: u32, size_bytes: u32) {
         self.saddr = saddr;
-        self.remaining = size_bytes.div_ceil(4) * 4;
+        self.remaining = word_size(size_bytes);
         self.done_pending = false;
     }
 
@@ -166,13 +191,19 @@ impl UdmaTxChannel {
     }
 
     /// Pulls the next word from L2, or `None` when drained. Sets the
-    /// done flag as the last word leaves.
+    /// done flag as the last word leaves. A word outside L2 reads as 0
+    /// and is latched for [`UdmaTxChannel::take_fault`].
     pub fn pull_word(&mut self, l2: &mut L2Memory) -> Option<u32> {
         if !self.is_active() {
             return None;
         }
-        let word = l2.read_word(self.saddr);
-        self.saddr += 4;
+        let word = if l2.contains(self.saddr) {
+            l2.read_word(self.saddr)
+        } else {
+            self.fault = Some(self.saddr);
+            0
+        };
+        self.saddr = self.saddr.wrapping_add(4);
         self.remaining -= 4;
         self.transferred_words += 1;
         if self.remaining == 0 {
@@ -184,6 +215,12 @@ impl UdmaTxChannel {
     /// Takes the completion flag (one pulse per completed buffer).
     pub fn take_done(&mut self) -> bool {
         std::mem::take(&mut self.done_pending)
+    }
+
+    /// Takes the L2 address of the last word read from outside L2, if
+    /// any since the previous call.
+    pub fn take_fault(&mut self) -> Option<u32> {
+        self.fault.take()
     }
 }
 
@@ -251,6 +288,51 @@ mod tests {
         let mut tx = UdmaTxChannel::new();
         assert_eq!(tx.pull_word(&mut l2), None);
         assert_eq!(l2.reads(), 0);
+    }
+
+    #[test]
+    fn huge_sizes_saturate_at_the_largest_whole_word_size() {
+        let mut rx = UdmaChannel::new();
+        rx.configure(0, u32::MAX - 2);
+        assert!(rx.is_active());
+        assert_eq!(rx.remaining_bytes(), 0xFFFF_FFFC);
+        let mut tx = UdmaTxChannel::new();
+        tx.configure(0, u32::MAX);
+        assert_eq!(tx.remaining_bytes(), 0xFFFF_FFFC);
+        rx.configure(0, 0xFFFF_FFFC);
+        assert_eq!(rx.remaining_bytes(), 0xFFFF_FFFC);
+    }
+
+    #[test]
+    fn rx_drops_out_of_range_words_and_keeps_advancing() {
+        let mut l2 = L2Memory::new(16);
+        let mut ch = UdmaChannel::new();
+        ch.configure(0xFFFF_FFFC, 12);
+        assert!(ch.push_word(1, &mut l2));
+        assert_eq!(ch.take_fault(), Some(0xFFFF_FFFC));
+        assert_eq!(ch.take_fault(), None);
+        // The address wraps into L2 and the next word lands.
+        assert!(ch.push_word(2, &mut l2));
+        assert_eq!(ch.take_fault(), None);
+        assert_eq!(l2.peek_word(0), 2);
+        assert!(ch.push_word(3, &mut l2));
+        assert!(ch.take_done());
+        assert_eq!(l2.writes(), 2);
+        assert_eq!(ch.transferred_words(), 3);
+    }
+
+    #[test]
+    fn tx_reads_out_of_range_words_as_zero() {
+        let mut l2 = L2Memory::new(16);
+        l2.poke_word(12, 7);
+        let mut tx = UdmaTxChannel::new();
+        tx.configure(12, 8);
+        assert_eq!(tx.pull_word(&mut l2), Some(7));
+        assert_eq!(tx.take_fault(), None);
+        assert_eq!(tx.pull_word(&mut l2), Some(0));
+        assert_eq!(tx.take_fault(), Some(16));
+        assert!(tx.take_done());
+        assert_eq!(l2.reads(), 1);
     }
 
     #[test]

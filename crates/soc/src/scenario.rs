@@ -594,14 +594,7 @@ impl Scenario {
                 .write(Spi::UDMA_SIZE, self.spi_words * 4)
                 .unwrap();
         }
-        match self.exec {
-            ExecMode::Fast => {}
-            ExecMode::Naive => {
-                // The reference path disables every accelerator.
-                soc.set_naive_scheduling(true);
-                soc.cpu_mut().set_decode_cache_enabled(false);
-            }
-        }
+        soc.set_exec_mode(self.exec);
         soc
     }
 

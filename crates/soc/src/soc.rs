@@ -5,7 +5,7 @@ use crate::mem_map::*;
 use pels_core::pels::PelsBus;
 use pels_core::{Pels, PelsBuilder};
 use pels_cpu::{Cpu, CpuBus, CpuState, DataReq, DataResult};
-use pels_desc::{DescError, PeriphKind, SystemDesc};
+use pels_desc::{DescError, ExecMode, PeriphKind, SystemDesc};
 use pels_interconnect::{
     AddrRange, ApbFabric, ApbRequest, ApbSlave, ArbiterKind, MasterId, SlaveId, Topology,
 };
@@ -355,7 +355,7 @@ impl SocBuilder {
             window_cycles: 0,
             sleep: vec![SlaveSleep::Awake; slave_count],
             sched: SlaveSched {
-                active: (0..slave_count).collect(),
+                active: (0..slave_count).fold(0, |mask, i| mask | 1 << i),
                 asleep: 0,
                 lazy: 0,
                 wake_union: EventVector::EMPTY,
@@ -470,9 +470,10 @@ impl SchedStats {
 /// path (see `DESIGN.md` §7).
 #[derive(Debug, Clone, Default)]
 struct SlaveSched {
-    /// Indices of awake slaves, ascending — iterating it visits slaves
-    /// in exactly the order the naive full walk does.
-    active: Vec<usize>,
+    /// Bit-per-index mask of awake slaves. Its set bits, taken in
+    /// ascending order ([`set_bits`]), visit slaves in exactly the order
+    /// the naive full walk does.
+    active: u64,
     /// Bit-per-index mask of sleeping slaves.
     asleep: u64,
     /// Bit-per-index mask of sleepers whose `catch_up` is a no-op.
@@ -485,17 +486,28 @@ struct SlaveSched {
     stats: SchedStats,
 }
 
+/// The indices of `mask`'s set bits, ascending.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 impl SlaveSched {
     fn rebuild(&mut self, sleep: &[SlaveSleep]) {
         self.stats.rebuilds += 1;
-        self.active.clear();
+        self.active = 0;
         self.asleep = 0;
         self.lazy = 0;
         self.wake_union = EventVector::EMPTY;
         self.next_deadline = u64::MAX;
         for (i, s) in sleep.iter().enumerate() {
             match *s {
-                SlaveSleep::Awake => self.active.push(i),
+                SlaveSleep::Awake => self.active |= 1 << i,
                 SlaveSleep::Asleep {
                     deadline,
                     mask,
@@ -943,13 +955,16 @@ impl Soc {
         self.trace.enable_flows();
     }
 
-    /// Selects the reference scheduler: every peripheral ticks every
-    /// cycle, with no quiescence skipping. The default (`false`) skips
-    /// idle peripherals and reconstructs their skipped cycles in closed
-    /// form; both paths are observationally identical (same traces,
-    /// activity and architectural state — the differential property test
-    /// in `tests/` proves it).
-    pub fn set_naive_scheduling(&mut self, naive: bool) {
+    /// Selects the execution path. [`ExecMode::Fast`] (the default)
+    /// skips idle peripherals, reconstructs their skipped cycles in closed
+    /// form and serves the CPU from its decoded-instruction cache;
+    /// [`ExecMode::Naive`] is the reference path: every peripheral ticks
+    /// every cycle, with no quiescence skipping and no decode cache. Both
+    /// are observationally identical (same traces, activity and
+    /// architectural state — the differential suites in `tests/` prove
+    /// it). May be switched mid-run.
+    pub fn set_exec_mode(&mut self, mode: ExecMode) {
+        let naive = mode == ExecMode::Naive;
         self.sync_slaves();
         if naive {
             // Naive ticking never re-evaluates sleep state, so any slave
@@ -960,6 +975,7 @@ impl Soc {
             self.sched.rebuild(&self.sleep);
         }
         self.naive_ticking = naive;
+        self.cpu.set_decode_cache_enabled(!naive);
     }
 
     /// Brings every sleeping slave's architectural state up to date
@@ -972,7 +988,7 @@ impl Soc {
         // mid-count) have state to reconstruct; lazy sleepers' `catch_up`
         // is a no-op by contract, so skipping them — `since` and all — is
         // observationally identical.
-        let mut pending = self.sched.asleep & !self.sched.lazy;
+        let pending = self.sched.asleep & !self.sched.lazy;
         if pending == 0 {
             return;
         }
@@ -988,9 +1004,7 @@ impl Soc {
             activity: &mut self.activity,
             trace: &mut self.trace,
         };
-        while pending != 0 {
-            let i = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
+        for i in set_bits(pending) {
             if let SlaveSleep::Asleep { since, .. } = &mut sleep[i] {
                 let elapsed = cycle - *since;
                 if elapsed > 0 {
@@ -1028,7 +1042,7 @@ impl Soc {
         // Aggregate stir check: can *any* sleeper need waking this cycle?
         // The aggregates are conservative unions/minima of the per-slave
         // conditions, so `false` here proves the full walk would wake
-        // nobody — the active list alone is then exactly the set of
+        // nobody — the active set alone is then exactly the set of
         // slaves the naive walk would tick.
         let stirred = self.sched.asleep != 0
             && (cycle >= self.sched.next_deadline
@@ -1084,7 +1098,7 @@ impl Soc {
             }
             ctx.events_out | injected
         } else {
-            // Fast path: no sleeper can wake, so only the active list
+            // Fast path: no sleeper can wake, so only the active set
             // ticks — the per-cycle cost is proportional to activity, not
             // to the slave count.
             self.sched.stats.fast_cycles += 1;
@@ -1097,7 +1111,7 @@ impl Soc {
                 activity: &mut self.activity,
                 trace: &mut self.trace,
             };
-            for &i in &self.sched.active {
+            for i in set_bits(self.sched.active) {
                 self.fabric.slave_mut_at(i).tick(&mut ctx);
             }
             ctx.events_out | injected
@@ -1176,10 +1190,10 @@ impl Soc {
         //     is reflected.
         if !naive {
             // Only awake slaves can fall asleep, so consulting just the
-            // active list is exhaustive. (Sleepers re-decide when they
+            // active set is exhaustive. (Sleepers re-decide when they
             // wake, never in place.)
             let mut slept_count = 0u64;
-            for &i in &self.sched.active {
+            for i in set_bits(self.sched.active) {
                 let p = self.fabric.slave_mut_at(i);
                 match p.idle_hint() {
                     IdleHint::Busy => {}
@@ -1271,10 +1285,10 @@ impl Soc {
         // Every slave must be asleep, unwakeable by the current wires,
         // and strictly before its deadline; the span is bounded by the
         // nearest deadline. The `sched` aggregates answer all three in
-        // O(1): an empty active list is "all asleep", the wake-mask
+        // O(1): an empty active set is "all asleep", the wake-mask
         // union covers every sleeper's mask, and the minimum deadline
         // bounds them all.
-        if !self.sched.active.is_empty() {
+        if self.sched.active != 0 {
             return 0;
         }
         if wires.intersects(self.sched.wake_union) {

@@ -13,11 +13,18 @@ cargo bench -q -p pels-bench --bench sim_throughput -- --sample-size 10
 echo "bench_smoke: sim_throughput OK"
 
 # Compile guard: the ExecMode differential switch (ScenarioBuilder::
-# exec_mode + Soc::set_naive_scheduling + Cpu::set_decode_cache_enabled)
+# exec_mode + Soc::set_exec_mode)
 # must keep compiling — the differential tests and the *_naive bench
 # groups are the only proof the fast path is observationally invisible.
 cargo test -q --test active_path --no-run
 echo "bench_smoke: active_path differential suite compiles OK"
+
+# Route-counter gate: the scheduler's route counters are a pure function
+# of the scenario, so the Fig. 5 workload's stepped (non-skipped) cycles
+# per linking event are bounded exactly, per mediator and readout length.
+# Wall-clock throughput drifts too much on a shared host to gate on.
+cargo test -q --test route_budget
+echo "bench_smoke: Fig. 5 route-counter budget OK"
 
 # The fleet bench also asserts serial-vs-parallel digest equality.
 cargo bench -q -p pels-bench --bench fleet -- --sample-size 10

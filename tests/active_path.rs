@@ -5,8 +5,8 @@
 //! peripherals instead of walking every slave each cycle). These tests
 //! prove both are invisible: with the CPU *busy* (not parked in `wfi`,
 //! so whole-SoC skips never apply) the fast configuration and the forced
-//! naive one (`set_naive_scheduling(true)` + decode cache off — the same
-//! switch `ExecMode::Naive` throws) produce bit-identical traces,
+//! naive one (`Soc::set_exec_mode(ExecMode::Naive)`: every peripheral
+//! ticks every cycle, decode cache off) produce bit-identical traces,
 //! activity images, latency statistics and architectural state.
 
 use std::collections::BTreeMap;
@@ -76,16 +76,9 @@ fn busy_workload_soc(naive: bool) -> Soc {
         .unwrap();
     soc.spi_mut().write(Spi::CMD, 1).unwrap();
     if naive {
-        make_naive(&mut soc);
+        soc.set_exec_mode(ExecMode::Naive);
     }
     soc
-}
-
-/// Forces `soc` onto the reference path `ExecMode::Naive` selects:
-/// every peripheral ticks every cycle and the decode cache is off.
-fn make_naive(soc: &mut Soc) {
-    soc.set_naive_scheduling(true);
-    soc.cpu_mut().set_decode_cache_enabled(false);
 }
 
 fn apply(soc: &mut Soc, op: Op) {
@@ -236,7 +229,7 @@ fn irq_delivery_in_straight_line_kernel_is_cycle_exact_vs_naive() {
         cpu.csrs.write(csr::MIE, 1 << bit);
         cpu.csrs.write(csr::MSTATUS, 8); // MSTATUS.MIE
         if naive {
-            make_naive(&mut soc);
+            soc.set_exec_mode(ExecMode::Naive);
         }
         soc
     };
@@ -356,7 +349,7 @@ fn fused_pair_workload_is_identical_across_tiers() {
     ];
     let mut fast = pair_dense_soc();
     let mut naive = pair_dense_soc();
-    make_naive(&mut naive);
+    naive.set_exec_mode(ExecMode::Naive);
     for (i, &op) in ops.iter().enumerate() {
         apply(&mut fast, op);
         apply(&mut naive, op);
@@ -400,7 +393,7 @@ fn irq_delivery_across_fused_pairs_is_cycle_exact() {
         cpu.csrs.write(csr::MIE, 1 << bit);
         cpu.csrs.write(csr::MSTATUS, 8); // MSTATUS.MIE
         if naive {
-            make_naive(&mut soc);
+            soc.set_exec_mode(ExecMode::Naive);
         }
         soc
     };

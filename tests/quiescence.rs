@@ -4,11 +4,14 @@
 //! report themselves idle, replaying the skipped cycles in closed form
 //! when a wake condition arrives. These tests prove the optimisation is
 //! invisible: for randomized workloads the fast path and the naive
-//! tick-everything path (`set_naive_scheduling(true)`) produce the same
+//! tick-everything path (`set_exec_mode(ExecMode::Naive)`) produce the same
 //! traces, the same activity image (hence bit-identical power numbers),
-//! and the same architectural state. Each wake condition — timer
-//! deadline, event wire, APB access, injected external event — also gets
-//! a dedicated test.
+//! and the same architectural state. The random stimulus includes SPI
+//! transfers of several words, mid-transfer `CLKDIV` changes and µDMA
+//! arming (ring mode, out-of-range targets, huge sizes), so the SPI's
+//! published word deadline and closed-form catch-up are covered too.
+//! Each wake condition — timer deadline, event wire, APB access,
+//! injected external event — also gets a dedicated test.
 
 use std::collections::BTreeMap;
 
@@ -16,8 +19,8 @@ use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::{Spi, Timer};
 use pels_repro::sim::{ActivityKind, ActivitySet, Rng};
 use pels_repro::soc::event_map::{EV_GPIO_RISE, EV_TIMER_CMP};
-use pels_repro::soc::mem_map::{apb_reg, GPIO_OFFSET, RESET_PC};
-use pels_repro::soc::{Soc, SocBuilder};
+use pels_repro::soc::mem_map::{apb_reg, GPIO_OFFSET, L2_SIZE, RESET_PC};
+use pels_repro::soc::{ExecMode, Soc, SocBuilder};
 use pels_repro::{core as pels_core, cpu::asm, periph::Gpio};
 
 /// One externally applied stimulus step, generated once and replayed
@@ -33,6 +36,12 @@ enum Op {
     PokeTimerCmp(u32),
     /// Flip the GPIO pad input (edge detector feeds `EV_GPIO_RISE`).
     GpioInput(u32),
+    /// Start (or restart) an SPI transfer of this many words.
+    SpiCmd(u32),
+    /// Set the SPI cycles-per-word divider, possibly mid-word.
+    SpiClkdiv(u32),
+    /// Arm the SPI µDMA channel: L2 target, size in bytes, ring mode.
+    SpiUdma { saddr: u32, bytes: u32, ring: bool },
     /// Drain and compare the activity window.
     Drain,
 }
@@ -86,7 +95,32 @@ fn apply(soc: &mut Soc, op: Op) {
             soc.timer_mut().write(Timer::CMP, v).unwrap();
         }
         Op::GpioInput(v) => soc.gpio_mut().set_input(v),
+        Op::SpiCmd(words) => soc.spi_mut().write(Spi::CMD, words).unwrap(),
+        Op::SpiClkdiv(v) => soc.spi_mut().write(Spi::CLKDIV, v).unwrap(),
+        Op::SpiUdma { saddr, bytes, ring } => {
+            let spi = soc.spi_mut();
+            spi.write(Spi::UDMA_SADDR, saddr).unwrap();
+            spi.write(Spi::UDMA_CFG, u32::from(ring)).unwrap();
+            spi.write(Spi::UDMA_SIZE, bytes).unwrap();
+        }
         Op::Drain => {} // handled by the caller so both sides drain together
+    }
+}
+
+/// L2 regions the random µDMA arming writes to: `(base, bytes)`.
+const UDMA_WINDOWS: [(u32, u32); 2] = [(0x4000, 64), (L2_SIZE - 16, 16)];
+
+/// A random µDMA arming: in L2, straddling its end or far outside it,
+/// with a small or a huge (saturating) size.
+fn random_udma(rng: &mut Rng) -> Op {
+    Op::SpiUdma {
+        saddr: [0x4000, L2_SIZE - 8, 0x7FFF_0000][rng.index(3)],
+        bytes: if rng.index(8) == 0 {
+            u32::MAX - 2
+        } else {
+            rng.range_u64(1, 48) as u32
+        },
+        ring: rng.index(2) == 0,
     }
 }
 
@@ -107,6 +141,16 @@ fn assert_identical(fast: &Soc, naive: &Soc, ctx: &str) {
         "{ctx}: pad toggles"
     );
     assert_eq!(fast.spi().is_busy(), naive.spi().is_busy(), "{ctx}: spi busy");
+    assert_eq!(fast.spi().words_done(), naive.spi().words_done(), "{ctx}: spi words");
+    assert_eq!(fast.spi().last_word(), naive.spi().last_word(), "{ctx}: spi last word");
+    assert_eq!(fast.spi().rx_level(), naive.spi().rx_level(), "{ctx}: spi rx level");
+    for addr in UDMA_WINDOWS.iter().flat_map(|&(base, len)| (base..base + len).step_by(4)) {
+        assert_eq!(
+            fast.l2().peek_word(addr),
+            naive.l2().peek_word(addr),
+            "{ctx}: L2 word {addr:#x} (µDMA window)"
+        );
+    }
     assert_eq!(fast.cpu().cycles(), naive.cpu().cycles(), "{ctx}: cpu cycles");
     assert_eq!(fast.cpu().pc(), naive.cpu().pc(), "{ctx}: cpu pc");
 }
@@ -119,18 +163,21 @@ fn fast_scheduler_is_observationally_identical_to_naive() {
     let mut rng = Rng::seed_from_u64(0x5C4E_D001);
     for case in 0..24 {
         let ops: Vec<Op> = (0..rng.range_u64(4, 20))
-            .map(|_| match rng.index(8) {
+            .map(|_| match rng.index(11) {
                 0..=2 => Op::Run(rng.range_u64(1, 120)),
                 3 => Op::Run(rng.range_u64(200, 2_000)),
                 4 => Op::Inject([EV_TIMER_CMP, EV_GPIO_RISE, 9][rng.index(3)]),
                 5 => Op::PokeTimerCmp(rng.range_u64(1, 64) as u32),
                 6 => Op::GpioInput(rng.next_u32() & 0xF),
+                7 => Op::SpiCmd(rng.range_u64(1, 5) as u32),
+                8 => Op::SpiClkdiv(rng.range_u64(1, 13) as u32),
+                9 => random_udma(&mut rng),
                 _ => Op::Drain,
             })
             .collect();
         let mut fast = workload_soc();
         let mut naive = workload_soc();
-        naive.set_naive_scheduling(true);
+        naive.set_exec_mode(ExecMode::Naive);
         for (i, &op) in ops.iter().enumerate() {
             if let Op::Drain = op {
                 let af = activity_image(&fast.drain_activity());
@@ -155,7 +202,7 @@ fn fast_scheduler_is_observationally_identical_to_naive() {
 fn timer_deadline_wakes_sleeping_timer() {
     let mut fast = SocBuilder::new().timer_starts_spi(false).build();
     let mut naive = SocBuilder::new().timer_starts_spi(false).build();
-    naive.set_naive_scheduling(true);
+    naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         soc.timer_mut().write(Timer::CMP, 40).unwrap();
         soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
@@ -174,7 +221,7 @@ fn timer_deadline_wakes_sleeping_timer() {
 fn event_wire_wakes_sleeping_spi() {
     let mut fast = SocBuilder::new().build(); // timer_starts_spi default: wired
     let mut naive = SocBuilder::new().build();
-    naive.set_naive_scheduling(true);
+    naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         soc.spi_mut().write(Spi::CMD, 1).unwrap(); // arm last_len
         soc.run(30); // long idle stretch puts the SPI to sleep
@@ -196,7 +243,7 @@ fn event_wire_wakes_sleeping_spi() {
 fn apb_access_wakes_sleeping_peripheral() {
     let mut fast = SocBuilder::new().build();
     let mut naive = SocBuilder::new().build();
-    naive.set_naive_scheduling(true);
+    naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         let mut p = vec![];
         // Delay loop (~120 cycles) so the GPIO is long asleep, then store.
@@ -221,7 +268,7 @@ fn apb_access_wakes_sleeping_peripheral() {
 fn injected_event_wakes_sleeping_peripheral() {
     let mut fast = SocBuilder::new().build();
     let mut naive = SocBuilder::new().build();
-    naive.set_naive_scheduling(true);
+    naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         soc.spi_mut().write(Spi::CMD, 1).unwrap();
         soc.run(50); // everything asleep
@@ -236,6 +283,61 @@ fn injected_event_wakes_sleeping_peripheral() {
     let af = activity_image(&fast.drain_activity());
     let an = activity_image(&naive.drain_activity());
     assert_eq!(af, an, "activity (power input) identical");
+}
+
+/// The trace values of every `udma_err` entry (dropped µDMA words).
+fn udma_errors(soc: &Soc) -> Vec<u64> {
+    soc.trace()
+        .entries()
+        .iter()
+        .filter(|e| e.label == "udma_err")
+        .map(|e| e.value)
+        .collect()
+}
+
+/// A µDMA target outside L2 — firmware-writable through `UDMA_SADDR` —
+/// drops each word with one `udma_err` trace entry instead of aborting
+/// the simulation, and the transfer still completes on schedule.
+#[test]
+fn out_of_range_udma_target_drops_words_identically() {
+    let mut fast = SocBuilder::new().timer_starts_spi(false).build();
+    let mut naive = SocBuilder::new().timer_starts_spi(false).build();
+    naive.set_exec_mode(ExecMode::Naive);
+    for soc in [&mut fast, &mut naive] {
+        let spi = soc.spi_mut();
+        spi.write(Spi::UDMA_SADDR, 0x7FFF_0000).unwrap();
+        spi.write(Spi::UDMA_SIZE, 8).unwrap();
+        spi.write(Spi::CMD, 2).unwrap();
+        soc.run(100);
+    }
+    assert_eq!(udma_errors(&fast), [0x7FFF_0000, 0x7FFF_0004]);
+    assert!(fast.trace().first("spi", "eot").is_some());
+    assert_identical(&fast, &naive, "out-of-range µDMA");
+    let af = activity_image(&fast.drain_activity());
+    let an = activity_image(&naive.drain_activity());
+    assert_eq!(af, an, "activity (power input) identical");
+}
+
+/// A huge `UDMA_SIZE` saturates at the largest whole-word size instead
+/// of overflowing (or wrapping to an unarmed channel): the words land in
+/// L2.
+#[test]
+fn huge_udma_size_arms_the_channel_identically() {
+    let mut fast = SocBuilder::new().timer_starts_spi(false).build();
+    let mut naive = SocBuilder::new().timer_starts_spi(false).build();
+    naive.set_exec_mode(ExecMode::Naive);
+    for soc in [&mut fast, &mut naive] {
+        let spi = soc.spi_mut();
+        spi.write(Spi::UDMA_SADDR, 0x4000).unwrap();
+        spi.write(Spi::UDMA_SIZE, u32::MAX - 2).unwrap();
+        spi.write(Spi::CMD, 3).unwrap();
+        soc.run(100);
+    }
+    assert_eq!(fast.spi().words_done(), 3);
+    assert_eq!(fast.spi().rx_level(), 0, "words went to L2, not the FIFO");
+    assert_eq!(fast.l2().peek_word(0x4008), fast.spi().last_word());
+    assert!(udma_errors(&fast).is_empty());
+    assert_identical(&fast, &naive, "huge µDMA size");
 }
 
 /// Mid-sleep observation: `&self` accessors must always see current
