@@ -18,7 +18,7 @@
 //! headline projection, non-empty sweep rows with positive mean draw
 //! and a 16-hex-digit fleet digest).
 //! `scripts/bench_smoke.sh` runs this after
-//! `reproduce -- sim_throughput lifetime --quick --obs`, so any drift
+//! `reproduce -- lifetime --quick --obs`, so any drift
 //! in the exporters fails the tier-1 verify pass instead of silently
 //! shipping broken artifacts.
 

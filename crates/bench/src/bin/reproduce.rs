@@ -6,9 +6,7 @@
 //! ```
 //!
 //! Artifacts: `table1`, `fig3`, `fig5`, `latency`, `fig6a`, `fig6b`,
-//! `ablations`, `extensions`, `sim_throughput` (which additionally
-//! writes `BENCH_sim_throughput.json` so the simulator's own speed is
-//! tracked across PRs), `fleet` (which runs a reference sweep on 1
+//! `ablations`, `extensions`, `fleet` (which runs a reference sweep on 1
 //! worker and on all available workers, checks the two reports are
 //! bit-identical, and writes `BENCH_fleet_throughput.json`), `desc`
 //! (which regenerates the canonical system/scenario description corpus
@@ -32,7 +30,7 @@
 //! terminal alone shows the shape of the run. `obs_check` gates all
 //! three files' schemas in `scripts/bench_smoke.sh`.
 
-use pels_bench::{ablations, experiments, sota, throughput};
+use pels_bench::{ablations, experiments, sota};
 use pels_desc::{DescFuzzer, FuzzCase};
 use pels_fleet::{report as fleet_report, FleetEngine, SweepSpec};
 use pels_interconnect::{ArbiterKind, Topology};
@@ -50,7 +48,6 @@ const ALL: &[&str] = &[
     "fig6b",
     "ablations",
     "extensions",
-    "sim_throughput",
     "fleet",
     "desc",
     "lifetime",
@@ -572,17 +569,6 @@ fn run_one(artifact: &str, quick: bool) -> Result<(), String> {
         "fig6b" => experiments::render_fig6b(),
         "ablations" => ablations::render_all(),
         "extensions" => experiments::render_extension_link_power(),
-        "sim_throughput" => {
-            let samples = 10;
-            let rows = throughput::measure(samples);
-            // Merge into the existing artifact so keys written by other
-            // runs/tools survive a regeneration.
-            let existing = std::fs::read_to_string("BENCH_sim_throughput.json").ok();
-            let json = throughput::merge_json(&rows, samples, existing.as_deref());
-            std::fs::write("BENCH_sim_throughput.json", &json)
-                .map_err(|e| format!("writing BENCH_sim_throughput.json: {e}"))?;
-            format!("{}(wrote BENCH_sim_throughput.json)\n", throughput::render(&rows))
-        }
         "fleet" => run_fleet_artifact()?,
         "desc" => run_desc_artifact()?,
         "lifetime" => run_lifetime_artifact(quick)?,

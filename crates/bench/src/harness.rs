@@ -32,14 +32,6 @@ pub struct Bench {
 }
 
 impl Bench {
-    /// Creates a runner with an explicit sample count (no CLI parsing).
-    pub fn new(group: &str, sample_size: usize) -> Self {
-        Bench {
-            group: group.to_string(),
-            sample_size: sample_size.max(1),
-        }
-    }
-
     /// Creates a runner for `group`, reading `--sample-size` (and
     /// tolerating unknown flags) from the process arguments.
     pub fn from_args(group: &str) -> Self {

@@ -10,13 +10,13 @@
 //!   sweep) and **Figure 6b** (PULPissimo area breakdown);
 //! * [`ablations`] — the design-choice studies DESIGN.md calls out:
 //!   private SCM vs shared-memory fetch, trigger-FIFO depth, arbitration
-//!   policy and fabric topology;
-//! * [`throughput`] — the simulator's own cycles-per-second meta-
-//!   benchmark, tracked across PRs (`BENCH_sim_throughput.json`).
+//!   policy and fabric topology.
 //!
 //! The `reproduce` binary renders all of them as text tables; the
 //! benches under `benches/` (plain `harness = false` binaries driven by
-//! [`harness`]) time the underlying simulations.
+//! [`harness`]) time the underlying simulations. The simulator's own
+//! speed is measured by the separate `perfbench` package at the
+//! repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,4 +25,3 @@ pub mod ablations;
 pub mod experiments;
 pub mod harness;
 pub mod sota;
-pub mod throughput;

@@ -138,21 +138,23 @@ pub const MAX_DEPTH: usize = 128;
 /// [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`; only ever advanced past ASCII bytes or
+    /// whole chars, so it always sits on a char boundary.
     pos: usize,
     /// Arrays/objects currently open.
     depth: usize,
@@ -167,7 +169,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -186,7 +188,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -292,10 +294,9 @@ impl<'a> Parser<'a> {
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not needed for our own
@@ -308,11 +309,8 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let tail = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = tail.chars().next().unwrap();
+                    // Consume one code point.
+                    let c = self.text[self.pos..].chars().next().expect("peeked a byte");
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -328,8 +326,8 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number slice");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("bad number"))
     }
@@ -414,6 +412,53 @@ mod tests {
     fn unicode_escape_round_trip() {
         let v = parse("\"\\u0041\\u00e9\"").unwrap();
         assert_eq!(v.as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn random_json_ish_text_never_panics() {
+        // Fragments biased toward the string scanner: quotes, every
+        // escape (good and bad), `\u` with good, short, non-hex and
+        // surrogate payloads, and 2-, 3- and 4-byte chars.
+        const ALPHABET: &[&str] = &[
+            "\"", "\\\"", "\\\\", "\\/", "\\n", "\\t", "\\b", "\\x", "\\",
+            "\\u0041", "\\u00e9", "\\u12", "\\uzzzz", "\\uD800", "\\u+041", "é", "€",
+            "𝄞", "a", " ", "{", "}", "[", "]", ":", ",", "1", "-", ".", "e", "true", "nul",
+        ];
+        let mut rng = pels_sim::Rng::seed_from_u64(0x0B5_F022);
+        for case in 0..4_000 {
+            let mut text = String::new();
+            if rng.bool() {
+                text.push('"');
+            }
+            for _ in 0..rng.index(24) {
+                text.push_str(ALPHABET[rng.index(ALPHABET.len())]);
+            }
+            match parse(&text) {
+                Ok(Value::Str(s)) => {
+                    let again = parse(&format!("\"{}\"", escape(&s)));
+                    assert_eq!(again, Ok(Value::Str(s)), "case {case}: {text:?}");
+                }
+                Ok(_) => {}
+                Err(e) => {
+                    assert!(text.is_char_boundary(e.offset), "case {case}: {text:?} {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mebibyte_string_parses_and_round_trips() {
+        let payload: String = "ascii é € 𝄞 \"quoted\" \\ \n\t\u{1} "
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let doc = format!("{{\"payload\": \"{}\"}}", escape(&payload));
+        let v = parse(&doc).unwrap();
+        assert_eq!(
+            v.get("payload").and_then(Value::as_str),
+            Some(payload.as_str())
+        );
     }
 
     #[test]

@@ -7,8 +7,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// [`crate::Scheduler::advance`] was called with no registered clock.
-    NoClocks,
     /// A FIFO push was attempted while the FIFO was full.
     FifoFull {
         /// Capacity of the FIFO that rejected the push.
@@ -23,7 +21,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::NoClocks => write!(f, "no clocks registered with the scheduler"),
             SimError::FifoFull { capacity } => {
                 write!(f, "fifo full (capacity {capacity})")
             }
@@ -42,7 +39,6 @@ mod tests {
     #[test]
     fn display_is_lowercase_and_concise() {
         let msgs = [
-            SimError::NoClocks.to_string(),
             SimError::FifoFull { capacity: 4 }.to_string(),
             SimError::FifoEmpty.to_string(),
             SimError::UnknownSignal("x".into()).to_string(),

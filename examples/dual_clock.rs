@@ -1,12 +1,13 @@
 //! Two clock domains: the SoC at 55 MHz and an always-on 32.768 kHz
 //! domain whose RTC tick wakes the linking machinery — the standard ULP
 //! partitioning of the paper's Section I ("the processing domain and the
-//! I/O domain in different power regions") driven by the simulation
-//! kernel's multi-clock [`pels_repro::sim::Scheduler`].
+//! I/O domain in different power regions").
 //!
 //! Every 32 kHz edge injects a wake-up event; a PELS link responds with
 //! an instant action (kicking the watchdog) without the 55 MHz core ever
-//! leaving WFI.
+//! leaving WFI. The SoC domain is run with [`Soc::run`], which skips the
+//! idle spans between ticks; each RTC edge time is converted into the
+//! SoC cycle it lands on.
 //!
 //! ```text
 //! cargo run --example dual_clock
@@ -15,9 +16,9 @@
 use pels_repro::core::{assemble, TriggerCond};
 use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::Watchdog;
-use pels_repro::sim::{Clock, EventVector, Frequency, Scheduler};
+use pels_repro::sim::{EventVector, Frequency, SimTime};
 use pels_repro::soc::mem_map::RESET_PC;
-use pels_repro::soc::SocBuilder;
+use pels_repro::soc::{Soc, SocBuilder};
 
 /// Global event line carrying the always-on domain's tick into the SoC.
 const EV_RTC_TICK: u32 = 12;
@@ -52,21 +53,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[pels_repro::cpu::asm::wfi(), pels_repro::cpu::asm::jal(0, -4)],
     );
 
-    // Drive both domains from the multi-clock scheduler: each SoC edge
-    // steps the SoC; each RTC edge injects the wake-up pulse.
-    let mut sched = Scheduler::new();
-    let soc_clk = sched.add_clock(Clock::new("soc", soc_freq));
-    let rtc_clk = sched.add_clock(Clock::new("rtc", rtc_freq));
-
+    // Interleave the two domains by edge time. The SoC has an edge at
+    // every multiple of its period, starting at t = 0; on a tie the SoC
+    // edge goes first, so a tick is injected after every SoC edge at or
+    // before it.
+    let horizon = SimTime::from_us(400);
+    let run_to = |soc: &mut Soc, soc_edges: u64| soc.run(soc_edges - soc.cycle());
     let mut rtc_ticks = 0u64;
-    sched.run_until(pels_repro::sim::SimTime::from_us(400), |edge| {
-        if edge.clock == soc_clk {
-            soc.step();
-        } else if edge.clock == rtc_clk {
-            soc.inject_event(EV_RTC_TICK);
-            rtc_ticks += 1;
-        }
-    })?;
+    let mut tick = SimTime::ZERO;
+    while tick < horizon {
+        run_to(&mut soc, soc_freq.cycles_in(tick) + 1);
+        soc.inject_event(EV_RTC_TICK);
+        rtc_ticks += 1;
+        tick += rtc_freq.period();
+    }
+    // Finish with every SoC edge strictly before the horizon.
+    run_to(&mut soc, horizon.as_ps().div_ceil(soc_freq.period_ps()));
 
     let kicks = soc.trace().all("pels.link0", "action").len();
     println!("simulated 400 us: {rtc_ticks} rtc ticks at 32.768 kHz");

@@ -1,21 +1,17 @@
 #!/usr/bin/env bash
-# Smoke-runs the sim_throughput and fleet bench groups so performance
-# regressions are at least *executed* on every verify pass, not just
-# compiled, then gates the workspace on clippy. Fails on any panic,
-# lint or non-zero exit. Part of the tier-1 verify flow (ROADMAP.md).
+# Runs the route-counter budget, the fleet bench group, the differential
+# and property suites, the artifact schema gates and one checked round
+# of each perfbench workload, then gates the workspace on clippy and
+# rustdoc. Simulator speed is timed by perfbench alone. Fails on any
+# panic, lint or non-zero exit. Part of the tier-1 verify flow
+# (ROADMAP.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Includes the active-path groups (busy_cpu_quiescent_slaves{,_naive},
-# active_path_naive/*) so the decode-cache and active-slave fast paths
-# are executed against their forced-naive references on every pass.
-cargo bench -q -p pels-bench --bench sim_throughput -- --sample-size 10
-echo "bench_smoke: sim_throughput OK"
-
 # Compile guard: the ExecMode differential switch (ScenarioBuilder::
-# exec_mode + Soc::set_exec_mode)
-# must keep compiling — the differential tests and the *_naive bench
-# groups are the only proof the fast path is observationally invisible.
+# exec_mode + Soc::set_exec_mode) must keep compiling — the
+# differential tests are the only proof the fast path is
+# observationally invisible.
 cargo test -q --test active_path --no-run
 echo "bench_smoke: active_path differential suite compiles OK"
 
@@ -60,15 +56,9 @@ echo "bench_smoke: energy ledger invariance suite OK"
 # BENCH_lifetime.json must carry the battery parameters, a positive
 # PELS-vs-IRQ headline and non-empty sweep rows. Drift in any exporter
 # fails here instead of shipping broken artifacts.
-cargo run -q --release -p pels-bench --bin reproduce -- sim_throughput lifetime --quick --obs > /dev/null
+cargo run -q --release -p pels-bench --bin reproduce -- lifetime --quick --obs > /dev/null
 cargo run -q --release -p pels-bench --bin obs_check
 echo "bench_smoke: obs + lifetime artifacts OK"
-
-# The throughput artifact must carry the busy-CPU row — a missing key
-# means the busy-linking workload silently dropped out of the
-# measurement.
-grep -q '"linking_busy_cpu_cycles_per_sec"' BENCH_sim_throughput.json
-echo "bench_smoke: busy-CPU throughput key OK"
 
 # Description gate: regenerate the canonical corpus under
 # examples/descs/ (round-trip checked on emit), then validate every
@@ -103,7 +93,7 @@ echo "bench_smoke: perfbench tests + linking/lifetime rounds OK"
 # Hygiene: every generated artifact class must stay ignored — a missing
 # pattern means `git status` noise at best and a committed multi-MB
 # artifact at worst.
-for f in BENCH_lifetime.json BENCH_sim_throughput.json BENCH_fleet_throughput.json \
+for f in BENCH_lifetime.json BENCH_fleet_throughput.json \
          OBS_metrics.json OBS_trace.json OBS_timeline.json OBS_flows.json wave.vcd; do
     git check-ignore -q "$f" || {
         echo "bench_smoke: generated artifact $f is not gitignored" >&2

@@ -290,11 +290,45 @@ fn exec_mode_selection_is_explicit_and_last_wins() {
     assert_eq!(last_wins.exec, ExecMode::Fast);
 }
 
-/// A never-sleeping compute loop dense in dependent instruction pairs —
-/// a `lui+addi` pair, a same-rd ALU-immediate chain and an
-/// always-taken `slt+bne` compare-and-branch — with the timer-driven
-/// PELS toggle workload around it.
-fn pair_dense_soc() -> Soc {
+/// A never-sleeping compute loop dense in dependent instruction pairs:
+/// a `lui+addi` pair, a same-rd ALU-immediate chain and an always-taken
+/// `slt+bne` compare-and-branch.
+fn pair_dense_kernel() -> Vec<u32> {
+    vec![
+        asm::lui(5, 0x1000),   // ┐ lui+addi pair
+        asm::addi(5, 5, 0x21), // ┘
+        asm::addi(1, 1, 1),    // ┐ same-rd ALU-immediate chain
+        asm::addi(1, 1, 2),    // ┘
+        asm::slt(12, 0, 5),    // ┐ compare-and-branch, always taken
+        asm::bne(12, 0, -20),  // ┘
+    ]
+}
+
+/// A 14-deep loop of register-only ALU ops closed by an always-taken
+/// compare-and-branch: no loads, stores or `wfi`, so the CPU retires an
+/// instruction on every non-stall cycle.
+fn long_alu_kernel() -> Vec<u32> {
+    vec![
+        asm::lui(5, 0x1000),
+        asm::addi(5, 5, 0x21),
+        asm::addi(1, 1, 1),
+        asm::addi(1, 1, 2),
+        asm::addi(2, 2, 3),
+        asm::addi(2, 2, 5),
+        asm::xori(3, 3, 0x11),
+        asm::addi(3, 3, 1),
+        asm::addi(4, 4, 1),
+        asm::addi(4, 4, 1),
+        asm::add(6, 6, 1),
+        asm::xor(7, 7, 2),
+        asm::slt(12, 0, 5),
+        asm::bne(12, 0, -52),
+    ]
+}
+
+/// `kernel` at the reset vector, with PELS link 0 toggling a GPIO pad on
+/// every timer compare match at `timer_cmp`.
+fn compute_kernel_soc(kernel: &[u32], timer_cmp: u32) -> Soc {
     use pels_repro::soc::event_map::AL_GPIO_TOGGLE;
     let mut soc = SocBuilder::new().pels_links(2).build();
     soc.pels_mut()
@@ -314,50 +348,50 @@ fn pair_dense_soc() -> Soc {
             .expect("valid"),
         )
         .expect("fits");
-    soc.load_program(
-        RESET_PC,
-        &[
-            asm::lui(5, 0x1000),    // ┐ LuiAddi pair
-            asm::addi(5, 5, 0x21),  // ┘
-            asm::addi(1, 1, 1),     // ┐ same-rd AluImmPair
-            asm::addi(1, 1, 2),     // ┘
-            asm::slt(12, 0, 5),     // ┐ CmpBranch pair, always taken
-            asm::bne(12, 0, -20),   // ┘
-        ],
-    );
-    soc.timer_mut().write(Timer::CMP, 16).unwrap();
+    soc.load_program(RESET_PC, kernel);
+    soc.timer_mut().write(Timer::CMP, timer_cmp).unwrap();
     soc.timer_mut()
         .write(Timer::CTRL, Timer::CTRL_ENABLE)
         .unwrap();
     soc
 }
 
-/// SoC differential over the pair-dense workload: the fast path and the
+/// SoC differential over both compute kernels: the fast path and the
 /// naive reference observe the same stimulus schedule bit-identically —
 /// trace, activity image, architectural and peripheral state at every
 /// step.
 #[test]
-fn fused_pair_workload_is_identical_across_tiers() {
-    let ops = [
-        Op::Run(37),
-        Op::Inject(EV_GPIO_RISE),
-        Op::Run(101),
-        Op::PokeTimerCmp(24),
-        Op::Run(500),
-        Op::GpioInput(3),
-        Op::Run(263),
-    ];
-    let mut fast = pair_dense_soc();
-    let mut naive = pair_dense_soc();
-    naive.set_exec_mode(ExecMode::Naive);
-    for (i, &op) in ops.iter().enumerate() {
-        apply(&mut fast, op);
-        apply(&mut naive, op);
-        assert_identical(&fast, &naive, &format!("op {i} ({op:?})"));
+fn compute_kernels_are_identical_fast_vs_naive() {
+    for (name, kernel, timer_cmp) in [
+        ("pair-dense", pair_dense_kernel(), 16),
+        ("long ALU", long_alu_kernel(), 512),
+    ] {
+        let ops = [
+            Op::Run(37),
+            Op::Inject(EV_GPIO_RISE),
+            Op::Run(101),
+            Op::PokeTimerCmp(timer_cmp + 8),
+            Op::Run(500),
+            Op::GpioInput(3),
+            Op::Run(263),
+            Op::Run(2_000),
+        ];
+        let mut fast = compute_kernel_soc(&kernel, timer_cmp);
+        let mut naive = compute_kernel_soc(&kernel, timer_cmp);
+        naive.set_exec_mode(ExecMode::Naive);
+        for (i, &op) in ops.iter().enumerate() {
+            apply(&mut fast, op);
+            apply(&mut naive, op);
+            assert_identical(&fast, &naive, &format!("{name} op {i} ({op:?})"));
+        }
+        assert!(fast.cpu().retired() > 1_000, "{name}: the CPU never sleeps");
+        let af = activity_image(&fast.drain_activity());
+        let an = activity_image(&naive.drain_activity());
+        assert_eq!(
+            af, an,
+            "{name}: fast vs naive activity (power input) diverges"
+        );
     }
-    let af = activity_image(&fast.drain_activity());
-    let an = activity_image(&naive.drain_activity());
-    assert_eq!(af, an, "fast vs naive activity (power input) diverges");
 }
 
 /// IRQ delivery across the pair-dense kernel's dependent pairs,
@@ -365,7 +399,7 @@ fn fused_pair_workload_is_identical_across_tiers() {
 /// loop body and demand the interrupt is taken on exactly the same
 /// cycle on the fast path as on the naive reference.
 #[test]
-fn irq_delivery_across_fused_pairs_is_cycle_exact() {
+fn irq_delivery_across_dependent_pairs_is_cycle_exact() {
     use pels_repro::cpu::csr::addr as csr;
     use pels_repro::soc::event_map::{irq_bit_for_event, EV_ADC_DONE};
 
@@ -373,17 +407,7 @@ fn irq_delivery_across_fused_pairs_is_cycle_exact() {
     let vector_table = RESET_PC + 0x200;
     let build = |naive: bool| {
         let mut soc = SocBuilder::new().build();
-        soc.load_program(
-            RESET_PC,
-            &[
-                asm::lui(5, 0x1000),
-                asm::addi(5, 5, 0x21),
-                asm::addi(1, 1, 1),
-                asm::addi(1, 1, 2),
-                asm::slt(12, 0, 5),
-                asm::bne(12, 0, -20),
-            ],
-        );
+        soc.load_program(RESET_PC, &pair_dense_kernel());
         soc.load_program(
             vector_table + 4 * bit,
             &[asm::addi(15, 15, 1), asm::mret()],

@@ -1,5 +1,5 @@
 //! Randomized property tests on the core invariants: the 48-bit command
-//! encoding, the assembler, the event vector, the simulation kernel's
+//! encoding, the assembler, the event vector, the simulation crate's
 //! data structures, and the CPU's arithmetic against reference
 //! implementations.
 //!
@@ -11,7 +11,7 @@ use pels_repro::core::{
     assemble, decode_command, encode_command, ActionMode, Command, Cond, Program,
 };
 use pels_repro::cpu::{asm, Cpu, SimpleBus};
-use pels_repro::sim::{Clock, EventVector, Fifo, Frequency, Rng, Scheduler, SimTime};
+use pels_repro::sim::{EventVector, Fifo, Rng};
 
 const CASES: usize = 256;
 
@@ -174,34 +174,6 @@ fn fifo_matches_reference_queue() {
                 assert_eq!(fifo.pop(), reference.pop_front(), "case {case} op {op}");
             }
             assert_eq!(fifo.len(), reference.len(), "case {case} op {op}");
-        }
-    }
-}
-
-/// Scheduler edges are globally time-ordered and per-clock periodic, for
-/// arbitrary clock sets.
-#[test]
-fn scheduler_orders_arbitrary_clock_sets() {
-    let mut rng = Rng::seed_from_u64(0xC0DE_0006);
-    for case in 0..64 {
-        let n = rng.range_u64(1, 5) as usize;
-        let periods: Vec<u64> = (0..n).map(|_| rng.range_u64(1_000, 1_000_000)).collect();
-        let mut sched = Scheduler::new();
-        let ids: Vec<_> = periods
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| sched.add_clock(Clock::new(format!("c{i}"), Frequency::from_period_ps(p))))
-            .collect();
-        let mut last = SimTime::ZERO;
-        let mut counts = vec![0u64; ids.len()];
-        for _ in 0..200 {
-            let edge = sched.advance().expect("clocks registered");
-            assert!(edge.time >= last, "case {case}");
-            // The edge lands exactly on its clock's grid.
-            assert_eq!(edge.time.as_ps() % periods[edge.clock.index()], 0, "case {case}");
-            assert_eq!(edge.cycle, counts[edge.clock.index()], "case {case}");
-            counts[edge.clock.index()] += 1;
-            last = edge.time;
         }
     }
 }
