@@ -107,3 +107,61 @@ fn invalid_sweep_axis_is_rejected_before_any_simulation() {
         other => panic!("expected a config rejection, got {other:?}"),
     }
 }
+
+/// The three sweeps whose expansion is pinned below: the reference
+/// 8-job fleet sweep at 5 events, the quick lifetime sweep of
+/// `reproduce -- lifetime --quick`, and the empty spec.
+fn pinned_specs() -> [SweepSpec; 3] {
+    [
+        reference_spec(),
+        SweepSpec::new()
+            .mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq])
+            .sample_periods_us(&[100, 500])
+            .spi_word_counts(&[1, 4])
+            .lifetime(true),
+        SweepSpec::new(),
+    ]
+}
+
+#[test]
+fn sweep_labels_and_digests_are_pinned() {
+    let pins: [(&[&str], u64); 3] = [
+        (
+            &[
+                "pels-sequenced@27MHz links1 shared round-robin",
+                "pels-sequenced@27MHz links4 shared round-robin",
+                "pels-sequenced@55MHz links1 shared round-robin",
+                "pels-sequenced@55MHz links4 shared round-robin",
+                "pels-instant@27MHz links1 shared round-robin",
+                "pels-instant@27MHz links4 shared round-robin",
+                "pels-instant@55MHz links1 shared round-robin",
+                "pels-instant@55MHz links4 shared round-robin",
+            ],
+            0x2073_0fe3_9918_ee05,
+        ),
+        (
+            &[
+                "pels-sequenced@55MHz links1 shared round-robin T100us W1",
+                "pels-sequenced@55MHz links1 shared round-robin T100us W4",
+                "pels-sequenced@55MHz links1 shared round-robin T500us W1",
+                "pels-sequenced@55MHz links1 shared round-robin T500us W4",
+                "ibex-irq@55MHz links1 shared round-robin T100us W1",
+                "ibex-irq@55MHz links1 shared round-robin T100us W4",
+                "ibex-irq@55MHz links1 shared round-robin T500us W1",
+                "ibex-irq@55MHz links1 shared round-robin T500us W4",
+            ],
+            0xe6a1_5052_9f2e_663e,
+        ),
+        (
+            &["pels-sequenced@55MHz links1 shared round-robin"],
+            0xb450_4465_3ee4_29db,
+        ),
+    ];
+    for (spec, (labels, digest)) in pinned_specs().iter().zip(pins) {
+        let report = FleetEngine::new(2).run_sweep(spec).expect("valid spec");
+        let got: Vec<&str> = report.jobs.iter().map(|j| j.label.as_str()).collect();
+        assert_eq!(got, labels);
+        assert_eq!(report.failed().count(), 0);
+        assert_eq!(report.digest(), digest, "digest {:#018x}", report.digest());
+    }
+}
