@@ -12,7 +12,7 @@ use pels_fleet::{FleetEngine, JobError};
 use pels_interconnect::{ArbiterKind, Topology};
 use pels_periph::Timer;
 use pels_soc::mem_map::{pels_word_offset, APB_BASE, GPIO_OFFSET, TIMER_OFFSET, UART_OFFSET, WDT_OFFSET};
-use pels_soc::{Mediator, Scenario, Soc, SocBuilder};
+use pels_soc::{Mediator, Scenario, Soc, SystemDesc};
 use pels_interconnect::ApbSlave;
 use pels_sim::EventVector;
 use std::fmt::Write as _;
@@ -63,11 +63,7 @@ pub fn scm_vs_shared_fetch() -> ScmAblation {
 }
 
 fn s_build_with_fetch_stall(s: &Scenario, stall: u32) -> Soc {
-    let mut soc = SocBuilder::new()
-        .frequency(s.freq())
-        .sensor(s.sensor())
-        .spi_clkdiv(s.spi_clkdiv())
-        .build();
+    let mut soc = Soc::from_desc(&s.system).expect("scenario systems are valid");
     {
         let link = soc.pels_mut().link_mut(0);
         link.set_mask(EventVector::mask_of(&[0]))
@@ -110,7 +106,9 @@ pub fn fifo_depth_sweep() -> Vec<FifoAblation> {
         &depths,
         |_| 1,
         |&depth| {
-            let mut soc = SocBuilder::new().fifo_depth(depth).build();
+            let mut desc = SystemDesc::default();
+            desc.pels.fifo_depth = depth;
+            let mut soc = Soc::from_desc(&desc).expect("valid fifo depth");
             {
                 let link = soc.pels_mut().link_mut(0);
                 link.set_mask(EventVector::mask_of(&[2])); // timer compare
@@ -183,13 +181,15 @@ pub fn topology_contention() -> Vec<(Topology, ArbiterAblation)> {
 }
 
 fn run_contention(policy: ArbiterKind, topology: Topology) -> ArbiterAblation {
-    let mut soc = SocBuilder::new()
-        .pels_links(4)
-        .scm_lines(4)
-        .arbiter(policy)
-        .topology(topology)
-        .timer_starts_spi(false)
-        .build();
+    let mut desc = SystemDesc {
+        arbiter: policy,
+        topology,
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    };
+    desc.pels.links = 4;
+    desc.pels.scm_lines = 4;
+    let mut soc = Soc::from_desc(&desc).expect("valid contention system");
     // Each link writes a different peripheral register on the same
     // trigger (timer compare on line 2).
     let targets = [
@@ -274,21 +274,15 @@ pub fn jitter_under_contention() -> Vec<JitterPoint> {
             // data-dependent (below), so each linking event meets the bus
             // in a different phase — without it, the periodic poll loop
             // phase-locks to the events and jitter degenerates to zero.
-            let s = Scenario::latency_probe(mediator)
-                .to_builder()
-                .sensor(pels_soc::SensorKind::NoisyRamp {
-                    start: 2.5,
-                    slope_per_us: 0.0,
-                    sigma: 0.05,
-                    seed: 99,
-                })
-                .build()
-                .expect("jitter scenario is valid");
-            let mut soc = SocBuilder::new()
-                .frequency(s.freq())
-                .sensor(s.sensor())
-                .spi_clkdiv(s.spi_clkdiv())
-                .build();
+            let mut desc = Scenario::latency_probe(mediator).desc().clone();
+            desc.system.sensor = pels_soc::SensorKind::NoisyRamp {
+                start: 2.5,
+                slope_per_us: 0.0,
+                sigma: 0.05,
+                seed: 99,
+            };
+            let s = Scenario::from_desc(desc).expect("jitter scenario is valid");
+            let mut soc = Soc::from_desc(&s.system).expect("scenario systems are valid");
             {
                 let link = soc.pels_mut().link_mut(0);
                 link.set_mask(EventVector::mask_of(&[0])).set_base(APB_BASE);
@@ -421,11 +415,7 @@ pub fn polling_vs_pels() -> PollingAblation {
 
     // Polling run.
     let s = Scenario::latency_probe(Mediator::PelsSequenced);
-    let mut soc = SocBuilder::new()
-        .frequency(s.freq())
-        .sensor(s.sensor())
-        .spi_clkdiv(s.spi_clkdiv())
-        .build();
+    let mut soc = Soc::from_desc(&s.system).expect("scenario systems are valid");
     soc.pels_mut().set_enabled(false);
     soc.spi_mut().set_default_len(s.spi_words);
     let image = threshold_polling_image(s.threshold_code());
@@ -486,11 +476,13 @@ pub fn link_scaling() -> Vec<LinkScalingPoint> {
         &link_counts,
         |&links| links as u64,
         |&links| {
-            let mut soc = SocBuilder::new()
-                .pels_links(links)
-                .scm_lines(4)
-                .timer_starts_spi(false)
-                .build();
+            let mut desc = SystemDesc {
+                timer_starts_spi: false,
+                ..SystemDesc::default()
+            };
+            desc.pels.links = links;
+            desc.pels.scm_lines = 4;
+            let mut soc = Soc::from_desc(&desc).expect("valid link count");
             for i in 0..links {
                 let link = soc.pels_mut().link_mut(i);
                 link.set_mask(EventVector::mask_of(&[2]))

@@ -9,11 +9,11 @@
 //! `system` key, a bare [`SystemDesc`] otherwise), checks the round trip
 //! is the identity (`from_json(to_json(d)) == d`), and smoke-runs the
 //! described system for one cycle — so a corpus file that drifts from
-//! the parser, or describes a system the builder rejects, fails tier-1
+//! the parser, or describes a system `Soc::from_desc` rejects, fails tier-1
 //! verification (`scripts/bench_smoke.sh`) instead of shipping broken.
 
 use pels_obs::json;
-use pels_soc::{Scenario, ScenarioDesc, SocBuilder, SystemDesc};
+use pels_soc::{Scenario, ScenarioDesc, Soc, SystemDesc};
 use std::process::ExitCode;
 
 fn check_scenario(text: &str) -> Result<&'static str, String> {
@@ -36,9 +36,7 @@ fn check_system(text: &str) -> Result<&'static str, String> {
     if back != desc {
         return Err("round-trip is not the identity".into());
     }
-    let mut soc = SocBuilder::from_desc(desc)
-        .try_build()
-        .map_err(|e| format!("build: {e}"))?;
+    let mut soc = Soc::from_desc(&desc).map_err(|e| format!("build: {e}"))?;
     soc.step();
     Ok("system")
 }

@@ -200,11 +200,13 @@ fn run_lifetime_artifact(quick: bool) -> Result<String, String> {
 
     // Duty cycle × sensor payload × mediator, ledger on for every job.
     let periods_us: &[u64] = if quick { &[100, 500] } else { &[10, 100, 1_000] };
-    let spec = SweepSpec::new()
-        .mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq])
-        .sample_periods_us(periods_us)
-        .spi_word_counts(&[1, 4])
-        .lifetime(true);
+    let spec = SweepSpec::over(ScenarioDesc {
+        lifetime: true,
+        ..ScenarioDesc::default()
+    })
+    .mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq])
+    .sample_periods_us(periods_us)
+    .spi_word_counts(&[1, 4]);
     let fleet = FleetEngine::auto()
         .run_sweep(&spec)
         .map_err(|e| format!("lifetime sweep invalid: {e}"))?;
@@ -346,12 +348,12 @@ fn run_obs_artifact() -> Result<String, String> {
 
     // Busy-CPU workload: the interrupt path keeps the core fetching, so
     // the decode cache, the scheduler and the fabric all engage.
-    let scenario = Scenario::iso_frequency(Mediator::IbexIrq)
-        .to_builder()
-        .obs(true)
-        .timeline_window(OBS_TIMELINE_WINDOW)
-        .build()
-        .map_err(|e| format!("obs scenario invalid: {e}"))?;
+    let scenario = Scenario::from_desc(ScenarioDesc {
+        obs: true,
+        timeline_window: OBS_TIMELINE_WINDOW,
+        ..Scenario::iso_frequency(Mediator::IbexIrq).desc().clone()
+    })
+    .map_err(|e| format!("obs scenario invalid: {e}"))?;
     let report = scenario
         .try_run()
         .map_err(|e| format!("obs scenario failed: {e}"))?;
@@ -371,11 +373,11 @@ fn run_obs_artifact() -> Result<String, String> {
     // per-stage blame table that sums exactly — see
     // `tests/flow_properties.rs` for the telescoping proof.
     let probe = |m: Mediator| -> Result<pels_soc::ScenarioReport, String> {
-        Scenario::latency_probe(m)
-            .to_builder()
-            .flows(true)
-            .build()
-            .map_err(|e| format!("flow probe invalid: {e}"))?
+        Scenario::from_desc(ScenarioDesc {
+            flows: true,
+            ..Scenario::latency_probe(m).desc().clone()
+        })
+        .map_err(|e| format!("flow probe invalid: {e}"))?
             .try_run()
             .map_err(|e| format!("flow probe failed: {e}"))
     };

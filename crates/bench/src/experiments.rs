@@ -4,7 +4,7 @@
 use pels_fleet::{FleetEngine, JobError, JobOutcome};
 use pels_power::{pels_area_kge, pulpissimo_breakdown, IBEX_KGE, PICORV32_KGE};
 use pels_soc::power_setup::power_model_for;
-use pels_soc::{Mediator, Scenario, SocBuilder};
+use pels_soc::{Mediator, Scenario, Soc, SystemDesc};
 use std::fmt::Write as _;
 
 /// One measured stage of Figure 3's pseudocode annotations.
@@ -408,7 +408,10 @@ pub fn extension_link_power() -> Vec<LinkPowerPoint> {
             &link_counts,
             |&links| links as u64, // heavier SoCs first
             |&links| {
-                let mut soc = SocBuilder::new().pels_links(links).scm_lines(6).build();
+                let mut desc = SystemDesc::default();
+                desc.pels.links = links;
+                desc.pels.scm_lines = 6;
+                let mut soc = Soc::from_desc(&desc).expect("valid link count");
                 soc.load_program(
                     pels_soc::mem_map::RESET_PC,
                     &[pels_cpu::asm::wfi(), pels_cpu::asm::jal(0, -4)],

@@ -191,7 +191,15 @@ mod tests {
     use super::*;
     use crate::command::Command;
     use crate::encoding::encode_command;
-    use crate::pels::PelsBuilder;
+    use crate::pels::{Pels, PelsConfig};
+
+    fn pels(links: usize, scm_lines: usize) -> Pels {
+        Pels::new(PelsConfig {
+            links,
+            scm_lines,
+            ..PelsConfig::default()
+        })
+    }
 
     fn link_reg(link: u32, off: u32) -> u32 {
         regs::LINK0 + link * regs::LINK_STRIDE + off
@@ -199,7 +207,7 @@ mod tests {
 
     #[test]
     fn global_registers() {
-        let mut p = PelsBuilder::new().links(3).scm_lines(6).build();
+        let mut p = pels(3, 6);
         assert_eq!(p.config_read(regs::N_LINKS).unwrap(), 3);
         assert_eq!(p.config_read(regs::SCM_LINES).unwrap(), 6);
         assert_eq!(p.config_read(regs::CTRL).unwrap(), 1);
@@ -210,7 +218,7 @@ mod tests {
 
     #[test]
     fn link_mask_read_write_64bit() {
-        let mut p = PelsBuilder::new().links(2).build();
+        let mut p = pels(2, 4);
         p.config_write(link_reg(1, regs::LINK_MASK_LO), 0x0000_0008)
             .unwrap();
         p.config_write(link_reg(1, regs::LINK_MASK_HI), 0x0000_0100)
@@ -226,7 +234,7 @@ mod tests {
 
     #[test]
     fn link_ctrl_encodes_condition() {
-        let mut p = PelsBuilder::new().build();
+        let mut p = pels(1, 4);
         p.config_write(link_reg(0, regs::LINK_CTRL), 1 | (1 << 1))
             .unwrap();
         assert_eq!(p.link(0).trigger().condition(), TriggerCond::All);
@@ -242,7 +250,7 @@ mod tests {
 
     #[test]
     fn scm_window_loads_commands() {
-        let mut p = PelsBuilder::new().scm_lines(4).build();
+        let mut p = pels(1, 4);
         let raw = encode_command(&Command::Wait { cycles: 99 }).unwrap();
         let base = link_reg(0, regs::SCM_WINDOW);
         p.config_write(base, raw as u32).unwrap();
@@ -254,7 +262,7 @@ mod tests {
 
     #[test]
     fn scm_window_bounds_checked() {
-        let mut p = PelsBuilder::new().scm_lines(4).build();
+        let mut p = pels(1, 4);
         let beyond = link_reg(0, regs::SCM_WINDOW + 8 * 4);
         assert!(p.config_read(beyond).is_err());
         assert!(p.config_write(beyond, 0).is_err());
@@ -262,7 +270,7 @@ mod tests {
 
     #[test]
     fn read_only_link_regs_reject_writes() {
-        let mut p = PelsBuilder::new().build();
+        let mut p = pels(1, 4);
         assert!(p
             .config_write(link_reg(0, regs::LINK_STATUS), 0)
             .is_err());
@@ -271,7 +279,7 @@ mod tests {
 
     #[test]
     fn out_of_range_link_rejected() {
-        let p = PelsBuilder::new().links(1).build();
+        let p = pels(1, 4);
         assert!(p.config_read(link_reg(1, regs::LINK_CTRL)).is_err());
         let e = p.config_read(0x0C).unwrap_err();
         assert!(e.to_string().contains("unmapped"));
@@ -279,7 +287,7 @@ mod tests {
 
     #[test]
     fn base_register_roundtrip() {
-        let mut p = PelsBuilder::new().build();
+        let mut p = pels(1, 4);
         p.config_write(link_reg(0, regs::LINK_BASE), 0x1A10_2000)
             .unwrap();
         assert_eq!(

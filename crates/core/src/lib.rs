@@ -68,7 +68,7 @@ pub use command::{ActionMode, Command, Cond, Opcode};
 pub use config::regs;
 pub use encoding::{decode_command, encode_command, EncodingError};
 pub use exec::{ExecutionUnit, LinkBus};
-pub use pels::{Pels, PelsBuilder, PelsConfig};
+pub use pels::{Pels, PelsConfig};
 pub use program::{Program, ProgramError};
 pub use scm::Scm;
 pub use trigger::{TriggerCond, TriggerUnit};

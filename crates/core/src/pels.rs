@@ -32,64 +32,6 @@ impl Default for PelsConfig {
     }
 }
 
-/// Builder for [`Pels`].
-///
-/// ```
-/// use pels_core::PelsBuilder;
-/// use pels_sim::EventVector;
-/// let pels = PelsBuilder::new()
-///     .links(4)
-///     .scm_lines(6)
-///     .loopback(EventVector::mask_of(&[40]))
-///     .build();
-/// assert_eq!(pels.link_count(), 4);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PelsBuilder {
-    config: PelsConfig,
-}
-
-impl PelsBuilder {
-    /// Starts from the paper's minimal configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the number of links.
-    pub fn links(mut self, links: usize) -> Self {
-        self.config.links = links;
-        self
-    }
-
-    /// Sets the SCM lines per link.
-    pub fn scm_lines(mut self, lines: usize) -> Self {
-        self.config.scm_lines = lines;
-        self
-    }
-
-    /// Sets the per-link trigger-FIFO depth.
-    pub fn fifo_depth(mut self, depth: usize) -> Self {
-        self.config.fifo_depth = depth;
-        self
-    }
-
-    /// Selects which action lines loop back into the event inputs.
-    pub fn loopback(mut self, mask: EventVector) -> Self {
-        self.config.loopback = mask;
-        self
-    }
-
-    /// Builds the instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `links` is 0 or greater than 64, or `scm_lines` is out
-    /// of the SCM's 1..=512 range.
-    pub fn build(self) -> Pels {
-        Pels::new(self.config)
-    }
-}
-
 /// The bus-master side PELS needs from its integration: one port per
 /// link. The SoC implements this over its fabric's master ports.
 pub trait PelsBus {
@@ -360,6 +302,13 @@ mod tests {
         .unwrap()
     }
 
+    fn with_links(links: usize) -> Pels {
+        Pels::new(PelsConfig {
+            links,
+            ..PelsConfig::default()
+        })
+    }
+
     fn tick_n(
         pels: &mut Pels,
         events: &[EventVector],
@@ -377,7 +326,7 @@ mod tests {
 
     #[test]
     fn instant_action_two_cycle_latency() {
-        let mut pels = PelsBuilder::new().links(1).scm_lines(4).build();
+        let mut pels = Pels::new(PelsConfig::default());
         pels.link_mut(0)
             .set_mask(EventVector::mask_of(&[3]));
         pels.link_mut(0).load_program(&pulse_program(8)).unwrap();
@@ -398,7 +347,7 @@ mod tests {
 
     #[test]
     fn links_operate_in_parallel() {
-        let mut pels = PelsBuilder::new().links(2).scm_lines(4).build();
+        let mut pels = with_links(2);
         pels.link_mut(0).set_mask(EventVector::mask_of(&[0]));
         pels.link_mut(0).load_program(&pulse_program(10)).unwrap();
         pels.link_mut(1).set_mask(EventVector::mask_of(&[1]));
@@ -418,11 +367,11 @@ mod tests {
     fn loopback_triggers_second_link() {
         // Link 0 pulses line 40; line 40 loops back and triggers link 1,
         // which pulses line 41 — inter-link triggering (Figure 2 ⑨).
-        let mut pels = PelsBuilder::new()
-            .links(2)
-            .scm_lines(4)
-            .loopback(EventVector::mask_of(&[40]))
-            .build();
+        let mut pels = Pels::new(PelsConfig {
+            links: 2,
+            loopback: EventVector::mask_of(&[40]),
+            ..PelsConfig::default()
+        });
         pels.link_mut(0).set_mask(EventVector::mask_of(&[0]));
         pels.link_mut(0).load_program(&pulse_program(40)).unwrap();
         pels.link_mut(1).set_mask(EventVector::mask_of(&[40]));
@@ -438,7 +387,7 @@ mod tests {
 
     #[test]
     fn disabled_pels_produces_nothing() {
-        let mut pels = PelsBuilder::new().build();
+        let mut pels = Pels::new(PelsConfig::default());
         pels.link_mut(0).set_mask(EventVector::mask_of(&[0]));
         pels.link_mut(0).load_program(&pulse_program(5)).unwrap();
         pels.set_enabled(false);
@@ -451,7 +400,7 @@ mod tests {
 
     #[test]
     fn trigger_condition_all_gates_firing() {
-        let mut pels = PelsBuilder::new().build();
+        let mut pels = Pels::new(PelsConfig::default());
         pels.link_mut(0)
             .set_mask(EventVector::mask_of(&[0, 1]))
             .set_condition(TriggerCond::All);
@@ -472,14 +421,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_links() {
-        let result = std::panic::catch_unwind(|| PelsBuilder::new().links(0).build());
+    fn new_rejects_zero_links() {
+        let result = std::panic::catch_unwind(|| with_links(0));
         assert!(result.is_err());
     }
 
     #[test]
     fn activity_drains_per_link() {
-        let mut pels = PelsBuilder::new().links(2).build();
+        let mut pels = with_links(2);
         pels.link_mut(0).set_mask(EventVector::mask_of(&[0]));
         pels.link_mut(0).load_program(&pulse_program(5)).unwrap();
         let mut events = vec![EventVector::mask_of(&[0])];

@@ -215,6 +215,12 @@ fn dec_freq(obj: &[(String, Value)], path: &str) -> Result<Frequency, DescError>
             if !(mhz > 0.0 && mhz.is_finite()) {
                 return Err(DescError::new(p, "frequency must be positive and finite"));
             }
+            if (1e6 / mhz).round() < 1.0 {
+                return Err(DescError::new(
+                    p,
+                    "frequency must be at most 2000000 MHz (a clock period of at least 1 ps)",
+                ));
+            }
             Ok(Frequency::from_mhz(mhz))
         }
         (None, None) => Err(DescError::new(
@@ -709,5 +715,22 @@ mod tests {
         let e = SystemDesc::from_json(&text).unwrap_err();
         assert_eq!(e.path, "/freq_mhz");
         assert!(e.message.contains("exactly one"), "{e}");
+    }
+
+    #[test]
+    fn freq_mhz_whose_period_rounds_to_zero_is_rejected() {
+        let at = |mhz: &str| {
+            ScenarioDesc::default()
+                .to_json()
+                .replace("\"freq_period_ps\": 18182", &format!("\"freq_mhz\": {mhz}"))
+        };
+        for mhz in ["10000000", "1e300"] {
+            let e = ScenarioDesc::from_json(&at(mhz)).unwrap_err();
+            assert_eq!(e.path, "/system/freq_mhz", "{mhz}");
+            assert!(e.message.contains("at most 2000000 MHz"), "{e}");
+        }
+        // The highest accepted frequency rounds to a 1 ps period.
+        let d = ScenarioDesc::from_json(&at("2000000")).unwrap();
+        assert_eq!(d.system.freq.period_ps(), 1);
     }
 }

@@ -6,9 +6,8 @@
 //! [`ScenarioDesc`] (mediator, stimulus, events, execution mode,
 //! observability) that everything else builds from.
 //!
-//! * `SocBuilder::from_desc` / `Scenario::from_desc` (in `pels-soc`) are
-//!   the canonical entry points; the legacy setter APIs are thin wrappers
-//!   mutating a description.
+//! * `Soc::from_desc` / `Scenario::from_desc` (in `pels-soc`) are the
+//!   only constructors: callers edit a description and hand it over.
 //! * [`SystemDesc::from_json`] / [`SystemDesc::to_json`] (and the
 //!   `ScenarioDesc` pair) round-trip losslessly through the in-repo
 //!   [`pels_obs::json`] parser — `from_json(d.to_json()) == d` for every

@@ -11,10 +11,10 @@ use pels_sim::{Frequency, SimTime};
 /// [`SystemDesc`] it executes on plus the workload knobs (mediator,
 /// threshold, readout shape, event count, execution mode, observability).
 ///
-/// `Scenario::from_desc` (in `pels-soc`) is the canonical way to turn one
-/// into a runnable scenario; the legacy `ScenarioBuilder` setters are
-/// thin wrappers mutating one of these. JSON round-trips are lossless:
-/// `ScenarioDesc::from_json(d.to_json()) == d`.
+/// `Scenario::from_desc` (in `pels-soc`) validates one and turns it into a
+/// runnable scenario; a variant is written with struct-update syntax,
+/// `ScenarioDesc { obs: true, ..base.clone() }`. JSON round-trips are
+/// lossless: `ScenarioDesc::from_json(d.to_json()) == d`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioDesc {
     /// The platform the scenario runs on.
@@ -44,18 +44,18 @@ pub struct ScenarioDesc {
     /// Collect an observability metrics snapshot with the report.
     /// Publishing happens after the simulation windows complete, so the
     /// setting cannot perturb architectural results
-    /// (`tests/obs_invariance.rs`).
+    /// (`tests/observation_invariance.rs`).
     pub obs: bool,
     /// Nominal sampling-window width (in cycles) for the activity
     /// timeline of the active run; `0` disables sampling.
     pub timeline_window: u64,
     /// Record causal event flows (`pels_sim::flow`) during the run. Pure
-    /// observation like `obs`: the differential `flow_invariance` suite
-    /// proves runs are bit-identical with flows on and off.
+    /// observation like `obs`: `tests/observation_invariance.rs` proves
+    /// runs are bit-identical with flows on and off.
     pub flows: bool,
     /// Integrate the run's power into an energy ledger and project
     /// battery lifetime with the report. Pure post-processing over the
-    /// activity the run recorded anyway: `tests/lifetime_invariance.rs`
+    /// activity the run recorded anyway: `tests/observation_invariance.rs`
     /// proves runs are bit-identical with the ledger on and off.
     pub lifetime: bool,
 }
@@ -105,7 +105,9 @@ impl ScenarioDesc {
         self.system.pels.to_config()
     }
 
-    /// The sample period in cycles of this scenario's clock.
+    /// The sample period in whole cycles of this scenario's clock, as
+    /// armed into the timer's 32-bit compare register. Exact for every
+    /// description [`ScenarioDesc::validate`] accepts.
     pub fn timer_period_cycles(&self) -> u32 {
         (self.sample_period.as_ps() / self.system.freq.period_ps()) as u32
     }
@@ -120,9 +122,11 @@ impl ScenarioDesc {
     /// # Errors
     ///
     /// [`DescError`] with the JSON path of the first offending value:
-    /// zero events / SPI words / sample period, the interrupt baseline
-    /// without µDMA, or any [`SystemDesc::validate`] failure (reported
-    /// under `/system`).
+    /// zero events / SPI words, a readout whose µDMA byte count
+    /// (`spi_words * 4`) overflows `u32`, a sample period shorter than
+    /// one clock cycle or longer than `u32::MAX` cycles, the interrupt
+    /// baseline without µDMA, or any [`SystemDesc::validate`] failure
+    /// (reported under `/system`).
     pub fn validate(&self) -> Result<(), DescError> {
         if self.events == 0 {
             return Err(DescError::new("/events", "events must be at least 1"));
@@ -130,10 +134,23 @@ impl ScenarioDesc {
         if self.spi_words == 0 {
             return Err(DescError::new("/spi_words", "spi_words must be at least 1"));
         }
+        if self.spi_words.checked_mul(4).is_none() {
+            return Err(DescError::new(
+                "/spi_words",
+                "spi_words * 4 (the µDMA byte count) must fit in 32 bits",
+            ));
+        }
         if self.sample_period.as_ps() == 0 {
             return Err(DescError::new(
                 "/sample_period_ps",
                 "sample_period must be non-zero",
+            ));
+        }
+        let period_cycles = self.sample_period.as_ps() / self.system.freq.period_ps();
+        if period_cycles == 0 || period_cycles > u64::from(u32::MAX) {
+            return Err(DescError::new(
+                "/sample_period_ps",
+                "sample_period must span 1 to 2^32 - 1 clock cycles (the timer's compare range)",
             ));
         }
         if self.mediator == Mediator::IbexIrq && !self.use_udma {
@@ -190,5 +207,32 @@ mod tests {
         let mut d = ScenarioDesc::default();
         d.system.pels.links = 99;
         assert_eq!(d.validate().unwrap_err().path, "/system/pels/links");
+
+        // The µDMA byte count `spi_words * 4` must not overflow.
+        let d = ScenarioDesc {
+            spi_words: 1 << 30,
+            ..ScenarioDesc::default()
+        };
+        assert_eq!(d.validate().unwrap_err().path, "/spi_words");
+        let d = ScenarioDesc {
+            spi_words: (1 << 30) - 1,
+            ..ScenarioDesc::default()
+        };
+        d.validate().expect("the largest readout fits");
+
+        // The timer compare value must be 1..=u32::MAX cycles.
+        for period in [SimTime::from_ps(1), SimTime::from_ms(100_000)] {
+            let d = ScenarioDesc {
+                sample_period: period,
+                ..ScenarioDesc::default()
+            };
+            assert_eq!(d.validate().unwrap_err().path, "/sample_period_ps", "{period}");
+        }
+        let d = ScenarioDesc {
+            sample_period: SimTime::from_ms(78_000),
+            ..ScenarioDesc::default()
+        };
+        d.validate().expect("78 s at 55 MHz fits the timer");
+        assert_eq!(d.timer_period_cycles(), 4_289_957_100);
     }
 }

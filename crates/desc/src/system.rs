@@ -130,9 +130,9 @@ pub struct PeriphInst {
 /// geometry, analog source, fabric shape and the peripheral instances
 /// with their memory-map slots.
 ///
-/// `SocBuilder::from_desc` (in `pels-soc`) assembles exactly this; the
-/// legacy setter API is a thin wrapper mutating one of these. JSON
-/// round-trips are lossless: `SystemDesc::from_json(d.to_json()) == d`.
+/// `Soc::from_desc` (in `pels-soc`) validates one and assembles exactly
+/// the SoC it describes. JSON round-trips are lossless:
+/// `SystemDesc::from_json(d.to_json()) == d`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemDesc {
     /// System clock.
@@ -158,9 +158,8 @@ impl Default for SystemDesc {
     /// 2.5 V source, the canonical seven peripherals on their canonical
     /// slots (SPI clkdiv 4, 16-cycle ADC conversions).
     ///
-    /// This is *the* single source of the defaults — `SocBuilder` and
-    /// `ScenarioBuilder` both start from it, so the constants cannot
-    /// drift apart.
+    /// This is *the* single source of the defaults — every SoC and
+    /// scenario starts from it, so the constants cannot drift apart.
     fn default() -> Self {
         SystemDesc {
             freq: Frequency::from_mhz(55.0),
@@ -176,7 +175,7 @@ impl Default for SystemDesc {
 
 impl SystemDesc {
     /// The canonical seven peripheral instances on their canonical slots
-    /// (the fixed wiring the pre-description `SocBuilder` hard-coded).
+    /// (the fixed wiring of the paper's platform).
     pub fn canonical_peripherals() -> Vec<PeriphInst> {
         [
             PeriphKind::Gpio,

@@ -162,7 +162,7 @@ impl FleetEngine {
     /// # Errors
     ///
     /// Returns the first [`pels_soc::ScenarioError`] if a sweep point
-    /// fails builder validation — the spec is rejected before any
+    /// fails description validation — the spec is rejected before any
     /// simulation starts.
     pub fn run_sweep(&self, spec: &SweepSpec) -> Result<FleetReport, pels_soc::ScenarioError> {
         Ok(self.run_scenarios(&spec.jobs()?))
@@ -177,13 +177,10 @@ pub fn host_parallelism() -> usize {
 }
 
 /// Estimated simulated cycles for one scenario run — the longest-first
-/// scheduling key. Mirrors the cycle budget of `Scenario::try_run`
-/// (active window) doubled for the matching idle window.
+/// scheduling key: the active window's [`Scenario::cycle_budget`],
+/// doubled for the matching idle window.
 fn scenario_weight(s: &Scenario) -> u64 {
-    let per_event = u64::from(s.timer_period_cycles())
-        + u64::from(s.spi_words * s.spi_clkdiv())
-        + 64;
-    2 * (u64::from(s.events) * per_event + 2_000)
+    s.cycle_budget().saturating_mul(2)
 }
 
 /// Pops the next job index for worker `me`, with a flag marking whether

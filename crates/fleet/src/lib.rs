@@ -16,9 +16,10 @@
 //!   pops its own deque from the front and **steals from the back** of its
 //!   siblings when it runs dry — the classic work-stealing shape, built
 //!   from `std::thread` + `Mutex<VecDeque>` only (no external crates).
-//! * [`SweepSpec`] is the declarative layer: a cartesian product over
-//!   sweep axes that expands into labelled, builder-validated
-//!   [`pels_soc::Scenario`] jobs.
+//! * [`SweepSpec`] is the declarative layer: one base
+//!   [`pels_soc::ScenarioDesc`] and a cartesian product of sweep axes
+//!   over it, expanding into labelled, validated [`pels_soc::Scenario`]
+//!   jobs.
 //! * [`FleetReport`] is the reduction: per-job outcomes **in input
 //!   order** (scheduling order never leaks into the report), per-job wall
 //!   time, and a [`FleetReport::digest`] over every simulation-derived

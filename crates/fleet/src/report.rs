@@ -214,7 +214,7 @@ impl FleetReport {
 
     /// Merges every succeeded job's per-stage flow attribution into one
     /// blame table for the whole batch — empty when no job ran with
-    /// [`crate::SweepSpec::flows`].
+    /// [`pels_soc::ScenarioDesc::flows`] set.
     ///
     /// Deterministic whatever the worker count or completion order, like
     /// [`FleetReport::merged_latency_histogram`]: jobs fold in input
@@ -232,12 +232,12 @@ impl FleetReport {
     }
 
     /// Folds every succeeded job's energy ledger into one batch ledger —
-    /// empty when no job ran with [`crate::SweepSpec::lifetime`].
+    /// empty when no job ran with [`pels_soc::ScenarioDesc::lifetime`] set.
     ///
     /// Deterministic whatever the worker count or completion order, like
     /// [`FleetReport::merged_latency_histogram`]: jobs fold in input
     /// order, so the `f64` sums see the same addends in the same
-    /// sequence on any schedule (`tests/lifetime_invariance.rs` pins
+    /// sequence on any schedule (`tests/observation_invariance.rs` pins
     /// this across 1/2/8 workers). Host-side reduction only — the digest
     /// does not cover ledgers (they are pure post-processing).
     pub fn merged_energy_ledger(&self) -> pels_power::EnergyLedger {
@@ -433,10 +433,14 @@ pub fn to_json(report: &FleetReport, host_parallelism: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pels_soc::Scenario;
+    use pels_soc::{Scenario, ScenarioDesc};
 
     fn tiny_report() -> FleetReport {
-        let s = Scenario::builder().events(2).build().unwrap();
+        let s = Scenario::from_desc(ScenarioDesc {
+            events: 2,
+            ..ScenarioDesc::default()
+        })
+        .unwrap();
         let outcome = JobOutcome::measure(&s).unwrap();
         FleetReport {
             workers: 1,
@@ -453,7 +457,10 @@ mod tests {
                     elapsed: Duration::from_millis(1),
                     worker: 0,
                     stolen: true,
-                    result: Err(JobError::Scenario(ScenarioError::ZeroEvents)),
+                    result: Err(JobError::Scenario(ScenarioError::NoEvents {
+                        mediator: Mediator::PelsSequenced,
+                        budget: 2_000,
+                    })),
                 },
             ],
             wall: Duration::from_millis(4),
@@ -551,7 +558,12 @@ mod tests {
         // No lifetime switch → empty ledger.
         assert_eq!(tiny_report().merged_energy_ledger().windows(), 0);
 
-        let s = Scenario::builder().events(2).lifetime(true).build().unwrap();
+        let s = Scenario::from_desc(ScenarioDesc {
+            events: 2,
+            lifetime: true,
+            ..ScenarioDesc::default()
+        })
+        .unwrap();
         let outcome = JobOutcome::measure(&s).unwrap();
         let ledger = outcome.report.energy.clone().expect("lifetime ledger");
         let r = FleetReport {

@@ -14,7 +14,7 @@
 //!   statistic;
 //! * **merges deterministically** — bucket counts add elementwise, so
 //!   `merge(a, b) == merge(b, a)` and fleet worker count cannot change
-//!   an aggregated histogram (proven in `tests/obs_invariance.rs` and
+//!   an aggregated histogram (proven in `tests/observation_invariance.rs` and
 //!   the unit tests below).
 //!
 //! ```

@@ -13,8 +13,9 @@
 //!   points (`Soc::publish_metrics`, `FleetReport::publish_metrics`, …);
 //!   the hot simulation loops keep their existing plain-`u64` internal
 //!   counters, so instrumentation can never perturb architectural
-//!   results — the differential test in `tests/obs_invariance.rs` proves
-//!   obs-on and obs-off runs are bit-identical.
+//!   results — the differential test in
+//!   `tests/observation_invariance.rs` proves obs-on and obs-off runs are
+//!   bit-identical.
 //! * [`profile`] — a host-time span profiler: [`profile::span`] guards
 //!   around run loops, fleet jobs and bench phases aggregate per-span
 //!   call counts and total/self time into a rendered hierarchical

@@ -11,8 +11,8 @@
 //!
 //! The layer is **pure observation**: it is off by default, every
 //! observation point is a single branch on an `Option`, and the
-//! `flow_invariance` suite proves runs are bit-identical with flows on and
-//! off. Flow hops are recorded *only* here — never as extra `Trace`
+//! `observation_invariance` suite proves runs are bit-identical with flows
+//! on and off. Flow hops are recorded *only* here — never as extra `Trace`
 //! entries — so trace comparisons are unaffected by construction.
 //!
 //! ## Propagation model

@@ -45,7 +45,5 @@ pub mod soc;
 pub use pels_desc::mem_map;
 
 pub use pels_desc::{DescError, ExecMode, ScenarioDesc, SystemDesc};
-pub use scenario::{
-    LinkingStats, Mediator, Scenario, ScenarioBuilder, ScenarioError, ScenarioReport,
-};
-pub use soc::{ConfigError, SchedStats, SensorKind, Soc, SocBuilder};
+pub use scenario::{LinkingStats, Mediator, Scenario, ScenarioError, ScenarioReport};
+pub use soc::{SchedStats, SensorKind, Soc};

@@ -19,10 +19,10 @@ use crate::baseline;
 use crate::event_map::*;
 use crate::mem_map::*;
 use crate::power_setup;
-use crate::soc::{ConfigError, SchedStats, SensorKind, Soc, SocBuilder};
+use crate::soc::{SchedStats, Soc};
 use pels_core::{ActionMode, Command, Cond, PelsConfig, Program, TriggerCond};
-use pels_desc::{DescError, ExecMode, ScenarioDesc};
-use pels_interconnect::{ApbSlave, ArbiterKind, Topology};
+use pels_desc::{DescError, ScenarioDesc};
+use pels_interconnect::ApbSlave;
 use pels_periph::{Spi, Timer};
 use pels_power::{Battery, EnergyLedger, LifetimeReport, PowerModel, PowerReport, PowerTimeline};
 use pels_sim::{ActivitySet, EventVector, Frequency, SimTime, Trace};
@@ -32,29 +32,14 @@ use std::ops::Deref;
 /// Why a [`Scenario`] could not be built — or, at run time, why it
 /// produced no measurement.
 ///
-/// Returned by [`ScenarioBuilder::build`] (construction-time validation)
+/// Returned by [`Scenario::from_desc`] (construction-time validation)
 /// and [`Scenario::try_run`] (runtime failure). A sweep engine maps each
 /// variant to a per-job failure instead of a harness panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ScenarioError {
-    /// `events == 0`: there is nothing to measure.
-    ZeroEvents,
-    /// `spi_words == 0`: the readout would transfer nothing, so the
-    /// end-of-transfer event driving the whole chain never fires.
-    ZeroSpiWords,
-    /// `sample_period` was zero: the timer would need a period of zero
-    /// cycles.
-    ZeroSamplePeriod,
-    /// The interrupt baseline (`Mediator::IbexIrq`) with `use_udma ==
-    /// false`: the handler image re-arms the µDMA channel and reads the
-    /// landed sample, so the combination cannot execute coherently.
-    IrqNeedsUdma,
-    /// The SoC configuration itself was invalid (zero links / SCM lines /
-    /// clkdiv).
-    Config(ConfigError),
-    /// Any other [`ScenarioDesc::validate`] failure, with the JSON path
-    /// of the offending value.
+    /// A [`ScenarioDesc::validate`] failure, with the JSON path of the
+    /// offending value.
     Desc(DescError),
     /// The run completed no linking event inside its cycle budget — a
     /// mis-targeted threshold, a mis-wired link, or a budget too small.
@@ -69,15 +54,6 @@ pub enum ScenarioError {
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ScenarioError::ZeroEvents => f.write_str("events must be at least 1"),
-            ScenarioError::ZeroSpiWords => f.write_str("spi_words must be at least 1"),
-            ScenarioError::ZeroSamplePeriod => {
-                f.write_str("sample_period must be non-zero")
-            }
-            ScenarioError::IrqNeedsUdma => {
-                f.write_str("the ibex-irq baseline requires use_udma (its handler reads the sample from L2)")
-            }
-            ScenarioError::Config(e) => write!(f, "invalid SoC configuration: {e}"),
             ScenarioError::Desc(e) => write!(f, "invalid description: {e}"),
             ScenarioError::NoEvents { mediator, budget } => write!(
                 f,
@@ -90,16 +66,9 @@ impl fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ScenarioError::Config(e) => Some(e),
             ScenarioError::Desc(e) => Some(e),
-            _ => None,
+            ScenarioError::NoEvents { .. } => None,
         }
-    }
-}
-
-impl From<ConfigError> for ScenarioError {
-    fn from(e: ConfigError) -> Self {
-        ScenarioError::Config(e)
     }
 }
 
@@ -161,15 +130,25 @@ impl LinkingStats {
 /// One evaluation run: a validated [`ScenarioDesc`] plus the machinery to
 /// execute it.
 ///
-/// The canonical ways to obtain one are [`Scenario::from_desc`] (from a
-/// description, possibly loaded via [`ScenarioDesc::from_json`]) and
-/// [`Scenario::builder`] (or the preset shorthands
-/// [`Scenario::iso_latency`] / [`Scenario::iso_frequency`] /
-/// [`Scenario::latency_probe`], which wrap it). Every path validates, so
-/// a `Scenario` in hand is always runnable. The scenario [`Deref`]s to
-/// its description for *reading* (`s.events`, `s.mediator`,
-/// `s.system.topology`, …); mutation routes through
-/// [`Scenario::to_builder`] so it cannot bypass validation.
+/// [`Scenario::from_desc`] is the one constructor; the presets
+/// ([`Scenario::iso_latency`], [`Scenario::iso_frequency`],
+/// [`Scenario::duty_cycled`], [`Scenario::latency_probe`]) build a
+/// description and hand it to it. Construction validates, so a
+/// `Scenario` in hand is always runnable. The scenario [`Deref`]s to its
+/// description for *reading* (`s.events`, `s.mediator`,
+/// `s.system.topology`, …); a variant is a new description:
+///
+/// ```
+/// use pels_soc::{Mediator, Scenario, ScenarioDesc};
+/// let s = Scenario::iso_frequency(Mediator::PelsInstant);
+/// let variant = Scenario::from_desc(ScenarioDesc {
+///     events: 8,
+///     ..s.desc().clone()
+/// })
+/// .expect("valid scenario");
+/// assert_eq!(variant.events, 8);
+/// assert!(Scenario::from_desc(ScenarioDesc { events: 0, ..s.desc().clone() }).is_err());
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     desc: ScenarioDesc,
@@ -183,234 +162,14 @@ impl Deref for Scenario {
     }
 }
 
-/// Chained, validating constructor for [`Scenario`] — the canonical
-/// construction path.
-///
-/// Starts from the paper's common base workload (2.5 V sensor vs 1.6 V
-/// threshold, 1 µs sample period, 2-word DMA readouts, 20 events) and
-/// lets each knob be overridden; [`ScenarioBuilder::build`] rejects
-/// configurations that could never measure anything.
-///
-/// ```
-/// use pels_soc::{Mediator, Scenario};
-/// let s = Scenario::builder()
-///     .mediator(Mediator::PelsInstant)
-///     .events(8)
-///     .pels_links(2)
-///     .build()
-///     .expect("valid scenario");
-/// assert_eq!(s.events, 8);
-/// assert!(Scenario::builder().events(0).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioBuilder {
-    draft: ScenarioDesc,
-}
-
-impl ScenarioBuilder {
-    /// Starts from the common base workload
-    /// ([`ScenarioDesc::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets who mediates the linking event.
-    pub fn mediator(mut self, mediator: Mediator) -> Self {
-        self.draft.mediator = mediator;
-        self
-    }
-
-    /// Sets the system clock.
-    pub fn frequency(mut self, freq: Frequency) -> Self {
-        self.draft.system.freq = freq;
-        self
-    }
-
-    /// Sets the analog threshold level (V).
-    pub fn threshold_level(mut self, level: f64) -> Self {
-        self.draft.threshold_level = level;
-        self
-    }
-
-    /// Selects the analog source.
-    pub fn sensor(mut self, sensor: SensorKind) -> Self {
-        self.draft.system.sensor = sensor;
-        self
-    }
-
-    /// Sets the wall-clock interval between sensor readouts.
-    pub fn sample_period(mut self, period: SimTime) -> Self {
-        self.draft.sample_period = period;
-        self
-    }
-
-    /// Sets the words per SPI readout.
-    pub fn spi_words(mut self, words: u32) -> Self {
-        self.draft.spi_words = words;
-        self
-    }
-
-    /// Sets the SPI cycles-per-word divider.
-    pub fn spi_clkdiv(mut self, clkdiv: u32) -> Self {
-        self.draft.system.set_spi_clkdiv(clkdiv);
-        self
-    }
-
-    /// Sets the number of linking events to measure.
-    pub fn events(mut self, events: u32) -> Self {
-        self.draft.events = events;
-        self
-    }
-
-    /// Replaces the whole PELS configuration (the loopback window is
-    /// assembly-owned and ignored).
-    pub fn pels(mut self, pels: PelsConfig) -> Self {
-        self.draft.system.pels = pels_desc::PelsDesc::from_config(&pels);
-        self
-    }
-
-    /// Sets the number of PELS links.
-    pub fn pels_links(mut self, links: usize) -> Self {
-        self.draft.system.pels.links = links;
-        self
-    }
-
-    /// Sets the SCM lines per link.
-    pub fn scm_lines(mut self, lines: usize) -> Self {
-        self.draft.system.pels.scm_lines = lines;
-        self
-    }
-
-    /// Sets the per-link trigger-FIFO depth.
-    pub fn fifo_depth(mut self, depth: usize) -> Self {
-        self.draft.system.pels.fifo_depth = depth;
-        self
-    }
-
-    /// `true` → minimal single-action program; `false` → full threshold
-    /// check.
-    pub fn rmw_only(mut self, rmw_only: bool) -> Self {
-        self.draft.rmw_only = rmw_only;
-        self
-    }
-
-    /// Whether readout data lands in L2 through the SPI µDMA channel.
-    pub fn use_udma(mut self, use_udma: bool) -> Self {
-        self.draft.use_udma = use_udma;
-        self
-    }
-
-    /// Selects the fabric topology.
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.draft.system.topology = topology;
-        self
-    }
-
-    /// Selects the arbitration policy.
-    pub fn arbiter(mut self, arbiter: ArbiterKind) -> Self {
-        self.draft.system.arbiter = arbiter;
-        self
-    }
-
-    /// Selects which simulation path the run executes on. All modes are
-    /// observationally identical (the differential suites prove it);
-    /// the slow ones exist for those suites and for before/after
-    /// benchmarks.
-    pub fn exec_mode(mut self, exec: ExecMode) -> Self {
-        self.draft.exec = exec;
-        self
-    }
-
-    /// Collects an observability metrics snapshot with the report (see
-    /// [`ScenarioDesc::obs`]).
-    pub fn obs(mut self, obs: bool) -> Self {
-        self.draft.obs = obs;
-        self
-    }
-
-    /// Samples a windowed activity timeline of the active run with the
-    /// given nominal window width in cycles; `0` disables sampling (see
-    /// [`ScenarioDesc::timeline_window`]).
-    pub fn timeline_window(mut self, window_cycles: u64) -> Self {
-        self.draft.timeline_window = window_cycles;
-        self
-    }
-
-    /// Records causal event flows during the active run (see
-    /// [`ScenarioDesc::flows`]). Pure observation, like [`Self::obs`]:
-    /// `tests/flow_invariance.rs` proves the run is bit-identical with
-    /// flows on and off.
-    pub fn flows(mut self, flows: bool) -> Self {
-        self.draft.flows = flows;
-        self
-    }
-
-    /// Integrates the run's power into an [`pels_power::EnergyLedger`]
-    /// and projects battery lifetime with the report (see
-    /// [`ScenarioDesc::lifetime`]). Pure post-processing over activity
-    /// the run records anyway: `tests/lifetime_invariance.rs` proves the
-    /// run is bit-identical with the ledger on and off.
-    pub fn lifetime(mut self, lifetime: bool) -> Self {
-        self.draft.lifetime = lifetime;
-        self
-    }
-
-    /// Validates and produces the scenario
-    /// (= [`Scenario::from_desc`] on the accumulated draft).
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::ZeroEvents`] / [`ScenarioError::ZeroSpiWords`] /
-    /// [`ScenarioError::ZeroSamplePeriod`] for unmeasurable workloads,
-    /// [`ScenarioError::IrqNeedsUdma`] for the interrupt baseline without
-    /// µDMA, [`ScenarioError::Config`] for an invalid PELS/SoC geometry,
-    /// and [`ScenarioError::Desc`] for anything else
-    /// [`ScenarioDesc::validate`] rejects.
-    pub fn build(self) -> Result<Scenario, ScenarioError> {
-        Scenario::from_desc(self.draft)
-    }
-}
-
 impl Scenario {
-    /// Starts a [`ScenarioBuilder`] from the common base workload — the
-    /// setter-style way to construct a scenario.
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder::new()
-    }
-
-    /// The canonical entry point: validates `desc` and wraps it as a
-    /// runnable scenario. [`ScenarioBuilder`] is a thin setter layer over
-    /// this.
+    /// Validates `desc` and wraps it as a runnable scenario.
     ///
     /// # Errors
     ///
-    /// The legacy unmeasurable-workload checks keep their legacy variants
-    /// (zero events / SPI words / sample period, the interrupt baseline
-    /// without µDMA, zero links / SCM lines / clkdiv); everything else
-    /// [`ScenarioDesc::validate`] catches is reported as
-    /// [`ScenarioError::Desc`] with the JSON path of the offending value.
+    /// [`ScenarioError::Desc`] with the JSON path of the first value
+    /// [`ScenarioDesc::validate`] rejects.
     pub fn from_desc(desc: ScenarioDesc) -> Result<Self, ScenarioError> {
-        if desc.events == 0 {
-            return Err(ScenarioError::ZeroEvents);
-        }
-        if desc.spi_words == 0 {
-            return Err(ScenarioError::ZeroSpiWords);
-        }
-        if desc.sample_period.as_ps() == 0 {
-            return Err(ScenarioError::ZeroSamplePeriod);
-        }
-        if desc.mediator == Mediator::IbexIrq && !desc.use_udma {
-            return Err(ScenarioError::IrqNeedsUdma);
-        }
-        if desc.system.pels.links == 0 {
-            return Err(ConfigError::ZeroLinks.into());
-        }
-        if desc.system.pels.scm_lines == 0 {
-            return Err(ConfigError::ZeroScmLines.into());
-        }
-        if desc.spi_clkdiv() == 0 {
-            return Err(ConfigError::ZeroClkdiv.into());
-        }
         desc.validate().map_err(ScenarioError::Desc)?;
         Ok(Scenario { desc })
     }
@@ -428,19 +187,20 @@ impl Scenario {
             Mediator::IbexIrq => Frequency::from_mhz(55.0),
             _ => Frequency::from_mhz(27.0),
         };
-        Self::builder()
-            .mediator(mediator)
-            .frequency(freq)
-            .build()
-            .expect("preset scenarios are valid by construction")
+        let mut desc = ScenarioDesc {
+            mediator,
+            ..ScenarioDesc::default()
+        };
+        desc.system.freq = freq;
+        Self::preset(desc)
     }
 
     /// Iso-frequency operating point (both at 55 MHz).
     pub fn iso_frequency(mediator: Mediator) -> Self {
-        Self::builder()
-            .mediator(mediator)
-            .build()
-            .expect("preset scenarios are valid by construction")
+        Self::preset(ScenarioDesc {
+            mediator,
+            ..ScenarioDesc::default()
+        })
     }
 
     /// A long-horizon duty-cycled sensor node: every `sample_period` the
@@ -454,46 +214,50 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if `sample_period` is zero or does not fit the timer's
-    /// 32-bit compare register at the default 55 MHz clock (periods up
-    /// to ~78 s).
+    /// Panics if `sample_period` is zero, if the horizon holds more than
+    /// `u32::MAX` periods, or if the description fails validation — e.g.
+    /// a period that does not fit the timer's 32-bit compare register at
+    /// the default 55 MHz clock (periods up to ~78 s).
     pub fn duty_cycled(mediator: Mediator, sample_period: SimTime, horizon: SimTime) -> Self {
         assert!(sample_period.as_ps() > 0, "sample_period must be non-zero");
         let events = (horizon.as_ps() / sample_period.as_ps()).max(1);
         assert!(events <= u64::from(u32::MAX), "horizon holds too many events");
-        let builder = Self::builder()
-            .mediator(mediator)
-            .sample_period(sample_period)
-            .events(events as u32)
-            .lifetime(true);
-        let period_cycles =
-            sample_period.as_ps() / builder.draft.system.freq.period_ps();
-        assert!(
-            period_cycles <= u64::from(u32::MAX),
-            "sample_period exceeds the timer's 32-bit compare range"
-        );
-        builder
-            .timeline_window(period_cycles.max(1))
-            .build()
-            .expect("preset scenarios are valid by construction")
+        let mut desc = ScenarioDesc {
+            mediator,
+            sample_period,
+            events: events as u32,
+            lifetime: true,
+            ..ScenarioDesc::default()
+        };
+        desc.timeline_window = u64::from(desc.timer_period_cycles());
+        Self::preset(desc)
     }
 
     /// The latency-table variant: minimal mediation program.
     pub fn latency_probe(mediator: Mediator) -> Self {
-        Self::builder()
-            .mediator(mediator)
-            .rmw_only(true)
-            .events(10)
-            .build()
-            .expect("preset scenarios are valid by construction")
+        Self::preset(ScenarioDesc {
+            mediator,
+            rmw_only: true,
+            events: 10,
+            ..ScenarioDesc::default()
+        })
     }
 
-    /// A [`ScenarioBuilder`] seeded with this scenario — derive a variant
-    /// without mutating fields in place.
-    pub fn to_builder(&self) -> ScenarioBuilder {
-        ScenarioBuilder {
-            draft: self.desc.clone(),
-        }
+    fn preset(desc: ScenarioDesc) -> Self {
+        Self::from_desc(desc).unwrap_or_else(|e| panic!("invalid preset scenario: {e}"))
+    }
+
+    /// The active window's cycle budget: per event one sample period,
+    /// one SPI readout and 64 cycles of slack, plus 2,000 cycles of
+    /// run-in. Saturates instead of overflowing.
+    pub fn cycle_budget(&self) -> u64 {
+        // At most (2^32 - 1)^2 + 2^32 + 63: the per-event term fits u64.
+        let per_event = u64::from(self.timer_period_cycles())
+            + u64::from(self.spi_words) * u64::from(self.spi_clkdiv())
+            + 64;
+        u64::from(self.events)
+            .saturating_mul(per_event)
+            .saturating_add(2_000)
     }
 
     /// The PELS microcode for this scenario, targeting the described
@@ -546,7 +310,8 @@ impl Scenario {
     /// it is public so harnesses (examples, differential tests) can step
     /// the system manually.
     pub fn build_soc(&self) -> Soc {
-        let mut soc = SocBuilder::from_desc(self.system.clone()).build();
+        let mut soc =
+            Soc::from_desc(&self.system).expect("scenario descriptions are validated");
         if self.flows {
             soc.enable_flows();
         }
@@ -633,10 +398,7 @@ impl Scenario {
             soc.start_timeline(self.timeline_window);
         }
         Self::arm_timer(&mut soc, self.timer_period_cycles());
-        let per_event = u64::from(self.timer_period_cycles())
-            + u64::from(self.spi_words * self.spi_clkdiv())
-            + 64;
-        let budget = u64::from(self.events) * per_event + 2_000;
+        let budget = self.cycle_budget();
         let marker = self.completion_marker();
         let wanted = self.events as usize;
         {
@@ -696,7 +458,7 @@ impl Scenario {
         // Energy ledger + lifetime projection: pure post-processing over
         // activity the run recorded anyway, computed after both windows
         // completed so it cannot perturb architectural results
-        // (`tests/lifetime_invariance.rs`). With a sampled timeline the
+        // (`tests/observation_invariance.rs`). With a sampled timeline the
         // ledger integrates per window; without one it integrates the
         // whole active window as a single sample.
         let (energy, lifetime) = if self.lifetime {
@@ -764,8 +526,8 @@ pub struct ScenarioReport {
     /// fleet merges these across jobs deterministically (bucket counts
     /// add, order-invariant).
     pub latency_hist: pels_obs::Histogram,
-    /// Windowed activity timeline of the active run — `Some` only when
-    /// the scenario was built with [`ScenarioBuilder::timeline_window`].
+    /// Windowed activity timeline of the active run — `Some` exactly
+    /// when [`ScenarioDesc::timeline_window`] is non-zero.
     pub timeline: Option<pels_sim::ActivityTimeline>,
     /// Linking events completed.
     pub events_completed: u32,
@@ -788,15 +550,15 @@ pub struct ScenarioReport {
     pub decode_cache_hits: u64,
     /// Decoded-instruction cache misses during the active run.
     pub decode_cache_misses: u64,
-    /// Full metrics snapshot of the active run — `Some` only when the
-    /// scenario was built with [`ScenarioBuilder::obs`].
+    /// Full metrics snapshot of the active run — `Some` exactly when
+    /// [`ScenarioDesc::obs`] is set.
     pub metrics: Option<pels_obs::MetricsSnapshot>,
-    /// Causal event-flow record of the active run — `Some` only when the
-    /// scenario was built with [`ScenarioBuilder::flows`]. Analyze it
-    /// with [`ScenarioReport::flow_report`].
+    /// Causal event-flow record of the active run — `Some` exactly when
+    /// [`ScenarioDesc::flows`] is set. Analyze it with
+    /// [`ScenarioReport::flow_report`].
     pub flows: Option<pels_sim::FlowTrace>,
-    /// Integrated per-component energy of the active run — `Some` only
-    /// when the scenario was built with [`ScenarioBuilder::lifetime`].
+    /// Integrated per-component energy of the active run — `Some` exactly
+    /// when [`ScenarioDesc::lifetime`] is set.
     pub energy: Option<EnergyLedger>,
     /// Battery-lifetime projection over [`Self::energy`] (the default
     /// coin cell) — `Some` exactly when `energy` is.
@@ -820,8 +582,7 @@ impl ScenarioReport {
     }
 
     /// Per-window power over the active run — `Some` only when the
-    /// scenario sampled a timeline
-    /// ([`ScenarioBuilder::timeline_window`]).
+    /// scenario sampled a timeline ([`ScenarioDesc::timeline_window`]).
     pub fn power_timeline(&self, model: &PowerModel) -> Option<pels_power::PowerTimeline> {
         self.timeline
             .as_ref()
@@ -835,7 +596,7 @@ impl ScenarioReport {
     }
 
     /// Per-stage latency attribution over the recorded flows — `Some`
-    /// only when the scenario ran with [`ScenarioBuilder::flows`].
+    /// only when the scenario ran with [`ScenarioDesc::flows`].
     ///
     /// The report decomposes the same eot→actuation segment
     /// [`LinkingStats`] measures, so its per-stage cycle sums telescope
@@ -859,7 +620,7 @@ impl ScenarioReport {
     ///
     /// Covers the headline measurements (latency statistics, window
     /// durations, events completed) plus the fast-path counters; when
-    /// the scenario ran with [`ScenarioBuilder::obs`] the full metrics
+    /// the scenario ran with [`ScenarioDesc::obs`] the full metrics
     /// snapshot is inlined under `"metrics"`, otherwise that field is
     /// `null`.
     pub fn to_json(&self) -> String {
@@ -942,6 +703,18 @@ impl ScenarioReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soc::SensorKind;
+
+    /// A sensor below the 1.6 V threshold: readouts happen, actuation
+    /// never does.
+    fn below_threshold() -> Scenario {
+        let mut desc = ScenarioDesc {
+            events: 3,
+            ..ScenarioDesc::default()
+        };
+        desc.system.sensor = SensorKind::Constant(1.0);
+        Scenario::from_desc(desc).unwrap()
+    }
 
     #[test]
     fn sequenced_rmw_latency_is_seven_cycles() {
@@ -976,11 +749,7 @@ mod tests {
 
     #[test]
     fn below_threshold_never_actuates() {
-        let s = Scenario::builder()
-            .sensor(SensorKind::Constant(1.0)) // below the 1.6 V threshold
-            .events(3)
-            .build()
-            .unwrap();
+        let s = below_threshold();
         let mut soc = s.build_soc();
         Scenario::arm_timer(&mut soc, s.timer_period_cycles());
         soc.run(3_000);
@@ -1007,7 +776,12 @@ mod tests {
     fn obs_snapshot_is_opt_in_and_does_not_perturb_results() {
         let base = Scenario::iso_frequency(Mediator::IbexIrq);
         let plain = base.run();
-        let observed = base.to_builder().obs(true).build().unwrap().run();
+        let observed = Scenario::from_desc(ScenarioDesc {
+            obs: true,
+            ..base.desc().clone()
+        })
+        .unwrap()
+        .run();
 
         // Opt-in: the snapshot only exists when requested.
         assert!(plain.metrics.is_none());
@@ -1058,12 +832,13 @@ mod tests {
 
     #[test]
     fn lifetime_without_timeline_integrates_one_window() {
-        let s = Scenario::builder()
-            .mediator(Mediator::IbexIrq)
-            .events(5)
-            .lifetime(true)
-            .build()
-            .unwrap();
+        let s = Scenario::from_desc(ScenarioDesc {
+            mediator: Mediator::IbexIrq,
+            events: 5,
+            lifetime: true,
+            ..ScenarioDesc::default()
+        })
+        .unwrap();
         let report = s.run();
         let ledger = report.energy.as_ref().unwrap();
         assert_eq!(ledger.windows(), 1);
@@ -1083,58 +858,56 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_unmeasurable_workloads() {
-        assert_eq!(
-            Scenario::builder().events(0).build().unwrap_err(),
-            ScenarioError::ZeroEvents
-        );
-        assert_eq!(
-            Scenario::builder().spi_words(0).build().unwrap_err(),
-            ScenarioError::ZeroSpiWords
-        );
-        assert_eq!(
-            Scenario::builder()
-                .sample_period(SimTime::ZERO)
-                .build()
-                .unwrap_err(),
-            ScenarioError::ZeroSamplePeriod
-        );
-        assert_eq!(
-            Scenario::builder()
-                .mediator(Mediator::IbexIrq)
-                .use_udma(false)
-                .build()
-                .unwrap_err(),
-            ScenarioError::IrqNeedsUdma
-        );
+    fn from_desc_rejects_unmeasurable_workloads_with_paths() {
+        type Edit = fn(&mut ScenarioDesc);
+        let cases: [(Edit, &str); 7] = [
+            (|d| d.events = 0, "/events"),
+            (|d| d.spi_words = 0, "/spi_words"),
+            (|d| d.sample_period = SimTime::ZERO, "/sample_period_ps"),
+            (
+                |d| {
+                    d.mediator = Mediator::IbexIrq;
+                    d.use_udma = false;
+                },
+                "/use_udma",
+            ),
+            (|d| d.system.pels.links = 0, "/system/pels/links"),
+            (|d| d.system.pels.scm_lines = 0, "/system/pels/scm_lines"),
+            (|d| d.system.set_spi_clkdiv(0), "/system/peripherals/2/clkdiv"),
+        ];
+        for (edit, path) in cases {
+            let mut desc = ScenarioDesc::default();
+            edit(&mut desc);
+            match Scenario::from_desc(desc) {
+                Err(ScenarioError::Desc(e)) => assert_eq!(e.path, path),
+                other => panic!("{path}: expected a Desc error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn builder_surfaces_config_errors() {
-        assert_eq!(
-            Scenario::builder().pels_links(0).build().unwrap_err(),
-            ScenarioError::Config(ConfigError::ZeroLinks)
-        );
-        assert_eq!(
-            Scenario::builder().scm_lines(0).build().unwrap_err(),
-            ScenarioError::Config(ConfigError::ZeroScmLines)
-        );
-        assert_eq!(
-            Scenario::builder().spi_clkdiv(0).build().unwrap_err(),
-            ScenarioError::Config(ConfigError::ZeroClkdiv)
-        );
+    fn cycle_budget_counts_every_event_and_saturates() {
+        let s = Scenario::iso_frequency(Mediator::PelsSequenced);
+        // 20 events × (54-cycle period + 2 words × clkdiv 4 + 64) + 2000.
+        assert_eq!(s.cycle_budget(), 20 * (54 + 2 * 4 + 64) + 2_000);
+
+        // The largest readout at the slowest SPI: `spi_words * clkdiv`
+        // overflows u32, and the whole budget overflows u64.
+        let mut desc = ScenarioDesc {
+            events: u32::MAX,
+            spi_words: (1 << 30) - 1,
+            ..ScenarioDesc::default()
+        };
+        desc.system.set_spi_clkdiv(u32::MAX);
+        let s = Scenario::from_desc(desc).unwrap();
+        assert_eq!(s.cycle_budget(), u64::MAX);
     }
 
     #[test]
     fn try_run_reports_no_events_instead_of_panicking() {
         // Sensor below threshold: readouts happen but the linking action
         // never fires, so the run completes no events.
-        let s = Scenario::builder()
-            .sensor(SensorKind::Constant(1.0))
-            .events(3)
-            .build()
-            .unwrap();
-        match s.try_run() {
+        match below_threshold().try_run() {
             Err(ScenarioError::NoEvents { mediator, .. }) => {
                 assert_eq!(mediator, Mediator::PelsSequenced);
             }
@@ -1143,19 +916,14 @@ mod tests {
     }
 
     #[test]
-    fn to_builder_round_trips_and_derives_variants() {
-        let base = Scenario::iso_latency(Mediator::PelsInstant);
-        let variant = base.to_builder().events(7).build().unwrap();
-        assert_eq!(variant.mediator, Mediator::PelsInstant);
-        assert_eq!(variant.freq(), base.freq());
-        assert_eq!(variant.events, 7);
-    }
-
-    #[test]
     fn error_display_and_source_are_useful() {
-        let e = ScenarioError::Config(ConfigError::ZeroLinks);
-        assert!(e.to_string().contains("invalid SoC configuration"));
+        let e = ScenarioError::Desc(DescError::new("/events", "events must be at least 1"));
+        assert!(e.to_string().contains("invalid description"));
         assert!(std::error::Error::source(&e).is_some());
-        assert!(std::error::Error::source(&ScenarioError::ZeroEvents).is_none());
+        let none = ScenarioError::NoEvents {
+            mediator: Mediator::IbexIrq,
+            budget: 10,
+        };
+        assert!(std::error::Error::source(&none).is_none());
     }
 }

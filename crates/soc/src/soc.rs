@@ -1,14 +1,12 @@
-//! The SoC top level and its builder.
+//! The SoC top level, assembled from a [`SystemDesc`].
 
 use crate::event_map::*;
 use crate::mem_map::*;
 use pels_core::pels::PelsBus;
-use pels_core::{Pels, PelsBuilder};
+use pels_core::Pels;
 use pels_cpu::{Cpu, CpuBus, CpuState, DataReq, DataResult};
 use pels_desc::{DescError, ExecMode, PeriphKind, SystemDesc};
-use pels_interconnect::{
-    AddrRange, ApbFabric, ApbRequest, ApbSlave, ArbiterKind, MasterId, SlaveId, Topology,
-};
+use pels_interconnect::{AddrRange, ApbFabric, ApbRequest, ApbSlave, MasterId, SlaveId};
 use pels_periph::{
     Adc, Gpio, I2c, IdleHint, L2Memory, PeriphCtx, Peripheral, SensorDevice, Spi, Timer, Uart,
     Watchdog,
@@ -17,203 +15,38 @@ use pels_sim::{
     ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, EventVector,
     Frequency, SimTime, Trace,
 };
-use std::fmt;
 
 /// The synthetic analog source (now owned by `pels-desc`, re-exported
 /// for compatibility).
 pub use pels_desc::SensorKind;
 
-/// A structurally invalid SoC configuration, caught by
-/// [`SocBuilder::try_build`] before any hardware is assembled.
-///
-/// Distinct from `pels_core::ConfigError` (a runtime register-access
-/// fault): this is a *construction-time* validation error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ConfigError {
-    /// `PelsConfig::links` was zero — a PELS with no links can never
-    /// mediate an event.
-    ZeroLinks,
-    /// `PelsConfig::scm_lines` was zero — a link with no microcode store
-    /// cannot hold even `halt`.
-    ZeroScmLines,
-    /// The SPI clock divider was zero — the serial clock would be
-    /// division-by-zero fast.
-    ZeroClkdiv,
-    /// Any other [`SystemDesc::validate`] failure, with the JSON path of
-    /// the offending value.
-    Desc(DescError),
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::ZeroLinks => f.write_str("PELS needs at least 1 link"),
-            ConfigError::ZeroScmLines => {
-                f.write_str("each PELS link needs at least 1 SCM line")
-            }
-            ConfigError::ZeroClkdiv => f.write_str("SPI clkdiv must be at least 1"),
-            ConfigError::Desc(e) => write!(f, "invalid system description: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ConfigError::Desc(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// Builder for [`Soc`], backed by a [`SystemDesc`].
-///
-/// [`SocBuilder::from_desc`] is the canonical entry point: every setter
-/// below is a thin wrapper mutating the underlying description, so the
-/// two construction styles cannot drift apart.
-/// [`SocBuilder::try_build`] validates the description and assembles it;
-/// [`SocBuilder::build`] is a panicking convenience wrapper over it.
-///
-/// ```
-/// use pels_soc::{SocBuilder, SensorKind};
-/// use pels_sim::Frequency;
-/// let soc = SocBuilder::new()
-///     .frequency(Frequency::from_mhz(55.0))
-///     .pels_links(4)
-///     .scm_lines(6)
-///     .sensor(SensorKind::Constant(2.0))
-///     .try_build()
-///     .expect("valid configuration");
-/// assert_eq!(soc.pels().link_count(), 4);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SocBuilder {
-    desc: SystemDesc,
-}
-
-impl SocBuilder {
-    /// Starts from [`SystemDesc::default`] (55 MHz, minimal PELS,
-    /// constant 2.5 V sensor, canonical peripherals).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The canonical entry point: a builder assembling exactly `desc`.
-    pub fn from_desc(desc: SystemDesc) -> Self {
-        SocBuilder { desc }
-    }
-
-    /// The description this builder assembles.
-    pub fn desc(&self) -> &SystemDesc {
-        &self.desc
-    }
-
-    /// Sets the system clock frequency.
-    pub fn frequency(mut self, freq: Frequency) -> Self {
-        self.desc.freq = freq;
-        self
-    }
-
-    /// Sets the number of PELS links.
-    pub fn pels_links(mut self, links: usize) -> Self {
-        self.desc.pels.links = links;
-        self
-    }
-
-    /// Sets the SCM lines per link.
-    pub fn scm_lines(mut self, lines: usize) -> Self {
-        self.desc.pels.scm_lines = lines;
-        self
-    }
-
-    /// Sets the per-link trigger-FIFO depth (0 = unbuffered ablation).
-    pub fn fifo_depth(mut self, depth: usize) -> Self {
-        self.desc.pels.fifo_depth = depth;
-        self
-    }
-
-    /// Selects the analog source.
-    pub fn sensor(mut self, sensor: SensorKind) -> Self {
-        self.desc.sensor = sensor;
-        self
-    }
-
-    /// Sets the SPI cycles-per-word divider.
-    pub fn spi_clkdiv(mut self, clkdiv: u32) -> Self {
-        self.desc.set_spi_clkdiv(clkdiv);
-        self
-    }
-
-    /// Selects the fabric topology (shared APB vs per-slave crossbar).
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.desc.topology = topology;
-        self
-    }
-
-    /// Selects the arbitration policy (round-robin vs fixed-priority).
-    pub fn arbiter(mut self, arbiter: ArbiterKind) -> Self {
-        self.desc.arbiter = arbiter;
-        self
-    }
-
-    /// Whether the timer compare event starts an SPI transfer (the
-    /// autonomous-readout wiring of the paper's workload). Default true.
-    pub fn timer_starts_spi(mut self, wired: bool) -> Self {
-        self.desc.timer_starts_spi = wired;
-        self
-    }
-
-    /// Assembles the SoC, validating the description first.
+impl Soc {
+    /// Validates `desc` and assembles exactly the SoC it describes.
+    ///
+    /// ```
+    /// use pels_soc::{Soc, SystemDesc};
+    /// let mut desc = SystemDesc::default();
+    /// desc.pels.links = 4;
+    /// let soc = Soc::from_desc(&desc).expect("valid description");
+    /// assert_eq!(soc.pels().link_count(), 4);
+    /// ```
     ///
     /// # Errors
     ///
-    /// The legacy impossibilities keep their legacy variants (zero links,
-    /// zero SCM lines, zero clkdiv); everything else
-    /// [`SystemDesc::validate`] catches — bad slots, missing or
-    /// duplicated peripherals, out-of-range geometry — is reported as
-    /// [`ConfigError::Desc`] with the JSON path of the offending value.
-    pub fn try_build(self) -> Result<Soc, ConfigError> {
-        if self.desc.pels.links == 0 {
-            return Err(ConfigError::ZeroLinks);
-        }
-        if self.desc.pels.scm_lines == 0 {
-            return Err(ConfigError::ZeroScmLines);
-        }
-        if self.desc.spi_clkdiv() == 0 {
-            return Err(ConfigError::ZeroClkdiv);
-        }
-        self.desc.validate().map_err(ConfigError::Desc)?;
-        Ok(self.assemble())
-    }
-
-    /// Assembles the SoC.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration; [`SocBuilder::try_build`] is
-    /// the non-panicking canonical path.
-    pub fn build(self) -> Soc {
-        self.try_build()
-            .unwrap_or_else(|e| panic!("invalid SoC configuration: {e}"))
-    }
-
-    fn assemble(self) -> Soc {
+    /// Whatever [`SystemDesc::validate`] rejects — zero or out-of-range
+    /// PELS geometry, bad slots, missing or duplicated peripherals, a
+    /// zero SPI divider — as a [`DescError`] with the JSON path of the
+    /// offending value.
+    pub fn from_desc(desc: &SystemDesc) -> Result<Soc, DescError> {
+        desc.validate()?;
         // PELS loopback window: lines 40..=47 feed back for inter-link
         // triggering.
-        let loopback: EventVector =
-            (AL_LOOPBACK_FIRST..=AL_LOOPBACK_LAST).collect();
-        let mut pels_cfg = self.desc.pels.to_config();
-        pels_cfg.loopback = loopback;
-        let pels = PelsBuilder::new()
-            .links(pels_cfg.links)
-            .scm_lines(pels_cfg.scm_lines)
-            .fifo_depth(pels_cfg.fifo_depth)
-            .loopback(loopback)
-            .build();
+        let mut pels_cfg = desc.pels.to_config();
+        pels_cfg.loopback = (AL_LOOPBACK_FIRST..=AL_LOOPBACK_LAST).collect();
+        let pels = Pels::new(pels_cfg);
 
         let mut fabric: ApbFabric<Box<dyn Peripheral>> =
-            ApbFabric::with_config(self.desc.topology, self.desc.arbiter);
+            ApbFabric::with_config(desc.topology, desc.arbiter);
         let cpu_master = fabric.add_master("ibex");
         let pels_masters: Vec<MasterId> = (0..pels_cfg.links)
             .map(|i| fabric.add_master(format!("pels.link{i}")))
@@ -224,8 +57,8 @@ impl SocBuilder {
         let slot = |off: u32| AddrRange::new(APB_BASE + off, APB_STRIDE);
         let (mut gpio_id, mut timer_id, mut spi_id, mut adc_id) = (None, None, None, None);
         let (mut uart_id, mut wdt_id, mut i2c_id) = (None, None, None);
-        let mut periph_names = Vec::with_capacity(self.desc.peripherals.len());
-        for inst in &self.desc.peripherals {
+        let mut periph_names = Vec::with_capacity(desc.peripherals.len());
+        for inst in &desc.peripherals {
             periph_names.push(inst.kind.name());
             let boxed: Box<dyn Peripheral> = match inst.kind {
                 PeriphKind::Gpio => {
@@ -245,19 +78,19 @@ impl SocBuilder {
                     Box::new(timer)
                 }
                 PeriphKind::Spi { clkdiv } => {
-                    let mut spi = Spi::new("spi", Box::new(self.desc.sensor.quantizer()));
+                    let mut spi = Spi::new("spi", Box::new(desc.sensor.quantizer()));
                     spi.wire_eot_event(EV_SPI_EOT)
                         .wire_udma_done_event(EV_SPI_UDMA_DONE);
-                    if self.desc.timer_starts_spi {
+                    if desc.timer_starts_spi {
                         spi.wire_start_action(EV_TIMER_CMP);
                     }
                     spi.write(Spi::CLKDIV, clkdiv)
-                        .expect("clkdiv is validated by the builder");
+                        .expect("clkdiv is validated above");
                     Box::new(spi)
                 }
                 PeriphKind::Adc { conversion_cycles } => {
                     let mut adc =
-                        Adc::new("adc", self.desc.sensor.quantizer(), conversion_cycles);
+                        Adc::new("adc", desc.sensor.quantizer(), conversion_cycles);
                     adc.wire_done_event(EV_ADC_DONE)
                         .wire_start_action(AL_ADC_START);
                     Box::new(adc)
@@ -277,7 +110,7 @@ impl SocBuilder {
                     let mut i2c = I2c::new("i2c");
                     i2c.attach(Box::new(SensorDevice::new(
                         0x48,
-                        self.desc.sensor.quantizer(),
+                        desc.sensor.quantizer(),
                     )))
                     .wire_done_event(EV_I2C_DONE)
                     .wire_nack_event(EV_I2C_NACK)
@@ -323,8 +156,8 @@ impl SocBuilder {
                 .collect(),
         };
 
-        Soc {
-            freq: self.desc.freq,
+        Ok(Soc {
+            freq: desc.freq,
             cycle: 0,
             l2: L2Memory::new(L2_SIZE),
             fabric,
@@ -365,7 +198,7 @@ impl SocBuilder {
             naive_ticking: false,
             clock_ids,
             sampler: None,
-        }
+        })
     }
 }
 
@@ -375,7 +208,7 @@ impl SocBuilder {
 /// The sampler never changes how the SoC advances: it only *reads* the
 /// cumulative activity image at observation points the run loops already
 /// pass through, so obs-off and timeline-on runs are bit-identical in
-/// every architectural result (`tests/obs_invariance.rs`).
+/// every architectural result (`tests/observation_invariance.rs`).
 struct TimelineSampler {
     /// Nominal window width in cycles.
     window_cycles: u64,
@@ -431,8 +264,8 @@ enum SlaveSleep {
 /// each cycle took, how much whole-SoC idle time was jumped, and how
 /// often slaves changed sleep state. Pure observation — nothing in the
 /// scheduler reads these back, so recording them cannot perturb
-/// behaviour (`tests/obs_invariance.rs` proves runs are bit-identical
-/// with observability on or off).
+/// behaviour (`tests/observation_invariance.rs` proves runs are
+/// bit-identical with observability on or off).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Cycles stepped on the fast active-list path (no sleeper could
@@ -950,7 +783,8 @@ impl Soc {
 
     /// Turns on causal event-flow tracing (see `pels_sim::flow`). Off by
     /// default; enabling is a pure-observation switch — the differential
-    /// `flow_invariance` suite proves runs are bit-identical either way.
+    /// `observation_invariance` suite proves runs are bit-identical either
+    /// way.
     pub fn enable_flows(&mut self) {
         self.trace.enable_flows();
     }
@@ -1562,10 +1396,17 @@ impl Soc {
 mod tests {
     use super::*;
     use pels_cpu::asm;
+    use pels_interconnect::{ArbiterKind, Topology};
+
+    fn default_soc() -> Soc {
+        Soc::from_desc(&SystemDesc::default()).unwrap()
+    }
 
     #[test]
-    fn builder_produces_wired_soc() {
-        let soc = SocBuilder::new().pels_links(2).build();
+    fn from_desc_produces_wired_soc() {
+        let mut desc = SystemDesc::default();
+        desc.pels.links = 2;
+        let soc = Soc::from_desc(&desc).unwrap();
         assert_eq!(soc.pels().link_count(), 2);
         assert_eq!(soc.gpio().out(), 0);
         assert!(!soc.spi().is_busy());
@@ -1574,7 +1415,7 @@ mod tests {
 
     #[test]
     fn cpu_runs_program_from_l2() {
-        let mut soc = SocBuilder::new().build();
+        let mut soc = default_soc();
         let mut p = vec![];
         p.extend(asm::li32(1, 123));
         p.push(asm::wfi());
@@ -1586,7 +1427,7 @@ mod tests {
 
     #[test]
     fn cpu_reaches_peripherals_over_fabric() {
-        let mut soc = SocBuilder::new().build();
+        let mut soc = default_soc();
         let mut p = vec![];
         p.extend(asm::li32(1, apb_reg(GPIO_OFFSET, Gpio::PADOUTSET)));
         p.extend(asm::li32(2, 0xA5));
@@ -1600,7 +1441,7 @@ mod tests {
     #[test]
     fn cpu_configures_pels_over_config_port() {
         use pels_core::regs;
-        let mut soc = SocBuilder::new().build();
+        let mut soc = default_soc();
         let mut p = vec![];
         // Write link0 mask-lo = 0x4 (listen to line 2).
         p.extend(asm::li32(
@@ -1623,7 +1464,7 @@ mod tests {
 
     #[test]
     fn timer_event_starts_spi_autonomously() {
-        let mut soc = SocBuilder::new().build();
+        let mut soc = default_soc();
         // Program the timer via the bus-less test path.
         soc.timer_mut().write(Timer::CMP, 10).unwrap();
         soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
@@ -1636,7 +1477,7 @@ mod tests {
 
     #[test]
     fn wfi_gates_cpu_clock_in_activity() {
-        let mut soc = SocBuilder::new().build();
+        let mut soc = default_soc();
         soc.load_program(RESET_PC, &[asm::wfi()]);
         soc.run(100);
         let a = soc.drain_activity();
@@ -1648,7 +1489,7 @@ mod tests {
 
     #[test]
     fn drain_resets_window() {
-        let mut soc = SocBuilder::new().build();
+        let mut soc = default_soc();
         soc.run(10);
         let _ = soc.drain_activity();
         assert_eq!(soc.window_cycles(), 0);
@@ -1659,7 +1500,11 @@ mod tests {
 
     #[test]
     fn injected_events_reach_pels_and_irq_paths() {
-        let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+        let desc = SystemDesc {
+            timer_starts_spi: false,
+            ..SystemDesc::default()
+        };
+        let mut soc = Soc::from_desc(&desc).unwrap();
         soc.pels_mut().link_mut(0).set_mask(EventVector::mask_of(&[9]));
         soc.pels_mut()
             .link_mut(0)
@@ -1690,7 +1535,7 @@ mod tests {
 
     #[test]
     fn sched_stats_and_metrics_reflect_a_busy_run() {
-        let mut soc = SocBuilder::new().build();
+        let mut soc = default_soc();
         let mut p = vec![];
         p.extend(asm::li32(1, apb_reg(GPIO_OFFSET, Gpio::PADOUTSET)));
         p.extend(asm::li32(2, 0xA5));
@@ -1730,15 +1575,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_is_a_thin_wrapper_over_the_desc() {
-        // The setter API and from_desc must describe the same machine.
-        let via_setters = SocBuilder::new()
-            .pels_links(3)
-            .scm_lines(8)
-            .spi_clkdiv(2)
-            .sensor(SensorKind::Constant(1.0))
-            .topology(Topology::PerSlaveCrossbar)
-            .arbiter(ArbiterKind::FixedPriority);
+    fn from_desc_assembles_the_described_system() {
         let mut desc = SystemDesc::default();
         desc.pels.links = 3;
         desc.pels.scm_lines = 8;
@@ -1746,19 +1583,24 @@ mod tests {
         desc.sensor = SensorKind::Constant(1.0);
         desc.topology = Topology::PerSlaveCrossbar;
         desc.arbiter = ArbiterKind::FixedPriority;
-        assert_eq!(via_setters.desc(), &desc);
-        let soc = SocBuilder::from_desc(desc).try_build().expect("valid desc");
+        let soc = Soc::from_desc(&desc).expect("valid desc");
         assert_eq!(soc.pels().link_count(), 3);
+        assert_eq!(soc.pels().config().scm_lines, 8);
     }
 
     #[test]
-    fn builder_reports_desc_errors_with_paths() {
-        let mut desc = SystemDesc::default();
-        desc.peripherals[1].offset = 12;
-        let err = SocBuilder::from_desc(desc).try_build().unwrap_err();
-        match err {
-            ConfigError::Desc(e) => assert_eq!(e.path, "/peripherals/1/offset"),
-            other => panic!("expected a Desc error, got {other:?}"),
+    fn from_desc_reports_desc_errors_with_paths() {
+        type Edit = fn(&mut SystemDesc);
+        let cases: [(Edit, &str); 4] = [
+            (|d| d.peripherals[1].offset = 12, "/peripherals/1/offset"),
+            (|d| d.pels.links = 0, "/pels/links"),
+            (|d| d.pels.scm_lines = 0, "/pels/scm_lines"),
+            (|d| d.set_spi_clkdiv(0), "/peripherals/2/clkdiv"),
+        ];
+        for (edit, path) in cases {
+            let mut desc = SystemDesc::default();
+            edit(&mut desc);
+            assert_eq!(Soc::from_desc(&desc).unwrap_err().path, path);
         }
     }
 }

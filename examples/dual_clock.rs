@@ -18,7 +18,7 @@ use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::Watchdog;
 use pels_repro::sim::{EventVector, Frequency, SimTime};
 use pels_repro::soc::mem_map::RESET_PC;
-use pels_repro::soc::{Soc, SocBuilder};
+use pels_repro::soc::{Soc, SystemDesc};
 
 /// Global event line carrying the always-on domain's tick into the SoC.
 const EV_RTC_TICK: u32 = 12;
@@ -27,10 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let soc_freq = Frequency::from_mhz(55.0);
     let rtc_freq = Frequency::from_period_ps(30_517_578); // ~32.768 kHz
 
-    let mut soc = SocBuilder::new()
-        .frequency(soc_freq)
-        .timer_starts_spi(false)
-        .build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        freq: soc_freq,
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    })?;
 
     // The watchdog would bite every ~1100 cycles (20 us at 55 MHz); the
     // 32 kHz tick (every ~30.5 us)... would be too slow, so give it a

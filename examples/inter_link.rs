@@ -17,14 +17,16 @@ use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::Timer;
 use pels_repro::sim::EventVector;
 use pels_repro::soc::mem_map::{pels_word_offset, APB_BASE, SPI_OFFSET, UART_OFFSET};
-use pels_repro::soc::{SensorKind, SocBuilder};
+use pels_repro::soc::{SensorKind, Soc, SystemDesc};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut soc = SocBuilder::new()
-        .pels_links(2)
-        .scm_lines(4)
-        .sensor(SensorKind::Constant(2.8)) // above threshold
-        .build();
+    let mut desc = SystemDesc {
+        sensor: SensorKind::Constant(2.8), // above threshold
+        ..SystemDesc::default()
+    };
+    desc.pels.links = 2;
+    desc.pels.scm_lines = 4;
+    let mut soc = Soc::from_desc(&desc)?;
 
     // Link 0: capture SPI sample, compare, chain to link 1 via line 40.
     let spi_last = pels_word_offset(SPI_OFFSET, pels_repro::periph::Spi::LAST);

@@ -6,7 +6,7 @@
 //! ```
 
 use pels_repro::core::pels::NoBus;
-use pels_repro::core::{assemble, PelsBuilder, TriggerCond};
+use pels_repro::core::{assemble, Pels, TriggerCond};
 use pels_repro::sim::{EventVector, SimTime, Trace};
 use pels_repro::soc::SystemDesc;
 
@@ -32,10 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    configuration, loaded from `examples/descs/` — and configure
     //    link 0 to trigger on event line 3.
     let desc = SystemDesc::from_json(SYSTEM_JSON)?;
-    let mut pels = PelsBuilder::new()
-        .links(desc.pels.links)
-        .scm_lines(desc.pels.scm_lines)
-        .build();
+    let mut pels = Pels::new(desc.pels.to_config());
     pels.link_mut(0)
         .set_mask(EventVector::mask_of(&[3]))
         .set_condition(TriggerCond::Any);

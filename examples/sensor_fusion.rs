@@ -19,7 +19,7 @@ use pels_repro::periph::Timer;
 use pels_repro::sim::EventVector;
 use pels_repro::soc::event_map::{EV_ADC_DONE, EV_SPI_EOT};
 use pels_repro::soc::mem_map::RESET_PC;
-use pels_repro::soc::{SocBuilder, SystemDesc};
+use pels_repro::soc::{Soc, SystemDesc};
 
 /// The committed description of the fusion system: the default SoC with
 /// a 2.0 V constant sensor (regenerate with `reproduce -- desc`).
@@ -30,7 +30,7 @@ const SYSTEM_JSON: &str = include_str!(concat!(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let desc = SystemDesc::from_json(SYSTEM_JSON)?;
-    let mut soc = SocBuilder::from_desc(desc.clone()).build();
+    let mut soc = Soc::from_desc(&desc)?;
 
     // Both front-ends are kicked by the same timer event; their
     // completion latencies differ (SPI: 8 cycles for 2 words at clkdiv 4;
@@ -69,10 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Now skew the ADC by one cycle (17-cycle conversions): the pulses
     // never coincide and the AND condition goes quiet. Same described
     // system, second instance.
-    let mut soc = SocBuilder::from_desc(desc).build();
+    let mut soc = Soc::from_desc(&desc)?;
     soc.spi_mut().set_default_len(4);
     // Rebuild the ADC with a 17-cycle conversion by re-wiring through the
-    // public API: the builder fixes conversion cycles, so emulate the
+    // public API: the description fixes conversion cycles, so emulate the
     // skew by shortening the SPI transfer instead (3 words = 12 cycles).
     soc.spi_mut().set_default_len(3);
     soc.adc_mut().wire_start_action(pels_repro::soc::event_map::EV_TIMER_CMP);

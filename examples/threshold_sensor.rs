@@ -8,24 +8,25 @@
 //! cargo run --example threshold_sensor
 //! ```
 
-use pels_repro::soc::{Mediator, Scenario, SensorKind};
+use pels_repro::soc::{Mediator, Scenario, ScenarioDesc, SensorKind};
 
 fn main() {
     for mediator in [Mediator::PelsSequenced, Mediator::PelsInstant] {
         // A thermistor-style ramp: starts below the 1.6 V threshold and
         // crosses it at a known time; only readouts after the crossing
         // may actuate.
-        let scenario = Scenario::builder()
-            .mediator(mediator)
-            .sensor(SensorKind::NoisyRamp {
-                start: 1.2,
-                slope_per_us: 0.05,
-                sigma: 0.01,
-                seed: 2024,
-            })
-            .events(8)
-            .build()
-            .expect("valid scenario");
+        let mut desc = ScenarioDesc {
+            mediator,
+            events: 8,
+            ..ScenarioDesc::default()
+        };
+        desc.system.sensor = SensorKind::NoisyRamp {
+            start: 1.2,
+            slope_per_us: 0.05,
+            sigma: 0.01,
+            seed: 2024,
+        };
+        let scenario = Scenario::from_desc(desc).expect("valid scenario");
 
         let report = scenario.run();
         println!("== mediator: {mediator} @ {} ==", report.freq);

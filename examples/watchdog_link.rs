@@ -17,7 +17,7 @@ use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::{Timer, Watchdog};
 use pels_repro::sim::EventVector;
 use pels_repro::soc::mem_map::RESET_PC;
-use pels_repro::soc::{Soc, SocBuilder};
+use pels_repro::soc::{Soc, SystemDesc};
 
 const WDT_TIMEOUT: u32 = 40;
 const RUN_CYCLES: u64 = 2_000;
@@ -32,8 +32,13 @@ fn arm_watchdog(soc: &mut Soc) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let desc = SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    };
+
     // Run 1: unattended watchdog.
-    let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+    let mut soc = Soc::from_desc(&desc)?;
     arm_watchdog(&mut soc);
     soc.run(RUN_CYCLES);
     let unattended_bites = soc.wdt().bites();
@@ -42,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run 2: a PELS link kicks it every 25 cycles (well inside the
     // 40-cycle timeout). The kick is an instant action on line 25; the
     // link re-triggers itself off the periodic timer.
-    let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+    let mut soc = Soc::from_desc(&desc)?;
     arm_watchdog(&mut soc);
     let kick_program = assemble(
         "; watchdog service, no CPU involved

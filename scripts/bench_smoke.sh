@@ -8,10 +8,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Compile guard: the ExecMode differential switch (ScenarioBuilder::
-# exec_mode + Soc::set_exec_mode) must keep compiling — the
-# differential tests are the only proof the fast path is
-# observationally invisible.
+# Compile guard: the ExecMode differential switch (ScenarioDesc::exec +
+# Soc::set_exec_mode) must keep compiling — the differential tests are
+# the only proof the fast path is observationally invisible.
 cargo test -q --test active_path --no-run
 echo "bench_smoke: active_path differential suite compiles OK"
 
@@ -26,22 +25,20 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 cargo bench -q -p pels-bench --bench fleet -- --sample-size 10
 echo "bench_smoke: fleet OK"
 
-# Causal flow gate: run (not just compile) the suites that prove flow
-# recording is pure observation (bit-identical runs with flows on/off
-# across every ExecMode, fleet digest invariant) and that the per-stage
-# attribution telescopes exactly to the measured per-event latencies
-# (paper probes decompose to 7/2/16 cycles, randomized scenarios sum
-# exactly, FlowReport merge is order-invariant).
-cargo test -q --test flow_invariance
+# Observation gate: run (not just compile) the suite that proves every
+# probe is pure observation — metrics snapshot, activity timeline,
+# causal flows and energy ledger, every non-empty subset × ExecMode ×
+# mediator bit-identical to the plain run, fleet digest invariant under
+# each probe and worker count — plus what each probe records (timeline
+# windows partition the run, flow attribution is mode-independent, the
+# ledger partitions the power timeline, merged ledgers match across
+# workers). Then the flow property suite: the per-stage attribution
+# telescopes exactly to the measured per-event latencies (paper probes
+# decompose to 7/2/16 cycles, randomized scenarios sum exactly,
+# FlowReport merge is order-invariant).
+cargo test -q --test observation_invariance
 cargo test -q --test flow_properties
-echo "bench_smoke: causal flow differential + property suites OK"
-
-# Energy-ledger gate: run the differential suite that proves the
-# lifetime layer is pure observation — ledger on/off runs bit-identical
-# across every mediator, blame rows partition the timeline exactly, and
-# fleet digests plus the merged ledger are invariant under worker count.
-cargo test -q --test lifetime_invariance
-echo "bench_smoke: energy ledger invariance suite OK"
+echo "bench_smoke: observation invariance + flow property suites OK"
 
 # Observability gate: regenerate the OBS artifacts with the profiler on
 # (plus a reduced-horizon lifetime projection), then schema-check them —

@@ -16,7 +16,7 @@ use pels_repro::periph::{Spi, Timer};
 use pels_repro::sim::{ActivityKind, ActivitySet, Rng};
 use pels_repro::soc::event_map::{EV_GPIO_RISE, EV_TIMER_CMP};
 use pels_repro::soc::mem_map::RESET_PC;
-use pels_repro::soc::{ExecMode, Mediator, Scenario, Soc, SocBuilder};
+use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, Soc, SystemDesc};
 use pels_repro::{core as pels_core, cpu::asm};
 
 /// One externally applied stimulus step, generated once and replayed
@@ -43,7 +43,9 @@ fn activity_image(a: &ActivitySet) -> BTreeMap<(&'static str, ActivityKind), u64
 /// every cycle and the SoC never reaches a whole-chip skip).
 fn busy_workload_soc(naive: bool) -> Soc {
     use pels_repro::soc::event_map::AL_GPIO_TOGGLE;
-    let mut soc = SocBuilder::new().pels_links(2).build();
+    let mut desc = SystemDesc::default();
+    desc.pels.links = 2;
+    let mut soc = Soc::from_desc(&desc).unwrap();
     soc.pels_mut()
         .link_mut(0)
         .set_mask(pels_repro::sim::EventVector::mask_of(&[EV_TIMER_CMP]));
@@ -162,12 +164,12 @@ fn scenario_reports_identical_fast_vs_naive() {
         Mediator::IbexIrq,
     ] {
         let fast = Scenario::iso_frequency(mediator).run();
-        let naive = Scenario::iso_frequency(mediator)
-            .to_builder()
-            .exec_mode(ExecMode::Naive)
-            .build()
-            .expect("preset variant stays valid")
-            .run();
+        let naive = Scenario::from_desc(ScenarioDesc {
+            exec: ExecMode::Naive,
+            ..Scenario::iso_frequency(mediator).desc().clone()
+        })
+        .expect("preset variant stays valid")
+        .run();
         let ctx = format!("{mediator}");
         assert_eq!(fast.events_completed, naive.events_completed, "{ctx}: events");
         assert_eq!(fast.latencies, naive.latencies, "{ctx}: latencies");
@@ -204,7 +206,7 @@ fn irq_delivery_in_straight_line_kernel_is_cycle_exact_vs_naive() {
     let bit = irq_bit_for_event(EV_ADC_DONE);
     let vector_table = RESET_PC + 0x200;
     let build = |naive: bool| {
-        let mut soc = SocBuilder::new().build();
+        let mut soc = Soc::from_desc(&SystemDesc::default()).unwrap();
         // Straight-line kernel: six ALU ops closed by a jump — an
         // 8-cycle loop body the IRQ arrival sweeps across.
         soc.load_program(
@@ -271,25 +273,6 @@ fn run_for_trace_count_matches_stepped_predicate_wait() {
     assert_identical(&fast, &naive, "after trace-count wait");
 }
 
-/// [`ExecMode`] selection on the scenario builder: the default is
-/// `Fast`, an explicit mode sticks, and the last call wins.
-#[test]
-fn exec_mode_selection_is_explicit_and_last_wins() {
-    let default = Scenario::builder().build().unwrap();
-    assert_eq!(default.exec, ExecMode::Fast);
-    let naive = Scenario::builder()
-        .exec_mode(ExecMode::Naive)
-        .build()
-        .unwrap();
-    assert_eq!(naive.exec, ExecMode::Naive);
-    let last_wins = Scenario::builder()
-        .exec_mode(ExecMode::Naive)
-        .exec_mode(ExecMode::Fast)
-        .build()
-        .unwrap();
-    assert_eq!(last_wins.exec, ExecMode::Fast);
-}
-
 /// A never-sleeping compute loop dense in dependent instruction pairs:
 /// a `lui+addi` pair, a same-rd ALU-immediate chain and an always-taken
 /// `slt+bne` compare-and-branch.
@@ -330,7 +313,9 @@ fn long_alu_kernel() -> Vec<u32> {
 /// every timer compare match at `timer_cmp`.
 fn compute_kernel_soc(kernel: &[u32], timer_cmp: u32) -> Soc {
     use pels_repro::soc::event_map::AL_GPIO_TOGGLE;
-    let mut soc = SocBuilder::new().pels_links(2).build();
+    let mut desc = SystemDesc::default();
+    desc.pels.links = 2;
+    let mut soc = Soc::from_desc(&desc).unwrap();
     soc.pels_mut()
         .link_mut(0)
         .set_mask(pels_repro::sim::EventVector::mask_of(&[EV_TIMER_CMP]));
@@ -406,7 +391,7 @@ fn irq_delivery_across_dependent_pairs_is_cycle_exact() {
     let bit = irq_bit_for_event(EV_ADC_DONE);
     let vector_table = RESET_PC + 0x200;
     let build = |naive: bool| {
-        let mut soc = SocBuilder::new().build();
+        let mut soc = Soc::from_desc(&SystemDesc::default()).unwrap();
         soc.load_program(RESET_PC, &pair_dense_kernel());
         soc.load_program(
             vector_table + 4 * bit,

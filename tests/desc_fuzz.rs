@@ -9,15 +9,13 @@
 //! runs on the paper presets). Deliberately broken descriptions must be
 //! rejected with a [`DescError`] that names the offending JSON path.
 //!
-//! A second set of tests pins the API redesign itself: the legacy
-//! setter-chain builders are thin wrappers over [`ScenarioDesc`], so a
-//! scenario built either way must be *equal* — and must measure
-//! identically, down to the fleet digest.
+//! A last test pins the sweep layer to the descriptions it expands: a
+//! `SweepSpec` job and the same [`ScenarioDesc`] built by hand must
+//! measure identically, down to the fleet digest.
 
 use pels_fleet::{FleetEngine, SweepSpec};
 use pels_repro::desc::{DescFuzzer, FuzzCase};
 use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, SystemDesc};
-use pels_sim::Frequency;
 
 /// Generate→validate→differential iterations (the ISSUE floor is 200).
 const ITERATIONS: usize = 240;
@@ -122,38 +120,6 @@ fn shipped_corpus_round_trips_bit_identically() {
             }
         }
     }
-}
-
-#[test]
-fn from_desc_equals_legacy_builder_and_measures_identically() {
-    // The same scenario, built both ways.
-    let legacy = Scenario::builder()
-        .mediator(Mediator::PelsInstant)
-        .frequency(Frequency::from_mhz(27.0))
-        .pels_links(4)
-        .events(10)
-        .build()
-        .expect("legacy chain is valid");
-    let mut desc = ScenarioDesc {
-        mediator: Mediator::PelsInstant,
-        events: 10,
-        ..ScenarioDesc::default()
-    };
-    desc.system.freq = Frequency::from_mhz(27.0);
-    desc.system.pels.links = 4;
-    let described = Scenario::from_desc(desc).expect("desc is valid");
-    assert_eq!(legacy, described, "setters are a thin wrapper over the desc");
-
-    let a = legacy.run();
-    let b = described.run();
-    assert_eq!(a.latencies, b.latencies);
-    assert_eq!(a.events_completed, b.events_completed);
-    assert_eq!(a.stats, b.stats);
-    assert_eq!(a.active_window, b.active_window);
-    assert_eq!(a.idle_window, b.idle_window);
-    assert_eq!(a.trace.entries(), b.trace.entries());
-    assert_eq!(a.active_activity, b.active_activity);
-    assert_eq!(a.idle_activity, b.idle_activity);
 }
 
 #[test]

@@ -6,14 +6,16 @@
 //! so in its own slot without poisoning its siblings.
 
 use pels_fleet::{FleetEngine, JobError, SweepSpec};
-use pels_soc::{Mediator, Scenario, ScenarioError, SensorKind};
+use pels_soc::{Mediator, Scenario, ScenarioDesc, ScenarioError, SensorKind};
 
 fn reference_spec() -> SweepSpec {
-    SweepSpec::new()
-        .mediators(&[Mediator::PelsSequenced, Mediator::PelsInstant])
-        .freqs_mhz(&[27.0, 55.0])
-        .links(&[1, 4])
-        .events(5)
+    SweepSpec::over(ScenarioDesc {
+        events: 5,
+        ..ScenarioDesc::default()
+    })
+    .mediators(&[Mediator::PelsSequenced, Mediator::PelsInstant])
+    .freqs_mhz(&[27.0, 55.0])
+    .links(&[1, 4])
 }
 
 #[test]
@@ -53,7 +55,10 @@ fn reports_are_bit_identical_across_worker_counts() {
 
 #[test]
 fn repeated_runs_on_the_same_engine_are_stable() {
-    let spec = SweepSpec::new().events(3);
+    let spec = SweepSpec::over(ScenarioDesc {
+        events: 3,
+        ..ScenarioDesc::default()
+    });
     let engine = FleetEngine::new(4);
     let a = engine.run_sweep(&spec).expect("valid spec");
     let b = engine.run_sweep(&spec).expect("valid spec");
@@ -65,16 +70,18 @@ fn failing_job_is_isolated_to_its_own_slot() {
     // Job 1 of 4 uses a below-threshold sensor: readouts happen but no
     // linking event ever completes, so try_run fails with NoEvents.
     let good = |events| {
-        Scenario::builder()
-            .events(events)
-            .build()
-            .expect("valid scenario")
+        Scenario::from_desc(ScenarioDesc {
+            events,
+            ..ScenarioDesc::default()
+        })
+        .expect("valid scenario")
     };
-    let bad = Scenario::builder()
-        .sensor(SensorKind::Constant(1.0))
-        .events(3)
-        .build()
-        .expect("builds fine; fails at run time");
+    let mut bad = ScenarioDesc {
+        events: 3,
+        ..ScenarioDesc::default()
+    };
+    bad.system.sensor = SensorKind::Constant(1.0);
+    let bad = Scenario::from_desc(bad).expect("builds fine; fails at run time");
     let jobs = vec![
         ("good-a".to_string(), good(4)),
         ("bad".to_string(), bad),
@@ -103,8 +110,8 @@ fn failing_job_is_isolated_to_its_own_slot() {
 fn invalid_sweep_axis_is_rejected_before_any_simulation() {
     let spec = SweepSpec::new().links(&[0]);
     match FleetEngine::new(2).run_sweep(&spec) {
-        Err(ScenarioError::Config(_)) => {}
-        other => panic!("expected a config rejection, got {other:?}"),
+        Err(ScenarioError::Desc(e)) => assert_eq!(e.path, "/system/pels/links"),
+        other => panic!("expected a description rejection, got {other:?}"),
     }
 }
 
@@ -114,11 +121,13 @@ fn invalid_sweep_axis_is_rejected_before_any_simulation() {
 fn pinned_specs() -> [SweepSpec; 3] {
     [
         reference_spec(),
-        SweepSpec::new()
-            .mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq])
-            .sample_periods_us(&[100, 500])
-            .spi_word_counts(&[1, 4])
-            .lifetime(true),
+        SweepSpec::over(ScenarioDesc {
+            lifetime: true,
+            ..ScenarioDesc::default()
+        })
+        .mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq])
+        .sample_periods_us(&[100, 500])
+        .spi_word_counts(&[1, 4]),
         SweepSpec::new(),
     ]
 }

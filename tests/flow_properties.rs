@@ -8,7 +8,7 @@
 
 use pels_repro::obs::FlowReport;
 use pels_repro::sim::{FlowTrace, Rng, SimTime};
-use pels_repro::soc::{Mediator, Scenario, ScenarioReport};
+use pels_repro::soc::{Mediator, Scenario, ScenarioDesc, ScenarioReport};
 
 /// The terminal stage of the measured segment for a mediator (matches
 /// `Scenario::completion_marker`).
@@ -71,11 +71,11 @@ fn paper_probes_decompose_exactly() {
         Mediator::PelsInstant,
         Mediator::IbexIrq,
     ] {
-        let s = Scenario::latency_probe(mediator)
-            .to_builder()
-            .flows(true)
-            .build()
-            .unwrap();
+        let s = Scenario::from_desc(ScenarioDesc {
+            flows: true,
+            ..Scenario::latency_probe(mediator).desc().clone()
+        })
+        .unwrap();
         let report = s.run();
         assert_attribution_is_exact(&report, &s);
         // The pinned paper latencies stay visible through the flow lens.
@@ -100,24 +100,26 @@ fn attribution_sums_exactly_in_randomized_scenarios() {
         };
         let period_ps = 5_000 + rng.next_below(45_000);
         let cycles = 96 + rng.next_below(160);
-        let mut b = Scenario::builder()
-            .mediator(mediator)
-            .frequency(pels_repro::sim::Frequency::from_period_ps(period_ps))
-            .sample_period(SimTime::from_ps(cycles * period_ps))
-            .spi_words(1 + rng.next_below(2) as u32)
-            .events(3 + rng.next_below(6) as u32)
-            .flows(true);
+        let mut desc = ScenarioDesc {
+            mediator,
+            sample_period: SimTime::from_ps(cycles * period_ps),
+            spi_words: 1 + rng.next_below(2) as u32,
+            events: 3 + rng.next_below(6) as u32,
+            flows: true,
+            ..ScenarioDesc::default()
+        };
+        desc.system.freq = pels_repro::sim::Frequency::from_period_ps(period_ps);
         // The threshold program needs the constant 2.5 V default sensor
         // (always above threshold) so every readout actuates before the
         // next eot — the precondition for causal pairing == trace
         // pairing.
         if mediator != Mediator::IbexIrq && rng.next_below(2) == 0 {
-            b = b.rmw_only(true);
+            desc.rmw_only = true;
         }
         if mediator != Mediator::IbexIrq {
-            b = b.pels_links(1 + rng.next_below(4) as usize);
+            desc.system.pels.links = 1 + rng.next_below(4) as usize;
         }
-        let s = b.build().unwrap();
+        let s = Scenario::from_desc(desc).unwrap();
         let report = s.run();
         assert!(
             report.latencies.len() >= 3,
@@ -136,12 +138,12 @@ fn flow_report_merge_is_order_invariant() {
     ]
     .into_iter()
     .map(|m| {
-        Scenario::latency_probe(m)
-            .to_builder()
-            .flows(true)
-            .build()
-            .unwrap()
-            .run()
+        Scenario::from_desc(ScenarioDesc {
+            flows: true,
+            ..Scenario::latency_probe(m).desc().clone()
+        })
+        .unwrap()
+        .run()
             .flow_report()
             .unwrap()
     })
@@ -168,11 +170,13 @@ fn flow_report_merge_is_order_invariant() {
 #[test]
 fn fleet_merges_flow_reports_across_jobs() {
     use pels_repro::fleet::{FleetEngine, SweepSpec};
-    let spec = SweepSpec::new()
-        .mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq])
-        .rmw_only(true)
-        .events(5)
-        .flows(true);
+    let spec = SweepSpec::over(ScenarioDesc {
+        rmw_only: true,
+        events: 5,
+        flows: true,
+        ..ScenarioDesc::default()
+    })
+    .mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq]);
     let batch = FleetEngine::new(2).run_sweep(&spec).unwrap();
     let merged = batch.flow_report();
     assert_eq!(merged.flows(), 10, "5 events per job, 2 jobs");
@@ -183,7 +187,10 @@ fn fleet_merges_flow_reports_across_jobs() {
     assert!(labels.contains(&"ibex.irq_enter"), "{labels:?}");
     // Without the switch, no job records flows and the merge is empty.
     let plain = FleetEngine::new(1)
-        .run_sweep(&SweepSpec::new().events(5))
+        .run_sweep(&SweepSpec::over(ScenarioDesc {
+            events: 5,
+            ..ScenarioDesc::default()
+        }))
         .unwrap();
     assert_eq!(plain.flow_report().flows(), 0);
 }

@@ -10,7 +10,7 @@ use pels_repro::sim::EventVector;
 use pels_repro::soc::mem_map::{
     apb_reg, pels_word_offset, APB_BASE, GPIO_OFFSET, PELS_BASE, RESET_PC, TIMER_OFFSET,
 };
-use pels_repro::soc::{Mediator, Scenario, SensorKind, SocBuilder};
+use pels_repro::soc::{Mediator, Scenario, ScenarioDesc, SensorKind, Soc, SystemDesc};
 
 /// Helper: emit `sw value -> addr` using scratch registers x28/x29.
 fn store_imm(program: &mut Vec<u32>, addr: u32, value: u32) {
@@ -25,7 +25,11 @@ fn store_imm(program: &mut Vec<u32>, addr: u32, value: u32) {
 /// then on the linking runs without it.
 #[test]
 fn cpu_configures_and_launches_autonomous_linking_over_the_bus() {
-    let mut soc = SocBuilder::new().sensor(SensorKind::Constant(2.5)).build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        sensor: SensorKind::Constant(2.5),
+        ..SystemDesc::default()
+    })
+    .unwrap();
     soc.spi_mut().set_default_len(1);
 
     let link0 = PELS_BASE + regs::LINK0;
@@ -72,7 +76,11 @@ fn sequenced_latency_survives_cpu_bus_traffic() {
     // A polling CPU hammers the bus while PELS handles linking events:
     // round-robin arbitration keeps PELS serviced (latency bounded), even
     // though it may occasionally wait a transfer slot.
-    let mut soc = SocBuilder::new().sensor(SensorKind::Constant(2.5)).build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        sensor: SensorKind::Constant(2.5),
+        ..SystemDesc::default()
+    })
+    .unwrap();
     soc.spi_mut().set_default_len(1);
     {
         let link = soc.pels_mut().link_mut(0);
@@ -125,11 +133,12 @@ fn all_three_mediators_give_identical_functional_behaviour() {
         Mediator::PelsInstant,
         Mediator::IbexIrq,
     ] {
-        let s = Scenario::builder()
-            .mediator(mediator)
-            .events(6)
-            .build()
-            .expect("valid scenario");
+        let s = Scenario::from_desc(ScenarioDesc {
+            mediator,
+            events: 6,
+            ..ScenarioDesc::default()
+        })
+        .expect("valid scenario");
         let report = s.run();
         counts.push(report.events_completed.min(8));
         assert!(report.events_completed >= 6, "{mediator} completed events");
@@ -147,7 +156,11 @@ fn trigger_condition_all_links_two_peripherals() {
         (pels_repro::core::TriggerCond::Any, true),
         (pels_repro::core::TriggerCond::All, false),
     ] {
-        let mut soc = SocBuilder::new().sensor(SensorKind::Constant(2.5)).build();
+        let mut soc = Soc::from_desc(&SystemDesc {
+            sensor: SensorKind::Constant(2.5),
+            ..SystemDesc::default()
+        })
+        .unwrap();
         soc.spi_mut().set_default_len(1);
         {
             let link = soc.pels_mut().link_mut(0);
@@ -181,14 +194,15 @@ fn capture_jump_if_paths_agree_with_cpu_computation() {
     // PELS's threshold decision must match what the CPU would compute on
     // the same sample: run the ramp until the crossing and compare the
     // first-actuation sample against the configured threshold.
-    let s = Scenario::builder()
-        .sensor(SensorKind::Ramp {
-            start: 1.0,
-            slope_per_us: 0.02,
-        })
-        .events(40)
-        .build()
-        .expect("valid scenario");
+    let mut desc = ScenarioDesc {
+        events: 40,
+        ..ScenarioDesc::default()
+    };
+    desc.system.sensor = SensorKind::Ramp {
+        start: 1.0,
+        slope_per_us: 0.02,
+    };
+    let s = Scenario::from_desc(desc).expect("valid scenario");
     let report = s.run();
     let threshold = s.threshold_code();
     // The capture trace carries the masked sample for each trigger.
@@ -216,11 +230,12 @@ fn capture_jump_if_paths_agree_with_cpu_computation() {
 fn instant_and_sequenced_flavours_toggle_the_same_pad() {
     // The two Figure 3 flavours must produce identical pad behaviour.
     let run = |mediator| {
-        let s = Scenario::builder()
-            .mediator(mediator)
-            .events(5)
-            .build()
-            .expect("valid scenario");
+        let s = Scenario::from_desc(ScenarioDesc {
+            mediator,
+            events: 5,
+            ..ScenarioDesc::default()
+        })
+        .expect("valid scenario");
         let r = s.run();
         r.trace.all("gpio", "padout").len()
     };
@@ -240,7 +255,11 @@ fn instant_and_sequenced_flavours_toggle_the_same_pad() {
 fn spi_udma_and_cpu_share_l2_coherently() {
     // µDMA lands samples at 0x4000 while the CPU reads them back: the
     // single L2 model guarantees coherence; this checks the plumbing.
-    let mut soc = SocBuilder::new().sensor(SensorKind::Constant(3.3)).build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        sensor: SensorKind::Constant(3.3),
+        ..SystemDesc::default()
+    })
+    .unwrap();
     soc.spi_mut().set_default_len(2);
     soc.spi_mut().write(Spi::UDMA_SADDR, 0x4000).unwrap();
     soc.spi_mut().write(Spi::UDMA_SIZE, 8).unwrap();
@@ -261,7 +280,7 @@ fn spi_udma_and_cpu_share_l2_coherently() {
 fn fabric_decode_error_reaches_pels_as_bus_error() {
     // A link whose base points at unmapped space must abort cleanly, not
     // wedge the SoC.
-    let mut soc = SocBuilder::new().build();
+    let mut soc = Soc::from_desc(&SystemDesc::default()).unwrap();
     soc.spi_mut().set_default_len(1);
     {
         let link = soc.pels_mut().link_mut(0);
@@ -293,7 +312,11 @@ fn fabric_decode_error_reaches_pels_as_bus_error() {
 fn jump_if_signed_condition_works_end_to_end() {
     // GeS vs GeU differ on a sign-bit sample; drive a capture of a known
     // pattern through GPIO PADOUT and check the signed branch.
-    let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    })
+    .unwrap();
     soc.gpio_mut().write(Gpio::PADOUT, 0x8000_0001).unwrap();
     {
         let link = soc.pels_mut().link_mut(0);
@@ -336,7 +359,7 @@ fn jump_if_signed_condition_works_end_to_end() {
 
 #[test]
 fn disabled_pels_soc_still_boots_and_runs_cpu_code() {
-    let mut soc = SocBuilder::new().build();
+    let mut soc = Soc::from_desc(&SystemDesc::default()).unwrap();
     soc.pels_mut().set_enabled(false);
     let mut p = Vec::new();
     p.extend(asm::li32(1, 7));
@@ -368,7 +391,11 @@ fn pels_generates_pwm_without_cpu_or_timer() {
     // Section III-2: `loop` and `wait` subsume timer functions. One
     // trigger launches a self-timed pulse train: N pulses with a fixed
     // period, CPU and timer both idle — an autonomous PWM burst.
-    let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    })
+    .unwrap();
     {
         let link = soc.pels_mut().link_mut(0);
         link.set_mask(EventVector::mask_of(&[2]));
@@ -410,7 +437,7 @@ fn pels_generates_pwm_without_cpu_or_timer() {
 
 #[test]
 fn cpu_store_to_read_only_peripheral_register_faults() {
-    let mut soc = SocBuilder::new().build();
+    let mut soc = Soc::from_desc(&SystemDesc::default()).unwrap();
     let mut p = Vec::new();
     // PADIN is read-only; the slave rejects the store with PSLVERR.
     p.extend(asm::li32(1, apb_reg(GPIO_OFFSET, Gpio::PADIN)));
@@ -430,10 +457,11 @@ fn at_least_k_condition_votes_across_sensors() {
     // 2-of-3 voting: timer compare (2), SPI EOT (0), ADC done (3). Wire
     // the ADC to the timer so ADC-done and SPI-EOT can coincide; with
     // AtLeast(2), single pulses never fire the link.
-    let mut soc = SocBuilder::new()
-        .sensor(SensorKind::Constant(2.0))
-        .spi_clkdiv(4)
-        .build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        sensor: SensorKind::Constant(2.0),
+        ..SystemDesc::default()
+    })
+    .unwrap();
     soc.spi_mut().set_default_len(4); // 16 cycles, matches ADC conversion
     soc.adc_mut()
         .wire_start_action(pels_repro::soc::event_map::EV_TIMER_CMP);
@@ -470,7 +498,11 @@ fn action_latch_modes_drive_levels_visible_to_peripherals() {
     // re-applies the action every cycle — so a latched *toggle* line
     // would flip the pad each cycle. A latched SET is idempotent: the
     // pad goes high and stays high.
-    let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    })
+    .unwrap();
     {
         let link = soc.pels_mut().link_mut(0);
         link.set_mask(EventVector::mask_of(&[2]));
@@ -510,10 +542,11 @@ fn pels_sequenced_action_launches_uart_dma_message() {
     use pels_repro::periph::Uart;
     use pels_repro::soc::mem_map::UART_OFFSET;
 
-    let mut soc = SocBuilder::new()
-        .sensor(SensorKind::Constant(2.5))
-        .timer_starts_spi(true)
-        .build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        sensor: SensorKind::Constant(2.5),
+        ..SystemDesc::default()
+    })
+    .unwrap();
     soc.spi_mut().set_default_len(1);
     // The alert text lives in L2 (placed by boot firmware in real life).
     let msg = b"ALRT";
@@ -566,11 +599,13 @@ fn pels_links_i2c_sensor_end_to_end() {
     // Link 0 starts the I2C transaction off the timer; link 1 runs the
     // threshold check off the I2C completion.
     let mut soc = {
-        let mut soc2 = SocBuilder::new()
-            .pels_links(2)
-            .sensor(SensorKind::Constant(2.5))
-            .timer_starts_spi(false)
-            .build();
+        let mut desc = SystemDesc {
+            sensor: SensorKind::Constant(2.5),
+            timer_starts_spi: false,
+            ..SystemDesc::default()
+        };
+        desc.pels.links = 2;
+        let mut soc2 = Soc::from_desc(&desc).unwrap();
         soc2.i2c_mut()
             .set_default_cmd(0x48 | I2c::CMD_READ | (2 << 8));
         {

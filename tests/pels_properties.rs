@@ -5,7 +5,7 @@
 
 use pels_repro::core::pels::NoBus;
 use pels_repro::core::{
-    ActionMode, Command, Cond, PelsBuilder, Program, TriggerCond, TriggerUnit,
+    ActionMode, Command, Cond, Pels, PelsConfig, Program, TriggerCond, TriggerUnit,
 };
 use pels_repro::interconnect::{Arbiter, RoundRobin};
 use pels_repro::power::{Calibration, PowerModel};
@@ -39,7 +39,10 @@ fn random_programs_terminate() {
     let mut rng = Rng::seed_from_u64(0x9E15_0001);
     for case in 0..128 {
         let program = arb_terminating_program(&mut rng, 12);
-        let mut pels = PelsBuilder::new().links(1).scm_lines(16).build();
+        let mut pels = Pels::new(PelsConfig {
+            scm_lines: 16,
+            ..PelsConfig::default()
+        });
         pels.link_mut(0).set_mask(EventVector::mask_of(&[0]));
         pels.link_mut(0).load_program(&program).expect("16-line scm fits");
         let mut trace = Trace::disabled();
@@ -81,7 +84,7 @@ fn instant_latency_is_payload_independent() {
                 listen.set(16 + b);
             }
         }
-        let mut pels = PelsBuilder::new().links(1).scm_lines(4).build();
+        let mut pels = Pels::new(PelsConfig::default());
         pels.link_mut(0).set_mask(listen).set_condition(TriggerCond::Any);
         pels.link_mut(0)
             .load_program(
@@ -246,7 +249,7 @@ fn jump_if_always_reaches_a_pulse() {
             },
         ])
         .expect("valid");
-        let mut pels = PelsBuilder::new().links(1).scm_lines(4).build();
+        let mut pels = Pels::new(PelsConfig::default());
         pels.link_mut(0).set_mask(EventVector::mask_of(&[0]));
         pels.link_mut(0).load_program(&program).expect("fits");
         let mut trace = Trace::disabled();

@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 
 use pels_power::{Calibration, PowerModel, PowerReport};
-use pels_repro::soc::{Mediator, Scenario, ScenarioReport};
+use pels_repro::soc::{Mediator, Scenario, ScenarioDesc, ScenarioReport};
 use pels_sim::{ActivityKind, ActivitySet, SimTime};
 
 /// Accumulates `label = bits` lines.
@@ -198,13 +198,14 @@ fn duty_cycled_irq_power_and_lifetime_are_pinned() {
 
 #[test]
 fn no_timeline_lifetime_fallback_is_pinned() {
-    let report = Scenario::builder()
-        .mediator(Mediator::IbexIrq)
-        .events(5)
-        .lifetime(true)
-        .build()
-        .unwrap()
-        .run();
+    let report = Scenario::from_desc(ScenarioDesc {
+        mediator: Mediator::IbexIrq,
+        events: 5,
+        lifetime: true,
+        ..ScenarioDesc::default()
+    })
+    .unwrap()
+    .run();
     assert!(
         report.timeline.is_none(),
         "the fallback path integrates one window"

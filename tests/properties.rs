@@ -362,10 +362,10 @@ fn cpu_survives_random_memory() {
 #[test]
 fn pels_config_space_is_total() {
     let mut rng = Rng::seed_from_u64(0xC0DE_000C);
-    let mut pels = pels_repro::core::PelsBuilder::new()
-        .links(2)
-        .scm_lines(4)
-        .build();
+    let mut pels = pels_repro::core::Pels::new(pels_repro::core::PelsConfig {
+        links: 2,
+        ..pels_repro::core::PelsConfig::default()
+    });
     for offset in (0u32..0x1000).step_by(4) {
         let value = rng.next_u32();
         let w = pels.config_write(offset, value);

@@ -20,7 +20,7 @@ use pels_repro::periph::{Spi, Timer};
 use pels_repro::sim::{ActivityKind, ActivitySet, Rng};
 use pels_repro::soc::event_map::{EV_GPIO_RISE, EV_TIMER_CMP};
 use pels_repro::soc::mem_map::{apb_reg, GPIO_OFFSET, L2_SIZE, RESET_PC};
-use pels_repro::soc::{ExecMode, Soc, SocBuilder};
+use pels_repro::soc::{ExecMode, Soc, SystemDesc};
 use pels_repro::{core as pels_core, cpu::asm, periph::Gpio};
 
 /// One externally applied stimulus step, generated once and replayed
@@ -60,7 +60,9 @@ fn activity_image(a: &ActivitySet) -> BTreeMap<(&'static str, ActivityKind), u64
 /// every timer compare match, the CPU parks in `wfi` after boot.
 fn workload_soc() -> Soc {
     use pels_repro::soc::event_map::AL_GPIO_TOGGLE;
-    let mut soc = SocBuilder::new().pels_links(2).build();
+    let mut desc = SystemDesc::default();
+    desc.pels.links = 2;
+    let mut soc = Soc::from_desc(&desc).unwrap();
     soc.pels_mut()
         .link_mut(0)
         .set_mask(pels_repro::sim::EventVector::mask_of(&[EV_TIMER_CMP]));
@@ -200,8 +202,12 @@ fn fast_scheduler_is_observationally_identical_to_naive() {
 /// it early.
 #[test]
 fn timer_deadline_wakes_sleeping_timer() {
-    let mut fast = SocBuilder::new().timer_starts_spi(false).build();
-    let mut naive = SocBuilder::new().timer_starts_spi(false).build();
+    let desc = SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    };
+    let mut fast = Soc::from_desc(&desc).unwrap();
+    let mut naive = Soc::from_desc(&desc).unwrap();
     naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         soc.timer_mut().write(Timer::CMP, 40).unwrap();
@@ -219,8 +225,9 @@ fn timer_deadline_wakes_sleeping_timer() {
 /// transfer on schedule.
 #[test]
 fn event_wire_wakes_sleeping_spi() {
-    let mut fast = SocBuilder::new().build(); // timer_starts_spi default: wired
-    let mut naive = SocBuilder::new().build();
+    // timer_starts_spi default: wired
+    let mut fast = Soc::from_desc(&SystemDesc::default()).unwrap();
+    let mut naive = Soc::from_desc(&SystemDesc::default()).unwrap();
     naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         soc.spi_mut().write(Spi::CMD, 1).unwrap(); // arm last_len
@@ -241,8 +248,8 @@ fn event_wire_wakes_sleeping_spi() {
 /// lands.
 #[test]
 fn apb_access_wakes_sleeping_peripheral() {
-    let mut fast = SocBuilder::new().build();
-    let mut naive = SocBuilder::new().build();
+    let mut fast = Soc::from_desc(&SystemDesc::default()).unwrap();
+    let mut naive = Soc::from_desc(&SystemDesc::default()).unwrap();
     naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         let mut p = vec![];
@@ -266,8 +273,8 @@ fn apb_access_wakes_sleeping_peripheral() {
 /// line in a sleeping peripheral's wake mask starts it.
 #[test]
 fn injected_event_wakes_sleeping_peripheral() {
-    let mut fast = SocBuilder::new().build();
-    let mut naive = SocBuilder::new().build();
+    let mut fast = Soc::from_desc(&SystemDesc::default()).unwrap();
+    let mut naive = Soc::from_desc(&SystemDesc::default()).unwrap();
     naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         soc.spi_mut().write(Spi::CMD, 1).unwrap();
@@ -300,8 +307,12 @@ fn udma_errors(soc: &Soc) -> Vec<u64> {
 /// the simulation, and the transfer still completes on schedule.
 #[test]
 fn out_of_range_udma_target_drops_words_identically() {
-    let mut fast = SocBuilder::new().timer_starts_spi(false).build();
-    let mut naive = SocBuilder::new().timer_starts_spi(false).build();
+    let desc = SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    };
+    let mut fast = Soc::from_desc(&desc).unwrap();
+    let mut naive = Soc::from_desc(&desc).unwrap();
     naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         let spi = soc.spi_mut();
@@ -323,8 +334,12 @@ fn out_of_range_udma_target_drops_words_identically() {
 /// L2.
 #[test]
 fn huge_udma_size_arms_the_channel_identically() {
-    let mut fast = SocBuilder::new().timer_starts_spi(false).build();
-    let mut naive = SocBuilder::new().timer_starts_spi(false).build();
+    let desc = SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    };
+    let mut fast = Soc::from_desc(&desc).unwrap();
+    let mut naive = Soc::from_desc(&desc).unwrap();
     naive.set_exec_mode(ExecMode::Naive);
     for soc in [&mut fast, &mut naive] {
         let spi = soc.spi_mut();
@@ -344,7 +359,11 @@ fn huge_udma_size_arms_the_channel_identically() {
 /// architectural state, even while the peripheral is being skipped.
 #[test]
 fn sleeping_timer_is_observable_between_runs() {
-    let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    })
+    .unwrap();
     soc.timer_mut().write(Timer::CMP, 1_000_000).unwrap();
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
     let mut last = 0;
@@ -364,7 +383,11 @@ fn sleeping_timer_is_observable_between_runs() {
 /// works even though the timer sleeps between predicate calls.
 #[test]
 fn run_until_sees_synced_peripheral_state() {
-    let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+    let mut soc = Soc::from_desc(&SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    })
+    .unwrap();
     soc.timer_mut().write(Timer::CMP, 1_000_000).unwrap();
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
     let reached = soc.run_until(10_000, |s| s.timer().value() >= 123);

@@ -14,7 +14,7 @@
 //! same runs stepped 17 / 29 cycles per event under PELS sequenced,
 //! 12.5 / 24.5 under PELS instant and 34.25 / 46.25 under the IRQ.)
 
-use pels_repro::soc::{Mediator, Scenario};
+use pels_repro::soc::{Mediator, Scenario, ScenarioDesc};
 
 /// `(mediator, spi_words, max stepped cycles per event)`.
 const BUDGETS: [(Mediator, u32, f64); 6] = [
@@ -29,11 +29,12 @@ const BUDGETS: [(Mediator, u32, f64); 6] = [
 #[test]
 fn fig5_stepped_cycles_per_event_stay_within_budget() {
     for (mediator, words, budget) in BUDGETS {
-        let scenario = Scenario::builder()
-            .mediator(mediator)
-            .spi_words(words)
-            .build()
-            .expect("valid scenario");
+        let scenario = Scenario::from_desc(ScenarioDesc {
+            mediator,
+            spi_words: words,
+            ..ScenarioDesc::default()
+        })
+        .expect("valid scenario");
         let report = scenario.run();
         assert_eq!(
             report.events_completed, scenario.events,
