@@ -7,143 +7,34 @@
 //! latencies, windows and scheduler and decode-cache counters are
 //! bit-identical with any subset of probes on, under every execution
 //! mode and mediator, and fleet digests do not move under a probe or
-//! the worker count. The table-driven harness below runs every
-//! non-empty probe subset against the plain run; the tests after it pin
-//! what each probe records (timeline windows partition the run, flow
-//! attribution is mode-independent, the ledger partitions the power
-//! timeline, duty-cycled horizons stay cheap).
+//! the worker count. The first two tests run the shared harness in
+//! `tests/common` over every non-empty probe subset; `obs_invariance`,
+//! `flow_invariance` and `lifetime_invariance` run it over each probe's
+//! own subsets. The tests after them pin what each probe records
+//! (timeline windows partition the run, flow attribution is
+//! mode-independent, the ledger partitions the power timeline,
+//! duty-cycled horizons stay cheap).
 
+mod common;
+
+use common::{
+    assert_reports_identical, run, ALL_PROBES, FLOWS, LIFETIME, MEDIATORS, OBS, TIMELINE,
+};
 use pels_fleet::{FleetEngine, SweepSpec};
 use pels_power::{Battery, EnergyLedger};
-use pels_repro::soc::{
-    ExecMode, Mediator, Scenario, ScenarioDesc, ScenarioReport, Soc, SystemDesc,
-};
+use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, Soc, SystemDesc};
 use pels_sim::SimTime;
-
-/// One observation probe: a name for failure messages and the edit that
-/// switches it on.
-type Probe = (&'static str, fn(&mut ScenarioDesc));
-
-const PROBES: [Probe; 4] = [
-    ("obs", |d| d.obs = true),
-    ("timeline", |d| d.timeline_window = 128),
-    ("flows", |d| d.flows = true),
-    ("lifetime", |d| d.lifetime = true),
-];
-
-/// Every probe at once.
-const ALL_PROBES: usize = (1 << PROBES.len()) - 1;
-
-const MEDIATORS: [Mediator; 3] = [
-    Mediator::PelsSequenced,
-    Mediator::PelsInstant,
-    Mediator::IbexIrq,
-];
-
-/// `base` with the probes whose bits are set in `mask` switched on.
-fn with_probes(base: &ScenarioDesc, mask: usize) -> ScenarioDesc {
-    let mut desc = base.clone();
-    for (bit, (_, probe)) in PROBES.iter().enumerate() {
-        if mask & 1 << bit != 0 {
-            probe(&mut desc);
-        }
-    }
-    desc
-}
-
-fn probe_names(mask: usize) -> String {
-    let names: Vec<&str> = PROBES
-        .iter()
-        .enumerate()
-        .filter(|&(bit, _)| mask & 1 << bit != 0)
-        .map(|(_, (name, _))| *name)
-        .collect();
-    names.join("+")
-}
-
-fn run(desc: ScenarioDesc) -> ScenarioReport {
-    Scenario::from_desc(desc).expect("valid scenario").run()
-}
-
-/// Every simulation-derived field of two reports must match exactly;
-/// the probes' own records are the only allowed differences.
-fn assert_reports_identical(plain: &ScenarioReport, observed: &ScenarioReport, ctx: &str) {
-    assert_eq!(plain.latencies, observed.latencies, "{ctx}: latencies");
-    assert_eq!(plain.events_completed, observed.events_completed, "{ctx}: events");
-    assert_eq!(plain.trace.entries(), observed.trace.entries(), "{ctx}: trace");
-    assert_eq!(plain.active_activity, observed.active_activity, "{ctx}: active activity");
-    assert_eq!(plain.idle_activity, observed.idle_activity, "{ctx}: idle activity");
-    assert_eq!(plain.active_window, observed.active_window, "{ctx}: active window");
-    assert_eq!(plain.idle_window, observed.idle_window, "{ctx}: idle window");
-    assert_eq!(plain.sched_stats, observed.sched_stats, "{ctx}: scheduler stats");
-    assert_eq!(plain.decode_cache_hits, observed.decode_cache_hits, "{ctx}: cache hits");
-    assert_eq!(
-        plain.decode_cache_misses, observed.decode_cache_misses,
-        "{ctx}: cache misses"
-    );
-}
-
-/// Each probe's report field is `Some` exactly when the probe is on.
-fn assert_probe_records(report: &ScenarioReport, mask: usize, ctx: &str) {
-    let on = |bit: usize| mask & 1 << bit != 0;
-    assert_eq!(report.metrics.is_some(), on(0), "{ctx}: metrics");
-    assert_eq!(report.timeline.is_some(), on(1), "{ctx}: timeline");
-    assert_eq!(report.flows.is_some(), on(2), "{ctx}: flows");
-    assert_eq!(report.energy.is_some(), on(3), "{ctx}: energy");
-    assert_eq!(report.lifetime.is_some(), on(3), "{ctx}: lifetime");
-    if let Some(flows) = &report.flows {
-        assert!(!flows.is_empty(), "{ctx}: flows recorded");
-    }
-    if let (Some(ledger), Some(_)) = (&report.energy, &report.timeline) {
-        assert!(ledger.windows() > 1, "{ctx}: the ledger integrates per window");
-    }
-}
 
 #[test]
 fn every_probe_subset_is_pure_observation() {
-    for mediator in MEDIATORS {
-        for exec in [ExecMode::Fast, ExecMode::Naive] {
-            let base = ScenarioDesc {
-                mediator,
-                exec,
-                ..ScenarioDesc::default()
-            };
-            let plain = run(base.clone());
-            assert_probe_records(&plain, 0, &format!("{mediator} {exec:?} plain"));
-            for mask in 1..=ALL_PROBES {
-                let ctx = format!("{mediator} {exec:?} {}", probe_names(mask));
-                let observed = run(with_probes(&base, mask));
-                assert_probe_records(&observed, mask, &ctx);
-                assert_reports_identical(&plain, &observed, &ctx);
-            }
-        }
-    }
+    let every_subset: Vec<usize> = (1..=ALL_PROBES).collect();
+    common::assert_subsets_pure(&every_subset);
 }
 
 #[test]
 fn fleet_digest_is_invariant_under_every_probe_and_worker_count() {
-    let spec = |desc: ScenarioDesc| {
-        SweepSpec::over(desc).mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq])
-    };
-    let plain = FleetEngine::new(1)
-        .run_sweep(&spec(ScenarioDesc::default()))
-        .unwrap();
-    // Each probe alone, then all four together. The digest hashes every
-    // simulation-derived field of every job; probes and worker
-    // attribution are host-side observation and must not move it.
-    for mask in [1, 2, 4, 8, ALL_PROBES] {
-        let desc = with_probes(&ScenarioDesc::default(), mask);
-        for workers in [1, 2] {
-            let observed = FleetEngine::new(workers).run_sweep(&spec(desc.clone())).unwrap();
-            let ctx = format!("{} on {workers} worker(s)", probe_names(mask));
-            assert_eq!(plain.digest(), observed.digest(), "{ctx}");
-            assert_eq!(
-                observed.flow_report().flows() > 0,
-                desc.flows,
-                "{ctx}: the fleet merges recorded flows"
-            );
-        }
-    }
+    // Each probe alone, then all four together.
+    common::assert_fleet_digest_invariant(&[OBS, TIMELINE, FLOWS, LIFETIME, ALL_PROBES]);
 }
 
 #[test]
