@@ -174,27 +174,54 @@ mod tests {
 
     #[test]
     fn sensor_kinds_build_quantizers() {
-        for kind in [
-            SensorKind::Constant(1.0),
-            SensorKind::Ramp {
-                start: 0.0,
-                slope_per_us: 0.1,
-            },
-            SensorKind::NoisyRamp {
-                start: 0.0,
-                slope_per_us: 0.1,
-                sigma: 0.05,
-                seed: 7,
-            },
-            SensorKind::Sine {
-                offset: 1.6,
-                amplitude: 1.0,
-                freq_hz: 1e4,
-            },
-        ] {
+        // Exact codes pin every analog source bit-for-bit, including a
+        // non-integer-microsecond instant (one 55 MHz cycle past 18 µs).
+        let times = [
+            SimTime::ZERO,
+            SimTime::from_us(3),
+            SimTime::from_ps(18_018_181),
+            SimTime::from_us(25),
+            SimTime::from_us(250),
+        ];
+        let noisy = SensorKind::NoisyRamp {
+            start: 0.5,
+            slope_per_us: 0.01,
+            sigma: 0.05,
+            seed: 7,
+        };
+        let cases = [
+            (SensorKind::Constant(1.0), [1241; 5]),
+            (
+                SensorKind::Ramp {
+                    start: 0.5,
+                    slope_per_us: 0.01,
+                },
+                [620, 658, 844, 931, 3723],
+            ),
+            (noisy, [682, 542, 844, 898, 3694]),
+            (
+                SensorKind::Sine {
+                    offset: 1.6,
+                    amplitude: 1.0,
+                    freq_hz: 1e4,
+                },
+                [1985, 2218, 3109, 3226, 1985],
+            ),
+        ];
+        for (kind, want) in cases {
             let mut q = kind.quantizer();
-            let _ = q.convert(SimTime::ZERO);
+            let got = times.map(|t| q.convert(t));
+            assert_eq!(got, want, "{kind:?}");
         }
+        // A run of consecutive seeded noisy codes at 55 MHz cycle steps.
+        let mut q = noisy.quantizer();
+        let run: Vec<u32> = (0..16)
+            .map(|c| q.convert(SimTime::from_ps(18_181 * c)))
+            .collect();
+        assert_eq!(
+            run,
+            [682, 505, 621, 588, 593, 650, 718, 504, 563, 626, 696, 572, 753, 603, 509, 780]
+        );
         assert_eq!(SensorKind::code_for_level(3.3), 4095);
         assert_eq!(SensorKind::code_for_level(0.0), 0);
     }
