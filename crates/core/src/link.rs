@@ -17,7 +17,7 @@ use pels_sim::{ActivityKind, ActivitySet, ComponentId, EventVector, SimTime, Tra
 pub const DEFAULT_FIFO_DEPTH: usize = 4;
 
 /// A single link: trigger unit + SCM + execution unit.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Link {
     id: ComponentId,
     trigger: TriggerUnit,
@@ -59,11 +59,6 @@ impl Link {
     /// The trigger unit (mask / condition configuration).
     pub fn trigger(&self) -> &TriggerUnit {
         &self.trigger
-    }
-
-    /// Mutable trigger unit.
-    pub fn trigger_mut(&mut self) -> &mut TriggerUnit {
-        &mut self.trigger
     }
 
     /// The execution unit (status inspection).

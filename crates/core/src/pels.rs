@@ -93,6 +93,7 @@ impl LinkBus for LinkPort<'_> {
 /// *before* the trigger units sample, so a trigger fires the cycle after
 /// its event — the first command executes one further cycle later, giving
 /// the paper's 2-cycle instant action.
+#[derive(Clone)]
 pub struct Pels {
     config: PelsConfig,
     links: Vec<Link>,

@@ -79,7 +79,7 @@ const INVALID_LINE: DecodedLine = DecodedLine {
 /// interrupt lines. All architectural effects (register/memory updates)
 /// happen in the first cycle of an instruction; the remaining cycles of a
 /// multi-cycle instruction are modelled as stall.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cpu {
     id: ComponentId,
     pc: u32,

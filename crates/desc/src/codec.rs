@@ -193,6 +193,26 @@ fn dec_periph(v: &Value, path: &str) -> Result<PeriphInst, DescError> {
     Ok(PeriphInst { kind, offset })
 }
 
+/// The clock `mhz` megahertz describes, or an error at `path` for every
+/// value [`Frequency::from_mhz`] would panic on: zero, negative or
+/// non-finite, or so high that the period rounds to 0 ps.
+///
+/// # Errors
+///
+/// A [`DescError`] at `path` naming the violated bound.
+pub fn freq_from_mhz(mhz: f64, path: &str) -> Result<Frequency, DescError> {
+    if !(mhz > 0.0 && mhz.is_finite()) {
+        return Err(DescError::new(path, "frequency must be positive and finite"));
+    }
+    if (1e6 / mhz).round() < 1.0 {
+        return Err(DescError::new(
+            path,
+            "frequency must be at most 2000000 MHz (a clock period of at least 1 ps)",
+        ));
+    }
+    Ok(Frequency::from_mhz(mhz))
+}
+
 fn dec_freq(obj: &[(String, Value)], path: &str) -> Result<Frequency, DescError> {
     let ps = opt(obj, "freq_period_ps");
     let mhz = opt(obj, "freq_mhz");
@@ -211,17 +231,7 @@ fn dec_freq(obj: &[(String, Value)], path: &str) -> Result<Frequency, DescError>
         }
         (None, Some(v)) => {
             let p = format!("{path}/freq_mhz");
-            let mhz = dec_f64(v, &p)?;
-            if !(mhz > 0.0 && mhz.is_finite()) {
-                return Err(DescError::new(p, "frequency must be positive and finite"));
-            }
-            if (1e6 / mhz).round() < 1.0 {
-                return Err(DescError::new(
-                    p,
-                    "frequency must be at most 2000000 MHz (a clock period of at least 1 ps)",
-                ));
-            }
-            Ok(Frequency::from_mhz(mhz))
+            freq_from_mhz(dec_f64(v, &p)?, &p)
         }
         (None, None) => Err(DescError::new(
             path,

@@ -1,90 +1,11 @@
 //! The enumerated description axes: analog source, mediator, execution
 //! mode.
 
-use pels_periph::sensor::{Composite, Constant, GaussianNoise, Quantizer, Ramp, Sine};
-use pels_sim::SimTime;
 use std::fmt;
 
-/// The synthetic analog source behind the SPI/ADC front-ends.
-///
-/// Substitutes the paper's thermistor/varistor (see `DESIGN.md`): each
-/// variant exercises the same digital code path with controllable
-/// threshold-crossing behaviour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SensorKind {
-    /// A fixed level (always above/below threshold — used for the
-    /// repeatable latency/power measurements).
-    Constant(f64),
-    /// A linear ramp crossing the threshold at a known time.
-    Ramp {
-        /// Level at time zero.
-        start: f64,
-        /// Volts per simulated microsecond.
-        slope_per_us: f64,
-    },
-    /// A ramp with Gaussian measurement noise (seeded, reproducible).
-    NoisyRamp {
-        /// Level at time zero.
-        start: f64,
-        /// Volts per simulated microsecond.
-        slope_per_us: f64,
-        /// Noise standard deviation.
-        sigma: f64,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// A sine wave (periodic threshold crossings).
-    Sine {
-        /// Mid level.
-        offset: f64,
-        /// Peak deviation.
-        amplitude: f64,
-        /// Frequency in Hz.
-        freq_hz: f64,
-    },
-}
-
-impl SensorKind {
-    /// Builds the 12-bit, 0–3.3 V quantized front-end.
-    pub fn quantizer(&self) -> Quantizer {
-        let source: Box<dyn pels_periph::AnalogSource> = match *self {
-            SensorKind::Constant(v) => Box::new(Constant(v)),
-            SensorKind::Ramp { start, slope_per_us } => Box::new(Ramp {
-                start,
-                slope_per_us,
-            }),
-            SensorKind::NoisyRamp {
-                start,
-                slope_per_us,
-                sigma,
-                seed,
-            } => Box::new(Composite::new(vec![
-                Box::new(Ramp {
-                    start,
-                    slope_per_us,
-                }),
-                Box::new(GaussianNoise::new(sigma, seed)),
-            ])),
-            SensorKind::Sine {
-                offset,
-                amplitude,
-                freq_hz,
-            } => Box::new(Sine {
-                offset,
-                amplitude,
-                freq_hz,
-            }),
-        };
-        Quantizer::new(source, 12, 0.0, 3.3)
-    }
-
-    /// The 12-bit code a given analog level quantizes to (for choosing
-    /// thresholds).
-    pub fn code_for_level(level: f64) -> u32 {
-        let mut q = Quantizer::new(Box::new(Constant(level)), 12, 0.0, 3.3);
-        q.convert(SimTime::ZERO)
-    }
-}
+/// The synthetic analog source behind the SPI/ADC/I2C front-ends (defined
+/// next to the quantizer that samples it).
+pub use pels_periph::sensor::SensorKind;
 
 /// Who mediates the linking event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,6 +92,7 @@ impl fmt::Display for ExecMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pels_sim::SimTime;
 
     #[test]
     fn sensor_kinds_build_quantizers() {

@@ -33,7 +33,7 @@ pub mod mem_map;
 pub mod scenario;
 pub mod system;
 
-pub use codec::SCHEMA_VERSION;
+pub use codec::{freq_from_mhz, SCHEMA_VERSION};
 pub use error::DescError;
 pub use fuzz::{DescFuzzer, FuzzCase};
 pub use kinds::{ExecMode, Mediator, SensorKind};

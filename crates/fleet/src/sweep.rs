@@ -6,8 +6,8 @@
 //! [`FleetEngine::run_scenarios`](crate::FleetEngine::run_scenarios).
 
 use pels_interconnect::{ArbiterKind, Topology};
-use pels_sim::{Frequency, SimTime};
-use pels_soc::{Mediator, Scenario, ScenarioDesc, ScenarioError};
+use pels_sim::SimTime;
+use pels_soc::{freq_from_mhz, DescError, Mediator, Scenario, ScenarioDesc, ScenarioError};
 
 /// A cartesian product of sweep axes over one base description.
 ///
@@ -129,7 +129,9 @@ impl SweepSpec {
     /// # Errors
     ///
     /// The first [`ScenarioError`] if a point fails description
-    /// validation (e.g. `links` containing 0); no partial job list is
+    /// validation (e.g. `links` containing 0, a clock that is not a
+    /// positive frequency with a period of at least 1 ps, or a sample
+    /// period too long to count in picoseconds); no partial job list is
     /// returned.
     pub fn jobs(&self) -> Result<Vec<(String, Scenario)>, ScenarioError> {
         // Unset duty-cycle axes expand to a single "inherit from the
@@ -145,6 +147,7 @@ impl SweepSpec {
         let mut jobs = Vec::new();
         for &mediator in &self.mediators {
             for &mhz in &self.freqs_mhz {
+                let freq = freq_from_mhz(mhz, "/system/freq_mhz").map_err(ScenarioError::Desc)?;
                 for &links in &self.links {
                     for &topology in &self.topologies {
                         for &arbiter in &self.arbiters {
@@ -152,7 +155,7 @@ impl SweepSpec {
                                 for &words in &word_counts {
                                     let mut desc = self.base.clone();
                                     desc.mediator = mediator;
-                                    desc.system.freq = Frequency::from_mhz(mhz);
+                                    desc.system.freq = freq;
                                     desc.system.pels.links = links;
                                     desc.system.topology = topology;
                                     desc.system.arbiter = arbiter;
@@ -160,7 +163,13 @@ impl SweepSpec {
                                         "{mediator}@{mhz:.0}MHz links{links} {topology} {arbiter}"
                                     );
                                     if let Some(p) = period_us {
-                                        desc.sample_period = SimTime::from_us(p);
+                                        let ps = p.checked_mul(1_000_000).ok_or_else(|| {
+                                            ScenarioError::Desc(DescError::new(
+                                                "/sample_period_ps",
+                                                format!("{p} us overflows 64-bit picoseconds"),
+                                            ))
+                                        })?;
+                                        desc.sample_period = SimTime::from_ps(ps);
                                         label.push_str(&format!(" T{p}us"));
                                     }
                                     if let Some(w) = words {

@@ -156,18 +156,6 @@ pub trait ApbSlave {
     }
 }
 
-impl<S: ApbSlave + ?Sized> ApbSlave for Box<S> {
-    fn read(&mut self, offset: u32) -> Result<u32, BusError> {
-        (**self).read(offset)
-    }
-    fn write(&mut self, offset: u32, value: u32) -> Result<(), BusError> {
-        (**self).write(offset, value)
-    }
-    fn wait_states(&self, offset: u32, dir: Dir) -> u32 {
-        (**self).wait_states(offset, dir)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,24 +204,5 @@ mod tests {
     fn bus_error_messages() {
         assert!(BusError::Decode { addr: 0x40 }.to_string().contains("0x00000040"));
         assert!(BusError::Busy.to_string().contains("outstanding"));
-    }
-
-    #[test]
-    fn boxed_slave_forwards() {
-        struct S(u32);
-        impl ApbSlave for S {
-            fn read(&mut self, _o: u32) -> Result<u32, BusError> {
-                Ok(self.0)
-            }
-            fn write(&mut self, _o: u32, v: u32) -> Result<(), BusError> {
-                self.0 = v;
-                Ok(())
-            }
-        }
-        let mut b: Box<dyn ApbSlave> = Box::new(S(5));
-        assert_eq!(b.read(0).unwrap(), 5);
-        b.write(0, 9).unwrap();
-        assert_eq!(b.read(0).unwrap(), 9);
-        assert_eq!(b.wait_states(0, Dir::Read), 0);
     }
 }

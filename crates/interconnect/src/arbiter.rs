@@ -8,23 +8,7 @@
 
 use std::fmt;
 
-/// Chooses one requester among a set each cycle.
-///
-/// `Send` is a supertrait so fabrics (which box their arbiters) can move
-/// across worker threads in batch sweeps.
-pub trait Arbiter: fmt::Debug + Send {
-    /// Grants one of the requesting indices (`requests[i] == true`), or
-    /// `None` if nobody requests.
-    fn grant(&mut self, requests: &[bool]) -> Option<usize>;
-
-    /// Stable policy name for reports.
-    fn policy(&self) -> &'static str;
-
-    /// Resets internal state (e.g. the round-robin pointer).
-    fn reset(&mut self);
-}
-
-/// Selects an arbiter implementation.
+/// Selects an arbitration policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArbiterKind {
     /// Fair rotating-priority arbitration (the paper's configuration).
@@ -32,16 +16,6 @@ pub enum ArbiterKind {
     RoundRobin,
     /// Lowest index always wins — starves high indices under contention.
     FixedPriority,
-}
-
-impl ArbiterKind {
-    /// Instantiates the arbiter.
-    pub fn build(self) -> Box<dyn Arbiter> {
-        match self {
-            ArbiterKind::RoundRobin => Box::new(RoundRobin::new()),
-            ArbiterKind::FixedPriority => Box::new(FixedPriority),
-        }
-    }
 }
 
 impl fmt::Display for ArbiterKind {
@@ -53,72 +27,57 @@ impl fmt::Display for ArbiterKind {
     }
 }
 
-/// Rotating-priority (round-robin) arbiter.
+/// Chooses one requester among a set each cycle.
 ///
-/// After granting index *i*, the highest priority for the next arbitration
-/// is *i + 1*, so every requester is served within `N` grants under full
-/// contention.
+/// Round-robin rotates priority: after granting index *i*, the highest
+/// priority for the next arbitration is *i + 1*, so every requester is
+/// served within `N` grants under full contention. Fixed priority always
+/// grants the lowest requesting index.
 ///
 /// ```
-/// use pels_interconnect::{Arbiter, RoundRobin};
-/// let mut rr = RoundRobin::new();
+/// use pels_interconnect::{Arbiter, ArbiterKind};
+/// let mut rr = Arbiter::new(ArbiterKind::RoundRobin);
 /// let all = [true, true, true];
 /// assert_eq!(rr.grant(&all), Some(0));
 /// assert_eq!(rr.grant(&all), Some(1));
 /// assert_eq!(rr.grant(&all), Some(2));
 /// assert_eq!(rr.grant(&all), Some(0));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
-    next: usize,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arbiter {
+    /// Rotating priority; `next` is the index with the highest priority
+    /// at the next arbitration.
+    RoundRobin {
+        /// Highest-priority index for the next grant.
+        next: usize,
+    },
+    /// Lowest requesting index wins.
+    FixedPriority,
 }
 
-impl RoundRobin {
-    /// Creates an arbiter whose initial highest priority is index 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Arbiter for RoundRobin {
-    fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        let n = requests.len();
-        if n == 0 {
-            return None;
+impl Arbiter {
+    /// A fresh arbiter of the given policy (round-robin starts with index
+    /// 0 at the highest priority).
+    pub fn new(kind: ArbiterKind) -> Self {
+        match kind {
+            ArbiterKind::RoundRobin => Arbiter::RoundRobin { next: 0 },
+            ArbiterKind::FixedPriority => Arbiter::FixedPriority,
         }
-        for k in 0..n {
-            let i = (self.next + k) % n;
-            if requests[i] {
-                self.next = (i + 1) % n;
-                return Some(i);
+    }
+
+    /// Grants one of the requesting indices (`requests[i] == true`), or
+    /// `None` if nobody requests.
+    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
+        match self {
+            Arbiter::RoundRobin { next } => {
+                let n = requests.len();
+                let i = (0..n).map(|k| (*next + k) % n).find(|&i| requests[i])?;
+                *next = (i + 1) % n;
+                Some(i)
             }
+            Arbiter::FixedPriority => requests.iter().position(|&r| r),
         }
-        None
     }
-
-    fn policy(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn reset(&mut self) {
-        self.next = 0;
-    }
-}
-
-/// Fixed-priority arbiter: lowest requesting index always wins.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FixedPriority;
-
-impl Arbiter for FixedPriority {
-    fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        requests.iter().position(|&r| r)
-    }
-
-    fn policy(&self) -> &'static str {
-        "fixed-priority"
-    }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -127,7 +86,7 @@ mod tests {
 
     #[test]
     fn round_robin_is_fair_under_full_contention() {
-        let mut rr = RoundRobin::new();
+        let mut rr = Arbiter::new(ArbiterKind::RoundRobin);
         let reqs = [true; 4];
         let mut grants = [0u32; 4];
         for _ in 0..400 {
@@ -138,7 +97,7 @@ mod tests {
 
     #[test]
     fn round_robin_skips_idle_masters() {
-        let mut rr = RoundRobin::new();
+        let mut rr = Arbiter::new(ArbiterKind::RoundRobin);
         assert_eq!(rr.grant(&[false, true, false]), Some(1));
         assert_eq!(rr.grant(&[true, false, true]), Some(2));
         assert_eq!(rr.grant(&[true, false, true]), Some(0));
@@ -146,22 +105,15 @@ mod tests {
 
     #[test]
     fn round_robin_none_when_idle() {
-        let mut rr = RoundRobin::new();
+        let mut rr = Arbiter::new(ArbiterKind::RoundRobin);
         assert_eq!(rr.grant(&[false, false]), None);
         assert_eq!(rr.grant(&[]), None);
-    }
-
-    #[test]
-    fn round_robin_reset_restores_priority() {
-        let mut rr = RoundRobin::new();
-        let _ = rr.grant(&[true, true]);
-        rr.reset();
-        assert_eq!(rr.grant(&[true, true]), Some(0));
+        assert_eq!(rr, Arbiter::RoundRobin { next: 0 }, "no grant keeps the pointer");
     }
 
     #[test]
     fn fixed_priority_starves_high_indices() {
-        let mut fp = FixedPriority;
+        let mut fp = Arbiter::new(ArbiterKind::FixedPriority);
         for _ in 0..10 {
             assert_eq!(fp.grant(&[true, true, true]), Some(0));
         }
@@ -169,12 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn kind_builds_matching_policy() {
-        assert_eq!(ArbiterKind::RoundRobin.build().policy(), "round-robin");
-        assert_eq!(
-            ArbiterKind::FixedPriority.build().policy(),
-            "fixed-priority"
-        );
+    fn kind_displays_policy_and_defaults_to_round_robin() {
+        assert_eq!(ArbiterKind::RoundRobin.to_string(), "round-robin");
+        assert_eq!(ArbiterKind::FixedPriority.to_string(), "fixed-priority");
         assert_eq!(ArbiterKind::default(), ArbiterKind::RoundRobin);
     }
 }

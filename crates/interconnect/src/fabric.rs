@@ -106,7 +106,7 @@ struct Pending {
     target: Option<(usize, u32)>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct MasterPort {
     id: ComponentId,
     pending: Option<Pending>,
@@ -123,14 +123,14 @@ struct MasterPort {
 
 /// The peripheral interconnect.
 ///
-/// Generic over the slave type `S` so integrations can use concrete slaves
-/// (tests), or `Box<dyn ...>` trait objects (the SoC), and still reach the
-/// typed slave through [`ApbFabric::slave_mut`].
+/// Generic over the slave type `S`: tests use one concrete slave type, the
+/// SoC its closed peripheral enum. Either way slaves are held by value and
+/// reached through [`ApbFabric::slave_mut`].
 ///
 /// Drive it by calling [`ApbFabric::issue`] from master models during the
 /// combinational phase of a cycle and [`ApbFabric::tick`] exactly once per
 /// cycle after all masters have run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ApbFabric<S> {
     topology: Topology,
     arbiter_kind: ArbiterKind,
@@ -140,7 +140,7 @@ pub struct ApbFabric<S> {
     /// One lane per concurrent transfer: lane 0 only for [`Topology::Shared`];
     /// one lane per slave plus a decode-error lane for the crossbar.
     lanes: Vec<Option<InFlight>>,
-    arbiters: Vec<Box<dyn Arbiter>>,
+    arbiters: Vec<Arbiter>,
     /// Per-master request lines handed to a lane's arbiter; sized in
     /// `add_master` and refilled in place, so ticking never allocates.
     requests: Vec<bool>,
@@ -203,7 +203,7 @@ impl<S: ApbSlave> ApbFabric<S> {
             Topology::PerSlaveCrossbar => self.slaves.len() + 1,
         };
         self.lanes = (0..n).map(|_| None).collect();
-        self.arbiters = (0..n).map(|_| self.arbiter_kind.build()).collect();
+        self.arbiters = vec![Arbiter::new(self.arbiter_kind); n];
         // Rebuilding drops any transfer in flight.
         self.in_flight_count = 0;
         for port in &mut self.masters {
@@ -292,16 +292,6 @@ impl<S: ApbSlave> ApbFabric<S> {
     /// Number of registered slaves.
     pub fn slave_count(&self) -> usize {
         self.slaves.len()
-    }
-
-    /// Number of registered master ports.
-    pub fn master_count(&self) -> usize {
-        self.masters.len()
-    }
-
-    /// Name given to a master port.
-    pub fn master_name(&self, id: MasterId) -> &str {
-        self.masters[id.0].id.name()
     }
 
     /// Whether `master` can accept a new request this cycle.

@@ -45,6 +45,6 @@ pub mod memory;
 
 pub use addr::{AddrRange, AddressMap};
 pub use apb::{ApbRequest, ApbResponse, ApbSlave, BusError};
-pub use arbiter::{Arbiter, ArbiterKind, FixedPriority, RoundRobin};
+pub use arbiter::{Arbiter, ArbiterKind};
 pub use fabric::{ApbFabric, FabricStats, MasterId, MasterStats, SlaveId, Topology};
 pub use memory::MemorySlave;

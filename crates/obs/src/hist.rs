@@ -182,11 +182,6 @@ impl Histogram {
         self.quantile(0.50)
     }
 
-    /// 90th percentile.
-    pub fn p90(&self) -> Option<u64> {
-        self.quantile(0.90)
-    }
-
     /// 99th percentile.
     pub fn p99(&self) -> Option<u64> {
         self.quantile(0.99)

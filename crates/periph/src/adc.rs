@@ -9,7 +9,6 @@ use crate::sensor::Quantizer;
 use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
 use pels_interconnect::{ApbSlave, BusError};
 use pels_sim::{ActivityKind, ComponentId, EventVector};
-use std::fmt;
 
 /// A successive-approximation-style ADC model with a fixed conversion
 /// latency in bus cycles.
@@ -26,6 +25,7 @@ use std::fmt;
 ///
 /// * [`Adc::wire_start_action`] — conversion starts when the line pulses;
 /// * [`Adc::wire_done_event`] — pulses when a conversion completes.
+#[derive(Debug, Clone)]
 pub struct Adc {
     id: ComponentId,
     quantizer: Quantizer,
@@ -37,17 +37,6 @@ pub struct Adc {
     done_line: Option<u32>,
     regs: RegAccessCounter,
     conversions: u64,
-}
-
-impl fmt::Debug for Adc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Adc")
-            .field("name", &self.id.name())
-            .field("busy", &self.is_busy())
-            .field("ready", &self.ready)
-            .field("conversions", &self.conversions)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Adc {
@@ -212,25 +201,17 @@ impl Peripheral for Adc {
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
         self.regs.drain(self.id, into);
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sensor::{Constant, Quantizer};
+    use crate::sensor::SensorKind;
     use crate::testctx::Harness;
     use pels_sim::EventVector;
 
     fn adc_fixture() -> Adc {
-        let q = Quantizer::new(Box::new(Constant(3.3)), 12, 0.0, 3.3);
-        let mut a = Adc::new("adc", q, 4);
+        let mut a = Adc::new("adc", SensorKind::Constant(3.3).quantizer(), 4);
         a.wire_done_event(11);
         a.wire_start_action(2);
         a
@@ -300,8 +281,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_latency_rejected() {
-        let q = Quantizer::new(Box::new(Constant(0.0)), 8, 0.0, 1.0);
-        let _ = Adc::new("adc", q, 0);
+        let _ = Adc::new("adc", SensorKind::Constant(0.0).quantizer(), 0);
     }
 
     #[test]

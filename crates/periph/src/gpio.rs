@@ -30,7 +30,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector};
 /// corresponding pad operation when pulsed — the peripheral-side support
 /// for *instant actions*. A rising edge on a watched output pin
 /// ([`Gpio::watch_pin`]) raises an outgoing event pulse.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Gpio {
     id: ComponentId,
     dir: u32,
@@ -237,13 +237,6 @@ impl Peripheral for Gpio {
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
         self.regs.drain(self.id, into);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -7,33 +7,18 @@
 //! from the core).
 //!
 //! The model executes whole transactions (START + address + N data
-//! bytes + STOP) against an attached [`I2cDevice`], with a per-bit
+//! bytes + STOP) against an attached [`SensorDevice`], with a per-bit
 //! cycle cost, ACK/NACK handling and completion/error event pulses.
 
 use crate::sensor::Quantizer;
 use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
 use pels_interconnect::{ApbSlave, BusError};
 use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo, SimTime};
-use std::fmt;
-
-/// A device on the I2C bus.
-///
-/// `Send` is a supertrait: I2C masters (and the SoCs that own them) cross
-/// thread boundaries in batch sweeps.
-pub trait I2cDevice: Send {
-    /// The device's 7-bit address.
-    fn address(&self) -> u8;
-
-    /// Handles a written byte (register pointer or data).
-    fn write_byte(&mut self, byte: u8, time: SimTime);
-
-    /// Produces the next read byte.
-    fn read_byte(&mut self, time: SimTime) -> u8;
-}
 
 /// An I2C temperature-sensor-style device: writes select nothing, reads
 /// return the quantized sample, high byte first (big-endian, like most
 /// I2C sensors).
+#[derive(Debug, Clone)]
 pub struct SensorDevice {
     address: u8,
     quantizer: Quantizer,
@@ -54,23 +39,8 @@ impl SensorDevice {
             pending: None,
         }
     }
-}
 
-impl fmt::Debug for SensorDevice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SensorDevice")
-            .field("address", &self.address)
-            .finish_non_exhaustive()
-    }
-}
-
-impl I2cDevice for SensorDevice {
-    fn address(&self) -> u8 {
-        self.address
-    }
-
-    fn write_byte(&mut self, _byte: u8, _time: SimTime) {}
-
+    /// Produces the next read byte.
     fn read_byte(&mut self, time: SimTime) -> u8 {
         match self.pending.take() {
             Some(low) => low,
@@ -118,9 +88,10 @@ struct Transaction {
 ///   acknowledged;
 /// * [`I2c::wire_start_action`] — an incoming pulse repeats the last
 ///   `CMD` transaction (instant-action start).
+#[derive(Debug, Clone)]
 pub struct I2c {
     id: ComponentId,
-    devices: Vec<Box<dyn I2cDevice>>,
+    devices: Vec<SensorDevice>,
     clkdiv: u32,
     current: Option<Transaction>,
     bits_left: u32,
@@ -137,17 +108,6 @@ pub struct I2c {
     start_line: Option<u32>,
     regs: RegAccessCounter,
     transactions: u64,
-}
-
-impl fmt::Debug for I2c {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("I2c")
-            .field("name", &self.id.name())
-            .field("busy", &self.is_busy())
-            .field("devices", &self.devices.len())
-            .field("transactions", &self.transactions)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Bits on the wire per byte: 8 data + ACK.
@@ -199,7 +159,7 @@ impl I2c {
     }
 
     /// Attaches a device to the bus.
-    pub fn attach(&mut self, device: Box<dyn I2cDevice>) -> &mut Self {
+    pub fn attach(&mut self, device: SensorDevice) -> &mut Self {
         self.devices.push(device);
         self
     }
@@ -260,7 +220,7 @@ impl I2c {
             Op::Write
         };
         self.last_cmd = cmd;
-        self.target = self.devices.iter().position(|d| d.address() == address);
+        self.target = self.devices.iter().position(|d| d.address == address);
         self.nack = self.target.is_none();
         self.current = Some(Transaction { op, bytes });
         self.bytes_left = bytes;
@@ -350,9 +310,9 @@ impl Peripheral for I2c {
                     self.last16 = (self.last16 << 8) | u16::from(byte);
                     let _ = self.rx_fifo.push(byte);
                 }
+                // Sensors ignore written bytes (no register pointer).
                 Op::Write => {
-                    let byte = self.tx_fifo.pop().unwrap_or(0);
-                    self.devices[device].write_byte(byte, ctx.time);
+                    let _ = self.tx_fifo.pop();
                 }
             }
             self.bytes_left -= 1;
@@ -389,27 +349,19 @@ impl Peripheral for I2c {
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
         self.regs.drain(self.id, into);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sensor::Constant;
+    use crate::sensor::SensorKind;
     use crate::testctx::Harness;
     use pels_sim::EventVector;
 
     fn master_with_sensor() -> I2c {
-        let q = Quantizer::new(Box::new(Constant(3.3)), 12, 0.0, 3.3);
+        let q = SensorKind::Constant(3.3).quantizer();
         let mut m = I2c::new("i2c");
-        m.attach(Box::new(SensorDevice::new(0x48, q)));
+        m.attach(SensorDevice::new(0x48, q));
         m.wire_done_event(7).wire_nack_event(8);
         m.write(I2c::CLKDIV, 1).unwrap();
         m
@@ -461,31 +413,13 @@ mod tests {
 
     #[test]
     fn write_transaction_consumes_tx_fifo() {
-        struct Sink {
-            got: Vec<u8>,
-        }
-        impl I2cDevice for Sink {
-            fn address(&self) -> u8 {
-                0x22
-            }
-            fn write_byte(&mut self, byte: u8, _t: SimTime) {
-                self.got.push(byte);
-            }
-            fn read_byte(&mut self, _t: SimTime) -> u8 {
-                0
-            }
-        }
-        let mut m = I2c::new("i2c");
-        m.attach(Box::new(Sink { got: Vec::new() }));
-        m.write(I2c::CLKDIV, 1).unwrap();
+        let mut m = master_with_sensor();
         m.write(I2c::TXDATA, 0xAA).unwrap();
         m.write(I2c::TXDATA, 0x55).unwrap();
-        m.write(I2c::CMD, 0x22 | (2 << 8)).unwrap();
+        m.write(I2c::CMD, 0x48 | (2 << 8)).unwrap();
         let mut h = Harness::new();
-        h.run(&mut m, 29);
-        let sink = m.devices[0].as_ref() as *const dyn I2cDevice;
-        // Safe downcast-free check via transactions counter + fifo state.
-        let _ = sink;
+        let out = h.run(&mut m, 29);
+        assert!(out.is_set(7), "done event");
         assert_eq!(m.transactions(), 1);
         assert_eq!(m.tx_fifo.len(), 0, "both bytes consumed");
     }

@@ -28,6 +28,7 @@ pub mod adc;
 pub mod gpio;
 pub mod i2c;
 pub mod l2;
+pub mod periph;
 pub mod sensor;
 pub mod spi;
 pub mod timer;
@@ -38,10 +39,11 @@ pub mod wdt;
 
 pub use adc::Adc;
 pub use gpio::Gpio;
-pub use i2c::{I2c, I2cDevice, SensorDevice};
+pub use i2c::{I2c, SensorDevice};
 pub use l2::L2Memory;
-pub use sensor::{AnalogSource, Composite, Constant, GaussianNoise, Quantizer, Ramp, Sine};
-pub use spi::{Spi, SpiDevice};
+pub use periph::{Periph, Variant};
+pub use sensor::{Quantizer, SensorKind};
+pub use spi::Spi;
 pub use timer::Timer;
 pub use traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral};
 pub use uart::Uart;

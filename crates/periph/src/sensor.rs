@@ -2,189 +2,130 @@
 //!
 //! The paper's motivating workload reads a thermistor/varistor-class sensor
 //! and compares the sample against a threshold (Figure 3). We do not have
-//! the physical sensor, so these sources synthesize the analog signal the
-//! ADC/SPI front-ends digitize: deterministic shapes (constant, ramp,
-//! sine) plus seeded Gaussian noise, composable by summation. The
-//! substitution preserves the relevant behaviour — the digital side sees a
-//! stream of samples that crosses thresholds at controllable times.
+//! the physical sensor, so [`SensorKind`] synthesizes the analog signal the
+//! ADC/SPI/I2C front-ends digitize: deterministic shapes (constant, ramp,
+//! sine) and a ramp with seeded Gaussian noise. The substitution preserves
+//! the relevant behaviour — the digital side sees a stream of samples that
+//! crosses thresholds at controllable times.
 
 use pels_sim::rng::Rng;
 use pels_sim::SimTime;
-use std::fmt;
 
-/// A time-dependent analog signal in arbitrary units (typically volts).
+/// The synthetic analog source behind the SPI/ADC/I2C front-ends.
 ///
-/// `sample` takes `&mut self` because noisy sources advance an internal
-/// RNG; deterministic sources simply ignore the mutability.
-///
-/// `Send` is a supertrait so that a [`Quantizer`] — and every peripheral
-/// and SoC holding one — can migrate across threads; the fleet engine in
-/// `pels-fleet` runs whole scenarios on worker threads.
-pub trait AnalogSource: Send {
-    /// The instantaneous value at `time`.
-    fn sample(&mut self, time: SimTime) -> f64;
-}
-
-/// A constant level.
+/// Substitutes the paper's thermistor/varistor (see `DESIGN.md`): each
+/// variant exercises the same digital code path with controllable
+/// threshold-crossing behaviour.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl AnalogSource for Constant {
-    fn sample(&mut self, _time: SimTime) -> f64 {
-        self.0
-    }
+pub enum SensorKind {
+    /// A fixed level (always above/below threshold — used for the
+    /// repeatable latency/power measurements).
+    Constant(f64),
+    /// A linear ramp, `start + slope_per_us * t_us`, crossing a threshold
+    /// exactly `(threshold - start) / slope_per_us` microseconds in.
+    Ramp {
+        /// Level at time zero.
+        start: f64,
+        /// Volts per simulated microsecond.
+        slope_per_us: f64,
+    },
+    /// A ramp with Gaussian measurement noise (seeded, reproducible).
+    NoisyRamp {
+        /// Level at time zero.
+        start: f64,
+        /// Volts per simulated microsecond.
+        slope_per_us: f64,
+        /// Noise standard deviation.
+        sigma: f64,
+        /// RNG seed.
+        seed: u64,
+    },
+    /// A sine wave, `offset + amplitude * sin(2π * freq_hz * t)`
+    /// (periodic threshold crossings).
+    Sine {
+        /// Mid level.
+        offset: f64,
+        /// Peak deviation.
+        amplitude: f64,
+        /// Frequency in Hz.
+        freq_hz: f64,
+    },
 }
 
-/// A linear ramp: `start + slope_per_us * t_us`.
-///
-/// The workhorse for threshold experiments — crossing time is exactly
-/// `(threshold - start) / slope_per_us` microseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ramp {
-    /// Value at time zero.
-    pub start: f64,
-    /// Increase per simulated microsecond.
-    pub slope_per_us: f64,
-}
-
-impl AnalogSource for Ramp {
-    fn sample(&mut self, time: SimTime) -> f64 {
-        self.start + self.slope_per_us * time.as_us_f64()
-    }
-}
-
-/// A sine wave: `offset + amplitude * sin(2π * freq_hz * t)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sine {
-    /// Mid-level.
-    pub offset: f64,
-    /// Peak deviation from the offset.
-    pub amplitude: f64,
-    /// Frequency in hertz.
-    pub freq_hz: f64,
-}
-
-impl AnalogSource for Sine {
-    fn sample(&mut self, time: SimTime) -> f64 {
-        let t = time.as_secs_f64();
-        self.offset + self.amplitude * (2.0 * std::f64::consts::PI * self.freq_hz * t).sin()
-    }
-}
-
-/// Zero-mean Gaussian noise with a seeded generator (reproducible runs).
-pub struct GaussianNoise {
-    sigma: f64,
-    rng: Rng,
-}
-
-impl GaussianNoise {
-    /// Creates a noise source with standard deviation `sigma`.
-    pub fn new(sigma: f64, seed: u64) -> Self {
-        GaussianNoise {
-            sigma,
+impl SensorKind {
+    /// Builds the 12-bit, 0–3.3 V quantized front-end.
+    pub fn quantizer(&self) -> Quantizer {
+        let seed = match *self {
+            SensorKind::NoisyRamp { seed, .. } => seed,
+            _ => 0,
+        };
+        Quantizer {
+            sensor: *self,
             rng: Rng::seed_from_u64(seed),
         }
     }
-}
 
-impl fmt::Debug for GaussianNoise {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GaussianNoise")
-            .field("sigma", &self.sigma)
-            .finish_non_exhaustive()
+    /// The 12-bit code a given analog level quantizes to (for choosing
+    /// thresholds).
+    pub fn code_for_level(level: f64) -> u32 {
+        SensorKind::Constant(level).quantizer().convert(SimTime::ZERO)
     }
 }
 
-impl AnalogSource for GaussianNoise {
-    fn sample(&mut self, _time: SimTime) -> f64 {
-        self.sigma * self.rng.gaussian()
-    }
-}
-
-/// The sum of several sources, e.g. a ramp plus measurement noise.
-pub struct Composite {
-    parts: Vec<Box<dyn AnalogSource>>,
-}
-
-impl Composite {
-    /// Creates a composite from parts.
-    pub fn new(parts: Vec<Box<dyn AnalogSource>>) -> Self {
-        Composite { parts }
-    }
-}
-
-impl fmt::Debug for Composite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Composite")
-            .field("parts", &self.parts.len())
-            .finish()
-    }
-}
-
-impl AnalogSource for Composite {
-    fn sample(&mut self, time: SimTime) -> f64 {
-        self.parts.iter_mut().map(|p| p.sample(time)).sum()
-    }
-}
-
-/// Quantizes an analog source to an unsigned code, the way an ADC
-/// front-end would.
+/// Quantizes a sensor to a 12-bit code over 0–3.3 V, the way the SoC's
+/// ADC front-end would.
 ///
 /// ```
-/// use pels_periph::{Constant, Quantizer};
+/// use pels_periph::SensorKind;
 /// use pels_sim::SimTime;
-/// let mut q = Quantizer::new(Box::new(Constant(1.65)), 12, 0.0, 3.3);
+/// let mut q = SensorKind::Constant(1.65).quantizer();
 /// let code = q.convert(SimTime::ZERO);
 /// assert!((i64::from(code) - 2047).abs() <= 1); // mid-scale
 /// ```
+#[derive(Debug, Clone)]
 pub struct Quantizer {
-    source: Box<dyn AnalogSource>,
-    bits: u32,
-    low: f64,
-    high: f64,
+    sensor: SensorKind,
+    /// Measurement-noise generator; only [`SensorKind::NoisyRamp`] draws
+    /// from it.
+    rng: Rng,
 }
 
 impl Quantizer {
-    /// Creates a quantizer with `bits` resolution over `[low, high]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or > 32, or if `high <= low`.
-    pub fn new(source: Box<dyn AnalogSource>, bits: u32, low: f64, high: f64) -> Self {
-        assert!((1..=32).contains(&bits), "resolution must be 1..=32 bits");
-        assert!(high > low, "full-scale range must be non-empty");
-        Quantizer {
-            source,
-            bits,
-            low,
-            high,
-        }
-    }
-
     /// The maximum output code.
-    pub fn max_code(&self) -> u32 {
-        if self.bits == 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.bits) - 1
+    const MAX_CODE: u32 = (1 << 12) - 1;
+    /// The full-scale input level in volts (the low rail is 0 V).
+    const FULL_SCALE: f64 = 3.3;
+
+    /// The instantaneous analog level at `time`. Noisy sensors advance
+    /// their seeded generator once per sample.
+    fn sample(&mut self, time: SimTime) -> f64 {
+        match self.sensor {
+            SensorKind::Constant(level) => level,
+            SensorKind::Ramp {
+                start,
+                slope_per_us,
+            } => start + slope_per_us * time.as_us_f64(),
+            SensorKind::NoisyRamp {
+                start,
+                slope_per_us,
+                sigma,
+                ..
+            } => (start + slope_per_us * time.as_us_f64()) + sigma * self.rng.gaussian(),
+            SensorKind::Sine {
+                offset,
+                amplitude,
+                freq_hz,
+            } => {
+                let t = time.as_secs_f64();
+                offset + amplitude * (2.0 * std::f64::consts::PI * freq_hz * t).sin()
+            }
         }
     }
 
-    /// Samples the source at `time` and converts; clamps at the rails.
+    /// Samples the sensor at `time` and converts; clamps at the rails.
     pub fn convert(&mut self, time: SimTime) -> u32 {
-        let v = self.source.sample(time);
-        let frac = ((v - self.low) / (self.high - self.low)).clamp(0.0, 1.0);
-        (frac * f64::from(self.max_code())).round() as u32
-    }
-}
-
-impl fmt::Debug for Quantizer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Quantizer")
-            .field("bits", &self.bits)
-            .field("low", &self.low)
-            .field("high", &self.high)
-            .finish_non_exhaustive()
+        let frac = (self.sample(time) / Self::FULL_SCALE).clamp(0.0, 1.0);
+        (frac * f64::from(Self::MAX_CODE)).round() as u32
     }
 }
 
@@ -194,39 +135,47 @@ mod tests {
 
     #[test]
     fn constant_is_constant() {
-        let mut c = Constant(2.5);
-        assert_eq!(c.sample(SimTime::ZERO), 2.5);
-        assert_eq!(c.sample(SimTime::from_ms(10)), 2.5);
+        let mut q = SensorKind::Constant(2.5).quantizer();
+        assert_eq!(q.sample(SimTime::ZERO), 2.5);
+        assert_eq!(q.sample(SimTime::from_ms(10)), 2.5);
     }
 
     #[test]
     fn ramp_crosses_threshold_at_expected_time() {
-        let mut r = Ramp {
+        let mut q = SensorKind::Ramp {
             start: 0.0,
             slope_per_us: 0.1,
-        };
-        assert!(r.sample(SimTime::from_us(9)) < 1.0);
-        assert!(r.sample(SimTime::from_us(11)) > 1.0);
+        }
+        .quantizer();
+        assert!(q.sample(SimTime::from_us(9)) < 1.0);
+        assert!(q.sample(SimTime::from_us(11)) > 1.0);
     }
 
     #[test]
     fn sine_oscillates_around_offset() {
-        let mut s = Sine {
+        let mut q = SensorKind::Sine {
             offset: 1.0,
             amplitude: 0.5,
             freq_hz: 1000.0,
-        };
+        }
+        .quantizer();
         // Quarter period of 1 kHz = 250 us -> peak.
-        let peak = s.sample(SimTime::from_us(250));
+        let peak = q.sample(SimTime::from_us(250));
         assert!((peak - 1.5).abs() < 1e-9);
-        let zero = s.sample(SimTime::ZERO);
+        let zero = q.sample(SimTime::ZERO);
         assert!((zero - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn noise_is_reproducible_and_roughly_zero_mean() {
-        let mut a = GaussianNoise::new(0.1, 42);
-        let mut b = GaussianNoise::new(0.1, 42);
+        let noise = SensorKind::NoisyRamp {
+            start: 0.0,
+            slope_per_us: 0.0,
+            sigma: 0.1,
+            seed: 42,
+        };
+        let mut a = noise.quantizer();
+        let mut b = noise.quantizer();
         let xs: Vec<f64> = (0..1000).map(|_| a.sample(SimTime::ZERO)).collect();
         let ys: Vec<f64> = (0..1000).map(|_| b.sample(SimTime::ZERO)).collect();
         assert_eq!(xs, ys);
@@ -237,34 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn composite_sums_parts() {
-        let mut c = Composite::new(vec![
-            Box::new(Constant(1.0)),
-            Box::new(Ramp {
-                start: 0.0,
-                slope_per_us: 1.0,
-            }),
-        ]);
-        assert!((c.sample(SimTime::from_us(2)) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn quantizer_clamps_at_rails() {
-        let mut low = Quantizer::new(Box::new(Constant(-5.0)), 12, 0.0, 3.3);
-        assert_eq!(low.convert(SimTime::ZERO), 0);
-        let mut high = Quantizer::new(Box::new(Constant(9.0)), 12, 0.0, 3.3);
-        assert_eq!(high.convert(SimTime::ZERO), 4095);
-    }
-
-    #[test]
-    fn quantizer_32bit_max_code() {
-        let q = Quantizer::new(Box::new(Constant(0.0)), 32, 0.0, 1.0);
-        assert_eq!(q.max_code(), u32::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "full-scale")]
-    fn quantizer_rejects_empty_range() {
-        let _ = Quantizer::new(Box::new(Constant(0.0)), 8, 1.0, 1.0);
+        assert_eq!(SensorKind::code_for_level(-5.0), 0);
+        assert_eq!(SensorKind::code_for_level(9.0), Quantizer::MAX_CODE);
+        assert_eq!(Quantizer::MAX_CODE, 4095);
     }
 }

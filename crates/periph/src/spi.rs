@@ -2,8 +2,8 @@
 //!
 //! The sensor front-end of the paper's evaluation workload: "I/O
 //! DMA-managed sensor readout through the SPI interface" (Section IV-B). A
-//! transfer shifts words from an attached [`SpiDevice`] (the digitized
-//! sensor), lands them in the RX FIFO and — when armed — streams them to L2
+//! transfer shifts words from the attached sensor (each word is the
+//! current [`Quantizer`] code), lands them in the RX FIFO and — when armed — streams them to L2
 //! through the embedded µDMA channel, then pulses **end-of-transfer**: the
 //! event PELS (or the Ibex interrupt path) links on.
 
@@ -11,54 +11,7 @@ use crate::sensor::Quantizer;
 use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
 use crate::udma::UdmaChannel;
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo, SimTime};
-use std::fmt;
-
-/// The device on the other end of the SPI bus.
-///
-/// `Send` is a supertrait: SPI masters (and the SoCs that own them) cross
-/// thread boundaries in batch sweeps.
-pub trait SpiDevice: Send {
-    /// Full-duplex word exchange at simulation time `time`.
-    fn transfer(&mut self, mosi: u32, time: SimTime) -> u32;
-}
-
-/// A quantized analog sensor is the canonical SPI device of the paper's
-/// workload: each exchanged word is the current ADC code.
-impl SpiDevice for Quantizer {
-    fn transfer(&mut self, _mosi: u32, time: SimTime) -> u32 {
-        self.convert(time)
-    }
-}
-
-/// An SPI device replaying a fixed word sequence (repeats the last word).
-#[derive(Debug, Clone)]
-pub struct ReplayDevice {
-    words: Vec<u32>,
-    pos: usize,
-}
-
-impl ReplayDevice {
-    /// Creates a device that answers with `words` in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is empty.
-    pub fn new(words: Vec<u32>) -> Self {
-        assert!(!words.is_empty(), "replay device needs at least one word");
-        ReplayDevice { words, pos: 0 }
-    }
-}
-
-impl SpiDevice for ReplayDevice {
-    fn transfer(&mut self, _mosi: u32, _time: SimTime) -> u32 {
-        let w = self.words[self.pos];
-        if self.pos + 1 < self.words.len() {
-            self.pos += 1;
-        }
-        w
-    }
-}
+use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo};
 
 /// SPI master peripheral.
 ///
@@ -84,9 +37,10 @@ impl SpiDevice for ReplayDevice {
 /// * [`Spi::wire_udma_done_event`] — pulses when the µDMA buffer completes;
 /// * [`Spi::wire_start_action`] — an incoming pulse starts a transfer of
 ///   the most recent `CMD` length (instant-action start).
+#[derive(Debug, Clone)]
 pub struct Spi {
     id: ComponentId,
-    device: Box<dyn SpiDevice>,
+    sensor: Quantizer,
     clkdiv: u32,
     words_remaining: u32,
     cycle_in_word: u32,
@@ -100,17 +54,6 @@ pub struct Spi {
     start_line: Option<u32>,
     regs: RegAccessCounter,
     words_done: u64,
-}
-
-impl fmt::Debug for Spi {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Spi")
-            .field("name", &self.id.name())
-            .field("busy", &self.is_busy())
-            .field("words_remaining", &self.words_remaining)
-            .field("clkdiv", &self.clkdiv)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Spi {
@@ -131,12 +74,12 @@ impl Spi {
     /// `UDMA_CFG` byte offset (bit 0: continuous/ring mode).
     pub const UDMA_CFG: u32 = 0x1C;
 
-    /// Creates an SPI master attached to `device`, 8 cycles/word, RX FIFO
+    /// Creates an SPI master reading `sensor`, 8 cycles/word, RX FIFO
     /// depth 8.
-    pub fn new(name: impl AsRef<str>, device: Box<dyn SpiDevice>) -> Self {
+    pub fn new(name: impl AsRef<str>, sensor: Quantizer) -> Self {
         Spi {
             id: ComponentId::intern(name.as_ref()),
-            device,
+            sensor,
             clkdiv: 8,
             words_remaining: 0,
             cycle_in_word: 0,
@@ -281,7 +224,7 @@ impl Peripheral for Spi {
         }
         // One word completes this cycle.
         self.cycle_in_word = 0;
-        let word = self.device.transfer(0, ctx.time);
+        let word = self.sensor.convert(ctx.time);
         self.last_word = word;
         self.words_done += 1;
         if self.udma.is_active() {
@@ -354,30 +297,38 @@ impl Peripheral for Spi {
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
         self.regs.drain(self.id, into);
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sensor::SensorKind;
     use crate::testctx::Harness;
-    use pels_sim::EventVector;
+    use pels_sim::{EventVector, SimTime};
 
-    fn spi_with(words: Vec<u32>) -> Spi {
-        let mut s = Spi::new("spi", Box::new(ReplayDevice::new(words)));
+    /// A ramp steep enough (about 180 codes per 8-cycle word) that every
+    /// word a test shifts carries a distinct, rising code.
+    const RAMP: SensorKind = SensorKind::Ramp {
+        start: 0.0,
+        slope_per_us: 1.0,
+    };
+
+    fn spi() -> Spi {
+        let mut s = Spi::new("spi", RAMP.quantizer());
         s.wire_eot_event(3);
         s
     }
 
+    /// The word a transfer completing on harness cycle `cycle` receives.
+    fn word_at(cycle: u64) -> u32 {
+        let period = Harness::new().period;
+        RAMP.quantizer()
+            .convert(SimTime::from_ps(period.as_ps() * cycle))
+    }
+
     #[test]
     fn transfer_takes_clkdiv_cycles_per_word() {
-        let mut s = spi_with(vec![0xAB]);
+        let mut s = spi();
         s.write(Spi::CMD, 1).unwrap();
         let mut h = Harness::new();
         let out = h.run(&mut s, 7);
@@ -385,25 +336,25 @@ mod tests {
         let out = h.run(&mut s, 1);
         assert!(out.is_set(3), "EOT on the 8th cycle");
         assert!(!s.is_busy());
-        assert_eq!(s.last_word(), 0xAB);
+        assert_eq!(s.last_word(), word_at(7));
     }
 
     #[test]
     fn words_land_in_rx_fifo_without_dma() {
-        let mut s = spi_with(vec![1, 2, 3]);
+        let mut s = spi();
         s.write(Spi::CMD, 3).unwrap();
         let mut h = Harness::new();
         h.run(&mut s, 24);
         assert_eq!(s.rx_level(), 3);
-        assert_eq!(s.read(Spi::DATA).unwrap(), 1);
-        assert_eq!(s.read(Spi::DATA).unwrap(), 2);
-        assert_eq!(s.read(Spi::DATA).unwrap(), 3);
+        assert_eq!(s.read(Spi::DATA).unwrap(), word_at(7));
+        assert_eq!(s.read(Spi::DATA).unwrap(), word_at(15));
+        assert_eq!(s.read(Spi::DATA).unwrap(), word_at(23));
         assert_eq!(s.read(Spi::DATA).unwrap(), 0); // empty reads as 0
     }
 
     #[test]
     fn udma_streams_to_l2_and_pulses_done() {
-        let mut s = spi_with(vec![0x11, 0x22]);
+        let mut s = spi();
         s.wire_udma_done_event(4);
         s.write(Spi::UDMA_SADDR, 0x40).unwrap();
         s.write(Spi::UDMA_SIZE, 8).unwrap();
@@ -412,14 +363,14 @@ mod tests {
         let out = h.run(&mut s, 16);
         assert!(out.is_set(3), "eot");
         assert!(out.is_set(4), "udma done");
-        assert_eq!(h.l2.peek_word(0x40), 0x11);
-        assert_eq!(h.l2.peek_word(0x44), 0x22);
+        assert_eq!(h.l2.peek_word(0x40), word_at(7));
+        assert_eq!(h.l2.peek_word(0x44), word_at(15));
         assert_eq!(s.rx_level(), 0, "dma path bypasses the fifo");
     }
 
     #[test]
     fn action_line_starts_transfer() {
-        let mut s = spi_with(vec![9]);
+        let mut s = spi();
         s.wire_start_action(7);
         s.write(Spi::CMD, 1).unwrap();
         let mut h = Harness::new();
@@ -434,7 +385,7 @@ mod tests {
 
     #[test]
     fn status_reflects_busy_and_fifo_level() {
-        let mut s = spi_with(vec![5]);
+        let mut s = spi();
         s.write(Spi::CMD, 1).unwrap();
         assert_eq!(s.read(Spi::STATUS).unwrap() & 1, 1);
         let mut h = Harness::new();
@@ -446,25 +397,25 @@ mod tests {
 
     #[test]
     fn last_register_reads_without_popping() {
-        let mut s = spi_with(vec![42]);
+        let mut s = spi();
         s.write(Spi::CMD, 1).unwrap();
         let mut h = Harness::new();
         h.run(&mut s, 8);
-        assert_eq!(s.read(Spi::LAST).unwrap(), 42);
-        assert_eq!(s.read(Spi::LAST).unwrap(), 42);
+        assert_eq!(s.read(Spi::LAST).unwrap(), word_at(7));
+        assert_eq!(s.read(Spi::LAST).unwrap(), word_at(7));
         assert_eq!(s.rx_level(), 1);
     }
 
     #[test]
     fn zero_cmd_and_clkdiv_rejected() {
-        let mut s = spi_with(vec![1]);
+        let mut s = spi();
         assert!(s.write(Spi::CMD, 0).is_err());
         assert!(s.write(Spi::CLKDIV, 0).is_err());
     }
 
     #[test]
     fn faster_clkdiv_shortens_words() {
-        let mut s = spi_with(vec![1, 2]);
+        let mut s = spi();
         s.write(Spi::CLKDIV, 2).unwrap();
         s.write(Spi::CMD, 2).unwrap();
         let mut h = Harness::new();
@@ -484,7 +435,7 @@ mod tests {
 
     #[test]
     fn idle_hint_publishes_exact_word_deadline() {
-        let mut s = spi_with(vec![1, 2]);
+        let mut s = spi();
         assert!(matches!(s.idle_hint(), IdleHint::Idle));
         assert!(s.catch_up_is_noop());
         s.write(Spi::CMD, 2).unwrap();
@@ -509,7 +460,7 @@ mod tests {
 
     #[test]
     fn lowering_clkdiv_mid_word_saturates_the_deadline() {
-        let mut s = spi_with(vec![0x5A]);
+        let mut s = spi();
         s.write(Spi::CMD, 1).unwrap();
         let mut h = Harness::new();
         h.run(&mut s, 5);
@@ -520,9 +471,9 @@ mod tests {
         assert_eq!(s.idle_hint(), IdleHint::IdleFor(0));
         let out = h.run(&mut s, 1);
         assert!(out.is_set(3));
-        assert_eq!(s.last_word(), 0x5A);
+        assert_eq!(s.last_word(), word_at(5));
         // Lowered to exactly cycle_in_word + 1: due on the next tick.
-        let mut s = spi_with(vec![1]);
+        let mut s = spi();
         s.write(Spi::CMD, 1).unwrap();
         h.run(&mut s, 5);
         s.write(Spi::CLKDIV, 6).unwrap();
@@ -533,7 +484,7 @@ mod tests {
     fn fastest_dividers_publish_no_multi_cycle_skip() {
         // clkdiv 1: every tick completes a word, so the hint never lets
         // the scheduler skip a cycle (it sleeps only on `IdleFor(n >= 2)`).
-        let mut s = spi_with(vec![1, 2, 3, 4]);
+        let mut s = spi();
         s.write(Spi::CLKDIV, 1).unwrap();
         s.write(Spi::CMD, 4).unwrap();
         assert_eq!(s.idle_hint(), IdleHint::IdleFor(1));
@@ -544,7 +495,7 @@ mod tests {
         assert_eq!(s.words_done(), 4);
         // clkdiv 2: the mid-word tick is the only skippable one — a word
         // boundary publishes 2, the tick after it 1.
-        let mut s = spi_with(vec![1, 2, 3]);
+        let mut s = spi();
         s.write(Spi::CLKDIV, 2).unwrap();
         s.write(Spi::CMD, 3).unwrap();
         assert_eq!(s.idle_hint(), IdleHint::IdleFor(2));
@@ -565,12 +516,12 @@ mod tests {
     #[test]
     fn catch_up_matches_ticked_word() {
         // Reference: tick through the first seven cycles of a word.
-        let mut ticked = spi_with(vec![0x11, 0x22]);
+        let mut ticked = spi();
         ticked.write(Spi::CMD, 2).unwrap();
         let mut h = Harness::new();
         h.run(&mut ticked, 7);
         // Candidate: replay the same seven mid-word cycles in closed form.
-        let mut skipped = spi_with(vec![0x11, 0x22]);
+        let mut skipped = spi();
         skipped.write(Spi::CMD, 2).unwrap();
         let mut h2 = Harness::new();
         h2.catch_up(&mut skipped, 7);
@@ -593,7 +544,7 @@ mod tests {
 
     #[test]
     fn catch_up_on_an_idle_spi_is_a_no_op() {
-        let mut s = spi_with(vec![1]);
+        let mut s = spi();
         let mut h = Harness::new();
         h.catch_up(&mut s, 100);
         assert!(h.activity.iter().all(|(_, _, n)| n == 0));
@@ -602,7 +553,7 @@ mod tests {
 
     #[test]
     fn out_of_range_udma_words_are_dropped_and_traced() {
-        let mut s = spi_with(vec![0x11, 0x22]);
+        let mut s = spi();
         s.wire_udma_done_event(4);
         s.write(Spi::UDMA_SADDR, 0x7FFF_0000).unwrap();
         s.write(Spi::UDMA_SIZE, 8).unwrap();
@@ -622,10 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn quantizer_as_spi_device() {
-        use crate::sensor::{Constant, Quantizer};
-        let q = Quantizer::new(Box::new(Constant(3.3)), 12, 0.0, 3.3);
-        let mut s = Spi::new("spi", Box::new(q));
+    fn full_scale_sensor_reads_max_code() {
+        let mut s = Spi::new("spi", SensorKind::Constant(3.3).quantizer());
         s.wire_eot_event(3);
         s.write(Spi::CMD, 1).unwrap();
         let mut h = Harness::new();

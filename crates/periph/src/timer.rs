@@ -25,7 +25,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector};
 /// * compare match pulses the line set by [`Timer::wire_compare_event`];
 /// * a pulse on the [`Timer::wire_start_action`] line enables and restarts
 ///   the timer; one on [`Timer::wire_stop_action`] disables it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Timer {
     id: ComponentId,
     enable: bool,
@@ -232,13 +232,6 @@ impl Peripheral for Timer {
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
         self.regs.drain(self.id, into);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -89,11 +89,12 @@ pub enum IdleHint {
 /// ticked once per cycle (the *instant action* interface plus any internal
 /// behaviour: counters, shift registers, µDMA engines, ...).
 ///
-/// `Send` is a supertrait: SoCs hold peripherals as `Box<dyn Peripheral>`
-/// and must migrate whole to fleet worker threads. All state a peripheral
-/// owns (registers, FIFOs, µDMA engines, seeded RNGs) is plain data, so
-/// the bound costs implementors nothing.
-pub trait Peripheral: ApbSlave + Send {
+/// Each of the SoC's seven peripherals implements this contract, and
+/// [`crate::Periph`] dispatches it statically over the closed set. All
+/// state a peripheral owns (registers, FIFOs, µDMA engines, seeded RNGs)
+/// is plain data, so every peripheral — and the SoC holding them — is
+/// `Clone` and `Send`.
+pub trait Peripheral: ApbSlave {
     /// Stable instance name used in traces and activity reports.
     fn name(&self) -> &str {
         self.component().name()
@@ -144,13 +145,6 @@ pub trait Peripheral: ApbSlave + Send {
     /// Harvests internally counted activity (register-file accesses
     /// observed through the APB interface since the last drain).
     fn drain_activity(&mut self, into: &mut ActivitySet);
-
-    /// Concrete-type access for harnesses holding peripherals as trait
-    /// objects.
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable concrete-type access.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
 /// Builds the wake mask for a set of optional wired input lines.

@@ -26,7 +26,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo};
 /// The TX µDMA channel lets one register write launch a whole message
 /// from an L2 buffer — which means a single PELS *sequenced action* can
 /// emit a multi-byte alert with the core asleep.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Uart {
     id: ComponentId,
     tx_fifo: Fifo<u8>,
@@ -203,13 +203,6 @@ impl Peripheral for Uart {
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
         self.regs.drain(self.id, into);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -27,7 +27,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector};
 /// * [`Watchdog::wire_bite_event`] — pulses when the counter expires;
 /// * [`Watchdog::wire_kick_action`] — an incoming pulse kicks the dog
 ///   (what a PELS instant action does in the watchdog example).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Watchdog {
     id: ComponentId,
     enable: bool,
@@ -172,13 +172,6 @@ impl Peripheral for Watchdog {
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
         self.regs.drain(self.id, into);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

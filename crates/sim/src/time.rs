@@ -170,11 +170,6 @@ impl Frequency {
         1e6 / self.period_ps as f64
     }
 
-    /// The frequency in hertz.
-    pub fn as_hz(&self) -> f64 {
-        1e12 / self.period_ps as f64
-    }
-
     /// Number of whole cycles of this clock that fit in `window`.
     pub fn cycles_in(&self, window: SimTime) -> u64 {
         window.as_ps() / self.period_ps

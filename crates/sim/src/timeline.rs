@@ -1,6 +1,6 @@
 //! Windowed activity timelines.
 //!
-//! A whole-run [`ActivitySet`](crate::ActivitySet) collapses time: it can
+//! A whole-run [`ActivitySet`] collapses time: it can
 //! say *how much* switching happened but not *when*. A timeline slices the
 //! run into consecutive cycle windows, each carrying the activity delta
 //! that accrued inside it, so the power model can be evaluated per window

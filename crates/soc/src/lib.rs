@@ -44,6 +44,6 @@ pub mod soc;
 /// compatibility).
 pub use pels_desc::mem_map;
 
-pub use pels_desc::{DescError, ExecMode, ScenarioDesc, SystemDesc};
+pub use pels_desc::{freq_from_mhz, DescError, ExecMode, ScenarioDesc, SystemDesc};
 pub use scenario::{LinkingStats, Mediator, Scenario, ScenarioError, ScenarioReport};
 pub use soc::{SchedStats, SensorKind, Soc};

@@ -389,8 +389,10 @@ impl Scenario {
     /// a budget too small. A sweep engine reports this as that one job's
     /// failure instead of aborting the batch.
     pub fn try_run(&self) -> Result<ScenarioReport, ScenarioError> {
-        // Active window.
-        let mut soc = self.build_soc();
+        // Active window, on a snapshot of the freshly built SoC; the
+        // pristine original later runs the idle window.
+        let mut idle_soc = self.build_soc();
+        let mut soc = idle_soc.clone();
         // Start sampling before the timer is armed so the first window
         // covers the arming writes too: the window deltas then sum to
         // exactly the drained activity image of the whole active run.
@@ -447,7 +449,6 @@ impl Scenario {
 
         // Idle window: identical configuration, timer disarmed, same
         // number of cycles.
-        let mut idle_soc = self.build_soc();
         {
             let _span = pels_obs::profile::span("scenario.idle");
             idle_soc.run(cycles);

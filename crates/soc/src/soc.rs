@@ -8,16 +8,16 @@ use pels_cpu::{Cpu, CpuBus, CpuState, DataReq, DataResult};
 use pels_desc::{DescError, ExecMode, PeriphKind, SystemDesc};
 use pels_interconnect::{AddrRange, ApbFabric, ApbRequest, ApbSlave, MasterId, SlaveId};
 use pels_periph::{
-    Adc, Gpio, I2c, IdleHint, L2Memory, PeriphCtx, Peripheral, SensorDevice, Spi, Timer, Uart,
-    Watchdog,
+    Adc, Gpio, I2c, IdleHint, L2Memory, Periph, PeriphCtx, Peripheral, SensorDevice, Spi, Timer,
+    Uart, Variant, Watchdog,
 };
 use pels_sim::{
     ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, EventVector,
     Frequency, SimTime, Trace,
 };
 
-/// The synthetic analog source (now owned by `pels-desc`, re-exported
-/// for compatibility).
+/// The synthetic analog source (defined in `pels-periph`, re-exported by
+/// `pels-desc` and here).
 pub use pels_desc::SensorKind;
 
 impl Soc {
@@ -45,8 +45,7 @@ impl Soc {
         pels_cfg.loopback = (AL_LOOPBACK_FIRST..=AL_LOOPBACK_LAST).collect();
         let pels = Pels::new(pels_cfg);
 
-        let mut fabric: ApbFabric<Box<dyn Peripheral>> =
-            ApbFabric::with_config(desc.topology, desc.arbiter);
+        let mut fabric: ApbFabric<Periph> = ApbFabric::with_config(desc.topology, desc.arbiter);
         let cpu_master = fabric.add_master("ibex");
         let pels_masters: Vec<MasterId> = (0..pels_cfg.links)
             .map(|i| fabric.add_master(format!("pels.link{i}")))
@@ -60,14 +59,14 @@ impl Soc {
         let mut periph_names = Vec::with_capacity(desc.peripherals.len());
         for inst in &desc.peripherals {
             periph_names.push(inst.kind.name());
-            let boxed: Box<dyn Peripheral> = match inst.kind {
+            let periph = match inst.kind {
                 PeriphKind::Gpio => {
                     let mut gpio = Gpio::new("gpio");
                     gpio.wire_set_action(AL_GPIO_SET, 1)
                         .wire_clear_action(AL_GPIO_CLEAR, 1)
                         .wire_toggle_action(AL_GPIO_TOGGLE, 1)
                         .watch_pin(0, EV_GPIO_RISE);
-                    Box::new(gpio)
+                    Periph::Gpio(gpio)
                 }
                 PeriphKind::Timer => {
                     let mut timer = Timer::new("timer");
@@ -75,10 +74,10 @@ impl Soc {
                         .wire_compare_event(EV_TIMER_CMP)
                         .wire_start_action(AL_TIMER_START)
                         .wire_stop_action(AL_TIMER_STOP);
-                    Box::new(timer)
+                    Periph::Timer(timer)
                 }
                 PeriphKind::Spi { clkdiv } => {
-                    let mut spi = Spi::new("spi", Box::new(desc.sensor.quantizer()));
+                    let mut spi = Spi::new("spi", desc.sensor.quantizer());
                     spi.wire_eot_event(EV_SPI_EOT)
                         .wire_udma_done_event(EV_SPI_UDMA_DONE);
                     if desc.timer_starts_spi {
@@ -86,39 +85,35 @@ impl Soc {
                     }
                     spi.write(Spi::CLKDIV, clkdiv)
                         .expect("clkdiv is validated above");
-                    Box::new(spi)
+                    Periph::Spi(spi)
                 }
                 PeriphKind::Adc { conversion_cycles } => {
-                    let mut adc =
-                        Adc::new("adc", desc.sensor.quantizer(), conversion_cycles);
+                    let mut adc = Adc::new("adc", desc.sensor.quantizer(), conversion_cycles);
                     adc.wire_done_event(EV_ADC_DONE)
                         .wire_start_action(AL_ADC_START);
-                    Box::new(adc)
+                    Periph::Adc(adc)
                 }
                 PeriphKind::Uart => {
                     let mut uart = Uart::new("uart");
                     uart.wire_tx_done_event(EV_UART_TX_DONE);
-                    Box::new(uart)
+                    Periph::Uart(uart)
                 }
                 PeriphKind::Wdt => {
                     let mut wdt = Watchdog::new("wdt");
                     wdt.wire_bite_event(EV_WDT_BITE)
                         .wire_kick_action(AL_WDT_KICK);
-                    Box::new(wdt)
+                    Periph::Wdt(wdt)
                 }
                 PeriphKind::I2c => {
                     let mut i2c = I2c::new("i2c");
-                    i2c.attach(Box::new(SensorDevice::new(
-                        0x48,
-                        desc.sensor.quantizer(),
-                    )))
-                    .wire_done_event(EV_I2C_DONE)
-                    .wire_nack_event(EV_I2C_NACK)
-                    .wire_start_action(AL_I2C_START);
-                    Box::new(i2c)
+                    i2c.attach(SensorDevice::new(0x48, desc.sensor.quantizer()))
+                        .wire_done_event(EV_I2C_DONE)
+                        .wire_nack_event(EV_I2C_NACK)
+                        .wire_start_action(AL_I2C_START);
+                    Periph::I2c(i2c)
                 }
             };
-            let id = fabric.add_slave(slot(inst.offset), boxed);
+            let id = fabric.add_slave(slot(inst.offset), periph);
             match inst.kind {
                 PeriphKind::Gpio => gpio_id = Some(id),
                 PeriphKind::Timer => timer_id = Some(id),
@@ -209,6 +204,7 @@ impl Soc {
 /// cumulative activity image at observation points the run loops already
 /// pass through, so obs-off and timeline-on runs are bit-identical in
 /// every architectural result (`tests/observation_invariance.rs`).
+#[derive(Clone)]
 struct TimelineSampler {
     /// Nominal window width in cycles.
     window_cycles: u64,
@@ -229,6 +225,7 @@ struct TimelineSampler {
 
 /// Pre-interned component ids used on the per-drain clock-accounting
 /// path, so draining never re-interns (or re-formats) names.
+#[derive(Clone)]
 struct ClockIds {
     ibex: ComponentId,
     fabric: ComponentId,
@@ -298,9 +295,9 @@ impl SchedStats {
 /// Aggregates over the per-slave [`SlaveSleep`] vector, rebuilt whenever
 /// any slave changes sleep state. They turn the per-cycle scheduling
 /// questions ("does any sleeper need waking?", "who must tick?") into a
-/// few word-sized compares instead of a walk over every `Box<dyn
-/// Peripheral>` — the active-slave scheduling half of the fast active
-/// path (see `DESIGN.md` §7).
+/// few word-sized compares instead of a walk over every peripheral — the
+/// active-slave scheduling half of the fast active path (see `DESIGN.md`
+/// §7).
 #[derive(Debug, Clone, Default)]
 struct SlaveSched {
     /// Bit-per-index mask of awake slaves. Its set bits, taken in
@@ -360,11 +357,15 @@ impl SlaveSched {
 }
 
 /// The assembled PULPissimo-like SoC.
+///
+/// Every component is held by value, so a clone is an independent
+/// snapshot: stepping it continues exactly as the original would.
+#[derive(Clone)]
 pub struct Soc {
     freq: Frequency,
     cycle: u64,
     l2: L2Memory,
-    fabric: ApbFabric<Box<dyn Peripheral>>,
+    fabric: ApbFabric<Periph>,
     pels: Pels,
     pels_masters: Vec<MasterId>,
     cpu: Cpu,
@@ -417,7 +418,7 @@ impl std::fmt::Debug for Soc {
 
 /// PELS master ports over the fabric.
 struct PelsPort<'a> {
-    fabric: &'a mut ApbFabric<Box<dyn Peripheral>>,
+    fabric: &'a mut ApbFabric<Periph>,
     masters: &'a [MasterId],
 }
 
@@ -447,7 +448,7 @@ impl PelsBus for PelsPort<'_> {
 /// arbitration stalls).
 struct CpuPort<'a> {
     l2: &'a mut L2Memory,
-    fabric: &'a mut ApbFabric<Box<dyn Peripheral>>,
+    fabric: &'a mut ApbFabric<Periph>,
     master: MasterId,
     pels: &'a mut Pels,
     pels_id: ComponentId,
@@ -615,26 +616,18 @@ impl Soc {
         self.l2.load(addr - L2_BASE, words);
     }
 
-    fn periph<P: 'static>(&self, id: SlaveId) -> &P {
-        self.fabric
-            .slave(id)
-            .as_any()
-            .downcast_ref()
-            .expect("slave id maps to its concrete type")
+    fn periph<P: Variant>(&self, id: SlaveId) -> &P {
+        P::of(self.fabric.slave(id)).expect("slave id maps to its peripheral")
     }
 
-    fn periph_mut<P: 'static>(&mut self, id: SlaveId) -> &mut P {
+    fn periph_mut<P: Variant>(&mut self, id: SlaveId) -> &mut P {
         // A direct mutable poke bypasses the bus, so none of the wake
         // conditions would notice it: sync the skipped span and force
         // the slave awake so its next tick sees the poked state.
         self.sync_slaves();
         self.sleep[id.index()] = SlaveSleep::Awake;
         self.sched.rebuild(&self.sleep);
-        self.fabric
-            .slave_mut(id)
-            .as_any_mut()
-            .downcast_mut()
-            .expect("slave id maps to its concrete type")
+        P::of_mut(self.fabric.slave_mut(id)).expect("slave id maps to its peripheral")
     }
 
     /// The GPIO controller.

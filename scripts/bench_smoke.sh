@@ -104,5 +104,5 @@ echo "bench_smoke: clippy OK"
 
 # Rustdoc gate: broken intra-doc links or malformed doc examples fail
 # the pass — the API docs are part of the reproduction artifact.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "bench_smoke: rustdoc OK"

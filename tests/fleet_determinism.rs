@@ -108,10 +108,21 @@ fn failing_job_is_isolated_to_its_own_slot() {
 
 #[test]
 fn invalid_sweep_axis_is_rejected_before_any_simulation() {
-    let spec = SweepSpec::new().links(&[0]);
-    match FleetEngine::new(2).run_sweep(&spec) {
-        Err(ScenarioError::Desc(e)) => assert_eq!(e.path, "/system/pels/links"),
-        other => panic!("expected a description rejection, got {other:?}"),
+    let cases = [
+        (SweepSpec::new().links(&[0]), "/system/pels/links"),
+        (SweepSpec::new().freqs_mhz(&[0.0]), "/system/freq_mhz"),
+        (SweepSpec::new().freqs_mhz(&[f64::NAN]), "/system/freq_mhz"),
+        (SweepSpec::new().freqs_mhz(&[1e7]), "/system/freq_mhz"),
+        (
+            SweepSpec::new().sample_periods_us(&[u64::MAX / 1_000_000 + 1]),
+            "/sample_period_ps",
+        ),
+    ];
+    for (spec, path) in cases {
+        match FleetEngine::new(2).run_sweep(&spec) {
+            Err(ScenarioError::Desc(e)) => assert_eq!(e.path, path),
+            other => panic!("expected a description rejection at {path}, got {other:?}"),
+        }
     }
 }
 

@@ -7,7 +7,7 @@ use pels_repro::core::pels::NoBus;
 use pels_repro::core::{
     ActionMode, Command, Cond, Pels, PelsConfig, Program, TriggerCond, TriggerUnit,
 };
-use pels_repro::interconnect::{Arbiter, RoundRobin};
+use pels_repro::interconnect::{Arbiter, ArbiterKind};
 use pels_repro::power::{Calibration, PowerModel};
 use pels_repro::sim::{ActivityKind, ActivitySet, EventVector, Rng, SimTime, Trace};
 
@@ -162,7 +162,7 @@ fn round_robin_is_fair_for_any_subset() {
             continue;
         }
         cases += 1;
-        let mut rr = RoundRobin::new();
+        let mut rr = Arbiter::new(ArbiterKind::RoundRobin);
         let mut grants = vec![0u64; n];
         for _ in 0..rounds {
             let g = rr.grant(&requests).expect("someone requests");

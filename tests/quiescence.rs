@@ -159,10 +159,15 @@ fn assert_identical(fast: &Soc, naive: &Soc, ctx: &str) {
 
 /// The differential property: random stimulus schedules observe no
 /// difference between the fast and naive schedulers — traces, activity
-/// (power input) and architectural state are all identical.
+/// (power input) and architectural state are all identical. A clone of
+/// the fast SoC taken at a random operation (sleepers, pending bus
+/// traffic and undrained activity included) continues identically too.
 #[test]
 fn fast_scheduler_is_observationally_identical_to_naive() {
     let mut rng = Rng::seed_from_u64(0x5C4E_D001);
+    // A separate stream picks the fork points, so the stimulus stays the
+    // same as without them.
+    let mut fork_rng = Rng::seed_from_u64(0x5C4E_D002);
     for case in 0..24 {
         let ops: Vec<Op> = (0..rng.range_u64(4, 20))
             .map(|_| match rng.index(11) {
@@ -177,23 +182,37 @@ fn fast_scheduler_is_observationally_identical_to_naive() {
                 _ => Op::Drain,
             })
             .collect();
+        let fork = fork_rng.index(ops.len());
         let mut fast = workload_soc();
         let mut naive = workload_soc();
         naive.set_exec_mode(ExecMode::Naive);
+        let mut clone = None;
         for (i, &op) in ops.iter().enumerate() {
-            if let Op::Drain = op {
-                let af = activity_image(&fast.drain_activity());
-                let an = activity_image(&naive.drain_activity());
-                assert_eq!(af, an, "case {case} op {i}: activity windows diverge");
-            } else {
-                apply(&mut fast, op);
-                apply(&mut naive, op);
+            if i == fork {
+                clone = Some(fast.clone());
             }
-            assert_identical(&fast, &naive, &format!("case {case} op {i} ({op:?})"));
+            if let Op::Drain = op {
+                let an = activity_image(&naive.drain_activity());
+                for soc in std::iter::once(&mut fast).chain(clone.as_mut()) {
+                    let a = activity_image(&soc.drain_activity());
+                    assert_eq!(a, an, "case {case} op {i}: activity windows diverge");
+                }
+            } else {
+                for soc in [&mut fast, &mut naive].into_iter().chain(clone.as_mut()) {
+                    apply(soc, op);
+                }
+            }
+            let ctx = format!("case {case} op {i} ({op:?})");
+            assert_identical(&fast, &naive, &ctx);
+            if let Some(clone) = &clone {
+                assert_identical(clone, &naive, &format!("{ctx}, clone from op {fork}"));
+            }
         }
-        let af = activity_image(&fast.drain_activity());
         let an = activity_image(&naive.drain_activity());
-        assert_eq!(af, an, "case {case}: final activity (power input) diverges");
+        for soc in std::iter::once(&mut fast).chain(clone.as_mut()) {
+            let a = activity_image(&soc.drain_activity());
+            assert_eq!(a, an, "case {case}: final activity (power input) diverges");
+        }
     }
 }
 
