@@ -9,13 +9,21 @@
 //! runs on the paper presets). Deliberately broken descriptions must be
 //! rejected with a [`DescError`] that names the offending JSON path.
 //!
+//! The codec's no-panic contract is checked on boundary mutants of the
+//! shipped corpus: every scenario document under `examples/descs/`, with
+//! one to three numeric literals replaced by a boundary value, must be
+//! rejected with a typed error or build and run.
+//!
 //! A last test pins the sweep layer to the descriptions it expands: a
 //! `SweepSpec` job and the same [`ScenarioDesc`] built by hand must
 //! measure identically, down to the fleet digest.
 
 use pels_fleet::{FleetEngine, SweepSpec};
 use pels_repro::desc::{DescFuzzer, FuzzCase};
-use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, SystemDesc};
+use pels_repro::sim::Rng;
+use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, ScenarioError, SystemDesc};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 
 /// Generate→validate→differential iterations (the ISSUE floor is 200).
 const ITERATIONS: usize = 240;
@@ -90,8 +98,8 @@ fn fuzzed_descriptions_round_trip_and_run_differentially() {
     assert!(rejected >= 10, "only {rejected} rejected cases — fuzzer drifted");
 }
 
-#[test]
-fn shipped_corpus_round_trips_bit_identically() {
+/// The committed corpus files, sorted by name.
+fn corpus_paths() -> Vec<PathBuf> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/descs");
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .expect("examples/descs exists (regenerate with `reproduce -- desc`)")
@@ -100,6 +108,12 @@ fn shipped_corpus_round_trips_bit_identically() {
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
     paths.sort();
+    paths
+}
+
+#[test]
+fn shipped_corpus_round_trips_bit_identically() {
+    let paths = corpus_paths();
     assert!(paths.len() >= 10, "corpus went thin: {} files", paths.len());
     for path in &paths {
         let text = std::fs::read_to_string(path).expect("corpus file readable");
@@ -119,6 +133,124 @@ fn shipped_corpus_round_trips_bit_identically() {
                 assert_eq!(back, desc, "{ctx}: system round trip");
             }
         }
+    }
+}
+
+/// Values every numeric field must survive: the edges of `u32`, `u64`
+/// and exact `f64` integers, one past each, a huge float, a negative
+/// and a fraction.
+const BOUNDARY_VALUES: [&str; 10] = [
+    "0",
+    "1",
+    "4294967295",
+    "4294967296",
+    "9007199254740993",
+    "18446744073709551615",
+    "18446744073709551616",
+    "1e300",
+    "-1",
+    "0.5",
+];
+const BOUNDARY_MUTANTS: usize = 3_000;
+/// Mutants whose active window fits this many cycles are also run.
+const RUNNABLE_BUDGET: u64 = 100_000;
+
+/// Byte ranges of the numeric literals of a JSON document (string
+/// contents skipped).
+fn number_spans(text: &str) -> Vec<(usize, usize)> {
+    let bytes = text.as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => {
+                i += 1;
+                while bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+                i += 1;
+            }
+            b'-' | b'0'..=b'9' => {
+                let start = i;
+                while i < bytes.len()
+                    && matches!(bytes[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                {
+                    i += 1;
+                }
+                spans.push((start, i));
+            }
+            _ => i += 1,
+        }
+    }
+    spans
+}
+
+/// The no-panic contract of the description layer: a decoded, validated
+/// description always builds, and a run within a small budget either
+/// measures or reports [`ScenarioError::NoEvents`].
+#[test]
+fn boundary_mutants_of_the_corpus_never_panic() {
+    let scenarios: Vec<(PathBuf, String)> = corpus_paths()
+        .into_iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("corpus file readable");
+            (p, text)
+        })
+        .filter(|(_, text)| ScenarioDesc::from_json(text).is_ok())
+        .collect();
+    assert!(scenarios.len() >= 8, "corpus went thin: {} scenarios", scenarios.len());
+
+    let mut rng = Rng::seed_from_u64(0xB0DA_12E5);
+    let (mut decode_err, mut desc_err, mut built, mut ran) = (0usize, 0usize, 0usize, 0usize);
+    for i in 0..BOUNDARY_MUTANTS {
+        let (path, text) = &scenarios[rng.index(scenarios.len())];
+        let spans = number_spans(text);
+        let mut picks: Vec<usize> = (0..=rng.index(3)).map(|_| rng.index(spans.len())).collect();
+        picks.sort_unstable();
+        picks.dedup();
+        let mut mutant = text.clone();
+        for &p in picks.iter().rev() {
+            let value = BOUNDARY_VALUES[rng.index(BOUNDARY_VALUES.len())];
+            mutant.replace_range(spans[p].0..spans[p].1, value);
+        }
+
+        let Ok(desc) = ScenarioDesc::from_json(&mutant) else {
+            decode_err += 1;
+            continue;
+        };
+        let Ok(scenario) = Scenario::from_desc(desc) else {
+            desc_err += 1;
+            continue;
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            scenario.build_soc();
+            if scenario.cycle_budget() > RUNNABLE_BUDGET {
+                return false;
+            }
+            match scenario.try_run() {
+                Ok(_) | Err(ScenarioError::NoEvents { .. }) => true,
+                Err(e) => panic!("try_run failed with {e}"),
+            }
+        }));
+        match outcome {
+            Ok(did_run) => {
+                built += 1;
+                ran += usize::from(did_run);
+            }
+            Err(_) => panic!(
+                "mutant {i} of {} panicked after validating:\n{mutant}",
+                path.display()
+            ),
+        }
+    }
+    assert_eq!(decode_err + desc_err + built, BOUNDARY_MUTANTS);
+    for (stage, n) in [
+        ("decode errors", decode_err),
+        ("from_desc errors", desc_err),
+        ("built", built),
+        ("ran", ran),
+    ] {
+        assert!(n > 0, "no mutant reached {stage} — the mutation drifted");
     }
 }
 
