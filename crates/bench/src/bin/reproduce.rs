@@ -344,7 +344,7 @@ fn run_obs_artifact() -> Result<String, String> {
     // the event buffer from a clean slate so the exported trace covers
     // exactly this pass.
     pels_obs::profile::reset();
-    let mut reg = pels_obs::MetricsRegistry::new();
+    let mut metrics = pels_obs::MetricsSnapshot::default();
 
     // Busy-CPU workload: the interrupt path keeps the core fetching, so
     // the decode cache, the scheduler and the fabric all engage.
@@ -357,7 +357,7 @@ fn run_obs_artifact() -> Result<String, String> {
     let report = scenario
         .try_run()
         .map_err(|e| format!("obs scenario failed: {e}"))?;
-    reg.absorb(report.metrics.as_ref().expect("obs(true) snapshot"));
+    metrics.absorb(report.metrics.as_ref().expect("obs(true) snapshot"));
 
     // A small fleet on one worker — single-worker attribution is
     // deterministic, so `fleet.worker0.jobs` is reliably nonzero for the
@@ -365,7 +365,7 @@ fn run_obs_artifact() -> Result<String, String> {
     let fleet = FleetEngine::new(1)
         .run_sweep(&SweepSpec::new().mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq]))
         .map_err(|e| format!("obs fleet sweep invalid: {e}"))?;
-    fleet.publish_metrics(&mut reg);
+    fleet.publish_metrics(&mut metrics);
 
     // Flow-traced latency probes: one per mediation path. Each records
     // the causal hop chain of every measured event, so the end-to-end
@@ -415,11 +415,10 @@ fn run_obs_artifact() -> Result<String, String> {
         .into_iter()
         .chain(projection.metric_pairs())
     {
-        reg.set_named(key, value);
+        metrics.set(key, value);
     }
 
-    let snap = reg.snapshot();
-    std::fs::write("OBS_metrics.json", snap.to_json())
+    std::fs::write("OBS_metrics.json", metrics.to_json())
         .map_err(|e| format!("writing OBS_metrics.json: {e}"))?;
 
     let mut chrome = pels_obs::ChromeTrace::new();
@@ -447,7 +446,7 @@ fn run_obs_artifact() -> Result<String, String> {
         .map_err(|e| format!("writing OBS_trace.json: {e}"))?;
 
     Ok(format!(
-        "Observability - metrics snapshot, trace export and timeline\n{snap}\n{}\n\
+        "Observability - metrics snapshot, trace export and timeline\n{metrics}\n{}\n\
          latency distribution ({} events, p50 {} / p99 {} cycles):\n{}\
          power over simulated time ({} windows of ~{} cycles, mean {:.1} uW):\n  {}\n\
          where the energy goes - per-component blame:\n{}\

@@ -452,7 +452,9 @@ mod tests {
 
     #[test]
     fn fig3_stage_latencies_match_paper() {
-        for row in fig3() {
+        let rows = fig3();
+        assert_eq!(rows.len(), 4);
+        for row in rows {
             assert_eq!(
                 row.measured, row.paper,
                 "stage `{}` measured {} vs paper {}",

@@ -12,16 +12,13 @@
 //!   private SCM vs shared-memory fetch, trigger-FIFO depth, arbitration
 //!   policy and fabric topology.
 //!
-//! The `reproduce` binary renders all of them as text tables; the
-//! benches under `benches/` (plain `harness = false` binaries driven by
-//! [`harness`]) time the underlying simulations. The simulator's own
-//! speed is measured by the separate `perfbench` package at the
-//! repository root.
+//! The `reproduce` binary renders all of them as text tables, and the
+//! unit tests assert their results. The simulator's speed is measured
+//! by the separate `perfbench` package at the repository root alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod experiments;
-pub mod harness;
 pub mod sota;

@@ -236,19 +236,19 @@ impl Cpu {
         (self.dcache_hits, self.dcache_misses)
     }
 
-    /// Publishes the core's cumulative counters into an observability
-    /// registry under the `cpu.` prefix. Gauges (overwrite semantics), so
-    /// publishing is idempotent at any given point in a run.
-    pub fn publish_metrics(&self, reg: &mut pels_obs::MetricsRegistry) {
-        reg.set_named("cpu.cycles", self.cycles);
-        reg.set_named("cpu.retired", self.retired);
-        reg.set_named("cpu.fetches", self.fetches);
-        reg.set_named("cpu.decode_cache.hits", self.dcache_hits);
-        reg.set_named("cpu.decode_cache.misses", self.dcache_misses);
-        reg.set_named("cpu.irq.entries", self.irq_entries);
-        reg.set_named("cpu.irq.overhead_cycles", self.irq_overhead_cycles);
-        reg.set_named("cpu.sleep_cycles", self.sleep_cycles);
-        reg.set_named("cpu.stall_cycles", self.stall_cycles);
+    /// Publishes the core's cumulative counters into `m` under the
+    /// `cpu.` prefix. Gauges (overwrite semantics), so publishing is
+    /// idempotent at any given point in a run.
+    pub fn publish_metrics(&self, m: &mut pels_obs::MetricsSnapshot) {
+        m.set("cpu.cycles", self.cycles);
+        m.set("cpu.retired", self.retired);
+        m.set("cpu.fetches", self.fetches);
+        m.set("cpu.decode_cache.hits", self.dcache_hits);
+        m.set("cpu.decode_cache.misses", self.dcache_misses);
+        m.set("cpu.irq.entries", self.irq_entries);
+        m.set("cpu.irq.overhead_cycles", self.irq_overhead_cycles);
+        m.set("cpu.sleep_cycles", self.sleep_cycles);
+        m.set("cpu.stall_cycles", self.stall_cycles);
     }
 
     /// Invalidates every decoded-instruction cache line (the `fence.i`

@@ -24,7 +24,8 @@ pub struct PelsDesc {
     /// SCM lines (commands) per link (paper sweeps 4, 6, 8; hardware
     /// model caps at 512).
     pub scm_lines: usize,
-    /// Trigger-FIFO depth per link (0 = unbuffered ablation).
+    /// Trigger-FIFO depth per link (0 = unbuffered ablation; hardware
+    /// model caps at 64).
     pub fifo_depth: usize,
 }
 
@@ -69,6 +70,12 @@ impl PelsDesc {
             return Err(DescError::new(
                 format!("{base}/pels/scm_lines"),
                 format!("scm_lines must be between 1 and 512, got {}", self.scm_lines),
+            ));
+        }
+        if self.fifo_depth > 64 {
+            return Err(DescError::new(
+                format!("{base}/pels/fifo_depth"),
+                format!("fifo_depth must be at most 64, got {}", self.fifo_depth),
             ));
         }
         Ok(())
@@ -135,7 +142,7 @@ pub struct PeriphInst {
 /// `SystemDesc::from_json(d.to_json()) == d`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemDesc {
-    /// System clock.
+    /// System clock (period 1 ps ..= 1 ms).
     pub freq: Frequency,
     /// PELS geometry.
     pub pels: PelsDesc,
@@ -282,6 +289,17 @@ impl SystemDesc {
     /// `base` — how a nested description (e.g. under `/system`) reports
     /// in its host document's coordinates.
     pub fn validate_at(&self, base: &str) -> Result<(), DescError> {
+        // Below 1 kHz is no SoC clock, and a huge period overflows
+        // picosecond time within a few cycles.
+        if self.freq.period_ps() > 1_000_000_000 {
+            return Err(DescError::new(
+                format!("{base}/freq_period_ps"),
+                format!(
+                    "clock period must be at most 1000000000 ps (1 kHz), got {}",
+                    self.freq.period_ps()
+                ),
+            ));
+        }
         self.pels.validate_at(base)?;
         if let SensorKind::NoisyRamp { seed, .. } = self.sensor {
             if seed > (1u64 << 53) {
@@ -381,6 +399,20 @@ mod tests {
         d.pels.scm_lines = 513;
         let e = d.validate_at("/system").unwrap_err();
         assert_eq!(e.path, "/system/pels/scm_lines");
+
+        let d = SystemDesc {
+            freq: Frequency::from_period_ps(u64::MAX),
+            ..SystemDesc::default()
+        };
+        let e = d.validate().unwrap_err();
+        assert_eq!(e.path, "/freq_period_ps");
+
+        for depth in [65, 100_000_000_000, usize::MAX] {
+            let mut d = SystemDesc::default();
+            d.pels.fifo_depth = depth;
+            let e = d.validate().unwrap_err();
+            assert_eq!(e.path, "/pels/fifo_depth");
+        }
 
         let mut d = SystemDesc::default();
         d.set_spi_clkdiv(0);

@@ -172,26 +172,26 @@ impl FleetReport {
         stats
     }
 
-    /// Publishes batch-level and per-worker counters into `reg`
+    /// Publishes batch-level and per-worker counters into `m`
     /// (`fleet.jobs`, `fleet.steals`, `fleet.worker<N>.jobs`, …). Pure
     /// observation of an already-reduced report — cannot perturb results.
-    pub fn publish_metrics(&self, reg: &mut pels_obs::MetricsRegistry) {
-        reg.set_named("fleet.jobs", self.jobs.len() as u64);
-        reg.set_named("fleet.failed", self.failed().count() as u64);
-        reg.set_named("fleet.workers", self.workers as u64);
-        reg.set_named("fleet.wall_us", self.wall.as_micros() as u64);
-        reg.set_named("fleet.busy_us", self.busy().as_micros() as u64);
+    pub fn publish_metrics(&self, m: &mut pels_obs::MetricsSnapshot) {
+        m.set("fleet.jobs", self.jobs.len() as u64);
+        m.set("fleet.failed", self.failed().count() as u64);
+        m.set("fleet.workers", self.workers as u64);
+        m.set("fleet.wall_us", self.wall.as_micros() as u64);
+        m.set("fleet.busy_us", self.busy().as_micros() as u64);
         let mut steals = 0;
         for w in self.worker_stats() {
             steals += w.steals;
-            reg.set_named(&format!("fleet.worker{}.jobs", w.worker), w.jobs);
-            reg.set_named(&format!("fleet.worker{}.steals", w.worker), w.steals);
-            reg.set_named(
+            m.set(&format!("fleet.worker{}.jobs", w.worker), w.jobs);
+            m.set(&format!("fleet.worker{}.steals", w.worker), w.steals);
+            m.set(
                 &format!("fleet.worker{}.busy_us", w.worker),
                 w.busy.as_micros() as u64,
             );
         }
-        reg.set_named("fleet.steals", steals);
+        m.set("fleet.steals", steals);
     }
 
     /// Merges every succeeded job's latency histogram into one
@@ -521,9 +521,8 @@ mod tests {
         assert_eq!(stats[0].steals, 1, "the 'bad' job was marked stolen");
         assert_eq!(stats[0].busy, Duration::from_millis(4));
 
-        let mut reg = pels_obs::MetricsRegistry::new();
-        r.publish_metrics(&mut reg);
-        let snap = reg.snapshot();
+        let mut snap = pels_obs::MetricsSnapshot::default();
+        r.publish_metrics(&mut snap);
         assert_eq!(snap.get("fleet.jobs"), Some(2));
         assert_eq!(snap.get("fleet.failed"), Some(1));
         assert_eq!(snap.get("fleet.worker0.jobs"), Some(2));

@@ -5,19 +5,18 @@
 //! labelled, validated [`Scenario`] jobs ready for
 //! [`FleetEngine::run_scenarios`](crate::FleetEngine::run_scenarios).
 
-use pels_interconnect::{ArbiterKind, Topology};
 use pels_sim::SimTime;
 use pels_soc::{freq_from_mhz, DescError, Mediator, Scenario, ScenarioDesc, ScenarioError};
 
 /// A cartesian product of sweep axes over one base description.
 ///
 /// The base ([`SweepSpec::over`]) supplies everything the axes do not
-/// set: stimulus, readout shape, event count, execution mode and the
-/// observation switches (`obs`, `timeline_window`, `flows`, `lifetime`),
-/// applied uniformly to every job. Every axis defaults to a single paper
-/// operating point and overrides the base's mediator, clock, link count
-/// and fabric shape, so the empty spec expands to exactly one job; each
-/// axis setter widens one axis.
+/// set: stimulus, readout shape, event count, execution mode, fabric
+/// shape (`topology`, `arbiter`) and the observation switches (`obs`,
+/// `timeline_window`, `flows`, `lifetime`), applied uniformly to every
+/// job. Every axis defaults to a single paper operating point and
+/// overrides the base's mediator, clock and link count, so the empty
+/// spec expands to exactly one job; each axis setter widens one axis.
 ///
 /// ```
 /// use pels_fleet::SweepSpec;
@@ -37,8 +36,6 @@ pub struct SweepSpec {
     mediators: Vec<Mediator>,
     freqs_mhz: Vec<f64>,
     links: Vec<usize>,
-    topologies: Vec<Topology>,
-    arbiters: Vec<ArbiterKind>,
     sample_periods_us: Option<Vec<u64>>,
     spi_word_counts: Option<Vec<u32>>,
 }
@@ -64,8 +61,6 @@ impl SweepSpec {
             mediators: vec![Mediator::PelsSequenced],
             freqs_mhz: vec![55.0],
             links: vec![1],
-            topologies: vec![Topology::Shared],
-            arbiters: vec![ArbiterKind::RoundRobin],
             sample_periods_us: None,
             spi_word_counts: None,
         }
@@ -86,18 +81,6 @@ impl SweepSpec {
     /// Sweeps the instantiated PELS link count.
     pub fn links(mut self, links: &[usize]) -> Self {
         self.links = links.to_vec();
-        self
-    }
-
-    /// Sweeps the fabric topology.
-    pub fn topologies(mut self, topologies: &[Topology]) -> Self {
-        self.topologies = topologies.to_vec();
-        self
-    }
-
-    /// Sweeps the arbitration policy.
-    pub fn arbiters(mut self, arbiters: &[ArbiterKind]) -> Self {
-        self.arbiters = arbiters.to_vec();
         self
     }
 
@@ -122,9 +105,9 @@ impl SweepSpec {
     }
 
     /// Expands the cartesian product into labelled scenarios, in a fixed
-    /// deterministic order (mediator, …, arbiter, then the duty-cycle
-    /// axes innermost). Labels encode every axis value, so they are
-    /// unique within the sweep.
+    /// deterministic order (mediator, clock, link count, then the
+    /// duty-cycle axes innermost). Labels encode every axis value and
+    /// the fabric shape, so they are unique within the sweep.
     ///
     /// # Errors
     ///
@@ -149,36 +132,31 @@ impl SweepSpec {
             for &mhz in &self.freqs_mhz {
                 let freq = freq_from_mhz(mhz, "/system/freq_mhz").map_err(ScenarioError::Desc)?;
                 for &links in &self.links {
-                    for &topology in &self.topologies {
-                        for &arbiter in &self.arbiters {
-                            for &period_us in &periods {
-                                for &words in &word_counts {
-                                    let mut desc = self.base.clone();
-                                    desc.mediator = mediator;
-                                    desc.system.freq = freq;
-                                    desc.system.pels.links = links;
-                                    desc.system.topology = topology;
-                                    desc.system.arbiter = arbiter;
-                                    let mut label = format!(
-                                        "{mediator}@{mhz:.0}MHz links{links} {topology} {arbiter}"
-                                    );
-                                    if let Some(p) = period_us {
-                                        let ps = p.checked_mul(1_000_000).ok_or_else(|| {
-                                            ScenarioError::Desc(DescError::new(
-                                                "/sample_period_ps",
-                                                format!("{p} us overflows 64-bit picoseconds"),
-                                            ))
-                                        })?;
-                                        desc.sample_period = SimTime::from_ps(ps);
-                                        label.push_str(&format!(" T{p}us"));
-                                    }
-                                    if let Some(w) = words {
-                                        desc.spi_words = w;
-                                        label.push_str(&format!(" W{w}"));
-                                    }
-                                    jobs.push((label, Scenario::from_desc(desc)?));
-                                }
+                    for &period_us in &periods {
+                        for &words in &word_counts {
+                            let mut desc = self.base.clone();
+                            desc.mediator = mediator;
+                            desc.system.freq = freq;
+                            desc.system.pels.links = links;
+                            let mut label = format!(
+                                "{mediator}@{mhz:.0}MHz links{links} {} {}",
+                                desc.system.topology, desc.system.arbiter
+                            );
+                            if let Some(p) = period_us {
+                                let ps = p.checked_mul(1_000_000).ok_or_else(|| {
+                                    ScenarioError::Desc(DescError::new(
+                                        "/sample_period_ps",
+                                        format!("{p} us overflows 64-bit picoseconds"),
+                                    ))
+                                })?;
+                                desc.sample_period = SimTime::from_ps(ps);
+                                label.push_str(&format!(" T{p}us"));
                             }
+                            if let Some(w) = words {
+                                desc.spi_words = w;
+                                label.push_str(&format!(" W{w}"));
+                            }
+                            jobs.push((label, Scenario::from_desc(desc)?));
                         }
                     }
                 }
@@ -191,6 +169,7 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pels_interconnect::{ArbiterKind, Topology};
     use pels_soc::ExecMode;
 
     #[test]
@@ -245,6 +224,16 @@ mod tests {
         assert_eq!(jobs[0].1.events, 7);
         assert_eq!(jobs[0].1.mediator, Mediator::PelsSequenced, "axes override");
         assert_eq!(jobs[0].0, "pels-sequenced@55MHz links1 shared round-robin");
+
+        let mut crossbar = ScenarioDesc::default();
+        crossbar.system.topology = Topology::PerSlaveCrossbar;
+        crossbar.system.arbiter = ArbiterKind::FixedPriority;
+        let jobs = SweepSpec::over(crossbar.clone()).jobs().unwrap();
+        assert_eq!(jobs[0].1.system, crossbar.system, "base supplies fabric shape");
+        assert_eq!(
+            jobs[0].0,
+            "pels-sequenced@55MHz links1 per-slave crossbar fixed-priority"
+        );
     }
 
     #[test]

@@ -6,16 +6,13 @@
 //! a given workload. This crate is the observability layer the rest of
 //! the workspace publishes into:
 //!
-//! * [`metrics`] — a [`MetricsRegistry`] of named counters and gauges.
-//!   Keys are interned once ([`MetricKey`]), storage is a dense `Vec<u64>`
-//!   indexed by key, and a disabled registry turns every record into a
-//!   single branch. Layers *publish* into a registry at observation
-//!   points (`Soc::publish_metrics`, `FleetReport::publish_metrics`, …);
-//!   the hot simulation loops keep their existing plain-`u64` internal
-//!   counters, so instrumentation can never perturb architectural
-//!   results — the differential test in
-//!   `tests/observation_invariance.rs` proves obs-on and obs-off runs are
-//!   bit-identical.
+//! * [`metrics`] — a [`MetricsSnapshot`]: named counters and gauges in
+//!   one sorted map. Layers *publish* into it at observation points,
+//!   after a run (`Soc::publish_metrics`, `FleetReport::publish_metrics`,
+//!   …); the hot simulation loops keep their own plain-`u64` counters,
+//!   so instrumentation can never perturb architectural results — the
+//!   differential test in `tests/observation_invariance.rs` proves
+//!   obs-on and obs-off runs are bit-identical.
 //! * [`profile`] — a host-time span profiler: [`profile::span`] guards
 //!   around run loops, fleet jobs and bench phases aggregate per-span
 //!   call counts and total/self time into a rendered hierarchical
@@ -40,14 +37,14 @@
 //! ## Example
 //!
 //! ```
-//! use pels_obs::{MetricKey, MetricsRegistry};
-//! let hits = MetricKey::intern("cpu.decode_cache.hits");
-//! let mut reg = MetricsRegistry::new();
-//! reg.add(hits, 41);
-//! reg.add(hits, 1);
-//! let snap = reg.snapshot();
-//! assert_eq!(snap.get("cpu.decode_cache.hits"), Some(42));
-//! assert!(snap.to_json().contains("\"cpu.decode_cache.hits\": 42"));
+//! use pels_obs::MetricsSnapshot;
+//! let mut run = MetricsSnapshot::default();
+//! run.set("cpu.decode_cache.hits", 41);
+//! let mut total = MetricsSnapshot::default();
+//! total.absorb(&run);
+//! total.absorb(&run);
+//! assert_eq!(total.get("cpu.decode_cache.hits"), Some(82));
+//! assert!(total.to_json().contains("\"cpu.decode_cache.hits\": 82"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,5 +60,5 @@ pub mod profile;
 pub use chrome::ChromeTrace;
 pub use flow::{FlowReport, StageRow};
 pub use hist::Histogram;
-pub use metrics::{MetricKey, MetricsRegistry, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use profile::{ProfileReport, SpanEvent, SpanGuard, SpanStats};

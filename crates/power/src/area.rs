@@ -163,6 +163,13 @@ mod tests {
             "paper: about 1% including the 192 KiB SRAM, got {:.4}",
             frac_sram
         );
+        // Over the whole Fig. 6a grid, the SRAM dilutes the PELS share.
+        for links in 1..=8 {
+            for lines in [4, 6, 8] {
+                let (_, frac_logic, frac_sram) = pulpissimo_breakdown(links, lines);
+                assert!(frac_logic > frac_sram, "links {links}, scm lines {lines}");
+            }
+        }
     }
 
     #[test]

@@ -285,7 +285,7 @@ impl LifetimeReport {
         out
     }
 
-    /// Fixed-key integer metrics for a registry (`battery.*`; days in
+    /// Fixed-key integer metrics for a `MetricsSnapshot` (`battery.*`; days in
     /// millidays, draw in nW, usable energy in mJ).
     pub fn metric_pairs(&self) -> Vec<(&'static str, u64)> {
         let days_milli = if self.seconds.is_finite() {

@@ -208,7 +208,7 @@ impl EnergyLedger {
         out
     }
 
-    /// Fixed-key integer metrics for a registry
+    /// Fixed-key integer metrics for a `MetricsSnapshot`
     /// (`power.energy.*`; energies rounded to nanojoules, span to µs).
     pub fn metric_pairs(&self) -> Vec<(&'static str, u64)> {
         let nj = |uj: f64| (uj.max(0.0) * 1e3).round() as u64;

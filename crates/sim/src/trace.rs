@@ -64,49 +64,21 @@ impl fmt::Display for TraceEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
-    enabled: bool,
     /// Causal flow layer; `None` (the default) keeps every flow
     /// observation point in the models down to a single branch.
     flows: Option<Box<FlowTrace>>,
 }
 
 impl Trace {
-    /// Creates an enabled, empty trace.
+    /// Creates an empty trace.
     pub fn new() -> Self {
-        Trace {
-            entries: Vec::new(),
-            enabled: true,
-            flows: None,
-        }
+        Self::default()
     }
 
-    /// Creates a disabled trace: `record` becomes a no-op. Useful for the
-    /// benches, where tracing overhead would pollute throughput numbers.
-    pub fn disabled() -> Self {
-        Trace {
-            entries: Vec::new(),
-            enabled: false,
-            flows: None,
-        }
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enables or disables recording.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Records an event (no-op when disabled). Allocation-free apart from
-    /// amortized growth of the entry vector.
+    /// Records an event. Allocation-free apart from amortized growth of
+    /// the entry vector.
     #[inline]
     pub fn record(&mut self, time: SimTime, source: ComponentId, label: &'static str, value: u64) {
-        if !self.enabled {
-            return;
-        }
         self.entries.push(TraceEntry {
             time,
             source,
@@ -118,9 +90,6 @@ impl Trace {
     /// Records an event under a source name, interning it if needed.
     /// Convenience layer for tests and cold paths.
     pub fn record_named(&mut self, time: SimTime, source: &str, label: &'static str, value: u64) {
-        if !self.enabled {
-            return;
-        }
         self.record(time, ComponentId::intern(source), label, value);
     }
 
@@ -403,17 +372,6 @@ mod tests {
             ls.iter().map(|l| l.as_ns()).collect::<Vec<_>>(),
             vec![40, 70]
         );
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let a = ComponentId::intern("trace-test-a");
-        let mut t = Trace::disabled();
-        t.record(SimTime::ZERO, a, "b", 0);
-        assert!(t.is_empty());
-        t.set_enabled(true);
-        t.record(SimTime::ZERO, a, "b", 0);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -60,7 +60,6 @@ fn clear_empties_but_keeps_recording_enabled() {
     let mut t = sample_trace();
     t.clear();
     assert!(t.is_empty());
-    assert!(t.is_enabled());
     t.record_named(SimTime::ZERO, "ta-spi", "eot", 9);
     assert_eq!(t.len(), 1);
 }

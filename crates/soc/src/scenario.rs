@@ -168,10 +168,22 @@ impl Scenario {
     /// # Errors
     ///
     /// [`ScenarioError::Desc`] with the JSON path of the first value
-    /// [`ScenarioDesc::validate`] rejects.
+    /// [`ScenarioDesc::validate`] rejects, or at `/system/pels/scm_lines`
+    /// when a PELS mediator's [`Scenario::link_program`] does not fit
+    /// the SCM.
     pub fn from_desc(desc: ScenarioDesc) -> Result<Self, ScenarioError> {
         desc.validate().map_err(ScenarioError::Desc)?;
-        Ok(Scenario { desc })
+        let s = Scenario { desc };
+        if s.mediator != Mediator::IbexIrq {
+            let (needed, lines) = (s.link_program().len(), s.system.pels.scm_lines);
+            if needed > lines {
+                return Err(ScenarioError::Desc(DescError::new(
+                    "/system/pels/scm_lines",
+                    format!("the {} program needs {needed} SCM lines, got {lines}", s.mediator),
+                )));
+            }
+        }
+        Ok(s)
     }
 
     /// The scenario's description — e.g. for serialization via
@@ -415,9 +427,9 @@ impl Scenario {
         // Snapshot before the drain: `drain_activity` resets the windowed
         // counters (retired, fetches, fabric transfers) to zero.
         let metrics = self.obs.then(|| {
-            let mut reg = pels_obs::MetricsRegistry::new();
-            soc.publish_metrics(&mut reg);
-            reg.snapshot()
+            let mut m = pels_obs::MetricsSnapshot::default();
+            soc.publish_metrics(&mut m);
+            m
         });
         // Collect the timeline before the drain: the sampler's deltas
         // are relative to the cumulative image the drain resets.
@@ -861,7 +873,7 @@ mod tests {
     #[test]
     fn from_desc_rejects_unmeasurable_workloads_with_paths() {
         type Edit = fn(&mut ScenarioDesc);
-        let cases: [(Edit, &str); 7] = [
+        let cases: [(Edit, &str); 9] = [
             (|d| d.events = 0, "/events"),
             (|d| d.spi_words = 0, "/spi_words"),
             (|d| d.sample_period = SimTime::ZERO, "/sample_period_ps"),
@@ -875,6 +887,14 @@ mod tests {
             (|d| d.system.pels.links = 0, "/system/pels/links"),
             (|d| d.system.pels.scm_lines = 0, "/system/pels/scm_lines"),
             (|d| d.system.set_spi_clkdiv(0), "/system/peripherals/2/clkdiv"),
+            (|d| d.system.pels.scm_lines = 3, "/system/pels/scm_lines"),
+            (
+                |d| {
+                    d.rmw_only = true;
+                    d.system.pels.scm_lines = 1;
+                },
+                "/system/pels/scm_lines",
+            ),
         ];
         for (edit, path) in cases {
             let mut desc = ScenarioDesc::default();
@@ -884,6 +904,10 @@ mod tests {
                 other => panic!("{path}: expected a Desc error, got {other:?}"),
             }
         }
+        // The interrupt baseline loads no microcode.
+        let mut irq = Scenario::iso_frequency(Mediator::IbexIrq).desc().clone();
+        irq.system.pels.scm_lines = 1;
+        assert!(Scenario::from_desc(irq).is_ok());
     }
 
     #[test]

@@ -571,7 +571,7 @@ impl Soc {
         &self.trace
     }
 
-    /// Mutable trace access (e.g. to disable recording in benches).
+    /// Mutable trace access (e.g. to take the causal flow layer).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }
@@ -731,28 +731,28 @@ impl Soc {
         self.cpu.decode_cache_stats()
     }
 
-    /// Publishes CPU, scheduler and fabric counters into an
-    /// observability registry (gauge semantics — idempotent at a given
-    /// point in the run). Keys: `cpu.*`, `soc.sched.*`, `fabric.*`, and
-    /// `fabric.master.<name>.*` per bus master.
-    pub fn publish_metrics(&self, reg: &mut pels_obs::MetricsRegistry) {
-        self.cpu.publish_metrics(reg);
+    /// Publishes CPU, scheduler and fabric counters into `m` (gauge
+    /// semantics — idempotent at a given point in the run). Keys:
+    /// `cpu.*`, `soc.sched.*`, `fabric.*`, and `fabric.master.<name>.*`
+    /// per bus master.
+    pub fn publish_metrics(&self, m: &mut pels_obs::MetricsSnapshot) {
+        self.cpu.publish_metrics(m);
         let s = self.sched.stats;
-        reg.set_named("soc.sched.fast_cycles", s.fast_cycles);
-        reg.set_named("soc.sched.stirred_cycles", s.stirred_cycles);
-        reg.set_named("soc.sched.naive_cycles", s.naive_cycles);
-        reg.set_named("soc.sched.skip_spans", s.skip_spans);
-        reg.set_named("soc.sched.skipped_cycles", s.skipped_cycles);
-        reg.set_named("soc.sched.rebuilds", s.rebuilds);
-        reg.set_named("soc.sched.wakes", s.wakes);
-        reg.set_named("soc.sched.sleeps", s.sleeps);
+        m.set("soc.sched.fast_cycles", s.fast_cycles);
+        m.set("soc.sched.stirred_cycles", s.stirred_cycles);
+        m.set("soc.sched.naive_cycles", s.naive_cycles);
+        m.set("soc.sched.skip_spans", s.skip_spans);
+        m.set("soc.sched.skipped_cycles", s.skipped_cycles);
+        m.set("soc.sched.rebuilds", s.rebuilds);
+        m.set("soc.sched.wakes", s.wakes);
+        m.set("soc.sched.sleeps", s.sleeps);
         let f = self.fabric.stats();
-        reg.set_named("fabric.transfers", f.transfers);
-        reg.set_named("fabric.stall_cycles", f.stall_cycles);
-        reg.set_named("fabric.busy_cycles", f.busy_cycles);
-        for m in self.fabric.master_stats() {
-            reg.set_named(&format!("fabric.master.{}.grants", m.name), m.grants);
-            reg.set_named(&format!("fabric.master.{}.stalls", m.name), m.stall_cycles);
+        m.set("fabric.transfers", f.transfers);
+        m.set("fabric.stall_cycles", f.stall_cycles);
+        m.set("fabric.busy_cycles", f.busy_cycles);
+        for master in self.fabric.master_stats() {
+            m.set(&format!("fabric.master.{}.grants", master.name), master.grants);
+            m.set(&format!("fabric.master.{}.stalls", master.name), master.stall_cycles);
         }
     }
 
@@ -1313,7 +1313,7 @@ impl Soc {
         self.sampler = Some(Box::new(TimelineSampler {
             window_cycles,
             window_start: self.cycle,
-            next_boundary: self.cycle + window_cycles,
+            next_boundary: self.cycle.saturating_add(window_cycles),
             baseline: ActivitySet::new(),
             baseline_awake: 0,
             timeline: ActivityTimeline::new(window_cycles),
@@ -1368,7 +1368,7 @@ impl Soc {
             activity: delta,
         });
         s.window_start = self.cycle;
-        s.next_boundary = self.cycle + s.window_cycles;
+        s.next_boundary = self.cycle.saturating_add(s.window_cycles);
         s.baseline = self.activity.clone();
         s.baseline_awake = self.cpu_awake_cycles;
         self.sampler = Some(s);
@@ -1556,9 +1556,8 @@ mod tests {
         let (hits, _misses) = soc.decode_cache_stats();
         assert!(hits > 0, "li32 expansion re-executes cached lines");
 
-        let mut reg = pels_obs::MetricsRegistry::new();
-        soc.publish_metrics(&mut reg);
-        let snap = reg.snapshot();
+        let mut snap = pels_obs::MetricsSnapshot::default();
+        soc.publish_metrics(&mut snap);
         assert_eq!(snap.get("cpu.decode_cache.hits"), Some(hits));
         assert_eq!(snap.get("soc.sched.sleeps"), Some(s.sleeps));
         assert!(

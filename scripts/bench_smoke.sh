@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the route-counter budget, the fleet bench group, the differential
+# Runs the route-counter budget, the fleet digest gate, the differential
 # and property suites, the artifact schema gates and one checked round
 # of each perfbench workload, then gates the workspace on clippy and
 # rustdoc. Simulator speed is timed by perfbench alone. Fails on any
@@ -21,8 +21,9 @@ echo "bench_smoke: active_path differential suite compiles OK"
 cargo test -q --test route_budget
 echo "bench_smoke: Fig. 5 route-counter budget OK"
 
-# The fleet bench also asserts serial-vs-parallel digest equality.
-cargo bench -q -p pels-bench --bench fleet -- --sample-size 10
+# Fleet digest gate: `reproduce -- fleet` runs the reference 8-job sweep
+# on 1 and on all workers and exits 1 unless the digests are identical.
+cargo run -q --release -p pels-bench --bin reproduce -- fleet > /dev/null
 echo "bench_smoke: fleet OK"
 
 # Observation gate: run (not just compile) the suite that proves every

@@ -151,7 +151,7 @@ const BOUNDARY_VALUES: [&str; 10] = [
     "-1",
     "0.5",
 ];
-const BOUNDARY_MUTANTS: usize = 3_000;
+const BOUNDARY_MUTANTS: usize = 10_000;
 /// Mutants whose active window fits this many cycles are also run.
 const RUNNABLE_BUDGET: u64 = 100_000;
 

@@ -114,13 +114,13 @@ fn span_profiler_enable_never_perturbs_results() {
 fn publishing_metrics_mid_run_leaves_the_soc_untouched() {
     let mut observed = Soc::from_desc(&SystemDesc::default()).unwrap();
     let mut reference = Soc::from_desc(&SystemDesc::default()).unwrap();
-    let mut reg = pels_obs::MetricsRegistry::new();
+    let mut snap = pels_obs::MetricsSnapshot::default();
     for _ in 0..10 {
         observed.run(100);
         reference.run(100);
         // Observation point in the middle of the run: gauges republish on
         // every pass (set semantics, idempotent).
-        observed.publish_metrics(&mut reg);
+        observed.publish_metrics(&mut snap);
         let _ = observed.sched_stats();
         let _ = observed.decode_cache_stats();
         let _ = observed.master_stats();
@@ -130,7 +130,6 @@ fn publishing_metrics_mid_run_leaves_the_soc_untouched() {
     assert_eq!(observed.sched_stats(), reference.sched_stats());
     assert_eq!(observed.drain_activity(), reference.drain_activity());
     // And the counters the snapshot reports match the accessors exactly.
-    let snap = reg.snapshot();
     let (hits, _) = reference.decode_cache_stats();
     if hits > 0 {
         assert_eq!(snap.get("cpu.decode_cache.hits"), Some(hits));

@@ -45,7 +45,7 @@ fn random_programs_terminate() {
         });
         pels.link_mut(0).set_mask(EventVector::mask_of(&[0]));
         pels.link_mut(0).load_program(&program).expect("16-line scm fits");
-        let mut trace = Trace::disabled();
+        let mut trace = Trace::new();
         let mut bus = NoBus;
         let mut events = EventVector::mask_of(&[0]);
         let budget = 16 * 2 + 20 * 16 + 8;
@@ -99,7 +99,7 @@ fn instant_latency_is_payload_independent() {
                 .expect("valid"),
             )
             .expect("fits");
-        let mut trace = Trace::disabled();
+        let mut trace = Trace::new();
         let mut bus = NoBus;
         let mut outs = Vec::new();
         for cycle in 0..6u64 {
@@ -252,7 +252,7 @@ fn jump_if_always_reaches_a_pulse() {
         let mut pels = Pels::new(PelsConfig::default());
         pels.link_mut(0).set_mask(EventVector::mask_of(&[0]));
         pels.link_mut(0).load_program(&program).expect("fits");
-        let mut trace = Trace::disabled();
+        let mut trace = Trace::new();
         let mut bus = NoBus;
         let mut seen = EventVector::EMPTY;
         let mut ev = EventVector::mask_of(&[0]);
