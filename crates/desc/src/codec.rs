@@ -403,9 +403,15 @@ fn dec_scenario(v: &Value, path: &str) -> Result<ScenarioDesc, DescError> {
 // ---------------------------------------------------------------------
 
 /// Shortest `f64` form that parses back to the identical value (Rust's
-/// `Display` guarantees the round-trip).
+/// `Display` and `LowerExp` guarantee the round-trip). Magnitudes above
+/// 2^53 take the exponent form: `Display` writes them as integer
+/// literals, which the parser refuses beyond [`json::MAX_EXACT_INT`].
 fn fmt_f64(v: f64) -> String {
-    format!("{v}")
+    if v.abs() > json::MAX_EXACT_INT as f64 {
+        format!("{v:e}")
+    } else {
+        format!("{v}")
+    }
 }
 
 fn write_sensor(out: &mut String, sensor: SensorKind) {
@@ -648,6 +654,48 @@ mod tests {
             .replace("\"links\": 1,", "\"links\": 0,");
         let e = ScenarioDesc::from_json(&text).unwrap_err();
         assert_eq!(e.path, "/system/pels/links");
+    }
+
+    #[test]
+    fn integers_beyond_2_pow_53_fail_instead_of_rounding() {
+        let with = |key: &str, value: &str| {
+            let text = ScenarioDesc::default().to_json();
+            let line = text
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("\"{key}\"")))
+                .expect("canonical key");
+            text.replace(line, &format!("  \"{key}\": {value},"))
+        };
+        // Past 2^53 the literal itself is refused, at its byte offset.
+        for key in ["events", "timeline_window"] {
+            for big in ["9007199254740993", "18446744073709551616"] {
+                let text = with(key, big);
+                let e = ScenarioDesc::from_json(&text).unwrap_err();
+                assert_eq!(e.path, "", "{key} {big}");
+                let at = format!("json parse error at byte {}", text.find(big).unwrap());
+                assert!(e.message.contains(&at), "{key} {big}: {e}");
+            }
+        }
+        // At 2^53 the value decodes exactly and meets the field's range.
+        let e = ScenarioDesc::from_json(&with("events", "9007199254740992")).unwrap_err();
+        assert_eq!(e.path, "/events");
+        assert!(e.message.contains("9007199254740992 does not fit"), "{e}");
+        let d = ScenarioDesc::from_json(&with("timeline_window", "9007199254740992")).unwrap();
+        assert_eq!(d.timeline_window, 1 << 53);
+        assert_eq!(ScenarioDesc::from_json(&d.to_json()).unwrap(), d);
+        // A float literal past 2^53 is no integer.
+        let e = ScenarioDesc::from_json(&with("timeline_window", "1e300")).unwrap_err();
+        assert_eq!(e.path, "/timeline_window");
+        assert!(e.message.contains("non-negative integer"), "{e}");
+    }
+
+    #[test]
+    fn floats_beyond_2_pow_53_round_trip_in_exponent_form() {
+        for v in [1e300, -1e20, 9007199254740994.0, 0.5, 3.0] {
+            assert_eq!(json::parse(&fmt_f64(v)).unwrap().as_f64(), Some(v), "{v}");
+        }
+        assert_eq!(fmt_f64(1e300), "1e300");
+        assert_eq!(fmt_f64(3.0), "3");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::error::DescError;
 use crate::kinds::{ExecMode, Mediator, SensorKind};
 use crate::system::SystemDesc;
 use pels_core::PelsConfig;
+use pels_obs::json::MAX_EXACT_INT;
 use pels_sim::{Frequency, SimTime};
 
 /// A validated, serializable description of one evaluation run: the
@@ -124,9 +125,10 @@ impl ScenarioDesc {
     /// [`DescError`] with the JSON path of the first offending value:
     /// zero events / SPI words, a readout whose µDMA byte count
     /// (`spi_words * 4`) overflows `u32`, a sample period shorter than
-    /// one clock cycle or longer than `u32::MAX` cycles, the interrupt
-    /// baseline without µDMA, or any [`SystemDesc::validate`] failure
-    /// (reported under `/system`).
+    /// one clock cycle or longer than `u32::MAX` cycles, a sample period
+    /// (ps) or timeline window above 2^53 (the largest integer a JSON
+    /// number holds exactly), the interrupt baseline without µDMA, or
+    /// any [`SystemDesc::validate`] failure (reported under `/system`).
     pub fn validate(&self) -> Result<(), DescError> {
         if self.events == 0 {
             return Err(DescError::new("/events", "events must be at least 1"));
@@ -146,11 +148,23 @@ impl ScenarioDesc {
                 "sample_period must be non-zero",
             ));
         }
+        if self.sample_period.as_ps() > MAX_EXACT_INT {
+            return Err(DescError::new(
+                "/sample_period_ps",
+                "sample_period must fit a JSON number exactly (at most 2^53 ps)",
+            ));
+        }
         let period_cycles = self.sample_period.as_ps() / self.system.freq.period_ps();
         if period_cycles == 0 || period_cycles > u64::from(u32::MAX) {
             return Err(DescError::new(
                 "/sample_period_ps",
                 "sample_period must span 1 to 2^32 - 1 clock cycles (the timer's compare range)",
+            ));
+        }
+        if self.timeline_window > MAX_EXACT_INT {
+            return Err(DescError::new(
+                "/timeline_window",
+                "timeline_window must fit a JSON number exactly (at most 2^53)",
             ));
         }
         if self.mediator == Mediator::IbexIrq && !self.use_udma {
@@ -234,5 +248,25 @@ mod tests {
         };
         d.validate().expect("78 s at 55 MHz fits the timer");
         assert_eq!(d.timer_period_cycles(), 4_289_957_100);
+
+        // Integer fields stay within what a JSON number holds exactly.
+        let mut d = ScenarioDesc {
+            sample_period: SimTime::from_ps(MAX_EXACT_INT),
+            ..ScenarioDesc::default()
+        };
+        d.system.freq = Frequency::from_period_ps(1_000_000_000);
+        d.validate().expect("2^53 ps at 1 kHz fits the timer");
+        d.sample_period = SimTime::from_ps(MAX_EXACT_INT + 1);
+        assert_eq!(d.validate().unwrap_err().path, "/sample_period_ps");
+        let d = ScenarioDesc {
+            timeline_window: MAX_EXACT_INT,
+            ..ScenarioDesc::default()
+        };
+        d.validate().expect("a 2^53-cycle window is representable");
+        let d = ScenarioDesc {
+            timeline_window: MAX_EXACT_INT + 1,
+            ..ScenarioDesc::default()
+        };
+        assert_eq!(d.validate().unwrap_err().path, "/timeline_window");
     }
 }

@@ -8,6 +8,7 @@ use crate::mem_map::{
 };
 use pels_core::PelsConfig;
 use pels_interconnect::{ArbiterKind, Topology};
+use pels_obs::json::MAX_EXACT_INT;
 use pels_sim::{EventVector, Frequency};
 
 /// The PELS geometry of a description.
@@ -302,7 +303,7 @@ impl SystemDesc {
         }
         self.pels.validate_at(base)?;
         if let SensorKind::NoisyRamp { seed, .. } = self.sensor {
-            if seed > (1u64 << 53) {
+            if seed > MAX_EXACT_INT {
                 return Err(DescError::new(
                     format!("{base}/sensor/seed"),
                     "seed must fit a JSON number exactly (at most 2^53)",

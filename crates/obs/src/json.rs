@@ -81,10 +81,12 @@ impl Value {
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one exactly.
+    /// The numeric payload as a non-negative integer, if it is one
+    /// exactly and at most [`MAX_EXACT_INT`] (above it an `f64` no
+    /// longer tells neighbouring integers apart).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -125,6 +127,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The largest integer a JSON number holds exactly: 2^53, the end of the
+/// run of integers an `f64` represents without gaps. [`parse`] rejects
+/// integer literals of greater magnitude instead of rounding them.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses
 /// once per level, so the bound keeps hostile input from overflowing the
 /// stack; every document this workspace writes nests a few levels deep.
@@ -135,7 +142,9 @@ pub const MAX_DEPTH: usize = 128;
 /// # Errors
 ///
 /// Returns [`ParseError`] on malformed input, nesting deeper than
-/// [`MAX_DEPTH`], or trailing garbage.
+/// [`MAX_DEPTH`], an integer literal whose magnitude exceeds
+/// [`MAX_EXACT_INT`] (reported at the literal's first byte), or
+/// trailing garbage.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         text: input,
@@ -326,10 +335,19 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("bad number"))
+        let literal = &self.text[start..self.pos];
+        let n = literal.parse::<f64>().map_err(|_| self.err("bad number"))?;
+        // An integer literal must survive the trip through `f64` exactly.
+        if !literal.contains(['.', 'e', 'E']) {
+            let magnitude = literal.trim_start_matches('-').parse::<u64>();
+            if magnitude.map_or(true, |m| m > MAX_EXACT_INT) {
+                return Err(ParseError {
+                    offset: start,
+                    message: format!("integer above 2^53 ({MAX_EXACT_INT}) is not exact"),
+                });
+            }
+        }
+        Ok(Value::Num(n))
     }
 }
 
@@ -367,6 +385,26 @@ mod tests {
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
+    }
+
+    #[test]
+    fn integers_decode_exactly_or_fail_at_their_offset() {
+        let max = MAX_EXACT_INT.to_string();
+        assert_eq!(parse(&max).unwrap().as_u64(), Some(MAX_EXACT_INT));
+        let min = -(MAX_EXACT_INT as f64);
+        assert_eq!(parse(&format!("-{max}")).unwrap().as_f64(), Some(min));
+        for big in ["9007199254740993", "-9007199254740993", "18446744073709551616"] {
+            let text = format!("{{\"n\": [1, {big}]}}");
+            let e = parse(&text).unwrap_err();
+            assert_eq!(e.offset, text.find(big).unwrap(), "{big}: {e}");
+            assert!(e.message.contains("2^53"), "{big}: {e}");
+        }
+        // Float literals may be large, but no integer read from one
+        // exceeds 2^53.
+        assert_eq!(parse("1e300").unwrap().as_f64(), Some(1e300));
+        assert_eq!(parse("1e300").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740994.0").unwrap().as_u64(), None);
+        assert_eq!(Value::Num(u64::MAX as f64).as_u64(), None);
     }
 
     #[test]

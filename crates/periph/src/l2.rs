@@ -6,7 +6,7 @@
 //! singles out — the activity counted here drives the `3.7×`/`4.3×`
 //! memory-system power gap of Figure 5.
 
-use pels_sim::{ActivityKind, ActivitySet};
+use pels_sim::{ActivityKind, ActivitySet, ComponentId};
 
 /// A word-addressed SRAM with access accounting.
 ///
@@ -25,6 +25,8 @@ pub struct L2Memory {
     words: Vec<u32>,
     reads: u64,
     writes: u64,
+    /// The interned `sram` name the accesses drain under.
+    id: ComponentId,
 }
 
 impl L2Memory {
@@ -39,6 +41,7 @@ impl L2Memory {
             words: vec![0; (size_bytes as usize).div_ceil(4)],
             reads: 0,
             writes: 0,
+            id: ComponentId::intern("sram"),
         }
     }
 
@@ -110,8 +113,8 @@ impl L2Memory {
 
     /// Drains access counts into `into` under component name `sram`.
     pub fn drain_activity(&mut self, into: &mut ActivitySet) {
-        into.record_named("sram", ActivityKind::SramRead, self.reads);
-        into.record_named("sram", ActivityKind::SramWrite, self.writes);
+        into.record(self.id, ActivityKind::SramRead, self.reads);
+        into.record(self.id, ActivityKind::SramWrite, self.writes);
         self.reads = 0;
         self.writes = 0;
     }

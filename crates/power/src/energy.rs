@@ -67,17 +67,43 @@ impl EnergyLedger {
 
     /// Integrates a power timeline: every sample contributes
     /// `power × duration` to its components and to the total.
+    ///
+    /// Per-name sums accumulate in a dense vector and become the sorted
+    /// map once at the end; each name still adds its samples in time
+    /// order, so every sum is bit-identical to adding into the map
+    /// directly. Samples list their components in much the same order
+    /// window after window, so a name's slot is first guessed from the
+    /// slot its position took in the previous sample (confirmed by
+    /// pointer equality of the interned name) before a search by string.
     pub fn from_timeline(timeline: &PowerTimeline) -> Self {
         let mut ledger = EnergyLedger::new();
+        let mut names: Vec<&'static str> = Vec::new();
+        let mut sums: Vec<f64> = Vec::new();
+        // Slot of each component position in the previous sample.
+        let mut slot_at: Vec<usize> = Vec::new();
         for s in &timeline.samples {
             let d = (s.end.as_ps() - s.start.as_ps()) as f64;
             ledger.span_ps += s.end.as_ps() - s.start.as_ps();
             ledger.windows += 1;
             ledger.total_uwps += s.total_uw * d;
-            for &(name, uw) in &s.components {
-                *ledger.components.entry(name).or_insert(0.0) += uw * d;
+            for (pos, &(name, uw)) in s.components.iter().enumerate() {
+                let guess = slot_at.get(pos).copied();
+                let slot = match guess.filter(|&k| std::ptr::eq(names[k], name)) {
+                    Some(k) => k,
+                    None => names.iter().position(|&n| n == name).unwrap_or_else(|| {
+                        names.push(name);
+                        sums.push(0.0);
+                        names.len() - 1
+                    }),
+                };
+                sums[slot] += uw * d;
+                match slot_at.get_mut(pos) {
+                    Some(k) => *k = slot,
+                    None => slot_at.push(slot),
+                }
             }
         }
+        ledger.components = names.into_iter().zip(sums).collect();
         ledger
     }
 
@@ -245,6 +271,9 @@ impl EnergyLedger {
         )
     }
 }
+
+#[cfg(test)]
+mod reference_tests;
 
 #[cfg(test)]
 mod tests {

@@ -6,8 +6,8 @@
 //! [`ActivitySet`] rows by interned [`ComponentId`], reads areas from a
 //! table indexed by the same id, resolves each unregistered name once
 //! and keeps per-kind energy in a `[Energy; ActivityKind::COUNT]` array,
-//! so evaluating a window allocates two short vectors and hashes no
-//! strings.
+//! so evaluating a window hashes no strings and, when every active
+//! component is registered, allocates only the report's own vector.
 //!
 //! Its floating-point summation order is a contract (pinned bit-for-bit
 //! by `tests/power_golden.rs`): per component, kinds add in
@@ -19,6 +19,7 @@
 use crate::calibration::Calibration;
 use crate::units::{Energy, Power};
 use pels_sim::{ActivityKind, ActivitySet, ComponentId, SimTime};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Power attributed to one component over the measurement window.
@@ -201,20 +202,24 @@ impl PowerModel {
         assert!(window.as_ps() > 0, "window must be non-zero");
         // The registered inventory plus any unregistered component that
         // recorded activity, in name order: the order energies add in.
-        let mut order = self.registered.clone();
-        for (id, _) in activity.rows() {
-            if self.area(id).is_none() {
-                order.push((id.name(), id));
-            }
-        }
-        if order.len() > self.registered.len() {
-            order.sort_unstable_by_key(|&(name, _)| name);
-        }
+        // The inventory is borrowed when every active row is registered.
+        let mut unregistered: Vec<(&'static str, ComponentId)> = activity
+            .rows()
+            .filter(|&(id, _)| self.area(id).is_none())
+            .map(|(id, _)| (id.name(), id))
+            .collect();
+        let order: Cow<'_, [(&'static str, ComponentId)]> = if unregistered.is_empty() {
+            Cow::Borrowed(&self.registered)
+        } else {
+            unregistered.extend_from_slice(&self.registered);
+            unregistered.sort_unstable_by_key(|&(name, _)| name);
+            Cow::Owned(unregistered)
+        };
 
         let mut kind_energy = [Energy::ZERO; ActivityKind::COUNT];
         let mut components: Vec<ComponentPower> = order
-            .into_iter()
-            .map(|(name, id)| {
+            .iter()
+            .map(|&(name, id)| {
                 let area = self.area(id).unwrap_or(0.0);
                 let row = activity.row(id);
                 let mut energy = Energy::ZERO;

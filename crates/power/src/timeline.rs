@@ -7,10 +7,15 @@
 //! span in simulated time, the total SoC power, and the per-component
 //! breakdown, ready for counter-track export or a terminal sparkline.
 //! Every sample comes from [`PowerModel::report`], the crate's one
-//! evaluator.
+//! evaluator, either directly or as a copy of an earlier window's
+//! sample for identical inputs.
 
 use crate::model::PowerModel;
 use pels_sim::{ActivitySet, ActivityTimeline, Frequency, SimTime};
+
+/// How many preceding windows [`PowerTimeline::from_activity`] searches
+/// for one it can reuse.
+const MEMO_LOOKBACK: usize = 4;
 
 /// Power over one timeline window.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,20 +76,40 @@ impl PowerTimeline {
     /// Windows are evaluated independently, so a quiescence-stretched
     /// window (long span, little activity) correctly averages down to a
     /// low power, while a busy nominal-width window shows the peak.
+    ///
+    /// A window with the same span and an equal [`ActivitySet`] as one
+    /// of the four windows before it reuses that window's sample:
+    /// [`PowerModel::report`] is a pure function of those two inputs,
+    /// so the copy is bit-identical to a fresh evaluation. A
+    /// duty-cycled run repeats a handful of window shapes, so only its
+    /// distinct windows cost an evaluation.
     pub fn from_activity(
         model: &PowerModel,
         timeline: &ActivityTimeline,
         clock: Frequency,
     ) -> Self {
-        let samples = timeline
-            .windows
-            .iter()
-            .filter(|w| w.end_cycle > w.start_cycle)
-            .map(|w| {
-                let (start, end) = (clock.cycles(w.start_cycle), clock.cycles(w.end_cycle));
-                PowerSample::evaluate(model, &w.activity, start, end)
-            })
-            .collect();
+        let mut samples: Vec<PowerSample> = Vec::with_capacity(timeline.windows.len());
+        // The inputs behind each sample: span in ps and activity.
+        let mut inputs: Vec<(u64, &ActivitySet)> = Vec::with_capacity(timeline.windows.len());
+        for w in timeline.windows.iter().filter(|w| w.end_cycle > w.start_cycle) {
+            let (start, end) = (clock.cycles(w.start_cycle), clock.cycles(w.end_cycle));
+            let span = end.as_ps() - start.as_ps();
+            let recent = inputs.len().saturating_sub(MEMO_LOOKBACK)..inputs.len();
+            let hit = recent
+                .rev()
+                .find(|&i| inputs[i].0 == span && *inputs[i].1 == w.activity);
+            let sample = match hit {
+                Some(i) => PowerSample {
+                    start,
+                    end,
+                    total_uw: samples[i].total_uw,
+                    components: samples[i].components.clone(),
+                },
+                None => PowerSample::evaluate(model, &w.activity, start, end),
+            };
+            samples.push(sample);
+            inputs.push((span, &w.activity));
+        }
         PowerTimeline { samples }
     }
 

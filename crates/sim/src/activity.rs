@@ -128,10 +128,23 @@ const ZERO_ROW: Row = [0; ActivityKind::COUNT];
 /// assert_eq!(a.count("sram", ActivityKind::SramRead), 4);
 /// assert_eq!(a.component_total("sram"), 4);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ActivitySet {
     /// `counts[id][kind]`, indexed by `ComponentId::index()`.
     counts: Vec<Row>,
+}
+
+impl Clone for ActivitySet {
+    fn clone(&self) -> Self {
+        ActivitySet {
+            counts: self.counts.clone(),
+        }
+    }
+
+    /// Copies `source` into this set's existing row storage.
+    fn clone_from(&mut self, source: &Self) {
+        self.counts.clone_from(&source.counts);
+    }
 }
 
 impl ActivitySet {
@@ -272,10 +285,15 @@ impl ActivitySet {
 /// distinguish them.
 impl PartialEq for ActivitySet {
     fn eq(&self, other: &Self) -> bool {
-        let n = self.counts.len().max(other.counts.len());
-        (0..n).all(|i| {
-            self.counts.get(i).unwrap_or(&ZERO_ROW) == other.counts.get(i).unwrap_or(&ZERO_ROW)
-        })
+        let (short, long) = if self.counts.len() <= other.counts.len() {
+            (&self.counts, &other.counts)
+        } else {
+            (&other.counts, &self.counts)
+        };
+        // One slice comparison over the shared rows, then the longer
+        // set's extra rows must be all zero.
+        let (head, tail) = long.split_at(short.len());
+        short[..] == *head && tail.iter().all(|row| *row == ZERO_ROW)
     }
 }
 
@@ -367,6 +385,14 @@ mod tests {
         // b has a row a lacks; c matches a exactly.
         assert_ne!(a, b);
         assert_eq!(a, c);
+        // c grows an all-zero row for pad (interned after x): still
+        // equal in either order. A non-zero row there is not.
+        c.merge(&b.delta_from(&b));
+        assert_eq!(a, c);
+        assert_eq!(c, a);
+        c.merge(&b);
+        assert_ne!(a, c);
+        assert_ne!(c, a);
     }
 
     #[test]

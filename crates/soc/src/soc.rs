@@ -735,6 +735,12 @@ impl Soc {
     /// semantics — idempotent at a given point in the run). Keys:
     /// `cpu.*`, `soc.sched.*`, `fabric.*`, and `fabric.master.<name>.*`
     /// per bus master.
+    ///
+    /// The activity counters (`cpu.retired`, `cpu.fetches`,
+    /// `cpu.irq.overhead_cycles`, `fabric.transfers`,
+    /// `fabric.busy_cycles`) count since the last
+    /// [`Soc::drain_activity`], whether or not a timeline sampler
+    /// flushed part of them into the SoC's activity image meanwhile.
     pub fn publish_metrics(&self, m: &mut pels_obs::MetricsSnapshot) {
         self.cpu.publish_metrics(m);
         let s = self.sched.stats;
@@ -753,6 +759,19 @@ impl Soc {
         for master in self.fabric.master_stats() {
             m.set(&format!("fabric.master.{}.grants", master.name), master.grants);
             m.set(&format!("fabric.master.{}.stalls", master.name), master.stall_cycles);
+        }
+        // The CPU and fabric report what they counted since their last
+        // flush; add back what a timeline window already flushed.
+        let ids = &self.clock_ids;
+        for (key, id, kind) in [
+            ("cpu.retired", ids.ibex, ActivityKind::InstrRetired),
+            ("cpu.fetches", ids.ibex, ActivityKind::InstrFetch),
+            ("cpu.irq.overhead_cycles", ids.ibex, ActivityKind::IrqOverhead),
+            ("fabric.transfers", ids.fabric, ActivityKind::BusTransfer),
+            ("fabric.busy_cycles", ids.fabric, ActivityKind::ActiveCycle),
+        ] {
+            let unflushed = m.get(key).unwrap_or(0);
+            m.set(key, unflushed + self.activity.count_id(id, kind));
         }
     }
 
@@ -1369,7 +1388,7 @@ impl Soc {
         });
         s.window_start = self.cycle;
         s.next_boundary = self.cycle.saturating_add(s.window_cycles);
-        s.baseline = self.activity.clone();
+        s.baseline.clone_from(&self.activity);
         s.baseline_awake = self.cpu_awake_cycles;
         self.sampler = Some(s);
     }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Runs the route-counter budget, the fleet digest gate, the differential
-# and property suites, the artifact schema gates and one checked round
-# of each perfbench workload, then gates the workspace on clippy and
-# rustdoc. Simulator speed is timed by perfbench alone. Fails on any
-# panic, lint or non-zero exit. Part of the tier-1 verify flow
-# (ROADMAP.md).
+# Runs every workspace test, the route-counter budget, the fleet digest
+# gate, the differential and property suites, the artifact schema gates
+# and one checked round of each perfbench workload, then gates the
+# workspace on clippy and rustdoc. Simulator speed is timed by perfbench
+# alone. Fails on any panic, lint or non-zero exit. Part of the tier-1
+# verify flow (ROADMAP.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +13,13 @@ cd "$(dirname "$0")/.."
 # the only proof the fast path is observationally invisible.
 cargo test -q --test active_path --no-run
 echo "bench_smoke: active_path differential suite compiles OK"
+
+# Whole-workspace tests: a bare `cargo test` at the root runs only the
+# root package (tests/ and examples/), not the unit and integration
+# tests of the crates under crates/ — the power model, ledger and JSON
+# parser among them. `--workspace` runs every package's tests.
+cargo test -q --workspace
+echo "bench_smoke: workspace tests OK"
 
 # Route-counter gate: the scheduler's route counters are a pure function
 # of the scenario, so the Fig. 5 workload's stepped (non-skipped) cycles

@@ -101,7 +101,9 @@ pub fn assert_probe_records(report: &ScenarioReport, mask: usize, ctx: &str) {
 
 /// Runs each probe subset in `masks` under every mediator and
 /// `ExecMode` against the plain run: the probes record exactly what
-/// they switch on and change nothing the simulation derives.
+/// they switch on and change nothing the simulation derives. Every
+/// subset with `obs` must also publish the metrics snapshot `obs`
+/// alone publishes: the other probes must not show in the counters.
 pub fn assert_subsets_pure(masks: &[usize]) {
     for mediator in MEDIATORS {
         for exec in [ExecMode::Fast, ExecMode::Naive] {
@@ -112,11 +114,19 @@ pub fn assert_subsets_pure(masks: &[usize]) {
             };
             let plain = run(base.clone());
             assert_probe_records(&plain, 0, &format!("{mediator} {exec:?} plain"));
+            let obs_alone = masks
+                .iter()
+                .any(|&mask| mask & OBS != 0)
+                .then(|| run(with_probes(&base, OBS)).metrics);
             for &mask in masks {
                 let ctx = format!("{mediator} {exec:?} {}", probe_names(mask));
                 let observed = run(with_probes(&base, mask));
                 assert_probe_records(&observed, mask, &ctx);
                 assert_reports_identical(&plain, &observed, &ctx);
+                if mask & OBS != 0 {
+                    let want = obs_alone.as_ref().expect("run above for any obs subset");
+                    assert_eq!(&observed.metrics, want, "{ctx}: metrics snapshot");
+                }
             }
         }
     }
