@@ -13,8 +13,12 @@
 //! improves. (Before the SPI published its word-completion deadline the
 //! same runs stepped 17 / 29 cycles per event under PELS sequenced,
 //! 12.5 / 24.5 under PELS instant and 34.25 / 46.25 under the IRQ.)
+//!
+//! A second test pins every [`SchedStats`] field exactly, in both
+//! execution modes: a scheduler rework that claims identical behaviour
+//! must leave all of them unchanged.
 
-use pels_repro::soc::{Mediator, Scenario, ScenarioDesc};
+use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, SchedStats};
 
 /// `(mediator, spi_words, max stepped cycles per event)`.
 const BUDGETS: [(Mediator, u32, f64); 6] = [
@@ -26,15 +30,21 @@ const BUDGETS: [(Mediator, u32, f64); 6] = [
     (Mediator::IbexIrq, 4, 35.25),
 ];
 
+/// The default Fig. 5 scenario for `mediator` × `words` SPI words.
+fn fig5(mediator: Mediator, words: u32, exec: ExecMode) -> Scenario {
+    Scenario::from_desc(ScenarioDesc {
+        mediator,
+        spi_words: words,
+        exec,
+        ..ScenarioDesc::default()
+    })
+    .expect("valid scenario")
+}
+
 #[test]
 fn fig5_stepped_cycles_per_event_stay_within_budget() {
     for (mediator, words, budget) in BUDGETS {
-        let scenario = Scenario::from_desc(ScenarioDesc {
-            mediator,
-            spi_words: words,
-            ..ScenarioDesc::default()
-        })
-        .expect("valid scenario");
+        let scenario = fig5(mediator, words, ExecMode::Fast);
         let report = scenario.run();
         assert_eq!(
             report.events_completed, scenario.events,
@@ -48,5 +58,78 @@ fn fig5_stepped_cycles_per_event_stay_within_budget() {
              exceeds the budget of {budget} ({:?})",
             report.sched_stats
         );
+    }
+}
+
+
+
+/// `[fast, stirred, naive, skip spans, skipped cycles, rebuilds, wakes,
+/// sleeps]`, in [`SchedStats`] field order.
+type Counters = [u64; 8];
+
+fn counters(s: SchedStats) -> Counters {
+    [
+        s.fast_cycles,
+        s.stirred_cycles,
+        s.naive_cycles,
+        s.skip_spans,
+        s.skipped_cycles,
+        s.rebuilds,
+        s.wakes,
+        s.sleeps,
+    ]
+}
+
+/// `(mediator, spi_words, fast-mode counters, naive-mode counters)`.
+const PINNED: [(Mediator, u32, Counters, Counters); 6] = [
+    (
+        Mediator::PelsSequenced,
+        1,
+        [140, 160, 0, 40, 815, 327, 160, 167],
+        [0, 0, 1115, 0, 0, 7, 0, 0],
+    ),
+    (
+        Mediator::PelsSequenced,
+        4,
+        [140, 220, 0, 100, 767, 447, 220, 227],
+        [0, 0, 1127, 0, 0, 7, 0, 0],
+    ),
+    (
+        Mediator::PelsInstant,
+        1,
+        [91, 119, 0, 40, 900, 245, 119, 126],
+        [0, 0, 1110, 0, 0, 7, 0, 0],
+    ),
+    (
+        Mediator::PelsInstant,
+        4,
+        [91, 179, 0, 100, 852, 365, 179, 186],
+        [0, 0, 1122, 0, 0, 7, 0, 0],
+    ),
+    (
+        Mediator::IbexIrq,
+        1,
+        [449, 196, 0, 40, 475, 398, 196, 203],
+        [0, 0, 1120, 0, 0, 6, 0, 0],
+    ),
+    (
+        Mediator::IbexIrq,
+        4,
+        [449, 256, 0, 100, 427, 518, 256, 263],
+        [0, 0, 1132, 0, 0, 6, 0, 0],
+    ),
+];
+
+/// Every scheduler counter, exactly, for each Fig. 5 mediator × readout
+/// length under both execution modes. The budgets above only bound the
+/// stepped cycles from above; this pin proves a scheduler rework leaves
+/// every route, transition and aggregate-update count unchanged.
+#[test]
+fn fig5_sched_counters_are_pinned() {
+    for (mediator, words, fast, naive) in PINNED {
+        for (exec, want) in [(ExecMode::Fast, fast), (ExecMode::Naive, naive)] {
+            let got = counters(fig5(mediator, words, exec).run().sched_stats);
+            assert_eq!(got, want, "{mediator:?} × {words} words, {exec:?}");
+        }
     }
 }
