@@ -7,6 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json;
+
 /// Named metric values, sorted by name for deterministic reporting and
 /// diffing.
 ///
@@ -56,12 +58,19 @@ impl MetricsSnapshot {
     }
 
     /// Serializes as a flat JSON object (one `"name": value` pair per
-    /// metric, sorted by name).
+    /// metric, sorted by name). Values above [`json::MAX_EXACT_INT`] take
+    /// the exponent form (all digits kept), which [`json::parse`] reads
+    /// as the nearest `f64` instead of refusing an inexact integer.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         for (i, (name, v)) in self.iter().enumerate() {
             let sep = if i + 1 < self.len() { "," } else { "" };
-            s.push_str(&format!("  \"{}\": {v}{sep}\n", crate::json::escape(name)));
+            let v = if v > json::MAX_EXACT_INT {
+                format!("{v:e}")
+            } else {
+                v.to_string()
+            };
+            s.push_str(&format!("  \"{}\": {v}{sep}\n", json::escape(name)));
         }
         s.push_str("}\n");
         s
@@ -127,7 +136,24 @@ mod tests {
         let j = m.to_json();
         assert_eq!(j, "{\n  \"json.a\": 1,\n  \"json.b\": 2\n}\n");
         // Round-trips through the crate's own parser.
-        assert!(crate::json::parse(&j).is_ok());
+        assert!(json::parse(&j).is_ok());
         assert_eq!(MetricsSnapshot::default().to_json(), "{\n}\n");
+    }
+
+    #[test]
+    fn json_above_2_pow_53_reads_back() {
+        let exact = json::MAX_EXACT_INT;
+        let mut m = MetricsSnapshot::default();
+        m.set("at", exact);
+        m.set("above", exact + 1);
+        m.set("max", u64::MAX);
+        let j = m.to_json();
+        assert!(j.contains("\"at\": 9007199254740992,"), "{j}");
+        assert!(j.contains("\"above\": 9.007199254740993e15,"), "{j}");
+        let v = json::parse(&j).expect("exponent form parses");
+        assert_eq!(v.get("at").and_then(json::Value::as_u64), Some(exact));
+        let read = |key: &str| v.get(key).and_then(json::Value::as_f64);
+        assert_eq!(read("above"), Some((exact + 1) as f64));
+        assert_eq!(read("max"), Some(u64::MAX as f64));
     }
 }

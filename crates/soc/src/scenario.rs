@@ -557,7 +557,7 @@ pub struct ScenarioReport {
     /// The full event trace of the active run (per-stage analysis).
     pub trace: Trace,
     /// Scheduler statistics of the active run (fast/stirred/naive cycle
-    /// split, skip spans, rebuilds).
+    /// split, skip spans, aggregate updates).
     pub sched_stats: SchedStats,
     /// Decoded-instruction cache hits during the active run.
     pub decode_cache_hits: u64,

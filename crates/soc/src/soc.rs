@@ -135,6 +135,12 @@ impl Soc {
         let wdt_id = expect(wdt_id, "wdt");
         let i2c_id = expect(i2c_id, "i2c");
         let slave_count = fabric.slave_count();
+        let irq_map = vec![
+            (EV_SPI_EOT, irq_bit_for_event(EV_SPI_EOT)),
+            (EV_TIMER_CMP, irq_bit_for_event(EV_TIMER_CMP)),
+            (EV_ADC_DONE, irq_bit_for_event(EV_ADC_DONE)),
+            (EV_WDT_BITE, irq_bit_for_event(EV_WDT_BITE)),
+        ];
 
         let clock_ids = ClockIds {
             ibex: ComponentId::intern("ibex"),
@@ -165,12 +171,8 @@ impl Soc {
             prev_wires: EventVector::EMPTY,
             injected: EventVector::EMPTY,
             irq_pending: 0,
-            irq_map: vec![
-                (EV_SPI_EOT, irq_bit_for_event(EV_SPI_EOT)),
-                (EV_TIMER_CMP, irq_bit_for_event(EV_TIMER_CMP)),
-                (EV_ADC_DONE, irq_bit_for_event(EV_ADC_DONE)),
-                (EV_WDT_BITE, irq_bit_for_event(EV_WDT_BITE)),
-            ],
+            irq_lines: irq_map.iter().map(|&(line, _)| line).collect(),
+            irq_map,
             irq_flow: [0; 32],
             gpio_id,
             timer_id,
@@ -181,15 +183,7 @@ impl Soc {
             i2c_id,
             cpu_awake_cycles: 0,
             window_cycles: 0,
-            sleep: vec![SlaveSleep::Awake; slave_count],
-            sched: SlaveSched {
-                active: (0..slave_count).fold(0, |mask, i| mask | 1 << i),
-                asleep: 0,
-                lazy: 0,
-                wake_union: EventVector::EMPTY,
-                next_deadline: u64::MAX,
-                stats: SchedStats::default(),
-            },
+            sched: SlaveSched::new(slave_count),
             naive_ticking: false,
             clock_ids,
             sampler: None,
@@ -236,27 +230,6 @@ struct ClockIds {
     links: Vec<ComponentId>,
 }
 
-/// Quiescence-scheduling state of one APB slave.
-#[derive(Debug, Clone, Copy)]
-enum SlaveSleep {
-    /// Ticked every cycle.
-    Awake,
-    /// Skipped since cycle `since` (the first un-ticked cycle); must be
-    /// ticked again no later than cycle `deadline`. `mask` is the
-    /// wake-event mask cached when the slave went to sleep (wiring is
-    /// construction-time static, and any register access wakes the slave
-    /// before it could change). `lazy` caches
-    /// [`Peripheral::catch_up_is_noop`] from the same moment — nothing
-    /// can mutate a sleeping slave, so it stays valid for the whole skip
-    /// and lets `sync_slaves` bypass slaves with nothing to reconstruct.
-    Asleep {
-        since: u64,
-        deadline: u64,
-        mask: EventVector,
-        lazy: bool,
-    },
-}
-
 /// Cumulative scheduler statistics: which of the three stepping regimes
 /// each cycle took, how much whole-SoC idle time was jumped, and how
 /// often slaves changed sleep state. Pure observation — nothing in the
@@ -268,7 +241,8 @@ pub struct SchedStats {
     /// Cycles stepped on the fast active-list path (no sleeper could
     /// wake, only active slaves ticked).
     pub fast_cycles: u64,
-    /// Cycles where the aggregate stir check forced a full slave walk.
+    /// Cycles where the stir check found sleepers to wake (they catch up
+    /// and tick alongside the active set).
     pub stirred_cycles: u64,
     /// Cycles stepped under naive (reference) scheduling.
     pub naive_cycles: u64,
@@ -276,7 +250,7 @@ pub struct SchedStats {
     pub skip_spans: u64,
     /// Total cycles covered by those spans.
     pub skipped_cycles: u64,
-    /// Scheduler aggregate rebuilds (one per sleep-state transition
+    /// Scheduler aggregate updates (one per sleep-state transition
     /// batch).
     pub rebuilds: u64,
     /// Individual slave wake transitions.
@@ -292,13 +266,17 @@ impl SchedStats {
     }
 }
 
-/// Aggregates over the per-slave [`SlaveSleep`] vector, rebuilt whenever
-/// any slave changes sleep state. They turn the per-cycle scheduling
-/// questions ("does any sleeper need waking?", "who must tick?") into a
-/// few word-sized compares instead of a walk over every peripheral — the
-/// active-slave scheduling half of the fast active path (see `DESIGN.md`
-/// §7).
-#[derive(Debug, Clone, Default)]
+/// Quiescence-scheduling state of every APB slave, as per-slave arrays
+/// plus bitmask and aggregate views of them. The aggregates turn the
+/// per-cycle scheduling questions ("does any sleeper need waking?",
+/// "who must tick?") into a few word-sized compares instead of a walk
+/// over every peripheral — the active-slave scheduling half of the fast
+/// active path (see `DESIGN.md` §7).
+///
+/// Falling asleep is O(1): it fills the slave's slot and ORs / mins its
+/// mask and deadline into the aggregates. Waking clears the slots and
+/// refolds both aggregates over the arrays, once per batch.
+#[derive(Debug, Clone)]
 struct SlaveSched {
     /// Bit-per-index mask of awake slaves. Its set bits, taken in
     /// ascending order ([`set_bits`]), visit slaves in exactly the order
@@ -306,15 +284,32 @@ struct SlaveSched {
     active: u64,
     /// Bit-per-index mask of sleeping slaves.
     asleep: u64,
-    /// Bit-per-index mask of sleepers whose `catch_up` is a no-op.
+    /// Bit-per-index mask of sleepers whose `catch_up` is a no-op
+    /// ([`Peripheral::catch_up_is_noop`], cached when the slave fell
+    /// asleep — nothing can mutate a sleeping slave, so it stays valid
+    /// for the whole skip and lets `sync_slaves` bypass slaves with
+    /// nothing to reconstruct).
     lazy: u64,
     /// Union of all sleepers' wake masks.
     wake_union: EventVector,
     /// Earliest sleeper deadline (`u64::MAX` when none sleeps).
     next_deadline: u64,
+    /// Per slave: the first un-ticked cycle while asleep, [`AWAKE`] while
+    /// awake.
+    since: Vec<u64>,
+    /// Per slave: the cycle by which a sleeper must tick again
+    /// (`u64::MAX` while awake or idle indefinitely).
+    deadline: Vec<u64>,
+    /// Per slave: the wake-event mask cached when it fell asleep (empty
+    /// while awake). Wiring is construction-time static, and any
+    /// register access wakes the slave before it could change.
+    mask: Vec<EventVector>,
     /// Observation-only counters (never read by scheduling decisions).
     stats: SchedStats,
 }
+
+/// The `since` slot of an awake slave.
+const AWAKE: u64 = u64::MAX;
 
 /// The indices of `mask`'s set bits, ascending.
 fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
@@ -328,31 +323,82 @@ fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 impl SlaveSched {
-    fn rebuild(&mut self, sleep: &[SlaveSleep]) {
+    /// `n` slaves, all awake.
+    fn new(n: usize) -> Self {
+        SlaveSched {
+            active: (0..n).fold(0, |mask, i| mask | 1 << i),
+            asleep: 0,
+            lazy: 0,
+            wake_union: EventVector::EMPTY,
+            next_deadline: u64::MAX,
+            since: vec![AWAKE; n],
+            deadline: vec![u64::MAX; n],
+            mask: vec![EventVector::EMPTY; n],
+            stats: SchedStats::default(),
+        }
+    }
+
+    /// Puts awake slave `i` to sleep from cycle `since` until `deadline`.
+    fn sleep(&mut self, i: usize, since: u64, deadline: u64, mask: EventVector, lazy: bool) {
+        let bit = 1u64 << i;
+        self.active &= !bit;
+        self.asleep |= bit;
+        self.lazy |= u64::from(lazy) << i;
+        self.since[i] = since;
+        self.deadline[i] = deadline;
+        self.mask[i] = mask;
+        self.wake_union |= mask;
+        self.next_deadline = self.next_deadline.min(deadline);
+    }
+
+    /// Sleepers whose own deadline is due at `cycle` or whose wake mask
+    /// meets `wires`.
+    fn due(&self, cycle: u64, wires: EventVector) -> u64 {
+        set_bits(self.asleep)
+            .filter(|&i| cycle >= self.deadline[i] || wires.intersects(self.mask[i]))
+            .fold(0, |due, i| due | 1 << i)
+    }
+
+    /// Wakes every slave in `set` (awake ones stay awake) and refolds the
+    /// aggregates over the cleared arrays: one aggregate update.
+    fn wake(&mut self, set: u64) {
+        for i in set_bits(set) {
+            self.since[i] = AWAKE;
+            self.deadline[i] = u64::MAX;
+            self.mask[i] = EventVector::EMPTY;
+        }
+        self.active |= set;
+        self.asleep &= !set;
+        self.lazy &= !set;
+        self.wake_union = self.mask.iter().fold(EventVector::EMPTY, |u, &m| u | m);
+        self.next_deadline = self.deadline.iter().fold(u64::MAX, |d, &x| d.min(x));
         self.stats.rebuilds += 1;
-        self.active = 0;
-        self.asleep = 0;
-        self.lazy = 0;
-        self.wake_union = EventVector::EMPTY;
-        self.next_deadline = u64::MAX;
-        for (i, s) in sleep.iter().enumerate() {
-            match *s {
-                SlaveSleep::Awake => self.active |= 1 << i,
-                SlaveSleep::Asleep {
-                    deadline,
-                    mask,
-                    lazy,
-                    ..
-                } => {
-                    self.asleep |= 1 << i;
-                    if lazy {
-                        self.lazy |= 1 << i;
-                    }
-                    self.wake_union |= mask;
-                    self.next_deadline = self.next_deadline.min(deadline);
+    }
+
+    /// Whether the bitmasks and aggregates equal a from-scratch
+    /// recomputation over the per-slave arrays, and awake slots are
+    /// clear.
+    fn consistent(&self) -> bool {
+        let mut asleep = 0u64;
+        let mut wake_union = EventVector::EMPTY;
+        let mut next_deadline = u64::MAX;
+        for (i, &since) in self.since.iter().enumerate() {
+            if since == AWAKE {
+                if self.deadline[i] != u64::MAX || !self.mask[i].is_empty() {
+                    return false;
                 }
+            } else {
+                asleep |= 1 << i;
+                wake_union |= self.mask[i];
+                next_deadline = next_deadline.min(self.deadline[i]);
             }
         }
+        let all = (0..self.since.len()).fold(0u64, |mask, i| mask | 1 << i);
+        self.active == all & !asleep
+            && self.asleep == asleep
+            && self.lazy & !asleep == 0
+            && self.wake_union == wake_union
+            && self.next_deadline == next_deadline
     }
 }
 
@@ -381,6 +427,8 @@ pub struct Soc {
     /// Edge-latched interrupt pending bits (cleared on CPU claim).
     irq_pending: u32,
     irq_map: Vec<(u32, u32)>,
+    /// Union of `irq_map`'s event lines.
+    irq_lines: EventVector,
     /// Causal flow latched alongside each `irq_pending` bit (flow layer
     /// only; all zeros when flows are off).
     irq_flow: [u64; 32],
@@ -393,9 +441,7 @@ pub struct Soc {
     i2c_id: SlaveId,
     cpu_awake_cycles: u64,
     window_cycles: u64,
-    /// Per-slave quiescence state, indexed by slave index.
-    sleep: Vec<SlaveSleep>,
-    /// Aggregates over `sleep`, kept in lockstep with it.
+    /// Per-slave quiescence state and its aggregates.
     sched: SlaveSched,
     /// When set, every slave ticks every cycle (the reference scheduler
     /// the differential property test compares against).
@@ -625,8 +671,7 @@ impl Soc {
         // conditions would notice it: sync the skipped span and force
         // the slave awake so its next tick sees the poked state.
         self.sync_slaves();
-        self.sleep[id.index()] = SlaveSleep::Awake;
-        self.sched.rebuild(&self.sleep);
+        self.sched.wake(1 << id.index());
         P::of_mut(self.fabric.slave_mut(id)).expect("slave id maps to its peripheral")
     }
 
@@ -719,7 +764,7 @@ impl Soc {
     }
 
     /// Scheduler statistics: fast/stirred/naive cycle split, skip spans,
-    /// rebuild and wake/sleep transition counts. Cumulative since
+    /// aggregate-update and wake/sleep transition counts. Cumulative since
     /// construction.
     pub fn sched_stats(&self) -> SchedStats {
         self.sched.stats
@@ -817,8 +862,7 @@ impl Soc {
             // left asleep here would be skipped forever (and then
             // double-counted by a later catch-up). Wake everyone; the
             // sync above already replayed their skipped spans.
-            self.sleep.fill(SlaveSleep::Awake);
-            self.sched.rebuild(&self.sleep);
+            self.sched.wake(self.sched.asleep);
         }
         self.naive_ticking = naive;
         self.cpu.set_decode_cache_enabled(!naive);
@@ -840,7 +884,7 @@ impl Soc {
         }
         let cycle = self.cycle;
         let time = self.time();
-        let sleep = &mut self.sleep;
+        let since = &mut self.sched.since;
         let mut ctx = PeriphCtx {
             cycle,
             time,
@@ -851,12 +895,10 @@ impl Soc {
             trace: &mut self.trace,
         };
         for i in set_bits(pending) {
-            if let SlaveSleep::Asleep { since, .. } = &mut sleep[i] {
-                let elapsed = cycle - *since;
-                if elapsed > 0 {
-                    self.fabric.slave_mut_at(i).catch_up(&mut ctx, elapsed);
-                    *since = cycle;
-                }
+            let elapsed = cycle - since[i];
+            if elapsed > 0 {
+                self.fabric.slave_mut_at(i).catch_up(&mut ctx, elapsed);
+                since[i] = cycle;
             }
         }
     }
@@ -885,86 +927,49 @@ impl Soc {
         let injected = std::mem::take(&mut self.injected);
         let wires = self.prev_wires | injected;
         let naive = self.naive_ticking;
-        // Aggregate stir check: can *any* sleeper need waking this cycle?
-        // The aggregates are conservative unions/minima of the per-slave
-        // conditions, so `false` here proves the full walk would wake
-        // nobody — the active set alone is then exactly the set of
-        // slaves the naive walk would tick.
-        let stirred = self.sched.asleep != 0
-            && (cycle >= self.sched.next_deadline
-                || wires.intersects(self.sched.wake_union)
-                || (self.fabric.targeted_slaves() | self.fabric.touched_slaves())
-                    & self.sched.asleep
-                    != 0);
-        let mut any_woke = false;
-        let mut woke_count = 0u64;
-        let pulses = if naive || stirred {
-            if naive {
-                self.sched.stats.naive_cycles += 1;
-            } else {
-                self.sched.stats.stirred_cycles += 1;
+        // Wake set: sleepers something can observe or perturb this
+        // cycle. Each sleeper's own deadline and mask are consulted only
+        // when the aggregate stir check (their minimum / union) says
+        // some sleeper is due. Naive ticking keeps every slave awake, so
+        // the set is empty there.
+        let sched = &mut self.sched;
+        let mut wake = 0u64;
+        if sched.asleep != 0 {
+            wake = (self.fabric.targeted_slaves() | self.fabric.touched_slaves()) & sched.asleep;
+            if cycle >= sched.next_deadline || wires.intersects(sched.wake_union) {
+                wake |= sched.due(cycle, wires);
             }
-            let targeted = self.fabric.targeted_slaves();
-            let touched = self.fabric.touched_slaves();
-            let sleep = &mut self.sleep;
-            let mut ctx = PeriphCtx {
-                cycle,
-                time,
-                events_in: wires,
-                events_out: EventVector::EMPTY,
-                l2: &mut self.l2,
-                activity: &mut self.activity,
-                trace: &mut self.trace,
-            };
-            for (sid, p) in self.fabric.slaves_mut() {
-                let i = sid.index();
-                if !naive {
-                    if let SlaveSleep::Asleep {
-                        since,
-                        deadline,
-                        mask,
-                        ..
-                    } = sleep[i]
-                    {
-                        let bit = 1u64 << i;
-                        let wake = cycle >= deadline
-                            || wires.intersects(mask)
-                            || targeted & bit != 0
-                            || touched & bit != 0;
-                        if !wake {
-                            continue;
-                        }
-                        p.catch_up(&mut ctx, cycle - since);
-                        sleep[i] = SlaveSleep::Awake;
-                        any_woke = true;
-                        woke_count += 1;
-                    }
-                }
-                p.tick(&mut ctx);
-            }
-            ctx.events_out | injected
+        }
+        if naive {
+            sched.stats.naive_cycles += 1;
+        } else if wake != 0 {
+            sched.stats.stirred_cycles += 1;
         } else {
-            // Fast path: no sleeper can wake, so only the active set
-            // ticks — the per-cycle cost is proportional to activity, not
-            // to the slave count.
-            self.sched.stats.fast_cycles += 1;
-            let mut ctx = PeriphCtx {
-                cycle,
-                time,
-                events_in: wires,
-                events_out: EventVector::EMPTY,
-                l2: &mut self.l2,
-                activity: &mut self.activity,
-                trace: &mut self.trace,
-            };
-            for i in set_bits(self.sched.active) {
-                self.fabric.slave_mut_at(i).tick(&mut ctx);
-            }
-            ctx.events_out | injected
+            sched.stats.fast_cycles += 1;
+        }
+        // One walk over the active and waking slaves, in ascending index
+        // order — exactly the slaves, and the order, of the naive full
+        // walk's ticks. A waking slave replays its skipped span first.
+        let mut ctx = PeriphCtx {
+            cycle,
+            time,
+            events_in: wires,
+            events_out: EventVector::EMPTY,
+            l2: &mut self.l2,
+            activity: &mut self.activity,
+            trace: &mut self.trace,
         };
-        self.sched.stats.wakes += woke_count;
-        if any_woke {
-            self.sched.rebuild(&self.sleep);
+        for i in set_bits(sched.active | wake) {
+            let p = self.fabric.slave_mut_at(i);
+            if wake & 1 << i != 0 {
+                p.catch_up(&mut ctx, cycle - sched.since[i]);
+            }
+            p.tick(&mut ctx);
+        }
+        let pulses = ctx.events_out | injected;
+        if wake != 0 {
+            sched.stats.wakes += u64::from(wake.count_ones());
+            sched.wake(wake);
         }
 
         // 2. PELS.
@@ -977,17 +982,19 @@ impl Soc {
         };
 
         // 3. CPU with edge-latched interrupt lines.
-        for &(line, bit) in &self.irq_map {
-            if pulses.is_set(line) {
-                let newly = self.irq_pending & (1 << bit) == 0;
-                self.irq_pending |= 1 << bit;
-                if newly && self.trace.flows_enabled() {
-                    // Latch the wire's flow alongside the pending bit so
-                    // the eventual handler entry inherits it.
-                    let flow = self.trace.flow_on_lines(1u64 << line);
-                    self.irq_flow[bit as usize] = flow;
-                    self.trace
-                        .flow_hop_with(time, self.clock_ids.ibex, flow, "irq_pend");
+        if pulses.intersects(self.irq_lines) {
+            for &(line, bit) in &self.irq_map {
+                if pulses.is_set(line) {
+                    let newly = self.irq_pending & (1 << bit) == 0;
+                    self.irq_pending |= 1 << bit;
+                    if newly && self.trace.flows_enabled() {
+                        // Latch the wire's flow alongside the pending bit
+                        // so the eventual handler entry inherits it.
+                        let flow = self.trace.flow_on_lines(1u64 << line);
+                        self.irq_flow[bit as usize] = flow;
+                        self.trace
+                            .flow_hop_with(time, self.clock_ids.ibex, flow, "irq_pend");
+                    }
                 }
             }
         }
@@ -1040,36 +1047,25 @@ impl Soc {
             // wake, never in place.)
             let mut slept_count = 0u64;
             for i in set_bits(self.sched.active) {
-                let p = self.fabric.slave_mut_at(i);
-                match p.idle_hint() {
-                    IdleHint::Busy => {}
-                    IdleHint::IdleFor(n) => {
-                        if n >= 2 {
-                            self.sleep[i] = SlaveSleep::Asleep {
-                                since: cycle + 1,
-                                deadline: cycle.saturating_add(n),
-                                mask: p.wake_mask(),
-                                lazy: p.catch_up_is_noop(),
-                            };
-                            slept_count += 1;
-                        }
-                    }
-                    IdleHint::Idle => {
-                        self.sleep[i] = SlaveSleep::Asleep {
-                            since: cycle + 1,
-                            deadline: u64::MAX,
-                            mask: p.wake_mask(),
-                            lazy: p.catch_up_is_noop(),
-                        };
-                        slept_count += 1;
-                    }
-                }
+                let p = self.fabric.slave_at(i);
+                let deadline = match p.idle_hint() {
+                    IdleHint::IdleFor(n) if n >= 2 => cycle.saturating_add(n),
+                    IdleHint::Idle => u64::MAX,
+                    _ => continue,
+                };
+                let (mask, lazy) = (p.wake_mask(), p.catch_up_is_noop());
+                self.sched.sleep(i, cycle + 1, deadline, mask, lazy);
+                slept_count += 1;
             }
             self.sched.stats.sleeps += slept_count;
             if slept_count > 0 {
-                self.sched.rebuild(&self.sleep);
+                self.sched.stats.rebuilds += 1;
             }
         }
+        debug_assert!(
+            self.sched.consistent(),
+            "scheduler aggregates drifted from the per-slave arrays"
+        );
 
         // 5. Bookkeeping.
         if matches!(self.cpu.state(), CpuState::Running | CpuState::MemWait) {

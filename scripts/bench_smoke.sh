@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs every workspace test, the route-counter budget, the fleet digest
-# gate, the differential and property suites, the artifact schema gates
+# gate, the differential and property suites (the fast-vs-naive ones
+# in release too), the artifact schema gates
 # and one checked round of each perfbench workload, then gates the
 # workspace on clippy and rustdoc. Simulator speed is timed by perfbench
 # alone. Fails on any panic, lint or non-zero exit. Part of the tier-1
@@ -27,6 +28,12 @@ echo "bench_smoke: workspace tests OK"
 # Wall-clock throughput drifts too much on a shared host to gate on.
 cargo test -q --test route_budget
 echo "bench_smoke: Fig. 5 route-counter budget OK"
+
+# Release differential: perfbench times release builds, where the
+# scheduler's debug-only consistency assertions are compiled out. Run
+# the fast-vs-naive suites on that same optimised code too.
+cargo test -q --release --test quiescence --test active_path
+echo "bench_smoke: release fast-vs-naive differential OK"
 
 # Fleet digest gate: `reproduce -- fleet` runs the reference 8-job sweep
 # on 1 and on all workers and exits 1 unless the digests are identical.

@@ -30,21 +30,15 @@ const BUDGETS: [(Mediator, u32, f64); 6] = [
     (Mediator::IbexIrq, 4, 35.25),
 ];
 
-/// The default Fig. 5 scenario for `mediator` × `words` SPI words.
-fn fig5(mediator: Mediator, words: u32, exec: ExecMode) -> Scenario {
-    Scenario::from_desc(ScenarioDesc {
-        mediator,
-        spi_words: words,
-        exec,
-        ..ScenarioDesc::default()
-    })
-    .expect("valid scenario")
-}
-
 #[test]
 fn fig5_stepped_cycles_per_event_stay_within_budget() {
     for (mediator, words, budget) in BUDGETS {
-        let scenario = fig5(mediator, words, ExecMode::Fast);
+        let scenario = Scenario::from_desc(ScenarioDesc {
+            mediator,
+            spi_words: words,
+            ..ScenarioDesc::default()
+        })
+        .expect("valid scenario");
         let report = scenario.run();
         assert_eq!(
             report.events_completed, scenario.events,
@@ -60,8 +54,6 @@ fn fig5_stepped_cycles_per_event_stay_within_budget() {
         );
     }
 }
-
-
 
 /// `[fast, stirred, naive, skip spans, skipped cycles, rebuilds, wakes,
 /// sleeps]`, in [`SchedStats`] field order.
@@ -128,7 +120,14 @@ const PINNED: [(Mediator, u32, Counters, Counters); 6] = [
 fn fig5_sched_counters_are_pinned() {
     for (mediator, words, fast, naive) in PINNED {
         for (exec, want) in [(ExecMode::Fast, fast), (ExecMode::Naive, naive)] {
-            let got = counters(fig5(mediator, words, exec).run().sched_stats);
+            let scenario = Scenario::from_desc(ScenarioDesc {
+                mediator,
+                spi_words: words,
+                exec,
+                ..ScenarioDesc::default()
+            })
+            .expect("valid scenario");
+            let got = counters(scenario.run().sched_stats);
             assert_eq!(got, want, "{mediator:?} × {words} words, {exec:?}");
         }
     }
