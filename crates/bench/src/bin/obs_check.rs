@@ -16,8 +16,10 @@
 //! from the [`pels_sim::FLOW_STAGES`] allowlist) and
 //! `BENCH_lifetime.json` (battery parameters, a positive PELS-vs-IRQ
 //! headline projection, non-empty sweep rows with positive mean draw
-//! and a 16-hex-digit fleet digest).
-//! `scripts/bench_smoke.sh` runs this after
+//! and a 16-hex-digit fleet digest) and `BENCH_fleet_throughput.json`
+//! (the 8-job reference batch with no failed job, per-worker rows whose
+//! job counts sum to the batch, and a 16-hex-digit digest).
+//! `scripts/bench_smoke.sh` runs this after `reproduce -- fleet` and
 //! `reproduce -- lifetime --quick --obs`, so any drift
 //! in the exporters fails the tier-1 verify pass instead of silently
 //! shipping broken artifacts.
@@ -146,64 +148,31 @@ fn check_metrics(path: &str) -> Result<(), String> {
 fn check_trace(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     pels_obs::chrome::validate(&text).map_err(|e| format!("{path}: {e}"))?;
-    // The timeline exporter must have contributed counter tracks —
-    // a trace of only instant events means the power-over-time view
-    // silently disappeared from the artifact.
     let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let counters = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .map(|events| {
-            events
-                .iter()
-                .filter(|e| e.get("ph").and_then(Value::as_str) == Some("C"))
-                .count()
-        })
-        .unwrap_or(0);
-    if counters == 0 {
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap_or_default();
+    let ph = |e: &Value, want: &str| e.get("ph").and_then(Value::as_str) == Some(want);
+    // The timeline exporter must have contributed counter tracks — a
+    // trace of only instant events means the power-over-time view
+    // silently disappeared from the artifact. The flow probes must have
+    // contributed causal arrows; `validate` above already proved every
+    // start has a matching finish and every flow event binds to an
+    // anchor slice, so presence is all that is left to gate. The
+    // battery projection must have contributed its state-of-charge
+    // counter track alongside the power tracks.
+    if !events.iter().any(|e| ph(e, "C")) {
         return Err(format!(
             "{path}: no `\"ph\": \"C\"` counter events — the power timeline \
              is missing from the trace"
         ));
     }
-    // The flow probes must have contributed causal arrows; `validate`
-    // above already proved every start has a matching finish and every
-    // flow event binds to an anchor slice, so presence is all that is
-    // left to gate.
-    let flows = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .map(|events| {
-            events
-                .iter()
-                .filter(|e| e.get("ph").and_then(Value::as_str) == Some("s"))
-                .count()
-        })
-        .unwrap_or(0);
-    if flows == 0 {
+    if !events.iter().any(|e| ph(e, "s")) {
         return Err(format!(
             "{path}: no `\"ph\": \"s\"` flow events — the causal flow \
              arrows are missing from the trace"
         ));
     }
-    // The battery projection must have contributed its state-of-charge
-    // counter track alongside the power tracks.
-    let soc = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .map(|events| {
-            events
-                .iter()
-                .filter(|e| {
-                    e.get("ph").and_then(Value::as_str) == Some("C")
-                        && e.get("name")
-                            .and_then(Value::as_str)
-                            .is_some_and(|n| n.starts_with("battery_soc"))
-                })
-                .count()
-        })
-        .unwrap_or(0);
-    if soc == 0 {
+    let soc = |e: &Value| e.get("name").and_then(Value::as_str).is_some_and(|n| n.starts_with("battery_soc"));
+    if !events.iter().any(|e| ph(e, "C") && soc(e)) {
         return Err(format!(
             "{path}: no `battery_soc` counter events — the state-of-charge \
              track is missing from the trace"
@@ -285,6 +254,11 @@ fn check_lifetime(path: &str) -> Result<(), String> {
             _ => return Err(ctx("`days` must be positive or null")),
         }
     }
+    check_digest(path, &doc)
+}
+
+/// The document's `digest` must be a 16-hex-digit fleet digest.
+fn check_digest(path: &str, doc: &Value) -> Result<(), String> {
     let digest = doc
         .get("digest")
         .and_then(Value::as_str)
@@ -293,6 +267,48 @@ fn check_lifetime(path: &str) -> Result<(), String> {
         return Err(format!("{path}: digest `{digest}` is not 16 hex digits"));
     }
     Ok(())
+}
+
+/// Validates `BENCH_fleet_throughput.json`: the 8-job reference batch
+/// with no failed job, one `worker_stats` row per worker whose job
+/// counts sum to `jobs`, and a 16-hex-digit fleet digest.
+fn check_fleet(path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let int = |v: &Value, key: &str, at: &str| {
+        v.get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("{path}: {at}missing integer `{key}`"))
+    };
+    let jobs = int(&doc, "jobs", "")?;
+    if jobs != 8 {
+        return Err(format!("{path}: `jobs` = {jobs}, the reference batch has 8"));
+    }
+    let failed = int(&doc, "failed", "")?;
+    if failed != 0 {
+        return Err(format!("{path}: {failed} job(s) failed"));
+    }
+    let rows = doc
+        .get("worker_stats")
+        .and_then(Value::as_array)
+        .ok_or_else(|| format!("{path}: missing `worker_stats` array"))?;
+    let workers = int(&doc, "workers", "")?;
+    if rows.len() as u64 != workers {
+        return Err(format!(
+            "{path}: {} worker_stats row(s) for {workers} worker(s)",
+            rows.len()
+        ));
+    }
+    let mut attributed = 0;
+    for (i, row) in rows.iter().enumerate() {
+        attributed += int(row, "jobs", &format!("worker_stats row {i}: "))?;
+    }
+    if attributed != jobs {
+        return Err(format!(
+            "{path}: worker_stats attribute {attributed} job(s), the batch ran {jobs}"
+        ));
+    }
+    check_digest(path, &doc)
 }
 
 /// Validates `OBS_flows.json`: every per-mediator section must carry a
@@ -441,12 +457,13 @@ fn check_timeline(path: &str) -> Result<(), String> {
 type Check = fn(&str) -> Result<(), String>;
 
 fn main() -> ExitCode {
-    let checks: [(&str, Check); 5] = [
+    let checks: [(&str, Check); 6] = [
         ("OBS_metrics.json", check_metrics),
         ("OBS_trace.json", check_trace),
         ("OBS_timeline.json", check_timeline),
         ("OBS_flows.json", check_flows),
         ("BENCH_lifetime.json", check_lifetime),
+        ("BENCH_fleet_throughput.json", check_fleet),
     ];
     let mut ok = true;
     for (path, check) in checks {

@@ -34,6 +34,7 @@ use pels_bench::{ablations, experiments, sota};
 use pels_desc::{DescFuzzer, FuzzCase};
 use pels_fleet::{report as fleet_report, FleetEngine, SweepSpec};
 use pels_interconnect::{ArbiterKind, Topology};
+use pels_obs::json::Writer;
 use pels_power::{Battery, EnergyLedger};
 use pels_sim::SimTime;
 use pels_soc::{Mediator, Scenario, ScenarioDesc, SensorKind, SystemDesc};
@@ -107,62 +108,42 @@ fn lifetime_to_json(
     irq: &pels_power::LifetimeReport,
     fleet: &pels_fleet::FleetReport,
 ) -> String {
-    use std::fmt::Write as _;
-    let days = |r: &pels_power::LifetimeReport| {
-        if r.seconds.is_finite() {
-            r.days().to_string()
-        } else {
-            "null".to_string()
-        }
-    };
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 1,");
-    let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(
-        s,
-        "  \"battery\": {{\"capacity_mah\": {}, \"nominal_v\": {}, \
-         \"rate_exponent\": {}, \"sleep_floor_uw\": {}, \"cutoff_fraction\": {}}},",
-        battery.capacity_mah,
-        battery.nominal_v,
-        battery.rate_exponent,
-        battery.sleep_floor_uw,
-        battery.cutoff_fraction,
-    );
-    let _ = writeln!(
-        s,
-        "  \"headline\": {{\"sample_period_us\": {}, \"horizon_ms\": {}, \
-         \"pels_days\": {}, \"irq_days\": {}, \"lifetime_ratio\": {}, \
-         \"pels_mean_uw\": {}, \"irq_mean_uw\": {}}},",
-        period.as_us_f64(),
-        horizon.as_us_f64() / 1e3,
-        days(pels),
-        days(irq),
-        pels.seconds / irq.seconds,
-        pels.mean_draw_uw,
-        irq.mean_draw_uw,
-    );
-    s.push_str("  \"sweep\": [");
-    let rows: Vec<_> = fleet.succeeded().collect();
-    for (i, (label, o)) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
+    let mut w = Writer::new();
+    w.begin_object().key("schema_version").uint(1).key("quick").bool(quick);
+    w.key("battery").begin_object();
+    w.key("capacity_mah").float(battery.capacity_mah);
+    w.key("nominal_v").float(battery.nominal_v);
+    w.key("rate_exponent").float(battery.rate_exponent);
+    w.key("sleep_floor_uw").float(battery.sleep_floor_uw);
+    w.key("cutoff_fraction").float(battery.cutoff_fraction);
+    w.end_object();
+    // A zero-draw projection lasts forever: its `days` is infinite and
+    // writes as `null`.
+    w.key("headline").begin_object();
+    w.key("sample_period_us").float(period.as_us_f64());
+    w.key("horizon_ms").float(horizon.as_us_f64() / 1e3);
+    w.key("pels_days").float(pels.days()).key("irq_days").float(irq.days());
+    w.key("lifetime_ratio").float(pels.seconds / irq.seconds);
+    w.key("pels_mean_uw").float(pels.mean_draw_uw);
+    w.key("irq_mean_uw").float(irq.mean_draw_uw);
+    w.end_object();
+    w.key("sweep").begin_array();
+    for (label, o) in fleet.succeeded() {
         let ledger = o.report.energy.as_ref().expect("lifetime(true) ledger");
         let projection = o.report.lifetime.as_ref().expect("lifetime(true) projection");
-        let _ = write!(
-            s,
-            "\n    {{\"label\": \"{}\", \"mediator\": \"{}\", \
-             \"sample_period_us\": {}, \"spi_words\": {}, \"mean_uw\": {}, \"days\": {}}}{sep}",
-            pels_obs::json::escape(label),
-            o.scenario.desc().mediator,
-            o.scenario.desc().sample_period.as_us_f64(),
-            o.scenario.desc().spi_words,
-            ledger.mean_power().as_uw(),
-            days(projection),
-        );
+        let desc = o.scenario.desc();
+        w.begin_object().key("label").str(label);
+        w.key("mediator").str(&desc.mediator.to_string());
+        w.key("sample_period_us").float(desc.sample_period.as_us_f64());
+        w.key("spi_words").uint(u64::from(desc.spi_words));
+        w.key("mean_uw").float(ledger.mean_power().as_uw());
+        w.key("days").float(projection.days());
+        w.end_object();
     }
-    s.push_str("\n  ],\n");
-    let _ = writeln!(s, "  \"digest\": \"{:016x}\"", fleet.digest());
-    s.push_str("}\n");
-    s
+    w.end_array();
+    w.key("digest").str(&format!("{:016x}", fleet.digest()));
+    w.end_object();
+    w.finish()
 }
 
 /// The `lifetime` artifact: how long does the node last on a coin cell?
@@ -259,36 +240,26 @@ fn timeline_to_json(
     report: &pels_soc::ScenarioReport,
     power: &pels_power::PowerTimeline,
 ) -> String {
-    use std::fmt::Write as _;
     let timeline = report.timeline.as_ref().expect("timeline sampled");
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 1,");
-    let _ = writeln!(s, "  \"freq_mhz\": {},", report.freq.as_mhz());
-    let _ = writeln!(s, "  \"window_cycles\": {},", timeline.window_cycles);
-    let _ = writeln!(s, "  \"mean_total_uw\": {},", power.mean_total_uw());
-    s.push_str("  \"windows\": [");
-    let n = timeline.windows.len().min(power.samples.len());
-    for i in 0..n {
-        let (w, p) = (&timeline.windows[i], &power.samples[i]);
-        let sep = if i + 1 < n { "," } else { "" };
-        let _ = write!(
-            s,
-            "\n    {{\"start_cycle\": {}, \"end_cycle\": {}, \"start_ns\": {}, \
-             \"end_ns\": {}, \"total_uw\": {}, \"components\": {{",
-            w.start_cycle,
-            w.end_cycle,
-            p.start.as_ns(),
-            p.end.as_ns(),
-            p.total_uw,
-        );
-        for (j, (name, uw)) in p.components.iter().enumerate() {
-            let csep = if j + 1 < p.components.len() { ", " } else { "" };
-            let _ = write!(s, "\"{}\": {uw}{csep}", pels_obs::json::escape(name));
+    let mut w = Writer::new();
+    w.begin_object().key("schema_version").uint(1);
+    w.key("freq_mhz").float(report.freq.as_mhz());
+    w.key("window_cycles").uint(timeline.window_cycles);
+    w.key("mean_total_uw").float(power.mean_total_uw());
+    w.key("windows").begin_array();
+    for (win, p) in timeline.windows.iter().zip(&power.samples) {
+        w.begin_object();
+        w.key("start_cycle").uint(win.start_cycle).key("end_cycle").uint(win.end_cycle);
+        w.key("start_ns").uint(p.start.as_ns()).key("end_ns").uint(p.end.as_ns());
+        w.key("total_uw").float(p.total_uw);
+        w.key("components").begin_object();
+        for &(name, uw) in &p.components {
+            w.key(name).float(uw);
         }
-        let _ = write!(s, "}}}}{sep}");
+        w.end_object().end_object();
     }
-    s.push_str("\n  ]\n}\n");
-    s
+    w.end_array().end_object();
+    w.finish()
 }
 
 /// Serializes the three per-mediator flow decompositions as
@@ -297,38 +268,29 @@ fn timeline_to_json(
 /// sources, typed stages). `obs_check` gates non-emptiness, hop-time
 /// monotonicity and the stage allowlist against this file.
 fn flows_to_json(sections: &[(&str, &pels_soc::ScenarioReport)]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 1,");
-    for (i, (name, report)) in sections.iter().enumerate() {
+    let mut w = Writer::new();
+    w.begin_object().key("schema_version").uint(1);
+    for &(name, report) in sections {
         let fr = report.flow_report().expect("flows recorded");
         let flows = report.flows.as_ref().expect("flows recorded");
-        let sep = if i + 1 < sections.len() { "," } else { "" };
-        let _ = writeln!(s, "  \"{name}\": {{");
-        let _ = writeln!(s, "    \"freq_mhz\": {},", report.freq.as_mhz());
-        let _ = writeln!(s, "    \"report\": {},", fr.to_json());
-        s.push_str("    \"exemplar_hops\": [");
+        w.key(name).begin_object();
+        w.key("freq_mhz").float(report.freq.as_mhz());
+        w.key("report");
+        fr.write_json(&mut w);
+        w.key("exemplar_hops").begin_array();
         let exemplar = flows
             .flow_ids()
             .into_iter()
             .find(|&id| flows.hops_of(id).any(|h| h.stage == fr.terminal()));
-        if let Some(id) = exemplar {
-            let hops: Vec<_> = flows.hops_of(id).collect();
-            for (j, h) in hops.iter().enumerate() {
-                let hsep = if j + 1 < hops.len() { "," } else { "" };
-                let _ = write!(
-                    s,
-                    "\n      {{\"t_ps\": {}, \"source\": \"{}\", \"stage\": \"{}\"}}{hsep}",
-                    h.time.as_ps(),
-                    pels_obs::json::escape(h.source_name()),
-                    pels_obs::json::escape(h.stage),
-                );
-            }
+        for h in exemplar.into_iter().flat_map(|id| flows.hops_of(id)) {
+            w.begin_object().key("t_ps").uint(h.time.as_ps());
+            w.key("source").str(h.source_name()).key("stage").str(h.stage);
+            w.end_object();
         }
-        let _ = writeln!(s, "\n    ]\n  }}{sep}");
+        w.end_array().end_object();
     }
-    s.push_str("}\n");
-    s
+    w.end_object();
+    w.finish()
 }
 
 /// The `--obs` pass: runs a busy-CPU scenario (activity timeline

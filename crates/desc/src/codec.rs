@@ -9,7 +9,7 @@
 //! returned [`DescError`].
 
 use crate::error::DescError;
-use crate::kinds::{ExecMode, Mediator, SensorKind};
+use crate::kinds::{sensor_fields, ExecMode, Mediator, SensorKind};
 use crate::scenario::ScenarioDesc;
 use crate::system::{PelsDesc, PeriphInst, PeriphKind, SystemDesc};
 use pels_interconnect::{ArbiterKind, Topology};
@@ -399,73 +399,32 @@ fn dec_scenario(v: &Value, path: &str) -> Result<ScenarioDesc, DescError> {
 }
 
 // ---------------------------------------------------------------------
-// Encode
+// Encode: the canonical layout by hand, every number spelled by
+// `json::uint` / `json::float`.
 // ---------------------------------------------------------------------
 
-/// Shortest `f64` form that parses back to the identical value (Rust's
-/// `Display` and `LowerExp` guarantee the round-trip). Magnitudes above
-/// 2^53 take the exponent form: `Display` writes them as integer
-/// literals, which the parser refuses beyond [`json::MAX_EXACT_INT`].
-fn fmt_f64(v: f64) -> String {
-    if v.abs() > json::MAX_EXACT_INT as f64 {
-        format!("{v:e}")
-    } else {
-        format!("{v}")
-    }
-}
-
 fn write_sensor(out: &mut String, sensor: SensorKind) {
-    match sensor {
-        SensorKind::Constant(level) => {
-            let _ = write!(out, "{{ \"kind\": \"constant\", \"level\": {} }}", fmt_f64(level));
-        }
-        SensorKind::Ramp { start, slope_per_us } => {
-            let _ = write!(
-                out,
-                "{{ \"kind\": \"ramp\", \"start\": {}, \"slope_per_us\": {} }}",
-                fmt_f64(start),
-                fmt_f64(slope_per_us)
-            );
-        }
-        SensorKind::NoisyRamp {
-            start,
-            slope_per_us,
-            sigma,
-            seed,
-        } => {
-            let _ = write!(
-                out,
-                "{{ \"kind\": \"noisy-ramp\", \"start\": {}, \"slope_per_us\": {}, \
-                 \"sigma\": {}, \"seed\": {seed} }}",
-                fmt_f64(start),
-                fmt_f64(slope_per_us),
-                fmt_f64(sigma)
-            );
-        }
-        SensorKind::Sine {
-            offset,
-            amplitude,
-            freq_hz,
-        } => {
-            let _ = write!(
-                out,
-                "{{ \"kind\": \"sine\", \"offset\": {}, \"amplitude\": {}, \"freq_hz\": {} }}",
-                fmt_f64(offset),
-                fmt_f64(amplitude),
-                fmt_f64(freq_hz)
-            );
-        }
+    let (kind, fields) = sensor_fields(sensor);
+    let _ = write!(out, "{{ \"kind\": \"{kind}\"");
+    for (key, v) in fields {
+        let _ = write!(out, ", \"{key}\": {}", json::float(v));
     }
+    if let SensorKind::NoisyRamp { seed, .. } = sensor {
+        let _ = write!(out, ", \"seed\": {}", json::uint(seed));
+    }
+    out.push_str(" }");
 }
 
 fn write_periph(out: &mut String, p: &PeriphInst) {
-    let _ = write!(out, "{{ \"kind\": \"{}\", \"offset\": {}", p.kind.name(), p.offset);
+    let (kind, offset) = (p.kind.name(), json::uint(p.offset.into()));
+    let _ = write!(out, "{{ \"kind\": \"{kind}\", \"offset\": {offset}");
     match p.kind {
         PeriphKind::Spi { clkdiv } => {
-            let _ = write!(out, ", \"clkdiv\": {clkdiv}");
+            let _ = write!(out, ", \"clkdiv\": {}", json::uint(clkdiv.into()));
         }
         PeriphKind::Adc { conversion_cycles } => {
-            let _ = write!(out, ", \"conversion_cycles\": {conversion_cycles}");
+            let cycles = json::uint(conversion_cycles.into());
+            let _ = write!(out, ", \"conversion_cycles\": {cycles}");
         }
         _ => {}
     }
@@ -475,13 +434,15 @@ fn write_periph(out: &mut String, p: &PeriphInst) {
 fn write_system(out: &mut String, d: &SystemDesc, pad: &str, root: bool) {
     let _ = writeln!(out, "{{");
     if root {
-        let _ = writeln!(out, "{pad}  \"schema_version\": {SCHEMA_VERSION},");
+        let _ = writeln!(out, "{pad}  \"schema_version\": {},", json::uint(SCHEMA_VERSION));
     }
-    let _ = writeln!(out, "{pad}  \"freq_period_ps\": {},", d.freq.period_ps());
+    let _ = writeln!(out, "{pad}  \"freq_period_ps\": {},", json::uint(d.freq.period_ps()));
     let _ = writeln!(
         out,
         "{pad}  \"pels\": {{ \"links\": {}, \"scm_lines\": {}, \"fifo_depth\": {} }},",
-        d.pels.links, d.pels.scm_lines, d.pels.fifo_depth
+        json::uint(d.pels.links as u64),
+        json::uint(d.pels.scm_lines as u64),
+        json::uint(d.pels.fifo_depth as u64)
     );
     let _ = write!(out, "{pad}  \"sensor\": ");
     write_sensor(out, d.sensor);
@@ -533,17 +494,17 @@ impl ScenarioDesc {
     /// for every valid description.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
+        let _ = writeln!(s, "  \"schema_version\": {},", json::uint(SCHEMA_VERSION));
         let _ = writeln!(s, "  \"mediator\": \"{}\",", self.mediator);
-        let _ = writeln!(s, "  \"threshold_level\": {},", fmt_f64(self.threshold_level));
-        let _ = writeln!(s, "  \"sample_period_ps\": {},", self.sample_period.as_ps());
-        let _ = writeln!(s, "  \"spi_words\": {},", self.spi_words);
-        let _ = writeln!(s, "  \"events\": {},", self.events);
+        let _ = writeln!(s, "  \"threshold_level\": {},", json::float(self.threshold_level));
+        let _ = writeln!(s, "  \"sample_period_ps\": {},", json::uint(self.sample_period.as_ps()));
+        let _ = writeln!(s, "  \"spi_words\": {},", json::uint(self.spi_words.into()));
+        let _ = writeln!(s, "  \"events\": {},", json::uint(self.events.into()));
         let _ = writeln!(s, "  \"rmw_only\": {},", self.rmw_only);
         let _ = writeln!(s, "  \"use_udma\": {},", self.use_udma);
         let _ = writeln!(s, "  \"exec\": \"{}\",", self.exec);
         let _ = writeln!(s, "  \"obs\": {},", self.obs);
-        let _ = writeln!(s, "  \"timeline_window\": {},", self.timeline_window);
+        let _ = writeln!(s, "  \"timeline_window\": {},", json::uint(self.timeline_window));
         let _ = writeln!(s, "  \"flows\": {},", self.flows);
         let _ = writeln!(s, "  \"lifetime\": {},", self.lifetime);
         s.push_str("  \"system\": ");
@@ -692,10 +653,18 @@ mod tests {
     #[test]
     fn floats_beyond_2_pow_53_round_trip_in_exponent_form() {
         for v in [1e300, -1e20, 9007199254740994.0, 0.5, 3.0] {
-            assert_eq!(json::parse(&fmt_f64(v)).unwrap().as_f64(), Some(v), "{v}");
+            let mut d = ScenarioDesc {
+                threshold_level: v,
+                ..ScenarioDesc::default()
+            };
+            d.system.sensor = SensorKind::Constant(v);
+            assert_eq!(ScenarioDesc::from_json(&d.to_json()).unwrap(), d, "{v}");
         }
-        assert_eq!(fmt_f64(1e300), "1e300");
-        assert_eq!(fmt_f64(3.0), "3");
+        let d = ScenarioDesc {
+            threshold_level: 1e300,
+            ..ScenarioDesc::default()
+        };
+        assert!(d.to_json().contains("\"threshold_level\": 1e300,"));
     }
 
     #[test]

@@ -7,6 +7,22 @@ use std::fmt;
 /// next to the quantizer that samples it).
 pub use pels_periph::sensor::SensorKind;
 
+/// A sensor's serialized kind name and its float parameters in the
+/// codec's key order (a noisy ramp's integer `seed` is not among them).
+pub(crate) fn sensor_fields(sensor: SensorKind) -> (&'static str, Vec<(&'static str, f64)>) {
+    use SensorKind::*;
+    match sensor {
+        Constant(level) => ("constant", vec![("level", level)]),
+        Ramp { start, slope_per_us } => ("ramp", vec![("start", start), ("slope_per_us", slope_per_us)]),
+        NoisyRamp { start, slope_per_us, sigma, .. } => {
+            ("noisy-ramp", vec![("start", start), ("slope_per_us", slope_per_us), ("sigma", sigma)])
+        }
+        Sine { offset, amplitude, freq_hz } => {
+            ("sine", vec![("offset", offset), ("amplitude", amplitude), ("freq_hz", freq_hz)])
+        }
+    }
+}
+
 /// Who mediates the linking event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mediator {

@@ -123,13 +123,19 @@ impl ScenarioDesc {
     /// # Errors
     ///
     /// [`DescError`] with the JSON path of the first offending value:
-    /// zero events / SPI words, a readout whose µDMA byte count
+    /// a non-finite threshold level, zero events / SPI words, a readout whose µDMA byte count
     /// (`spi_words * 4`) overflows `u32`, a sample period shorter than
     /// one clock cycle or longer than `u32::MAX` cycles, a sample period
     /// (ps) or timeline window above 2^53 (the largest integer a JSON
     /// number holds exactly), the interrupt baseline without µDMA, or
     /// any [`SystemDesc::validate`] failure (reported under `/system`).
     pub fn validate(&self) -> Result<(), DescError> {
+        if !self.threshold_level.is_finite() {
+            return Err(DescError::new(
+                "/threshold_level",
+                "threshold_level must be finite (JSON has no NaN or infinity)",
+            ));
+        }
         if self.events == 0 {
             return Err(DescError::new("/events", "events must be at least 1"));
         }
@@ -268,5 +274,15 @@ mod tests {
             ..ScenarioDesc::default()
         };
         assert_eq!(d.validate().unwrap_err().path, "/timeline_window");
+
+        // Floats must be finite: JSON cannot spell NaN or infinity.
+        let d = ScenarioDesc {
+            threshold_level: f64::NAN,
+            ..ScenarioDesc::default()
+        };
+        assert_eq!(d.validate().unwrap_err().path, "/threshold_level");
+        let mut d = ScenarioDesc::default();
+        d.system.sensor = SensorKind::Constant(f64::INFINITY);
+        assert_eq!(d.validate().unwrap_err().path, "/system/sensor/level");
     }
 }

@@ -2,7 +2,7 @@
 //! instances, fabric shape.
 
 use crate::error::DescError;
-use crate::kinds::SensorKind;
+use crate::kinds::{sensor_fields, SensorKind};
 use crate::mem_map::{
     APB_SIZE, APB_STRIDE, GPIO_OFFSET, SPI_OFFSET,
 };
@@ -281,7 +281,8 @@ impl SystemDesc {
     /// PELS geometry out of the modelled hardware range, a peripheral
     /// kind missing or duplicated, a slot off-stride / outside the APB
     /// window / doubly occupied, a zero SPI divider or ADC conversion
-    /// latency, or a sensor seed too large for a JSON number.
+    /// latency, a non-finite sensor parameter, or a sensor seed too
+    /// large for a JSON number.
     pub fn validate(&self) -> Result<(), DescError> {
         self.validate_at("")
     }
@@ -302,6 +303,14 @@ impl SystemDesc {
             ));
         }
         self.pels.validate_at(base)?;
+        for (field, v) in sensor_fields(self.sensor).1 {
+            if !v.is_finite() {
+                return Err(DescError::new(
+                    format!("{base}/sensor/{field}"),
+                    "sensor parameters must be finite (JSON has no NaN or infinity)",
+                ));
+            }
+        }
         if let SensorKind::NoisyRamp { seed, .. } = self.sensor {
             if seed > MAX_EXACT_INT {
                 return Err(DescError::new(
@@ -442,6 +451,29 @@ mod tests {
         let e = d.validate().unwrap_err();
         assert_eq!(e.path, "/peripherals/1/kind");
         assert!(e.message.contains("duplicate"), "{e}");
+
+        let sensors = [
+            (SensorKind::Constant(f64::NAN), "level"),
+            (SensorKind::Ramp { start: 0.0, slope_per_us: f64::INFINITY }, "slope_per_us"),
+            (
+                SensorKind::NoisyRamp {
+                    start: 0.0,
+                    slope_per_us: 0.1,
+                    sigma: f64::NEG_INFINITY,
+                    seed: 1,
+                },
+                "sigma",
+            ),
+            (SensorKind::Sine { offset: f64::NAN, amplitude: 1.0, freq_hz: 1e3 }, "offset"),
+        ];
+        for (sensor, field) in sensors {
+            let d = SystemDesc {
+                sensor,
+                ..SystemDesc::default()
+            };
+            let e = d.validate_at("/system").unwrap_err();
+            assert_eq!(e.path, format!("/system/sensor/{field}"));
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Fleet results: per-job outcomes, input-order-stable reports, and the
 //! digest that proves scheduling never leaks into the data.
 
+use pels_obs::json::Writer;
 use pels_soc::{Mediator, Scenario, ScenarioError, ScenarioReport};
 use std::fmt;
 use std::time::Duration;
@@ -390,44 +391,31 @@ impl Fnv {
     }
 }
 
-/// Serializes the batch as the `BENCH_fleet_throughput.json` artifact
-/// (flat object, no serde in the offline graph).
+/// Serializes the batch as the `BENCH_fleet_throughput.json` artifact.
 pub fn to_json(report: &FleetReport, host_parallelism: usize) -> String {
-    let failed = report.failed().count();
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"jobs\": {},\n", report.jobs.len()));
-    s.push_str(&format!("  \"failed\": {failed},\n"));
-    s.push_str(&format!("  \"workers\": {},\n", report.workers));
-    s.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    s.push_str(&format!(
-        "  \"wall_ms\": {:.3},\n",
-        report.wall.as_secs_f64() * 1e3
-    ));
-    s.push_str(&format!(
-        "  \"busy_ms\": {:.3},\n",
-        report.busy().as_secs_f64() * 1e3
-    ));
-    s.push_str(&format!("  \"speedup\": {:.3},\n", report.speedup()));
-    s.push_str(&format!(
-        "  \"jobs_per_sec\": {:.3},\n",
-        report.jobs.len() as f64 / report.wall.as_secs_f64().max(1e-9)
-    ));
-    s.push_str("  \"worker_stats\": [");
-    for (i, w) in report.worker_stats().iter().enumerate() {
-        let sep = if i + 1 < report.workers { "," } else { "" };
-        s.push_str(&format!(
-            "\n    {{\"worker\": {}, \"jobs\": {}, \"steals\": {}, \"busy_ms\": {:.3}}}{sep}",
-            w.worker,
-            w.jobs,
-            w.steals,
-            w.busy.as_secs_f64() * 1e3
-        ));
+    let ms = |d: Duration| d.as_micros() as f64 / 1e3;
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("jobs").uint(report.jobs.len() as u64);
+    w.key("failed").uint(report.failed().count() as u64);
+    w.key("workers").uint(report.workers as u64);
+    w.key("host_parallelism").uint(host_parallelism as u64);
+    w.key("wall_ms").float(ms(report.wall));
+    w.key("busy_ms").float(ms(report.busy()));
+    w.key("speedup").float(report.speedup());
+    w.key("jobs_per_sec")
+        .float(report.jobs.len() as f64 / report.wall.as_secs_f64().max(1e-9));
+    w.key("worker_stats").begin_array();
+    for s in report.worker_stats() {
+        w.begin_object();
+        w.key("worker").uint(s.worker as u64).key("jobs").uint(s.jobs);
+        w.key("steals").uint(s.steals).key("busy_ms").float(ms(s.busy));
+        w.end_object();
     }
-    s.push_str("\n  ],\n");
-    s.push_str(&format!("  \"digest\": \"{:016x}\"\n", report.digest()));
-    s.push('}');
-    s.push('\n');
-    s
+    w.end_array();
+    w.key("digest").str(&format!("{:016x}", report.digest()));
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]

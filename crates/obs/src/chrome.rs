@@ -12,7 +12,7 @@
 //! Only the JSON-array-of-events subset of the trace-event format is
 //! emitted (`{"traceEvents": [...]}`), which both viewers accept.
 
-use crate::json::{self, Value};
+use crate::json::{self, Value, Writer};
 use crate::profile::SpanEvent;
 use pels_sim::{ComponentId, FlowHop, FlowTrace, Trace};
 use std::collections::HashMap;
@@ -35,41 +35,62 @@ pub const HOST_PID: u64 = 2;
 /// assert!(doc.contains("\"traceEvents\""));
 /// assert!(pels_obs::chrome::validate(&doc).is_ok());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ChromeTrace {
-    events: Vec<String>,
+    /// The document, with the root object and `traceEvents` open.
+    w: Writer,
+    events: usize,
     sim_tids: HashMap<ComponentId, u64>,
     named_threads: Vec<(u64, u64)>,
     flow_id_base: u64,
 }
 
+impl Default for ChromeTrace {
+    fn default() -> Self {
+        ChromeTrace::new()
+    }
+}
+
 impl ChromeTrace {
     /// Creates an empty document builder.
     pub fn new() -> Self {
-        let mut ct = ChromeTrace::default();
-        ct.name_process(SIM_PID, "sim (simulated time)");
-        ct.name_process(HOST_PID, "host (wall time)");
+        let mut w = Writer::new();
+        w.begin_object().key("traceEvents").begin_array();
+        let mut ct = ChromeTrace {
+            w,
+            events: 0,
+            sim_tids: HashMap::new(),
+            named_threads: Vec::new(),
+            flow_id_base: 0,
+        };
+        ct.metadata("process_name", SIM_PID, 0, "sim (simulated time)");
+        ct.metadata("process_name", HOST_PID, 0, "host (wall time)");
         ct
     }
 
-    fn name_process(&mut self, pid: u64, name: &str) {
-        self.events.push(format!(
-            "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {pid}, \"tid\": 0, \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            json::escape(name)
-        ));
+    /// Opens the next event object and writes its leading `ph`, `name`
+    /// and (when given) `cat` members.
+    fn event(&mut self, ph: &str, name: &str, cat: Option<&str>) -> &mut Writer {
+        self.events += 1;
+        self.w.begin_object().key("ph").str(ph).key("name").str(name);
+        if let Some(cat) = cat {
+            self.w.key("cat").str(cat);
+        }
+        &mut self.w
+    }
+
+    /// A metadata event naming a process or thread track.
+    fn metadata(&mut self, what: &str, pid: u64, tid: u64, name: &str) {
+        let w = self.event("M", what, None);
+        w.key("pid").uint(pid).key("tid").uint(tid);
+        w.key("args").begin_object().key("name").str(name).end_object().end_object();
     }
 
     fn name_thread(&mut self, pid: u64, tid: u64, name: &str) {
-        if self.named_threads.contains(&(pid, tid)) {
-            return;
+        if !self.named_threads.contains(&(pid, tid)) {
+            self.named_threads.push((pid, tid));
+            self.metadata("thread_name", pid, tid, name);
         }
-        self.named_threads.push((pid, tid));
-        self.events.push(format!(
-            "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {tid}, \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            json::escape(name)
-        ));
     }
 
     /// Adds every entry of a simulated-time trace as instant events, one
@@ -79,14 +100,11 @@ impl ChromeTrace {
             let next = self.sim_tids.len() as u64 + 1;
             let tid = *self.sim_tids.entry(e.source).or_insert(next);
             self.name_thread(SIM_PID, tid, e.source.name());
-            self.events.push(format!(
-                "{{\"ph\": \"i\", \"name\": \"{}.{}\", \"cat\": \"sim\", \"s\": \"t\", \
-                 \"ts\": {}, \"pid\": {SIM_PID}, \"tid\": {tid}, \"args\": {{\"value\": {}}}}}",
-                json::escape(e.source.name()),
-                json::escape(e.label),
-                e.time.as_ps() as f64 / 1e6,
-                e.value,
-            ));
+            let name = format!("{}.{}", e.source.name(), e.label);
+            let w = self.event("i", &name, Some("sim"));
+            w.key("s").str("t").key("ts").float(e.time.as_ps() as f64 / 1e6);
+            w.key("pid").uint(SIM_PID).key("tid").uint(tid);
+            w.key("args").begin_object().key("value").uint(e.value).end_object().end_object();
         }
     }
 
@@ -97,22 +115,16 @@ impl ChromeTrace {
     /// the same `name` and timestamps in order draws a curve — power or
     /// activity over simulated time next to the instant-event tracks.
     ///
-    /// Series values must be finite (NaN/infinity have no JSON
-    /// representation); entries are emitted in the order given.
+    /// Entries are emitted in the order given; a non-finite value is
+    /// written as `null` (JSON has no NaN or infinity).
     pub fn add_counter(&mut self, name: &str, ts_us: f64, series: &[(&str, f64)]) {
-        let mut args = String::new();
-        for (i, (key, value)) in series.iter().enumerate() {
-            debug_assert!(value.is_finite(), "counter series must be finite");
-            if i > 0 {
-                args.push_str(", ");
-            }
-            args.push_str(&format!("\"{}\": {}", json::escape(key), value));
+        let w = self.event("C", name, Some("sim"));
+        w.key("ts").float(ts_us).key("pid").uint(SIM_PID).key("tid").uint(0);
+        w.key("args").begin_object();
+        for &(key, value) in series {
+            w.key(key).float(value);
         }
-        self.events.push(format!(
-            "{{\"ph\": \"C\", \"name\": \"{}\", \"cat\": \"sim\", \"ts\": {ts_us}, \
-             \"pid\": {SIM_PID}, \"tid\": 0, \"args\": {{{args}}}}}",
-            json::escape(name),
-        ));
+        w.end_object().end_object();
     }
 
     /// Adds every causal flow as a Perfetto flow-arrow chain: each hop
@@ -141,12 +153,10 @@ impl ChromeTrace {
                 let ts = h.time.as_ps() as f64 / 1e6;
                 // Anchor slice the flow event binds to (flow arrows
                 // attach to slices, not instants).
-                self.events.push(format!(
-                    "{{\"ph\": \"X\", \"name\": \"{}.{}\", \"cat\": \"flow\", \
-                     \"ts\": {ts}, \"dur\": 0.001, \"pid\": {SIM_PID}, \"tid\": {tid}}}",
-                    json::escape(h.source.name()),
-                    json::escape(h.stage),
-                ));
+                let name = format!("{}.{}", h.source.name(), h.stage);
+                let w = self.event("X", &name, Some("flow"));
+                w.key("ts").float(ts).key("dur").float(0.001);
+                w.key("pid").uint(SIM_PID).key("tid").uint(tid).end_object();
                 let ph = if i == 0 {
                     "s"
                 } else if i + 1 == hops.len() {
@@ -154,12 +164,13 @@ impl ChromeTrace {
                 } else {
                     "t"
                 };
-                let bp = if ph == "f" { ", \"bp\": \"e\"" } else { "" };
-                self.events.push(format!(
-                    "{{\"ph\": \"{ph}\", \"name\": \"flow\", \"cat\": \"flow\", \
-                     \"id\": {}, \"ts\": {ts}, \"pid\": {SIM_PID}, \"tid\": {tid}{bp}}}",
-                    base + id.0,
-                ));
+                let w = self.event(ph, "flow", Some("flow"));
+                w.key("id").uint(base + id.0).key("ts").float(ts);
+                w.key("pid").uint(SIM_PID).key("tid").uint(tid);
+                if ph == "f" {
+                    w.key("bp").str("e");
+                }
+                w.end_object();
             }
         }
     }
@@ -169,45 +180,34 @@ impl ChromeTrace {
     pub fn add_host_spans(&mut self, spans: &[SpanEvent]) {
         for s in spans {
             self.name_thread(HOST_PID, s.thread, &format!("host thread {}", s.thread));
-            self.events.push(format!(
-                "{{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"host\", \
-                 \"ts\": {}, \"dur\": {}, \"pid\": {HOST_PID}, \"tid\": {}}}",
-                json::escape(&s.path),
-                s.start_us,
-                s.dur_us,
-                s.thread,
-            ));
+            let w = self.event("X", &s.path, Some("host"));
+            w.key("ts").float(s.start_us).key("dur").float(s.dur_us);
+            w.key("pid").uint(HOST_PID).key("tid").uint(s.thread).end_object();
         }
     }
 
     /// Number of events added so far (including metadata events).
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events
     }
 
-    /// Whether only the builder preamble is present.
+    /// Whether no event was added (never true after [`ChromeTrace::new`],
+    /// which names the two processes).
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events == 0
     }
 
     /// Renders the `{"traceEvents": [...]}` document.
-    pub fn finish(self) -> String {
-        let mut out = String::from("{\"traceEvents\": [\n");
-        for (i, e) in self.events.iter().enumerate() {
-            let sep = if i + 1 < self.events.len() { "," } else { "" };
-            out.push_str("  ");
-            out.push_str(e);
-            out.push_str(sep);
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+    pub fn finish(mut self) -> String {
+        self.w.end_array().end_object();
+        self.w.finish()
     }
 }
 
 /// Schema-checks a rendered trace document: well-formed JSON, a
 /// `traceEvents` array, per-event field requirements (`ph`/`name`
-/// strings, numeric `ts`/`pid`/`tid`, `dur` on complete events), and
+/// strings, numeric `ts`/`pid`/`tid`, `dur` on complete events, numeric
+/// or `null` counter series), and
 /// flow-event well-formedness — every `"s"` start has a matching `"f"`
 /// end with the same binding id, no step/end appears for a flow that was
 /// never started, and every flow event binds to an enclosing `"X"` slice
@@ -288,10 +288,11 @@ pub fn validate(doc: &str) -> Result<(), String> {
                 if args.is_empty() {
                     return Err(ctx("C event has no counter series"));
                 }
+                // `null` is a non-finite sample (see `add_counter`).
                 for (key, value) in args {
-                    value.as_f64().ok_or_else(|| {
-                        ctx(&format!("counter series `{key}` is not numeric"))
-                    })?;
+                    if value.as_f64().is_none() && value != &Value::Null {
+                        return Err(ctx(&format!("counter series `{key}` is not numeric")));
+                    }
                 }
             }
             other => return Err(ctx(&format!("unsupported phase {other:?}"))),
@@ -420,6 +421,19 @@ mod tests {
         assert_eq!(args.get("ibex").and_then(Value::as_f64), Some(120.25));
         assert_eq!(args.get("sram").and_then(Value::as_f64), Some(80.0));
         assert_eq!(counters[1].get("ts").and_then(Value::as_f64), Some(1.5));
+    }
+
+    #[test]
+    fn non_finite_counter_is_null_and_the_trace_stays_valid() {
+        let mut ct = ChromeTrace::new();
+        ct.add_counter("power", 1.0, &[("total", f64::NAN), ("ibex", f64::INFINITY)]);
+        let doc = ct.finish();
+        validate(&doc).expect("valid document");
+        let v = json::parse(&doc).unwrap();
+        let events = v.get("traceEvents").unwrap().as_array().unwrap();
+        let args = events.last().unwrap().get("args").unwrap();
+        assert_eq!(args.get("total"), Some(&Value::Null));
+        assert_eq!(args.get("ibex"), Some(&Value::Null));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! by label, so fleet-side aggregation is order-invariant.
 
 use crate::hist::Histogram;
+use crate::json::Writer;
 use pels_sim::{FlowHop, FlowTrace};
 use std::collections::BTreeMap;
 
@@ -194,43 +195,32 @@ impl FlowReport {
         out
     }
 
-    /// Serializes the report as one JSON object (the per-mediator halves
-    /// of `OBS_flows.json`).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "    \"flows\": {},", self.flows);
-        let _ = writeln!(s, "    \"origin\": \"{}\",", crate::json::escape(&self.origin));
-        let _ = writeln!(
-            s,
-            "    \"terminal\": \"{}\",",
-            crate::json::escape(&self.terminal)
-        );
-        let _ = writeln!(
-            s,
-            "    \"end_to_end\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}}},",
-            self.end_to_end.count(),
-            self.end_to_end.sum(),
-            self.end_to_end.mean().unwrap_or(0.0),
-            self.end_to_end.p50().unwrap_or(0),
-            self.end_to_end.p99().unwrap_or(0),
-        );
-        s.push_str("    \"stages\": {");
-        for (i, (label, row)) in self.stages.iter().enumerate() {
-            let sep = if i + 1 < self.stages.len() { "," } else { "" };
-            let _ = write!(
-                s,
-                "\n      \"{}\": {{\"count\": {}, \"total_cycles\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}}}{sep}",
-                crate::json::escape(label),
-                row.count,
-                row.total_cycles,
-                row.hist.mean().unwrap_or(0.0),
-                row.hist.p50().unwrap_or(0),
-                row.hist.p99().unwrap_or(0),
-            );
+    /// Writes the report as one JSON object at the writer's current
+    /// position (the per-mediator `report` members of `OBS_flows.json`).
+    pub fn write_json(&self, w: &mut Writer) {
+        let hist = |w: &mut Writer, h: &Histogram| {
+            w.key("mean").float(h.mean().unwrap_or(0.0));
+            w.key("p50").uint(h.p50().unwrap_or(0));
+            w.key("p99").uint(h.p99().unwrap_or(0));
+        };
+        w.begin_object();
+        w.key("flows").uint(self.flows);
+        w.key("origin").str(&self.origin);
+        w.key("terminal").str(&self.terminal);
+        w.key("end_to_end").begin_object();
+        w.key("count").uint(self.end_to_end.count());
+        w.key("sum").uint(self.end_to_end.sum());
+        hist(w, &self.end_to_end);
+        w.end_object();
+        w.key("stages").begin_object();
+        for (label, row) in &self.stages {
+            w.key(label).begin_object();
+            w.key("count").uint(row.count);
+            w.key("total_cycles").uint(row.total_cycles);
+            hist(w, &row.hist);
+            w.end_object();
         }
-        s.push_str("\n    }\n  }");
-        s
+        w.end_object().end_object();
     }
 }
 
@@ -315,8 +305,9 @@ mod tests {
         assert!(table.contains("flow blame (eot -> padout), 2 flows"));
         assert!(table.contains("flowrep-test-gpio.padout"));
         assert!(table.contains("end-to-end"));
-        let json = r.to_json();
-        let v = crate::json::parse(&json).expect("well-formed JSON");
+        let mut w = Writer::new();
+        r.write_json(&mut w);
+        let v = crate::json::parse(&w.finish()).expect("well-formed JSON");
         assert_eq!(v.get("flows").and_then(crate::json::Value::as_u64), Some(2));
         let stages = v.get("stages").unwrap();
         assert!(stages.get("flowrep-test-link.trigger").is_some());

@@ -1,18 +1,18 @@
-//! Minimal hand-rolled JSON support shared by the exporters and the
-//! `obs_check` schema gate.
+//! Minimal hand-rolled JSON support: the one writer every exporter
+//! uses and the parser the `obs_check` schema gate and the description
+//! codec read with.
 //!
 //! The workspace builds offline with zero external dependencies, so
-//! there is no serde. The exporters only *write* JSON (string
-//! composition plus [`escape`]), and the schema checks only need to
-//! *read* what this crate itself emitted — a small recursive-descent
-//! parser into a dynamic [`Value`] covers both without pulling anything
-//! in.
+//! there is no serde. [`Writer`] streams a document and alone decides
+//! the encoding: string escaping, the spelling of numbers ([`uint`],
+//! [`float`]) and the layout. [`parse`] reads any document into a
+//! dynamic [`Value`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// Escapes a string for inclusion inside JSON double quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Writes `s` as a JSON string literal, quotes included.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -20,11 +20,203 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
+}
+
+/// A number spelled the one way this module writes numbers.
+enum Number {
+    Uint(u64),
+    Float(f64),
+}
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Number::Uint(v) if v > MAX_EXACT_INT => write!(f, "{v:e}"),
+            Number::Uint(v) => write!(f, "{v}"),
+            Number::Float(v) if !v.is_finite() => f.write_str("null"),
+            Number::Float(v) if v.abs() > MAX_EXACT_INT as f64 => write!(f, "{v:e}"),
+            Number::Float(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+/// A `u64` spelled as a JSON number: exact up to [`MAX_EXACT_INT`], in
+/// exponent form with every digit above it ([`parse`] refuses a larger
+/// integer literal and reads the exponent form as the nearest `f64`).
+pub fn uint(v: u64) -> impl fmt::Display {
+    Number::Uint(v)
+}
+
+/// An `f64` spelled as a JSON number: its shortest form that reads back
+/// bit for bit, in exponent form above 2^53 in magnitude (where the
+/// plain form would be an integer literal [`parse`] refuses), and
+/// `null` when non-finite (JSON has no NaN or infinity).
+pub fn float(v: f64) -> impl fmt::Display {
+    Number::Float(v)
+}
+
+/// A streaming JSON document writer.
+///
+/// Every method writes one token and returns `&mut Self`, so a record
+/// reads as a chain: `w.key("jobs").uint(8).key("digest").str("..")`.
+/// The layout follows one fixed rule: the members of the root and the
+/// elements of an array directly inside the root go one per line
+/// (indented two spaces per level); anything deeper prints inline as
+/// `{"k": v, "k2": v2}` / `[a, b]`.
+///
+/// ```
+/// use pels_obs::json::Writer;
+/// let mut w = Writer::new();
+/// w.begin_object().key("n").uint(3).key("xs").begin_array();
+/// w.begin_object().key("ok").bool(true).end_object();
+/// w.end_array().end_object();
+/// assert_eq!(w.finish(), "{\n  \"n\": 3,\n  \"xs\": [\n    {\"ok\": true}\n  ]\n}\n");
+/// ```
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// Open containers, outermost first: (is an array, items written).
+    open: Vec<(bool, usize)>,
+    /// A key was written and its value is next.
+    keyed: bool,
+}
+
+impl Writer {
+    /// An empty document.
+    pub fn new() -> Self {
+        Writer::default()
+    }
+
+    /// Whether the container at `depth` (the root is 1) puts its items
+    /// one per line.
+    fn one_per_line(depth: usize, array: bool) -> bool {
+        depth == 1 || (depth == 2 && array)
+    }
+
+    /// Separator and line break before the next item of the innermost
+    /// container.
+    fn item(&mut self) {
+        let depth = self.open.len();
+        let Some((array, items)) = self.open.last_mut() else {
+            return;
+        };
+        *items += 1;
+        let first = *items == 1;
+        if !first {
+            self.out.push(',');
+        }
+        if Self::one_per_line(depth, *array) {
+            self.out.push('\n');
+            self.out.push_str(&"  ".repeat(depth));
+        } else if !first {
+            self.out.push(' ');
+        }
+    }
+
+    /// Positions a value: right after its key, or as the next element.
+    fn value(&mut self) {
+        debug_assert!(
+            self.keyed || self.open.last().map_or(self.out.is_empty(), |f| f.0),
+            "a value needs a key inside an object, and a document has one root"
+        );
+        if !std::mem::take(&mut self.keyed) {
+            self.item();
+        }
+    }
+
+    fn open(&mut self, array: bool, bracket: char) -> &mut Self {
+        self.value();
+        self.out.push(bracket);
+        self.open.push((array, 0));
+        self
+    }
+
+    fn close(&mut self, array: bool, bracket: char) -> &mut Self {
+        let depth = self.open.len();
+        let open = self.open.pop().map(|f| f.0);
+        assert!(open == Some(array) && !self.keyed, "`{bracket}` closes no open container");
+        if Self::one_per_line(depth, array) {
+            self.out.push('\n');
+            self.out.push_str(&"  ".repeat(depth - 1));
+        }
+        self.out.push(bracket);
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.open(false, '{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.close(false, '}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.open(true, '[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.close(true, ']')
+    }
+
+    /// Writes the key of the next member of the innermost object.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        debug_assert!(
+            !self.keyed && self.open.last().is_some_and(|f| !f.0),
+            "a key belongs directly inside an object"
+        );
+        self.item();
+        push_string(&mut self.out, key);
+        self.out.push_str(": ");
+        self.keyed = true;
+        self
+    }
+
+    /// Writes an unsigned integer, spelled by [`uint`].
+    pub fn uint(&mut self, v: u64) -> &mut Self {
+        self.value();
+        let _ = write!(self.out, "{}", Number::Uint(v));
+        self
+    }
+
+    /// Writes a float, spelled by [`float`] (`null` when non-finite).
+    pub fn float(&mut self, v: f64) -> &mut Self {
+        self.value();
+        let _ = write!(self.out, "{}", Number::Float(v));
+        self
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.value();
+        push_string(&mut self.out, s);
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.value();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// The finished document, newline-terminated.
+    pub fn finish(mut self) -> String {
+        assert!(self.open.is_empty() && !self.keyed, "unclosed container");
+        self.out.push('\n');
+        self.out
+    }
 }
 
 /// A parsed JSON value.
@@ -355,10 +547,16 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    fn quoted(s: &str) -> String {
+        let mut out = String::new();
+        push_string(&mut out, s);
+        out
+    }
+
     #[test]
     fn escape_covers_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quoted("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]
@@ -473,7 +671,7 @@ mod tests {
             }
             match parse(&text) {
                 Ok(Value::Str(s)) => {
-                    let again = parse(&format!("\"{}\"", escape(&s)));
+                    let again = parse(&quoted(&s));
                     assert_eq!(again, Ok(Value::Str(s)), "case {case}: {text:?}");
                 }
                 Ok(_) => {}
@@ -491,12 +689,165 @@ mod tests {
             .cycle()
             .take(1 << 20)
             .collect();
-        let doc = format!("{{\"payload\": \"{}\"}}", escape(&payload));
+        let doc = format!("{{\"payload\": {}}}", quoted(&payload));
         let v = parse(&doc).unwrap();
         assert_eq!(
             v.get("payload").and_then(Value::as_str),
             Some(payload.as_str())
         );
+    }
+
+    /// What a random document holds, to check the parse against.
+    enum Doc {
+        Uint(u64),
+        Float(f64),
+        Str(String),
+        Bool(bool),
+        Arr(Vec<Doc>),
+        Obj(Vec<(String, Doc)>),
+    }
+
+    fn random_string(rng: &mut pels_sim::Rng) -> String {
+        const PIECES: &[&str] = &[
+            "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{8}", "\u{1f}", "\u{7f}", "é", "€",
+            "𝄞", "\u{2028}", "/", "a", "Z", " ", "0", "{", "]",
+        ];
+        (0..rng.index(8)).map(|_| PIECES[rng.index(PIECES.len())]).collect()
+    }
+
+    fn random_doc(rng: &mut pels_sim::Rng, depth: usize) -> Doc {
+        const UINTS: &[u64] = &[0, 1, MAX_EXACT_INT - 1, MAX_EXACT_INT, MAX_EXACT_INT + 1, u64::MAX];
+        const FLOATS: &[f64] = &[
+            0.0, -0.0, 5e-324, 2.2e-308, 0.1, -1.5, 1e300, -1e300, 9007199254740992.0,
+            9007199254740994.0, f64::MAX, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
+        ];
+        let pick = if depth == 0 { rng.index(4) } else { rng.index(6) };
+        match pick {
+            0 => Doc::Uint(if rng.bool() {
+                UINTS[rng.index(UINTS.len())]
+            } else {
+                rng.next_u64() >> rng.index(64)
+            }),
+            1 => Doc::Float(if rng.bool() {
+                FLOATS[rng.index(FLOATS.len())]
+            } else {
+                f64::from_bits(rng.next_u64())
+            }),
+            2 => Doc::Str(random_string(rng)),
+            3 => Doc::Bool(rng.bool()),
+            4 => Doc::Arr((0..rng.index(4)).map(|_| random_doc(rng, depth - 1)).collect()),
+            _ => Doc::Obj(
+                (0..rng.index(4))
+                    .map(|_| (random_string(rng), random_doc(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn write_doc(w: &mut Writer, doc: &Doc) {
+        match doc {
+            Doc::Uint(v) => {
+                w.uint(*v);
+            }
+            Doc::Float(v) => {
+                w.float(*v);
+            }
+            Doc::Str(s) => {
+                w.str(s);
+            }
+            Doc::Bool(b) => {
+                w.bool(*b);
+            }
+            Doc::Arr(items) => {
+                w.begin_array();
+                items.iter().for_each(|d| write_doc(w, d));
+                w.end_array();
+            }
+            Doc::Obj(members) => {
+                w.begin_object();
+                for (k, d) in members {
+                    w.key(k);
+                    write_doc(w, d);
+                }
+                w.end_object();
+            }
+        }
+    }
+
+    fn check_doc(doc: &Doc, v: &Value, at: &str) {
+        match doc {
+            Doc::Uint(n) if *n <= MAX_EXACT_INT => assert_eq!(v.as_u64(), Some(*n), "{at}"),
+            Doc::Uint(n) => assert_eq!(v.as_f64(), Some(*n as f64), "{at}"),
+            Doc::Float(x) if x.is_finite() => {
+                let back = v.as_f64().map(f64::to_bits);
+                assert_eq!(back, Some(x.to_bits()), "{at}: {x:e}");
+            }
+            Doc::Float(_) => assert_eq!(v, &Value::Null, "{at}"),
+            Doc::Str(s) => assert_eq!(v.as_str(), Some(s.as_str()), "{at}"),
+            Doc::Bool(b) => assert_eq!(v.as_bool(), Some(*b), "{at}"),
+            Doc::Arr(items) => {
+                let got = v.as_array().unwrap_or_else(|| panic!("{at}: not an array"));
+                assert_eq!(got.len(), items.len(), "{at}");
+                for (i, (d, g)) in items.iter().zip(got).enumerate() {
+                    check_doc(d, g, &format!("{at}/{i}"));
+                }
+            }
+            Doc::Obj(members) => {
+                let got = v.as_object().unwrap_or_else(|| panic!("{at}: not an object"));
+                assert_eq!(got.len(), members.len(), "{at}");
+                for ((k, d), (gk, g)) in members.iter().zip(got) {
+                    assert_eq!(gk, k, "{at}");
+                    check_doc(d, g, &format!("{at}/{k:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn writer_round_trips_through_the_parser() {
+        let mut rng = pels_sim::Rng::seed_from_u64(0x0037_17E5);
+        for case in 0..2_000 {
+            let root = match random_doc(&mut rng, 4) {
+                d @ (Doc::Arr(_) | Doc::Obj(_)) => d,
+                scalar => Doc::Arr(vec![scalar]),
+            };
+            let mut w = Writer::new();
+            write_doc(&mut w, &root);
+            let text = w.finish();
+            let v = parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            check_doc(&root, &v, &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn writer_layout_breaks_only_the_top_two_levels() {
+        let mut w = Writer::new();
+        w.begin_object().key("a").begin_array();
+        w.begin_array().uint(1).uint(2).end_array();
+        w.begin_object().end_object();
+        w.end_array().key("b").begin_object().key("c").begin_array().end_array();
+        w.end_object().key("d").begin_array().end_array().end_object();
+        assert_eq!(
+            w.finish(),
+            "{\n  \"a\": [\n    [1, 2],\n    {}\n  ],\n  \"b\": {\"c\": []},\n  \"d\": [\n  ]\n}\n"
+        );
+        let mut w = Writer::new();
+        w.begin_array().end_array();
+        assert_eq!(w.finish(), "[\n]\n");
+    }
+
+    #[test]
+    fn numbers_spell_exactly_or_in_exponent_form() {
+        assert_eq!(uint(MAX_EXACT_INT).to_string(), "9007199254740992");
+        assert_eq!(uint(MAX_EXACT_INT + 1).to_string(), "9.007199254740993e15");
+        assert_eq!(uint(u64::MAX).to_string(), "1.8446744073709551615e19");
+        assert_eq!(float(3.0).to_string(), "3");
+        assert_eq!(float(-0.0).to_string(), "-0");
+        assert_eq!(float(0.1).to_string(), "0.1");
+        assert_eq!(float(1e300).to_string(), "1e300");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(float(v).to_string(), "null");
+        }
     }
 
     #[test]

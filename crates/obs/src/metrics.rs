@@ -58,22 +58,15 @@ impl MetricsSnapshot {
     }
 
     /// Serializes as a flat JSON object (one `"name": value` pair per
-    /// metric, sorted by name). Values above [`json::MAX_EXACT_INT`] take
-    /// the exponent form (all digits kept), which [`json::parse`] reads
-    /// as the nearest `f64` instead of refusing an inexact integer.
+    /// metric, sorted by name), numbers spelled by [`json::uint`].
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        for (i, (name, v)) in self.iter().enumerate() {
-            let sep = if i + 1 < self.len() { "," } else { "" };
-            let v = if v > json::MAX_EXACT_INT {
-                format!("{v:e}")
-            } else {
-                v.to_string()
-            };
-            s.push_str(&format!("  \"{}\": {v}{sep}\n", json::escape(name)));
+        let mut w = json::Writer::new();
+        w.begin_object();
+        for (name, v) in self.iter() {
+            w.key(name).uint(v);
         }
-        s.push_str("}\n");
-        s
+        w.end_object();
+        w.finish()
     }
 }
 

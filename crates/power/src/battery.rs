@@ -300,38 +300,6 @@ impl LifetimeReport {
             ("battery.soc_points", self.soc.len() as u64),
         ]
     }
-
-    /// JSON object fragment (canonical key order) for report export.
-    pub fn to_json(&self) -> String {
-        let mut blame = String::new();
-        for (i, row) in self.blame.iter().enumerate() {
-            if i > 0 {
-                blame.push(',');
-            }
-            let _ = write!(
-                blame,
-                "{{\"name\":{:?},\"uw\":{},\"days_cost\":{}}}",
-                row.name, row.uw, row.days_cost
-            );
-        }
-        let mut soc = String::new();
-        for (i, p) in self.soc.iter().enumerate() {
-            if i > 0 {
-                soc.push(',');
-            }
-            let _ = write!(soc, "[{},{}]", p.t_days, p.fraction);
-        }
-        let days = if self.seconds.is_finite() {
-            self.days().to_string()
-        } else {
-            "null".to_string()
-        };
-        format!(
-            "{{\"days\":{},\"mean_draw_uw\":{},\"usable_uj\":{},\"capacity_mah\":{},\"nominal_v\":{},\"blame\":[{}],\"soc\":[{}]}}",
-            days, self.mean_draw_uw, self.usable_uj, self.battery.capacity_mah,
-            self.battery.nominal_v, blame, soc
-        )
-    }
 }
 
 #[cfg(test)]
@@ -421,7 +389,6 @@ mod tests {
         let report = Battery::new(100.0, 3.0).project(&EnergyLedger::new());
         assert!(report.seconds.is_infinite());
         assert_eq!(report.metric_pairs()[0].1, u64::MAX);
-        assert!(report.to_json().contains("\"days\":null"));
     }
 
     #[test]
@@ -441,9 +408,6 @@ mod tests {
             ]
         );
         assert!(report.metric_pairs().iter().all(|&(_, v)| v > 0));
-        let json = report.to_json();
-        assert!(json.contains("\"soc\":["));
-        assert!(json.contains("\"blame\":["));
     }
 
     #[test]

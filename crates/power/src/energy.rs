@@ -246,30 +246,6 @@ impl EnergyLedger {
             ("power.energy.components", self.components.len() as u64),
         ]
     }
-
-    /// JSON object fragment (canonical key order) for report export.
-    pub fn to_json(&self) -> String {
-        let mut comps = String::new();
-        for (i, row) in self.blame().iter().enumerate() {
-            if i > 0 {
-                comps.push(',');
-            }
-            let _ = write!(
-                comps,
-                "{{\"name\":{:?},\"uj\":{},\"share\":{}}}",
-                row.name, row.uj, row.share
-            );
-        }
-        format!(
-            "{{\"total_uj\":{},\"floor_uj\":{},\"span_s\":{},\"windows\":{},\"mean_uw\":{},\"blame\":[{}]}}",
-            self.total_uj(),
-            self.floor_uj(),
-            self.span().as_secs_f64(),
-            self.windows,
-            self.mean_power().as_uw(),
-            comps
-        )
-    }
 }
 
 #[cfg(test)]
@@ -384,15 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_mention_components() {
+    fn render_and_metrics_mention_components() {
         let ledger = EnergyLedger::from_timeline(&timeline(1_000));
         let text = ledger.render();
         assert!(text.contains("sram"), "{text}");
         assert!(text.contains("(analog floor)"), "{text}");
-        let json = ledger.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"total_uj\""));
-        assert!(json.contains("\"blame\""));
         let keys: Vec<&str> = ledger.metric_pairs().iter().map(|(k, _)| *k).collect();
         assert!(keys.contains(&"power.energy.total_nj"));
         assert!(ledger.metric_pairs()[0].1 > 0);

@@ -628,89 +628,6 @@ impl ScenarioReport {
             terminal,
         ))
     }
-
-    /// Serializes the report to a machine-readable JSON object.
-    ///
-    /// Covers the headline measurements (latency statistics, window
-    /// durations, events completed) plus the fast-path counters; when
-    /// the scenario ran with [`ScenarioDesc::obs`] the full metrics
-    /// snapshot is inlined under `"metrics"`, otherwise that field is
-    /// `null`.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("{\n");
-        let _ = writeln!(
-            s,
-            "  \"mediator\": \"{}\",",
-            pels_obs::json::escape(&self.mediator.to_string())
-        );
-        let _ = writeln!(s, "  \"freq_mhz\": {},", self.freq.as_mhz());
-        let _ = writeln!(s, "  \"events_completed\": {},", self.events_completed);
-        let _ = writeln!(
-            s,
-            "  \"latency_cycles\": {{\"count\": {}, \"min\": {}, \"max\": {}, \
-             \"mean\": {}, \"p50\": {}, \"p99\": {}, \"jitter\": {}}},",
-            self.stats.count,
-            self.stats.min,
-            self.stats.max,
-            self.stats.mean,
-            self.stats.p50,
-            self.stats.p99,
-            self.stats.jitter()
-        );
-        let _ = writeln!(s, "  \"active_window_ns\": {},", self.active_window.as_ns());
-        let _ = writeln!(s, "  \"idle_window_ns\": {},", self.idle_window.as_ns());
-        let sc = &self.sched_stats;
-        let _ = writeln!(
-            s,
-            "  \"sched\": {{\"fast_cycles\": {}, \"stirred_cycles\": {}, \
-             \"naive_cycles\": {}, \"skip_spans\": {}, \"skipped_cycles\": {}, \
-             \"rebuilds\": {}, \"wakes\": {}, \"sleeps\": {}}},",
-            sc.fast_cycles,
-            sc.stirred_cycles,
-            sc.naive_cycles,
-            sc.skip_spans,
-            sc.skipped_cycles,
-            sc.rebuilds,
-            sc.wakes,
-            sc.sleeps
-        );
-        let _ = writeln!(
-            s,
-            "  \"decode_cache\": {{\"hits\": {}, \"misses\": {}}},",
-            self.decode_cache_hits, self.decode_cache_misses
-        );
-        let _ = writeln!(s, "  \"trace_events\": {},", self.trace.len());
-        match &self.energy {
-            Some(ledger) => {
-                let _ = writeln!(s, "  \"energy\": {},", ledger.to_json());
-            }
-            None => s.push_str("  \"energy\": null,\n"),
-        }
-        match &self.lifetime {
-            Some(projection) => {
-                let _ = writeln!(s, "  \"lifetime\": {},", projection.to_json());
-            }
-            None => s.push_str("  \"lifetime\": null,\n"),
-        }
-        match &self.metrics {
-            Some(snap) => {
-                s.push_str("  \"metrics\": {");
-                for (i, (name, v)) in snap.iter().enumerate() {
-                    let sep = if i + 1 < snap.len() { "," } else { "" };
-                    let _ = write!(
-                        s,
-                        "\n    \"{}\": {v}{sep}",
-                        pels_obs::json::escape(name)
-                    );
-                }
-                s.push_str("\n  }\n");
-            }
-            None => s.push_str("  \"metrics\": null\n"),
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -810,20 +727,12 @@ mod tests {
         assert_eq!(plain.trace.entries(), observed.trace.entries());
         assert_eq!(plain.sched_stats, observed.sched_stats);
         assert_eq!(plain.decode_cache_hits, observed.decode_cache_hits);
-
-        // The JSON export carries the fast-path counters.
-        let json = observed.to_json();
-        assert!(json.contains("\"sched\""));
-        assert!(json.contains("\"decode_cache\""));
-        assert!(json.contains("\"cpu.decode_cache.hits\""));
-        assert!(plain.to_json().contains("\"metrics\": null"));
     }
 
     #[test]
     fn lifetime_projection_is_opt_in_and_populated() {
         let plain = Scenario::iso_frequency(Mediator::PelsSequenced).run();
         assert!(plain.energy.is_none() && plain.lifetime.is_none());
-        assert!(plain.to_json().contains("\"energy\": null"));
 
         let s = Scenario::duty_cycled(
             Mediator::PelsSequenced,
@@ -838,9 +747,6 @@ mod tests {
         assert!(ledger.windows() > 1, "one window per duty period");
         let projection = report.lifetime.as_ref().expect("projection");
         assert!(projection.days() > 0.0 && projection.days().is_finite());
-        let json = report.to_json();
-        assert!(json.contains("\"energy\": {"));
-        assert!(json.contains("\"days\":"));
     }
 
     #[test]

@@ -37,6 +37,7 @@ echo "bench_smoke: release fast-vs-naive differential OK"
 
 # Fleet digest gate: `reproduce -- fleet` runs the reference 8-job sweep
 # on 1 and on all workers and exits 1 unless the digests are identical.
+# It writes BENCH_fleet_throughput.json, which obs_check gates below.
 cargo run -q --release -p pels-bench --bin reproduce -- fleet > /dev/null
 echo "bench_smoke: fleet OK"
 
@@ -66,7 +67,10 @@ echo "bench_smoke: observation invariance + flow property suites OK"
 # non-negative windows, OBS_flows.json must carry non-empty per-mediator
 # flow reports with monotone hop times and allowlisted stages, and
 # BENCH_lifetime.json must carry the battery parameters, a positive
-# PELS-vs-IRQ headline and non-empty sweep rows. Drift in any exporter
+# PELS-vs-IRQ headline and non-empty sweep rows, and
+# BENCH_fleet_throughput.json (from the fleet gate above) must carry the
+# 8-job batch with no failure, per-worker job counts summing to it and a
+# 16-hex-digit digest. Drift in any exporter
 # fails here instead of shipping broken artifacts.
 cargo run -q --release -p pels-bench --bin reproduce -- lifetime --quick --obs > /dev/null
 cargo run -q --release -p pels-bench --bin obs_check
