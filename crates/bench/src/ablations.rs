@@ -7,7 +7,7 @@
 //! fixed-priority arbitration (vs the round-robin of Section IV-A), and
 //! the contention relief a per-slave crossbar buys (Section III-1).
 
-use pels_core::{ActionMode, Command, Program, TriggerCond};
+use pels_core::{ActionMode, Command, Program};
 use pels_fleet::{FleetEngine, JobError};
 use pels_interconnect::{ArbiterKind, Topology};
 use pels_periph::Timer;
@@ -181,37 +181,48 @@ pub fn topology_contention() -> Vec<(Topology, ArbiterAblation)> {
 }
 
 fn run_contention(policy: ArbiterKind, topology: Topology) -> ArbiterAblation {
-    let mut desc = SystemDesc {
+    let desc = SystemDesc {
         arbiter: policy,
         topology,
-        timer_starts_spi: false,
         ..SystemDesc::default()
     };
-    desc.pels.links = 4;
-    desc.pels.scm_lines = 4;
-    let mut soc = Soc::from_desc(&desc).expect("valid contention system");
-    // Each link writes a different peripheral register on the same
-    // trigger (timer compare on line 2).
+    // Each link writes a different peripheral register.
     let targets = [
         pels_word_offset(GPIO_OFFSET, pels_periph::Gpio::PADOUTSET),
         pels_word_offset(UART_OFFSET, pels_periph::Uart::CLKDIV),
         pels_word_offset(WDT_OFFSET, pels_periph::Watchdog::LOAD),
         pels_word_offset(TIMER_OFFSET, Timer::VALUE),
     ];
-    for (i, &offset) in targets.iter().enumerate() {
+    let writes: Vec<(u16, u32)> = (0..).zip(targets).map(|(i, t)| (t, 0x10 + i)).collect();
+    let (best_latency, worst_latency) = contention_latencies(desc, &writes, 100, 140);
+    ArbiterAblation {
+        policy,
+        best_latency,
+        worst_latency,
+    }
+}
+
+/// The contention probe: one PELS link per `(offset, value)` in
+/// `writes`, all triggered by the timer compare (line 2, timer `period`)
+/// and each issuing that one sequenced `Write` over the fabric of
+/// `desc`. Runs `cycles` cycles and returns the best and worst latency,
+/// in cycles, from the timer compare to a link's `halt`.
+fn contention_latencies(
+    mut desc: SystemDesc,
+    writes: &[(u16, u32)],
+    period: u32,
+    cycles: u64,
+) -> (u64, u64) {
+    desc.timer_starts_spi = false;
+    desc.pels.links = writes.len();
+    desc.pels.scm_lines = 4;
+    let mut soc = Soc::from_desc(&desc).expect("valid contention system");
+    for (i, &(offset, value)) in writes.iter().enumerate() {
         let link = soc.pels_mut().link_mut(i);
-        link.set_mask(EventVector::mask_of(&[2]))
-            .set_condition(TriggerCond::Any)
-            .set_base(APB_BASE);
+        link.set_mask(EventVector::mask_of(&[2])).set_base(APB_BASE);
         link.load_program(
-            &Program::new(vec![
-                Command::Write {
-                    offset,
-                    value: 0x10 + i as u32,
-                },
-                Command::Halt,
-            ])
-            .expect("valid program"),
+            &Program::new(vec![Command::Write { offset, value }, Command::Halt])
+                .expect("valid program"),
         )
         .expect("fits");
     }
@@ -219,30 +230,23 @@ fn run_contention(policy: ArbiterKind, topology: Topology) -> ArbiterAblation {
         pels_soc::mem_map::RESET_PC,
         &[pels_cpu::asm::wfi(), pels_cpu::asm::jal(0, -4)],
     );
-    arm(&mut soc, 100);
-    soc.run(140);
+    arm(&mut soc, period);
+    soc.run(cycles);
     let t0 = soc
         .trace()
         .first("timer", "compare")
         .expect("timer fired")
         .time
         .as_ps();
-    let period = soc.frequency().period_ps();
-    let mut lats: Vec<u64> = (0..4)
-        .map(|i| {
-            let halt = soc
-                .trace()
-                .first(&format!("pels.link{i}"), "halt")
-                .unwrap_or_else(|| panic!("link{i} completed"));
-            (halt.time.as_ps() - t0) / period
-        })
-        .collect();
-    lats.sort_unstable();
-    ArbiterAblation {
-        policy,
-        best_latency: lats[0],
-        worst_latency: lats[3],
-    }
+    let period_ps = soc.frequency().period_ps();
+    let lats = (0..writes.len()).map(|i| {
+        let halt = soc
+            .trace()
+            .first(&format!("pels.link{i}"), "halt")
+            .unwrap_or_else(|| panic!("link{i} completed"));
+        (halt.time.as_ps() - t0) / period_ps
+    });
+    lats.fold((u64::MAX, 0), |(best, worst), l| (best.min(l), worst.max(l)))
 }
 
 /// Jitter of one mediation path under bus contention.
@@ -472,63 +476,19 @@ pub struct LinkScalingPoint {
 /// sequenced write over the shared bus.
 pub fn link_scaling() -> Vec<LinkScalingPoint> {
     let link_counts: Vec<usize> = (1..=8).collect();
+    let padoutset = pels_word_offset(GPIO_OFFSET, pels_periph::Gpio::PADOUTSET);
     collect_infallible(FleetEngine::auto().map(
         &link_counts,
         |&links| links as u64,
         |&links| {
-            let mut desc = SystemDesc {
-                timer_starts_spi: false,
-                ..SystemDesc::default()
-            };
-            desc.pels.links = links;
-            desc.pels.scm_lines = 4;
-            let mut soc = Soc::from_desc(&desc).expect("valid link count");
-            for i in 0..links {
-                let link = soc.pels_mut().link_mut(i);
-                link.set_mask(EventVector::mask_of(&[2]))
-                    .set_base(APB_BASE);
-                link.load_program(
-                    &Program::new(vec![
-                        Command::Write {
-                            offset: pels_word_offset(
-                                GPIO_OFFSET,
-                                pels_periph::Gpio::PADOUTSET,
-                            ),
-                            value: 1 << i,
-                        },
-                        Command::Halt,
-                    ])
-                    .expect("valid program"),
-                )
-                .expect("fits");
-            }
-            soc.load_program(
-                pels_soc::mem_map::RESET_PC,
-                &[pels_cpu::asm::wfi(), pels_cpu::asm::jal(0, -4)],
-            );
-            arm(&mut soc, 50);
-            soc.run(60 + 10 * links as u64);
-            let t0 = soc
-                .trace()
-                .first("timer", "compare")
-                .expect("timer fired")
-                .time
-                .as_ps();
-            let period = soc.frequency().period_ps();
-            let mut lats: Vec<u64> = (0..links)
-                .map(|i| {
-                    let halt = soc
-                        .trace()
-                        .first(&format!("pels.link{i}"), "halt")
-                        .unwrap_or_else(|| panic!("link{i} completed"));
-                    (halt.time.as_ps() - t0) / period
-                })
-                .collect();
-            lats.sort_unstable();
+            let writes: Vec<(u16, u32)> = (0..links).map(|i| (padoutset, 1 << i)).collect();
+            let cycles = 60 + 10 * links as u64;
+            let (best_latency, worst_latency) =
+                contention_latencies(SystemDesc::default(), &writes, 50, cycles);
             Ok::<_, JobError>(LinkScalingPoint {
                 links,
-                best_latency: lats[0],
-                worst_latency: *lats.last().expect("non-empty"),
+                best_latency,
+                worst_latency,
             })
         },
     ))

@@ -148,7 +148,7 @@ pub struct ExecStats {
 }
 
 /// The command-execution FSM of one link.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionUnit {
     state: State,
     pc: usize,

@@ -17,7 +17,7 @@ use pels_sim::{ActivityKind, ActivitySet, ComponentId, EventVector, SimTime, Tra
 pub const DEFAULT_FIFO_DEPTH: usize = 4;
 
 /// A single link: trigger unit + SCM + execution unit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     id: ComponentId,
     trigger: TriggerUnit,

@@ -93,7 +93,7 @@ impl LinkBus for LinkPort<'_> {
 /// *before* the trigger units sample, so a trigger fires the cycle after
 /// its event — the first command executes one further cycle later, giving
 /// the paper's 2-cycle instant action.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pels {
     config: PelsConfig,
     links: Vec<Link>,
@@ -101,17 +101,6 @@ pub struct Pels {
     prev_actions: EventVector,
     enabled: bool,
     cycle: u64,
-}
-
-impl std::fmt::Debug for Pels {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pels")
-            .field("links", &self.links.len())
-            .field("scm_lines", &self.config.scm_lines)
-            .field("enabled", &self.enabled)
-            .field("cycle", &self.cycle)
-            .finish()
-    }
 }
 
 impl Pels {

@@ -23,7 +23,7 @@ use std::fmt;
 /// assert_eq!(scm.reads(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scm {
     lines: Vec<u64>,
     reads: u64,

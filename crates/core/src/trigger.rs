@@ -60,7 +60,7 @@ pub struct TriggerToken {
 /// t.sample(EventVector::mask_of(&[3, 5, 9]), 1);
 /// assert!(t.pop().is_some());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TriggerUnit {
     enabled: bool,
     mask: EventVector,

@@ -39,7 +39,7 @@ pub enum CpuState {
     Halted,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PendingLoad {
     rd: u8,
     op: LoadOp,
@@ -73,13 +73,71 @@ const INVALID_LINE: DecodedLine = DecodedLine {
     instr: Instr::Fence,
 };
 
+/// The direct-mapped decoded-instruction cache, its switch and its
+/// hit/miss counters. Purely a host-side accelerator: fetch traffic,
+/// timing and architectural effects are identical with the cache on or
+/// off (see [`Cpu::fetch_decode`]). So any two caches compare equal,
+/// which makes the derived [`Cpu`] equality architectural.
+#[derive(Clone)]
+struct DecodeCache {
+    lines: Box<[DecodedLine; DECODE_CACHE_ENTRIES]>,
+    enabled: bool,
+    hits: u64,
+    misses: u64,
+}
+
+impl DecodeCache {
+    /// The decoded instruction whose raw bits `raw` were fetched at `pc`:
+    /// from its line on a hit, else from `decode` (which fills the line
+    /// while the cache is on).
+    #[inline]
+    fn get_or_decode(
+        &mut self,
+        pc: u32,
+        raw: u32,
+        decode: impl FnOnce() -> Result<Instr, DecodeError>,
+    ) -> Result<Instr, DecodeError> {
+        if !self.enabled {
+            return decode();
+        }
+        let line = &mut self.lines[(pc >> 1) as usize & (DECODE_CACHE_ENTRIES - 1)];
+        if line.pc == pc && line.raw == raw {
+            self.hits += 1;
+            return Ok(line.instr);
+        }
+        let instr = decode()?;
+        self.misses += 1;
+        *line = DecodedLine { pc, raw, instr };
+        Ok(instr)
+    }
+}
+
+impl PartialEq for DecodeCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for DecodeCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DecodeCache")
+            .field("enabled", &self.enabled)
+            .field("hits", &self.hits)
+            .field("misses", &self.misses)
+            .finish_non_exhaustive()
+    }
+}
+
 /// The Ibex-class RV32IM core.
 ///
 /// Drive it with one [`Cpu::tick`] per clock cycle, passing the sampled
 /// interrupt lines. All architectural effects (register/memory updates)
 /// happen in the first cycle of an instruction; the remaining cycles of a
 /// multi-cycle instruction are modelled as stall.
-#[derive(Debug, Clone)]
+///
+/// Equality is architectural: it compares every field except the
+/// decoded-instruction cache.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cpu {
     id: ComponentId,
     pc: u32,
@@ -97,13 +155,7 @@ pub struct Cpu {
     /// One-word prefetch buffer (Ibex-style): consecutive 16-bit parcels
     /// of the same word cost a single memory fetch.
     fetch_buf: Option<(u32, u32)>,
-    /// Direct-mapped decoded-instruction cache. Purely a host-side
-    /// accelerator: fetch traffic, timing and architectural effects are
-    /// identical with the cache on or off (see [`Cpu::fetch_decode`]).
-    dcache: Box<[DecodedLine; DECODE_CACHE_ENTRIES]>,
-    dcache_enabled: bool,
-    dcache_hits: u64,
-    dcache_misses: u64,
+    dcache: DecodeCache,
     // Statistics / activity.
     cycles: u64,
     retired: u64,
@@ -134,10 +186,12 @@ impl Cpu {
             last_irq_ack: None,
             mret_taken: None,
             fetch_buf: None,
-            dcache: Box::new([INVALID_LINE; DECODE_CACHE_ENTRIES]),
-            dcache_enabled: true,
-            dcache_hits: 0,
-            dcache_misses: 0,
+            dcache: DecodeCache {
+                lines: Box::new([INVALID_LINE; DECODE_CACHE_ENTRIES]),
+                enabled: true,
+                hits: 0,
+                misses: 0,
+            },
             cycles: 0,
             retired: 0,
             fetches: 0,
@@ -220,20 +274,20 @@ impl Cpu {
     pub fn set_decode_cache_enabled(&mut self, enabled: bool) {
         if !enabled {
             self.flush_decode_cache();
-            self.dcache_hits = 0;
-            self.dcache_misses = 0;
+            self.dcache.hits = 0;
+            self.dcache.misses = 0;
         }
-        self.dcache_enabled = enabled;
+        self.dcache.enabled = enabled;
     }
 
     /// Whether the decoded-instruction cache is active.
     pub fn decode_cache_enabled(&self) -> bool {
-        self.dcache_enabled
+        self.dcache.enabled
     }
 
     /// Decoded-instruction cache `(hits, misses)` since reset/disable.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
-        (self.dcache_hits, self.dcache_misses)
+        (self.dcache.hits, self.dcache.misses)
     }
 
     /// Publishes the core's cumulative counters into `m` under the
@@ -243,8 +297,8 @@ impl Cpu {
         m.set("cpu.cycles", self.cycles);
         m.set("cpu.retired", self.retired);
         m.set("cpu.fetches", self.fetches);
-        m.set("cpu.decode_cache.hits", self.dcache_hits);
-        m.set("cpu.decode_cache.misses", self.dcache_misses);
+        m.set("cpu.decode_cache.hits", self.dcache.hits);
+        m.set("cpu.decode_cache.misses", self.dcache.misses);
         m.set("cpu.irq.entries", self.irq_entries);
         m.set("cpu.irq.overhead_cycles", self.irq_overhead_cycles);
         m.set("cpu.sleep_cycles", self.sleep_cycles);
@@ -255,7 +309,7 @@ impl Cpu {
     /// path; stores need no invalidation because hits re-verify the raw
     /// instruction bits).
     fn flush_decode_cache(&mut self) {
-        self.dcache.fill(INVALID_LINE);
+        self.dcache.lines.fill(INVALID_LINE);
     }
 
     /// Accounts `k` cycles of WFI sleep (or halt) in one step, exactly as
@@ -380,18 +434,9 @@ impl Cpu {
         } else {
             (word >> 16) as u16
         };
-        let idx = (pc >> 1) as usize & (DECODE_CACHE_ENTRIES - 1);
         if is_compressed(low_half) {
             let raw = u32::from(low_half);
-            if self.dcache_enabled {
-                let line = self.dcache[idx];
-                if line.pc == pc && line.raw == raw {
-                    self.dcache_hits += 1;
-                    return Ok((line.instr, 2));
-                }
-            }
-            let instr = decode_compressed(low_half, pc)?;
-            self.fill_decode_cache(idx, pc, raw, instr);
+            let instr = self.dcache.get_or_decode(pc, raw, || decode_compressed(low_half, pc))?;
             return Ok((instr, 2));
         }
         let full = if pc & 2 == 0 {
@@ -401,23 +446,8 @@ impl Cpu {
             let next = self.fetch_word(aligned + 4, bus);
             u32::from(low_half) | (next << 16)
         };
-        if self.dcache_enabled {
-            let line = self.dcache[idx];
-            if line.pc == pc && line.raw == full {
-                self.dcache_hits += 1;
-                return Ok((line.instr, 4));
-            }
-        }
-        let instr = decode(full, pc)?;
-        self.fill_decode_cache(idx, pc, full, instr);
+        let instr = self.dcache.get_or_decode(pc, full, || decode(full, pc))?;
         Ok((instr, 4))
-    }
-
-    fn fill_decode_cache(&mut self, idx: usize, pc: u32, raw: u32, instr: Instr) {
-        if self.dcache_enabled {
-            self.dcache_misses += 1;
-            self.dcache[idx] = DecodedLine { pc, raw, instr };
-        }
     }
 
     /// Reads an instruction word through the prefetch buffer.

@@ -75,7 +75,7 @@ impl fmt::Display for AddrRange {
 /// Overlap is rejected at insertion time so decode is always unambiguous —
 /// the behavioural equivalent of a bus decoder that is correct by
 /// construction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AddressMap {
     entries: Vec<(AddrRange, usize)>,
 }

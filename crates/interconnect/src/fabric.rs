@@ -82,13 +82,13 @@ pub struct FabricStats {
     pub slave_errors: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
     Setup,
     Access { remaining: u32 },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct InFlight {
     master: usize,
     /// Decoded `(slave index, offset)`; `None` when decode failed.
@@ -99,14 +99,14 @@ struct InFlight {
 
 /// A request waiting for a grant, with its address decoded once at
 /// issue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Pending {
     request: ApbRequest,
     /// Decoded `(slave index, offset)`; `None` when decode failed.
     target: Option<(usize, u32)>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct MasterPort {
     id: ComponentId,
     pending: Option<Pending>,
@@ -130,7 +130,7 @@ struct MasterPort {
 /// Drive it by calling [`ApbFabric::issue`] from master models during the
 /// combinational phase of a cycle and [`ApbFabric::tick`] exactly once per
 /// cycle after all masters have run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApbFabric<S> {
     topology: Topology,
     arbiter_kind: ArbiterKind,

@@ -333,10 +333,12 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input, nesting deeper than
-/// [`MAX_DEPTH`], an integer literal whose magnitude exceeds
-/// [`MAX_EXACT_INT`] (reported at the literal's first byte), or
-/// trailing garbage.
+/// Returns [`ParseError`] on input outside RFC 8259 (a raw control
+/// character inside a string is reported at its byte; a number such as
+/// `01`, `1.` or `-.5` at the literal's first byte), nesting deeper than
+/// [`MAX_DEPTH`], a number literal that overflows an `f64` or an integer
+/// literal whose magnitude exceeds [`MAX_EXACT_INT`] (both reported at
+/// the literal's first byte), or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         text: input,
@@ -509,6 +511,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(0x00..=0x1F) => return Err(self.err("raw control character in string")),
                 Some(_) => {
                     // Consume one code point.
                     let c = self.text[self.pos..].chars().next().expect("peeked a byte");
@@ -519,25 +522,55 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances past one byte if it is in `set`.
+    fn eat(&mut self, set: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|b| set.contains(&b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Advances past a run of ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number in RFC 8259's grammar, `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`, that fits an `f64`. Every rejection is
+    /// reported at the literal's first byte.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let fail = |message: &str| Err(ParseError { offset: start, message: message.into() });
+        self.eat(b"-");
+        let leading_zero = self.peek() == Some(b'0');
+        match self.digits() {
+            0 => return fail("number without integer digits"),
+            n if n > 1 && leading_zero => return fail("number with a leading zero"),
+            _ => {}
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
+        let fraction = self.eat(b".");
+        if fraction && self.digits() == 0 {
+            return fail("number without fraction digits");
+        }
+        let exponent = self.eat(b"eE");
+        if exponent {
+            self.eat(b"+-");
+            if self.digits() == 0 {
+                return fail("number without exponent digits");
+            }
         }
         let literal = &self.text[start..self.pos];
-        let n = literal.parse::<f64>().map_err(|_| self.err("bad number"))?;
+        let n = literal.parse::<f64>().expect("RFC 8259 numbers are f64 literals");
+        if n.is_infinite() {
+            return fail("number overflows an f64");
+        }
         // An integer literal must survive the trip through `f64` exactly.
-        if !literal.contains(['.', 'e', 'E']) {
-            let magnitude = literal.trim_start_matches('-').parse::<u64>();
-            if magnitude.map_or(true, |m| m > MAX_EXACT_INT) {
-                return Err(ParseError {
-                    offset: start,
-                    message: format!("integer above 2^53 ({MAX_EXACT_INT}) is not exact"),
-                });
-            }
+        let magnitude = || literal.trim_start_matches('-').parse::<u64>();
+        if !(fraction || exponent) && magnitude().map_or(true, |m| m > MAX_EXACT_INT) {
+            return fail(&format!("integer above 2^53 ({MAX_EXACT_INT}) is not exact"));
         }
         Ok(Value::Num(n))
     }
@@ -612,6 +645,53 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    /// Each of `bad`, placed at byte 4 of `[0, bad]`, fails there with
+    /// a message naming `why`.
+    fn assert_rejected_at_4(cases: &[(&str, &str)]) {
+        for (bad, why) in cases {
+            let e = parse(&format!("[0, {bad}]")).unwrap_err();
+            assert_eq!(e.offset, 4, "{bad:?}: {e}");
+            assert!(e.message.contains(why), "{bad:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_fail_at_their_offset() {
+        for c in ['\u{0}', '\n', '\u{1f}'] {
+            let e = parse(&format!("[0, \"a{c}b\"]")).unwrap_err();
+            assert_eq!(e.offset, 6, "{c:?}: {e}");
+            assert!(e.message.contains("control character"), "{c:?}: {e}");
+        }
+        // Escaped, they parse; U+007F is no control character to JSON.
+        assert_eq!(parse("\"\\u0001\\n\u{7f}\"").unwrap().as_str(), Some("\u{1}\n\u{7f}"));
+    }
+
+    #[test]
+    fn overflowing_numbers_fail_at_their_offset() {
+        let over = "overflows";
+        assert_rejected_at_4(&[("1e999", over), ("-1e999", over), ("1.8e308", over)]);
+        assert_eq!(parse("1.7976931348623157e308").unwrap().as_f64(), Some(f64::MAX));
+        // Underflow rounds to zero, which is finite.
+        assert_eq!(parse("1e-999").unwrap().as_f64(), Some(0.0));
+    }
+
+    #[test]
+    fn non_json_number_forms_fail_at_their_offset() {
+        assert_rejected_at_4(&[
+            ("01", "leading zero"),
+            ("-00", "leading zero"),
+            ("1.", "fraction digits"),
+            ("1.e3", "fraction digits"),
+            ("-.5", "integer digits"),
+            ("-", "integer digits"),
+            ("1e", "exponent digits"),
+            ("1e+", "exponent digits"),
+        ]);
+        for (good, v) in [("0", 0.0), ("-0", -0.0), ("0.5", 0.5), ("10", 10.0), ("1E+2", 100.0)] {
+            assert_eq!(parse(good).unwrap().as_f64(), Some(v), "{good}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector};
 ///
 /// * [`Adc::wire_start_action`] — conversion starts when the line pulses;
 /// * [`Adc::wire_done_event`] — pulses when a conversion completes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adc {
     id: ComponentId,
     quantizer: Quantizer,
@@ -312,11 +312,13 @@ mod tests {
         skipped.write(Adc::CTRL, 1).unwrap();
         let mut h2 = Harness::new();
         h2.catch_up(&mut skipped, 3);
-        assert_eq!(skipped.countdown, ticked.countdown);
-        assert!(skipped.is_busy());
+        assert_eq!(skipped, ticked, "the replay reaches the ticked state");
+        assert_eq!(h2.activity, h.activity, "ActiveCycle replayed exactly");
         // Both complete — observably — on the very next tick.
         let out = h2.run(&mut skipped, 1);
+        assert_eq!(out, h.run(&mut ticked, 1));
         assert!(out.is_set(11));
+        assert_eq!(skipped, ticked);
         assert_eq!(skipped.read(Adc::DATA).unwrap(), 4095);
         assert_eq!(skipped.conversions(), 1);
     }

@@ -30,7 +30,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector};
 /// corresponding pad operation when pulsed — the peripheral-side support
 /// for *instant actions*. A rising edge on a watched output pin
 /// ([`Gpio::watch_pin`]) raises an outgoing event pulse.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gpio {
     id: ComponentId,
     dir: u32,

@@ -18,7 +18,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo, SimTime};
 /// An I2C temperature-sensor-style device: writes select nothing, reads
 /// return the quantized sample, high byte first (big-endian, like most
 /// I2C sensors).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorDevice {
     address: u8,
     quantizer: Quantizer,
@@ -59,7 +59,7 @@ enum Op {
     Write,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Transaction {
     op: Op,
     bytes: u8,
@@ -88,7 +88,7 @@ struct Transaction {
 ///   acknowledged;
 /// * [`I2c::wire_start_action`] — an incoming pulse repeats the last
 ///   `CMD` transaction (instant-action start).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct I2c {
     id: ComponentId,
     devices: Vec<SensorDevice>,

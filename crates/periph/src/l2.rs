@@ -20,7 +20,7 @@ use pels_sim::{ActivityKind, ActivitySet, ComponentId};
 /// l2.write_word(0x100, 42);
 /// assert_eq!(l2.read_word(0x100), 42);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct L2Memory {
     words: Vec<u32>,
     reads: u64,

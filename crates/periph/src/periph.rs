@@ -12,7 +12,7 @@ use pels_sim::{ActivitySet, ComponentId, EventVector};
 /// closed: this enum dispatches [`ApbSlave`] and [`Peripheral`] with a
 /// `match` instead of a vtable, and the SoC holding it can derive
 /// `Clone`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Periph {
     /// The GPIO controller.
     Gpio(Gpio),

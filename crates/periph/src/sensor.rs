@@ -82,7 +82,7 @@ impl SensorKind {
 /// let code = q.convert(SimTime::ZERO);
 /// assert!((i64::from(code) - 2047).abs() <= 1); // mid-scale
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quantizer {
     sensor: SensorKind,
     /// Measurement-noise generator; only [`SensorKind::NoisyRamp`] draws

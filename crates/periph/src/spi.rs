@@ -37,7 +37,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo};
 /// * [`Spi::wire_udma_done_event`] — pulses when the µDMA buffer completes;
 /// * [`Spi::wire_start_action`] — an incoming pulse starts a transfer of
 ///   the most recent `CMD` length (instant-action start).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Spi {
     id: ComponentId,
     sensor: Quantizer,
@@ -525,20 +525,18 @@ mod tests {
         skipped.write(Spi::CMD, 2).unwrap();
         let mut h2 = Harness::new();
         h2.catch_up(&mut skipped, 7);
-        assert_eq!(skipped.cycle_in_word, ticked.cycle_in_word);
-        assert_eq!(skipped.idle_hint(), ticked.idle_hint());
+        assert_eq!(skipped, ticked, "the replay reaches the ticked state");
         assert_eq!(h2.activity, h.activity, "ActiveCycle replayed exactly");
-        assert_eq!(h2.trace.entries(), h.trace.entries());
+        assert_eq!(h2.trace, h.trace);
         // Both complete the word — observably — on the very next tick.
         assert_eq!(h.run(&mut ticked, 1), h2.run(&mut skipped, 1));
-        assert_eq!(skipped.words_done(), 1);
-        assert_eq!(skipped.rx_level(), 1);
-        assert_eq!(skipped.last_word(), ticked.last_word());
+        assert_eq!(skipped, ticked);
+        assert_eq!((skipped.words_done(), skipped.rx_level()), (1, 1));
         // A span split across two syncs replays the same as one.
         h.catch_up(&mut ticked, 3);
         h2.catch_up(&mut skipped, 1);
         h2.catch_up(&mut skipped, 2);
-        assert_eq!(skipped.cycle_in_word, ticked.cycle_in_word);
+        assert_eq!(skipped, ticked);
         assert_eq!(h2.activity, h.activity);
     }
 

@@ -25,7 +25,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector};
 /// * compare match pulses the line set by [`Timer::wire_compare_event`];
 /// * a pulse on the [`Timer::wire_start_action`] line enables and restarts
 ///   the timer; one on [`Timer::wire_stop_action`] disables it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timer {
     id: ComponentId,
     enable: bool,

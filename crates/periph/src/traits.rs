@@ -158,7 +158,7 @@ pub fn wake_mask_of(lines: &[Option<u32>]) -> EventVector {
 
 /// Small helper all peripherals use to count their APB register accesses;
 /// drained into the global [`ActivitySet`] once per measurement window.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RegAccessCounter {
     /// Register reads observed.
     pub reads: u64,

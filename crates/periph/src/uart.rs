@@ -26,7 +26,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo};
 /// The TX µDMA channel lets one register write launch a whole message
 /// from an L2 buffer — which means a single PELS *sequenced action* can
 /// emit a multi-byte alert with the core asleep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Uart {
     id: ComponentId,
     tx_fifo: Fifo<u8>,
@@ -168,7 +168,6 @@ impl Peripheral for Uart {
         }
         if self.sending.is_none() {
             self.sending = self.tx_fifo.pop();
-            self.cycle_in_byte = 0;
         }
         let Some(byte) = self.sending else {
             return;
@@ -178,7 +177,10 @@ impl Peripheral for Uart {
         if self.cycle_in_byte >= self.clkdiv {
             self.sent.push(byte);
             ctx.trace.record(ctx.time, self.id, "tx", u64::from(byte));
+            // Reset here rather than on the next pop, so a drained UART
+            // holds the same state whether it sleeps or keeps ticking.
             self.sending = None;
+            self.cycle_in_byte = 0;
             if self.tx_fifo.is_empty() {
                 if let Some(line) = self.done_line {
                     ctx.raise(line, self.id, "tx_done");

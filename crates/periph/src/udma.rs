@@ -36,7 +36,7 @@ fn word_size(size_bytes: u32) -> u32 {
 /// assert_eq!(l2.peek_word(0x10), 0xAAAA);
 /// assert_eq!(l2.peek_word(0x14), 0xBBBB);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UdmaChannel {
     saddr: u32,
     remaining: u32,
@@ -152,7 +152,7 @@ impl UdmaChannel {
 /// assert!(tx.take_done());
 /// assert_eq!(tx.pull_word(&mut l2), None);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UdmaTxChannel {
     saddr: u32,
     remaining: u32,

@@ -27,7 +27,7 @@ use pels_sim::{ActivityKind, ComponentId, EventVector};
 /// * [`Watchdog::wire_bite_event`] — pulses when the counter expires;
 /// * [`Watchdog::wire_kick_action`] — an incoming pulse kicks the dog
 ///   (what a PELS instant action does in the watchdog example).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Watchdog {
     id: ComponentId,
     enable: bool,

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 /// assert_eq!(f.pop(), Some(1));
 /// # Ok::<(), pels_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fifo<T> {
     items: VecDeque<T>,
     capacity: usize,

@@ -79,7 +79,7 @@ impl FlowHop {
 ///
 /// Embedded in [`Trace`](crate::trace::Trace) as an `Option<Box<..>>` so
 /// every observation point in the models is one branch when flows are off.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowTrace {
     hops: Vec<FlowHop>,
     minted: u64,

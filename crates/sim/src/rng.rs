@@ -20,7 +20,7 @@
 /// let mut b = Rng::seed_from_u64(7);
 /// assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rng {
     state: u64,
 }

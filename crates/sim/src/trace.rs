@@ -61,7 +61,7 @@ impl fmt::Display for TraceEntry {
 /// let lat = t.latency_between(("spi", "eot"), ("gpio", "set")).unwrap();
 /// assert_eq!(lat.as_ns(), 70);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
     /// Causal flow layer; `None` (the default) keeps every flow

@@ -183,10 +183,12 @@ impl Soc {
             i2c_id,
             cpu_awake_cycles: 0,
             window_cycles: 0,
-            sched: SlaveSched::new(slave_count),
-            naive_ticking: false,
             clock_ids,
-            sampler: None,
+            accel: Accel {
+                sched: SlaveSched::new(slave_count),
+                naive: false,
+                sampler: None,
+            },
         })
     }
 }
@@ -219,7 +221,7 @@ struct TimelineSampler {
 
 /// Pre-interned component ids used on the per-drain clock-accounting
 /// path, so draining never re-interns (or re-formats) names.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct ClockIds {
     ibex: ComponentId,
     fabric: ComponentId,
@@ -406,7 +408,8 @@ impl SlaveSched {
 ///
 /// Every component is held by value, so a clone is an independent
 /// snapshot: stepping it continues exactly as the original would.
-#[derive(Clone)]
+/// Equality is architectural (see [`Soc::first_difference`]).
+#[derive(Clone, PartialEq)]
 pub struct Soc {
     freq: Frequency,
     cycle: u64,
@@ -441,15 +444,30 @@ pub struct Soc {
     i2c_id: SlaveId,
     cpu_awake_cycles: u64,
     window_cycles: u64,
+    clock_ids: ClockIds,
+    accel: Accel,
+}
+
+/// The SoC's host-side state: how the simulator advances and what it
+/// samples, never what the simulated chip holds. It legitimately differs
+/// between [`ExecMode`]s, so any two compare equal and the derived
+/// [`Soc`] equality is architectural.
+#[derive(Clone)]
+struct Accel {
     /// Per-slave quiescence state and its aggregates.
     sched: SlaveSched,
     /// When set, every slave ticks every cycle (the reference scheduler
     /// the differential property test compares against).
-    naive_ticking: bool,
-    clock_ids: ClockIds,
+    naive: bool,
     /// Windowed activity sampler; `None` (the default) keeps every run
     /// loop's sampling cost at a single predictable branch.
     sampler: Option<Box<TimelineSampler>>,
+}
+
+impl PartialEq for Accel {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl std::fmt::Debug for Soc {
@@ -459,6 +477,49 @@ impl std::fmt::Debug for Soc {
             .field("cycle", &self.cycle)
             .field("pels_links", &self.pels.link_count())
             .finish_non_exhaustive()
+    }
+}
+
+impl Soc {
+    /// The first component whose architectural state differs between
+    /// `self` and `other`, or `None` when the two SoCs are equal. Names,
+    /// in this order: `cycle`, `cpu`, `pels`, a peripheral's trace name,
+    /// `fabric`, `l2`, `activity`, `trace`, and `soc` for the SoC's own
+    /// wire, interrupt and clock-accounting state.
+    ///
+    /// `Soc`'s derived `PartialEq` is architectural equality: it compares
+    /// all of the above and leaves out only host-side state, which
+    /// legitimately differs between [`ExecMode`]s: the slave scheduler
+    /// with its [`SchedStats`], the exec mode itself, the timeline
+    /// sampler, and the CPU's decoded-instruction cache with its switch
+    /// and hit/miss counters.
+    pub fn first_difference(&self, other: &Soc) -> Option<&'static str> {
+        if self == other {
+            return None;
+        }
+        let (fabric, theirs) = (&self.fabric, &other.fabric);
+        let periph = (0..fabric.slave_count().min(theirs.slave_count()))
+            .map(|i| (fabric.slave_at(i), theirs.slave_at(i)))
+            .find(|(mine, theirs)| mine != theirs);
+        Some(if (self.freq, self.cycle) != (other.freq, other.cycle) {
+            "cycle"
+        } else if self.cpu != other.cpu {
+            "cpu"
+        } else if self.pels != other.pels {
+            "pels"
+        } else if let Some((p, _)) = periph {
+            p.component().name()
+        } else if fabric != theirs {
+            "fabric"
+        } else if self.l2 != other.l2 {
+            "l2"
+        } else if self.activity != other.activity {
+            "activity"
+        } else if self.trace != other.trace {
+            "trace"
+        } else {
+            "soc"
+        })
     }
 }
 
@@ -671,7 +732,7 @@ impl Soc {
         // conditions would notice it: sync the skipped span and force
         // the slave awake so its next tick sees the poked state.
         self.sync_slaves();
-        self.sched.wake(1 << id.index());
+        self.accel.sched.wake(1 << id.index());
         P::of_mut(self.fabric.slave_mut(id)).expect("slave id maps to its peripheral")
     }
 
@@ -767,7 +828,7 @@ impl Soc {
     /// aggregate-update and wake/sleep transition counts. Cumulative since
     /// construction.
     pub fn sched_stats(&self) -> SchedStats {
-        self.sched.stats
+        self.accel.sched.stats
     }
 
     /// Decoded-instruction cache `(hits, misses)` (see
@@ -788,7 +849,7 @@ impl Soc {
     /// flushed part of them into the SoC's activity image meanwhile.
     pub fn publish_metrics(&self, m: &mut pels_obs::MetricsSnapshot) {
         self.cpu.publish_metrics(m);
-        let s = self.sched.stats;
+        let s = self.accel.sched.stats;
         m.set("soc.sched.fast_cycles", s.fast_cycles);
         m.set("soc.sched.stirred_cycles", s.stirred_cycles);
         m.set("soc.sched.naive_cycles", s.naive_cycles);
@@ -851,9 +912,11 @@ impl Soc {
     /// form and serves the CPU from its decoded-instruction cache;
     /// [`ExecMode::Naive`] is the reference path: every peripheral ticks
     /// every cycle, with no quiescence skipping and no decode cache. Both
-    /// are observationally identical (same traces, activity and
-    /// architectural state — the differential suites in `tests/` prove
-    /// it). May be switched mid-run.
+    /// are observationally identical: after the same inputs the two SoCs
+    /// compare equal (`==`, see [`Soc::first_difference`]), which leaves
+    /// out only the scheduler, the exec mode, the timeline sampler and
+    /// the decode cache. The differential suites in `tests/` check it
+    /// after every step. May be switched mid-run.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         let naive = mode == ExecMode::Naive;
         self.sync_slaves();
@@ -862,9 +925,9 @@ impl Soc {
             // left asleep here would be skipped forever (and then
             // double-counted by a later catch-up). Wake everyone; the
             // sync above already replayed their skipped spans.
-            self.sched.wake(self.sched.asleep);
+            self.accel.sched.wake(self.accel.sched.asleep);
         }
-        self.naive_ticking = naive;
+        self.accel.naive = naive;
         self.cpu.set_decode_cache_enabled(!naive);
     }
 
@@ -878,13 +941,13 @@ impl Soc {
         // mid-count) have state to reconstruct; lazy sleepers' `catch_up`
         // is a no-op by contract, so skipping them — `since` and all — is
         // observationally identical.
-        let pending = self.sched.asleep & !self.sched.lazy;
+        let pending = self.accel.sched.asleep & !self.accel.sched.lazy;
         if pending == 0 {
             return;
         }
         let cycle = self.cycle;
         let time = self.time();
-        let since = &mut self.sched.since;
+        let since = &mut self.accel.sched.since;
         let mut ctx = PeriphCtx {
             cycle,
             time,
@@ -926,13 +989,13 @@ impl Soc {
         //    exactly what the naive path would hold.
         let injected = std::mem::take(&mut self.injected);
         let wires = self.prev_wires | injected;
-        let naive = self.naive_ticking;
+        let naive = self.accel.naive;
         // Wake set: sleepers something can observe or perturb this
         // cycle. Each sleeper's own deadline and mask are consulted only
         // when the aggregate stir check (their minimum / union) says
         // some sleeper is due. Naive ticking keeps every slave awake, so
         // the set is empty there.
-        let sched = &mut self.sched;
+        let sched = &mut self.accel.sched;
         let mut wake = 0u64;
         if sched.asleep != 0 {
             wake = (self.fabric.targeted_slaves() | self.fabric.touched_slaves()) & sched.asleep;
@@ -1046,7 +1109,7 @@ impl Soc {
             // active set is exhaustive. (Sleepers re-decide when they
             // wake, never in place.)
             let mut slept_count = 0u64;
-            for i in set_bits(self.sched.active) {
+            for i in set_bits(self.accel.sched.active) {
                 let p = self.fabric.slave_at(i);
                 let deadline = match p.idle_hint() {
                     IdleHint::IdleFor(n) if n >= 2 => cycle.saturating_add(n),
@@ -1054,16 +1117,16 @@ impl Soc {
                     _ => continue,
                 };
                 let (mask, lazy) = (p.wake_mask(), p.catch_up_is_noop());
-                self.sched.sleep(i, cycle + 1, deadline, mask, lazy);
+                self.accel.sched.sleep(i, cycle + 1, deadline, mask, lazy);
                 slept_count += 1;
             }
-            self.sched.stats.sleeps += slept_count;
+            self.accel.sched.stats.sleeps += slept_count;
             if slept_count > 0 {
-                self.sched.stats.rebuilds += 1;
+                self.accel.sched.stats.rebuilds += 1;
             }
         }
         debug_assert!(
-            self.sched.consistent(),
+            self.accel.sched.consistent(),
             "scheduler aggregates drifted from the per-slave arrays"
         );
 
@@ -1113,7 +1176,7 @@ impl Soc {
     /// `tests/quiescence.rs` exercises exactly this path via random
     /// `run` segment lengths.
     fn try_skip(&mut self, budget: u64) -> u64 {
-        if self.naive_ticking || budget == 0 || !self.injected.is_empty() {
+        if self.accel.naive || budget == 0 || !self.injected.is_empty() {
             return 0;
         }
         // A running (or bus-stalled) CPU always vetoes the skip — that is
@@ -1130,13 +1193,13 @@ impl Soc {
         // O(1): an empty active set is "all asleep", the wake-mask
         // union covers every sleeper's mask, and the minimum deadline
         // bounds them all.
-        if self.sched.active != 0 {
+        if self.accel.sched.active != 0 {
             return 0;
         }
-        if wires.intersects(self.sched.wake_union) {
+        if wires.intersects(self.accel.sched.wake_union) {
             return 0;
         }
-        let remain = self.sched.next_deadline.saturating_sub(self.cycle);
+        let remain = self.accel.sched.next_deadline.saturating_sub(self.cycle);
         if remain == 0 {
             return 0;
         }
@@ -1161,8 +1224,8 @@ impl Soc {
         self.fabric.skip_cycles(span);
         self.cycle += span;
         self.window_cycles += span;
-        self.sched.stats.skip_spans += 1;
-        self.sched.stats.skipped_cycles += span;
+        self.accel.sched.stats.skip_spans += 1;
+        self.accel.sched.stats.skipped_cycles += span;
         span
     }
 
@@ -1325,7 +1388,7 @@ impl Soc {
     /// Panics if `window_cycles` is zero.
     pub fn start_timeline(&mut self, window_cycles: u64) {
         assert!(window_cycles > 0, "window_cycles must be non-zero");
-        self.sampler = Some(Box::new(TimelineSampler {
+        self.accel.sampler = Some(Box::new(TimelineSampler {
             window_cycles,
             window_start: self.cycle,
             next_boundary: self.cycle.saturating_add(window_cycles),
@@ -1340,20 +1403,21 @@ impl Soc {
     /// if [`Soc::start_timeline`] was never called.
     pub fn take_timeline(&mut self) -> Option<ActivityTimeline> {
         let open = self
+            .accel
             .sampler
             .as_ref()
             .map(|s| self.cycle > s.window_start)?;
         if open {
             self.close_timeline_window();
         }
-        self.sampler.take().map(|s| s.timeline)
+        self.accel.sampler.take().map(|s| s.timeline)
     }
 
     /// Sampling hook on the run-loop observation points: one predictable
     /// branch when sampling is off.
     #[inline]
     fn timeline_tick(&mut self) {
-        if let Some(s) = &self.sampler {
+        if let Some(s) = &self.accel.sampler {
             if self.cycle >= s.next_boundary {
                 self.close_timeline_window();
             }
@@ -1370,7 +1434,7 @@ impl Soc {
     fn close_timeline_window(&mut self) {
         self.sync_slaves();
         self.flush_component_activity();
-        let Some(mut s) = self.sampler.take() else {
+        let Some(mut s) = self.accel.sampler.take() else {
             return;
         };
         let mut delta = self.activity.delta_from(&s.baseline);
@@ -1386,7 +1450,7 @@ impl Soc {
         s.next_boundary = self.cycle.saturating_add(s.window_cycles);
         s.baseline.clone_from(&self.activity);
         s.baseline_awake = self.cpu_awake_cycles;
-        self.sampler = Some(s);
+        self.accel.sampler = Some(s);
     }
 
     /// Cycles elapsed since the last [`Soc::drain_activity`].
@@ -1579,6 +1643,23 @@ mod tests {
             snap.get("fabric.master.ibex.grants").unwrap_or(0) > 0,
             "the store to GPIO was granted: {snap}"
         );
+    }
+
+    #[test]
+    fn equality_leaves_out_host_side_state_and_names_what_differs() {
+        let mut fast = default_soc();
+        fast.load_program(RESET_PC, &[asm::addi(1, 1, 1), asm::wfi()]);
+        let mut naive = fast.clone();
+        naive.set_exec_mode(ExecMode::Naive);
+        fast.run(100);
+        naive.run(100);
+        assert_ne!(fast.sched_stats(), naive.sched_stats());
+        assert_eq!(fast.first_difference(&naive), None);
+        naive.cpu_mut().set_reg(1, 7);
+        assert_eq!(fast.first_difference(&naive), Some("cpu"));
+        let mut poked = fast.clone();
+        poked.wdt_mut().write(Watchdog::LOAD, 9).unwrap();
+        assert!(poked != fast && poked.first_difference(&fast) == Some("wdt"));
     }
 
     #[test]

@@ -31,8 +31,11 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 
 # Release differential: perfbench times release builds, where the
 # scheduler's debug-only consistency assertions are compiled out. Run
-# the fast-vs-naive suites on that same optimised code too.
+# the fast-vs-naive suites on that same optimised code too. Each compares
+# whole states: `Soc`'s `PartialEq` (`Soc::first_difference`) in the SoC
+# suites, `Cpu`'s (everything but the decode cache) in decode_cache.
 cargo test -q --release --test quiescence --test active_path
+cargo test -q --release -p pels-cpu --test decode_cache
 echo "bench_smoke: release fast-vs-naive differential OK"
 
 # Fleet digest gate: `reproduce -- fleet` runs the reference 8-job sweep

@@ -18,6 +18,8 @@
 //! `SweepSpec` job and the same [`ScenarioDesc`] built by hand must
 //! measure identically, down to the fleet digest.
 
+mod common;
+
 use pels_fleet::{FleetEngine, SweepSpec};
 use pels_repro::desc::{DescFuzzer, FuzzCase};
 use pels_repro::sim::Rng;
@@ -59,20 +61,7 @@ fn fuzzed_descriptions_round_trip_and_run_differentially() {
                     .try_run()
                     .unwrap_or_else(|e| panic!("iter {i}: naive run: {e}"));
 
-                assert_eq!(fast.events_completed, naive.events_completed, "iter {i}: events");
-                assert_eq!(fast.latencies, naive.latencies, "iter {i}: latencies");
-                assert_eq!(fast.stats, naive.stats, "iter {i}: LinkingStats");
-                assert_eq!(fast.active_window, naive.active_window, "iter {i}: active window");
-                assert_eq!(fast.idle_window, naive.idle_window, "iter {i}: idle window");
-                assert_eq!(fast.trace.entries(), naive.trace.entries(), "iter {i}: trace");
-                assert_eq!(
-                    fast.active_activity, naive.active_activity,
-                    "iter {i}: active-window activity"
-                );
-                assert_eq!(
-                    fast.idle_activity, naive.idle_activity,
-                    "iter {i}: idle-window activity"
-                );
+                common::assert_same_measurement(&fast, &naive, &format!("iter {i}"));
                 accepted += 1;
             }
             FuzzCase::Invalid { desc, broke } => {

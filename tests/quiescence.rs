@@ -4,24 +4,30 @@
 //! report themselves idle, replaying the skipped cycles in closed form
 //! when a wake condition arrives. These tests prove the optimisation is
 //! invisible: for randomized workloads the fast path and the naive
-//! tick-everything path (`set_exec_mode(ExecMode::Naive)`) produce the same
-//! traces, the same activity image (hence bit-identical power numbers),
-//! and the same architectural state. The random stimulus includes SPI
-//! transfers of several words, mid-transfer `CLKDIV` changes and µDMA
-//! arming (ring mode, out-of-range targets, huge sizes), so the SPI's
-//! published word deadline and closed-form catch-up are covered too.
-//! Each wake condition — timer deadline, event wire, APB access,
-//! injected external event — also gets a dedicated test.
+//! tick-everything path (`set_exec_mode(ExecMode::Naive)`) stay equal as
+//! whole SoCs (`Soc`'s `PartialEq`: CPU, PELS, every peripheral, fabric,
+//! L2, trace and activity image, hence bit-identical power numbers)
+//! after every step. One random stream includes SPI transfers of several
+//! words, mid-transfer `CLKDIV` changes and µDMA arming (ring mode,
+//! out-of-range targets, huge sizes), so the SPI's published word
+//! deadline and closed-form catch-up are covered; a second one starts ADC
+//! conversions, arms and kicks the watchdog, and drives the UART and I2C,
+//! so the ADC's and watchdog's closed-form catch-ups run against the
+//! naive path too. Each wake condition — timer deadline, event wire, APB
+//! access, injected external event — also gets a dedicated test.
 
-use std::collections::BTreeMap;
+mod common;
 
+use common::Lockstep;
+use pels_repro::cpu::asm;
 use pels_repro::interconnect::ApbSlave;
-use pels_repro::periph::{Spi, Timer};
-use pels_repro::sim::{ActivityKind, ActivitySet, Rng};
-use pels_repro::soc::event_map::{EV_GPIO_RISE, EV_TIMER_CMP};
+use pels_repro::periph::{Adc, Gpio, I2c, Spi, Timer, Uart, Watchdog};
+use pels_repro::sim::Rng;
+use pels_repro::soc::event_map::{
+    AL_ADC_START, AL_I2C_START, AL_WDT_KICK, EV_GPIO_RISE, EV_TIMER_CMP,
+};
 use pels_repro::soc::mem_map::{apb_reg, GPIO_OFFSET, L2_SIZE, RESET_PC};
-use pels_repro::soc::{ExecMode, Soc, SystemDesc};
-use pels_repro::{core as pels_core, cpu::asm, periph::Gpio};
+use pels_repro::soc::{Soc, SystemDesc};
 
 /// One externally applied stimulus step, generated once and replayed
 /// identically on both SoCs.
@@ -42,51 +48,24 @@ enum Op {
     SpiClkdiv(u32),
     /// Arm the SPI µDMA channel: L2 target, size in bytes, ring mode.
     SpiUdma { saddr: u32, bytes: u32, ring: bool },
+    /// Start an ADC conversion.
+    AdcStart,
+    /// Load the watchdog and switch it on or off.
+    Wdt { load: u32, enable: bool },
+    /// Reload the watchdog counter.
+    WdtKick,
+    /// Queue one byte for UART transmission.
+    UartTx(u8),
+    /// Start an I2C transfer (`CMD` word: address, byte count, read flag).
+    I2cCmd(u32),
     /// Drain and compare the activity window.
     Drain,
 }
 
-/// Normalizes an [`ActivitySet`] for comparison (drops zero counts — the
-/// dense representation may materialize rows the sparse path never
-/// touched).
-fn activity_image(a: &ActivitySet) -> BTreeMap<(&'static str, ActivityKind), u64> {
-    a.iter()
-        .filter(|&(_, _, n)| n != 0)
-        .map(|(c, k, n)| ((c, k), n))
-        .collect()
-}
-
-/// Builds the reference workload SoC: PELS link 0 toggles a GPIO pad on
-/// every timer compare match, the CPU parks in `wfi` after boot.
+/// The reference workload: the CPU parks in `wfi` after boot, so whole-SoC
+/// skips apply between events.
 fn workload_soc() -> Soc {
-    use pels_repro::soc::event_map::AL_GPIO_TOGGLE;
-    let mut desc = SystemDesc::default();
-    desc.pels.links = 2;
-    let mut soc = Soc::from_desc(&desc).unwrap();
-    soc.pels_mut()
-        .link_mut(0)
-        .set_mask(pels_repro::sim::EventVector::mask_of(&[EV_TIMER_CMP]));
-    soc.pels_mut()
-        .link_mut(0)
-        .load_program(
-            &pels_core::Program::new(vec![
-                pels_core::Command::Action {
-                    mode: pels_core::ActionMode::Toggle,
-                    group: 0,
-                    mask: 1 << (AL_GPIO_TOGGLE - 16),
-                },
-                pels_core::Command::Halt,
-            ])
-            .expect("valid"),
-        )
-        .expect("fits");
-    soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
-    soc.timer_mut().write(Timer::CMP, 16).unwrap();
-    soc.timer_mut()
-        .write(Timer::CTRL, Timer::CTRL_ENABLE)
-        .unwrap();
-    soc.spi_mut().write(Spi::CMD, 1).unwrap();
-    soc
+    common::toggle_workload(&[asm::wfi(), asm::jal(0, -4)], 16)
 }
 
 fn apply(soc: &mut Soc, op: Op) {
@@ -105,12 +84,47 @@ fn apply(soc: &mut Soc, op: Op) {
             spi.write(Spi::UDMA_CFG, u32::from(ring)).unwrap();
             spi.write(Spi::UDMA_SIZE, bytes).unwrap();
         }
-        Op::Drain => {} // handled by the caller so both sides drain together
+        Op::AdcStart => soc.adc_mut().write(Adc::CTRL, 1).unwrap(),
+        Op::Wdt { load, enable } => {
+            let wdt = soc.wdt_mut();
+            wdt.write(Watchdog::LOAD, load).unwrap();
+            wdt.write(Watchdog::CTRL, u32::from(enable)).unwrap();
+        }
+        Op::WdtKick => soc.wdt_mut().write(Watchdog::KICK, 0).unwrap(),
+        // A full TX FIFO refuses the byte, identically on both paths.
+        Op::UartTx(byte) => {
+            let _ = soc.uart_mut().write(Uart::TXDATA, u32::from(byte));
+        }
+        Op::I2cCmd(cmd) => soc.i2c_mut().write(I2c::CMD, cmd).unwrap(),
+        Op::Drain => {} // `run_case` drains both sides together
     }
 }
 
-/// L2 regions the random µDMA arming writes to: `(base, bytes)`.
-const UDMA_WINDOWS: [(u32, u32); 2] = [(0x4000, 64), (L2_SIZE - 16, 16)];
+/// Replays `ops` on `soc` and its naive reference, comparing the whole
+/// SoCs after every op. From op `fork` on, a clone of both (sleepers,
+/// pending bus traffic and undrained activity included) replays the rest
+/// too and must stay equal in the same way.
+fn run_case(case: &str, soc: Soc, ops: &[Op], fork: usize) {
+    let mut main = Lockstep::new(soc);
+    let mut forked = None;
+    for (i, &op) in ops.iter().enumerate() {
+        if i == fork {
+            forked = Some(main.clone());
+        }
+        let fork_side = forked.as_mut().map(|f| (f, ", clone"));
+        for (pair, side) in std::iter::once((&mut main, "")).chain(fork_side) {
+            let ctx = format!("{case} op {i} ({op:?}){side}");
+            match op {
+                Op::Drain => pair.drain(&ctx),
+                _ => pair.apply(&ctx, |soc| apply(soc, op)),
+            }
+        }
+    }
+    main.drain(&format!("{case}: final window"));
+    if let Some(mut clone) = forked {
+        clone.drain(&format!("{case}: final window, clone from op {fork}"));
+    }
+}
 
 /// A random µDMA arming: in L2, straddling its end or far outside it,
 /// with a small or a huge (saturating) size.
@@ -126,42 +140,11 @@ fn random_udma(rng: &mut Rng) -> Op {
     }
 }
 
-/// Asserts every observable of the two SoCs matches.
-fn assert_identical(fast: &Soc, naive: &Soc, ctx: &str) {
-    assert_eq!(fast.cycle(), naive.cycle(), "{ctx}: cycle");
-    assert_eq!(
-        fast.trace().entries(),
-        naive.trace().entries(),
-        "{ctx}: trace streams diverge"
-    );
-    assert_eq!(fast.timer().value(), naive.timer().value(), "{ctx}: timer value");
-    assert_eq!(fast.timer().fires(), naive.timer().fires(), "{ctx}: timer fires");
-    assert_eq!(fast.gpio().out(), naive.gpio().out(), "{ctx}: gpio out");
-    assert_eq!(
-        fast.gpio().pad_toggles(),
-        naive.gpio().pad_toggles(),
-        "{ctx}: pad toggles"
-    );
-    assert_eq!(fast.spi().is_busy(), naive.spi().is_busy(), "{ctx}: spi busy");
-    assert_eq!(fast.spi().words_done(), naive.spi().words_done(), "{ctx}: spi words");
-    assert_eq!(fast.spi().last_word(), naive.spi().last_word(), "{ctx}: spi last word");
-    assert_eq!(fast.spi().rx_level(), naive.spi().rx_level(), "{ctx}: spi rx level");
-    for addr in UDMA_WINDOWS.iter().flat_map(|&(base, len)| (base..base + len).step_by(4)) {
-        assert_eq!(
-            fast.l2().peek_word(addr),
-            naive.l2().peek_word(addr),
-            "{ctx}: L2 word {addr:#x} (µDMA window)"
-        );
-    }
-    assert_eq!(fast.cpu().cycles(), naive.cpu().cycles(), "{ctx}: cpu cycles");
-    assert_eq!(fast.cpu().pc(), naive.cpu().pc(), "{ctx}: cpu pc");
-}
-
 /// The differential property: random stimulus schedules observe no
 /// difference between the fast and naive schedulers — traces, activity
 /// (power input) and architectural state are all identical. A clone of
-/// the fast SoC taken at a random operation (sleepers, pending bus
-/// traffic and undrained activity included) continues identically too.
+/// the SoCs taken at a random operation (sleepers, pending bus traffic
+/// and undrained activity included) continues identically too.
 #[test]
 fn fast_scheduler_is_observationally_identical_to_naive() {
     let mut rng = Rng::seed_from_u64(0x5C4E_D001);
@@ -183,37 +166,52 @@ fn fast_scheduler_is_observationally_identical_to_naive() {
             })
             .collect();
         let fork = fork_rng.index(ops.len());
-        let mut fast = workload_soc();
-        let mut naive = workload_soc();
-        naive.set_exec_mode(ExecMode::Naive);
-        let mut clone = None;
-        for (i, &op) in ops.iter().enumerate() {
-            if i == fork {
-                clone = Some(fast.clone());
-            }
-            if let Op::Drain = op {
-                let an = activity_image(&naive.drain_activity());
-                for soc in std::iter::once(&mut fast).chain(clone.as_mut()) {
-                    let a = activity_image(&soc.drain_activity());
-                    assert_eq!(a, an, "case {case} op {i}: activity windows diverge");
-                }
-            } else {
-                for soc in [&mut fast, &mut naive].into_iter().chain(clone.as_mut()) {
-                    apply(soc, op);
-                }
-            }
-            let ctx = format!("case {case} op {i} ({op:?})");
-            assert_identical(&fast, &naive, &ctx);
-            if let Some(clone) = &clone {
-                assert_identical(clone, &naive, &format!("{ctx}, clone from op {fork}"));
-            }
-        }
-        let an = activity_image(&naive.drain_activity());
-        for soc in std::iter::once(&mut fast).chain(clone.as_mut()) {
-            let a = activity_image(&soc.drain_activity());
-            assert_eq!(a, an, "case {case}: final activity (power input) diverges");
-        }
+        run_case(&format!("case {case}"), workload_soc(), &ops, fork);
     }
+}
+
+/// The second stream drives the peripherals the first leaves alone: ADC
+/// conversions (started by register or by their PELS action line) and
+/// the watchdog (armed, kicked, switched off, biting) sleep on published
+/// deadlines and catch up in closed form; UART bytes and I2C transfers
+/// (to the attached sensor or to an absent address) keep them busy.
+#[test]
+fn adc_watchdog_uart_and_i2c_are_identical_to_naive() {
+    let mut rng = Rng::seed_from_u64(0xADC0_3D06);
+    let mut fork_rng = Rng::seed_from_u64(0xADC0_3D07);
+    for case in 0..24 {
+        let ops: Vec<Op> = (0..rng.range_u64(4, 20))
+            .map(|_| match rng.index(10) {
+                0..=1 => Op::Run(rng.range_u64(1, 120)),
+                2 => Op::Run(rng.range_u64(200, 2_000)),
+                3 => Op::AdcStart,
+                4 => Op::Wdt {
+                    load: rng.range_u64(0, 300) as u32,
+                    enable: rng.index(4) != 0,
+                },
+                5 => Op::WdtKick,
+                6 => Op::Inject([AL_ADC_START, AL_WDT_KICK, AL_I2C_START][rng.index(3)]),
+                7 => Op::UartTx(rng.next_u32() as u8),
+                8 => Op::I2cCmd(
+                    [0x48, 0x49][rng.index(2)]
+                        | (rng.range_u64(1, 4) as u32) << 8
+                        | [0, I2c::CMD_READ][rng.index(2)],
+                ),
+                _ => Op::Drain,
+            })
+            .collect();
+        let fork = fork_rng.index(ops.len());
+        run_case(&format!("case {case}"), workload_soc(), &ops, fork);
+    }
+}
+
+/// The default SoC without the timer-compare → SPI-start wire.
+fn unwired_soc() -> Soc {
+    let desc = SystemDesc {
+        timer_starts_spi: false,
+        ..SystemDesc::default()
+    };
+    Soc::from_desc(&desc).unwrap()
 }
 
 /// Wake condition 1 — deadline: a sleeping timer still fires its compare
@@ -221,22 +219,13 @@ fn fast_scheduler_is_observationally_identical_to_naive() {
 /// it early.
 #[test]
 fn timer_deadline_wakes_sleeping_timer() {
-    let desc = SystemDesc {
-        timer_starts_spi: false,
-        ..SystemDesc::default()
-    };
-    let mut fast = Soc::from_desc(&desc).unwrap();
-    let mut naive = Soc::from_desc(&desc).unwrap();
-    naive.set_exec_mode(ExecMode::Naive);
-    for soc in [&mut fast, &mut naive] {
+    let mut pair = Lockstep::new(unwired_soc());
+    pair.apply("arm the timer", |soc| {
         soc.timer_mut().write(Timer::CMP, 40).unwrap();
         soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
-        soc.run(200);
-    }
-    assert!(fast.timer().fires() >= 4, "timer kept firing while asleep");
-    assert_eq!(fast.timer().fires(), naive.timer().fires());
-    assert_eq!(fast.timer().value(), naive.timer().value());
-    assert_eq!(fast.trace().entries(), naive.trace().entries());
+    });
+    pair.apply("run", |soc| soc.run(200));
+    assert!(pair.fast.timer().fires() >= 4, "timer kept firing while asleep");
 }
 
 /// Wake condition 2 — event wire: the timer's compare pulse lands in the
@@ -245,21 +234,18 @@ fn timer_deadline_wakes_sleeping_timer() {
 #[test]
 fn event_wire_wakes_sleeping_spi() {
     // timer_starts_spi default: wired
-    let mut fast = Soc::from_desc(&SystemDesc::default()).unwrap();
-    let mut naive = Soc::from_desc(&SystemDesc::default()).unwrap();
-    naive.set_exec_mode(ExecMode::Naive);
-    for soc in [&mut fast, &mut naive] {
-        soc.spi_mut().write(Spi::CMD, 1).unwrap(); // arm last_len
-        soc.run(30); // long idle stretch puts the SPI to sleep
+    let mut pair = Lockstep::new(Soc::from_desc(&SystemDesc::default()).unwrap());
+    pair.apply("arm last_len", |soc| soc.spi_mut().write(Spi::CMD, 1).unwrap());
+    pair.apply("idle", |soc| soc.run(30)); // long idle stretch puts the SPI to sleep
+    pair.apply("arm the timer", |soc| {
         soc.timer_mut().write(Timer::CMP, 10).unwrap();
         soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
-        soc.run(40);
-    }
+    });
+    pair.apply("run", |soc| soc.run(40));
     assert!(
-        fast.trace().first("spi", "eot").is_some(),
+        pair.fast.trace().first("spi", "eot").is_some(),
         "wire-woken SPI completed a transfer"
     );
-    assert_eq!(fast.trace().entries(), naive.trace().entries());
 }
 
 /// Wake condition 3 — APB access: a CPU store to a sleeping peripheral's
@@ -267,48 +253,37 @@ fn event_wire_wakes_sleeping_spi() {
 /// lands.
 #[test]
 fn apb_access_wakes_sleeping_peripheral() {
-    let mut fast = Soc::from_desc(&SystemDesc::default()).unwrap();
-    let mut naive = Soc::from_desc(&SystemDesc::default()).unwrap();
-    naive.set_exec_mode(ExecMode::Naive);
-    for soc in [&mut fast, &mut naive] {
-        let mut p = vec![];
-        // Delay loop (~120 cycles) so the GPIO is long asleep, then store.
-        p.extend(asm::li32(5, 40));
-        p.push(asm::addi(5, 5, -1));
-        p.push(asm::bne(5, 0, -4));
-        p.extend(asm::li32(1, apb_reg(GPIO_OFFSET, Gpio::PADOUTSET)));
-        p.extend(asm::li32(2, 0x3C));
-        p.push(asm::sw(1, 2, 0));
-        p.push(asm::wfi());
-        soc.load_program(RESET_PC, &p);
-        soc.run(400);
-    }
-    assert_eq!(fast.gpio().out(), 0x3C, "store reached the sleeping GPIO");
-    assert_eq!(fast.gpio().out(), naive.gpio().out());
-    assert_eq!(fast.trace().entries(), naive.trace().entries());
+    let mut soc = Soc::from_desc(&SystemDesc::default()).unwrap();
+    let mut p = vec![];
+    // Delay loop (~120 cycles) so the GPIO is long asleep, then store.
+    p.extend(asm::li32(5, 40));
+    p.push(asm::addi(5, 5, -1));
+    p.push(asm::bne(5, 0, -4));
+    p.extend(asm::li32(1, apb_reg(GPIO_OFFSET, Gpio::PADOUTSET)));
+    p.extend(asm::li32(2, 0x3C));
+    p.push(asm::sw(1, 2, 0));
+    p.push(asm::wfi());
+    soc.load_program(RESET_PC, &p);
+    let mut pair = Lockstep::new(soc);
+    pair.apply("run", |soc| soc.run(400));
+    assert_eq!(pair.fast.gpio().out(), 0x3C, "store reached the sleeping GPIO");
 }
 
 /// Wake condition 4 — injected external event: a pad-level pulse on a
 /// line in a sleeping peripheral's wake mask starts it.
 #[test]
 fn injected_event_wakes_sleeping_peripheral() {
-    let mut fast = Soc::from_desc(&SystemDesc::default()).unwrap();
-    let mut naive = Soc::from_desc(&SystemDesc::default()).unwrap();
-    naive.set_exec_mode(ExecMode::Naive);
-    for soc in [&mut fast, &mut naive] {
-        soc.spi_mut().write(Spi::CMD, 1).unwrap();
-        soc.run(50); // everything asleep
-        soc.inject_event(EV_TIMER_CMP); // SPI's start line, from outside
-        soc.run(30);
-    }
+    let mut pair = Lockstep::new(Soc::from_desc(&SystemDesc::default()).unwrap());
+    pair.apply("arm last_len", |soc| soc.spi_mut().write(Spi::CMD, 1).unwrap());
+    pair.apply("idle", |soc| soc.run(50)); // everything asleep
+    // The SPI's start line, from outside.
+    pair.apply("inject", |soc| soc.inject_event(EV_TIMER_CMP));
+    pair.apply("run", |soc| soc.run(30));
     assert!(
-        fast.trace().first("spi", "eot").is_some(),
+        pair.fast.trace().first("spi", "eot").is_some(),
         "injected pulse started the sleeping SPI"
     );
-    assert_eq!(fast.trace().entries(), naive.trace().entries());
-    let af = activity_image(&fast.drain_activity());
-    let an = activity_image(&naive.drain_activity());
-    assert_eq!(af, an, "activity (power input) identical");
+    pair.drain("activity (power input)");
 }
 
 /// The trace values of every `udma_err` entry (dropped µDMA words).
@@ -326,26 +301,17 @@ fn udma_errors(soc: &Soc) -> Vec<u64> {
 /// the simulation, and the transfer still completes on schedule.
 #[test]
 fn out_of_range_udma_target_drops_words_identically() {
-    let desc = SystemDesc {
-        timer_starts_spi: false,
-        ..SystemDesc::default()
-    };
-    let mut fast = Soc::from_desc(&desc).unwrap();
-    let mut naive = Soc::from_desc(&desc).unwrap();
-    naive.set_exec_mode(ExecMode::Naive);
-    for soc in [&mut fast, &mut naive] {
+    let mut pair = Lockstep::new(unwired_soc());
+    pair.apply("arm", |soc| {
         let spi = soc.spi_mut();
         spi.write(Spi::UDMA_SADDR, 0x7FFF_0000).unwrap();
         spi.write(Spi::UDMA_SIZE, 8).unwrap();
         spi.write(Spi::CMD, 2).unwrap();
-        soc.run(100);
-    }
-    assert_eq!(udma_errors(&fast), [0x7FFF_0000, 0x7FFF_0004]);
-    assert!(fast.trace().first("spi", "eot").is_some());
-    assert_identical(&fast, &naive, "out-of-range µDMA");
-    let af = activity_image(&fast.drain_activity());
-    let an = activity_image(&naive.drain_activity());
-    assert_eq!(af, an, "activity (power input) identical");
+    });
+    pair.apply("run", |soc| soc.run(100));
+    assert_eq!(udma_errors(&pair.fast), [0x7FFF_0000, 0x7FFF_0004]);
+    assert!(pair.fast.trace().first("spi", "eot").is_some());
+    pair.drain("activity (power input)");
 }
 
 /// A huge `UDMA_SIZE` saturates at the largest whole-word size instead
@@ -353,36 +319,26 @@ fn out_of_range_udma_target_drops_words_identically() {
 /// L2.
 #[test]
 fn huge_udma_size_arms_the_channel_identically() {
-    let desc = SystemDesc {
-        timer_starts_spi: false,
-        ..SystemDesc::default()
-    };
-    let mut fast = Soc::from_desc(&desc).unwrap();
-    let mut naive = Soc::from_desc(&desc).unwrap();
-    naive.set_exec_mode(ExecMode::Naive);
-    for soc in [&mut fast, &mut naive] {
+    let mut pair = Lockstep::new(unwired_soc());
+    pair.apply("arm", |soc| {
         let spi = soc.spi_mut();
         spi.write(Spi::UDMA_SADDR, 0x4000).unwrap();
         spi.write(Spi::UDMA_SIZE, u32::MAX - 2).unwrap();
         spi.write(Spi::CMD, 3).unwrap();
-        soc.run(100);
-    }
+    });
+    pair.apply("run", |soc| soc.run(100));
+    let fast = &pair.fast;
     assert_eq!(fast.spi().words_done(), 3);
     assert_eq!(fast.spi().rx_level(), 0, "words went to L2, not the FIFO");
     assert_eq!(fast.l2().peek_word(0x4008), fast.spi().last_word());
-    assert!(udma_errors(&fast).is_empty());
-    assert_identical(&fast, &naive, "huge µDMA size");
+    assert!(udma_errors(fast).is_empty());
 }
 
 /// Mid-sleep observation: `&self` accessors must always see current
 /// architectural state, even while the peripheral is being skipped.
 #[test]
 fn sleeping_timer_is_observable_between_runs() {
-    let mut soc = Soc::from_desc(&SystemDesc {
-        timer_starts_spi: false,
-        ..SystemDesc::default()
-    })
-    .unwrap();
+    let mut soc = unwired_soc();
     soc.timer_mut().write(Timer::CMP, 1_000_000).unwrap();
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
     let mut last = 0;
@@ -402,11 +358,7 @@ fn sleeping_timer_is_observable_between_runs() {
 /// works even though the timer sleeps between predicate calls.
 #[test]
 fn run_until_sees_synced_peripheral_state() {
-    let mut soc = Soc::from_desc(&SystemDesc {
-        timer_starts_spi: false,
-        ..SystemDesc::default()
-    })
-    .unwrap();
+    let mut soc = unwired_soc();
     soc.timer_mut().write(Timer::CMP, 1_000_000).unwrap();
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
     let reached = soc.run_until(10_000, |s| s.timer().value() >= 123);
