@@ -45,7 +45,7 @@ pub use periph::{Periph, Variant};
 pub use sensor::{Quantizer, SensorKind};
 pub use spi::Spi;
 pub use timer::Timer;
-pub use traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral};
+pub use traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, SleepPlan};
 pub use uart::Uart;
 pub use udma::{UdmaChannel, UdmaTxChannel};
 pub use wdt::Watchdog;

@@ -1,6 +1,6 @@
 //! The closed set of SoC peripherals.
 
-use crate::traits::{IdleHint, PeriphCtx, Peripheral};
+use crate::traits::{IdleHint, PeriphCtx, Peripheral, SleepPlan};
 use crate::{Adc, Gpio, I2c, Spi, Timer, Uart, Watchdog};
 use pels_interconnect::apb::Dir;
 use pels_interconnect::{ApbSlave, BusError};
@@ -82,6 +82,10 @@ impl Peripheral for Periph {
 
     fn catch_up_is_noop(&self) -> bool {
         each!(self, p => p.catch_up_is_noop())
+    }
+
+    fn sleep_plan(&self) -> Option<SleepPlan> {
+        each!(self, p => p.sleep_plan())
     }
 
     fn drain_activity(&mut self, into: &mut ActivitySet) {

@@ -62,13 +62,15 @@ impl<'a> PeriphCtx<'a> {
 /// A peripheral's scheduling hint: whether skipping its next ticks would
 /// change anything observable.
 ///
-/// Returned by [`Peripheral::idle_hint`] after every tick. The contract a
-/// hint certifies: *if no wake condition occurs* (no wire in
-/// [`Peripheral::wake_mask`] pulses, no bus access targets the
-/// peripheral), ticking it during the covered cycles would leave its
-/// architectural state, its activity counters, its trace output and its
-/// event pulses exactly as not ticking it — except for whatever the
-/// peripheral itself reconstructs in [`Peripheral::catch_up`].
+/// Returned by [`Peripheral::idle_hint`] after every tick or register
+/// access. The contract a hint certifies: *if no wake condition occurs*
+/// (no wire in [`Peripheral::wake_mask`] pulses), ticking it during the
+/// covered cycles would leave its architectural state, its activity
+/// counters, its trace output and its event pulses exactly as not ticking
+/// it — except for whatever the peripheral itself reconstructs in
+/// [`Peripheral::catch_up`]. A bus access to a skipped peripheral is
+/// served in place: the harness catches it up through the access cycle,
+/// lets the bus read or write it, and asks for a fresh hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdleHint {
     /// Must be ticked every cycle.
@@ -122,19 +124,21 @@ pub trait Peripheral: ApbSlave {
     }
 
     /// Reconstructs the effect of `elapsed` skipped cycles, called
-    /// immediately before the tick that ends a skip. Peripherals whose
-    /// skipped ticks are pure no-ops (the common case) keep the default;
-    /// peripherals that count while "idle" (timer, watchdog) advance
-    /// their counters and activity in closed form here.
+    /// immediately before the tick that ends a skip, before a bus access
+    /// to the skipped peripheral and at observation points. Peripherals
+    /// whose skipped ticks are pure no-ops (the common case) keep the
+    /// default; peripherals that count while "idle" (timer, watchdog)
+    /// advance their counters and activity in closed form here.
     fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
         let _ = (ctx, elapsed);
     }
 
     /// Whether [`Peripheral::catch_up`] would currently do nothing — no
     /// state, activity or trace change for any `elapsed`. The scheduler
-    /// samples this when the peripheral goes idle (nothing can mutate a
-    /// skipped peripheral, so the answer stays valid for the whole skip)
-    /// and elides the per-sync `catch_up` call for such "lazy" sleepers.
+    /// samples this when the peripheral goes idle and after every bus
+    /// access to it while skipped (nothing else can mutate a skipped
+    /// peripheral, so the answer stays valid in between) and elides the
+    /// per-sync `catch_up` call for such "lazy" sleepers.
     /// Must be `false` whenever `catch_up` is overridden with live state
     /// (e.g. an enabled free-running counter); the default matches the
     /// default no-op `catch_up`.
@@ -142,9 +146,41 @@ pub trait Peripheral: ApbSlave {
         true
     }
 
+    /// The scheduler's whole sleep decision for the state after a tick or
+    /// register access, in one call: `None` when the next tick must run
+    /// ([`IdleHint::Busy`], or [`IdleHint::IdleFor`] below 2), otherwise
+    /// the [`SleepPlan`] built from [`Peripheral::idle_hint`],
+    /// [`Peripheral::wake_mask`] and [`Peripheral::catch_up_is_noop`].
+    /// Derived from those three; implementors keep the default.
+    fn sleep_plan(&self) -> Option<SleepPlan> {
+        let idle_for = match self.idle_hint() {
+            IdleHint::IdleFor(n) if n >= 2 => n,
+            IdleHint::Idle => u64::MAX,
+            _ => return None,
+        };
+        Some(SleepPlan {
+            idle_for,
+            wake_mask: self.wake_mask(),
+            lazy: self.catch_up_is_noop(),
+        })
+    }
+
     /// Harvests internally counted activity (register-file accesses
     /// observed through the APB interface since the last drain).
     fn drain_activity(&mut self, into: &mut ActivitySet);
+}
+
+/// How a peripheral may sleep, from [`Peripheral::sleep_plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SleepPlan {
+    /// Cycles from the deciding cycle to the next tick that must run:
+    /// `n` for [`IdleHint::IdleFor`]`(n)`, `u64::MAX` for
+    /// [`IdleHint::Idle`].
+    pub idle_for: u64,
+    /// The wires that wake it ([`Peripheral::wake_mask`]).
+    pub wake_mask: EventVector,
+    /// Whether its catch-up is a no-op ([`Peripheral::catch_up_is_noop`]).
+    pub lazy: bool,
 }
 
 /// Builds the wake mask for a set of optional wired input lines.

@@ -8,8 +8,8 @@ use pels_cpu::{Cpu, CpuBus, CpuState, DataReq, DataResult};
 use pels_desc::{DescError, ExecMode, PeriphKind, SystemDesc};
 use pels_interconnect::{AddrRange, ApbFabric, ApbRequest, ApbSlave, MasterId, SlaveId};
 use pels_periph::{
-    Adc, Gpio, I2c, IdleHint, L2Memory, Periph, PeriphCtx, Peripheral, SensorDevice, Spi, Timer,
-    Uart, Variant, Watchdog,
+    Adc, Gpio, I2c, L2Memory, Periph, PeriphCtx, Peripheral, SensorDevice, Spi, Timer, Uart,
+    Variant, Watchdog,
 };
 use pels_sim::{
     ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, EventVector,
@@ -237,14 +237,16 @@ struct ClockIds {
 /// often slaves changed sleep state. Pure observation — nothing in the
 /// scheduler reads these back, so recording them cannot perturb
 /// behaviour (`tests/observation_invariance.rs` proves runs are
-/// bit-identical with observability on or off).
+/// bit-identical with observability on or off). A bus access to a
+/// sleeping slave is served in place, so on its own it moves none of
+/// them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Cycles stepped on the fast active-list path (no sleeper could
-    /// wake, only active slaves ticked).
+    /// Cycles stepped on the fast active-list path (no sleeper was due,
+    /// only active slaves ticked).
     pub fast_cycles: u64,
-    /// Cycles where the stir check found sleepers to wake (they catch up
-    /// and tick alongside the active set).
+    /// Cycles where the stir check found sleepers due by deadline or
+    /// wire (they catch up and tick alongside the active set).
     pub stirred_cycles: u64,
     /// Cycles stepped under naive (reference) scheduling.
     pub naive_cycles: u64,
@@ -252,12 +254,15 @@ pub struct SchedStats {
     pub skip_spans: u64,
     /// Total cycles covered by those spans.
     pub skipped_cycles: u64,
-    /// Scheduler aggregate updates (one per sleep-state transition
-    /// batch).
+    /// Scheduler aggregate-update batches: each wake batch, and each
+    /// sleep-decision pass that put a slave to sleep or re-slept one in
+    /// place, whether or not it had to refold an aggregate.
     pub rebuilds: u64,
-    /// Individual slave wake transitions.
+    /// Individual slave wake transitions: sleepers due by deadline or
+    /// wire, and sleepers a bus access left needing the next tick.
     pub wakes: u64,
-    /// Individual slave sleep transitions.
+    /// Individual awake-to-asleep transitions (a sleeper re-sleeping in
+    /// place after a bus access is not one).
     pub sleeps: u64,
 }
 
@@ -275,9 +280,12 @@ impl SchedStats {
 /// over every peripheral — the active-slave scheduling half of the fast
 /// active path (see `DESIGN.md` §7).
 ///
-/// Falling asleep is O(1): it fills the slave's slot and ORs / mins its
-/// mask and deadline into the aggregates. Waking clears the slots and
-/// refolds both aggregates over the arrays, once per batch.
+/// Every transition is O(1) in the common case. Falling asleep, or
+/// re-sleeping in place after a bus access, ORs / mins the slave's mask
+/// and deadline into the aggregates. Waking refolds an aggregate over
+/// the remaining sleepers only when a woken slave contributed to it (it
+/// held the minimum deadline or had a wake mask); so does a re-sleep
+/// that raises the minimum or drops a mask line.
 #[derive(Debug, Clone)]
 struct SlaveSched {
     /// Bit-per-index mask of awake slaves. Its set bits, taken in
@@ -287,9 +295,9 @@ struct SlaveSched {
     /// Bit-per-index mask of sleeping slaves.
     asleep: u64,
     /// Bit-per-index mask of sleepers whose `catch_up` is a no-op
-    /// ([`Peripheral::catch_up_is_noop`], cached when the slave fell
-    /// asleep — nothing can mutate a sleeping slave, so it stays valid
-    /// for the whole skip and lets `sync_slaves` bypass slaves with
+    /// ([`Peripheral::catch_up_is_noop`], sampled whenever the slave
+    /// (re-)sleeps — only a bus access can mutate a sleeper, and each
+    /// one re-samples it — so `sync_slaves` bypasses slaves with
     /// nothing to reconstruct).
     lazy: u64,
     /// Union of all sleepers' wake masks.
@@ -302,9 +310,8 @@ struct SlaveSched {
     /// Per slave: the cycle by which a sleeper must tick again
     /// (`u64::MAX` while awake or idle indefinitely).
     deadline: Vec<u64>,
-    /// Per slave: the wake-event mask cached when it fell asleep (empty
-    /// while awake). Wiring is construction-time static, and any
-    /// register access wakes the slave before it could change.
+    /// Per slave: the wake-event mask sampled when it (re-)slept (empty
+    /// while awake).
     mask: Vec<EventVector>,
     /// Observation-only counters (never read by scheduling decisions).
     stats: SchedStats,
@@ -353,6 +360,24 @@ impl SlaveSched {
         self.next_deadline = self.next_deadline.min(deadline);
     }
 
+    /// Gives sleeping slave `i` a new deadline, wake mask and lazy bit
+    /// (its state changed under a bus access), keeping it asleep.
+    fn resleep(&mut self, i: usize, deadline: u64, mask: EventVector, lazy: bool) {
+        let (old_deadline, old_mask) = (self.deadline[i], self.mask[i]);
+        self.lazy = self.lazy & !(1 << i) | u64::from(lazy) << i;
+        self.deadline[i] = deadline;
+        self.mask[i] = mask;
+        let deadline_stale = deadline > old_deadline && old_deadline == self.next_deadline;
+        let union_stale = !(old_mask & !mask).is_empty();
+        if !deadline_stale {
+            self.next_deadline = self.next_deadline.min(deadline);
+        }
+        if !union_stale {
+            self.wake_union |= mask;
+        }
+        self.refold(deadline_stale, union_stale);
+    }
+
     /// Sleepers whose own deadline is due at `cycle` or whose wake mask
     /// meets `wires`.
     fn due(&self, cycle: u64, wires: EventVector) -> u64 {
@@ -361,10 +386,15 @@ impl SlaveSched {
             .fold(0, |due, i| due | 1 << i)
     }
 
-    /// Wakes every slave in `set` (awake ones stay awake) and refolds the
-    /// aggregates over the cleared arrays: one aggregate update.
+    /// Wakes every slave in `set` (awake ones stay awake): one aggregate
+    /// update, which refolds an aggregate only when a woken slave
+    /// contributed to it.
     fn wake(&mut self, set: u64) {
+        let set = set & self.asleep;
+        let (mut deadline_stale, mut union_stale) = (false, false);
         for i in set_bits(set) {
+            deadline_stale |= self.deadline[i] == self.next_deadline;
+            union_stale |= !self.mask[i].is_empty();
             self.since[i] = AWAKE;
             self.deadline[i] = u64::MAX;
             self.mask[i] = EventVector::EMPTY;
@@ -372,9 +402,24 @@ impl SlaveSched {
         self.active |= set;
         self.asleep &= !set;
         self.lazy &= !set;
-        self.wake_union = self.mask.iter().fold(EventVector::EMPTY, |u, &m| u | m);
-        self.next_deadline = self.deadline.iter().fold(u64::MAX, |d, &x| d.min(x));
+        self.refold(
+            deadline_stale && self.next_deadline != u64::MAX,
+            union_stale,
+        );
         self.stats.rebuilds += 1;
+    }
+
+    /// Recomputes the stale aggregates over the sleepers.
+    fn refold(&mut self, deadline: bool, union: bool) {
+        if deadline {
+            self.next_deadline = set_bits(self.asleep)
+                .map(|i| self.deadline[i])
+                .fold(u64::MAX, u64::min);
+        }
+        if union {
+            self.wake_union =
+                set_bits(self.asleep).fold(EventVector::EMPTY, |u, i| u | self.mask[i]);
+        }
     }
 
     /// Whether the bitmasks and aggregates equal a from-scratch
@@ -980,28 +1025,23 @@ impl Soc {
 
         // 1. Peripherals (externally injected pulses appear alongside
         //    the peripheral-driven wires). A sleeping slave is skipped
-        //    unless something can observe or perturb it this cycle: a
-        //    wire it watches is high, a bus request is pending or in
-        //    flight for it, its registers were accessed during the
-        //    previous cycle's fabric phases, or its self-declared
+        //    unless a wire it watches is high or its self-declared
         //    deadline arrived. Waking replays the skipped span in closed
         //    form *before* the normal tick, while the state is still
-        //    exactly what the naive path would hold.
+        //    exactly what the naive path would hold. (A bus access does
+        //    not wake a sleeper: phase 4 serves it in place.)
         let injected = std::mem::take(&mut self.injected);
         let wires = self.prev_wires | injected;
         let naive = self.accel.naive;
-        // Wake set: sleepers something can observe or perturb this
-        // cycle. Each sleeper's own deadline and mask are consulted only
-        // when the aggregate stir check (their minimum / union) says
-        // some sleeper is due. Naive ticking keeps every slave awake, so
-        // the set is empty there.
+        // Wake set: sleepers due this cycle. Each sleeper's own deadline
+        // and mask are consulted only when the aggregate stir check
+        // (their minimum / union) says some sleeper is due. Naive ticking
+        // keeps every slave awake, so the set is empty there.
         let sched = &mut self.accel.sched;
         let mut wake = 0u64;
-        if sched.asleep != 0 {
-            wake = (self.fabric.targeted_slaves() | self.fabric.touched_slaves()) & sched.asleep;
-            if cycle >= sched.next_deadline || wires.intersects(sched.wake_union) {
-                wake |= sched.due(cycle, wires);
-            }
+        if sched.asleep != 0 && (cycle >= sched.next_deadline || wires.intersects(sched.wake_union))
+        {
+            wake = sched.due(cycle, wires);
         }
         if naive {
             sched.stats.naive_cycles += 1;
@@ -1061,7 +1101,10 @@ impl Soc {
                 }
             }
         }
-        {
+        // A core asleep in WFI with nothing pending, or halted, ticks
+        // exactly as it skips one idle cycle; only the naive reference
+        // builds the port and ticks it.
+        if naive || !self.cpu.skip_idle_cycles(1, self.irq_pending) {
             let mut bus = CpuPort {
                 l2: &mut self.l2,
                 fabric: &mut self.fabric,
@@ -1084,7 +1127,15 @@ impl Soc {
             }
         }
 
-        // 4. Fabric APB phases.
+        // 4. Fabric APB phases. A sleeper the bus reaches this cycle is
+        //    served in place: it is not due (the wake set above took
+        //    every due sleeper), so this cycle's tick lies inside its
+        //    replayable span, and catching it up through this cycle
+        //    leaves it exactly as the naive path's tick did.
+        let served = self.fabric.targeted_slaves() & self.accel.sched.asleep;
+        if served != 0 {
+            self.serve_in_place(served, cycle, time);
+        }
         self.fabric.tick();
         if self.trace.flows_enabled() {
             self.stage_write_commit_flows();
@@ -1101,28 +1152,40 @@ impl Soc {
         // 4b. Sleep decisions, on post-bus state: a slave whose idle
         //     hint says the next n-1 ticks are unobservable sleeps with
         //     an absolute deadline; an indefinitely idle one sleeps
-        //     until an external wake condition. Hints are queried after
-        //     the fabric phases so a register write landing this cycle
-        //     is reflected.
+        //     until one of its wires pulses. Hints are queried after the
+        //     fabric phases so a register write landing this cycle is
+        //     reflected. Only awake slaves and the sleepers the bus just
+        //     read or wrote can have changed, so those are the slaves
+        //     decided: a touched sleeper re-sleeps in place with its new
+        //     plan, or wakes to tick next cycle.
         if !naive {
-            // Only awake slaves can fall asleep, so consulting just the
-            // active set is exhaustive. (Sleepers re-decide when they
-            // wake, never in place.)
-            let mut slept_count = 0u64;
-            for i in set_bits(self.accel.sched.active) {
-                let p = self.fabric.slave_at(i);
-                let deadline = match p.idle_hint() {
-                    IdleHint::IdleFor(n) if n >= 2 => cycle.saturating_add(n),
-                    IdleHint::Idle => u64::MAX,
-                    _ => continue,
-                };
-                let (mask, lazy) = (p.wake_mask(), p.catch_up_is_noop());
-                self.accel.sched.sleep(i, cycle + 1, deadline, mask, lazy);
-                slept_count += 1;
+            let sched = &mut self.accel.sched;
+            let touched = self.fabric.touched_slaves() & served;
+            let (mut slept, mut resleeps, mut woke) = (0u64, 0u64, 0u64);
+            for i in set_bits(sched.active | touched) {
+                let plan = self.fabric.slave_at(i).sleep_plan();
+                match plan {
+                    Some(p) => {
+                        let deadline = cycle.saturating_add(p.idle_for);
+                        if touched & 1 << i != 0 {
+                            sched.resleep(i, deadline, p.wake_mask, p.lazy);
+                            resleeps += 1;
+                        } else {
+                            sched.sleep(i, cycle + 1, deadline, p.wake_mask, p.lazy);
+                            slept += 1;
+                        }
+                    }
+                    None if touched & 1 << i != 0 => woke |= 1 << i,
+                    None => {}
+                }
             }
-            self.accel.sched.stats.sleeps += slept_count;
-            if slept_count > 0 {
-                self.accel.sched.stats.rebuilds += 1;
+            sched.stats.sleeps += slept;
+            if slept + resleeps > 0 {
+                sched.stats.rebuilds += 1;
+            }
+            if woke != 0 {
+                sched.stats.wakes += u64::from(woke.count_ones());
+                sched.wake(woke);
             }
         }
         debug_assert!(
@@ -1138,6 +1201,30 @@ impl Soc {
         self.trace.flow_cycle_end();
         self.cycle += 1;
         self.window_cycles += 1;
+    }
+
+    /// Catches the sleeping slaves in `served` up through `cycle`, before
+    /// the fabric phases read or write them, and leaves them asleep.
+    fn serve_in_place(&mut self, served: u64, cycle: u64, time: SimTime) {
+        let sched = &mut self.accel.sched;
+        let mut ctx = PeriphCtx {
+            cycle,
+            time,
+            events_in: EventVector::EMPTY,
+            events_out: EventVector::EMPTY,
+            l2: &mut self.l2,
+            activity: &mut self.activity,
+            trace: &mut self.trace,
+        };
+        for i in set_bits(served) {
+            debug_assert!(cycle < sched.deadline[i], "a due sleeper is awake by now");
+            if sched.lazy & 1 << i == 0 {
+                self.fabric
+                    .slave_mut_at(i)
+                    .catch_up(&mut ctx, cycle + 1 - sched.since[i]);
+            }
+            sched.since[i] = cycle + 1;
+        }
     }
 
     /// Translates this cycle's fabric write commits into staged causal
@@ -1660,6 +1747,101 @@ mod tests {
         let mut poked = fast.clone();
         poked.wdt_mut().write(Watchdog::LOAD, 9).unwrap();
         assert!(poked != fast && poked.first_difference(&fast) == Some("wdt"));
+    }
+
+    /// `program` loaded on the default SoC, beside a naive-mode clone.
+    fn fast_and_naive(program: &[u32]) -> (Soc, Soc) {
+        let mut fast = default_soc();
+        fast.load_program(RESET_PC, program);
+        let mut naive = fast.clone();
+        naive.set_exec_mode(ExecMode::Naive);
+        (fast, naive)
+    }
+
+    /// `program` that stores `value` to APB register `reg`, then sleeps.
+    fn store_then_wfi(reg: u32, value: u32) -> Vec<u32> {
+        let mut p = asm::li32(1, reg).to_vec();
+        p.extend(asm::li32(2, value));
+        p.push(asm::sw(1, 2, 0));
+        p.push(asm::wfi());
+        p
+    }
+
+    /// Steps `soc` until the fabric reads or writes slave `id`; returns
+    /// the cycle of that access.
+    fn step_to_access(soc: &mut Soc, id: SlaveId) -> u64 {
+        for _ in 0..1_000 {
+            soc.step();
+            if soc.fabric.touched_slaves() & 1 << id.index() != 0 {
+                return soc.cycle - 1;
+            }
+        }
+        panic!("no bus access reached slave {}", id.index());
+    }
+
+    fn asleep(soc: &Soc, id: SlaveId) -> bool {
+        soc.accel.sched.asleep & 1 << id.index() != 0
+    }
+
+    #[test]
+    fn bus_read_of_a_sleeping_timer_returns_the_naive_count_in_place() {
+        let mut p = asm::li32(1, apb_reg(TIMER_OFFSET, Timer::VALUE)).to_vec();
+        // Count down a delay loop while the timer counts asleep.
+        p.extend(asm::li32(3, 20));
+        p.push(asm::addi(3, 3, -1));
+        p.push(asm::bne(3, 0, -4));
+        p.push(asm::lw(2, 1, 0));
+        p.push(asm::wfi());
+        let (mut fast, mut naive) = fast_and_naive(&p);
+        for soc in [&mut fast, &mut naive] {
+            soc.timer_mut().write(Timer::CMP, 10_000).unwrap();
+            soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
+        }
+        let id = fast.timer_id;
+        let read = step_to_access(&mut fast, id);
+        assert!(asleep(&fast, id), "the timer sleeps through its read");
+        naive.run(read + 1);
+        assert_eq!(fast.first_difference(&naive), None);
+        fast.run(20);
+        naive.run(20);
+        assert!(fast.cpu().reg(2) > 20, "the read sees the running count");
+        assert_eq!(fast.cpu().reg(2), naive.cpu().reg(2));
+        assert_eq!(fast.sched_stats().wakes, 0, "{:?}", fast.sched_stats());
+    }
+
+    #[test]
+    fn spi_cmd_write_resleeps_the_spi_with_its_word_deadline() {
+        let p = store_then_wfi(apb_reg(SPI_OFFSET, Spi::CMD), 1);
+        let (mut fast, mut naive) = fast_and_naive(&p);
+        let id = fast.spi_id;
+        let write = step_to_access(&mut fast, id);
+        let pels_periph::IdleHint::IdleFor(n) = fast.spi().idle_hint() else {
+            panic!("a started SPI publishes its word deadline");
+        };
+        assert!(asleep(&fast, id), "the SPI re-sleeps in place");
+        assert_eq!(fast.accel.sched.deadline[id.index()], write + n);
+        assert_eq!(fast.sched_stats().wakes, 0);
+        naive.run(write + 1);
+        assert_eq!(fast.first_difference(&naive), None);
+        fast.run(100);
+        naive.run(100);
+        assert!(fast.trace().first("spi", "eot").is_some());
+        assert_eq!(fast.first_difference(&naive), None);
+    }
+
+    #[test]
+    fn gpio_padout_write_wakes_the_gpio_to_tick_next_cycle() {
+        let p = store_then_wfi(apb_reg(GPIO_OFFSET, Gpio::PADOUT), 0x5);
+        let (mut fast, mut naive) = fast_and_naive(&p);
+        let id = fast.gpio_id;
+        let write = step_to_access(&mut fast, id);
+        assert!(!asleep(&fast, id), "the write wakes the GPIO");
+        assert_eq!(fast.sched_stats().wakes, 1);
+        fast.step();
+        let padout = fast.trace().first("gpio", "padout").expect("pad change reported");
+        assert_eq!((padout.time, padout.value), (fast.freq.cycles(write + 1), 0x5));
+        naive.run(write + 2);
+        assert_eq!(fast.first_difference(&naive), None);
     }
 
     #[test]

@@ -33,8 +33,11 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # scheduler's debug-only consistency assertions are compiled out. Run
 # the fast-vs-naive suites on that same optimised code too. Each compares
 # whole states: `Soc`'s `PartialEq` (`Soc::first_difference`) in the SoC
-# suites, `Cpu`'s (everything but the decode cache) in decode_cache.
-cargo test -q --release --test quiescence --test active_path
+# suites, `Cpu`'s (everything but the decode cache) in decode_cache. The
+# description fuzzer (fast vs naive on generated scenarios) and the
+# pure-observation suite run there as well.
+cargo test -q --release --test quiescence --test active_path \
+    --test desc_fuzz --test observation_invariance
 cargo test -q --release -p pels-cpu --test decode_cache
 echo "bench_smoke: release fast-vs-naive differential OK"
 

@@ -78,11 +78,25 @@ impl Lockstep {
     /// Drains both activity windows (the power model's input) and
     /// asserts the two, and the SoCs after the drain, are equal.
     pub fn drain(&mut self, ctx: &str) {
-        let fast = self.fast.drain_activity();
-        assert_eq!(fast, self.naive.drain_activity(), "{ctx}: drained activity");
-        let differs = self.fast.first_difference(&self.naive);
-        assert_eq!(differs, None, "{ctx}: component differing after the drain");
+        drain_both(&mut self.fast, &mut self.naive, ctx);
     }
+}
+
+/// Drains `a` and `b` and asserts the drained activity sets, and the
+/// SoCs after the drain, are equal.
+fn drain_both(a: &mut Soc, b: &mut Soc, ctx: &str) {
+    assert_eq!(a.drain_activity(), b.drain_activity(), "{ctx}: drained activity");
+    let differs = a.first_difference(b);
+    assert_eq!(differs, None, "{ctx}: component differing after the drain");
+}
+
+/// Asserts `a` and `b` are the same SoC wherever their activity counters
+/// sit. A timeline window flushes component counters into the SoC's
+/// activity image, so a sampled SoC and its unsampled twin hold equal
+/// totals in different places until a drain gathers them: this drains
+/// clones of both and compares the drained sets and the clones.
+pub fn assert_same_drained(a: &Soc, b: &Soc, ctx: &str) {
+    drain_both(&mut a.clone(), &mut b.clone(), ctx);
 }
 
 /// Asserts `fast == naive`, the whole-state check. `pre` holds the two

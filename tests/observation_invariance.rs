@@ -11,7 +11,8 @@
 //! `tests/common` over every non-empty probe subset; `obs_invariance`,
 //! `flow_invariance` and `lifetime_invariance` run it over each probe's
 //! own subsets. The tests after them pin what each probe records
-//! (timeline windows partition the run, flow attribution is
+//! (timeline windows partition the run, a sampled SoC equals its
+//! unsampled twin once both are drained, flow attribution is
 //! mode-independent, the ledger partitions the power timeline,
 //! duty-cycled horizons stay cheap).
 
@@ -22,6 +23,8 @@ use common::{
 };
 use pels_fleet::{FleetEngine, SweepSpec};
 use pels_power::{Battery, EnergyLedger};
+use pels_repro::interconnect::ApbSlave;
+use pels_repro::periph::Timer;
 use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, Soc, SystemDesc};
 use pels_sim::SimTime;
 
@@ -92,6 +95,37 @@ fn timeline_sampling_never_perturbs_any_mediator() {
                 "ungated clock rows sum exactly"
             );
             assert_reports_identical(&plain, &sampled, &format!("{mediator} window {window}"));
+        }
+    }
+}
+
+#[test]
+fn timeline_sampled_soc_equals_its_unsampled_twin_mid_run() {
+    for mediator in MEDIATORS {
+        for exec in [ExecMode::Fast, ExecMode::Naive] {
+            let scenario = Scenario::from_desc(ScenarioDesc {
+                mediator,
+                exec,
+                ..ScenarioDesc::default()
+            })
+            .expect("valid scenario");
+            let mut plain = scenario.build_soc();
+            plain.timer_mut().write(Timer::CMP, scenario.timer_period_cycles()).unwrap();
+            plain.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
+            for window in [1, 16] {
+                let (mut plain, mut sampled) = (plain.clone(), plain.clone());
+                sampled.start_timeline(window);
+                // Uneven strides land the observation points at every
+                // phase of the events (and of the windows).
+                for (k, stride) in [1, 7, 13, 29].iter().cycle().take(80).enumerate() {
+                    plain.run(*stride);
+                    sampled.run(*stride);
+                    let ctx = format!("{mediator} {exec:?} window {window} point {k}");
+                    common::assert_same_drained(&plain, &sampled, &ctx);
+                }
+                let timeline = sampled.take_timeline().expect("sampled");
+                assert!(timeline.windows.len() > 1, "windows were closed mid-run");
+            }
         }
     }
 }
