@@ -6,9 +6,9 @@
 //! incoming single-wire action line, and completion raises an event.
 
 use crate::sensor::Quantizer;
-use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, EventVector};
+use pels_sim::{ActivityKind, ComponentId};
 
 /// A successive-approximation-style ADC model with a fixed conversion
 /// latency in bus cycles.
@@ -159,22 +159,22 @@ impl Peripheral for Adc {
         }
     }
 
-    fn idle_hint(&self) -> IdleHint {
+    fn sleep_plan(&self) -> Option<SleepPlan> {
         // A busy ADC publishes its exact completion deadline: the next
         // `countdown - 1` ticks only decrement the counter (plus the
         // ActiveCycle accounting, which `catch_up` reproduces in closed
         // form), and the completing tick — data latch, ready flag, done
         // pulse — lands exactly on the deadline, in a real tick. An idle
         // ADC only reacts to its start line or a register access.
-        if self.is_busy() {
-            IdleHint::IdleFor(u64::from(self.countdown))
+        let idle_for = if self.is_busy() {
+            u64::from(self.countdown)
         } else {
-            IdleHint::Idle
-        }
-    }
-
-    fn wake_mask(&self) -> EventVector {
-        wake_mask_of(&[self.start_line])
+            SleepPlan::UNTIL_WIRE
+        };
+        Some(SleepPlan {
+            idle_for,
+            wake_mask: wake_mask_of(&[self.start_line]),
+        })
     }
 
     fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
@@ -192,10 +192,6 @@ impl Peripheral for Adc {
         ctx.activity
             .record(self.id, ActivityKind::ActiveCycle, elapsed);
         self.countdown -= elapsed as u32;
-    }
-
-    fn catch_up_is_noop(&self) -> bool {
-        !self.is_busy()
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
@@ -285,41 +281,16 @@ mod tests {
     }
 
     #[test]
-    fn idle_hint_publishes_exact_completion_deadline() {
+    fn sleep_plan_publishes_exact_completion_deadline() {
+        let idle_for = |a: &Adc| a.sleep_plan().map(|p| p.idle_for);
         let mut a = adc_fixture();
-        assert!(matches!(a.idle_hint(), IdleHint::Idle));
-        assert!(a.catch_up_is_noop());
+        assert_eq!(idle_for(&a), Some(SleepPlan::UNTIL_WIRE));
         a.write(Adc::CTRL, 1).unwrap();
         // conversion_cycles = 4: after the start (before any tick) the
         // completing tick is 4 ticks away.
-        assert!(matches!(a.idle_hint(), IdleHint::IdleFor(4)));
-        assert!(!a.catch_up_is_noop());
+        assert_eq!(idle_for(&a), Some(4));
         let mut h = Harness::new();
         h.run(&mut a, 1);
-        assert!(matches!(a.idle_hint(), IdleHint::IdleFor(3)));
-    }
-
-    #[test]
-    fn catch_up_matches_ticked_conversion() {
-        // Reference: tick through the whole conversion.
-        let mut ticked = adc_fixture();
-        ticked.write(Adc::CTRL, 1).unwrap();
-        let mut h = Harness::new();
-        h.run(&mut ticked, 3);
-        // Candidate: replay the same three mid-conversion cycles in
-        // closed form.
-        let mut skipped = adc_fixture();
-        skipped.write(Adc::CTRL, 1).unwrap();
-        let mut h2 = Harness::new();
-        h2.catch_up(&mut skipped, 3);
-        assert_eq!(skipped, ticked, "the replay reaches the ticked state");
-        assert_eq!(h2.activity, h.activity, "ActiveCycle replayed exactly");
-        // Both complete — observably — on the very next tick.
-        let out = h2.run(&mut skipped, 1);
-        assert_eq!(out, h.run(&mut ticked, 1));
-        assert!(out.is_set(11));
-        assert_eq!(skipped, ticked);
-        assert_eq!(skipped.read(Adc::DATA).unwrap(), 4095);
-        assert_eq!(skipped.conversions(), 1);
+        assert_eq!(idle_for(&a), Some(3));
     }
 }

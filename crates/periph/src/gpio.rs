@@ -5,9 +5,9 @@
 //! [`Gpio::PADOUTSET`]) or *toggles it via an instant action* (a single-wire
 //! line wired into the pad logic) — the two paths of Figure 3.
 
-use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, EventVector};
+use pels_sim::{ActivityKind, ComponentId};
 
 /// A 32-pin GPIO controller with set/clear/toggle registers and
 /// event-line-driven pad actions.
@@ -216,23 +216,18 @@ impl Peripheral for Gpio {
         }
     }
 
-    fn idle_hint(&self) -> IdleHint {
+    fn sleep_plan(&self) -> Option<SleepPlan> {
         // After a tick the pad state is fully reported (`seen_out` ==
         // `out`); anything that could change it — an action-line pulse or
         // an APB write — is a wake condition.
-        if self.out == self.seen_out {
-            IdleHint::Idle
-        } else {
-            IdleHint::Busy
-        }
-    }
-
-    fn wake_mask(&self) -> EventVector {
-        wake_mask_of(&[
-            self.set_action.map(|(l, _)| l),
-            self.clear_action.map(|(l, _)| l),
-            self.toggle_action.map(|(l, _)| l),
-        ])
+        (self.out == self.seen_out).then(|| SleepPlan {
+            idle_for: SleepPlan::UNTIL_WIRE,
+            wake_mask: wake_mask_of(&[
+                self.set_action.map(|(l, _)| l),
+                self.clear_action.map(|(l, _)| l),
+                self.toggle_action.map(|(l, _)| l),
+            ]),
+        })
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {

@@ -11,9 +11,9 @@
 //! cycle cost, ACK/NACK handling and completion/error event pulses.
 
 use crate::sensor::Quantizer;
-use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo, SimTime};
+use pels_sim::{ActivityKind, ComponentId, Fifo, SimTime};
 
 /// An I2C temperature-sensor-style device: writes select nothing, reads
 /// return the quantized sample, high byte first (big-endian, like most
@@ -331,19 +331,14 @@ impl Peripheral for I2c {
         }
     }
 
-    fn idle_hint(&self) -> IdleHint {
+    fn sleep_plan(&self) -> Option<SleepPlan> {
         // Bit-banging a transaction counts ActiveCycle each cycle, so a
         // busy master stays awake; an idle one waits for its start line
         // or a CMD write.
-        if self.is_busy() {
-            IdleHint::Busy
-        } else {
-            IdleHint::Idle
-        }
-    }
-
-    fn wake_mask(&self) -> EventVector {
-        wake_mask_of(&[self.start_line])
+        (!self.is_busy()).then(|| SleepPlan {
+            idle_for: SleepPlan::UNTIL_WIRE,
+            wake_mask: wake_mask_of(&[self.start_line]),
+        })
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {

@@ -8,10 +8,10 @@
 //! event PELS (or the Ibex interrupt path) links on.
 
 use crate::sensor::Quantizer;
-use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
 use crate::udma::UdmaChannel;
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo};
+use pels_sim::{ActivityKind, ComponentId, Fifo};
 
 /// SPI master peripheral.
 ///
@@ -253,7 +253,7 @@ impl Peripheral for Spi {
         }
     }
 
-    fn idle_hint(&self) -> IdleHint {
+    fn sleep_plan(&self) -> Option<SleepPlan> {
         // A shifting SPI publishes its word-completion deadline: until
         // then a tick only advances `cycle_in_word` and counts one
         // ActiveCycle, which `catch_up` replays in closed form. The
@@ -263,15 +263,15 @@ impl Peripheral for Spi {
         // can leave `cycle_in_word` past the new divider (the next tick
         // then completes the word). An idle SPI only reacts to its start
         // line or a register access.
-        if self.is_busy() {
-            IdleHint::IdleFor(u64::from(self.clkdiv.saturating_sub(self.cycle_in_word)))
+        let idle_for = if self.is_busy() {
+            u64::from(self.clkdiv.saturating_sub(self.cycle_in_word))
         } else {
-            IdleHint::Idle
-        }
-    }
-
-    fn wake_mask(&self) -> EventVector {
-        wake_mask_of(&[self.start_line])
+            SleepPlan::UNTIL_WIRE
+        };
+        Some(SleepPlan {
+            idle_for,
+            wake_mask: wake_mask_of(&[self.start_line]),
+        })
     }
 
     fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
@@ -288,10 +288,6 @@ impl Peripheral for Spi {
         ctx.activity
             .record(self.id, ActivityKind::ActiveCycle, elapsed);
         self.cycle_in_word += elapsed as u32;
-    }
-
-    fn catch_up_is_noop(&self) -> bool {
-        !self.is_busy()
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
@@ -423,39 +419,43 @@ mod tests {
         assert!(out.is_set(3));
     }
 
-    /// The hint the SoC scheduler would read after each of `n` ticks.
-    fn hints_over(s: &mut Spi, h: &mut Harness, n: u64) -> Vec<IdleHint> {
+    /// Cycles to the SPI's next self-driven tick: its plan's `idle_for`.
+    fn idle_for(s: &Spi) -> u64 {
+        s.sleep_plan().expect("an SPI always has a plan").idle_for
+    }
+
+    /// The `idle_for` the SoC scheduler would read after each of `n` ticks.
+    fn plans_over(s: &mut Spi, h: &mut Harness, n: u64) -> Vec<u64> {
         (0..n)
             .map(|_| {
                 h.run(s, 1);
-                s.idle_hint()
+                idle_for(s)
             })
             .collect()
     }
 
+    const WIRE: u64 = SleepPlan::UNTIL_WIRE;
+
     #[test]
-    fn idle_hint_publishes_exact_word_deadline() {
+    fn sleep_plan_publishes_exact_word_deadline() {
         let mut s = spi();
-        assert!(matches!(s.idle_hint(), IdleHint::Idle));
-        assert!(s.catch_up_is_noop());
+        assert_eq!(idle_for(&s), WIRE);
         s.write(Spi::CMD, 2).unwrap();
         // clkdiv = 8: after the start (before any tick) the completing
         // tick is 8 ticks away.
-        assert_eq!(s.idle_hint(), IdleHint::IdleFor(8));
-        assert!(!s.catch_up_is_noop());
+        assert_eq!(idle_for(&s), 8);
         let mut h = Harness::new();
         h.run(&mut s, 1);
-        assert_eq!(s.idle_hint(), IdleHint::IdleFor(7));
+        assert_eq!(idle_for(&s), 7);
         // The word completes on the deadline; the next word publishes a
         // fresh full-word deadline.
         let out = h.run(&mut s, 7);
         assert!(!out.is_set(3));
         assert_eq!(s.words_done(), 1);
-        assert_eq!(s.idle_hint(), IdleHint::IdleFor(8));
+        assert_eq!(idle_for(&s), 8);
         let out = h.run(&mut s, 8);
         assert!(out.is_set(3));
-        assert_eq!(s.idle_hint(), IdleHint::Idle);
-        assert!(s.catch_up_is_noop());
+        assert_eq!(idle_for(&s), WIRE);
     }
 
     #[test]
@@ -464,11 +464,11 @@ mod tests {
         s.write(Spi::CMD, 1).unwrap();
         let mut h = Harness::new();
         h.run(&mut s, 5);
-        assert_eq!(s.idle_hint(), IdleHint::IdleFor(3));
+        assert_eq!(idle_for(&s), 3);
         // cycle_in_word (5) is now past the divider: the very next tick
         // completes the word.
         s.write(Spi::CLKDIV, 3).unwrap();
-        assert_eq!(s.idle_hint(), IdleHint::IdleFor(0));
+        assert_eq!(idle_for(&s), 0);
         let out = h.run(&mut s, 1);
         assert!(out.is_set(3));
         assert_eq!(s.last_word(), word_at(5));
@@ -477,76 +477,27 @@ mod tests {
         s.write(Spi::CMD, 1).unwrap();
         h.run(&mut s, 5);
         s.write(Spi::CLKDIV, 6).unwrap();
-        assert_eq!(s.idle_hint(), IdleHint::IdleFor(1));
+        assert_eq!(idle_for(&s), 1);
     }
 
     #[test]
     fn fastest_dividers_publish_no_multi_cycle_skip() {
-        // clkdiv 1: every tick completes a word, so the hint never lets
-        // the scheduler skip a cycle (it sleeps only on `IdleFor(n >= 2)`).
+        // clkdiv 1: every tick completes a word, so the plan never lets
+        // the scheduler skip a cycle (it sleeps only on `idle_for >= 2`).
         let mut s = spi();
         s.write(Spi::CLKDIV, 1).unwrap();
         s.write(Spi::CMD, 4).unwrap();
-        assert_eq!(s.idle_hint(), IdleHint::IdleFor(1));
+        assert_eq!(idle_for(&s), 1);
         let mut h = Harness::new();
-        let hints = hints_over(&mut s, &mut h, 4);
-        assert_eq!(&hints[..3], &[IdleHint::IdleFor(1); 3]);
-        assert_eq!(hints[3], IdleHint::Idle);
+        assert_eq!(plans_over(&mut s, &mut h, 4), [1, 1, 1, WIRE]);
         assert_eq!(s.words_done(), 4);
         // clkdiv 2: the mid-word tick is the only skippable one — a word
         // boundary publishes 2, the tick after it 1.
         let mut s = spi();
         s.write(Spi::CLKDIV, 2).unwrap();
         s.write(Spi::CMD, 3).unwrap();
-        assert_eq!(s.idle_hint(), IdleHint::IdleFor(2));
-        let hints = hints_over(&mut s, &mut h, 6);
-        assert_eq!(
-            hints,
-            [
-                IdleHint::IdleFor(1),
-                IdleHint::IdleFor(2),
-                IdleHint::IdleFor(1),
-                IdleHint::IdleFor(2),
-                IdleHint::IdleFor(1),
-                IdleHint::Idle,
-            ]
-        );
-    }
-
-    #[test]
-    fn catch_up_matches_ticked_word() {
-        // Reference: tick through the first seven cycles of a word.
-        let mut ticked = spi();
-        ticked.write(Spi::CMD, 2).unwrap();
-        let mut h = Harness::new();
-        h.run(&mut ticked, 7);
-        // Candidate: replay the same seven mid-word cycles in closed form.
-        let mut skipped = spi();
-        skipped.write(Spi::CMD, 2).unwrap();
-        let mut h2 = Harness::new();
-        h2.catch_up(&mut skipped, 7);
-        assert_eq!(skipped, ticked, "the replay reaches the ticked state");
-        assert_eq!(h2.activity, h.activity, "ActiveCycle replayed exactly");
-        assert_eq!(h2.trace, h.trace);
-        // Both complete the word — observably — on the very next tick.
-        assert_eq!(h.run(&mut ticked, 1), h2.run(&mut skipped, 1));
-        assert_eq!(skipped, ticked);
-        assert_eq!((skipped.words_done(), skipped.rx_level()), (1, 1));
-        // A span split across two syncs replays the same as one.
-        h.catch_up(&mut ticked, 3);
-        h2.catch_up(&mut skipped, 1);
-        h2.catch_up(&mut skipped, 2);
-        assert_eq!(skipped, ticked);
-        assert_eq!(h2.activity, h.activity);
-    }
-
-    #[test]
-    fn catch_up_on_an_idle_spi_is_a_no_op() {
-        let mut s = spi();
-        let mut h = Harness::new();
-        h.catch_up(&mut s, 100);
-        assert!(h.activity.iter().all(|(_, _, n)| n == 0));
-        assert_eq!(s.cycle_in_word, 0);
+        assert_eq!(idle_for(&s), 2);
+        assert_eq!(plans_over(&mut s, &mut h, 6), [1, 2, 1, 2, 1, WIRE]);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::l2::L2Memory;
 use crate::traits::{PeriphCtx, Peripheral};
 use pels_sim::{ActivitySet, EventVector, Frequency, SimTime, Trace};
 
+#[derive(Clone, PartialEq)]
 pub(crate) struct Harness {
     pub l2: L2Memory,
     pub activity: ActivitySet,

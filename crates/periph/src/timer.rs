@@ -5,9 +5,9 @@
 //! up-counter raising an event pulse on compare match, controllable both
 //! over the bus and through single-wire start/stop action lines.
 
-use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, EventVector};
+use pels_sim::{ActivityKind, ComponentId};
 
 /// A 32-bit up-counting timer with prescaler and compare event.
 ///
@@ -121,7 +121,9 @@ impl Timer {
         let to_first_action = u64::from(self.presc - self.presc_count) + 1;
         let actions_before_fire = u64::from(self.cmp.wrapping_sub(self.value));
         let total = u128::from(to_first_action) + u128::from(actions_before_fire) * u128::from(period);
-        u64::try_from(total).unwrap_or(u64::MAX)
+        // Capped below `SleepPlan::UNTIL_WIRE`: a running timer always
+        // has a live catch-up.
+        total.min(u128::from(SleepPlan::UNTIL_WIRE - 1)) as u64
     }
 }
 
@@ -193,22 +195,19 @@ impl Peripheral for Timer {
         }
     }
 
-    fn idle_hint(&self) -> IdleHint {
-        if !self.enable {
-            return IdleHint::Idle;
-        }
+    fn sleep_plan(&self) -> Option<SleepPlan> {
         // A running timer's only observable action is the compare fire;
         // everything before it (counting, prescaling, ActiveCycle
         // accounting) is reconstructed in closed form by `catch_up`.
-        IdleHint::IdleFor(self.ticks_to_fire())
-    }
-
-    fn wake_mask(&self) -> EventVector {
-        wake_mask_of(&[self.start_line, self.stop_line])
-    }
-
-    fn catch_up_is_noop(&self) -> bool {
-        !self.enable
+        let idle_for = if self.enable {
+            self.ticks_to_fire()
+        } else {
+            SleepPlan::UNTIL_WIRE
+        };
+        Some(SleepPlan {
+            idle_for,
+            wake_mask: wake_mask_of(&[self.start_line, self.stop_line]),
+        })
     }
 
     fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {

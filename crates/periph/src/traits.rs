@@ -59,32 +59,6 @@ impl<'a> PeriphCtx<'a> {
     }
 }
 
-/// A peripheral's scheduling hint: whether skipping its next ticks would
-/// change anything observable.
-///
-/// Returned by [`Peripheral::idle_hint`] after every tick or register
-/// access. The contract a hint certifies: *if no wake condition occurs*
-/// (no wire in [`Peripheral::wake_mask`] pulses), ticking it during the
-/// covered cycles would leave its architectural state, its activity
-/// counters, its trace output and its event pulses exactly as not ticking
-/// it — except for whatever the peripheral itself reconstructs in
-/// [`Peripheral::catch_up`]. A bus access to a skipped peripheral is
-/// served in place: the harness catches it up through the access cycle,
-/// lets the bus read or write it, and asks for a fresh hint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdleHint {
-    /// Must be ticked every cycle.
-    Busy,
-    /// The next `n - 1` cycles may be skipped; the peripheral must be
-    /// ticked on the `n`-th cycle after the one that produced this hint
-    /// (its next self-driven observable action, e.g. a timer compare
-    /// fire).
-    IdleFor(u64),
-    /// May be skipped indefinitely; only a wake condition makes it
-    /// observable again.
-    Idle,
-}
-
 /// A memory-mapped peripheral participating in the event system.
 ///
 /// Implementors are APB slaves (the *sequenced action* interface) and are
@@ -109,60 +83,22 @@ pub trait Peripheral: ApbSlave {
     /// Advances the peripheral by one clock cycle.
     fn tick(&mut self, ctx: &mut PeriphCtx<'_>);
 
-    /// Scheduling hint for the cycles after the most recent tick (or
-    /// register access). The default — [`IdleHint::Busy`] — is always
-    /// safe: the harness simply ticks the peripheral every cycle.
-    fn idle_hint(&self) -> IdleHint {
-        IdleHint::Busy
-    }
-
-    /// Event wires that must wake this peripheral when pulsed (its wired
-    /// instant-action inputs). Only consulted while the peripheral is
-    /// skipped; the default wakes on any line, which is always safe.
-    fn wake_mask(&self) -> EventVector {
-        EventVector::ALL
-    }
+    /// How the peripheral may sleep after its most recent tick or
+    /// register access: `None` while every next tick must run, otherwise
+    /// a [`SleepPlan`] (see there for the contract). The harness asks
+    /// after every tick of an awake peripheral and after every bus access
+    /// to a sleeping one.
+    fn sleep_plan(&self) -> Option<SleepPlan>;
 
     /// Reconstructs the effect of `elapsed` skipped cycles, called
     /// immediately before the tick that ends a skip, before a bus access
     /// to the skipped peripheral and at observation points. Peripherals
-    /// whose skipped ticks are pure no-ops (the common case) keep the
-    /// default; peripherals that count while "idle" (timer, watchdog)
-    /// advance their counters and activity in closed form here.
+    /// whose skipped ticks are pure no-ops keep the default; peripherals
+    /// that count while asleep (timer, watchdog, a converting ADC, a
+    /// shifting SPI) advance their counters and activity in closed form
+    /// here.
     fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
         let _ = (ctx, elapsed);
-    }
-
-    /// Whether [`Peripheral::catch_up`] would currently do nothing — no
-    /// state, activity or trace change for any `elapsed`. The scheduler
-    /// samples this when the peripheral goes idle and after every bus
-    /// access to it while skipped (nothing else can mutate a skipped
-    /// peripheral, so the answer stays valid in between) and elides the
-    /// per-sync `catch_up` call for such "lazy" sleepers.
-    /// Must be `false` whenever `catch_up` is overridden with live state
-    /// (e.g. an enabled free-running counter); the default matches the
-    /// default no-op `catch_up`.
-    fn catch_up_is_noop(&self) -> bool {
-        true
-    }
-
-    /// The scheduler's whole sleep decision for the state after a tick or
-    /// register access, in one call: `None` when the next tick must run
-    /// ([`IdleHint::Busy`], or [`IdleHint::IdleFor`] below 2), otherwise
-    /// the [`SleepPlan`] built from [`Peripheral::idle_hint`],
-    /// [`Peripheral::wake_mask`] and [`Peripheral::catch_up_is_noop`].
-    /// Derived from those three; implementors keep the default.
-    fn sleep_plan(&self) -> Option<SleepPlan> {
-        let idle_for = match self.idle_hint() {
-            IdleHint::IdleFor(n) if n >= 2 => n,
-            IdleHint::Idle => u64::MAX,
-            _ => return None,
-        };
-        Some(SleepPlan {
-            idle_for,
-            wake_mask: self.wake_mask(),
-            lazy: self.catch_up_is_noop(),
-        })
     }
 
     /// Harvests internally counted activity (register-file accesses
@@ -171,20 +107,36 @@ pub trait Peripheral: ApbSlave {
 }
 
 /// How a peripheral may sleep, from [`Peripheral::sleep_plan`].
+///
+/// The contract: *if no wire in `wake_mask` pulses*, ticking the
+/// peripheral during the next `idle_for - 1` cycles would leave its
+/// architectural state, its activity counters, its trace output and its
+/// event pulses exactly as [`Peripheral::catch_up`] over those cycles
+/// leaves them, and the `idle_for`-th tick (its next self-driven
+/// observable action, e.g. a timer compare fire) runs as a real tick. A
+/// plan with `idle_for` = [`SleepPlan::UNTIL_WIRE`] also promises that
+/// `catch_up` is a no-op for any span. A plan with `idle_for < 2` leaves
+/// no cycle to skip: the harness ticks the peripheral next cycle, as for
+/// `None`. A bus access to a sleeping peripheral is served in place: the
+/// harness catches it up through the access cycle, lets the bus read or
+/// write it, and asks for a fresh plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SleepPlan {
-    /// Cycles from the deciding cycle to the next tick that must run:
-    /// `n` for [`IdleHint::IdleFor`]`(n)`, `u64::MAX` for
-    /// [`IdleHint::Idle`].
+    /// Cycles from the deciding cycle to the next tick that must run, or
+    /// [`SleepPlan::UNTIL_WIRE`].
     pub idle_for: u64,
-    /// The wires that wake it ([`Peripheral::wake_mask`]).
+    /// The wires that wake it (its wired instant-action inputs).
     pub wake_mask: EventVector,
-    /// Whether its catch-up is a no-op ([`Peripheral::catch_up_is_noop`]).
-    pub lazy: bool,
+}
+
+impl SleepPlan {
+    /// `idle_for` of a peripheral with no self-driven action left: only
+    /// a wire in its wake mask (or a bus access) can make it observable.
+    pub const UNTIL_WIRE: u64 = u64::MAX;
 }
 
 /// Builds the wake mask for a set of optional wired input lines.
-pub fn wake_mask_of(lines: &[Option<u32>]) -> EventVector {
+pub(crate) fn wake_mask_of(lines: &[Option<u32>]) -> EventVector {
     let mut v = EventVector::EMPTY;
     for l in lines.iter().flatten() {
         v.set(*l);

@@ -5,7 +5,7 @@
 //! as a *sequenced-action* target — PELS can emit an alert byte without
 //! waking the core.
 
-use crate::traits::{IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
+use crate::traits::{PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
 use crate::udma::UdmaTxChannel;
 use pels_interconnect::{ApbSlave, BusError};
 use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo};
@@ -189,18 +189,13 @@ impl Peripheral for Uart {
         }
     }
 
-    fn idle_hint(&self) -> IdleHint {
+    fn sleep_plan(&self) -> Option<SleepPlan> {
         // A transmitting UART counts ActiveCycle per cycle; a drained one
         // has no wired inputs and only wakes on a register access.
-        if self.is_busy() {
-            IdleHint::Busy
-        } else {
-            IdleHint::Idle
-        }
-    }
-
-    fn wake_mask(&self) -> EventVector {
-        EventVector::EMPTY
+        (!self.is_busy()).then_some(SleepPlan {
+            idle_for: SleepPlan::UNTIL_WIRE,
+            wake_mask: EventVector::EMPTY,
+        })
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {

@@ -6,9 +6,9 @@
 //! exists so the watchdog example and the ablation can compare a
 //! conventional watchdog against a PELS microcode watchdog.
 
-use crate::traits::{wake_mask_of, IdleHint, PeriphCtx, Peripheral, RegAccessCounter};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, EventVector};
+use pels_sim::{ActivityKind, ComponentId};
 
 /// A down-counting watchdog that pulses a *bite* event at zero and
 /// reloads.
@@ -139,21 +139,18 @@ impl Peripheral for Watchdog {
         }
     }
 
-    fn idle_hint(&self) -> IdleHint {
-        if !self.enable {
-            return IdleHint::Idle;
-        }
+    fn sleep_plan(&self) -> Option<SleepPlan> {
         // Counting down is unobservable until the bite: `value` reaches 0
         // after `value` ticks, and the bite happens one tick later.
-        IdleHint::IdleFor(u64::from(self.value) + 1)
-    }
-
-    fn wake_mask(&self) -> EventVector {
-        wake_mask_of(&[self.kick_line])
-    }
-
-    fn catch_up_is_noop(&self) -> bool {
-        !self.enable
+        let idle_for = if self.enable {
+            u64::from(self.value) + 1
+        } else {
+            SleepPlan::UNTIL_WIRE
+        };
+        Some(SleepPlan {
+            idle_for,
+            wake_mask: wake_mask_of(&[self.kick_line]),
+        })
     }
 
     fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {

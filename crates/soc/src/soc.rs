@@ -8,8 +8,8 @@ use pels_cpu::{Cpu, CpuBus, CpuState, DataReq, DataResult};
 use pels_desc::{DescError, ExecMode, PeriphKind, SystemDesc};
 use pels_interconnect::{AddrRange, ApbFabric, ApbRequest, ApbSlave, MasterId, SlaveId};
 use pels_periph::{
-    Adc, Gpio, I2c, L2Memory, Periph, PeriphCtx, Peripheral, SensorDevice, Spi, Timer, Uart,
-    Variant, Watchdog,
+    Adc, Gpio, I2c, L2Memory, Periph, PeriphCtx, Peripheral, SensorDevice, SleepPlan, Spi, Timer,
+    Uart, Variant, Watchdog,
 };
 use pels_sim::{
     ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, EventVector,
@@ -286,6 +286,11 @@ impl SchedStats {
 /// the remaining sleepers only when a woken slave contributed to it (it
 /// held the minimum deadline or had a wake mask); so does a re-sleep
 /// that raises the minimum or drops a mask line.
+///
+/// A sleeper's deadline is `u64::MAX` exactly when its plan was idle
+/// until a wire ([`SleepPlan::UNTIL_WIRE`]), whose `catch_up` is a no-op
+/// by contract: only sleepers with a finite deadline have a span to
+/// replay.
 #[derive(Debug, Clone)]
 struct SlaveSched {
     /// Bit-per-index mask of awake slaves. Its set bits, taken in
@@ -294,12 +299,6 @@ struct SlaveSched {
     active: u64,
     /// Bit-per-index mask of sleeping slaves.
     asleep: u64,
-    /// Bit-per-index mask of sleepers whose `catch_up` is a no-op
-    /// ([`Peripheral::catch_up_is_noop`], sampled whenever the slave
-    /// (re-)sleeps — only a bus access can mutate a sleeper, and each
-    /// one re-samples it — so `sync_slaves` bypasses slaves with
-    /// nothing to reconstruct).
-    lazy: u64,
     /// Union of all sleepers' wake masks.
     wake_union: EventVector,
     /// Earliest sleeper deadline (`u64::MAX` when none sleeps).
@@ -308,7 +307,7 @@ struct SlaveSched {
     /// awake.
     since: Vec<u64>,
     /// Per slave: the cycle by which a sleeper must tick again
-    /// (`u64::MAX` while awake or idle indefinitely).
+    /// (`u64::MAX` while awake or idle until a wire).
     deadline: Vec<u64>,
     /// Per slave: the wake-event mask sampled when it (re-)slept (empty
     /// while awake).
@@ -337,7 +336,6 @@ impl SlaveSched {
         SlaveSched {
             active: (0..n).fold(0, |mask, i| mask | 1 << i),
             asleep: 0,
-            lazy: 0,
             wake_union: EventVector::EMPTY,
             next_deadline: u64::MAX,
             since: vec![AWAKE; n],
@@ -348,11 +346,10 @@ impl SlaveSched {
     }
 
     /// Puts awake slave `i` to sleep from cycle `since` until `deadline`.
-    fn sleep(&mut self, i: usize, since: u64, deadline: u64, mask: EventVector, lazy: bool) {
+    fn sleep(&mut self, i: usize, since: u64, deadline: u64, mask: EventVector) {
         let bit = 1u64 << i;
         self.active &= !bit;
         self.asleep |= bit;
-        self.lazy |= u64::from(lazy) << i;
         self.since[i] = since;
         self.deadline[i] = deadline;
         self.mask[i] = mask;
@@ -360,11 +357,10 @@ impl SlaveSched {
         self.next_deadline = self.next_deadline.min(deadline);
     }
 
-    /// Gives sleeping slave `i` a new deadline, wake mask and lazy bit
-    /// (its state changed under a bus access), keeping it asleep.
-    fn resleep(&mut self, i: usize, deadline: u64, mask: EventVector, lazy: bool) {
+    /// Gives sleeping slave `i` a new deadline and wake mask (its state
+    /// changed under a bus access), keeping it asleep.
+    fn resleep(&mut self, i: usize, deadline: u64, mask: EventVector) {
         let (old_deadline, old_mask) = (self.deadline[i], self.mask[i]);
-        self.lazy = self.lazy & !(1 << i) | u64::from(lazy) << i;
         self.deadline[i] = deadline;
         self.mask[i] = mask;
         let deadline_stale = deadline > old_deadline && old_deadline == self.next_deadline;
@@ -401,7 +397,6 @@ impl SlaveSched {
         }
         self.active |= set;
         self.asleep &= !set;
-        self.lazy &= !set;
         self.refold(
             deadline_stale && self.next_deadline != u64::MAX,
             union_stale,
@@ -443,7 +438,6 @@ impl SlaveSched {
         let all = (0..self.since.len()).fold(0u64, |mask, i| mask | 1 << i);
         self.active == all & !asleep
             && self.asleep == asleep
-            && self.lazy & !asleep == 0
             && self.wake_union == wake_union
             && self.next_deadline == next_deadline
     }
@@ -982,17 +976,17 @@ impl Soc {
     /// `run_until` predicates, activity drains — so user code never sees
     /// lagging state.
     fn sync_slaves(&mut self) {
-        // Only sleepers with a live catch-up (an enabled timer/watchdog
-        // mid-count) have state to reconstruct; lazy sleepers' `catch_up`
-        // is a no-op by contract, so skipping them — `since` and all — is
+        // Only sleepers with a finite deadline (a counting timer or
+        // watchdog, a converting ADC, a shifting SPI) have state to
+        // reconstruct; an idle-until-wire sleeper's `catch_up` is a no-op
+        // by contract, so skipping it — `since` and all — is
         // observationally identical.
-        let pending = self.accel.sched.asleep & !self.accel.sched.lazy;
-        if pending == 0 {
+        if self.accel.sched.next_deadline == u64::MAX {
             return;
         }
         let cycle = self.cycle;
         let time = self.time();
-        let since = &mut self.accel.sched.since;
+        let sched = &mut self.accel.sched;
         let mut ctx = PeriphCtx {
             cycle,
             time,
@@ -1002,11 +996,11 @@ impl Soc {
             activity: &mut self.activity,
             trace: &mut self.trace,
         };
-        for i in set_bits(pending) {
-            let elapsed = cycle - since[i];
-            if elapsed > 0 {
+        for i in set_bits(sched.asleep) {
+            let elapsed = cycle - sched.since[i];
+            if sched.deadline[i] != u64::MAX && elapsed > 0 {
                 self.fabric.slave_mut_at(i).catch_up(&mut ctx, elapsed);
-                since[i] = cycle;
+                sched.since[i] = cycle;
             }
         }
     }
@@ -1149,10 +1143,10 @@ impl Soc {
             }
         }
 
-        // 4b. Sleep decisions, on post-bus state: a slave whose idle
-        //     hint says the next n-1 ticks are unobservable sleeps with
-        //     an absolute deadline; an indefinitely idle one sleeps
-        //     until one of its wires pulses. Hints are queried after the
+        // 4b. Sleep decisions, on post-bus state: a slave whose plan
+        //     says the next n-1 ticks are unobservable (n >= 2) sleeps
+        //     with an absolute deadline; an idle-until-wire one sleeps
+        //     until one of its wires pulses. Plans are queried after the
         //     fabric phases so a register write landing this cycle is
         //     reflected. Only awake slaves and the sleepers the bus just
         //     read or wrote can have changed, so those are the slaves
@@ -1164,14 +1158,19 @@ impl Soc {
             let (mut slept, mut resleeps, mut woke) = (0u64, 0u64, 0u64);
             for i in set_bits(sched.active | touched) {
                 let plan = self.fabric.slave_at(i).sleep_plan();
-                match plan {
+                match plan.filter(|p| p.idle_for >= 2) {
                     Some(p) => {
-                        let deadline = cycle.saturating_add(p.idle_for);
+                        // `u64::MAX` marks an idle-until-wire sleeper, so
+                        // a finite deadline saturates one short of it.
+                        let deadline = match p.idle_for {
+                            SleepPlan::UNTIL_WIRE => u64::MAX,
+                            n => cycle.saturating_add(n).min(u64::MAX - 1),
+                        };
                         if touched & 1 << i != 0 {
-                            sched.resleep(i, deadline, p.wake_mask, p.lazy);
+                            sched.resleep(i, deadline, p.wake_mask);
                             resleeps += 1;
                         } else {
-                            sched.sleep(i, cycle + 1, deadline, p.wake_mask, p.lazy);
+                            sched.sleep(i, cycle + 1, deadline, p.wake_mask);
                             slept += 1;
                         }
                     }
@@ -1218,7 +1217,7 @@ impl Soc {
         };
         for i in set_bits(served) {
             debug_assert!(cycle < sched.deadline[i], "a due sleeper is awake by now");
-            if sched.lazy & 1 << i == 0 {
+            if sched.deadline[i] != u64::MAX {
                 self.fabric
                     .slave_mut_at(i)
                     .catch_up(&mut ctx, cycle + 1 - sched.since[i]);
@@ -1254,15 +1253,16 @@ impl Soc {
 
     /// Attempts to advance up to `budget` cycles in one jump, possible
     /// only when the whole SoC is provably inert: the CPU asleep (or
-    /// halted) with no wakeable interrupt, every peripheral asleep and
-    /// none of their wake wires high, the fabric empty, PELS steady, and
-    /// the wire image self-reproducing. Returns the cycles skipped (0 if
-    /// any component might act). Skipped peripherals are replayed by
-    /// `catch_up` at the next wake or sync, so the jump is
-    /// observationally identical to stepping — the differential test in
-    /// `tests/quiescence.rs` exercises exactly this path via random
-    /// `run` segment lengths.
+    /// halted) with no wakeable interrupt, every peripheral asleep (the
+    /// caller checks that) and none of their wake wires high, the fabric
+    /// empty, PELS steady, and the wire image self-reproducing. Returns
+    /// the cycles skipped (0 if any component might act). Skipped
+    /// peripherals are replayed by `catch_up` at the next wake or sync,
+    /// so the jump is observationally identical to stepping — the
+    /// differential test in `tests/quiescence.rs` exercises exactly this
+    /// path via random `run` segment lengths.
     fn try_skip(&mut self, budget: u64) -> u64 {
+        debug_assert_eq!(self.accel.sched.active, 0, "try_skip with a slave awake");
         if self.accel.naive || budget == 0 || !self.injected.is_empty() {
             return 0;
         }
@@ -1274,15 +1274,11 @@ impl Soc {
             return 0;
         }
         let wires = self.prev_wires;
-        // Every slave must be asleep, unwakeable by the current wires,
-        // and strictly before its deadline; the span is bounded by the
-        // nearest deadline. The `sched` aggregates answer all three in
-        // O(1): an empty active set is "all asleep", the wake-mask
-        // union covers every sleeper's mask, and the minimum deadline
-        // bounds them all.
-        if self.accel.sched.active != 0 {
-            return 0;
-        }
+        // Every slave is asleep; it must also be unwakeable by the
+        // current wires and strictly before its deadline, and the span
+        // is bounded by the nearest deadline. The `sched` aggregates
+        // answer both in O(1): the wake-mask union covers every
+        // sleeper's mask, and the minimum deadline bounds them all.
         if wires.intersects(self.accel.sched.wake_union) {
             return 0;
         }
@@ -1318,18 +1314,26 @@ impl Soc {
 
     /// Runs `n` cycles, jumping over whole-SoC idle spans when possible.
     pub fn run(&mut self, n: u64) {
-        let mut done = 0;
-        while done < n {
-            let advanced = self.try_skip(n - done);
-            if advanced == 0 {
+        self.run_to(self.cycle.saturating_add(n), |_| false);
+    }
+
+    /// Steps, or jumps over whole-SoC idle spans, until `stop(self)`
+    /// holds (checked before every advance) or the cycle reaches `end`;
+    /// syncs the sleepers and returns whether `stop` held. A jump is
+    /// attempted only while no slave is awake, the first thing
+    /// [`Soc::try_skip`] needs.
+    fn run_to(&mut self, end: u64, mut stop: impl FnMut(&Soc) -> bool) -> bool {
+        loop {
+            let stopped = stop(self);
+            if stopped || self.cycle >= end {
+                self.sync_slaves();
+                return stopped;
+            }
+            if self.accel.sched.active != 0 || self.try_skip(end - self.cycle) == 0 {
                 self.step_inner();
-                done += 1;
-            } else {
-                done += advanced;
             }
             self.timeline_tick();
         }
-        self.sync_slaves();
     }
 
     /// Runs until `pred(self)` holds or `max_cycles` elapse; returns
@@ -1376,25 +1380,15 @@ impl Soc {
         let end = self.cycle.saturating_add(max_cycles);
         let mut seen = 0usize;
         let mut scanned = 0usize;
-        loop {
-            let entries = self.trace.entries();
-            while scanned < entries.len() {
-                let e = &entries[scanned];
-                if e.source == id && e.label == label {
-                    seen += 1;
-                }
-                scanned += 1;
-            }
-            let done = seen >= count;
-            if done || self.cycle >= end {
-                self.sync_slaves();
-                return done;
-            }
-            if self.try_skip(end - self.cycle) == 0 {
-                self.step_inner();
-            }
-            self.timeline_tick();
-        }
+        self.run_to(end, |soc| {
+            let entries = &soc.trace.entries()[scanned..];
+            seen += entries
+                .iter()
+                .filter(|e| e.source == id && e.label == label)
+                .count();
+            scanned += entries.len();
+            seen >= count
+        })
     }
 
     /// Drains all accumulated activity — peripheral register traffic, CPU
@@ -1810,14 +1804,29 @@ mod tests {
     }
 
     #[test]
+    fn a_timer_whose_deadline_saturates_still_catches_up() {
+        // Enabled after cycle 0 at the longest prescaler and compare, the
+        // timer's absolute deadline overflows `u64`: it must stay a
+        // finite-deadline sleeper, not read as idle until a wire.
+        let (mut fast, mut naive) = fast_and_naive(&[asm::wfi()]);
+        for soc in [&mut fast, &mut naive] {
+            soc.run(10);
+            soc.timer_mut().write(Timer::PRESC, u32::MAX).unwrap();
+            soc.timer_mut().write(Timer::CMP, u32::MAX).unwrap();
+            soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
+            soc.run(50);
+        }
+        assert!(asleep(&fast, fast.timer_id));
+        assert_eq!(fast.first_difference(&naive), None);
+    }
+
+    #[test]
     fn spi_cmd_write_resleeps_the_spi_with_its_word_deadline() {
         let p = store_then_wfi(apb_reg(SPI_OFFSET, Spi::CMD), 1);
         let (mut fast, mut naive) = fast_and_naive(&p);
         let id = fast.spi_id;
         let write = step_to_access(&mut fast, id);
-        let pels_periph::IdleHint::IdleFor(n) = fast.spi().idle_hint() else {
-            panic!("a started SPI publishes its word deadline");
-        };
+        let n = fast.spi().sleep_plan().expect("an SPI has a plan").idle_for;
         assert!(asleep(&fast, id), "the SPI re-sleeps in place");
         assert_eq!(fast.accel.sched.deadline[id.index()], write + n);
         assert_eq!(fast.sched_stats().wakes, 0);

@@ -35,10 +35,13 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # whole states: `Soc`'s `PartialEq` (`Soc::first_difference`) in the SoC
 # suites, `Cpu`'s (everything but the decode cache) in decode_cache. The
 # description fuzzer (fast vs naive on generated scenarios) and the
-# pure-observation suite run there as well.
+# pure-observation suite run there as well, and so do the peripherals'
+# unit tests, whose catch-up-vs-tick table checks each peripheral's
+# sleep plan where its catch-up `debug_assert`s are compiled out.
 cargo test -q --release --test quiescence --test active_path \
     --test desc_fuzz --test observation_invariance
 cargo test -q --release -p pels-cpu --test decode_cache
+cargo test -q --release -p pels-periph --lib
 echo "bench_smoke: release fast-vs-naive differential OK"
 
 # Fleet digest gate: `reproduce -- fleet` runs the reference 8-job sweep

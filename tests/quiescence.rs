@@ -13,20 +13,27 @@
 //! deadline and closed-form catch-up are covered; a second one starts ADC
 //! conversions, arms and kicks the watchdog, and drives the UART and I2C,
 //! so the ADC's and watchdog's closed-form catch-ups run against the
-//! naive path too. Each wake condition — timer deadline, event wire, APB
-//! access, injected external event — also gets a dedicated test.
+//! naive path too. A third one has PELS read and write those peripherals
+//! over the bus while they count asleep, so bus accesses served in place
+//! replay live catch-ups. Each wake condition — timer deadline, event
+//! wire, APB access, injected external event — also gets a dedicated
+//! test.
 
 mod common;
 
 use common::Lockstep;
+use pels_repro::core::{Command, Program};
 use pels_repro::cpu::asm;
 use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::{Adc, Gpio, I2c, Spi, Timer, Uart, Watchdog};
-use pels_repro::sim::Rng;
+use pels_repro::sim::{EventVector, Rng};
 use pels_repro::soc::event_map::{
     AL_ADC_START, AL_I2C_START, AL_WDT_KICK, EV_GPIO_RISE, EV_TIMER_CMP,
 };
-use pels_repro::soc::mem_map::{apb_reg, GPIO_OFFSET, L2_SIZE, RESET_PC};
+use pels_repro::soc::mem_map::{
+    apb_reg, pels_word_offset, ADC_OFFSET, APB_BASE, GPIO_OFFSET, L2_SIZE, RESET_PC, SPI_OFFSET,
+    TIMER_OFFSET, WDT_OFFSET,
+};
 use pels_repro::soc::{Soc, SystemDesc};
 
 /// One externally applied stimulus step, generated once and replayed
@@ -202,6 +209,85 @@ fn adc_watchdog_uart_and_i2c_are_identical_to_naive() {
             .collect();
         let fork = fork_rng.index(ops.len());
         run_case(&format!("case {case}"), workload_soc(), &ops, fork);
+    }
+}
+
+/// The line that fires PELS link 1 in the third stream: no peripheral
+/// drives it, so only `Op::Inject` does.
+const LINK1_TRIGGER: u32 = 9;
+
+/// A random command for PELS link 1: a `Capture` of a register that
+/// moves while its peripheral counts asleep, a `Write` to the timer
+/// compare or the watchdog kick, or a short `Wait` that spreads the
+/// accesses over the sleepers' spans.
+fn random_bus_command(rng: &mut Rng) -> Command {
+    let capture = |slot, reg| Command::Capture {
+        offset: pels_word_offset(slot, reg),
+        mask: u32::MAX,
+    };
+    match rng.index(7) {
+        0 => capture(TIMER_OFFSET, Timer::VALUE),
+        1 => capture(WDT_OFFSET, Watchdog::VALUE),
+        2 => capture(ADC_OFFSET, Adc::STATUS),
+        3 => capture(SPI_OFFSET, Spi::STATUS),
+        4 => Command::Write {
+            offset: pels_word_offset(TIMER_OFFSET, Timer::CMP),
+            value: rng.range_u64(1, 3_000) as u32,
+        },
+        5 => Command::Write {
+            offset: pels_word_offset(WDT_OFFSET, Watchdog::KICK),
+            value: 0,
+        },
+        _ => Command::Wait {
+            cycles: rng.range_u64(1, 40) as u32,
+        },
+    }
+}
+
+/// The third stream has a bus master reach sleepers whose catch-up is
+/// live: PELS link 1 runs random reads and writes of the timer, the
+/// watchdog, the ADC and the SPI each time `LINK1_TRIGGER` is injected,
+/// while other ops start those peripherals counting. Each access is
+/// served in place, so it must replay the sleeper's span exactly
+/// through the access cycle.
+#[test]
+fn pels_bus_accesses_to_counting_sleepers_are_identical_to_naive() {
+    let mut rng = Rng::seed_from_u64(0x000B_05AC_CE55);
+    let mut fork_rng = Rng::seed_from_u64(0x000B_05AC_CE56);
+    for case in 0..24 {
+        // Two commands, repeated a few times (the link's SCM holds four).
+        let commands = vec![
+            random_bus_command(&mut rng),
+            random_bus_command(&mut rng),
+            Command::Loop {
+                target: 0,
+                count: rng.range_u64(0, 4) as u32,
+            },
+            Command::Halt,
+        ];
+        let mut soc = workload_soc();
+        let link = soc.pels_mut().link_mut(1);
+        link.set_mask(EventVector::mask_of(&[LINK1_TRIGGER]))
+            .set_base(APB_BASE);
+        link.load_program(&Program::new(commands).expect("valid"))
+            .expect("fits");
+        let ops: Vec<Op> = (0..rng.range_u64(4, 20))
+            .map(|_| match rng.index(10) {
+                0..=1 => Op::Run(rng.range_u64(1, 120)),
+                2 => Op::Run(rng.range_u64(200, 2_000)),
+                3..=4 => Op::Inject(LINK1_TRIGGER),
+                5 => Op::Wdt {
+                    load: rng.range_u64(20, 400) as u32,
+                    enable: rng.index(4) != 0,
+                },
+                6 => Op::AdcStart,
+                7 => Op::SpiCmd(rng.range_u64(1, 5) as u32),
+                8 => Op::PokeTimerCmp(rng.range_u64(20, 2_000) as u32),
+                _ => Op::Drain,
+            })
+            .collect();
+        let fork = fork_rng.index(ops.len());
+        run_case(&format!("case {case}"), soc, &ops, fork);
     }
 }
 
