@@ -47,7 +47,7 @@ pub fn scm_vs_shared_fetch() -> ScmAblation {
     let s = Scenario::latency_probe(Mediator::PelsSequenced);
     let mut soc = s_build_with_fetch_stall(&s, 3);
     arm(&mut soc, 60);
-    soc.run_until(5_000, |s| s.trace().all("gpio", "padout").len() >= 5);
+    soc.run_for_trace_count(5_000, "gpio", "padout", 5);
     let shared = soc
         .trace()
         .latencies_all(("spi", "eot"), ("gpio", "padout"))
@@ -161,9 +161,8 @@ pub struct ArbiterAblation {
 /// different peripherals over the shared bus, and measures the spread of
 /// completion latencies under round-robin vs fixed-priority arbitration.
 pub fn arbiter_contention() -> Vec<ArbiterAblation> {
-    let policies = [ArbiterKind::RoundRobin, ArbiterKind::FixedPriority];
     collect_infallible(FleetEngine::auto().map(
-        &policies,
+        &ArbiterKind::ALL,
         |_| 1,
         |&policy| Ok::<_, JobError>(run_contention(policy, Topology::Shared)),
     ))
@@ -172,9 +171,8 @@ pub fn arbiter_contention() -> Vec<ArbiterAblation> {
 /// Same contention pattern, comparing the shared bus against a per-slave
 /// crossbar (the topology axis of Section IV-A).
 pub fn topology_contention() -> Vec<(Topology, ArbiterAblation)> {
-    let topologies = [Topology::Shared, Topology::PerSlaveCrossbar];
     collect_infallible(FleetEngine::auto().map(
-        &topologies,
+        &Topology::ALL,
         |_| 1,
         |&t| Ok::<_, JobError>((t, run_contention(ArbiterKind::RoundRobin, t))),
     ))
@@ -315,7 +313,7 @@ pub fn jitter_under_contention() -> Vec<JitterPoint> {
             } else {
                 ("gpio", "padout")
             };
-            soc.run_until(30_000, |s| s.trace().all(marker.0, marker.1).len() >= 40);
+            soc.run_for_trace_count(30_000, marker.0, marker.1, 40);
             let lats: Vec<u64> = soc
                 .trace()
                 .latencies_all(("spi", "eot"), marker)
@@ -427,7 +425,7 @@ pub fn polling_vs_pels() -> PollingAblation {
         soc.load_program(*addr, words);
     }
     arm(&mut soc, s.timer_period_cycles());
-    soc.run_until(20_000, |s| s.trace().all("gpio", "padout").len() >= 10);
+    soc.run_for_trace_count(20_000, "gpio", "padout", 10);
     let polling_latency = soc
         .trace()
         .latencies_all(("spi", "eot"), ("gpio", "padout"))

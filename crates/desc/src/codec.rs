@@ -4,398 +4,310 @@
 //! Emission is *canonical*: every key is written, in a fixed order, with
 //! exact-integer picosecond fields (`freq_period_ps`,
 //! `sample_period_ps`) so that `from_json(d.to_json()) == d` holds
-//! bit-for-bit for every valid description. Decoding rejects unknown
-//! keys and carries the JSON path of the first offending value in the
-//! returned [`DescError`].
+//! bit-for-bit for every valid description. Decoding reads each object
+//! through one reader that takes members by key: it rejects unknown and
+//! repeated keys (ahead of any other error in the same object) and
+//! carries the JSON path of the first offending value in the returned
+//! [`DescError`].
 
 use crate::error::DescError;
-use crate::kinds::{sensor_fields, ExecMode, Mediator, SensorKind};
+use crate::kinds::{sensor_fields, sensor_name, ExecMode, Mediator, SensorKind, SENSOR_KINDS};
 use crate::scenario::ScenarioDesc;
-use crate::system::{PelsDesc, PeriphInst, PeriphKind, SystemDesc};
+use crate::system::{PelsDesc, PeriphInst, PeriphKind, SystemDesc, CANONICAL_KINDS, MAX_PERIOD_PS};
 use pels_interconnect::{ArbiterKind, Topology};
 use pels_obs::json::{self, Value};
 use pels_sim::{Frequency, SimTime};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// The description schema version this crate reads and writes.
 pub const SCHEMA_VERSION: u64 = 1;
 
 // ---------------------------------------------------------------------
-// Decode helpers
+// Decode: one reader per JSON object, handing out members by key.
 // ---------------------------------------------------------------------
 
-fn as_obj<'a>(v: &'a Value, path: &str) -> Result<&'a [(String, Value)], DescError> {
-    v.as_object()
-        .ok_or_else(|| DescError::new(path, "expected an object"))
+/// Where a value sits in the document, spelled out (`/system/pels/links`)
+/// only when an error names it.
+#[derive(Clone, Copy)]
+enum Path<'a> {
+    Root,
+    Key(&'a Path<'a>, &'a str),
+    Index(&'a Path<'a>, usize),
 }
 
-fn req<'a>(
-    obj: &'a [(String, Value)],
-    key: &str,
-    path: &str,
-) -> Result<&'a Value, DescError> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DescError::new(path, format!("missing required key `{key}`")))
-}
-
-fn opt<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn check_keys(
-    obj: &[(String, Value)],
-    allowed: &[&str],
-    path: &str,
-) -> Result<(), DescError> {
-    for (k, _) in obj {
-        if !allowed.contains(&k.as_str()) {
-            return Err(DescError::new(
-                format!("{path}/{k}"),
-                format!("unknown key `{k}`"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn dec_f64(v: &Value, path: &str) -> Result<f64, DescError> {
-    v.as_f64()
-        .ok_or_else(|| DescError::new(path, "expected a number"))
-}
-
-fn dec_u64(v: &Value, path: &str) -> Result<u64, DescError> {
-    v.as_u64()
-        .ok_or_else(|| DescError::new(path, "expected a non-negative integer"))
-}
-
-fn dec_u32(v: &Value, path: &str) -> Result<u32, DescError> {
-    let n = dec_u64(v, path)?;
-    u32::try_from(n)
-        .map_err(|_| DescError::new(path, format!("{n} does not fit a 32-bit integer")))
-}
-
-fn dec_usize(v: &Value, path: &str) -> Result<usize, DescError> {
-    Ok(dec_u64(v, path)? as usize)
-}
-
-fn dec_bool(v: &Value, path: &str) -> Result<bool, DescError> {
-    v.as_bool()
-        .ok_or_else(|| DescError::new(path, "expected a boolean"))
-}
-
-fn dec_str<'a>(v: &'a Value, path: &str) -> Result<&'a str, DescError> {
-    v.as_str()
-        .ok_or_else(|| DescError::new(path, "expected a string"))
-}
-
-/// `schema_version`, where present, must be the one we speak.
-fn check_version(obj: &[(String, Value)], path: &str, required: bool) -> Result<(), DescError> {
-    let vpath = format!("{path}/schema_version");
-    match opt(obj, "schema_version") {
-        None if required => Err(DescError::new(
-            path,
-            "missing required key `schema_version`",
-        )),
-        None => Ok(()),
-        Some(v) => {
-            let n = dec_u64(v, &vpath)?;
-            if n != SCHEMA_VERSION {
-                return Err(DescError::new(
-                    vpath,
-                    format!("unsupported schema_version {n} (this build reads {SCHEMA_VERSION})"),
-                ));
-            }
-            Ok(())
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root => Ok(()),
+            Path::Key(up, key) => write!(f, "{up}/{key}"),
+            Path::Index(up, i) => write!(f, "{up}/{i}"),
         }
     }
 }
 
-fn dec_sensor(v: &Value, path: &str) -> Result<SensorKind, DescError> {
-    let obj = as_obj(v, path)?;
-    let kind = dec_str(req(obj, "kind", path)?, &format!("{path}/kind"))?;
-    let field = |key: &str| -> Result<f64, DescError> {
-        dec_f64(req(obj, key, path)?, &format!("{path}/{key}"))
-    };
-    match kind {
-        "constant" => {
-            check_keys(obj, &["kind", "level"], path)?;
-            Ok(SensorKind::Constant(field("level")?))
-        }
-        "ramp" => {
-            check_keys(obj, &["kind", "start", "slope_per_us"], path)?;
-            Ok(SensorKind::Ramp {
-                start: field("start")?,
-                slope_per_us: field("slope_per_us")?,
-            })
-        }
-        "noisy-ramp" => {
-            check_keys(obj, &["kind", "start", "slope_per_us", "sigma", "seed"], path)?;
-            Ok(SensorKind::NoisyRamp {
-                start: field("start")?,
-                slope_per_us: field("slope_per_us")?,
-                sigma: field("sigma")?,
-                seed: dec_u64(req(obj, "seed", path)?, &format!("{path}/seed"))?,
-            })
-        }
-        "sine" => {
-            check_keys(obj, &["kind", "offset", "amplitude", "freq_hz"], path)?;
-            Ok(SensorKind::Sine {
-                offset: field("offset")?,
-                amplitude: field("amplitude")?,
-                freq_hz: field("freq_hz")?,
-            })
-        }
-        other => Err(DescError::new(
-            format!("{path}/kind"),
-            format!("unknown sensor kind `{other}`"),
-        )),
+/// How an enumerated value spells its name on the wire.
+type Name<T> = fn(&T) -> &'static str;
+
+/// Converts a member's value, or says what is wrong with it.
+type Conv<'a, T> = fn(&'a Value) -> Result<T, String>;
+
+/// A JSON scalar a description field reads as.
+trait Wire: Sized + Default {
+    fn read(v: &Value) -> Result<Self, String>;
+}
+
+impl Wire for u64 {
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_u64().ok_or_else(|| "expected a non-negative integer".into())
     }
 }
 
-fn dec_periph(v: &Value, path: &str) -> Result<PeriphInst, DescError> {
-    let obj = as_obj(v, path)?;
-    let kind = dec_str(req(obj, "kind", path)?, &format!("{path}/kind"))?;
-    let offset = dec_u32(req(obj, "offset", path)?, &format!("{path}/offset"))?;
-    let plain = |k: PeriphKind| -> Result<PeriphKind, DescError> {
-        check_keys(obj, &["kind", "offset"], path)?;
-        Ok(k)
-    };
-    let kind = match kind {
-        "gpio" => plain(PeriphKind::Gpio)?,
-        "timer" => plain(PeriphKind::Timer)?,
-        "uart" => plain(PeriphKind::Uart)?,
-        "wdt" => plain(PeriphKind::Wdt)?,
-        "i2c" => plain(PeriphKind::I2c)?,
-        "spi" => {
-            check_keys(obj, &["kind", "offset", "clkdiv"], path)?;
-            PeriphKind::Spi {
-                clkdiv: dec_u32(req(obj, "clkdiv", path)?, &format!("{path}/clkdiv"))?,
-            }
+impl Wire for u32 {
+    fn read(v: &Value) -> Result<Self, String> {
+        let n = u64::read(v)?;
+        u32::try_from(n).map_err(|_| format!("{n} does not fit a 32-bit integer"))
+    }
+}
+
+impl Wire for usize {
+    fn read(v: &Value) -> Result<Self, String> {
+        u64::read(v).map(|n| n as usize)
+    }
+}
+
+impl Wire for f64 {
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".into())
+    }
+}
+
+impl Wire for bool {
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "expected a boolean".into())
+    }
+}
+
+/// One JSON object under decode. Each member is taken by key. A failed
+/// read keeps the first error and hands back a placeholder, so decoding
+/// goes on and [`Obj::finish`] can report a member never taken (an
+/// unknown or a repeated key) ahead of that error.
+struct Obj<'a> {
+    path: Path<'a>,
+    members: &'a [(String, Value)],
+    taken: Vec<bool>,
+    err: Option<DescError>,
+}
+
+impl<'a> Obj<'a> {
+    /// A reader over `v`, or over nothing when `v` is absent (its parent
+    /// has reported that).
+    fn new(v: Option<&'a Value>, path: Path<'a>) -> Self {
+        let members = v.and_then(Value::as_object);
+        let err = (v.is_some() && members.is_none())
+            .then(|| DescError::new(path.to_string(), "expected an object"));
+        let members = members.unwrap_or_default();
+        Obj { path, members, taken: vec![false; members.len()], err }
+    }
+
+    /// Records a failure of the member `key`, or of the object itself.
+    fn fail(&mut self, key: Option<&str>, message: impl Into<String>) {
+        let at = key.map_or(self.path, |key| Path::Key(&self.path, key));
+        self.err.get_or_insert_with(|| DescError::new(at.to_string(), message));
+    }
+
+    /// Takes the first member named `key` (a repeat stays untaken) and
+    /// converts it, or records why not: a bad member at its own path, a
+    /// missing `required` one at the object's.
+    fn take<T>(&mut self, key: &str, required: bool, conv: Conv<'a, T>) -> Option<T> {
+        let found = self.members.iter().position(|(k, _)| k == key);
+        if found.is_none() && required {
+            self.fail(None, format!("missing required key `{key}`"));
         }
-        "adc" => {
-            check_keys(obj, &["kind", "offset", "conversion_cycles"], path)?;
-            PeriphKind::Adc {
-                conversion_cycles: dec_u32(
-                    req(obj, "conversion_cycles", path)?,
-                    &format!("{path}/conversion_cycles"),
-                )?,
-            }
+        let i = found?;
+        self.taken[i] = true;
+        conv(&self.members[i].1).map_err(|message| self.fail(Some(key), message)).ok()
+    }
+
+    fn req<T: Wire>(&mut self, key: &str) -> T {
+        self.take(key, true, T::read).unwrap_or_default()
+    }
+
+    /// The member `key`: the one of `all` that `name` spells as the
+    /// member's string (`what` names the set in the error).
+    fn lookup<T: Copy>(&mut self, key: &str, what: &str, all: &[T], name: Name<T>) -> Option<T> {
+        let s = self.take(key, true, |v| v.as_str().ok_or_else(|| "expected a string".into()))?;
+        let known = all.iter().copied().find(|t| name(t) == s);
+        if known.is_none() {
+            self.fail(Some(key), format!("unknown {what} `{s}`"));
         }
-        other => {
-            return Err(DescError::new(
-                format!("{path}/kind"),
-                format!("unknown peripheral kind `{other}`"),
-            ))
-        }
-    };
-    Ok(PeriphInst { kind, offset })
+        known
+    }
+
+    /// [`Obj::lookup`], with the first of `all` standing in on failure.
+    fn named<T: Copy>(&mut self, key: &str, what: &str, all: &[T], name: Name<T>) -> T {
+        self.lookup(key, what, all, name).unwrap_or(all[0])
+    }
+
+    /// The `kind` member, which decides what other members the object
+    /// has: an unknown kind is reported in their place.
+    fn kind<T: Copy>(&mut self, what: &str, all: &[T], name: Name<T>) -> T {
+        self.lookup("kind", what, all, name).unwrap_or_else(|| {
+            self.taken.fill(true);
+            all[0]
+        })
+    }
+
+    /// Decodes the nested object `key` with `dec`.
+    fn obj<T>(&mut self, key: &str, dec: impl FnOnce(&mut Obj) -> T) -> T {
+        let (v, up) = (self.take(key, true, Ok), self.path);
+        self.nested(v, Path::Key(&up, key), dec)
+    }
+
+    /// Decodes each object of the array `key` with `dec`.
+    fn objs<T>(&mut self, key: &str, mut dec: impl FnMut(&mut Obj) -> T) -> Vec<T> {
+        let list = self.take(key, true, |v| v.as_array().ok_or_else(|| "expected an array".into()));
+        let (up, items) = (self.path, list.unwrap_or_default().iter().enumerate());
+        let at = Path::Key(&up, key);
+        items.map(|(i, item)| self.nested(Some(item), Path::Index(&at, i), &mut dec)).collect()
+    }
+
+    fn nested<T>(&mut self, v: Option<&Value>, path: Path, dec: impl FnOnce(&mut Obj) -> T) -> T {
+        let mut obj = Obj::new(v, path);
+        let out = dec(&mut obj);
+        self.err = self.err.take().or(obj.finish().err());
+        out
+    }
+
+    /// The first member never taken, as an unknown or a duplicate key;
+    /// else the first failure.
+    fn finish(self) -> Result<(), DescError> {
+        let Some(i) = self.taken.iter().position(|&t| !t) else {
+            return self.err.map_or(Ok(()), Err);
+        };
+        let key = &self.members[i].0;
+        let repeated = self.members.iter().zip(&self.taken).any(|((k, _), &t)| t && k == key);
+        let what = if repeated { "duplicate" } else { "unknown" };
+        Err(DescError::new(Path::Key(&self.path, key).to_string(), format!("{what} key `{key}`")))
+    }
+}
+
+/// Parses `text` and decodes its root object with `dec`.
+fn decode<T>(text: &str, dec: impl FnOnce(&mut Obj) -> T) -> Result<T, DescError> {
+    let doc = json::parse(text).map_err(|e| DescError::new("", format!("malformed JSON: {e}")))?;
+    let mut root = Obj::new(Some(&doc), Path::Root);
+    let out = dec(&mut root);
+    root.finish().map(|()| out)
 }
 
 /// The clock `mhz` megahertz describes, or an error at `path` for every
-/// value [`Frequency::from_mhz`] would panic on: zero, negative or
-/// non-finite, or so high that the period rounds to 0 ps.
+/// value [`Frequency::from_mhz`] would panic on (zero, negative or
+/// non-finite, or so high that the period rounds to 0 ps) and for a
+/// clock below 1 kHz, which [`SystemDesc::validate`] refuses.
 ///
 /// # Errors
 ///
 /// A [`DescError`] at `path` naming the violated bound.
 pub fn freq_from_mhz(mhz: f64, path: &str) -> Result<Frequency, DescError> {
-    if !(mhz > 0.0 && mhz.is_finite()) {
-        return Err(DescError::new(path, "frequency must be positive and finite"));
-    }
-    if (1e6 / mhz).round() < 1.0 {
-        return Err(DescError::new(
-            path,
-            "frequency must be at most 2000000 MHz (a clock period of at least 1 ps)",
-        ));
-    }
-    Ok(Frequency::from_mhz(mhz))
+    let period = (1e6 / mhz).round();
+    let bound = if !(mhz > 0.0 && mhz.is_finite()) {
+        "frequency must be positive and finite"
+    } else if period < 1.0 {
+        "frequency must be at most 2000000 MHz (a clock period of at least 1 ps)"
+    } else if period > MAX_PERIOD_PS as f64 {
+        "frequency must be at least 0.001 MHz (1 kHz)"
+    } else {
+        return Ok(Frequency::from_mhz(mhz));
+    };
+    Err(DescError::new(path, bound))
 }
 
-fn dec_freq(obj: &[(String, Value)], path: &str) -> Result<Frequency, DescError> {
-    let ps = opt(obj, "freq_period_ps");
-    let mhz = opt(obj, "freq_mhz");
+/// `schema_version`, where present, must be the one we speak.
+fn dec_version(r: &mut Obj, required: bool) {
+    r.take("schema_version", required, |v| match u64::read(v)? {
+        SCHEMA_VERSION => Ok(()),
+        n => Err(format!("unsupported schema_version {n} (this build reads {SCHEMA_VERSION})")),
+    });
+}
+
+/// Exactly one of `freq_period_ps` and `freq_mhz`.
+fn dec_freq(r: &mut Obj) -> Frequency {
+    let ps = r.take("freq_period_ps", false, |v| match u64::read(v)? {
+        0 => Err("clock period must be at least 1 ps".into()),
+        ps => Ok(Frequency::from_period_ps(ps)),
+    });
+    let mhz = r.take("freq_mhz", false, |v| {
+        freq_from_mhz(f64::read(v)?, "").map_err(|e| e.message)
+    });
     match (ps, mhz) {
-        (Some(_), Some(_)) => Err(DescError::new(
-            format!("{path}/freq_mhz"),
-            "specify exactly one of `freq_period_ps` and `freq_mhz`",
-        )),
-        (Some(v), None) => {
-            let p = format!("{path}/freq_period_ps");
-            let ps = dec_u64(v, &p)?;
-            if ps == 0 {
-                return Err(DescError::new(p, "clock period must be at least 1 ps"));
-            }
-            Ok(Frequency::from_period_ps(ps))
+        (Some(f), None) | (None, Some(f)) => return f,
+        (Some(_), Some(_)) => {
+            r.fail(Some("freq_mhz"), "specify exactly one of `freq_period_ps` and `freq_mhz`")
         }
-        (None, Some(v)) => {
-            let p = format!("{path}/freq_mhz");
-            freq_from_mhz(dec_f64(v, &p)?, &p)
-        }
-        (None, None) => Err(DescError::new(
-            path,
-            "missing required key `freq_period_ps` (or `freq_mhz`)",
-        )),
+        (None, None) => r.fail(None, "missing required key `freq_period_ps` (or `freq_mhz`)"),
+    }
+    Frequency::from_period_ps(1)
+}
+
+fn dec_sensor(r: &mut Obj) -> SensorKind {
+    let mut sensor = r.kind("sensor kind", &SENSOR_KINDS, sensor_name);
+    for (key, v) in sensor_fields(&mut sensor) {
+        *v = r.req(key);
+    }
+    if let SensorKind::NoisyRamp { seed, .. } = &mut sensor {
+        *seed = r.req("seed");
+    }
+    sensor
+}
+
+fn dec_periph(r: &mut Obj) -> PeriphInst {
+    let mut kind = r.kind("peripheral kind", &CANONICAL_KINDS, PeriphKind::name);
+    let offset = r.req("offset");
+    match &mut kind {
+        PeriphKind::Spi { clkdiv } => *clkdiv = r.req("clkdiv"),
+        PeriphKind::Adc { conversion_cycles } => *conversion_cycles = r.req("conversion_cycles"),
+        _ => {}
+    }
+    PeriphInst { kind, offset }
+}
+
+/// A system document (`root`) or the system nested in a scenario.
+fn dec_system(r: &mut Obj, root: bool) -> SystemDesc {
+    dec_version(r, root);
+    SystemDesc {
+        freq: dec_freq(r),
+        pels: r.obj("pels", |r| PelsDesc {
+            links: r.req("links"),
+            scm_lines: r.req("scm_lines"),
+            fifo_depth: r.req("fifo_depth"),
+        }),
+        sensor: r.obj("sensor", dec_sensor),
+        topology: r.named("topology", "topology", &Topology::ALL, Topology::name),
+        arbiter: r.named("arbiter", "arbiter", &ArbiterKind::ALL, ArbiterKind::name),
+        timer_starts_spi: r.req("timer_starts_spi"),
+        peripherals: r.objs("peripherals", dec_periph),
     }
 }
 
-const SYSTEM_KEYS: &[&str] = &[
-    "schema_version",
-    "freq_period_ps",
-    "freq_mhz",
-    "pels",
-    "sensor",
-    "topology",
-    "arbiter",
-    "timer_starts_spi",
-    "peripherals",
-];
-
-fn dec_system(v: &Value, path: &str, version_required: bool) -> Result<SystemDesc, DescError> {
-    let obj = as_obj(v, path)?;
-    check_keys(obj, SYSTEM_KEYS, path)?;
-    check_version(obj, path, version_required)?;
-    let freq = dec_freq(obj, path)?;
-
-    let pels_path = format!("{path}/pels");
-    let pels_obj = as_obj(req(obj, "pels", path)?, &pels_path)?;
-    check_keys(pels_obj, &["links", "scm_lines", "fifo_depth"], &pels_path)?;
-    let pels = PelsDesc {
-        links: dec_usize(req(pels_obj, "links", &pels_path)?, &format!("{pels_path}/links"))?,
-        scm_lines: dec_usize(
-            req(pels_obj, "scm_lines", &pels_path)?,
-            &format!("{pels_path}/scm_lines"),
-        )?,
-        fifo_depth: dec_usize(
-            req(pels_obj, "fifo_depth", &pels_path)?,
-            &format!("{pels_path}/fifo_depth"),
-        )?,
-    };
-
-    let sensor = dec_sensor(req(obj, "sensor", path)?, &format!("{path}/sensor"))?;
-
-    let topo_path = format!("{path}/topology");
-    let topology = match dec_str(req(obj, "topology", path)?, &topo_path)? {
-        "shared" => Topology::Shared,
-        "per-slave crossbar" => Topology::PerSlaveCrossbar,
-        other => {
-            return Err(DescError::new(
-                topo_path,
-                format!("unknown topology `{other}`"),
-            ))
-        }
-    };
-
-    let arb_path = format!("{path}/arbiter");
-    let arbiter = match dec_str(req(obj, "arbiter", path)?, &arb_path)? {
-        "round-robin" => ArbiterKind::RoundRobin,
-        "fixed-priority" => ArbiterKind::FixedPriority,
-        other => {
-            return Err(DescError::new(
-                arb_path,
-                format!("unknown arbiter `{other}`"),
-            ))
-        }
-    };
-
-    let timer_starts_spi = dec_bool(
-        req(obj, "timer_starts_spi", path)?,
-        &format!("{path}/timer_starts_spi"),
-    )?;
-
-    let list_path = format!("{path}/peripherals");
-    let list = req(obj, "peripherals", path)?
-        .as_array()
-        .ok_or_else(|| DescError::new(&list_path, "expected an array"))?;
-    let mut peripherals = Vec::with_capacity(list.len());
-    for (i, item) in list.iter().enumerate() {
-        peripherals.push(dec_periph(item, &format!("{list_path}/{i}"))?);
+fn dec_scenario(r: &mut Obj) -> ScenarioDesc {
+    dec_version(r, true);
+    ScenarioDesc {
+        mediator: r.named("mediator", "mediator", &Mediator::ALL, Mediator::name),
+        threshold_level: r.req("threshold_level"),
+        sample_period: SimTime::from_ps(r.req("sample_period_ps")),
+        spi_words: r.req("spi_words"),
+        events: r.req("events"),
+        rmw_only: r.req("rmw_only"),
+        use_udma: r.req("use_udma"),
+        exec: r.named("exec", "exec mode", &ExecMode::ALL, ExecMode::name),
+        obs: r.req("obs"),
+        timeline_window: r.req("timeline_window"),
+        // Optional (default off) so descriptions written before the
+        // causal-flow and energy-ledger layers still parse; emission
+        // always writes both.
+        flows: r.take("flows", false, bool::read).unwrap_or(false),
+        lifetime: r.take("lifetime", false, bool::read).unwrap_or(false),
+        system: r.obj("system", |r| dec_system(r, false)),
     }
-
-    Ok(SystemDesc {
-        freq,
-        pels,
-        sensor,
-        topology,
-        arbiter,
-        timer_starts_spi,
-        peripherals,
-    })
-}
-
-const SCENARIO_KEYS: &[&str] = &[
-    "schema_version",
-    "mediator",
-    "threshold_level",
-    "sample_period_ps",
-    "spi_words",
-    "events",
-    "rmw_only",
-    "use_udma",
-    "exec",
-    "obs",
-    "timeline_window",
-    "flows",
-    "lifetime",
-    "system",
-];
-
-fn dec_scenario(v: &Value, path: &str) -> Result<ScenarioDesc, DescError> {
-    let obj = as_obj(v, path)?;
-    check_keys(obj, SCENARIO_KEYS, path)?;
-    check_version(obj, path, true)?;
-
-    let med_path = format!("{path}/mediator");
-    let mediator = dec_str(req(obj, "mediator", path)?, &med_path).and_then(|s| {
-        Mediator::from_name(s)
-            .ok_or_else(|| DescError::new(&med_path, format!("unknown mediator `{s}`")))
-    })?;
-
-    let exec_path = format!("{path}/exec");
-    let exec = dec_str(req(obj, "exec", path)?, &exec_path).and_then(|s| {
-        ExecMode::from_name(s)
-            .ok_or_else(|| DescError::new(&exec_path, format!("unknown exec mode `{s}`")))
-    })?;
-
-    let sample_period = SimTime::from_ps(dec_u64(
-        req(obj, "sample_period_ps", path)?,
-        &format!("{path}/sample_period_ps"),
-    )?);
-
-    let system = dec_system(req(obj, "system", path)?, &format!("{path}/system"), false)?;
-
-    Ok(ScenarioDesc {
-        system,
-        mediator,
-        threshold_level: dec_f64(
-            req(obj, "threshold_level", path)?,
-            &format!("{path}/threshold_level"),
-        )?,
-        sample_period,
-        spi_words: dec_u32(req(obj, "spi_words", path)?, &format!("{path}/spi_words"))?,
-        events: dec_u32(req(obj, "events", path)?, &format!("{path}/events"))?,
-        rmw_only: dec_bool(req(obj, "rmw_only", path)?, &format!("{path}/rmw_only"))?,
-        use_udma: dec_bool(req(obj, "use_udma", path)?, &format!("{path}/use_udma"))?,
-        exec,
-        obs: dec_bool(req(obj, "obs", path)?, &format!("{path}/obs"))?,
-        timeline_window: dec_u64(
-            req(obj, "timeline_window", path)?,
-            &format!("{path}/timeline_window"),
-        )?,
-        // Optional (defaults off) so descriptions written before the
-        // causal-flow layer still parse; emission always writes it.
-        flows: match opt(obj, "flows") {
-            Some(v) => dec_bool(v, &format!("{path}/flows"))?,
-            None => false,
-        },
-        // Optional like `flows`: descriptions written before the
-        // energy-ledger layer still parse; emission always writes it.
-        lifetime: match opt(obj, "lifetime") {
-            Some(v) => dec_bool(v, &format!("{path}/lifetime"))?,
-            None => false,
-        },
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -403,11 +315,10 @@ fn dec_scenario(v: &Value, path: &str) -> Result<ScenarioDesc, DescError> {
 // `json::uint` / `json::float`.
 // ---------------------------------------------------------------------
 
-fn write_sensor(out: &mut String, sensor: SensorKind) {
-    let (kind, fields) = sensor_fields(sensor);
-    let _ = write!(out, "{{ \"kind\": \"{kind}\"");
-    for (key, v) in fields {
-        let _ = write!(out, ", \"{key}\": {}", json::float(v));
+fn write_sensor(out: &mut String, mut sensor: SensorKind) {
+    let _ = write!(out, "{{ \"kind\": \"{}\"", sensor_name(&sensor));
+    for (key, v) in sensor_fields(&mut sensor) {
+        let _ = write!(out, ", \"{key}\": {}", json::float(*v));
     }
     if let SensorKind::NoisyRamp { seed, .. } = sensor {
         let _ = write!(out, ", \"seed\": {}", json::uint(seed));
@@ -479,9 +390,7 @@ impl SystemDesc {
     /// malformed JSON (path `""`), an unknown key, a wrong type, a
     /// missing key, or any [`SystemDesc::validate`] failure.
     pub fn from_json(text: &str) -> Result<Self, DescError> {
-        let doc = json::parse(text)
-            .map_err(|e| DescError::new("", format!("malformed JSON: {e}")))?;
-        let desc = dec_system(&doc, "", true)?;
+        let desc = decode(text, |r| dec_system(r, true))?;
         desc.validate()?;
         Ok(desc)
     }
@@ -521,9 +430,7 @@ impl ScenarioDesc {
     /// malformed JSON (path `""`), an unknown key, a wrong type, a
     /// missing key, or any [`ScenarioDesc::validate`] failure.
     pub fn from_json(text: &str) -> Result<Self, DescError> {
-        let doc = json::parse(text)
-            .map_err(|e| DescError::new("", format!("malformed JSON: {e}")))?;
-        let desc = dec_scenario(&doc, "")?;
+        let desc = decode(text, dec_scenario)?;
         desc.validate()?;
         Ok(desc)
     }
@@ -742,6 +649,53 @@ mod tests {
         let e = SystemDesc::from_json(&text).unwrap_err();
         assert_eq!(e.path, "/freq_mhz");
         assert!(e.message.contains("exactly one"), "{e}");
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected_with_paths() {
+        // A second root `events` after the canonical one.
+        let text = ScenarioDesc::default()
+            .to_json()
+            .replace("\"events\": 20,", "\"events\": 20, \"events\": 500,");
+        let e = ScenarioDesc::from_json(&text).unwrap_err();
+        assert_eq!(e.path, "/events");
+        assert!(e.message.contains("duplicate key `events`"), "{e}");
+
+        // A second `timer_starts_spi` inside `system`.
+        let text = ScenarioDesc::default().to_json().replace(
+            "\"timer_starts_spi\": true,",
+            "\"timer_starts_spi\": true, \"timer_starts_spi\": false,",
+        );
+        let e = ScenarioDesc::from_json(&text).unwrap_err();
+        assert_eq!(e.path, "/system/timer_starts_spi");
+        assert!(e.message.contains("duplicate key `timer_starts_spi`"), "{e}");
+
+        // A second `clkdiv` inside one peripheral entry, reported ahead
+        // of the bad value it carries.
+        let text = SystemDesc::default()
+            .to_json()
+            .replace("\"clkdiv\": 4", "\"clkdiv\": 4, \"clkdiv\": \"fast\"");
+        let e = SystemDesc::from_json(&text).unwrap_err();
+        assert_eq!(e.path, "/peripherals/2/clkdiv");
+        assert!(e.message.contains("duplicate key `clkdiv`"), "{e}");
+    }
+
+    #[test]
+    fn freq_mhz_below_1_khz_is_rejected_at_its_own_path() {
+        for mhz in ["0.0001", "1e-300"] {
+            let text = SystemDesc::default()
+                .to_json()
+                .replace("\"freq_period_ps\": 18182", &format!("\"freq_mhz\": {mhz}"));
+            let e = SystemDesc::from_json(&text).unwrap_err();
+            assert_eq!(e.path, "/freq_mhz", "{mhz}");
+            assert!(e.message.contains("at least 0.001 MHz"), "{mhz}: {e}");
+        }
+        // 1 kHz itself is the longest period validation accepts.
+        let text = SystemDesc::default()
+            .to_json()
+            .replace("\"freq_period_ps\": 18182", "\"freq_mhz\": 0.001");
+        let d = SystemDesc::from_json(&text).unwrap();
+        assert_eq!(d.freq.period_ps(), MAX_PERIOD_PS);
     }
 
     #[test]

@@ -7,18 +7,37 @@ use std::fmt;
 /// next to the quantizer that samples it).
 pub use pels_periph::sensor::SensorKind;
 
-/// A sensor's serialized kind name and its float parameters in the
-/// codec's key order (a noisy ramp's integer `seed` is not among them).
-pub(crate) fn sensor_fields(sensor: SensorKind) -> (&'static str, Vec<(&'static str, f64)>) {
+/// One analog source of each kind, for decoding a kind by its name
+/// (the parameters are placeholders).
+pub(crate) const SENSOR_KINDS: [SensorKind; 4] = [
+    SensorKind::Constant(0.0),
+    SensorKind::Ramp { start: 0.0, slope_per_us: 0.0 },
+    SensorKind::NoisyRamp { start: 0.0, slope_per_us: 0.0, sigma: 0.0, seed: 0 },
+    SensorKind::Sine { offset: 0.0, amplitude: 0.0, freq_hz: 0.0 },
+];
+
+/// A sensor's serialized kind name.
+pub(crate) fn sensor_name(sensor: &SensorKind) -> &'static str {
+    match sensor {
+        SensorKind::Constant(_) => "constant",
+        SensorKind::Ramp { .. } => "ramp",
+        SensorKind::NoisyRamp { .. } => "noisy-ramp",
+        SensorKind::Sine { .. } => "sine",
+    }
+}
+
+/// A sensor's float parameters in the codec's key order (a noisy ramp's
+/// integer `seed` is not among them).
+pub(crate) fn sensor_fields(sensor: &mut SensorKind) -> Vec<(&'static str, &mut f64)> {
     use SensorKind::*;
     match sensor {
-        Constant(level) => ("constant", vec![("level", level)]),
-        Ramp { start, slope_per_us } => ("ramp", vec![("start", start), ("slope_per_us", slope_per_us)]),
+        Constant(level) => vec![("level", level)],
+        Ramp { start, slope_per_us } => vec![("start", start), ("slope_per_us", slope_per_us)],
         NoisyRamp { start, slope_per_us, sigma, .. } => {
-            ("noisy-ramp", vec![("start", start), ("slope_per_us", slope_per_us), ("sigma", sigma)])
+            vec![("start", start), ("slope_per_us", slope_per_us), ("sigma", sigma)]
         }
         Sine { offset, amplitude, freq_hz } => {
-            ("sine", vec![("offset", offset), ("amplitude", amplitude), ("freq_hz", freq_hz)])
+            vec![("offset", offset), ("amplitude", amplitude), ("freq_hz", freq_hz)]
         }
     }
 }
@@ -36,6 +55,10 @@ pub enum Mediator {
 }
 
 impl Mediator {
+    /// Every mediator.
+    pub(crate) const ALL: [Mediator; 3] =
+        [Mediator::PelsSequenced, Mediator::PelsInstant, Mediator::IbexIrq];
+
     /// The serialized name (also the `Display` form).
     pub fn name(&self) -> &'static str {
         match self {
@@ -47,12 +70,7 @@ impl Mediator {
 
     /// Parses a serialized name back into the mediator.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "pels-sequenced" => Some(Mediator::PelsSequenced),
-            "pels-instant" => Some(Mediator::PelsInstant),
-            "ibex-irq" => Some(Mediator::IbexIrq),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|m| m.name() == name)
     }
 }
 
@@ -81,6 +99,9 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
+    /// Every mode.
+    pub(crate) const ALL: [ExecMode; 2] = [ExecMode::Fast, ExecMode::Naive];
+
     /// The serialized name (also the `Display` form).
     pub fn name(&self) -> &'static str {
         match self {
@@ -91,11 +112,7 @@ impl ExecMode {
 
     /// Parses a serialized name back into the mode.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "fast" => Some(ExecMode::Fast),
-            "naive" => Some(ExecMode::Naive),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|e| e.name() == name)
     }
 }
 

@@ -108,6 +108,26 @@ pub enum PeriphKind {
     I2c,
 }
 
+/// One instance of each peripheral kind, in canonical slot order, with
+/// the reference platform's parameters (SPI clkdiv 4, 16-cycle ADC
+/// conversions).
+pub(crate) const CANONICAL_KINDS: [PeriphKind; 7] = [
+    PeriphKind::Gpio,
+    PeriphKind::Timer,
+    PeriphKind::Spi { clkdiv: 4 },
+    PeriphKind::Adc {
+        conversion_cycles: 16,
+    },
+    PeriphKind::Uart,
+    PeriphKind::Wdt,
+    PeriphKind::I2c,
+];
+
+/// The longest clock period a description may give: below 1 kHz is no
+/// SoC clock, and a huge period overflows picosecond time within a few
+/// cycles.
+pub(crate) const MAX_PERIOD_PS: u64 = 1_000_000_000;
+
 impl PeriphKind {
     /// The serialized kind name — also the instance's component name in
     /// traces and activity images.
@@ -185,24 +205,14 @@ impl SystemDesc {
     /// The canonical seven peripheral instances on their canonical slots
     /// (the fixed wiring of the paper's platform).
     pub fn canonical_peripherals() -> Vec<PeriphInst> {
-        [
-            PeriphKind::Gpio,
-            PeriphKind::Timer,
-            PeriphKind::Spi { clkdiv: 4 },
-            PeriphKind::Adc {
-                conversion_cycles: 16,
-            },
-            PeriphKind::Uart,
-            PeriphKind::Wdt,
-            PeriphKind::I2c,
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, kind)| PeriphInst {
-            kind,
-            offset: i as u32 * APB_STRIDE,
-        })
-        .collect()
+        CANONICAL_KINDS
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| PeriphInst {
+                kind,
+                offset: i as u32 * APB_STRIDE,
+            })
+            .collect()
     }
 
     /// The first SPI instance's clock divider, or the default (4) when
@@ -291,19 +301,17 @@ impl SystemDesc {
     /// `base` — how a nested description (e.g. under `/system`) reports
     /// in its host document's coordinates.
     pub fn validate_at(&self, base: &str) -> Result<(), DescError> {
-        // Below 1 kHz is no SoC clock, and a huge period overflows
-        // picosecond time within a few cycles.
-        if self.freq.period_ps() > 1_000_000_000 {
+        if self.freq.period_ps() > MAX_PERIOD_PS {
             return Err(DescError::new(
                 format!("{base}/freq_period_ps"),
                 format!(
-                    "clock period must be at most 1000000000 ps (1 kHz), got {}",
+                    "clock period must be at most {MAX_PERIOD_PS} ps (1 kHz), got {}",
                     self.freq.period_ps()
                 ),
             ));
         }
         self.pels.validate_at(base)?;
-        for (field, v) in sensor_fields(self.sensor).1 {
+        for (field, v) in sensor_fields(&mut { self.sensor }) {
             if !v.is_finite() {
                 return Err(DescError::new(
                     format!("{base}/sensor/{field}"),
@@ -371,7 +379,7 @@ impl SystemDesc {
                 _ => {}
             }
         }
-        for required in ["gpio", "timer", "spi", "adc", "uart", "wdt", "i2c"] {
+        for required in CANONICAL_KINDS.map(|k| k.name()) {
             if !seen_kinds.contains(&required) {
                 return Err(DescError::new(
                     format!("{base}/peripherals"),

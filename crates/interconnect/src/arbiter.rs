@@ -18,12 +18,22 @@ pub enum ArbiterKind {
     FixedPriority,
 }
 
+impl ArbiterKind {
+    /// Every policy.
+    pub const ALL: [ArbiterKind; 2] = [ArbiterKind::RoundRobin, ArbiterKind::FixedPriority];
+
+    /// The serialized name (also the `Display` form).
+    pub fn name(&self) -> &'static str {
+        match self {
+            ArbiterKind::RoundRobin => "round-robin",
+            ArbiterKind::FixedPriority => "fixed-priority",
+        }
+    }
+}
+
 impl fmt::Display for ArbiterKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArbiterKind::RoundRobin => f.write_str("round-robin"),
-            ArbiterKind::FixedPriority => f.write_str("fixed-priority"),
-        }
+        f.write_str(self.name())
     }
 }
 

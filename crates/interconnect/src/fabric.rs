@@ -42,12 +42,22 @@ pub enum Topology {
     PerSlaveCrossbar,
 }
 
+impl Topology {
+    /// Every topology.
+    pub const ALL: [Topology; 2] = [Topology::Shared, Topology::PerSlaveCrossbar];
+
+    /// The serialized name (also the `Display` form).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Topology::Shared => "shared",
+            Topology::PerSlaveCrossbar => "per-slave crossbar",
+        }
+    }
+}
+
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Topology::Shared => f.write_str("shared"),
-            Topology::PerSlaveCrossbar => f.write_str("per-slave crossbar"),
-        }
+        f.write_str(self.name())
     }
 }
 

@@ -5,8 +5,10 @@
 //! The workspace builds offline with zero external dependencies, so
 //! there is no serde. [`Writer`] streams a document and alone decides
 //! the encoding: string escaping, the spelling of numbers ([`uint`],
-//! [`float`]) and the layout. [`parse`] reads any document into a
-//! dynamic [`Value`].
+//! [`float`]) and the layout. The one exception is the description
+//! codec (`pels-desc`), which keeps its own committed layout for the
+//! description files but spells its numbers through [`uint`] and
+//! [`float`]. [`parse`] reads any document into a dynamic [`Value`].
 
 use std::fmt::{self, Write as _};
 

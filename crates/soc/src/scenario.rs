@@ -454,9 +454,9 @@ impl Scenario {
             latency_hist.record(l);
         }
         let events_completed = soc.trace().all(marker.0, marker.1).len() as u32;
-        // Detach the flow record before cloning the trace into the
-        // report: flows are an analysis artifact, not part of the
-        // architectural trace the differential suites compare.
+        // Detach the flow record before the trace moves into the report:
+        // flows are an analysis artifact, not part of the architectural
+        // trace the differential suites compare.
         let flows = soc.trace_mut().take_flow_trace();
 
         // Idle window: identical configuration, timer disarmed, same
@@ -500,7 +500,7 @@ impl Scenario {
             idle_activity,
             idle_window,
             pels: self.pels(),
-            trace: soc.trace().clone(),
+            trace: std::mem::take(soc.trace_mut()),
             sched_stats,
             decode_cache_hits,
             decode_cache_misses,

@@ -86,11 +86,14 @@ cargo run -q --release -p pels-bench --bin obs_check
 echo "bench_smoke: obs + lifetime artifacts OK"
 
 # Description gate: regenerate the canonical corpus under
-# examples/descs/ (round-trip checked on emit), then validate every
-# committed file — parse, validate, round-trip identity and a one-cycle
-# smoke build — and run the seeded desc fuzzer (fixed seed, 200+
-# generate -> validate -> fast-vs-naive differential iterations).
+# examples/descs/ (round-trip checked on emit) and fail if that rewrote
+# a committed file (a codec change moved the canonical layout), then
+# validate every committed file — parse, validate, round-trip identity
+# and a one-cycle smoke build — and run the seeded desc fuzzer (fixed
+# seed, 200+ generate -> validate -> fast-vs-naive differential
+# iterations).
 cargo run -q --release -p pels-bench --bin reproduce -- desc > /dev/null
+git diff --exit-code -- examples/descs
 cargo run -q --release -p pels-bench --bin desc_check
 cargo test -q --test desc_fuzz
 echo "bench_smoke: description corpus + fuzzer OK"

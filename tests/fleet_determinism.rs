@@ -113,6 +113,7 @@ fn invalid_sweep_axis_is_rejected_before_any_simulation() {
         (SweepSpec::new().freqs_mhz(&[0.0]), "/system/freq_mhz"),
         (SweepSpec::new().freqs_mhz(&[f64::NAN]), "/system/freq_mhz"),
         (SweepSpec::new().freqs_mhz(&[1e7]), "/system/freq_mhz"),
+        (SweepSpec::new().freqs_mhz(&[0.0001]), "/system/freq_mhz"),
         (
             SweepSpec::new().sample_periods_us(&[u64::MAX / 1_000_000 + 1]),
             "/sample_period_ps",
