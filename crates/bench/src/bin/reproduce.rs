@@ -247,7 +247,7 @@ fn timeline_to_json(
     w.key("window_cycles").uint(timeline.window_cycles);
     w.key("mean_total_uw").float(power.mean_total_uw());
     w.key("windows").begin_array();
-    for (win, p) in timeline.windows.iter().zip(&power.samples) {
+    for (win, p) in timeline.windows().zip(power.windows()) {
         w.begin_object();
         w.key("start_cycle").uint(win.start_cycle).key("end_cycle").uint(win.end_cycle);
         w.key("start_ns").uint(p.start.as_ns()).key("end_ns").uint(p.end.as_ns());
@@ -385,7 +385,7 @@ fn run_obs_artifact() -> Result<String, String> {
 
     let mut chrome = pels_obs::ChromeTrace::new();
     chrome.add_sim_trace(&report.trace);
-    for s in &power.samples {
+    for s in power.windows() {
         chrome.add_counter("power_uw", s.start.as_us_f64(), &s.components);
         chrome.add_counter("power_total_uw", s.start.as_us_f64(), &[("total", s.total_uw)]);
     }

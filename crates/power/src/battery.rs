@@ -308,9 +308,7 @@ mod tests {
     use crate::model::PowerModel;
     use crate::timeline::PowerTimeline;
     use crate::Calibration;
-    use pels_sim::{
-        ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, Frequency,
-    };
+    use pels_sim::{ActivityKind, ActivitySet, ActivityTimeline, ComponentId, Frequency};
 
     fn ledger(stretch: u64) -> EnergyLedger {
         let mut m = PowerModel::new(Calibration::default());
@@ -319,11 +317,7 @@ mod tests {
         let mut activity = ActivitySet::new();
         activity.record(ComponentId::intern("ibex"), ActivityKind::ClockCycle, 100);
         activity.record(ComponentId::intern("sram"), ActivityKind::SramRead, 300);
-        t.windows.push(ActivityWindow {
-            start_cycle: 0,
-            end_cycle: 100 + stretch,
-            activity,
-        });
+        t.push(0, 100 + stretch, &activity);
         EnergyLedger::from_timeline(&PowerTimeline::from_activity(
             &m,
             &t,

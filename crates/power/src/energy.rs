@@ -30,7 +30,7 @@ const UWPS_PER_UJ: f64 = 1e12;
 
 /// Per-component integrated energy over a simulated span.
 ///
-/// Built from a [`PowerTimeline`] (one sample per activity window) and
+/// Built from a [`PowerTimeline`] (walking its windows in time order) and
 /// mergeable across runs: a fleet fold of ledgers in job input order is
 /// deterministic regardless of worker count or completion order.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -43,7 +43,7 @@ pub struct EnergyLedger {
     total_uwps: f64,
     /// Per-component Σ power × duration, µW·ps, keyed by the interned
     /// component name (BTreeMap ⇒ iteration in sorted-name order,
-    /// deterministic). Each key adds in sample order.
+    /// deterministic). Each key adds in window order.
     components: BTreeMap<&'static str, f64>,
 }
 
@@ -65,42 +65,43 @@ impl EnergyLedger {
         EnergyLedger::default()
     }
 
-    /// Integrates a power timeline: every sample contributes
-    /// `power × duration` to its components and to the total.
+    /// Integrates a power timeline: every window contributes
+    /// `power × duration` to its sample's components and to the total.
     ///
-    /// Per-name sums accumulate in a dense vector and become the sorted
-    /// map once at the end; each name still adds its samples in time
-    /// order, so every sum is bit-identical to adding into the map
-    /// directly. Samples list their components in much the same order
-    /// window after window, so a name's slot is first guessed from the
-    /// slot its position took in the previous sample (confirmed by
-    /// pointer equality of the interned name) before a search by string.
+    /// Each distinct sample's component names are resolved to a dense
+    /// per-name slot once (by string, so equal names at distinct
+    /// addresses share a slot); the walk over the windows then only
+    /// multiplies and adds. It visits the windows in time order, so each
+    /// name adds its windows in time order and every sum is bit-identical
+    /// to adding one sample per window into the sorted map directly. The
+    /// dense sums become that map once at the end.
     pub fn from_timeline(timeline: &PowerTimeline) -> Self {
-        let mut ledger = EnergyLedger::new();
         let mut names: Vec<&'static str> = Vec::new();
-        let mut sums: Vec<f64> = Vec::new();
-        // Slot of each component position in the previous sample.
-        let mut slot_at: Vec<usize> = Vec::new();
+        // Slots of every sample's components, concatenated; sample k's
+        // run starts at `first[k]`.
+        let mut slots: Vec<usize> = Vec::new();
+        let mut first: Vec<usize> = Vec::with_capacity(timeline.samples.len());
         for s in &timeline.samples {
-            let d = (s.end.as_ps() - s.start.as_ps()) as f64;
-            ledger.span_ps += s.end.as_ps() - s.start.as_ps();
+            first.push(slots.len());
+            for &(name, _) in &s.components {
+                let slot = names.iter().position(|&n| n == name).unwrap_or_else(|| {
+                    names.push(name);
+                    names.len() - 1
+                });
+                slots.push(slot);
+            }
+        }
+        let mut ledger = EnergyLedger::new();
+        let mut sums = vec![0.0; names.len()];
+        for w in &timeline.windows {
+            let s = &timeline.samples[w.sample as usize];
+            let d = (w.end_ps - w.start_ps) as f64;
+            ledger.span_ps += w.end_ps - w.start_ps;
             ledger.windows += 1;
             ledger.total_uwps += s.total_uw * d;
-            for (pos, &(name, uw)) in s.components.iter().enumerate() {
-                let guess = slot_at.get(pos).copied();
-                let slot = match guess.filter(|&k| std::ptr::eq(names[k], name)) {
-                    Some(k) => k,
-                    None => names.iter().position(|&n| n == name).unwrap_or_else(|| {
-                        names.push(name);
-                        sums.push(0.0);
-                        names.len() - 1
-                    }),
-                };
+            let at = first[w.sample as usize];
+            for (&(_, uw), &slot) in s.components.iter().zip(&slots[at..]) {
                 sums[slot] += uw * d;
-                match slot_at.get_mut(pos) {
-                    Some(k) => *k = slot,
-                    None => slot_at.push(slot),
-                }
             }
         }
         ledger.components = names.into_iter().zip(sums).collect();
@@ -256,9 +257,7 @@ mod tests {
     use super::*;
     use crate::model::PowerModel;
     use crate::Calibration;
-    use pels_sim::{
-        ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, Frequency,
-    };
+    use pels_sim::{ActivityKind, ActivitySet, ActivityTimeline, ComponentId, Frequency};
 
     fn model() -> PowerModel {
         let mut m = PowerModel::new(Calibration::default());
@@ -271,16 +270,8 @@ mod tests {
         let mut activity = ActivitySet::new();
         activity.record(ComponentId::intern("ibex"), ActivityKind::ClockCycle, 100);
         activity.record(ComponentId::intern("sram"), ActivityKind::SramRead, 300);
-        t.windows.push(ActivityWindow {
-            start_cycle: 0,
-            end_cycle: 100,
-            activity,
-        });
-        t.windows.push(ActivityWindow {
-            start_cycle: 100,
-            end_cycle: 100 + stretch,
-            activity: ActivitySet::new(),
-        });
+        t.push(0, 100, &activity);
+        t.push(100, 100 + stretch, &ActivitySet::new());
         PowerTimeline::from_activity(&model(), &t, Frequency::from_mhz(100.0))
     }
 

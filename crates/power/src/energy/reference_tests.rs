@@ -1,18 +1,15 @@
-//! Seeded property test: [`PowerTimeline::from_activity`] (which reuses
-//! the sample of an earlier identical window) and
+//! Seeded property test: [`PowerTimeline::from_activity`] (which
+//! evaluates each distinct window once) and
 //! [`EnergyLedger::from_timeline`] (which sums per name in a dense
 //! vector) are bit-identical to the plain reference kept here — one
 //! [`PowerModel::report`] per window, and one `BTreeMap` entry per name
-//! added in sample order.
+//! added in window order.
 
 use super::EnergyLedger;
 use crate::model::PowerModel;
-use crate::timeline::{PowerSample, PowerTimeline};
+use crate::timeline::{PowerSample, PowerTimeline, PowerWindow};
 use crate::Calibration;
-use pels_sim::{
-    ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, Frequency, Rng,
-    SimTime,
-};
+use pels_sim::{ActivityKind, ActivitySet, ActivityTimeline, ComponentId, Frequency, Rng, SimTime};
 use std::collections::BTreeMap;
 
 const REGISTERED: [(&str, f64); 5] = [
@@ -117,52 +114,45 @@ fn random_timeline(rng: &mut Rng) -> ActivityTimeline {
             _ => {}
         }
         let activity = build(&shape, rng);
-        t.windows.push(ActivityWindow {
-            start_cycle: cycle,
-            end_cycle: cycle + shape.cycles,
-            activity,
-        });
+        t.push(cycle, cycle + shape.cycles, &activity);
         cycle += shape.cycles;
     }
     t
 }
 
-/// The reference timeline: every non-empty window evaluated directly.
-fn reference_samples(
-    model: &PowerModel,
-    t: &ActivityTimeline,
-    clock: Frequency,
-) -> Vec<PowerSample> {
-    t.windows
-        .iter()
-        .filter(|w| w.end_cycle > w.start_cycle)
-        .map(|w| {
-            let (start, end) = (clock.cycles(w.start_cycle), clock.cycles(w.end_cycle));
-            let report = model.report(&w.activity, SimTime::from_ps(end.as_ps() - start.as_ps()));
+/// The reference timeline: every non-empty window evaluated directly,
+/// one sample per window.
+fn reference_samples(model: &PowerModel, t: &ActivityTimeline, clock: Frequency) -> PowerTimeline {
+    let mut out = PowerTimeline::default();
+    for w in t.windows().filter(|w| w.end_cycle > w.start_cycle) {
+        let (start, end) = (clock.cycles(w.start_cycle), clock.cycles(w.end_cycle));
+        let report = model.report(w.activity, SimTime::from_ps(end.as_ps() - start.as_ps()));
+        out.push(
+            start,
+            end,
             PowerSample {
-                start,
-                end,
                 total_uw: report.total().as_uw(),
                 components: report
                     .components()
                     .iter()
                     .map(|c| (c.name, c.total().as_uw()))
                     .collect(),
-            }
-        })
-        .collect()
+            },
+        );
+    }
+    out
 }
 
-fn assert_samples_bit_identical(got: &[PowerSample], want: &[PowerSample], ctx: &str) {
+fn assert_samples_bit_identical(got: &PowerTimeline, want: &PowerTimeline, ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: sample count");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+    for (i, (g, w)) in got.windows().zip(want.windows()).enumerate() {
         assert_eq!((g.start, g.end), (w.start, w.end), "{ctx}: sample {i} span");
         assert_eq!(
             g.total_uw.to_bits(),
             w.total_uw.to_bits(),
             "{ctx}: sample {i} total"
         );
-        let bits = |s: &PowerSample| -> Vec<(&str, u64)> {
+        let bits = |s: PowerWindow| -> Vec<(&str, u64)> {
             s.components
                 .iter()
                 .map(|&(n, p)| (n, p.to_bits()))
@@ -176,7 +166,7 @@ fn assert_samples_bit_identical(got: &[PowerSample], want: &[PowerSample], ctx: 
 fn assert_ledger_matches_reference(ledger: &EnergyLedger, timeline: &PowerTimeline, ctx: &str) {
     let (mut span_ps, mut total) = (0u64, 0.0f64);
     let mut components: BTreeMap<&str, f64> = BTreeMap::new();
-    for s in &timeline.samples {
+    for s in timeline.windows() {
         let d = (s.end.as_ps() - s.start.as_ps()) as f64;
         span_ps += s.end.as_ps() - s.start.as_ps();
         total += s.total_uw * d;
@@ -185,7 +175,7 @@ fn assert_ledger_matches_reference(ledger: &EnergyLedger, timeline: &PowerTimeli
         }
     }
     assert_eq!(ledger.span_ps, span_ps, "{ctx}: span");
-    assert_eq!(ledger.windows, timeline.samples.len(), "{ctx}: windows");
+    assert_eq!(ledger.windows, timeline.len(), "{ctx}: windows");
     assert_eq!(ledger.total_uwps.to_bits(), total.to_bits(), "{ctx}: total");
     let bits = |m: &BTreeMap<&str, f64>| -> Vec<(String, u64)> {
         m.iter()
@@ -204,15 +194,16 @@ fn memo_and_dense_ledger_match_the_reference_bit_for_bit() {
     let m = model();
     let mut rng = Rng::seed_from_u64(0x5EED_1ED6_E220);
     let mut reused = 0;
+    let mut far_reused = 0;
     for case in 0..CASES {
         let clock = Frequency::from_period_ps([18_182, 10_000, 1_000_000][rng.index(3)]);
         let t = random_timeline(&mut rng);
         let ctx = format!("case {case}");
         let got = PowerTimeline::from_activity(&m, &t, clock);
         let want = reference_samples(&m, &t, clock);
-        assert_samples_bit_identical(&got.samples, &want, &ctx);
+        assert_samples_bit_identical(&got, &want, &ctx);
         assert_ledger_matches_reference(&EnergyLedger::from_timeline(&got), &got, &ctx);
-        let w = &t.windows;
+        let w: Vec<_> = t.windows().collect();
         reused += (0..w.len())
             .filter(|&i| {
                 w[i].cycles() > 0
@@ -220,8 +211,26 @@ fn memo_and_dense_ledger_match_the_reference_bit_for_bit() {
                         .any(|j| w[j].cycles() == w[i].cycles() && w[j].activity == w[i].activity)
             })
             .count();
+        // Every repeat shares its first occurrence's sample, however far
+        // back: one evaluation per distinct non-empty window.
+        let w: Vec<_> = w.into_iter().filter(|w| w.cycles() > 0).collect();
+        let p: Vec<usize> = got.windows().map(|p| p.sample).collect();
+        let mut distinct = 0;
+        for i in 0..w.len() {
+            let same =
+                |j: &usize| w[*j].cycles() == w[i].cycles() && w[*j].activity == w[i].activity;
+            match (0..i).find(same) {
+                Some(j) => {
+                    assert_eq!(p[i], p[j], "{ctx}: window {i} repeats window {j}");
+                    far_reused += usize::from(i - j > 4);
+                }
+                None => distinct += 1,
+            }
+        }
+        assert_eq!(got.samples().len(), distinct, "{ctx}: distinct samples");
     }
     assert!(reused > CASES, "the generator stopped repeating windows");
+    assert!(far_reused > 0, "no repeat lay beyond four windows");
 }
 
 #[test]
@@ -246,18 +255,20 @@ fn equal_names_at_distinct_addresses_share_one_ledger_row() {
             if rng.ratio(1, 3) {
                 components.reverse();
             }
-            t.samples.push(PowerSample {
-                start: SimTime::from_ps(at),
-                end: SimTime::from_ps(at + span),
-                total_uw: rng.f64() * 500.0,
-                components,
-            });
+            t.push(
+                SimTime::from_ps(at),
+                SimTime::from_ps(at + span),
+                PowerSample {
+                    total_uw: rng.f64() * 500.0,
+                    components,
+                },
+            );
             at += span;
         }
         let ledger = EnergyLedger::from_timeline(&t);
         assert_ledger_matches_reference(&ledger, &t, &format!("case {case}"));
         let mut want: Vec<&str> = t
-            .samples
+            .samples()
             .iter()
             .flat_map(|s| s.components.iter().map(|&(n, _)| n))
             .collect();

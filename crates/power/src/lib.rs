@@ -20,7 +20,7 @@
 //!   27 kGE, PicoRV32 ≈ 14.5 kGE) that reproduces the Figure 6a sweep and
 //!   the Figure 6b PULPissimo breakdown.
 //! * **Time-resolved power** ([`timeline`]): evaluates the model once per
-//!   window of a [`pels_sim::ActivityTimeline`], producing a
+//!   distinct window of a [`pels_sim::ActivityTimeline`], producing a
 //!   [`PowerTimeline`] of per-component samples over simulated time —
 //!   the Figure 5 bars as curves.
 //! * **Energy & lifetime** ([`energy`], [`battery`]): integrates a
@@ -45,5 +45,5 @@ pub use battery::{Battery, LifetimeBlame, LifetimeReport, SocPoint};
 pub use calibration::Calibration;
 pub use energy::{BlameRow, EnergyLedger};
 pub use model::{ComponentPower, PowerModel, PowerReport};
-pub use timeline::{PowerSample, PowerTimeline};
+pub use timeline::{PowerSample, PowerTimeline, PowerWindow};
 pub use units::{Energy, Power};

@@ -250,28 +250,78 @@ impl ActivitySet {
 
     /// Merges another set into this one (counts add).
     pub fn merge(&mut self, other: &ActivitySet) {
+        self.merge_times(other, 1);
+    }
+
+    /// Merges `times` copies of another set into this one (each count
+    /// adds `times` times) — one pass for what `times` merges would add.
+    #[inline]
+    pub fn merge_times(&mut self, other: &ActivitySet, times: u64) {
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), ZERO_ROW);
         }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                *m += t;
-            }
+        // Over the flattened counters, so the adds vectorise.
+        let theirs = other.counts.as_flattened();
+        for (m, t) in self.counts.as_flattened_mut().iter_mut().zip(theirs) {
+            *m += t * times;
         }
     }
 
-    /// Returns the difference `self - baseline` (saturating at zero), used
-    /// to isolate the activity of one measurement window.
+    /// Returns the difference `self - baseline`: the activity recorded
+    /// since `baseline` was an image of this set.
+    ///
+    /// `baseline` must not exceed `self` in any counter; debug builds
+    /// assert it, since an underflow means the two images do not share
+    /// a history.
     pub fn delta_from(&self, baseline: &ActivitySet) -> ActivitySet {
+        debug_assert!(
+            baseline.counts[self.counts.len().min(baseline.counts.len())..]
+                .iter()
+                .all(|row| *row == ZERO_ROW),
+            "baseline holds activity this set never recorded"
+        );
         let mut out = ActivitySet {
             counts: self.counts.clone(),
         };
         for (mine, base) in out.counts.iter_mut().zip(&baseline.counts) {
             for (m, b) in mine.iter_mut().zip(base) {
-                *m = m.saturating_sub(*b);
+                debug_assert!(*m >= *b, "baseline counter {b} exceeds {m}");
+                *m = m.wrapping_sub(*b);
             }
         }
         out
+    }
+
+    /// Zeroes every counter, keeping the row storage for reuse.
+    pub fn clear(&mut self) {
+        self.counts.fill(ZERO_ROW);
+    }
+
+    /// A 64-bit hash of the counters that agrees with `==`: equal sets
+    /// hash equal, whatever trailing all-zero rows either holds. Four
+    /// independent multiply lanes keep the loop from waiting on one
+    /// multiply chain.
+    pub fn fingerprint(&self) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let len = self
+            .counts
+            .iter()
+            .rposition(|row| *row != ZERO_ROW)
+            .map_or(0, |i| i + 1);
+        let words = self.counts[..len].as_flattened();
+        let mut lanes = [1u64, 2, 3, 4];
+        let mut chunks = words.chunks_exact(lanes.len());
+        for chunk in &mut chunks {
+            for (h, &n) in lanes.iter_mut().zip(chunk) {
+                *h = (*h ^ n).wrapping_mul(K);
+            }
+        }
+        for (h, &n) in lanes.iter_mut().zip(chunks.remainder()) {
+            *h = (*h ^ n).wrapping_mul(K);
+        }
+        lanes
+            .into_iter()
+            .fold(words.len() as u64, |acc, h| (acc ^ h ^ (h >> 29)).wrapping_mul(K))
     }
 
     /// Whether nothing has been recorded.
@@ -290,10 +340,10 @@ impl PartialEq for ActivitySet {
         } else {
             (&other.counts, &self.counts)
         };
-        // One slice comparison over the shared rows, then the longer
-        // set's extra rows must be all zero.
+        // One flat slice comparison (a `memcmp`) over the shared rows,
+        // then the longer set's extra rows must be all zero.
         let (head, tail) = long.split_at(short.len());
-        short[..] == *head && tail.iter().all(|row| *row == ZERO_ROW)
+        short.as_flattened() == head.as_flattened() && tail.iter().all(|row| *row == ZERO_ROW)
     }
 }
 
@@ -358,6 +408,22 @@ mod tests {
     }
 
     #[test]
+    fn merge_times_adds_scaled_counts() {
+        let x = ComponentId::intern("act-times");
+        let mut one = ActivitySet::new();
+        one.record(x, ActivityKind::SramRead, 3);
+        let mut by_merges = ActivitySet::new();
+        for _ in 0..4 {
+            by_merges.merge(&one);
+        }
+        let mut scaled = ActivitySet::new();
+        scaled.merge_times(&one, 4);
+        assert_eq!(scaled, by_merges);
+        scaled.merge_times(&one, 0);
+        assert_eq!(scaled.count_id(x, ActivityKind::SramRead), 12);
+    }
+
+    #[test]
     fn delta_isolates_window() {
         let x = ComponentId::intern("act-dx");
         let y = ComponentId::intern("act-dy");
@@ -369,6 +435,41 @@ mod tests {
         let d = later.delta_from(&base);
         assert_eq!(d.count_id(x, ActivityKind::BusTransfer), 2);
         assert_eq!(d.count_id(y, ActivityKind::EventPulse), 1);
+    }
+
+    #[test]
+    fn clear_zeroes_and_fingerprint_follows_equality() {
+        let x = ComponentId::intern("act-fpx");
+        let pad = ComponentId::intern("act-fppad");
+        let mut a = ActivitySet::new();
+        a.record(x, ActivityKind::BusStall, 3);
+        let mut padded = a.clone();
+        padded.record(pad, ActivityKind::BusStall, 1);
+        let mut b = padded.clone();
+        b.clear();
+        assert!(b.is_empty());
+        assert_eq!(b.fingerprint(), ActivitySet::new().fingerprint());
+        b.record(x, ActivityKind::BusStall, 3);
+        // b keeps pad's (now zero) row: equal to a, and hashed alike.
+        assert_eq!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a.fingerprint(), padded.fingerprint());
+        // The same count under another kind is another set.
+        let mut c = ActivitySet::new();
+        c.record(x, ActivityKind::BusTransfer, 3);
+        assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exceeds")]
+    fn delta_from_a_larger_baseline_is_caught() {
+        let x = ComponentId::intern("act-under");
+        let mut small = ActivitySet::new();
+        small.record(x, ActivityKind::RegRead, 1);
+        let mut big = small.clone();
+        big.record(x, ActivityKind::RegRead, 1);
+        let _ = small.delta_from(&big);
     }
 
     #[test]

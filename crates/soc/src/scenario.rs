@@ -431,8 +431,7 @@ impl Scenario {
             soc.publish_metrics(&mut m);
             m
         });
-        // Collect the timeline before the drain: the sampler's deltas
-        // are relative to the cumulative image the drain resets.
+        // Close the last window at the same cycle the drain covers.
         let timeline = soc.take_timeline();
         let activity = soc.drain_activity();
         // Re-arm the µDMA channel is unnecessary for measurement; events

@@ -12,8 +12,8 @@ use pels_periph::{
     Uart, Variant, Watchdog,
 };
 use pels_sim::{
-    ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, EventVector,
-    Frequency, SimTime, Trace,
+    ActivityKind, ActivitySet, ActivityTimeline, ComponentId, EventVector, Frequency, SimTime,
+    Trace,
 };
 
 /// The synthetic analog source (defined in `pels-periph`, re-exported by
@@ -196,10 +196,15 @@ impl Soc {
 /// State of the passive windowed activity sampler (see
 /// [`Soc::start_timeline`]).
 ///
-/// The sampler never changes how the SoC advances: it only *reads* the
-/// cumulative activity image at observation points the run loops already
-/// pass through, so obs-off and timeline-on runs are bit-identical in
-/// every architectural result (`tests/observation_invariance.rs`).
+/// The sampler never changes how the SoC advances: it only *flushes*
+/// component counters at observation points the run loops already pass
+/// through, and flushing is segmentation invariant, so obs-off and
+/// timeline-on runs are bit-identical in every architectural result
+/// (`tests/observation_invariance.rs`). While it runs, the SoC's own
+/// activity set holds only the open window — direct records and
+/// flushes land there — and doubles as the window's reused row buffer:
+/// a close counts it into `image`, hands it to the timeline and zeroes
+/// it. No cumulative image is copied or diffed.
 #[derive(Clone)]
 struct TimelineSampler {
     /// Nominal window width in cycles.
@@ -211,12 +216,55 @@ struct TimelineSampler {
     /// skip crossing the boundary stretches the window instead of being
     /// split — `try_skip` and `SchedStats` stay untouched.
     next_boundary: u64,
-    /// Cumulative activity image at window start (components flushed).
-    baseline: ActivitySet,
-    /// `cpu_awake_cycles` at window start (for the gated-clock share).
-    baseline_awake: u64,
+    /// Activity of the windows closed since the last drain, except
+    /// what `recent` still holds as pending — together, what the SoC's
+    /// activity set would hold beyond the open window without a sampler.
+    image: ActivitySet,
+    /// What the open window recorded before a drain inside it took the
+    /// SoC's set; `None` for most windows.
+    carry: Option<ActivitySet>,
+    /// `cpu_awake_cycles` at window start, less the awake cycles a drain
+    /// inside the window reset (wrapping), so that
+    /// `cpu_awake_cycles - awake_start` is the window's awake share.
+    awake_start: u64,
+    /// The inputs of up to [`RECENT_WINDOWS`] windows, most recently
+    /// drawn first. A window whose inputs equal one of them repeats its
+    /// sample without clock accounting or a timeline lookup; any other
+    /// window goes through the timeline's lookup, which finds repeats
+    /// however far back.
+    recent: Vec<RecentWindow>,
     /// Windows captured so far.
     timeline: ActivityTimeline,
+}
+
+/// How many recent windows' inputs the sampler compares a closing
+/// window against: a duty-cycled run's windows often alternate between
+/// two shapes.
+const RECENT_WINDOWS: usize = 2;
+
+/// What fixes a closed window's activity — its width, its CPU awake
+/// cycles and its component activity before clock accounting — and the
+/// timeline sample that activity is.
+#[derive(Clone, Default)]
+struct RecentWindow {
+    cycles: u64,
+    awake: u64,
+    row: ActivitySet,
+    sample: usize,
+    /// Windows since the last drain whose component activity was `row`
+    /// and is not yet in the sampler's `image`: a repeat adds one here
+    /// instead of a pass over its row.
+    pending: u64,
+}
+
+impl TimelineSampler {
+    /// Adds every pending recent row to `image`, which then holds all
+    /// the windows closed since the last drain.
+    fn settle(&mut self) {
+        for r in &mut self.recent {
+            self.image.merge_times(&r.row, std::mem::take(&mut r.pending));
+        }
+    }
 }
 
 /// Pre-interned component ids used on the per-drain clock-accounting
@@ -906,7 +954,9 @@ impl Soc {
             m.set(&format!("fabric.master.{}.stalls", master.name), master.stall_cycles);
         }
         // The CPU and fabric report what they counted since their last
-        // flush; add back what a timeline window already flushed.
+        // flush; add back what was flushed since the last drain, into
+        // the open window or into a closed one.
+        let sampler = self.accel.sampler.as_deref();
         let ids = &self.clock_ids;
         for (key, id, kind) in [
             ("cpu.retired", ids.ibex, ActivityKind::InstrRetired),
@@ -916,7 +966,12 @@ impl Soc {
             ("fabric.busy_cycles", ids.fabric, ActivityKind::ActiveCycle),
         ] {
             let unflushed = m.get(key).unwrap_or(0);
-            m.set(key, unflushed + self.activity.count_id(id, kind));
+            let closed = sampler.map_or(0, |s| {
+                let pending = s.recent.iter().map(|r| r.row.count_id(id, kind) * r.pending);
+                s.image.count_id(id, kind) + pending.sum::<u64>()
+            });
+            let flushed = self.activity.count_id(id, kind) + closed;
+            m.set(key, unflushed + flushed);
         }
     }
 
@@ -1395,10 +1450,20 @@ impl Soc {
     /// fetch/retire counts, PELS SCM accesses, fabric transfers, SRAM
     /// accesses — plus per-component clock-cycle counts for the window
     /// since the previous drain. Resets the window.
+    ///
+    /// A running timeline sampler is not disturbed: its open window
+    /// keeps what it recorded before the drain.
     pub fn drain_activity(&mut self) -> ActivitySet {
         self.sync_slaves();
-        self.flush_component_activity();
         let mut set = std::mem::take(&mut self.activity);
+        self.flush_components_into(&mut set);
+        if let Some(s) = self.accel.sampler.as_deref_mut() {
+            s.carry.get_or_insert_with(ActivitySet::new).merge(&set);
+            s.settle();
+            set.merge(&s.image);
+            s.image.clear();
+            s.awake_start = s.awake_start.wrapping_sub(self.cpu_awake_cycles);
+        }
 
         // Clock accounting: the core clock is gated during WFI sleep; the
         // rest of the SoC clocks every cycle of the window.
@@ -1409,24 +1474,22 @@ impl Soc {
         set
     }
 
-    /// Flushes every component's internal activity counters into the
-    /// SoC's cumulative [`ActivitySet`]. Counters add, so flushing at any
-    /// intermediate point leaves the eventual [`Soc::drain_activity`]
-    /// result bit-identical — this is what lets the timeline sampler read
-    /// a current image mid-run without perturbing the final drain. Clock
-    /// accounting (`window_cycles` / `cpu_awake_cycles`) is deliberately
-    /// untouched: it is derived, not accumulated, and the per-drain
-    /// integer division (`cycles / 10`) must see the whole window.
-    fn flush_component_activity(&mut self) {
-        let mut set = std::mem::take(&mut self.activity);
-        self.cpu.drain_activity(&mut set);
-        self.pels.drain_activity(&mut set);
-        self.fabric.drain_activity(&mut set);
-        self.l2.drain_activity(&mut set);
+    /// Flushes every component's internal activity counters into `set`.
+    /// Counters add, so flushing at any intermediate point leaves the
+    /// eventual [`Soc::drain_activity`] result bit-identical — this is
+    /// what lets the timeline sampler close windows mid-run without
+    /// perturbing the final drain. Clock accounting (`window_cycles` /
+    /// `cpu_awake_cycles`) is deliberately untouched: it is derived, not
+    /// accumulated, and the per-drain integer division (`cycles / 10`)
+    /// must see the whole window.
+    fn flush_components_into(&mut self, set: &mut ActivitySet) {
+        self.cpu.drain_activity(set);
+        self.pels.drain_activity(set);
+        self.fabric.drain_activity(set);
+        self.l2.drain_activity(set);
         for (_, p) in self.fabric.slaves_mut() {
-            p.drain_activity(&mut set);
+            p.drain_activity(set);
         }
-        self.activity = set;
     }
 
     /// Adds the per-window clock-cycle accounting to an activity set:
@@ -1469,12 +1532,15 @@ impl Soc {
     /// Panics if `window_cycles` is zero.
     pub fn start_timeline(&mut self, window_cycles: u64) {
         assert!(window_cycles > 0, "window_cycles must be non-zero");
+        self.stop_sampler();
         self.accel.sampler = Some(Box::new(TimelineSampler {
             window_cycles,
             window_start: self.cycle,
             next_boundary: self.cycle.saturating_add(window_cycles),
-            baseline: ActivitySet::new(),
-            baseline_awake: 0,
+            image: ActivitySet::new(),
+            carry: None,
+            awake_start: 0,
+            recent: Vec::with_capacity(RECENT_WINDOWS),
             timeline: ActivityTimeline::new(window_cycles),
         }));
     }
@@ -1491,7 +1557,17 @@ impl Soc {
         if open {
             self.close_timeline_window();
         }
-        self.accel.sampler.take().map(|s| s.timeline)
+        self.stop_sampler().map(|s| s.timeline)
+    }
+
+    /// Removes the sampler, handing the activity of its closed windows
+    /// back to the SoC's set, which then again holds everything since
+    /// the last drain.
+    fn stop_sampler(&mut self) -> Option<Box<TimelineSampler>> {
+        let mut s = self.accel.sampler.take()?;
+        s.settle();
+        self.activity.merge(&s.image);
+        Some(s)
     }
 
     /// Sampling hook on the run-loop observation points: one predictable
@@ -1507,30 +1583,63 @@ impl Soc {
 
     /// Closes the current sampling window at the present cycle: brings
     /// sleeping slaves up to date (closed-form catch-up — segmentation
-    /// invariant, so extra syncs cannot change results), flushes
-    /// component counters, and records the delta since the window's
-    /// baseline plus the window's share of the clock accounting. The
-    /// clock share is added to the *delta copy only*; the cumulative set
-    /// and the drain counters stay untouched.
+    /// invariant, so extra syncs cannot change results) and flushes
+    /// component counters into the SoC's activity set, which then holds
+    /// exactly the window's component activity. A window that repeats a
+    /// recent one's inputs repeats its sample and counts as one more
+    /// pending copy of its row. Any other window takes its share of the
+    /// clock accounting (the drain counters stay untouched) and goes to
+    /// the timeline, which copies it only if no earlier window matches.
+    /// Last, the set is zeroed for the next window.
     fn close_timeline_window(&mut self) {
         self.sync_slaves();
-        self.flush_component_activity();
         let Some(mut s) = self.accel.sampler.take() else {
             return;
         };
-        let mut delta = self.activity.delta_from(&s.baseline);
-        let cycles = self.cycle - s.window_start;
-        let awake = self.cpu_awake_cycles.saturating_sub(s.baseline_awake);
-        Self::record_clock_activity(&mut delta, &self.clock_ids, cycles, awake);
-        s.timeline.windows.push(ActivityWindow {
-            start_cycle: s.window_start,
-            end_cycle: self.cycle,
-            activity: delta,
-        });
+        let mut row = std::mem::take(&mut self.activity);
+        self.flush_components_into(&mut row);
+        // A window a drain fell in joins the image now, without the part
+        // the drain took; any other joins it through `pending`.
+        let pending = match s.carry.take() {
+            Some(carry) => {
+                s.image.merge(&row);
+                row.merge(&carry);
+                0
+            }
+            None => 1,
+        };
+        let (start, end) = (s.window_start, self.cycle);
+        let inputs = (end - start, self.cpu_awake_cycles.wrapping_sub(s.awake_start));
+        let hit = s
+            .recent
+            .iter()
+            .position(|r| (r.cycles, r.awake) == inputs && r.row == row);
+        match hit {
+            Some(i) => {
+                s.timeline.repeat(start, end, s.recent[i].sample);
+                s.recent[i].pending += pending;
+                s.recent[..=i].rotate_right(1);
+            }
+            None => {
+                // Once the list is full, the least recent entry's buffer
+                // takes the new inputs, its pending windows the image.
+                let mut entry = match s.recent.len() {
+                    RECENT_WINDOWS => s.recent.pop().expect("full"),
+                    _ => RecentWindow::default(),
+                };
+                s.image.merge_times(&entry.row, entry.pending);
+                (entry.cycles, entry.awake, entry.pending) = (inputs.0, inputs.1, pending);
+                entry.row.clone_from(&row);
+                Self::record_clock_activity(&mut row, &self.clock_ids, inputs.0, inputs.1);
+                entry.sample = s.timeline.push(start, end, &row);
+                s.recent.insert(0, entry);
+            }
+        }
+        row.clear();
+        self.activity = row;
         s.window_start = self.cycle;
         s.next_boundary = self.cycle.saturating_add(s.window_cycles);
-        s.baseline.clone_from(&self.activity);
-        s.baseline_awake = self.cpu_awake_cycles;
+        s.awake_start = self.cpu_awake_cycles;
         self.accel.sampler = Some(s);
     }
 
@@ -1544,6 +1653,9 @@ impl Soc {
         SimTime::from_ps(self.freq.period_ps() * self.window_cycles)
     }
 }
+
+#[cfg(test)]
+mod sampler_reference;
 
 #[cfg(test)]
 mod tests {

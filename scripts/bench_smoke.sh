@@ -37,9 +37,12 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # description fuzzer (fast vs naive on generated scenarios) and the
 # pure-observation suite run there as well, and so do the peripherals'
 # unit tests, whose catch-up-vs-tick table checks each peripheral's
-# sleep plan where its catch-up `debug_assert`s are compiled out.
+# sleep plan where its catch-up `debug_assert`s are compiled out. The
+# power golden and the lifetime probe's invariance suite run there too:
+# perfbench's lifetime workload times the release power and ledger code.
 cargo test -q --release --test quiescence --test active_path \
-    --test desc_fuzz --test observation_invariance
+    --test desc_fuzz --test observation_invariance \
+    --test power_golden --test lifetime_invariance
 cargo test -q --release -p pels-cpu --test decode_cache
 cargo test -q --release -p pels-periph --lib
 echo "bench_smoke: release fast-vs-naive differential OK"
@@ -83,6 +86,14 @@ echo "bench_smoke: observation invariance + flow property suites OK"
 # fails here instead of shipping broken artifacts.
 cargo run -q --release -p pels-bench --bin reproduce -- lifetime --quick --obs > /dev/null
 cargo run -q --release -p pels-bench --bin obs_check
+# The quick lifetime sweep's fleet digest covers every job's latencies
+# and active and idle power bit for bit. Pin it, so that a change which
+# moves any of them fails here, not only one that breaks the schema.
+lifetime_digest=e6a150529f2e663e
+grep -q "\"digest\": \"$lifetime_digest\"" BENCH_lifetime.json || {
+    echo "bench_smoke: BENCH_lifetime.json digest is not $lifetime_digest" >&2
+    exit 1
+}
 echo "bench_smoke: obs + lifetime artifacts OK"
 
 # Description gate: regenerate the canonical corpus under

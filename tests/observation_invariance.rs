@@ -26,7 +26,7 @@ use pels_power::{Battery, EnergyLedger};
 use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::Timer;
 use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, Soc, SystemDesc};
-use pels_sim::SimTime;
+use pels_sim::{ActivityKind, ActivitySet, SimTime};
 
 #[test]
 fn every_probe_subset_is_pure_observation() {
@@ -59,12 +59,12 @@ fn timeline_sampling_never_perturbs_any_mediator() {
             });
             assert!(plain.timeline.is_none(), "timelines are opt-in");
             let timeline = sampled.timeline.as_ref().expect("sampled timeline");
-            assert!(!timeline.windows.is_empty());
+            assert!(!timeline.is_empty());
             assert_eq!(timeline.window_cycles, window);
             // The windows partition the run: contiguous, in order, and
             // their activity sums to exactly the full-run image.
             let mut prev_end = 0;
-            for w in &timeline.windows {
+            for w in timeline.windows() {
                 assert_eq!(w.start_cycle, prev_end, "windows are contiguous");
                 assert!(w.end_cycle > w.start_cycle);
                 prev_end = w.end_cycle;
@@ -124,10 +124,50 @@ fn timeline_sampled_soc_equals_its_unsampled_twin_mid_run() {
                     common::assert_same_drained(&plain, &sampled, &ctx);
                 }
                 let timeline = sampled.take_timeline().expect("sampled");
-                assert!(timeline.windows.len() > 1, "windows were closed mid-run");
+                assert!(timeline.len() > 1, "windows were closed mid-run");
             }
         }
     }
+}
+
+#[test]
+fn draining_mid_timeline_keeps_every_window_whole() {
+    // An IRQ node sampled at 500-cycle windows and drained at cycles
+    // 3000 and 6000, inside windows: a drain must not cut the window
+    // it falls in short, so the windows' event counters sum to exactly
+    // what the drains hold.
+    let scenario = Scenario::from_desc(ScenarioDesc {
+        mediator: Mediator::IbexIrq,
+        ..ScenarioDesc::default()
+    })
+    .expect("valid scenario");
+    let mut soc = scenario.build_soc();
+    soc.timer_mut().write(Timer::CMP, 137).unwrap();
+    soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
+    soc.start_timeline(500);
+    let mut drained = ActivitySet::new();
+    for _ in 0..2 {
+        soc.run(3000);
+        drained.merge(&soc.drain_activity());
+    }
+    let timeline = soc.take_timeline().expect("sampled");
+    drained.merge(&soc.drain_activity());
+    let events = |set: &ActivitySet| {
+        let mut out = ActivitySet::new();
+        for (name, kind, n) in set.iter().filter(|&(_, k, _)| k != ActivityKind::ClockCycle) {
+            out.record_named(name, kind, n);
+        }
+        out
+    };
+    assert_eq!(events(&timeline.total_activity()), events(&drained));
+    assert_eq!(drained.count("ibex", ActivityKind::InstrRetired), 491);
+    assert_eq!(drained.count("fabric", ActivityKind::BusTransfer), 172);
+    // The window that straddles the first drain kept its instructions.
+    let straddling = timeline
+        .windows()
+        .find(|w| w.start_cycle < 3000 && w.end_cycle > 3000)
+        .expect("a window straddles the drain");
+    assert!(straddling.activity.count("ibex", ActivityKind::InstrRetired) > 0);
 }
 
 #[test]

@@ -64,7 +64,7 @@ impl Dump {
         self.report(&format!("{tag}.active"), &report.active_power(&model));
         self.report(&format!("{tag}.idle"), &report.idle_power(&model));
         if let Some(timeline) = report.power_timeline(&model) {
-            for (i, s) in timeline.samples.iter().enumerate() {
+            for (i, s) in timeline.windows().enumerate() {
                 self.u(format_args!("{tag}.sample{i}.start_ps"), s.start.as_ps());
                 self.u(format_args!("{tag}.sample{i}.end_ps"), s.end.as_ps());
                 self.f(format_args!("{tag}.sample{i}.total_uw"), s.total_uw);
