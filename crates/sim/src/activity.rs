@@ -250,20 +250,13 @@ impl ActivitySet {
 
     /// Merges another set into this one (counts add).
     pub fn merge(&mut self, other: &ActivitySet) {
-        self.merge_times(other, 1);
-    }
-
-    /// Merges `times` copies of another set into this one (each count
-    /// adds `times` times) — one pass for what `times` merges would add.
-    #[inline]
-    pub fn merge_times(&mut self, other: &ActivitySet, times: u64) {
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), ZERO_ROW);
         }
         // Over the flattened counters, so the adds vectorise.
         let theirs = other.counts.as_flattened();
         for (m, t) in self.counts.as_flattened_mut().iter_mut().zip(theirs) {
-            *m += t * times;
+            *m += t;
         }
     }
 
@@ -405,22 +398,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count_id(x, ActivityKind::RegRead), 3);
         assert_eq!(a.count_id(y, ActivityKind::RegWrite), 3);
-    }
-
-    #[test]
-    fn merge_times_adds_scaled_counts() {
-        let x = ComponentId::intern("act-times");
-        let mut one = ActivitySet::new();
-        one.record(x, ActivityKind::SramRead, 3);
-        let mut by_merges = ActivitySet::new();
-        for _ in 0..4 {
-            by_merges.merge(&one);
-        }
-        let mut scaled = ActivitySet::new();
-        scaled.merge_times(&one, 4);
-        assert_eq!(scaled, by_merges);
-        scaled.merge_times(&one, 0);
-        assert_eq!(scaled.count_id(x, ActivityKind::SramRead), 12);
     }
 
     #[test]

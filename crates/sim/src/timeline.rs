@@ -17,9 +17,7 @@
 //! times, so the timeline stores each distinct `(span, activity)` pair
 //! once and keeps per window only its span and the index of its sample.
 //! [`ActivityTimeline::push`] recognises a repeat of *any* earlier
-//! sample, however far back, by a fingerprint lookup confirmed with `==`;
-//! [`ActivityTimeline::repeat`] appends a window whose sample the caller
-//! already recognised.
+//! sample, however far back, by a fingerprint lookup confirmed with `==`.
 
 use std::collections::HashMap;
 
@@ -115,28 +113,6 @@ impl ActivityTimeline {
             sample,
         });
         sample as usize
-    }
-
-    /// Appends the window `[start_cycle, end_cycle)` that recorded
-    /// exactly the activity of sample `sample` (as returned by
-    /// [`ActivityTimeline::push`]) — for a caller that already knows the
-    /// window repeats it, without comparing activities again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample` does not exist or spans another number of
-    /// cycles.
-    pub fn repeat(&mut self, start_cycle: u64, end_cycle: u64, sample: usize) {
-        assert_eq!(
-            end_cycle.checked_sub(start_cycle),
-            Some(self.samples[sample].0),
-            "a repeated window spans its sample's cycles"
-        );
-        self.windows.push(Span {
-            start_cycle,
-            end_cycle,
-            sample: sample as u32,
-        });
     }
 
     /// Number of windows captured.
@@ -238,10 +214,8 @@ mod tests {
         }
         let samples: Vec<usize> = t.windows().map(|w| w.sample).collect();
         assert_eq!(samples, vec![0, 1, 2, 3, 4, 5, 6, 0]);
-        t.repeat(90, 100, 5);
-        assert_eq!(t.windows().last().unwrap().activity, &pulses(6));
         assert_eq!(t.distinct(), 7);
-        assert_eq!(t.len(), 9);
+        assert_eq!(t.len(), 8);
         // Each window still reads its own span and activity.
         let eighth = t.windows().nth(7).unwrap();
         assert_eq!((eighth.start_cycle, eighth.end_cycle), (80, 90));

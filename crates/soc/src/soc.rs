@@ -167,6 +167,7 @@ impl Soc {
             cpu: Cpu::new(RESET_PC),
             cpu_master,
             activity: ActivitySet::new(),
+            closed: ActivitySet::new(),
             trace: Trace::new(),
             prev_wires: EventVector::EMPTY,
             injected: EventVector::EMPTY,
@@ -203,8 +204,9 @@ impl Soc {
 /// (`tests/observation_invariance.rs`). While it runs, the SoC's own
 /// activity set holds only the open window — direct records and
 /// flushes land there — and doubles as the window's reused row buffer:
-/// a close counts it into `image`, hands it to the timeline and zeroes
-/// it. No cumulative image is copied or diffed.
+/// a close adds it to the SoC's `closed` image, hands it with its clock
+/// share to the timeline and zeroes it. No cumulative image is copied
+/// or diffed, and everything the next drain returns stays in SoC fields.
 #[derive(Clone)]
 struct TimelineSampler {
     /// Nominal window width in cycles.
@@ -216,10 +218,6 @@ struct TimelineSampler {
     /// skip crossing the boundary stretches the window instead of being
     /// split — `try_skip` and `SchedStats` stay untouched.
     next_boundary: u64,
-    /// Activity of the windows closed since the last drain, except
-    /// what `recent` still holds as pending — together, what the SoC's
-    /// activity set would hold beyond the open window without a sampler.
-    image: ActivitySet,
     /// What the open window recorded before a drain inside it took the
     /// SoC's set; `None` for most windows.
     carry: Option<ActivitySet>,
@@ -227,44 +225,8 @@ struct TimelineSampler {
     /// inside the window reset (wrapping), so that
     /// `cpu_awake_cycles - awake_start` is the window's awake share.
     awake_start: u64,
-    /// The inputs of up to [`RECENT_WINDOWS`] windows, most recently
-    /// drawn first. A window whose inputs equal one of them repeats its
-    /// sample without clock accounting or a timeline lookup; any other
-    /// window goes through the timeline's lookup, which finds repeats
-    /// however far back.
-    recent: Vec<RecentWindow>,
     /// Windows captured so far.
     timeline: ActivityTimeline,
-}
-
-/// How many recent windows' inputs the sampler compares a closing
-/// window against: a duty-cycled run's windows often alternate between
-/// two shapes.
-const RECENT_WINDOWS: usize = 2;
-
-/// What fixes a closed window's activity — its width, its CPU awake
-/// cycles and its component activity before clock accounting — and the
-/// timeline sample that activity is.
-#[derive(Clone, Default)]
-struct RecentWindow {
-    cycles: u64,
-    awake: u64,
-    row: ActivitySet,
-    sample: usize,
-    /// Windows since the last drain whose component activity was `row`
-    /// and is not yet in the sampler's `image`: a repeat adds one here
-    /// instead of a pass over its row.
-    pending: u64,
-}
-
-impl TimelineSampler {
-    /// Adds every pending recent row to `image`, which then holds all
-    /// the windows closed since the last drain.
-    fn settle(&mut self) {
-        for r in &mut self.recent {
-            self.image.merge_times(&r.row, std::mem::take(&mut r.pending));
-        }
-    }
 }
 
 /// Pre-interned component ids used on the per-drain clock-accounting
@@ -506,7 +468,13 @@ pub struct Soc {
     pels_masters: Vec<MasterId>,
     cpu: Cpu,
     cpu_master: MasterId,
+    /// Activity recorded since the last drain, or, while a timeline
+    /// sampler runs, since its open window opened.
     activity: ActivitySet,
+    /// Component activity of the sampling windows closed since the last
+    /// drain (empty when no sampler ran): with `activity` and the
+    /// components' unflushed counters, what the next drain returns.
+    closed: ActivitySet,
     trace: Trace,
     /// Wire image peripherals sample next cycle: pulses + action lines.
     prev_wires: EventVector,
@@ -571,7 +539,8 @@ impl Soc {
     /// The first component whose architectural state differs between
     /// `self` and `other`, or `None` when the two SoCs are equal. Names,
     /// in this order: `cycle`, `cpu`, `pels`, a peripheral's trace name,
-    /// `fabric`, `l2`, `activity`, `trace`, and `soc` for the SoC's own
+    /// `fabric`, `l2`, `activity` (the undrained activity, open and in
+    /// closed timeline windows), `trace`, and `soc` for the SoC's own
     /// wire, interrupt and clock-accounting state.
     ///
     /// `Soc`'s derived `PartialEq` is architectural equality: it compares
@@ -600,7 +569,7 @@ impl Soc {
             "fabric"
         } else if self.l2 != other.l2 {
             "l2"
-        } else if self.activity != other.activity {
+        } else if (&self.activity, &self.closed) != (&other.activity, &other.closed) {
             "activity"
         } else if self.trace != other.trace {
             "trace"
@@ -956,7 +925,6 @@ impl Soc {
         // The CPU and fabric report what they counted since their last
         // flush; add back what was flushed since the last drain, into
         // the open window or into a closed one.
-        let sampler = self.accel.sampler.as_deref();
         let ids = &self.clock_ids;
         for (key, id, kind) in [
             ("cpu.retired", ids.ibex, ActivityKind::InstrRetired),
@@ -966,11 +934,7 @@ impl Soc {
             ("fabric.busy_cycles", ids.fabric, ActivityKind::ActiveCycle),
         ] {
             let unflushed = m.get(key).unwrap_or(0);
-            let closed = sampler.map_or(0, |s| {
-                let pending = s.recent.iter().map(|r| r.row.count_id(id, kind) * r.pending);
-                s.image.count_id(id, kind) + pending.sum::<u64>()
-            });
-            let flushed = self.activity.count_id(id, kind) + closed;
+            let flushed = self.activity.count_id(id, kind) + self.closed.count_id(id, kind);
             m.set(key, unflushed + flushed);
         }
     }
@@ -1459,11 +1423,10 @@ impl Soc {
         self.flush_components_into(&mut set);
         if let Some(s) = self.accel.sampler.as_deref_mut() {
             s.carry.get_or_insert_with(ActivitySet::new).merge(&set);
-            s.settle();
-            set.merge(&s.image);
-            s.image.clear();
             s.awake_start = s.awake_start.wrapping_sub(self.cpu_awake_cycles);
         }
+        set.merge(&self.closed);
+        self.closed.clear();
 
         // Clock accounting: the core clock is gated during WFI sleep; the
         // rest of the SoC clocks every cycle of the window.
@@ -1532,15 +1495,12 @@ impl Soc {
     /// Panics if `window_cycles` is zero.
     pub fn start_timeline(&mut self, window_cycles: u64) {
         assert!(window_cycles > 0, "window_cycles must be non-zero");
-        self.stop_sampler();
         self.accel.sampler = Some(Box::new(TimelineSampler {
             window_cycles,
             window_start: self.cycle,
             next_boundary: self.cycle.saturating_add(window_cycles),
-            image: ActivitySet::new(),
             carry: None,
             awake_start: 0,
-            recent: Vec::with_capacity(RECENT_WINDOWS),
             timeline: ActivityTimeline::new(window_cycles),
         }));
     }
@@ -1557,17 +1517,7 @@ impl Soc {
         if open {
             self.close_timeline_window();
         }
-        self.stop_sampler().map(|s| s.timeline)
-    }
-
-    /// Removes the sampler, handing the activity of its closed windows
-    /// back to the SoC's set, which then again holds everything since
-    /// the last drain.
-    fn stop_sampler(&mut self) -> Option<Box<TimelineSampler>> {
-        let mut s = self.accel.sampler.take()?;
-        s.settle();
-        self.activity.merge(&s.image);
-        Some(s)
+        self.accel.sampler.take().map(|s| s.timeline)
     }
 
     /// Sampling hook on the run-loop observation points: one predictable
@@ -1585,12 +1535,11 @@ impl Soc {
     /// sleeping slaves up to date (closed-form catch-up — segmentation
     /// invariant, so extra syncs cannot change results) and flushes
     /// component counters into the SoC's activity set, which then holds
-    /// exactly the window's component activity. A window that repeats a
-    /// recent one's inputs repeats its sample and counts as one more
-    /// pending copy of its row. Any other window takes its share of the
-    /// clock accounting (the drain counters stay untouched) and goes to
-    /// the timeline, which copies it only if no earlier window matches.
-    /// Last, the set is zeroed for the next window.
+    /// exactly the window's component activity. That activity joins the
+    /// `closed` image, takes its share of the clock accounting (the drain
+    /// counters stay untouched) and goes to the timeline, which copies it
+    /// only if no earlier window matches. Last, the set is zeroed for the
+    /// next window.
     fn close_timeline_window(&mut self) {
         self.sync_slaves();
         let Some(mut s) = self.accel.sampler.take() else {
@@ -1598,43 +1547,16 @@ impl Soc {
         };
         let mut row = std::mem::take(&mut self.activity);
         self.flush_components_into(&mut row);
-        // A window a drain fell in joins the image now, without the part
-        // the drain took; any other joins it through `pending`.
-        let pending = match s.carry.take() {
-            Some(carry) => {
-                s.image.merge(&row);
-                row.merge(&carry);
-                0
-            }
-            None => 1,
-        };
-        let (start, end) = (s.window_start, self.cycle);
-        let inputs = (end - start, self.cpu_awake_cycles.wrapping_sub(s.awake_start));
-        let hit = s
-            .recent
-            .iter()
-            .position(|r| (r.cycles, r.awake) == inputs && r.row == row);
-        match hit {
-            Some(i) => {
-                s.timeline.repeat(start, end, s.recent[i].sample);
-                s.recent[i].pending += pending;
-                s.recent[..=i].rotate_right(1);
-            }
-            None => {
-                // Once the list is full, the least recent entry's buffer
-                // takes the new inputs, its pending windows the image.
-                let mut entry = match s.recent.len() {
-                    RECENT_WINDOWS => s.recent.pop().expect("full"),
-                    _ => RecentWindow::default(),
-                };
-                s.image.merge_times(&entry.row, entry.pending);
-                (entry.cycles, entry.awake, entry.pending) = (inputs.0, inputs.1, pending);
-                entry.row.clone_from(&row);
-                Self::record_clock_activity(&mut row, &self.clock_ids, inputs.0, inputs.1);
-                entry.sample = s.timeline.push(start, end, &row);
-                s.recent.insert(0, entry);
-            }
+        self.closed.merge(&row);
+        // A drain inside the window took its part so far; the window
+        // still holds it.
+        if let Some(carry) = s.carry.take() {
+            row.merge(&carry);
         }
+        let (start, end) = (s.window_start, self.cycle);
+        let awake = self.cpu_awake_cycles.wrapping_sub(s.awake_start);
+        Self::record_clock_activity(&mut row, &self.clock_ids, end - start, awake);
+        s.timeline.push(start, end, &row);
         row.clear();
         self.activity = row;
         s.window_start = self.cycle;
@@ -1750,6 +1672,32 @@ mod tests {
         let fabric_clk = a.count("fabric", ActivityKind::ClockCycle);
         assert_eq!(fabric_clk, 100);
         assert!(ibex_clk < 5, "core clock gated after wfi ({ibex_clk})");
+    }
+
+    #[test]
+    fn a_closed_window_is_part_of_soc_equality() {
+        let scenario = crate::Scenario::from_desc(crate::ScenarioDesc {
+            mediator: crate::Mediator::IbexIrq,
+            ..crate::ScenarioDesc::default()
+        })
+        .unwrap();
+        let mut a = scenario.build_soc();
+        a.timer_mut().write(Timer::CMP, 137).unwrap();
+        a.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
+        a.start_timeline(500);
+        a.run(3000);
+        let ibex = a.clock_ids.ibex;
+        let retired = |set: &ActivitySet| set.count_id(ibex, ActivityKind::InstrRetired);
+        assert!(retired(&a.closed) > 0);
+        // Two sampled SoCs that differ only in a closed window's counters
+        // drain differently, so they must not compare equal.
+        let mut b = a.clone();
+        assert_eq!(a.first_difference(&b), None);
+        b.closed.record(ibex, ActivityKind::InstrRetired, 1);
+        assert_eq!(a.first_difference(&b), Some("activity"));
+        let (da, db) = (a.drain_activity(), b.drain_activity());
+        assert_eq!(retired(&da) + 1, retired(&db));
+        assert_eq!(a.first_difference(&b), None);
     }
 
     #[test]
