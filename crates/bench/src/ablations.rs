@@ -308,11 +308,7 @@ pub fn jitter_under_contention() -> Vec<JitterPoint> {
             p.push(asm::jal(0, -20)); // -> poll
             soc.load_program(pels_soc::mem_map::RESET_PC, &p);
             arm(&mut soc, 61);
-            let marker = if mediator == Mediator::PelsInstant {
-                ("pels.link0", "action")
-            } else {
-                ("gpio", "padout")
-            };
+            let marker = Scenario::completion_marker(mediator);
             soc.run_for_trace_count(30_000, marker.0, marker.1, 40);
             let lats: Vec<u64> = soc
                 .trace()

@@ -113,6 +113,15 @@ pub struct ExecCtx<'a> {
     pub id: ComponentId,
 }
 
+impl ExecCtx<'_> {
+    /// Records a flow hop under the link's adopted context.
+    fn flow_hop(&mut self, stage: &'static str) {
+        if let Some(f) = self.trace.flow_trace_mut() {
+            f.hop(self.time, self.id, stage);
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Idle,
@@ -264,7 +273,9 @@ impl ExecutionUnit {
                     // Adopt (or clear) the flow the token carried; the
                     // link's context threads every later hop of this
                     // program run.
-                    ctx.trace.flow_begin(ctx.time, ctx.id, token.flow, "trigger");
+                    if let Some(f) = ctx.trace.flow_trace_mut() {
+                        f.begin(ctx.time, ctx.id, token.flow, "trigger");
+                    }
                 }
             }
             State::Fetch => {
@@ -297,7 +308,7 @@ impl ExecutionUnit {
                                     "capture",
                                     u64::from(self.dpr),
                                 );
-                                ctx.trace.flow_hop(ctx.time, ctx.id, "capture");
+                                ctx.flow_hop("capture");
                                 self.advance();
                             }
                             _ => {
@@ -319,7 +330,7 @@ impl ExecutionUnit {
                 if ctx.bus.issue_write(self.addr_of(offset), new_value) {
                     // Hop at issue time (not response) so the downstream
                     // pad-out hop can never share a timestamp with it.
-                    ctx.trace.flow_hop(ctx.time, ctx.id, "write");
+                    ctx.flow_hop("write");
                     self.state = State::WriteWait;
                 }
                 // else: port busy (cannot happen with a private port, but
@@ -373,7 +384,7 @@ impl ExecutionUnit {
     fn bus_error(&mut self, ctx: &mut ExecCtx<'_>) {
         self.stats.bus_errors += 1;
         ctx.trace.record(ctx.time, ctx.id, "bus_error", ctx.cycle);
-        ctx.trace.flow_hop(ctx.time, ctx.id, "bus_error");
+        ctx.flow_hop("bus_error");
         self.finish_program();
     }
 
@@ -383,18 +394,19 @@ impl ExecutionUnit {
             Command::Nop => self.advance(),
             Command::Halt => {
                 ctx.trace.record(ctx.time, ctx.id, "halt", ctx.cycle);
-                ctx.trace.flow_hop(ctx.time, ctx.id, "halt");
+                ctx.flow_hop("halt");
                 self.finish_program();
             }
             Command::Action { mode, group, mask } => {
                 ctx.actions.apply(mode, group, mask);
                 ctx.trace
                     .record(ctx.time, ctx.id, "action", u64::from(mask));
-                ctx.trace.flow_hop(ctx.time, ctx.id, "action");
                 // The driven action lines carry the flow onward (loopback
                 // retriggers, wired peripheral actions).
-                ctx.trace
-                    .flow_stage_lines(ctx.id, u64::from(mask) << (32 * u64::from(group & 1)));
+                if let Some(f) = ctx.trace.flow_trace_mut() {
+                    f.hop(ctx.time, ctx.id, "action");
+                    f.stage_lines(ctx.id, u64::from(mask) << (32 * u64::from(group & 1)));
+                }
                 self.advance();
             }
             Command::Wait { cycles } => {
@@ -429,7 +441,7 @@ impl ExecutionUnit {
             }
             Command::Write { offset, value } => {
                 if ctx.bus.issue_write(self.addr_of(offset), value) {
-                    ctx.trace.flow_hop(ctx.time, ctx.id, "write");
+                    ctx.flow_hop("write");
                     self.state = State::WriteWait;
                 }
             }

@@ -133,16 +133,12 @@ impl Link {
     }
 
     /// Samples the broadcast events (trigger stage) — call once per cycle
-    /// *before* [`Link::step_exec`].
-    pub fn sample_events(&mut self, events: EventVector, cycle: u64) -> bool {
-        self.trigger.sample(events, cycle)
-    }
-
-    /// [`Link::sample_events`], additionally looking up the causal flow
-    /// carried by the masked event wires so it rides the trigger token.
-    /// One branch (inside `flow_on_lines`) when flows are off.
-    pub fn sample_events_traced(&mut self, events: EventVector, cycle: u64, trace: &Trace) -> bool {
-        let flow = trace.flow_on_lines((events & self.trigger.mask()).bits());
+    /// *before* [`Link::step_exec`]. The causal flow carried by the masked
+    /// event wires, if flows are on, rides the trigger token.
+    pub fn sample_events(&mut self, events: EventVector, cycle: u64, trace: &Trace) -> bool {
+        let flow = trace.flow_trace().map_or(0, |f| {
+            f.flow_on_lines((events & self.trigger.mask()).bits())
+        });
         self.trigger.sample_with_flow(events, cycle, flow)
     }
 
@@ -232,8 +228,9 @@ mod tests {
     fn sample_pushes_trigger() {
         let mut link = Link::new(0, 4);
         link.set_mask(EventVector::mask_of(&[2]));
-        assert!(link.sample_events(EventVector::mask_of(&[2]), 7));
+        let trace = Trace::new();
+        assert!(link.sample_events(EventVector::mask_of(&[2]), 7, &trace));
         assert_eq!(link.trigger().pending(), 1);
-        assert!(!link.sample_events(EventVector::mask_of(&[3]), 8));
+        assert!(!link.sample_events(EventVector::mask_of(&[3]), 8, &trace));
     }
 }

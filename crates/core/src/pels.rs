@@ -226,7 +226,7 @@ impl Pels {
         let events =
             external_events | (self.prev_actions & self.config.loopback);
         for link in &mut self.links {
-            link.sample_events_traced(events, cycle, trace);
+            link.sample_events(events, cycle, trace);
         }
 
         // 3. Latch the output image.

@@ -297,7 +297,6 @@ fn dec_scenario(r: &mut Obj) -> ScenarioDesc {
         spi_words: r.req("spi_words"),
         events: r.req("events"),
         rmw_only: r.req("rmw_only"),
-        use_udma: r.req("use_udma"),
         exec: r.named("exec", "exec mode", &ExecMode::ALL, ExecMode::name),
         obs: r.req("obs"),
         timeline_window: r.req("timeline_window"),
@@ -410,7 +409,6 @@ impl ScenarioDesc {
         let _ = writeln!(s, "  \"spi_words\": {},", json::uint(self.spi_words.into()));
         let _ = writeln!(s, "  \"events\": {},", json::uint(self.events.into()));
         let _ = writeln!(s, "  \"rmw_only\": {},", self.rmw_only);
-        let _ = writeln!(s, "  \"use_udma\": {},", self.use_udma);
         let _ = writeln!(s, "  \"exec\": \"{}\",", self.exec);
         let _ = writeln!(s, "  \"obs\": {},", self.obs);
         let _ = writeln!(s, "  \"timeline_window\": {},", json::uint(self.timeline_window));

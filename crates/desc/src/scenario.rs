@@ -37,8 +37,6 @@ pub struct ScenarioDesc {
     /// latency-table measurement); `false` → the full Figure 3 threshold
     /// check (the Figure 5 power workload).
     pub rmw_only: bool,
-    /// Land readout data in L2 through the SPI µDMA channel.
-    pub use_udma: bool,
     /// Which simulation path to run on (fast / naive); both are
     /// observationally identical.
     pub exec: ExecMode,
@@ -74,7 +72,6 @@ impl Default for ScenarioDesc {
             spi_words: 2,
             events: 20,
             rmw_only: false,
-            use_udma: true,
             exec: ExecMode::Fast,
             obs: false,
             timeline_window: 0,
@@ -173,12 +170,6 @@ impl ScenarioDesc {
                 "timeline_window must fit a JSON number exactly (at most 2^53)",
             ));
         }
-        if self.mediator == Mediator::IbexIrq && !self.use_udma {
-            return Err(DescError::new(
-                "/use_udma",
-                "the ibex-irq baseline requires use_udma (its handler reads the sample from L2)",
-            ));
-        }
         self.system.validate_at("/system")
     }
 }
@@ -216,13 +207,6 @@ mod tests {
             ..ScenarioDesc::default()
         };
         assert_eq!(d.validate().unwrap_err().path, "/sample_period_ps");
-
-        let d = ScenarioDesc {
-            mediator: Mediator::IbexIrq,
-            use_udma: false,
-            ..ScenarioDesc::default()
-        };
-        assert_eq!(d.validate().unwrap_err().path, "/use_udma");
 
         let mut d = ScenarioDesc::default();
         d.system.pels.links = 99;

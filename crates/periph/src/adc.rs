@@ -133,12 +133,12 @@ impl Peripheral for Adc {
     fn tick(&mut self, ctx: &mut PeriphCtx<'_>) {
         if ctx.wired_high(self.start_line) {
             self.start();
-            if ctx.trace.flows_enabled() {
+            if let Some(f) = ctx.trace.flow_trace_mut() {
                 // Conversion started by a wire edge: adopt its flow (or
                 // clear a stale one if the wire carried none).
-                ctx.trace.flow_begin(ctx.time, self.id, 0, "start");
+                f.begin(ctx.time, self.id, 0, "start");
                 if let Some(line) = self.start_line {
-                    ctx.trace.flow_adopt_wire(ctx.time, self.id, line, "start");
+                    f.adopt_wire(ctx.time, self.id, line, "start");
                 }
             }
         }
@@ -154,7 +154,9 @@ impl Peripheral for Adc {
             if let Some(line) = self.done_line {
                 ctx.raise(line, self.id, "done");
                 // Conversion complete: next `done` originates fresh.
-                ctx.trace.flow_begin(ctx.time, self.id, 0, "done");
+                if let Some(f) = ctx.trace.flow_trace_mut() {
+                    f.begin(ctx.time, self.id, 0, "done");
+                }
             }
         }
     }

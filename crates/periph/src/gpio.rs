@@ -188,7 +188,7 @@ impl Peripheral for Gpio {
             ctx.activity.record(self.id, ActivityKind::ActiveCycle, 1);
             ctx.trace
                 .record(ctx.time, self.id, "padout", u64::from(self.out));
-            if ctx.trace.flows_enabled() {
+            if let Some(f) = ctx.trace.flow_trace_mut() {
                 // Attribute the pad change: a wired instant action carries
                 // its flow on the event wire; a sequenced/IRQ register
                 // write stages it as a fabric write commit. Neither means
@@ -199,11 +199,10 @@ impl Peripheral for Gpio {
                     .flatten()
                     .map(|(l, _)| *l)
                     .any(|l| {
-                        ctx.events_in.is_set(l)
-                            && ctx.trace.flow_adopt_wire(ctx.time, self.id, l, "padout")
+                        ctx.events_in.is_set(l) && f.adopt_wire(ctx.time, self.id, l, "padout")
                     });
-                if !wired && !ctx.trace.flow_take_reg_write(ctx.time, self.id, "padout") {
-                    ctx.trace.flow_begin(ctx.time, self.id, 0, "padout");
+                if !wired && !f.take_reg_write(ctx.time, self.id, "padout") {
+                    f.begin(ctx.time, self.id, 0, "padout");
                 }
             }
             if let Some((pin, event_line)) = self.watch {

@@ -204,13 +204,13 @@ impl Peripheral for Spi {
             self.start(self.last_len);
             ctx.trace
                 .record(ctx.time, self.id, "start", u64::from(self.last_len));
-            if ctx.trace.flows_enabled() {
+            if let Some(f) = ctx.trace.flow_trace_mut() {
                 // Adopt the flow carried by the start wire (a timer
                 // compare, a PELS action, …); if the wire carried none,
                 // clear any stale context from a previous transfer.
-                ctx.trace.flow_begin(ctx.time, self.id, 0, "start");
+                f.begin(ctx.time, self.id, 0, "start");
                 if let Some(line) = self.start_line {
-                    ctx.trace.flow_adopt_wire(ctx.time, self.id, line, "start");
+                    f.adopt_wire(ctx.time, self.id, line, "start");
                 }
             }
         }
@@ -248,7 +248,9 @@ impl Peripheral for Spi {
                 // End of this causal event: drop the context so the next
                 // transfer's eot originates a fresh flow (continuous µDMA
                 // mode restarts without a wire edge).
-                ctx.trace.flow_begin(ctx.time, self.id, 0, "eot");
+                if let Some(f) = ctx.trace.flow_trace_mut() {
+                    f.begin(ctx.time, self.id, 0, "eot");
+                }
             }
         }
     }

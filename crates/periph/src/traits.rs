@@ -47,7 +47,9 @@ impl<'a> PeriphCtx<'a> {
         // Causal flow: propagate the peripheral's adopted context, or mint
         // a fresh flow if it has none (this raise *is* the originating
         // stimulus). One branch when flows are off.
-        self.trace.flow_raise(self.time, source, line, label);
+        if let Some(f) = self.trace.flow_trace_mut() {
+            f.raise(self.time, source, line, label);
+        }
         self.activity
             .record(source, pels_sim::ActivityKind::EventPulse, 1);
     }

@@ -126,7 +126,6 @@ const ZERO_ROW: Row = [0; ActivityKind::COUNT];
 /// a.record(sram, ActivityKind::SramRead, 3);
 /// a.record(sram, ActivityKind::SramRead, 1);
 /// assert_eq!(a.count("sram", ActivityKind::SramRead), 4);
-/// assert_eq!(a.component_total("sram"), 4);
 /// ```
 #[derive(Debug, Default)]
 pub struct ActivitySet {
@@ -203,13 +202,6 @@ impl ActivitySet {
     pub fn count(&self, component: &str, kind: ActivityKind) -> u64 {
         ComponentId::lookup(component)
             .map(|id| self.count_id(id, kind))
-            .unwrap_or(0)
-    }
-
-    /// Sum over all kinds for `component` (one row scan, no allocation).
-    pub fn component_total(&self, component: &str) -> u64 {
-        ComponentId::lookup(component)
-            .map(|id| self.row(id).iter().sum())
             .unwrap_or(0)
     }
 
@@ -366,7 +358,6 @@ mod tests {
         a.record(pels, ActivityKind::ScmRead, 4);
         assert_eq!(a.count("act-ibex", ActivityKind::InstrRetired), 10);
         assert_eq!(a.count("act-ibex", ActivityKind::ScmRead), 0);
-        assert_eq!(a.component_total("act-ibex"), 22);
         assert_eq!(a.kind_total(ActivityKind::ScmRead), 4);
         assert_eq!(a.components(), vec!["act-ibex", "act-pels"]);
     }
@@ -375,7 +366,6 @@ mod tests {
     fn unknown_component_reads_as_zero() {
         let a = ActivitySet::new();
         assert_eq!(a.count("never-interned-component", ActivityKind::RegRead), 0);
-        assert_eq!(a.component_total("never-interned-component"), 0);
     }
 
     #[test]

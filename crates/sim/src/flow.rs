@@ -10,10 +10,13 @@
 //! decomposed into per-stage cycle deltas.
 //!
 //! The layer is **pure observation**: it is off by default, every
-//! observation point is a single branch on an `Option`, and the
-//! `observation_invariance` suite proves runs are bit-identical with flows
-//! on and off. Flow hops are recorded *only* here — never as extra `Trace`
-//! entries — so trace comparisons are unaffected by construction.
+//! observation point in the models is a single `if let` on
+//! [`Trace::flow_trace_mut`](crate::trace::Trace::flow_trace_mut) (one
+//! branch when flows are off), and the `observation_invariance` suite
+//! proves runs are bit-identical with flows on and off. Debug builds check
+//! every recorded stage against [`FLOW_STAGES`]. Flow hops are recorded
+//! *only* here — never as extra `Trace` entries — so trace comparisons are
+//! unaffected by construction.
 //!
 //! ## Propagation model
 //!
@@ -30,9 +33,9 @@ use crate::intern::ComponentId;
 use crate::time::SimTime;
 use std::collections::HashMap;
 
-/// Every stage name a [`FlowHop`] may carry. `obs_check` gates
-/// `OBS_flows.json` against this list, so new observation points must be
-/// registered here.
+/// Every stage name a [`FlowHop`] may carry. Debug builds assert it on
+/// every recorded hop and `obs_check` gates `OBS_flows.json` against it,
+/// so new observation points must be registered here.
 pub const FLOW_STAGES: &[&str] = &[
     // Originating stimuli.
     "inject", "compare", "bite", "pin_rise",
@@ -77,8 +80,9 @@ impl FlowHop {
 /// Recorded flows plus the live propagation state (wire latches, per-
 /// component adopted contexts, staged register-write flows).
 ///
-/// Embedded in [`Trace`](crate::trace::Trace) as an `Option<Box<..>>` so
-/// every observation point in the models is one branch when flows are off.
+/// Embedded in [`Trace`](crate::trace::Trace) as an `Option<Box<..>>` and
+/// reached through [`Trace::flow_trace_mut`](crate::trace::Trace::flow_trace_mut),
+/// so every observation point in the models is one branch when flows are off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowTrace {
     hops: Vec<FlowHop>,
@@ -114,6 +118,10 @@ impl Default for FlowTrace {
 
 impl FlowTrace {
     fn push(&mut self, flow: u64, time: SimTime, source: ComponentId, stage: &'static str) {
+        debug_assert!(
+            FLOW_STAGES.contains(&stage),
+            "flow stage {stage:?} is not in FLOW_STAGES"
+        );
         self.hops.push(FlowHop {
             flow: FlowId(flow),
             time,
@@ -386,9 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn every_recorded_stage_is_allowlisted() {
-        for stage in ["compare", "padout", "irq_enter", "mret"] {
-            assert!(FLOW_STAGES.contains(&stage));
-        }
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not in FLOW_STAGES")]
+    fn recording_an_unlisted_stage_panics() {
+        let mut f = FlowTrace::default();
+        f.raise(SimTime::ZERO, cid("flow-test-unlisted"), 0, "not_a_stage");
     }
 }

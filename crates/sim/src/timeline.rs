@@ -140,20 +140,6 @@ impl ActivityTimeline {
         })
     }
 
-    /// Per-window totals of one activity kind summed across all
-    /// components — a ready-to-plot series.
-    pub fn kind_series(&self, kind: crate::ActivityKind) -> Vec<u64> {
-        let totals: Vec<u64> = self
-            .samples
-            .iter()
-            .map(|(_, a)| a.kind_total(kind))
-            .collect();
-        self.windows
-            .iter()
-            .map(|w| totals[w.sample as usize])
-            .collect()
-    }
-
     /// Sum of every window's activity — the whole-timeline image.
     pub fn total_activity(&self) -> ActivitySet {
         let mut total = ActivitySet::new();
@@ -186,7 +172,11 @@ mod tests {
         t.push(100, 450, &pulses(1)); // a skip stretched this one
         t.push(450, 550, &pulses(0));
         assert_eq!(t.len(), 3);
-        assert_eq!(t.kind_series(ActivityKind::EventPulse), vec![3, 1, 0]);
+        let series: Vec<u64> = t
+            .windows()
+            .map(|w| w.activity.kind_total(ActivityKind::EventPulse))
+            .collect();
+        assert_eq!(series, vec![3, 1, 0]);
         assert_eq!(t.windows().nth(1).unwrap().cycles(), 350);
         assert_eq!(t.total_activity().kind_total(ActivityKind::EventPulse), 4);
     }
@@ -227,7 +217,7 @@ mod tests {
         let t = ActivityTimeline::new(64);
         assert!(t.is_empty());
         assert_eq!(t.distinct(), 0);
-        assert_eq!(t.kind_series(ActivityKind::ClockCycle), Vec::<u64>::new());
+        assert_eq!(t.windows().len(), 0);
         assert!(t.total_activity().is_empty());
     }
 }

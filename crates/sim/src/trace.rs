@@ -58,14 +58,15 @@ impl fmt::Display for TraceEntry {
 /// let mut t = Trace::new();
 /// t.record(SimTime::from_ns(10), spi, "eot", 0);
 /// t.record(SimTime::from_ns(80), gpio, "set", 1);
-/// let lat = t.latency_between(("spi", "eot"), ("gpio", "set")).unwrap();
-/// assert_eq!(lat.as_ns(), 70);
+/// let lat = t.latencies_all(("spi", "eot"), ("gpio", "set"));
+/// assert_eq!(lat, vec![SimTime::from_ns(70)]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
-    /// Causal flow layer; `None` (the default) keeps every flow
-    /// observation point in the models down to a single branch.
+    /// Causal flow layer, reached through [`Trace::flow_trace_mut`];
+    /// `None` (the default) keeps every flow observation point in the
+    /// models down to a single branch.
     flows: Option<Box<FlowTrace>>,
 }
 
@@ -116,15 +117,6 @@ impl Trace {
             .find(|e| e.source == id && e.label == label)
     }
 
-    /// Last entry matching `(source, label)`.
-    pub fn last(&self, source: &str, label: &str) -> Option<&TraceEntry> {
-        let id = ComponentId::lookup(source)?;
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.source == id && e.label == label)
-    }
-
     /// All entries matching `(source, label)`.
     pub fn all(&self, source: &str, label: &str) -> Vec<&TraceEntry> {
         let Some(id) = ComponentId::lookup(source) else {
@@ -134,21 +126,6 @@ impl Trace {
             .iter()
             .filter(|e| e.source == id && e.label == label)
             .collect()
-    }
-
-    /// First entry matching `to` at-or-after the first occurrence of
-    /// `from`, minus the `from` timestamp.
-    ///
-    /// This is the latency-measurement primitive: time from a producer
-    /// event to a consumer action.
-    pub fn latency_between(&self, from: (&str, &str), to: (&str, &str)) -> Option<SimTime> {
-        let start = self.first(from.0, from.1)?;
-        let to_id = ComponentId::lookup(to.0)?;
-        let end = self
-            .entries
-            .iter()
-            .find(|e| e.source == to_id && e.label == to.1 && e.time >= start.time)?;
-        Some(end.time - start.time)
     }
 
     /// Latencies for every `(from → next to)` pair, for jitter statistics.
@@ -168,16 +145,6 @@ impl Trace {
         out
     }
 
-    /// Clears all entries.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    // ------------------------------------------------------------------
-    // Causal flow layer (crate::flow). Every wrapper is a single branch
-    // on the `Option` when flows are off — the pure-observation contract.
-    // ------------------------------------------------------------------
-
     /// Turns on causal flow tracing (off by default).
     pub fn enable_flows(&mut self) {
         if self.flows.is_none() {
@@ -185,142 +152,23 @@ impl Trace {
         }
     }
 
-    /// Whether causal flow tracing is active.
-    #[inline]
-    pub fn flows_enabled(&self) -> bool {
-        self.flows.is_some()
-    }
-
     /// The recorded flow layer, if enabled.
     pub fn flow_trace(&self) -> Option<&FlowTrace> {
         self.flows.as_deref()
+    }
+
+    /// The flow layer to record into, if enabled. Every observation point
+    /// in the models is one `if let` on this handle, a single branch when
+    /// flows are off.
+    #[inline]
+    pub fn flow_trace_mut(&mut self) -> Option<&mut FlowTrace> {
+        self.flows.as_deref_mut()
     }
 
     /// Removes and returns the flow layer (disabling further flow
     /// recording).
     pub fn take_flow_trace(&mut self) -> Option<FlowTrace> {
         self.flows.take().map(|b| *b)
-    }
-
-    /// See [`FlowTrace::raise`].
-    #[inline]
-    pub fn flow_raise(
-        &mut self,
-        time: SimTime,
-        source: ComponentId,
-        line: u32,
-        stage: &'static str,
-    ) {
-        if let Some(f) = &mut self.flows {
-            f.raise(time, source, line, stage);
-        }
-    }
-
-    /// See [`FlowTrace::adopt_wire`].
-    #[inline]
-    pub fn flow_adopt_wire(
-        &mut self,
-        time: SimTime,
-        source: ComponentId,
-        line: u32,
-        stage: &'static str,
-    ) -> bool {
-        match &mut self.flows {
-            Some(f) => f.adopt_wire(time, source, line, stage),
-            None => false,
-        }
-    }
-
-    /// See [`FlowTrace::flow_on_lines`].
-    #[inline]
-    pub fn flow_on_lines(&self, bits: u64) -> u64 {
-        match &self.flows {
-            Some(f) => f.flow_on_lines(bits),
-            None => 0,
-        }
-    }
-
-    /// See [`FlowTrace::begin`].
-    #[inline]
-    pub fn flow_begin(
-        &mut self,
-        time: SimTime,
-        source: ComponentId,
-        flow: u64,
-        stage: &'static str,
-    ) {
-        if let Some(f) = &mut self.flows {
-            f.begin(time, source, flow, stage);
-        }
-    }
-
-    /// See [`FlowTrace::hop`].
-    #[inline]
-    pub fn flow_hop(&mut self, time: SimTime, source: ComponentId, stage: &'static str) {
-        if let Some(f) = &mut self.flows {
-            f.hop(time, source, stage);
-        }
-    }
-
-    /// See [`FlowTrace::hop_with`].
-    #[inline]
-    pub fn flow_hop_with(
-        &mut self,
-        time: SimTime,
-        source: ComponentId,
-        flow: u64,
-        stage: &'static str,
-    ) {
-        if let Some(f) = &mut self.flows {
-            f.hop_with(time, source, flow, stage);
-        }
-    }
-
-    /// See [`FlowTrace::stage_lines`].
-    #[inline]
-    pub fn flow_stage_lines(&mut self, source: ComponentId, bits: u64) {
-        if let Some(f) = &mut self.flows {
-            f.stage_lines(source, bits);
-        }
-    }
-
-    /// See [`FlowTrace::stage_reg_write`].
-    #[inline]
-    pub fn flow_stage_reg_write(&mut self, slave: ComponentId, flow: u64) {
-        if let Some(f) = &mut self.flows {
-            f.stage_reg_write(slave, flow);
-        }
-    }
-
-    /// See [`FlowTrace::take_reg_write`].
-    #[inline]
-    pub fn flow_take_reg_write(
-        &mut self,
-        time: SimTime,
-        slave: ComponentId,
-        stage: &'static str,
-    ) -> bool {
-        match &mut self.flows {
-            Some(f) => f.take_reg_write(time, slave, stage),
-            None => false,
-        }
-    }
-
-    /// See [`FlowTrace::component`].
-    #[inline]
-    pub fn flow_component(&self, source: ComponentId) -> u64 {
-        match &self.flows {
-            Some(f) => f.component(source),
-            None => 0,
-        }
-    }
-
-    /// See [`FlowTrace::cycle_end`].
-    #[inline]
-    pub fn flow_cycle_end(&mut self) {
-        if let Some(f) = &mut self.flows {
-            f.cycle_end();
-        }
     }
 }
 
@@ -348,20 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn first_last_all() {
+    fn first_and_all() {
         let t = sample();
         assert_eq!(t.first("spi", "eot").unwrap().time, SimTime::from_ns(10));
-        assert_eq!(t.last("spi", "eot").unwrap().time, SimTime::from_ns(100));
         assert_eq!(t.all("spi", "eot").len(), 2);
         assert!(t.first("trace-test-unknown-source", "x").is_none());
-    }
-
-    #[test]
-    fn latency_between_pairs() {
-        let t = sample();
-        let l = t.latency_between(("spi", "eot"), ("gpio", "set")).unwrap();
-        assert_eq!(l.as_ns(), 40);
-        assert!(t.latency_between(("gpio", "set"), ("timer", "ovf")).is_none());
     }
 
     #[test]

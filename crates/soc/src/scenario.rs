@@ -325,7 +325,7 @@ impl Scenario {
         let mut soc =
             Soc::from_desc(&self.system).expect("scenario descriptions are validated");
         if self.flows {
-            soc.enable_flows();
+            soc.trace_mut().enable_flows();
         }
 
         match self.mediator {
@@ -359,18 +359,16 @@ impl Scenario {
         // Autonomous readout chain: timer compare starts the SPI; µDMA
         // lands the words in L2.
         soc.spi_mut().set_default_len(self.spi_words);
-        if self.use_udma {
-            soc.spi_mut().write(Spi::UDMA_SADDR, 0x4000).unwrap();
-            // Autonomous (PELS) configurations stream into a ring buffer;
-            // the interrupt baseline re-arms the channel from its handler
-            // instead (Figure 1a vs 1c).
-            if self.mediator != Mediator::IbexIrq {
-                soc.spi_mut().write(Spi::UDMA_CFG, 1).unwrap();
-            }
-            soc.spi_mut()
-                .write(Spi::UDMA_SIZE, self.spi_words * 4)
-                .unwrap();
+        soc.spi_mut().write(Spi::UDMA_SADDR, 0x4000).unwrap();
+        // Autonomous (PELS) configurations stream into a ring buffer; the
+        // interrupt baseline re-arms the channel from its handler instead
+        // (Figure 1a vs 1c).
+        if self.mediator != Mediator::IbexIrq {
+            soc.spi_mut().write(Spi::UDMA_CFG, 1).unwrap();
         }
+        soc.spi_mut()
+            .write(Spi::UDMA_SIZE, self.spi_words * 4)
+            .unwrap();
         soc.set_exec_mode(self.exec);
         soc
     }
@@ -382,9 +380,11 @@ impl Scenario {
             .unwrap();
     }
 
-    /// The trace point that marks a completed linking action.
-    fn completion_marker(&self) -> (&'static str, &'static str) {
-        match self.mediator {
+    /// The trace point `(source, label)` that marks a completed linking
+    /// action under `mediator`: the instant action itself, or the pad
+    /// change a register write caused.
+    pub fn completion_marker(mediator: Mediator) -> (&'static str, &'static str) {
+        match mediator {
             Mediator::PelsInstant => ("pels.link0", "action"),
             _ => ("gpio", "padout"),
         }
@@ -413,7 +413,7 @@ impl Scenario {
         }
         Self::arm_timer(&mut soc, self.timer_period_cycles());
         let budget = self.cycle_budget();
-        let marker = self.completion_marker();
+        let marker = Self::completion_marker(self.mediator);
         let wanted = self.events as usize;
         {
             let _span = pels_obs::profile::span("scenario.active");
@@ -616,10 +616,7 @@ impl ScenarioReport {
     /// (`tests/flow_properties.rs`).
     pub fn flow_report(&self) -> Option<pels_obs::FlowReport> {
         let flows = self.flows.as_ref()?;
-        let terminal = match self.mediator {
-            Mediator::PelsInstant => "action",
-            _ => "padout",
-        };
+        let (_, terminal) = Scenario::completion_marker(self.mediator);
         Some(pels_obs::FlowReport::from_flows(
             flows,
             self.freq.period_ps(),
@@ -778,17 +775,10 @@ mod tests {
     #[test]
     fn from_desc_rejects_unmeasurable_workloads_with_paths() {
         type Edit = fn(&mut ScenarioDesc);
-        let cases: [(Edit, &str); 9] = [
+        let cases: [(Edit, &str); 8] = [
             (|d| d.events = 0, "/events"),
             (|d| d.spi_words = 0, "/spi_words"),
             (|d| d.sample_period = SimTime::ZERO, "/sample_period_ps"),
-            (
-                |d| {
-                    d.mediator = Mediator::IbexIrq;
-                    d.use_udma = false;
-                },
-                "/use_udma",
-            ),
             (|d| d.system.pels.links = 0, "/system/pels/links"),
             (|d| d.system.pels.scm_lines = 0, "/system/pels/scm_lines"),
             (|d| d.system.set_spi_clkdiv(0), "/system/peripherals/2/clkdiv"),

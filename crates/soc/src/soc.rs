@@ -692,11 +692,10 @@ impl CpuBus for CpuPort<'_> {
                 Ok(()) => {
                     // One APB data access per handler load/store: issued
                     // exactly once per transaction (later cycles poll).
-                    self.trace.flow_hop(
-                        self.time,
-                        self.cpu_id,
-                        if req.write { "handler_store" } else { "handler_load" },
-                    );
+                    if let Some(f) = self.trace.flow_trace_mut() {
+                        let stage = if req.write { "handler_store" } else { "handler_load" };
+                        f.hop(self.time, self.cpu_id, stage);
+                    }
                     DataResult::Pending
                 }
                 Err(_) => DataResult::Fault,
@@ -953,16 +952,10 @@ impl Soc {
         self.injected.set(line);
         // An injected pulse is an originating stimulus: mint its flow and
         // stage it on the wire the consuming step will sample.
-        self.trace
-            .flow_raise(self.time(), self.clock_ids.soc_ctrl, line, "inject");
-    }
-
-    /// Turns on causal event-flow tracing (see `pels_sim::flow`). Off by
-    /// default; enabling is a pure-observation switch — the differential
-    /// `observation_invariance` suite proves runs are bit-identical either
-    /// way.
-    pub fn enable_flows(&mut self) {
-        self.trace.enable_flows();
+        let time = self.time();
+        if let Some(f) = self.trace.flow_trace_mut() {
+            f.raise(time, self.clock_ids.soc_ctrl, line, "inject");
+        }
     }
 
     /// Selects the execution path. [`ExecMode::Fast`] (the default)
@@ -1103,13 +1096,12 @@ impl Soc {
                 if pulses.is_set(line) {
                     let newly = self.irq_pending & (1 << bit) == 0;
                     self.irq_pending |= 1 << bit;
-                    if newly && self.trace.flows_enabled() {
+                    if let Some(f) = self.trace.flow_trace_mut().filter(|_| newly) {
                         // Latch the wire's flow alongside the pending bit
                         // so the eventual handler entry inherits it.
-                        let flow = self.trace.flow_on_lines(1u64 << line);
+                        let flow = f.flow_on_lines(1u64 << line);
                         self.irq_flow[bit as usize] = flow;
-                        self.trace
-                            .flow_hop_with(time, self.clock_ids.ibex, flow, "irq_pend");
+                        f.hop_with(time, self.clock_ids.ibex, flow, "irq_pend");
                     }
                 }
             }
@@ -1133,10 +1125,9 @@ impl Soc {
         }
         if let Some(line) = self.cpu.take_irq_ack() {
             self.irq_pending &= !(1u32 << line);
-            if self.trace.flows_enabled() {
+            if let Some(f) = self.trace.flow_trace_mut() {
                 let flow = std::mem::take(&mut self.irq_flow[line as usize]);
-                self.trace
-                    .flow_begin(time, self.clock_ids.ibex, flow, "irq_enter");
+                f.begin(time, self.clock_ids.ibex, flow, "irq_enter");
             }
         }
 
@@ -1150,17 +1141,7 @@ impl Soc {
             self.serve_in_place(served, cycle, time);
         }
         self.fabric.tick();
-        if self.trace.flows_enabled() {
-            self.stage_write_commit_flows();
-            // Handler exit: `mret` retires inside the CPU; convert its
-            // core cycle (locked to the SoC cycle) to absolute time and
-            // close out the CPU's flow context.
-            if let Some(c) = self.cpu.take_mret() {
-                let t = SimTime::from_ps(self.freq.period_ps() * c);
-                self.trace.flow_hop(t, self.clock_ids.ibex, "mret");
-                self.trace.flow_begin(t, self.clock_ids.ibex, 0, "mret");
-            }
-        }
+        self.record_bus_flows();
 
         // 4b. Sleep decisions, on post-bus state: a slave whose plan
         //     says the next n-1 ticks are unobservable (n >= 2) sleeps
@@ -1216,7 +1197,9 @@ impl Soc {
             self.cpu_awake_cycles += 1;
         }
         self.prev_wires = pulses | actions;
-        self.trace.flow_cycle_end();
+        if let Some(f) = self.trace.flow_trace_mut() {
+            f.cycle_end();
+        }
         self.cycle += 1;
         self.window_cycles += 1;
     }
@@ -1245,28 +1228,36 @@ impl Soc {
         }
     }
 
-    /// Translates this cycle's fabric write commits into staged causal
-    /// flows keyed by the slave they hit: the CPU master carries the CPU's
-    /// adopted context (IRQ handler stores), each PELS master its link's
-    /// (sequenced RMW commands). Consumed by the slave's next tick — e.g.
-    /// GPIO pad-out attribution. Only called when flows are enabled.
-    fn stage_write_commit_flows(&mut self) {
-        for i in 0..self.fabric.write_commits().len() {
-            let (slave, master) = self.fabric.write_commits()[i];
+    /// Records the flows of this cycle's bus phases, when flows are on.
+    /// Each fabric write commit stages a flow keyed by the slave it hit:
+    /// the CPU master carries the CPU's adopted context (IRQ handler
+    /// stores), each PELS master its link's (sequenced RMW commands). The
+    /// slave's next tick consumes it — e.g. GPIO pad-out attribution. A
+    /// retired `mret` closes out the CPU's flow context.
+    fn record_bus_flows(&mut self) {
+        let Some(f) = self.trace.flow_trace_mut() else {
+            return;
+        };
+        for &(slave, master) in self.fabric.write_commits() {
             let flow = if master == self.cpu_master.index() {
-                self.trace.flow_component(self.clock_ids.ibex)
+                f.component(self.clock_ids.ibex)
             } else {
                 self.pels_masters
                     .iter()
                     .position(|m| m.index() == master)
                     .and_then(|link| self.clock_ids.links.get(link))
-                    .map(|&id| self.trace.flow_component(id))
-                    .unwrap_or(0)
+                    .map_or(0, |&id| f.component(id))
             };
             if flow != 0 {
-                let id = self.fabric.slave_at(slave).component();
-                self.trace.flow_stage_reg_write(id, flow);
+                f.stage_reg_write(self.fabric.slave_at(slave).component(), flow);
             }
+        }
+        // Handler exit: `mret` retires inside the CPU; convert its core
+        // cycle (locked to the SoC cycle) to absolute time.
+        if let Some(c) = self.cpu.take_mret() {
+            let t = SimTime::from_ps(self.freq.period_ps() * c);
+            f.hop(t, self.clock_ids.ibex, "mret");
+            f.begin(t, self.clock_ids.ibex, 0, "mret");
         }
     }
 

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The scenario builds its own SoC; we step it ourselves with a short
     // timer period so the linking event lands inside the capture window.
     let mut soc = scenario.build_soc();
-    soc.enable_flows();
+    soc.trace_mut().enable_flows();
     soc.timer_mut().write(Timer::CMP, 20)?;
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE)?;
 

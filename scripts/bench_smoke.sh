@@ -38,11 +38,12 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # pure-observation suite run there as well, and so do the peripherals'
 # unit tests, whose catch-up-vs-tick table checks each peripheral's
 # sleep plan where its catch-up `debug_assert`s are compiled out. The
-# power golden and the lifetime probe's invariance suite run there too:
-# perfbench's lifetime workload times the release power and ledger code.
+# power golden runs there too, and the pure-observation suite covers the
+# lifetime probe: perfbench's lifetime workload times the release power
+# and ledger code.
 cargo test -q --release --test quiescence --test active_path \
     --test desc_fuzz --test observation_invariance \
-    --test power_golden --test lifetime_invariance
+    --test power_golden
 cargo test -q --release -p pels-cpu --test decode_cache
 cargo test -q --release -p pels-periph --lib
 echo "bench_smoke: release fast-vs-naive differential OK"

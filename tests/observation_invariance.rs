@@ -8,13 +8,14 @@
 //! bit-identical with any subset of probes on, under every execution
 //! mode and mediator, and fleet digests do not move under a probe or
 //! the worker count. The first two tests run the shared harness in
-//! `tests/common` over every non-empty probe subset; `obs_invariance`,
-//! `flow_invariance` and `lifetime_invariance` run it over each probe's
-//! own subsets. The tests after them pin what each probe records
-//! (timeline windows partition the run, a sampled SoC equals its
-//! unsampled twin once both are drained, flow attribution is
-//! mode-independent, the ledger partitions the power timeline,
-//! duty-cycled horizons stay cheap).
+//! `tests/common`: the first over every non-empty probe subset, the
+//! second over each probe alone, the two pairs that sample a timeline
+//! under another probe, and all four; `obs_invariance`, `flow_invariance`
+//! and `lifetime_invariance` run it over each probe's own subsets. The
+//! tests after them pin what each probe records (timeline windows
+//! partition the run, a sampled SoC equals its unsampled twin once both
+//! are drained, flow attribution is mode-independent, the ledger
+//! partitions the power timeline, duty-cycled horizons stay cheap).
 
 mod common;
 
@@ -36,8 +37,17 @@ fn every_probe_subset_is_pure_observation() {
 
 #[test]
 fn fleet_digest_is_invariant_under_every_probe_and_worker_count() {
-    // Each probe alone, then all four together.
-    common::assert_fleet_digest_invariant(&[OBS, TIMELINE, FLOWS, LIFETIME, ALL_PROBES]);
+    // Each probe alone, the metrics snapshot and the ledger over a
+    // sampled timeline, then all four together.
+    common::assert_fleet_digest_invariant(&[
+        OBS,
+        TIMELINE,
+        FLOWS,
+        LIFETIME,
+        OBS | TIMELINE,
+        LIFETIME | TIMELINE,
+        ALL_PROBES,
+    ]);
 }
 
 #[test]
