@@ -75,12 +75,14 @@ fn encode_cond(cond: TriggerCond) -> u32 {
 }
 
 impl Pels {
-    /// Reads a configuration register.
+    /// Reads a configuration register, counting the access (see
+    /// [`Pels::drain_activity`]).
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for unmapped offsets.
-    pub fn config_read(&self, offset: u32) -> Result<u32, ConfigError> {
+    pub fn config_read(&mut self, offset: u32) -> Result<u32, ConfigError> {
+        self.config_port.reads += 1;
         match offset {
             regs::CTRL => return Ok(u32::from(self.is_enabled())),
             regs::N_LINKS => return Ok(self.link_count() as u32),
@@ -116,12 +118,14 @@ impl Pels {
         }
     }
 
-    /// Writes a configuration register.
+    /// Writes a configuration register, counting the access (see
+    /// [`Pels::drain_activity`]).
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for unmapped or read-only offsets.
     pub fn config_write(&mut self, offset: u32, value: u32) -> Result<(), ConfigError> {
+        self.config_port.writes += 1;
         match offset {
             regs::CTRL => {
                 self.set_enabled(value & 1 != 0);
@@ -279,7 +283,7 @@ mod tests {
 
     #[test]
     fn out_of_range_link_rejected() {
-        let p = pels(1, 4);
+        let mut p = pels(1, 4);
         assert!(p.config_read(link_reg(1, regs::LINK_CTRL)).is_err());
         let e = p.config_read(0x0C).unwrap_err();
         assert!(e.to_string().contains("unmapped"));

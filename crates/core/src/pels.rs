@@ -2,7 +2,7 @@
 
 use crate::exec::{ActionLines, LinkBus};
 use crate::link::{Link, DEFAULT_FIFO_DEPTH};
-use pels_sim::{ActivitySet, EventVector, SimTime, Trace};
+use pels_sim::{ActivityCounter, ActivitySet, ComponentId, EventVector, SimTime, Trace};
 
 /// Static configuration of a PELS instance — the two knobs the paper
 /// sweeps in Figure 6a (links × SCM lines) plus the FIFO-depth and
@@ -101,6 +101,10 @@ pub struct Pels {
     prev_actions: EventVector,
     enabled: bool,
     cycle: u64,
+    /// `pels`, the component its config port charges.
+    id: ComponentId,
+    /// Config-port reads and writes since the last activity drain.
+    pub(crate) config_port: ActivityCounter,
 }
 
 impl Pels {
@@ -125,6 +129,8 @@ impl Pels {
             prev_actions: EventVector::EMPTY,
             enabled: true,
             cycle: 0,
+            id: ComponentId::intern("pels"),
+            config_port: ActivityCounter::default(),
         }
     }
 
@@ -236,8 +242,10 @@ impl Pels {
         visible
     }
 
-    /// Drains the per-link activity counters.
+    /// Drains the config-port accesses (`RegRead`/`RegWrite` under
+    /// `pels`) and the per-link activity counters.
     pub fn drain_activity(&mut self, into: &mut ActivitySet) {
+        self.config_port.drain(self.id, into);
         for link in &mut self.links {
             link.drain_activity(into);
         }
@@ -428,5 +436,21 @@ mod tests {
         pels.drain_activity(&mut a);
         assert!(a.count("pels.link0", pels_sim::ActivityKind::InstrRetired) >= 2);
         assert_eq!(a.count("pels.link1", pels_sim::ActivityKind::InstrRetired), 0);
+    }
+
+    #[test]
+    fn config_port_accesses_drain_under_pels() {
+        let mut pels = with_links(1);
+        pels.config_write(crate::regs::CTRL, 1).unwrap();
+        let _ = pels.config_read(crate::regs::N_LINKS);
+        // A rejected access still reached the port.
+        assert!(pels.config_write(crate::regs::N_LINKS, 0).is_err());
+        let mut a = ActivitySet::new();
+        pels.drain_activity(&mut a);
+        assert_eq!(a.count("pels", pels_sim::ActivityKind::RegRead), 1);
+        assert_eq!(a.count("pels", pels_sim::ActivityKind::RegWrite), 2);
+        let mut again = ActivitySet::new();
+        pels.drain_activity(&mut again);
+        assert!(again.is_empty(), "a drain restarts the count");
     }
 }

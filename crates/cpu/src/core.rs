@@ -237,7 +237,10 @@ impl Cpu {
         self.cycles
     }
 
-    /// Retired instructions.
+    /// Instructions retired since the last activity flush: the count
+    /// restarts at every [`Cpu::drain_activity`] (an activity drain or a
+    /// timeline window close of the SoC). `minstret` counts for the
+    /// core's lifetime.
     pub fn retired(&self) -> u64 {
         self.retired
     }

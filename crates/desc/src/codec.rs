@@ -6,9 +6,9 @@
 //! `sample_period_ps`) so that `from_json(d.to_json()) == d` holds
 //! bit-for-bit for every valid description. Decoding reads each object
 //! through one reader that takes members by key: it rejects unknown and
-//! repeated keys (ahead of any other error in the same object) and
-//! carries the JSON path of the first offending value in the returned
-//! [`DescError`].
+//! repeated keys (ahead of any other error in the same object, except a
+//! `schema_version` it does not speak) and carries the JSON path of the
+//! first offending value in the returned [`DescError`].
 
 use crate::error::DescError;
 use crate::kinds::{sensor_fields, sensor_name, ExecMode, Mediator, SensorKind, SENSOR_KINDS};
@@ -19,8 +19,9 @@ use pels_obs::json::{self, Value};
 use pels_sim::{Frequency, SimTime};
 use std::fmt::{self, Write as _};
 
-/// The description schema version this crate reads and writes.
-pub const SCHEMA_VERSION: u64 = 1;
+/// The description schema version this crate reads and writes. Version 2
+/// dropped the scenario's `use_udma` key.
+pub const SCHEMA_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------
 // Decode: one reader per JSON object, handing out members by key.
@@ -221,12 +222,18 @@ pub fn freq_from_mhz(mhz: f64, path: &str) -> Result<Frequency, DescError> {
     Err(DescError::new(path, bound))
 }
 
-/// `schema_version`, where present, must be the one we speak.
+/// `schema_version`, where present, must be the one we speak. Another
+/// version has another key set, so a mismatch is the error reported for
+/// the object, in place of the keys it does not know.
 fn dec_version(r: &mut Obj, required: bool) {
-    r.take("schema_version", required, |v| match u64::read(v)? {
+    let present = r.members.iter().any(|(k, _)| k == "schema_version");
+    let read = r.take("schema_version", required, |v| match u64::read(v)? {
         SCHEMA_VERSION => Ok(()),
         n => Err(format!("unsupported schema_version {n} (this build reads {SCHEMA_VERSION})")),
     });
+    if present && read.is_none() {
+        r.taken.fill(true);
+    }
 }
 
 /// Exactly one of `freq_period_ps` and `freq_mhz`.
@@ -620,16 +627,38 @@ mod tests {
     fn schema_version_is_required_and_checked() {
         let text = SystemDesc::default()
             .to_json()
-            .replace("  \"schema_version\": 1,\n", "");
+            .replace(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"), "");
         let e = SystemDesc::from_json(&text).unwrap_err();
         assert!(e.message.contains("schema_version"), "{e}");
 
-        let text = ScenarioDesc::default()
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
+        let text = ScenarioDesc::default().to_json().replace(
+            &format!("\"schema_version\": {SCHEMA_VERSION}"),
+            "\"schema_version\": 99",
+        );
         let e = ScenarioDesc::from_json(&text).unwrap_err();
         assert_eq!(e.path, "/schema_version");
         assert!(e.message.contains("unsupported"), "{e}");
+    }
+
+    #[test]
+    fn a_version_1_document_fails_at_its_version_not_at_its_old_keys() {
+        // Version 1 scenarios carried `use_udma`, which version 2 dropped.
+        let v2 = ScenarioDesc::default().to_json();
+        let v1 = v2
+            .replace("\"schema_version\": 2", "\"schema_version\": 1")
+            .replace("\"rmw_only\": false,", "\"rmw_only\": false,\n  \"use_udma\": true,");
+        assert!(v1.contains("\"use_udma\": true") && v1.contains("\"schema_version\": 1"));
+        let e = ScenarioDesc::from_json(&v1).unwrap_err();
+        assert_eq!(e.path, "/schema_version");
+        assert!(e.message.contains("unsupported schema_version 1"), "{e}");
+        // The version goes ahead of a duplicate key as well.
+        let dup = v1.replace("\"events\": 20,", "\"events\": 20, \"events\": 5,");
+        assert_eq!(ScenarioDesc::from_json(&dup).unwrap_err().path, "/schema_version");
+        // At the version this build speaks, the old key is what fails.
+        let v2_keys = v1.replace("\"schema_version\": 1", "\"schema_version\": 2");
+        let e = ScenarioDesc::from_json(&v2_keys).unwrap_err();
+        assert_eq!(e.path, "/use_udma");
+        assert!(e.message.contains("unknown key"), "{e}");
     }
 
     #[test]

@@ -73,22 +73,28 @@ pub struct MasterStats {
     pub stall_cycles: u64,
 }
 
-/// Aggregate fabric statistics.
+/// Aggregate fabric statistics. Two kinds of counter share it:
+/// `transfers` and `busy_cycles` are activity, handed on and restarted
+/// by every [`ApbFabric::drain_activity`] (an activity drain or a
+/// timeline window close of the SoC); the others are cumulative over the
+/// fabric's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStats {
-    /// Completed transfers.
+    /// Completed transfers since the last activity flush.
     pub transfers: u64,
-    /// Completed reads.
+    /// Completed reads (cumulative).
     pub reads: u64,
-    /// Completed writes.
+    /// Completed writes (cumulative).
     pub writes: u64,
-    /// Master-cycles spent with a request pending but not granted.
+    /// Master-cycles spent with a request pending but not granted
+    /// (cumulative).
     pub stall_cycles: u64,
-    /// Cycles with at least one transfer in flight.
+    /// Cycles with at least one transfer in flight since the last
+    /// activity flush.
     pub busy_cycles: u64,
-    /// Transfers that failed to decode.
+    /// Transfers that failed to decode (cumulative).
     pub decode_errors: u64,
-    /// Transfers the slave rejected.
+    /// Transfers the slave rejected (cumulative).
     pub slave_errors: u64,
 }
 

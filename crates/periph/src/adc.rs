@@ -6,9 +6,9 @@
 //! incoming single-wire action line, and completion raises an event.
 
 use crate::sensor::Quantizer;
-use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId};
+use pels_sim::{ActivityCounter, ComponentId};
 
 /// A successive-approximation-style ADC model with a fixed conversion
 /// latency in bus cycles.
@@ -35,7 +35,7 @@ pub struct Adc {
     ready: bool,
     start_line: Option<u32>,
     done_line: Option<u32>,
-    regs: RegAccessCounter,
+    activity: ActivityCounter,
     conversions: u64,
 }
 
@@ -64,7 +64,7 @@ impl Adc {
             ready: false,
             start_line: None,
             done_line: None,
-            regs: RegAccessCounter::default(),
+            activity: ActivityCounter::default(),
             conversions: 0,
         }
     }
@@ -100,7 +100,7 @@ impl Adc {
 
 impl ApbSlave for Adc {
     fn read(&mut self, offset: u32) -> Result<u32, BusError> {
-        self.regs.read();
+        self.activity.reads += 1;
         match offset {
             Self::STATUS => Ok(u32::from(self.ready) | (u32::from(self.is_busy()) << 1)),
             Self::DATA => {
@@ -112,7 +112,7 @@ impl ApbSlave for Adc {
     }
 
     fn write(&mut self, offset: u32, value: u32) -> Result<(), BusError> {
-        self.regs.write();
+        self.activity.writes += 1;
         match offset {
             Self::CTRL => {
                 if value & 1 != 0 {
@@ -145,14 +145,14 @@ impl Peripheral for Adc {
         if !self.is_busy() {
             return;
         }
-        ctx.activity.record(self.id, ActivityKind::ActiveCycle, 1);
+        self.activity.active_cycles += 1;
         self.countdown -= 1;
         if self.countdown == 0 {
             self.data = self.quantizer.convert(ctx.time);
             self.ready = true;
             self.conversions += 1;
             if let Some(line) = self.done_line {
-                ctx.raise(line, self.id, "done");
+                ctx.raise(line, self.id, &mut self.activity, "done");
                 // Conversion complete: next `done` originates fresh.
                 if let Some(f) = ctx.trace.flow_trace_mut() {
                     f.begin(ctx.time, self.id, 0, "done");
@@ -179,7 +179,7 @@ impl Peripheral for Adc {
         })
     }
 
-    fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
+    fn catch_up(&mut self, elapsed: u64) {
         // Replays a skipped mid-conversion span: each skipped cycle
         // recorded one ActiveCycle and decremented the countdown. The
         // sleep deadline is the completion tick itself, so a skipped
@@ -191,13 +191,12 @@ impl Peripheral for Adc {
             elapsed < u64::from(self.countdown),
             "skipped span must end before the conversion completes"
         );
-        ctx.activity
-            .record(self.id, ActivityKind::ActiveCycle, elapsed);
+        self.activity.active_cycles += elapsed;
         self.countdown -= elapsed as u32;
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
-        self.regs.drain(self.id, into);
+        self.activity.drain(self.id, into);
     }
 }
 
@@ -205,8 +204,8 @@ impl Peripheral for Adc {
 mod tests {
     use super::*;
     use crate::sensor::SensorKind;
-    use crate::testctx::Harness;
-    use pels_sim::EventVector;
+    use crate::testctx::{drained, Harness};
+    use pels_sim::{ActivityKind, EventVector};
 
     fn adc_fixture() -> Adc {
         let mut a = Adc::new("adc", SensorKind::Constant(3.3).quantizer(), 4);
@@ -294,5 +293,24 @@ mod tests {
         let mut h = Harness::new();
         h.run(&mut a, 1);
         assert_eq!(idle_for(&a), Some(3));
+    }
+
+    #[test]
+    fn drains_its_conversion_cycles_and_done_pulse() {
+        let mut ticked = adc_fixture();
+        ticked.write(Adc::CTRL, 1).unwrap();
+        let mut slept = ticked.clone();
+        assert!(Harness::new().run(&mut ticked, 4).is_set(11));
+        let a = drained(&mut ticked);
+        assert_eq!(a.count("adc", ActivityKind::ActiveCycle), 4);
+        assert_eq!(a.count("adc", ActivityKind::EventPulse), 1);
+        assert_eq!(a.count("adc", ActivityKind::RegWrite), 1);
+        assert!(
+            drained(&mut ticked).is_empty(),
+            "a drain restarts the count"
+        );
+        // Slept through, three conversion cycles are caught up.
+        assert!(Harness::new().sleep_through(&mut slept).is_set(11));
+        assert_eq!(drained(&mut slept), a);
     }
 }

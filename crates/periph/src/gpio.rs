@@ -5,9 +5,9 @@
 //! [`Gpio::PADOUTSET`]) or *toggles it via an instant action* (a single-wire
 //! line wired into the pad logic) — the two paths of Figure 3.
 
-use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId};
+use pels_sim::{ActivityCounter, ComponentId};
 
 /// A 32-pin GPIO controller with set/clear/toggle registers and
 /// event-line-driven pad actions.
@@ -42,7 +42,7 @@ pub struct Gpio {
     clear_action: Option<(u32, u32)>,
     toggle_action: Option<(u32, u32)>,
     watch: Option<(u32, u32)>,
-    regs: RegAccessCounter,
+    activity: ActivityCounter,
     pad_toggles: u64,
 }
 
@@ -72,7 +72,7 @@ impl Gpio {
             clear_action: None,
             toggle_action: None,
             watch: None,
-            regs: RegAccessCounter::default(),
+            activity: ActivityCounter::default(),
             pad_toggles: 0,
         }
     }
@@ -135,7 +135,7 @@ impl Gpio {
 
 impl ApbSlave for Gpio {
     fn read(&mut self, offset: u32) -> Result<u32, BusError> {
-        self.regs.read();
+        self.activity.reads += 1;
         match offset {
             Self::PADDIR => Ok(self.dir),
             Self::PADIN => Ok(self.input),
@@ -145,7 +145,7 @@ impl ApbSlave for Gpio {
     }
 
     fn write(&mut self, offset: u32, value: u32) -> Result<(), BusError> {
-        self.regs.write();
+        self.activity.writes += 1;
         match offset {
             Self::PADDIR => self.dir = value,
             Self::PADOUT => self.out = value,
@@ -185,7 +185,7 @@ impl Peripheral for Gpio {
         if self.out != self.seen_out {
             let changed = self.out ^ self.seen_out;
             self.pad_toggles += u64::from(changed.count_ones());
-            ctx.activity.record(self.id, ActivityKind::ActiveCycle, 1);
+            self.activity.active_cycles += 1;
             ctx.trace
                 .record(ctx.time, self.id, "padout", u64::from(self.out));
             if let Some(f) = ctx.trace.flow_trace_mut() {
@@ -208,7 +208,7 @@ impl Peripheral for Gpio {
             if let Some((pin, event_line)) = self.watch {
                 let rose = changed & self.out & (1 << pin) != 0;
                 if rose {
-                    ctx.raise(event_line, self.id, "pin_rise");
+                    ctx.raise(event_line, self.id, &mut self.activity, "pin_rise");
                 }
             }
             self.seen_out = self.out;
@@ -230,7 +230,7 @@ impl Peripheral for Gpio {
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
-        self.regs.drain(self.id, into);
+        self.activity.drain(self.id, into);
     }
 }
 
@@ -321,7 +321,7 @@ mod tests {
         let _ = g.read(Gpio::PADOUT).unwrap();
         let mut a = pels_sim::ActivitySet::new();
         g.drain_activity(&mut a);
-        assert_eq!(a.count("gpio", ActivityKind::RegRead), 1);
-        assert_eq!(a.count("gpio", ActivityKind::RegWrite), 1);
+        assert_eq!(a.count("gpio", pels_sim::ActivityKind::RegRead), 1);
+        assert_eq!(a.count("gpio", pels_sim::ActivityKind::RegWrite), 1);
     }
 }

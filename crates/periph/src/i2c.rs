@@ -11,9 +11,9 @@
 //! cycle cost, ACK/NACK handling and completion/error event pulses.
 
 use crate::sensor::Quantizer;
-use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, Fifo, SimTime};
+use pels_sim::{ActivityCounter, ComponentId, Fifo, SimTime};
 
 /// An I2C temperature-sensor-style device: writes select nothing, reads
 /// return the quantized sample, high byte first (big-endian, like most
@@ -106,7 +106,7 @@ pub struct I2c {
     done_line: Option<u32>,
     nack_line: Option<u32>,
     start_line: Option<u32>,
-    regs: RegAccessCounter,
+    activity: ActivityCounter,
     transactions: u64,
 }
 
@@ -153,7 +153,7 @@ impl I2c {
             done_line: None,
             nack_line: None,
             start_line: None,
-            regs: RegAccessCounter::default(),
+            activity: ActivityCounter::default(),
             transactions: 0,
         }
     }
@@ -238,7 +238,7 @@ impl I2c {
 
 impl ApbSlave for I2c {
     fn read(&mut self, offset: u32) -> Result<u32, BusError> {
-        self.regs.read();
+        self.activity.reads += 1;
         match offset {
             Self::STATUS => Ok(u32::from(self.is_busy())
                 | (u32::from(self.nack) << 1)
@@ -251,7 +251,7 @@ impl ApbSlave for I2c {
     }
 
     fn write(&mut self, offset: u32, value: u32) -> Result<(), BusError> {
-        self.regs.write();
+        self.activity.writes += 1;
         match offset {
             Self::CMD => {
                 self.start(value);
@@ -285,7 +285,7 @@ impl Peripheral for I2c {
         let Some(txn) = self.current else {
             return;
         };
-        ctx.activity.record(self.id, ActivityKind::ActiveCycle, 1);
+        self.activity.active_cycles += 1;
         self.cycle_in_bit += 1;
         if self.cycle_in_bit < self.clkdiv {
             return;
@@ -323,10 +323,10 @@ impl Peripheral for I2c {
             self.transactions += 1;
             if self.nack {
                 if let Some(line) = self.nack_line {
-                    ctx.raise(line, self.id, "nack");
+                    ctx.raise(line, self.id, &mut self.activity, "nack");
                 }
             } else if let Some(line) = self.done_line {
-                ctx.raise(line, self.id, "done");
+                ctx.raise(line, self.id, &mut self.activity, "done");
             }
         }
     }
@@ -342,7 +342,7 @@ impl Peripheral for I2c {
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
-        self.regs.drain(self.id, into);
+        self.activity.drain(self.id, into);
     }
 }
 

@@ -16,7 +16,8 @@
 //!   pulses (e.g. [`Spi`] end-of-transfer) and react to incoming action
 //!   lines (e.g. [`Gpio`] set/clear/toggle) — the "instant action"
 //!   interface of Figure 1,
-//! * records its switching activity for the power model.
+//! * counts its own switching activity for the power model and hands it
+//!   over only through [`Peripheral::drain_activity`].
 //!
 //! Peripherals are ticked once per bus-clock cycle with a [`PeriphCtx`]
 //! carrying the sampled event lines and platform handles.

@@ -8,10 +8,10 @@
 //! event PELS (or the Ibex interrupt path) links on.
 
 use crate::sensor::Quantizer;
-use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use crate::udma::UdmaChannel;
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, Fifo};
+use pels_sim::{ActivityCounter, ComponentId, Fifo};
 
 /// SPI master peripheral.
 ///
@@ -52,7 +52,7 @@ pub struct Spi {
     eot_line: Option<u32>,
     udma_done_line: Option<u32>,
     start_line: Option<u32>,
-    regs: RegAccessCounter,
+    activity: ActivityCounter,
     words_done: u64,
 }
 
@@ -91,7 +91,7 @@ impl Spi {
             eot_line: None,
             udma_done_line: None,
             start_line: None,
-            regs: RegAccessCounter::default(),
+            activity: ActivityCounter::default(),
             words_done: 0,
         }
     }
@@ -155,7 +155,7 @@ impl Spi {
 
 impl ApbSlave for Spi {
     fn read(&mut self, offset: u32) -> Result<u32, BusError> {
-        self.regs.read();
+        self.activity.reads += 1;
         match offset {
             Self::STATUS => {
                 Ok(u32::from(self.is_busy()) | ((self.rx_fifo.len() as u32) << 8))
@@ -170,7 +170,7 @@ impl ApbSlave for Spi {
     }
 
     fn write(&mut self, offset: u32, value: u32) -> Result<(), BusError> {
-        self.regs.write();
+        self.activity.writes += 1;
         match offset {
             Self::CMD => {
                 if value == 0 {
@@ -217,7 +217,7 @@ impl Peripheral for Spi {
         if !self.is_busy() {
             return;
         }
-        ctx.activity.record(self.id, ActivityKind::ActiveCycle, 1);
+        self.activity.active_cycles += 1;
         self.cycle_in_word += 1;
         if self.cycle_in_word < self.clkdiv {
             return;
@@ -235,7 +235,7 @@ impl Peripheral for Spi {
             }
             if self.udma.take_done() {
                 if let Some(line) = self.udma_done_line {
-                    ctx.raise(line, self.id, "udma_done");
+                    ctx.raise(line, self.id, &mut self.activity, "udma_done");
                 }
             }
         } else {
@@ -244,7 +244,7 @@ impl Peripheral for Spi {
         self.words_remaining -= 1;
         if self.words_remaining == 0 {
             if let Some(line) = self.eot_line {
-                ctx.raise(line, self.id, "eot");
+                ctx.raise(line, self.id, &mut self.activity, "eot");
                 // End of this causal event: drop the context so the next
                 // transfer's eot originates a fresh flow (continuous µDMA
                 // mode restarts without a wire edge).
@@ -276,7 +276,7 @@ impl Peripheral for Spi {
         })
     }
 
-    fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
+    fn catch_up(&mut self, elapsed: u64) {
         // Replays a skipped mid-word span: each skipped cycle counted one
         // ActiveCycle and advanced the bit clock. The span ends strictly
         // before the word-completing tick, so no word completes in it.
@@ -287,13 +287,12 @@ impl Peripheral for Spi {
             elapsed < u64::from(self.clkdiv.saturating_sub(self.cycle_in_word)),
             "skipped span must end before the word completes"
         );
-        ctx.activity
-            .record(self.id, ActivityKind::ActiveCycle, elapsed);
+        self.activity.active_cycles += elapsed;
         self.cycle_in_word += elapsed as u32;
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
-        self.regs.drain(self.id, into);
+        self.activity.drain(self.id, into);
     }
 }
 

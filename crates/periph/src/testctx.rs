@@ -8,7 +8,6 @@ use pels_sim::{ActivitySet, EventVector, Frequency, SimTime, Trace};
 #[derive(Clone, PartialEq)]
 pub(crate) struct Harness {
     pub l2: L2Memory,
-    pub activity: ActivitySet,
     pub trace: Trace,
     pub cycle: u64,
     pub period: SimTime,
@@ -18,7 +17,6 @@ impl Harness {
     pub fn new() -> Self {
         Harness {
             l2: L2Memory::new(4096),
-            activity: ActivitySet::new(),
             trace: Trace::new(),
             cycle: 0,
             period: Frequency::from_mhz(55.0).period(),
@@ -33,7 +31,6 @@ impl Harness {
             events_in,
             events_out: EventVector::EMPTY,
             l2: &mut self.l2,
-            activity: &mut self.activity,
             trace: &mut self.trace,
         };
         p.tick(&mut ctx);
@@ -54,16 +51,23 @@ impl Harness {
     /// ([`Peripheral::catch_up`]), advancing the harness clock as the
     /// scheduler would.
     pub fn catch_up(&mut self, p: &mut dyn Peripheral, elapsed: u64) {
-        let mut ctx = PeriphCtx {
-            cycle: self.cycle,
-            time: SimTime::from_ps(self.period.as_ps() * self.cycle),
-            events_in: EventVector::EMPTY,
-            events_out: EventVector::EMPTY,
-            l2: &mut self.l2,
-            activity: &mut self.activity,
-            trace: &mut self.trace,
-        };
-        p.catch_up(&mut ctx, elapsed);
+        p.catch_up(elapsed);
         self.cycle += elapsed;
     }
+
+    /// Sleeps `p` through its current finite plan as the scheduler
+    /// would: the skipped span in closed form, then the real tick that
+    /// ends it. Returns that tick's pulses.
+    pub fn sleep_through(&mut self, p: &mut dyn Peripheral) -> EventVector {
+        let plan = p.sleep_plan().expect("a sleep plan");
+        self.catch_up(p, plan.idle_for - 1);
+        self.tick(p, EventVector::EMPTY)
+    }
+}
+
+/// What `p` drains now; its counts restart.
+pub(crate) fn drained(p: &mut dyn Peripheral) -> ActivitySet {
+    let mut set = ActivitySet::new();
+    p.drain_activity(&mut set);
+    set
 }

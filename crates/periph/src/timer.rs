@@ -5,9 +5,9 @@
 //! up-counter raising an event pulse on compare match, controllable both
 //! over the bus and through single-wire start/stop action lines.
 
-use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId};
+use pels_sim::{ActivityCounter, ComponentId};
 
 /// A 32-bit up-counting timer with prescaler and compare event.
 ///
@@ -37,7 +37,7 @@ pub struct Timer {
     cmp_event_line: Option<u32>,
     start_line: Option<u32>,
     stop_line: Option<u32>,
-    regs: RegAccessCounter,
+    activity: ActivityCounter,
     fires: u64,
 }
 
@@ -69,7 +69,7 @@ impl Timer {
             cmp_event_line: None,
             start_line: None,
             stop_line: None,
-            regs: RegAccessCounter::default(),
+            activity: ActivityCounter::default(),
             fires: 0,
         }
     }
@@ -129,7 +129,7 @@ impl Timer {
 
 impl ApbSlave for Timer {
     fn read(&mut self, offset: u32) -> Result<u32, BusError> {
-        self.regs.read();
+        self.activity.reads += 1;
         match offset {
             Self::CTRL => Ok(self.ctrl_word()),
             Self::CMP => Ok(self.cmp),
@@ -140,7 +140,7 @@ impl ApbSlave for Timer {
     }
 
     fn write(&mut self, offset: u32, value: u32) -> Result<(), BusError> {
-        self.regs.write();
+        self.activity.writes += 1;
         match offset {
             Self::CTRL => {
                 self.enable = value & Self::CTRL_ENABLE != 0;
@@ -175,7 +175,7 @@ impl Peripheral for Timer {
         if !self.enable {
             return;
         }
-        ctx.activity.record(self.id, ActivityKind::ActiveCycle, 1);
+        self.activity.active_cycles += 1;
         if self.presc_count < self.presc {
             self.presc_count += 1;
             return;
@@ -188,7 +188,7 @@ impl Peripheral for Timer {
                 self.enable = false;
             }
             if let Some(line) = self.cmp_event_line {
-                ctx.raise(line, self.id, "compare");
+                ctx.raise(line, self.id, &mut self.activity, "compare");
             }
         } else {
             self.value = self.value.wrapping_add(1);
@@ -210,14 +210,14 @@ impl Peripheral for Timer {
         })
     }
 
-    fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
+    fn catch_up(&mut self, elapsed: u64) {
         if !self.enable || elapsed == 0 {
             return;
         }
         // Replay `elapsed` eventless ticks in closed form. The scheduler
         // guarantees the skipped span ends before `ticks_to_fire`, so no
         // compare match can occur inside it.
-        ctx.activity.record(self.id, ActivityKind::ActiveCycle, elapsed);
+        self.activity.active_cycles += elapsed;
         let period = u64::from(self.presc) + 1;
         let total = u64::from(self.presc_count) + elapsed;
         let actions = total / period;
@@ -230,15 +230,15 @@ impl Peripheral for Timer {
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
-        self.regs.drain(self.id, into);
+        self.activity.drain(self.id, into);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testctx::Harness;
-    use pels_sim::EventVector;
+    use crate::testctx::{drained, Harness};
+    use pels_sim::{ActivityKind, EventVector};
 
     fn enabled_timer(cmp: u32) -> Timer {
         let mut t = Timer::new("timer");
@@ -329,5 +329,25 @@ mod tests {
         assert_eq!(t.read(Timer::VALUE).unwrap(), 7);
         assert_eq!(t.read(Timer::PRESC).unwrap(), 2);
         assert!(t.read(0x20).is_err());
+    }
+
+    #[test]
+    fn drains_each_busy_cycle_and_its_compare_pulse() {
+        // Enabled at compare 7, the timer is busy for 8 ticks up to its
+        // fire.
+        let mut ticked = enabled_timer(7);
+        let mut slept = ticked.clone();
+        assert!(Harness::new().run(&mut ticked, 8).is_set(9));
+        let a = drained(&mut ticked);
+        assert_eq!(a.count("timer", ActivityKind::ActiveCycle), 8);
+        assert_eq!(a.count("timer", ActivityKind::EventPulse), 1);
+        assert_eq!(a.count("timer", ActivityKind::RegWrite), 2);
+        assert!(
+            drained(&mut ticked).is_empty(),
+            "a drain restarts the count"
+        );
+        // Slept through, seven of those cycles are caught up.
+        assert!(Harness::new().sleep_through(&mut slept).is_set(9));
+        assert_eq!(drained(&mut slept), a);
     }
 }

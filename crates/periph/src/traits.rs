@@ -2,7 +2,7 @@
 
 use crate::l2::L2Memory;
 use pels_interconnect::ApbSlave;
-use pels_sim::{ActivitySet, ComponentId, EventVector, SimTime, Trace};
+use pels_sim::{ActivityCounter, ActivitySet, ComponentId, EventVector, SimTime, Trace};
 
 /// Everything a peripheral can see and touch during one clock cycle.
 ///
@@ -17,6 +17,10 @@ use pels_sim::{ActivitySet, ComponentId, EventVector, SimTime, Trace};
 ///   to other peripherals in the next one;
 /// * [`PeriphCtx::l2`] is the shared L2 scratchpad the µDMA channels land
 ///   sensor data in.
+///
+/// It carries no activity sink: a peripheral counts its own switching
+/// activity in its [`ActivityCounter`] and hands it over only through
+/// [`Peripheral::drain_activity`].
 pub struct PeriphCtx<'a> {
     /// Bus-clock cycle index.
     pub cycle: u64,
@@ -28,20 +32,25 @@ pub struct PeriphCtx<'a> {
     pub events_out: EventVector,
     /// The L2 memory µDMA channels transfer to/from.
     pub l2: &'a mut L2Memory,
-    /// Switching-activity sink.
-    pub activity: &'a mut ActivitySet,
     /// Event trace for latency measurements.
     pub trace: &'a mut Trace,
 }
 
 impl<'a> PeriphCtx<'a> {
-    /// Raises an event pulse on global line `line` and records it both in
-    /// the trace (as `source.label`) and as switching activity.
+    /// Raises an event pulse on global line `line`, records it in the
+    /// trace (as `source.label`) and counts it in `counter`, the raising
+    /// peripheral's own activity counter.
     ///
     /// # Panics
     ///
     /// Panics if `line >= 64`.
-    pub fn raise(&mut self, line: u32, source: ComponentId, label: &'static str) {
+    pub fn raise(
+        &mut self,
+        line: u32,
+        source: ComponentId,
+        counter: &mut ActivityCounter,
+        label: &'static str,
+    ) {
         self.events_out.set(line);
         self.trace.record(self.time, source, label, u64::from(line));
         // Causal flow: propagate the peripheral's adopted context, or mint
@@ -50,8 +59,7 @@ impl<'a> PeriphCtx<'a> {
         if let Some(f) = self.trace.flow_trace_mut() {
             f.raise(self.time, source, line, label);
         }
-        self.activity
-            .record(source, pels_sim::ActivityKind::EventPulse, 1);
+        counter.pulses += 1;
     }
 
     /// Whether incoming event wire `line` is active this cycle. `None`
@@ -97,14 +105,17 @@ pub trait Peripheral: ApbSlave {
     /// to the skipped peripheral and at observation points. Peripherals
     /// whose skipped ticks are pure no-ops keep the default; peripherals
     /// that count while asleep (timer, watchdog, a converting ADC, a
-    /// shifting SPI) advance their counters and activity in closed form
-    /// here.
-    fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
-        let _ = (ctx, elapsed);
+    /// shifting SPI) advance their counters and their `ActiveCycle`
+    /// count in closed form here. A skipped span raises no pulse and
+    /// records no trace, so it needs no [`PeriphCtx`].
+    fn catch_up(&mut self, elapsed: u64) {
+        let _ = elapsed;
     }
 
-    /// Harvests internally counted activity (register-file accesses
-    /// observed through the APB interface since the last drain).
+    /// Hands the activity the peripheral counted since its last drain
+    /// (its [`ActivityCounter`]: register accesses, busy cycles, event
+    /// pulses) to `into` and restarts the count. The only way a
+    /// peripheral's activity reaches an [`ActivitySet`].
     fn drain_activity(&mut self, into: &mut ActivitySet);
 }
 
@@ -146,52 +157,17 @@ pub(crate) fn wake_mask_of(lines: &[Option<u32>]) -> EventVector {
     v
 }
 
-/// Small helper all peripherals use to count their APB register accesses;
-/// drained into the global [`ActivitySet`] once per measurement window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RegAccessCounter {
-    /// Register reads observed.
-    pub reads: u64,
-    /// Register writes observed.
-    pub writes: u64,
-}
-
-impl RegAccessCounter {
-    /// Counts a register read.
-    pub fn read(&mut self) {
-        self.reads += 1;
-    }
-
-    /// Counts a register write.
-    pub fn write(&mut self) {
-        self.writes += 1;
-    }
-
-    /// Drains the counts into `into` under `component`.
-    pub fn drain(&mut self, component: ComponentId, into: &mut ActivitySet) {
-        into.record(component, pels_sim::ActivityKind::RegRead, self.reads);
-        into.record(component, pels_sim::ActivityKind::RegWrite, self.writes);
-        self.reads = 0;
-        self.writes = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ctx_fixture<'a>(
-        l2: &'a mut L2Memory,
-        activity: &'a mut ActivitySet,
-        trace: &'a mut Trace,
-    ) -> PeriphCtx<'a> {
+    fn ctx_fixture<'a>(l2: &'a mut L2Memory, trace: &'a mut Trace) -> PeriphCtx<'a> {
         PeriphCtx {
             cycle: 0,
             time: SimTime::ZERO,
             events_in: EventVector::mask_of(&[5]),
             events_out: EventVector::EMPTY,
             l2,
-            activity,
             trace,
         }
     }
@@ -199,38 +175,30 @@ mod tests {
     #[test]
     fn raise_sets_line_and_traces() {
         let mut l2 = L2Memory::new(64);
-        let mut act = ActivitySet::new();
         let mut trace = Trace::new();
-        let mut ctx = ctx_fixture(&mut l2, &mut act, &mut trace);
-        ctx.raise(7, ComponentId::intern("spi"), "eot");
+        let mut counter = ActivityCounter::default();
+        let mut ctx = ctx_fixture(&mut l2, &mut trace);
+        ctx.raise(7, ComponentId::intern("spi"), &mut counter, "eot");
         assert!(ctx.events_out.is_set(7));
         assert!(trace.first("spi", "eot").is_some());
-        assert_eq!(act.count("spi", pels_sim::ActivityKind::EventPulse), 1);
+        // The pulse is the raiser's to drain; nothing else counted it.
+        assert_eq!(
+            counter,
+            ActivityCounter {
+                pulses: 1,
+                ..ActivityCounter::default()
+            }
+        );
     }
 
     #[test]
     fn wired_high_handles_unwired_lines() {
         let mut l2 = L2Memory::new(64);
-        let mut act = ActivitySet::new();
         let mut trace = Trace::new();
-        let ctx = ctx_fixture(&mut l2, &mut act, &mut trace);
+        let ctx = ctx_fixture(&mut l2, &mut trace);
         assert!(ctx.wired_high(Some(5)));
         assert!(!ctx.wired_high(Some(6)));
         assert!(!ctx.wired_high(None));
-    }
-
-    #[test]
-    fn reg_counter_drains_and_resets() {
-        let mut c = RegAccessCounter::default();
-        c.read();
-        c.read();
-        c.write();
-        let mut act = ActivitySet::new();
-        c.drain(ComponentId::intern("gpio"), &mut act);
-        assert_eq!(act.count("gpio", pels_sim::ActivityKind::RegRead), 2);
-        assert_eq!(act.count("gpio", pels_sim::ActivityKind::RegWrite), 1);
-        assert_eq!(c.reads, 0);
-        assert_eq!(c.writes, 0);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! as a *sequenced-action* target — PELS can emit an alert byte without
 //! waking the core.
 
-use crate::traits::{PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
+use crate::traits::{PeriphCtx, Peripheral, SleepPlan};
 use crate::udma::UdmaTxChannel;
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId, EventVector, Fifo};
+use pels_sim::{ActivityCounter, ComponentId, EventVector, Fifo};
 
 /// A TX-only UART with a small FIFO and a fixed per-byte cycle cost.
 ///
@@ -35,7 +35,7 @@ pub struct Uart {
     sending: Option<u8>,
     sent: Vec<u8>,
     done_line: Option<u32>,
-    regs: RegAccessCounter,
+    activity: ActivityCounter,
     udma: UdmaTxChannel,
     udma_saddr: u32,
     udma_bytes_left: u32,
@@ -66,7 +66,7 @@ impl Uart {
             sending: None,
             sent: Vec::new(),
             done_line: None,
-            regs: RegAccessCounter::default(),
+            activity: ActivityCounter::default(),
             udma: UdmaTxChannel::new(),
             udma_saddr: 0,
             udma_bytes_left: 0,
@@ -94,7 +94,7 @@ impl Uart {
 
 impl ApbSlave for Uart {
     fn read(&mut self, offset: u32) -> Result<u32, BusError> {
-        self.regs.read();
+        self.activity.reads += 1;
         match offset {
             Self::STATUS => {
                 Ok(u32::from(self.is_busy()) | ((self.tx_fifo.len() as u32) << 8))
@@ -106,7 +106,7 @@ impl ApbSlave for Uart {
     }
 
     fn write(&mut self, offset: u32, value: u32) -> Result<(), BusError> {
-        self.regs.write();
+        self.activity.writes += 1;
         match offset {
             Self::TXDATA => {
                 self.tx_fifo
@@ -172,7 +172,7 @@ impl Peripheral for Uart {
         let Some(byte) = self.sending else {
             return;
         };
-        ctx.activity.record(self.id, ActivityKind::ActiveCycle, 1);
+        self.activity.active_cycles += 1;
         self.cycle_in_byte += 1;
         if self.cycle_in_byte >= self.clkdiv {
             self.sent.push(byte);
@@ -183,7 +183,7 @@ impl Peripheral for Uart {
             self.cycle_in_byte = 0;
             if self.tx_fifo.is_empty() {
                 if let Some(line) = self.done_line {
-                    ctx.raise(line, self.id, "tx_done");
+                    ctx.raise(line, self.id, &mut self.activity, "tx_done");
                 }
             }
         }
@@ -199,7 +199,7 @@ impl Peripheral for Uart {
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
-        self.regs.drain(self.id, into);
+        self.activity.drain(self.id, into);
     }
 }
 

@@ -6,9 +6,9 @@
 //! exists so the watchdog example and the ablation can compare a
 //! conventional watchdog against a PELS microcode watchdog.
 
-use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, RegAccessCounter, SleepPlan};
+use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityKind, ComponentId};
+use pels_sim::{ActivityCounter, ComponentId};
 
 /// A down-counting watchdog that pulses a *bite* event at zero and
 /// reloads.
@@ -35,7 +35,7 @@ pub struct Watchdog {
     value: u32,
     bite_line: Option<u32>,
     kick_line: Option<u32>,
-    regs: RegAccessCounter,
+    activity: ActivityCounter,
     bites: u64,
 }
 
@@ -58,7 +58,7 @@ impl Watchdog {
             value: 0,
             bite_line: None,
             kick_line: None,
-            regs: RegAccessCounter::default(),
+            activity: ActivityCounter::default(),
             bites: 0,
         }
     }
@@ -88,7 +88,7 @@ impl Watchdog {
 
 impl ApbSlave for Watchdog {
     fn read(&mut self, offset: u32) -> Result<u32, BusError> {
-        self.regs.read();
+        self.activity.reads += 1;
         match offset {
             Self::CTRL => Ok(u32::from(self.enable)),
             Self::LOAD => Ok(self.load),
@@ -98,7 +98,7 @@ impl ApbSlave for Watchdog {
     }
 
     fn write(&mut self, offset: u32, value: u32) -> Result<(), BusError> {
-        self.regs.write();
+        self.activity.writes += 1;
         match offset {
             Self::CTRL => {
                 let was = self.enable;
@@ -127,12 +127,12 @@ impl Peripheral for Watchdog {
         if !self.enable {
             return;
         }
-        ctx.activity.record(self.id, ActivityKind::ActiveCycle, 1);
+        self.activity.active_cycles += 1;
         if self.value == 0 {
             self.bites += 1;
             self.value = self.load;
             if let Some(line) = self.bite_line {
-                ctx.raise(line, self.id, "bite");
+                ctx.raise(line, self.id, &mut self.activity, "bite");
             }
         } else {
             self.value -= 1;
@@ -153,13 +153,13 @@ impl Peripheral for Watchdog {
         })
     }
 
-    fn catch_up(&mut self, ctx: &mut PeriphCtx<'_>, elapsed: u64) {
+    fn catch_up(&mut self, elapsed: u64) {
         if !self.enable || elapsed == 0 {
             return;
         }
         // The scheduler never skips across the bite tick, so the counter
         // cannot underflow here.
-        ctx.activity.record(self.id, ActivityKind::ActiveCycle, elapsed);
+        self.activity.active_cycles += elapsed;
         debug_assert!(
             elapsed <= u64::from(self.value),
             "watchdog catch-up skipped across a bite"
@@ -168,15 +168,15 @@ impl Peripheral for Watchdog {
     }
 
     fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
-        self.regs.drain(self.id, into);
+        self.activity.drain(self.id, into);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testctx::Harness;
-    use pels_sim::EventVector;
+    use crate::testctx::{drained, Harness};
+    use pels_sim::{ActivityKind, EventVector};
 
     fn armed(load: u32) -> Watchdog {
         let mut w = Watchdog::new("wdt");
@@ -235,5 +235,24 @@ mod tests {
         w.write(Watchdog::CTRL, 1).unwrap();
         assert_eq!(w.value(), 10);
         assert_eq!(w.read(Watchdog::VALUE).unwrap(), 10);
+    }
+
+    #[test]
+    fn drains_each_counting_cycle_and_its_bite() {
+        // Loaded with 3, the watchdog counts 4 busy ticks to its bite.
+        let mut ticked = armed(3);
+        let mut slept = ticked.clone();
+        assert!(Harness::new().run(&mut ticked, 4).is_set(6));
+        let a = drained(&mut ticked);
+        assert_eq!(a.count("wdt", ActivityKind::ActiveCycle), 4);
+        assert_eq!(a.count("wdt", ActivityKind::EventPulse), 1);
+        assert_eq!(a.count("wdt", ActivityKind::RegWrite), 2);
+        assert!(
+            drained(&mut ticked).is_empty(),
+            "a drain restarts the count"
+        );
+        // Slept through, three of those cycles are caught up.
+        assert!(Harness::new().sleep_through(&mut slept).is_set(6));
+        assert_eq!(drained(&mut slept), a);
     }
 }

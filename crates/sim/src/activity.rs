@@ -2,12 +2,13 @@
 //!
 //! The paper estimates power with Synopsys PrimeTime: switching activity
 //! from RTL simulation weighted by extracted capacitances. Our substitute
-//! keeps the first half exact — every model records its per-cycle activity
-//! here — and the `pels-power` crate supplies literature-calibrated
-//! per-event energies for the second half.
+//! keeps the first half exact — every model counts its activity cycle by
+//! cycle in its own state and flushes the counts here — and the
+//! `pels-power` crate supplies literature-calibrated per-event energies
+//! for the second half.
 //!
 //! Counters are stored densely: one `[u64; ActivityKind::COUNT]` row per
-//! interned [`ComponentId`], so the per-cycle [`ActivitySet::record`] is a
+//! interned [`ComponentId`], so [`ActivitySet::record`] is a
 //! bounds-checked array add with no allocation and no string hashing. The
 //! string-keyed query API survives as a thin lookup layer over the
 //! interning registry.
@@ -154,8 +155,9 @@ impl ActivitySet {
 
     /// Adds `n` occurrences of `kind` for `component`.
     ///
-    /// This is the simulation hot path: after the first record for a
-    /// given component it performs no allocation and no hashing.
+    /// Components call it when they flush their own counts: after the
+    /// first record for a given component it performs no allocation and
+    /// no hashing.
     #[inline]
     pub fn record(&mut self, component: ComponentId, kind: ActivityKind, n: u64) {
         if n == 0 {
@@ -312,6 +314,35 @@ impl ActivitySet {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counts.iter().all(|row| *row == ZERO_ROW)
+    }
+}
+
+/// The activity one component counts itself between flushes: register
+/// reads and writes, busy cycles and event pulses. A component owns one
+/// and hands it to an [`ActivitySet`] only through [`Self::drain`], from
+/// its own `drain_activity`; being component state, it takes part in the
+/// component's equality. Peripherals count all four kinds, PELS its
+/// config-port accesses.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ActivityCounter {
+    /// Register reads (`RegRead`).
+    pub reads: u64,
+    /// Register writes (`RegWrite`).
+    pub writes: u64,
+    /// Busy cycles, ticked or caught up (`ActiveCycle`).
+    pub active_cycles: u64,
+    /// Event pulses raised (`EventPulse`).
+    pub pulses: u64,
+}
+
+impl ActivityCounter {
+    /// Adds the counts to `into` under `component` and restarts them.
+    pub fn drain(&mut self, component: ComponentId, into: &mut ActivitySet) {
+        let c = std::mem::take(self);
+        into.record(component, ActivityKind::RegRead, c.reads);
+        into.record(component, ActivityKind::RegWrite, c.writes);
+        into.record(component, ActivityKind::ActiveCycle, c.active_cycles);
+        into.record(component, ActivityKind::EventPulse, c.pulses);
     }
 }
 
@@ -497,6 +528,23 @@ mod tests {
         assert_eq!(got, vec![(x, 0), (y, 4)]);
         assert_eq!(s.row(pad), &[0; ActivityKind::COUNT]);
         assert_eq!(s.row(x)[ActivityKind::ClockCycle.index()], 2);
+    }
+
+    #[test]
+    fn activity_counter_drains_every_kind_and_resets() {
+        let mut c = ActivityCounter {
+            reads: 2,
+            writes: 1,
+            active_cycles: 5,
+            pulses: 3,
+        };
+        let mut act = ActivitySet::new();
+        c.drain(ComponentId::intern("act-counter"), &mut act);
+        assert_eq!(act.count("act-counter", ActivityKind::RegRead), 2);
+        assert_eq!(act.count("act-counter", ActivityKind::RegWrite), 1);
+        assert_eq!(act.count("act-counter", ActivityKind::ActiveCycle), 5);
+        assert_eq!(act.count("act-counter", ActivityKind::EventPulse), 3);
+        assert_eq!(c, ActivityCounter::default());
     }
 
     #[test]

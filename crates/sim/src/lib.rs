@@ -46,7 +46,7 @@ pub mod timeline;
 pub mod trace;
 pub mod vcd;
 
-pub use activity::{ActivityKind, ActivitySet};
+pub use activity::{ActivityCounter, ActivityKind, ActivitySet};
 pub use error::SimError;
 pub use events::EventVector;
 pub use fifo::Fifo;

@@ -166,7 +166,6 @@ impl Soc {
             pels_masters,
             cpu: Cpu::new(RESET_PC),
             cpu_master,
-            activity: ActivitySet::new(),
             closed: ActivitySet::new(),
             trace: Trace::new(),
             prev_wires: EventVector::EMPTY,
@@ -201,12 +200,12 @@ impl Soc {
 /// component counters at observation points the run loops already pass
 /// through, and flushing is segmentation invariant, so obs-off and
 /// timeline-on runs are bit-identical in every architectural result
-/// (`tests/observation_invariance.rs`). While it runs, the SoC's own
-/// activity set holds only the open window — direct records and
-/// flushes land there — and doubles as the window's reused row buffer:
-/// a close adds it to the SoC's `closed` image, hands it with its clock
-/// share to the timeline and zeroes it. No cumulative image is copied
-/// or diffed, and everything the next drain returns stays in SoC fields.
+/// (`tests/observation_invariance.rs`). A close flushes the components
+/// into the sampler's reused row buffer, adds the row to the SoC's
+/// `closed` image, hands it with its clock share to the timeline and
+/// zeroes it. No cumulative image is copied or diffed, and everything
+/// the next drain returns stays in SoC fields: the components' counters
+/// and `closed`.
 #[derive(Clone)]
 struct TimelineSampler {
     /// Nominal window width in cycles.
@@ -218,8 +217,11 @@ struct TimelineSampler {
     /// skip crossing the boundary stretches the window instead of being
     /// split — `try_skip` and `SchedStats` stay untouched.
     next_boundary: u64,
-    /// What the open window recorded before a drain inside it took the
-    /// SoC's set; `None` for most windows.
+    /// The closing window's row: filled and emptied by each close, so
+    /// all zeros in between.
+    row: ActivitySet,
+    /// What the open window's components counted before a drain inside
+    /// it took their counts; `None` for most windows.
     carry: Option<ActivitySet>,
     /// `cpu_awake_cycles` at window start, less the awake cycles a drain
     /// inside the window reset (wrapping), so that
@@ -468,12 +470,9 @@ pub struct Soc {
     pels_masters: Vec<MasterId>,
     cpu: Cpu,
     cpu_master: MasterId,
-    /// Activity recorded since the last drain, or, while a timeline
-    /// sampler runs, since its open window opened.
-    activity: ActivitySet,
     /// Component activity of the sampling windows closed since the last
-    /// drain (empty when no sampler ran): with `activity` and the
-    /// components' unflushed counters, what the next drain returns.
+    /// drain (empty when no sampler ran): with the components' unflushed
+    /// counters, what the next drain returns.
     closed: ActivitySet,
     trace: Trace,
     /// Wire image peripherals sample next cycle: pulses + action lines.
@@ -539,9 +538,11 @@ impl Soc {
     /// The first component whose architectural state differs between
     /// `self` and `other`, or `None` when the two SoCs are equal. Names,
     /// in this order: `cycle`, `cpu`, `pels`, a peripheral's trace name,
-    /// `fabric`, `l2`, `activity` (the undrained activity, open and in
-    /// closed timeline windows), `trace`, and `soc` for the SoC's own
-    /// wire, interrupt and clock-accounting state.
+    /// `fabric`, `l2`, `trace`, and `soc` for the SoC's own wire,
+    /// interrupt and clock-accounting state and the activity of timeline
+    /// windows closed since the last drain. Each component counts its
+    /// own undrained activity, so a differing charge is named by the
+    /// component that counted it.
     ///
     /// `Soc`'s derived `PartialEq` is architectural equality: it compares
     /// all of the above and leaves out only host-side state, which
@@ -569,8 +570,6 @@ impl Soc {
             "fabric"
         } else if self.l2 != other.l2 {
             "l2"
-        } else if (&self.activity, &self.closed) != (&other.activity, &other.closed) {
-            "activity"
         } else if self.trace != other.trace {
             "trace"
         } else {
@@ -614,8 +613,6 @@ struct CpuPort<'a> {
     fabric: &'a mut ApbFabric<Periph>,
     master: MasterId,
     pels: &'a mut Pels,
-    pels_id: ComponentId,
-    activity: &'a mut ActivitySet,
     trace: &'a mut Trace,
     /// Time of the cycle this port was built for (handler load/store flow
     /// hops).
@@ -664,7 +661,6 @@ impl CpuBus for CpuPort<'_> {
             // The config port is a simple APB endpoint: model its
             // setup+access as two extra stall cycles.
             if req.write {
-                self.activity.record(self.pels_id, ActivityKind::RegWrite, 1);
                 match self.pels.config_write(off, req.wdata) {
                     Ok(()) => DataResult::Done {
                         value: 0,
@@ -673,7 +669,6 @@ impl CpuBus for CpuPort<'_> {
                     Err(_) => DataResult::Fault,
                 }
             } else {
-                self.activity.record(self.pels_id, ActivityKind::RegRead, 1);
                 match self.pels.config_read(off) {
                     Ok(v) => DataResult::Done {
                         value: v,
@@ -868,7 +863,11 @@ impl Soc {
         self.periph_mut(id)
     }
 
-    /// Fabric statistics (transfers, stalls).
+    /// Fabric statistics. `transfers` and `busy_cycles` count since the
+    /// last activity flush (a [`Soc::drain_activity`] or a timeline
+    /// window close); reads, writes, stalls and errors are cumulative
+    /// since construction. [`Soc::publish_metrics`] adds back what
+    /// closed windows flushed, so its keys count since the last drain.
     pub fn fabric_stats(&self) -> pels_interconnect::FabricStats {
         self.fabric.stats()
     }
@@ -901,7 +900,7 @@ impl Soc {
     /// `cpu.irq.overhead_cycles`, `fabric.transfers`,
     /// `fabric.busy_cycles`) count since the last
     /// [`Soc::drain_activity`], whether or not a timeline sampler
-    /// flushed part of them into the SoC's activity image meanwhile.
+    /// flushed part of them into a closed window meanwhile.
     pub fn publish_metrics(&self, m: &mut pels_obs::MetricsSnapshot) {
         self.cpu.publish_metrics(m);
         let s = self.accel.sched.stats;
@@ -922,8 +921,8 @@ impl Soc {
             m.set(&format!("fabric.master.{}.stalls", master.name), master.stall_cycles);
         }
         // The CPU and fabric report what they counted since their last
-        // flush; add back what was flushed since the last drain, into
-        // the open window or into a closed one.
+        // flush; add back what closed windows flushed since the last
+        // drain.
         let ids = &self.clock_ids;
         for (key, id, kind) in [
             ("cpu.retired", ids.ibex, ActivityKind::InstrRetired),
@@ -933,8 +932,7 @@ impl Soc {
             ("fabric.busy_cycles", ids.fabric, ActivityKind::ActiveCycle),
         ] {
             let unflushed = m.get(key).unwrap_or(0);
-            let flushed = self.activity.count_id(id, kind) + self.closed.count_id(id, kind);
-            m.set(key, unflushed + flushed);
+            m.set(key, unflushed + self.closed.count_id(id, kind));
         }
     }
 
@@ -997,21 +995,11 @@ impl Soc {
             return;
         }
         let cycle = self.cycle;
-        let time = self.time();
         let sched = &mut self.accel.sched;
-        let mut ctx = PeriphCtx {
-            cycle,
-            time,
-            events_in: EventVector::EMPTY,
-            events_out: EventVector::EMPTY,
-            l2: &mut self.l2,
-            activity: &mut self.activity,
-            trace: &mut self.trace,
-        };
         for i in set_bits(sched.asleep) {
             let elapsed = cycle - sched.since[i];
             if sched.deadline[i] != u64::MAX && elapsed > 0 {
-                self.fabric.slave_mut_at(i).catch_up(&mut ctx, elapsed);
+                self.fabric.slave_mut_at(i).catch_up(elapsed);
                 sched.since[i] = cycle;
             }
         }
@@ -1065,13 +1053,12 @@ impl Soc {
             events_in: wires,
             events_out: EventVector::EMPTY,
             l2: &mut self.l2,
-            activity: &mut self.activity,
             trace: &mut self.trace,
         };
         for i in set_bits(sched.active | wake) {
             let p = self.fabric.slave_mut_at(i);
             if wake & 1 << i != 0 {
-                p.catch_up(&mut ctx, cycle - sched.since[i]);
+                p.catch_up(cycle - sched.since[i]);
             }
             p.tick(&mut ctx);
         }
@@ -1115,8 +1102,6 @@ impl Soc {
                 fabric: &mut self.fabric,
                 master: self.cpu_master,
                 pels: &mut self.pels,
-                pels_id: self.clock_ids.pels,
-                activity: &mut self.activity,
                 trace: &mut self.trace,
                 time,
                 cpu_id: self.clock_ids.ibex,
@@ -1138,7 +1123,7 @@ impl Soc {
         //    leaves it exactly as the naive path's tick did.
         let served = self.fabric.targeted_slaves() & self.accel.sched.asleep;
         if served != 0 {
-            self.serve_in_place(served, cycle, time);
+            self.serve_in_place(served, cycle);
         }
         self.fabric.tick();
         self.record_bus_flows();
@@ -1206,23 +1191,14 @@ impl Soc {
 
     /// Catches the sleeping slaves in `served` up through `cycle`, before
     /// the fabric phases read or write them, and leaves them asleep.
-    fn serve_in_place(&mut self, served: u64, cycle: u64, time: SimTime) {
+    fn serve_in_place(&mut self, served: u64, cycle: u64) {
         let sched = &mut self.accel.sched;
-        let mut ctx = PeriphCtx {
-            cycle,
-            time,
-            events_in: EventVector::EMPTY,
-            events_out: EventVector::EMPTY,
-            l2: &mut self.l2,
-            activity: &mut self.activity,
-            trace: &mut self.trace,
-        };
         for i in set_bits(served) {
             debug_assert!(cycle < sched.deadline[i], "a due sleeper is awake by now");
             if sched.deadline[i] != u64::MAX {
                 self.fabric
                     .slave_mut_at(i)
-                    .catch_up(&mut ctx, cycle + 1 - sched.since[i]);
+                    .catch_up(cycle + 1 - sched.since[i]);
             }
             sched.since[i] = cycle + 1;
         }
@@ -1401,16 +1377,17 @@ impl Soc {
         })
     }
 
-    /// Drains all accumulated activity — peripheral register traffic, CPU
-    /// fetch/retire counts, PELS SCM accesses, fabric transfers, SRAM
-    /// accesses — plus per-component clock-cycle counts for the window
-    /// since the previous drain. Resets the window.
+    /// Drains all accumulated activity — peripheral register traffic,
+    /// busy cycles and pulses, CPU fetch/retire counts, PELS config-port
+    /// and SCM accesses, fabric transfers, SRAM accesses — plus
+    /// per-component clock-cycle counts for the window since the
+    /// previous drain. Resets the window.
     ///
     /// A running timeline sampler is not disturbed: its open window
-    /// keeps what it recorded before the drain.
+    /// keeps what its components counted before the drain.
     pub fn drain_activity(&mut self) -> ActivitySet {
         self.sync_slaves();
-        let mut set = std::mem::take(&mut self.activity);
+        let mut set = ActivitySet::new();
         self.flush_components_into(&mut set);
         if let Some(s) = self.accel.sampler.as_deref_mut() {
             s.carry.get_or_insert_with(ActivitySet::new).merge(&set);
@@ -1428,14 +1405,14 @@ impl Soc {
         set
     }
 
-    /// Flushes every component's internal activity counters into `set`.
-    /// Counters add, so flushing at any intermediate point leaves the
-    /// eventual [`Soc::drain_activity`] result bit-identical — this is
-    /// what lets the timeline sampler close windows mid-run without
-    /// perturbing the final drain. Clock accounting (`window_cycles` /
-    /// `cpu_awake_cycles`) is deliberately untouched: it is derived, not
-    /// accumulated, and the per-drain integer division (`cycles / 10`)
-    /// must see the whole window.
+    /// Flushes every component's activity counters into `set`: the only
+    /// way activity leaves a component. Counters add, so flushing at any
+    /// intermediate point leaves the eventual [`Soc::drain_activity`]
+    /// result bit-identical — this is what lets the timeline sampler
+    /// close windows mid-run without perturbing the final drain. Clock
+    /// accounting (`window_cycles` / `cpu_awake_cycles`) is deliberately
+    /// untouched: it is derived, not accumulated, and the per-drain
+    /// integer division (`cycles / 10`) must see the whole window.
     fn flush_components_into(&mut self, set: &mut ActivitySet) {
         self.cpu.drain_activity(set);
         self.pels.drain_activity(set);
@@ -1450,8 +1427,8 @@ impl Soc {
     /// the core clock is gated during WFI sleep (`awake` cycles), the
     /// fabric/PELS/links clock every cycle, and idle-gated peripherals
     /// keep a ~10 % residual for gating logic and sampling flops. Busy
-    /// peripheral cycles are charged separately via their `ActiveCycle`
-    /// records.
+    /// peripheral cycles are charged separately, by the `ActiveCycle`
+    /// count each peripheral keeps.
     fn record_clock_activity(set: &mut ActivitySet, ids: &ClockIds, cycles: u64, awake: u64) {
         set.record(ids.ibex, ActivityKind::ClockCycle, awake);
         set.record(ids.fabric, ActivityKind::ClockCycle, cycles);
@@ -1490,6 +1467,7 @@ impl Soc {
             window_cycles,
             window_start: self.cycle,
             next_boundary: self.cycle.saturating_add(window_cycles),
+            row: ActivitySet::new(),
             carry: None,
             awake_start: 0,
             timeline: ActivityTimeline::new(window_cycles),
@@ -1525,20 +1503,20 @@ impl Soc {
     /// Closes the current sampling window at the present cycle: brings
     /// sleeping slaves up to date (closed-form catch-up — segmentation
     /// invariant, so extra syncs cannot change results) and flushes
-    /// component counters into the SoC's activity set, which then holds
+    /// component counters into the sampler's row, which then holds
     /// exactly the window's component activity. That activity joins the
     /// `closed` image, takes its share of the clock accounting (the drain
     /// counters stay untouched) and goes to the timeline, which copies it
-    /// only if no earlier window matches. Last, the set is zeroed for the
+    /// only if no earlier window matches. Last, the row is zeroed for the
     /// next window.
     fn close_timeline_window(&mut self) {
         self.sync_slaves();
         let Some(mut s) = self.accel.sampler.take() else {
             return;
         };
-        let mut row = std::mem::take(&mut self.activity);
-        self.flush_components_into(&mut row);
-        self.closed.merge(&row);
+        let row = &mut s.row;
+        self.flush_components_into(row);
+        self.closed.merge(row);
         // A drain inside the window took its part so far; the window
         // still holds it.
         if let Some(carry) = s.carry.take() {
@@ -1546,10 +1524,9 @@ impl Soc {
         }
         let (start, end) = (s.window_start, self.cycle);
         let awake = self.cpu_awake_cycles.wrapping_sub(s.awake_start);
-        Self::record_clock_activity(&mut row, &self.clock_ids, end - start, awake);
-        s.timeline.push(start, end, &row);
+        Self::record_clock_activity(row, &self.clock_ids, end - start, awake);
+        s.timeline.push(start, end, row);
         row.clear();
-        self.activity = row;
         s.window_start = self.cycle;
         s.next_boundary = self.cycle.saturating_add(s.window_cycles);
         s.awake_start = self.cpu_awake_cycles;
@@ -1638,6 +1615,10 @@ mod tests {
             soc.pels().link(0).trigger().mask(),
             EventVector::mask_of(&[2])
         );
+        // PELS counted both config-port accesses; the drain charges them.
+        let a = soc.drain_activity();
+        assert_eq!(a.count("pels", ActivityKind::RegWrite), 1);
+        assert_eq!(a.count("pels", ActivityKind::RegRead), 1);
     }
 
     #[test]
@@ -1685,7 +1666,7 @@ mod tests {
         let mut b = a.clone();
         assert_eq!(a.first_difference(&b), None);
         b.closed.record(ibex, ActivityKind::InstrRetired, 1);
-        assert_eq!(a.first_difference(&b), Some("activity"));
+        assert_eq!(a.first_difference(&b), Some("soc"));
         let (da, db) = (a.drain_activity(), b.drain_activity());
         assert_eq!(retired(&da) + 1, retired(&db));
         assert_eq!(a.first_difference(&b), None);

@@ -40,12 +40,15 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # sleep plan where its catch-up `debug_assert`s are compiled out. The
 # power golden runs there too, and the pure-observation suite covers the
 # lifetime probe: perfbench's lifetime workload times the release power
-# and ledger code.
+# and ledger code. So do the SoC's unit tests: the seeded timeline
+# sampler reference (`sampler_reference`) and the scheduler, in-place
+# service and equality tests in soc.rs.
 cargo test -q --release --test quiescence --test active_path \
     --test desc_fuzz --test observation_invariance \
     --test power_golden
 cargo test -q --release -p pels-cpu --test decode_cache
 cargo test -q --release -p pels-periph --lib
+cargo test -q --release -p pels-soc --lib
 echo "bench_smoke: release fast-vs-naive differential OK"
 
 # Fleet digest gate: `reproduce -- fleet` runs the reference 8-job sweep

@@ -10,15 +10,6 @@ use pels_repro::obs::FlowReport;
 use pels_repro::sim::{FlowTrace, Rng, SimTime};
 use pels_repro::soc::{Mediator, Scenario, ScenarioDesc, ScenarioReport};
 
-/// The terminal stage of the measured segment for a mediator (matches
-/// `Scenario::completion_marker`).
-fn terminal_of(mediator: Mediator) -> &'static str {
-    match mediator {
-        Mediator::PelsInstant => "action",
-        _ => "padout",
-    }
-}
-
 /// Per-flow end-to-end cycles (first `eot` hop to the first terminal hop
 /// after it), in mint order — chronological, because flows are minted at
 /// their originating stimulus.
@@ -45,7 +36,7 @@ fn flow_e2e_cycles(flows: &FlowTrace, period_ps: u64, terminal: &str) -> Vec<u64
 
 fn assert_attribution_is_exact(report: &ScenarioReport, scenario: &Scenario) {
     let flows = report.flows.as_ref().expect("flows recorded");
-    let terminal = terminal_of(scenario.mediator);
+    let terminal = Scenario::completion_marker(scenario.mediator).1;
     let e2e = flow_e2e_cycles(flows, scenario.freq().period_ps(), terminal);
     // One complete flow per measured event, with identical per-event
     // latencies: the causal pairing reproduces the trace pairing
