@@ -33,8 +33,6 @@ use std::process::ExitCode;
 const NONZERO_KEYS: &[&str] = &[
     "cpu.cycles",
     "cpu.retired",
-    "cpu.decode_cache.hits",
-    "cpu.decode_cache.misses",
     "soc.sched.rebuilds",
     "soc.sched.sleeps",
     "fleet.jobs",
@@ -73,15 +71,14 @@ const KNOWN_ENERGY_KEYS: &[&str] = &[
 /// `soc.sprint.`-prefixed key in the snapshot that is not listed here
 /// fails the gate: that is how producer renames and silent additions get
 /// caught as drift instead of shipping two names for one counter. No
-/// `soc.sprint.` key is listed — the sprint route was removed, so a
-/// publisher that brings one back fails here. Extend this list in the
+/// `soc.sprint.` key and no decoded-instruction cache counter is listed —
+/// the sprint route and the cache were removed, so a publisher that
+/// brings one back fails here. Extend this list in the
 /// same change that adds or renames a published counter.
 const KNOWN_CPU_SCHED_KEYS: &[&str] = &[
     "cpu.cycles",
     "cpu.retired",
     "cpu.fetches",
-    "cpu.decode_cache.hits",
-    "cpu.decode_cache.misses",
     "cpu.irq.entries",
     "cpu.irq.overhead_cycles",
     "cpu.sleep_cycles",

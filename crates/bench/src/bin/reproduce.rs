@@ -309,7 +309,7 @@ fn run_obs_artifact() -> Result<String, String> {
     let mut metrics = pels_obs::MetricsSnapshot::default();
 
     // Busy-CPU workload: the interrupt path keeps the core fetching, so
-    // the decode cache, the scheduler and the fabric all engage.
+    // the CPU, the scheduler and the fabric all engage.
     let scenario = Scenario::from_desc(ScenarioDesc {
         obs: true,
         timeline_window: OBS_TIMELINE_WINDOW,

@@ -48,95 +48,12 @@ struct PendingLoad {
     addr: u32,
 }
 
-/// Entries in the direct-mapped decoded-instruction cache, indexed by
-/// `pc` bits `[1..]` (the pc is always halfword-aligned).
-const DECODE_CACHE_ENTRIES: usize = 512;
-
-/// One decoded-instruction cache line.
-///
-/// `raw` holds the exact instruction bits the decode came from (16-bit
-/// parcels zero-extended) and is re-verified against the freshly fetched
-/// bits on every hit, so the cache can never replay a stale decode —
-/// stores into the instruction stream are caught without any explicit
-/// invalidation traffic. `pc` doubles as the tag; an odd value can never
-/// match a real (even) pc, so it marks the line invalid.
-#[derive(Debug, Clone, Copy)]
-struct DecodedLine {
-    pc: u32,
-    raw: u32,
-    instr: Instr,
-}
-
-const INVALID_LINE: DecodedLine = DecodedLine {
-    pc: 1,
-    raw: 0,
-    instr: Instr::Fence,
-};
-
-/// The direct-mapped decoded-instruction cache, its switch and its
-/// hit/miss counters. Purely a host-side accelerator: fetch traffic,
-/// timing and architectural effects are identical with the cache on or
-/// off (see [`Cpu::fetch_decode`]). So any two caches compare equal,
-/// which makes the derived [`Cpu`] equality architectural.
-#[derive(Clone)]
-struct DecodeCache {
-    lines: Box<[DecodedLine; DECODE_CACHE_ENTRIES]>,
-    enabled: bool,
-    hits: u64,
-    misses: u64,
-}
-
-impl DecodeCache {
-    /// The decoded instruction whose raw bits `raw` were fetched at `pc`:
-    /// from its line on a hit, else from `decode` (which fills the line
-    /// while the cache is on).
-    #[inline]
-    fn get_or_decode(
-        &mut self,
-        pc: u32,
-        raw: u32,
-        decode: impl FnOnce() -> Result<Instr, DecodeError>,
-    ) -> Result<Instr, DecodeError> {
-        if !self.enabled {
-            return decode();
-        }
-        let line = &mut self.lines[(pc >> 1) as usize & (DECODE_CACHE_ENTRIES - 1)];
-        if line.pc == pc && line.raw == raw {
-            self.hits += 1;
-            return Ok(line.instr);
-        }
-        let instr = decode()?;
-        self.misses += 1;
-        *line = DecodedLine { pc, raw, instr };
-        Ok(instr)
-    }
-}
-
-impl PartialEq for DecodeCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for DecodeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DecodeCache")
-            .field("enabled", &self.enabled)
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The Ibex-class RV32IM core.
 ///
 /// Drive it with one [`Cpu::tick`] per clock cycle, passing the sampled
 /// interrupt lines. All architectural effects (register/memory updates)
 /// happen in the first cycle of an instruction; the remaining cycles of a
 /// multi-cycle instruction are modelled as stall.
-///
-/// Equality is architectural: it compares every field except the
-/// decoded-instruction cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cpu {
     id: ComponentId,
@@ -155,7 +72,6 @@ pub struct Cpu {
     /// One-word prefetch buffer (Ibex-style): consecutive 16-bit parcels
     /// of the same word cost a single memory fetch.
     fetch_buf: Option<(u32, u32)>,
-    dcache: DecodeCache,
     // Statistics / activity.
     cycles: u64,
     retired: u64,
@@ -186,12 +102,6 @@ impl Cpu {
             last_irq_ack: None,
             mret_taken: None,
             fetch_buf: None,
-            dcache: DecodeCache {
-                lines: Box::new([INVALID_LINE; DECODE_CACHE_ENTRIES]),
-                enabled: true,
-                hits: 0,
-                misses: 0,
-            },
             cycles: 0,
             retired: 0,
             fetches: 0,
@@ -269,30 +179,6 @@ impl Cpu {
         self.sleep_cycles
     }
 
-    /// Enables or disables the decoded-instruction cache. The cache is a
-    /// host-side accelerator only — both settings execute bit-identically
-    /// (same fetch counts, timing and architectural effects); differential
-    /// tests run the same workload under both to prove it. Disabling also
-    /// flushes, so re-enabling starts cold with clean statistics.
-    pub fn set_decode_cache_enabled(&mut self, enabled: bool) {
-        if !enabled {
-            self.flush_decode_cache();
-            self.dcache.hits = 0;
-            self.dcache.misses = 0;
-        }
-        self.dcache.enabled = enabled;
-    }
-
-    /// Whether the decoded-instruction cache is active.
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.dcache.enabled
-    }
-
-    /// Decoded-instruction cache `(hits, misses)` since reset/disable.
-    pub fn decode_cache_stats(&self) -> (u64, u64) {
-        (self.dcache.hits, self.dcache.misses)
-    }
-
     /// Publishes the core's cumulative counters into `m` under the
     /// `cpu.` prefix. Gauges (overwrite semantics), so publishing is
     /// idempotent at any given point in a run.
@@ -300,19 +186,10 @@ impl Cpu {
         m.set("cpu.cycles", self.cycles);
         m.set("cpu.retired", self.retired);
         m.set("cpu.fetches", self.fetches);
-        m.set("cpu.decode_cache.hits", self.dcache.hits);
-        m.set("cpu.decode_cache.misses", self.dcache.misses);
         m.set("cpu.irq.entries", self.irq_entries);
         m.set("cpu.irq.overhead_cycles", self.irq_overhead_cycles);
         m.set("cpu.sleep_cycles", self.sleep_cycles);
         m.set("cpu.stall_cycles", self.stall_cycles);
-    }
-
-    /// Invalidates every decoded-instruction cache line (the `fence.i`
-    /// path; stores need no invalidation because hits re-verify the raw
-    /// instruction bits).
-    fn flush_decode_cache(&mut self) {
-        self.dcache.lines.fill(INVALID_LINE);
     }
 
     /// Accounts `k` cycles of WFI sleep (or halt) in one step, exactly as
@@ -422,11 +299,6 @@ impl Cpu {
     /// boundary (which costs a second fetch, as in Ibex's prefetch
     /// buffer).
     ///
-    /// The fetch itself always runs — `fetches` accounting and
-    /// prefetch-buffer state stay bit-identical whether the decode cache
-    /// hits or not; a hit only replaces the `decode`/`decode_compressed`
-    /// work with a tag + raw-bits compare against the fetched word.
-    ///
     /// Returns `(instr, size)`.
     fn fetch_decode(&mut self, bus: &mut impl CpuBus) -> Result<(Instr, u32), DecodeError> {
         let pc = self.pc;
@@ -438,9 +310,7 @@ impl Cpu {
             (word >> 16) as u16
         };
         if is_compressed(low_half) {
-            let raw = u32::from(low_half);
-            let instr = self.dcache.get_or_decode(pc, raw, || decode_compressed(low_half, pc))?;
-            return Ok((instr, 2));
+            return Ok((decode_compressed(low_half, pc)?, 2));
         }
         let full = if pc & 2 == 0 {
             word
@@ -449,8 +319,7 @@ impl Cpu {
             let next = self.fetch_word(aligned + 4, bus);
             u32::from(low_half) | (next << 16)
         };
-        let instr = self.dcache.get_or_decode(pc, full, || decode(full, pc))?;
-        Ok((instr, 4))
+        Ok((decode(full, pc)?, 4))
     }
 
     /// Reads an instruction word through the prefetch buffer.
@@ -641,10 +510,9 @@ impl Cpu {
             }
             Instr::Fence => {
                 // Covers both `fence` and `fence.i` (the decoder folds the
-                // whole MISC-MEM opcode into one instruction): any fence
-                // re-synchronises the instruction stream, so drop every
-                // cached decode.
-                self.flush_decode_cache();
+                // whole MISC-MEM opcode into one instruction). Every fetch
+                // decodes the bits it reads, so a fence has no decoded
+                // state to drop and only retires.
                 self.pc = next_pc;
                 self.retire(timing::ALU - 1);
             }

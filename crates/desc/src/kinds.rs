@@ -89,12 +89,12 @@ impl fmt::Display for Mediator {
 /// and for before/after benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Every accelerator on: decode cache, active-slave scheduling and
-    /// quiescence skipping.
+    /// Every accelerator on: active-slave scheduling and quiescence
+    /// skipping.
     #[default]
     Fast,
-    /// The naive reference path: every peripheral ticks every cycle, no
-    /// decode cache.
+    /// The naive reference path: every slave ticks every cycle and
+    /// nothing is skipped.
     Naive,
 }
 

@@ -1,9 +1,9 @@
 //! # pels-obs — unified metrics, profiling, and trace export
 //!
-//! After three rounds of fast-path work (interned recording, quiescence
-//! skipping, the decoded-instruction cache, active-slave scheduling) the
-//! simulator had no way to show whether those machines actually engage on
-//! a given workload. This crate is the observability layer the rest of
+//! After several rounds of fast-path work (interned recording,
+//! quiescence skipping, active-slave scheduling) the simulator had no
+//! way to show whether those machines actually engage on a given
+//! workload. This crate is the observability layer the rest of
 //! the workspace publishes into:
 //!
 //! * [`metrics`] — a [`MetricsSnapshot`]: named counters and gauges in
@@ -39,12 +39,12 @@
 //! ```
 //! use pels_obs::MetricsSnapshot;
 //! let mut run = MetricsSnapshot::default();
-//! run.set("cpu.decode_cache.hits", 41);
+//! run.set("cpu.retired", 41);
 //! let mut total = MetricsSnapshot::default();
 //! total.absorb(&run);
 //! total.absorb(&run);
-//! assert_eq!(total.get("cpu.decode_cache.hits"), Some(82));
-//! assert!(total.to_json().contains("\"cpu.decode_cache.hits\": 82"));
+//! assert_eq!(total.get("cpu.retired"), Some(82));
+//! assert!(total.to_json().contains("\"cpu.retired\": 82"));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -26,7 +26,6 @@ impl Harness {
     /// Ticks `p` once with `events_in`; returns the pulses it raised.
     pub fn tick(&mut self, p: &mut dyn Peripheral, events_in: EventVector) -> EventVector {
         let mut ctx = PeriphCtx {
-            cycle: self.cycle,
             time: SimTime::from_ps(self.period.as_ps() * self.cycle),
             events_in,
             events_out: EventVector::EMPTY,

@@ -22,8 +22,6 @@ use pels_sim::{ActivityCounter, ActivitySet, ComponentId, EventVector, SimTime, 
 /// activity in its [`ActivityCounter`] and hands it over only through
 /// [`Peripheral::drain_activity`].
 pub struct PeriphCtx<'a> {
-    /// Bus-clock cycle index.
-    pub cycle: u64,
     /// Absolute simulation time at this cycle's edge.
     pub time: SimTime,
     /// Sampled incoming event wires.
@@ -163,7 +161,6 @@ mod tests {
 
     fn ctx_fixture<'a>(l2: &'a mut L2Memory, trace: &'a mut Trace) -> PeriphCtx<'a> {
         PeriphCtx {
-            cycle: 0,
             time: SimTime::ZERO,
             events_in: EventVector::mask_of(&[5]),
             events_out: EventVector::EMPTY,

@@ -547,9 +547,8 @@ impl Soc {
     /// `Soc`'s derived `PartialEq` is architectural equality: it compares
     /// all of the above and leaves out only host-side state, which
     /// legitimately differs between [`ExecMode`]s: the slave scheduler
-    /// with its [`SchedStats`], the exec mode itself, the timeline
-    /// sampler, and the CPU's decoded-instruction cache with its switch
-    /// and hit/miss counters.
+    /// with its [`SchedStats`], the exec mode itself and the timeline
+    /// sampler.
     pub fn first_difference(&self, other: &Soc) -> Option<&'static str> {
         if self == other {
             return None;
@@ -885,12 +884,6 @@ impl Soc {
         self.accel.sched.stats
     }
 
-    /// Decoded-instruction cache `(hits, misses)` (see
-    /// [`pels_cpu::Cpu::decode_cache_stats`]).
-    pub fn decode_cache_stats(&self) -> (u64, u64) {
-        self.cpu.decode_cache_stats()
-    }
-
     /// Publishes CPU, scheduler and fabric counters into `m` (gauge
     /// semantics — idempotent at a given point in the run). Keys:
     /// `cpu.*`, `soc.sched.*`, `fabric.*`, and `fabric.master.<name>.*`
@@ -957,15 +950,14 @@ impl Soc {
     }
 
     /// Selects the execution path. [`ExecMode::Fast`] (the default)
-    /// skips idle peripherals, reconstructs their skipped cycles in closed
-    /// form and serves the CPU from its decoded-instruction cache;
-    /// [`ExecMode::Naive`] is the reference path: every peripheral ticks
-    /// every cycle, with no quiescence skipping and no decode cache. Both
-    /// are observationally identical: after the same inputs the two SoCs
-    /// compare equal (`==`, see [`Soc::first_difference`]), which leaves
-    /// out only the scheduler, the exec mode, the timeline sampler and
-    /// the decode cache. The differential suites in `tests/` check it
-    /// after every step. May be switched mid-run.
+    /// skips idle peripherals and reconstructs their skipped cycles in
+    /// closed form; [`ExecMode::Naive`] is the reference path: every
+    /// peripheral ticks every cycle and nothing is skipped. The CPU runs
+    /// the same way in both. Both are observationally identical: after
+    /// the same inputs the two SoCs compare equal (`==`, see
+    /// [`Soc::first_difference`]), which leaves out only the scheduler,
+    /// the exec mode and the timeline sampler. The differential suites
+    /// in `tests/` check it after every step. May be switched mid-run.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         let naive = mode == ExecMode::Naive;
         self.sync_slaves();
@@ -977,7 +969,6 @@ impl Soc {
             self.accel.sched.wake(self.accel.sched.asleep);
         }
         self.accel.naive = naive;
-        self.cpu.set_decode_cache_enabled(!naive);
     }
 
     /// Brings every sleeping slave's architectural state up to date
@@ -1048,7 +1039,6 @@ impl Soc {
         // order — exactly the slaves, and the order, of the naive full
         // walk's ticks. A waking slave replays its skipped span first.
         let mut ctx = PeriphCtx {
-            cycle,
             time,
             events_in: wires,
             events_out: EventVector::EMPTY,
@@ -1725,7 +1715,7 @@ mod tests {
         p.extend(asm::li32(1, apb_reg(GPIO_OFFSET, Gpio::PADOUTSET)));
         p.extend(asm::li32(2, 0xA5));
         p.push(asm::sw(1, 2, 0));
-        // Busy loop: re-executed instructions are decode-cache hits.
+        // Busy loop: the core retires every pass.
         p.extend(asm::li32(3, 40));
         p.push(asm::addi(3, 3, -1));
         p.push(asm::bne(3, 0, -4));
@@ -1745,12 +1735,12 @@ mod tests {
             soc.cycle(),
             "every cycle is either stepped or skipped"
         );
-        let (hits, _misses) = soc.decode_cache_stats();
-        assert!(hits > 0, "li32 expansion re-executes cached lines");
+        let retired = soc.cpu().retired();
+        assert!(retired > 40, "the busy loop retired every pass");
 
         let mut snap = pels_obs::MetricsSnapshot::default();
         soc.publish_metrics(&mut snap);
-        assert_eq!(snap.get("cpu.decode_cache.hits"), Some(hits));
+        assert_eq!(snap.get("cpu.retired"), Some(retired));
         assert_eq!(snap.get("soc.sched.sleeps"), Some(s.sleeps));
         assert!(
             snap.get("fabric.master.ibex.grants").unwrap_or(0) > 0,

@@ -32,8 +32,7 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # Release differential: perfbench times release builds, where the
 # scheduler's debug-only consistency assertions are compiled out. Run
 # the fast-vs-naive suites on that same optimised code too. Each compares
-# whole states: `Soc`'s `PartialEq` (`Soc::first_difference`) in the SoC
-# suites, `Cpu`'s (everything but the decode cache) in decode_cache. The
+# whole states through `Soc`'s `PartialEq` (`Soc::first_difference`). The
 # description fuzzer (fast vs naive on generated scenarios) and the
 # pure-observation suite run there as well, and so do the peripherals'
 # unit tests, whose catch-up-vs-tick table checks each peripheral's
@@ -46,7 +45,6 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 cargo test -q --release --test quiescence --test active_path \
     --test desc_fuzz --test observation_invariance \
     --test power_golden
-cargo test -q --release -p pels-cpu --test decode_cache
 cargo test -q --release -p pels-periph --lib
 cargo test -q --release -p pels-soc --lib
 echo "bench_smoke: release fast-vs-naive differential OK"
@@ -74,7 +72,7 @@ echo "bench_smoke: observation invariance + flow property suites OK"
 
 # Observability gate: regenerate the OBS artifacts with the profiler on
 # (plus a reduced-horizon lifetime projection), then schema-check them —
-# the reference counters (decode cache, scheduler, fleet workers,
+# the reference counters (CPU, scheduler, fleet workers,
 # energy ledger, battery projection) must be
 # present and nonzero, the Chrome trace must be well-formed trace-event
 # JSON with power counter tracks, a battery state-of-charge track and

@@ -211,11 +211,6 @@ pub fn assert_same_measurement(a: &ScenarioReport, b: &ScenarioReport, ctx: &str
 pub fn assert_reports_identical(plain: &ScenarioReport, observed: &ScenarioReport, ctx: &str) {
     assert_same_measurement(plain, observed, ctx);
     assert_eq!(plain.sched_stats, observed.sched_stats, "{ctx}: scheduler stats");
-    assert_eq!(plain.decode_cache_hits, observed.decode_cache_hits, "{ctx}: cache hits");
-    assert_eq!(
-        plain.decode_cache_misses, observed.decode_cache_misses,
-        "{ctx}: cache misses"
-    );
 }
 
 /// Each probe's report field is `Some` exactly when the probe is on.

@@ -206,17 +206,14 @@ fn publishing_metrics_mid_run_leaves_the_soc_untouched() {
         // every pass (set semantics, idempotent).
         observed.publish_metrics(&mut snap);
         let _ = observed.sched_stats();
-        let _ = observed.decode_cache_stats();
+        let _ = observed.cpu().retired();
         let _ = observed.master_stats();
     }
     assert_eq!(observed.first_difference(&reference), None);
     assert_eq!(observed.sched_stats(), reference.sched_stats());
-    assert_eq!(observed.drain_activity(), reference.drain_activity());
     // And the counters the snapshot reports match the accessors exactly.
-    let (hits, _) = reference.decode_cache_stats();
-    if hits > 0 {
-        assert_eq!(snap.get("cpu.decode_cache.hits"), Some(hits));
-    }
+    assert_eq!(snap.get("cpu.retired").unwrap_or(0), reference.cpu().retired());
+    assert_eq!(observed.drain_activity(), reference.drain_activity());
 }
 
 #[test]
