@@ -11,7 +11,7 @@ use crate::exec::{ExecCtx, ExecutionUnit, LinkBus, ActionLines};
 use crate::program::Program;
 use crate::scm::{Scm, ScmCapacityError};
 use crate::trigger::{TriggerCond, TriggerUnit};
-use pels_sim::{ActivityKind, ActivitySet, ComponentId, EventVector, SimTime, Trace};
+use pels_sim::{ActivityKind, ActivitySink, ComponentId, EventVector, SimTime, Trace};
 
 /// Default trigger-FIFO depth (matches a small RTL FIFO).
 pub const DEFAULT_FIFO_DEPTH: usize = 4;
@@ -167,7 +167,7 @@ impl Link {
     /// Execution statistics accumulate for the link's lifetime; this
     /// reports the delta since the previous drain so repeated measurement
     /// windows compose.
-    pub fn drain_activity(&mut self, into: &mut ActivitySet) {
+    pub fn drain_activity(&mut self, into: &mut impl ActivitySink) {
         let (reads, writes) = self.scm.take_access_counts();
         into.record(self.id, ActivityKind::ScmRead, reads);
         into.record(self.id, ActivityKind::ScmWrite, writes);

@@ -2,7 +2,7 @@
 
 use crate::exec::{ActionLines, LinkBus};
 use crate::link::{Link, DEFAULT_FIFO_DEPTH};
-use pels_sim::{ActivityCounter, ActivitySet, ComponentId, EventVector, SimTime, Trace};
+use pels_sim::{ActivityCounter, ActivitySink, ComponentId, EventVector, SimTime, Trace};
 
 /// Static configuration of a PELS instance — the two knobs the paper
 /// sweeps in Figure 6a (links × SCM lines) plus the FIFO-depth and
@@ -244,7 +244,7 @@ impl Pels {
 
     /// Drains the config-port accesses (`RegRead`/`RegWrite` under
     /// `pels`) and the per-link activity counters.
-    pub fn drain_activity(&mut self, into: &mut ActivitySet) {
+    pub fn drain_activity(&mut self, into: &mut impl ActivitySink) {
         self.config_port.drain(self.id, into);
         for link in &mut self.links {
             link.drain_activity(into);
@@ -287,6 +287,7 @@ mod tests {
     use crate::command::{ActionMode, Command};
     use crate::program::Program;
     use crate::trigger::TriggerCond;
+    use pels_sim::ActivitySet;
 
     fn pulse_program(line: u32) -> Program {
         Program::new(vec![

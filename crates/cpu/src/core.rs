@@ -7,7 +7,7 @@ use crate::decode::{decode, DecodeError};
 use crate::instr::{AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulDivOp, StoreOp};
 use crate::regs::RegFile;
 use crate::timing;
-use pels_sim::{ActivityKind, ActivitySet, ComponentId};
+use pels_sim::{ActivityKind, ActivitySink, ComponentId};
 
 /// Why the core stopped executing (tests and scenarios use [`Instr::Ecall`]
 /// / [`Instr::Ebreak`] as a program-exit convention).
@@ -534,7 +534,7 @@ impl Cpu {
 
     /// Drains accumulated activity (fetches, retired instructions,
     /// register-file ports, interrupt overhead) into `into`.
-    pub fn drain_activity(&mut self, into: &mut ActivitySet) {
+    pub fn drain_activity(&mut self, into: &mut impl ActivitySink) {
         into.record(self.id, ActivityKind::InstrFetch, self.fetches);
         into.record(self.id, ActivityKind::InstrRetired, self.retired);
         into.record(
@@ -639,6 +639,7 @@ mod tests {
     use super::*;
     use crate::asm;
     use crate::bus::SimpleBus;
+    use pels_sim::ActivitySet;
 
     fn run_program(program: &[u32], max: u64) -> (Cpu, SimpleBus) {
         let mut bus = SimpleBus::new(64 * 1024);

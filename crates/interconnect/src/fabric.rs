@@ -3,7 +3,7 @@
 use crate::addr::{AddrRange, AddressMap};
 use crate::apb::{ApbRequest, ApbResponse, ApbSlave, BusError, Dir};
 use crate::arbiter::{Arbiter, ArbiterKind};
-use pels_sim::{ActivityKind, ActivitySet, ComponentId};
+use pels_sim::{ActivityKind, ActivitySink, ComponentId};
 use std::fmt;
 
 /// Handle to a master port, returned by [`ApbFabric::add_master`].
@@ -594,8 +594,8 @@ impl<S: ApbSlave> ApbFabric<S> {
     }
 
     /// Drains per-master stall counts and aggregate transfer counts into an
-    /// [`ActivitySet`]; counters restart from zero.
-    pub fn drain_activity(&mut self, into: &mut ActivitySet) {
+    /// [`ActivitySink`]; counters restart from zero.
+    pub fn drain_activity(&mut self, into: &mut impl ActivitySink) {
         for port in &mut self.masters {
             into.record(port.id, ActivityKind::BusStall, port.stall_cycles);
             port.stall_cycles = 0;
@@ -611,6 +611,7 @@ impl<S: ApbSlave> ApbFabric<S> {
 mod tests {
     use super::*;
     use crate::memory::MemorySlave;
+    use pels_sim::ActivitySet;
 
     fn fabric_1m_2s() -> (ApbFabric<MemorySlave>, MasterId, SlaveId, SlaveId) {
         let mut f = ApbFabric::shared();

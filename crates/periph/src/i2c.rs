@@ -341,7 +341,7 @@ impl Peripheral for I2c {
         })
     }
 
-    fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
+    fn drain_activity(&mut self, into: &mut impl pels_sim::ActivitySink) {
         self.activity.drain(self.id, into);
     }
 }

@@ -6,7 +6,7 @@
 //! singles out — the activity counted here drives the `3.7×`/`4.3×`
 //! memory-system power gap of Figure 5.
 
-use pels_sim::{ActivityKind, ActivitySet, ComponentId};
+use pels_sim::{ActivityKind, ActivitySink, ComponentId};
 
 /// Words per page: memory is allocated in 4 KiB pages.
 const PAGE_WORDS: usize = 1024;
@@ -152,7 +152,7 @@ impl L2Memory {
     }
 
     /// Drains access counts into `into` under component name `sram`.
-    pub fn drain_activity(&mut self, into: &mut ActivitySet) {
+    pub fn drain_activity(&mut self, into: &mut impl ActivitySink) {
         into.record(self.id, ActivityKind::SramRead, self.reads);
         into.record(self.id, ActivityKind::SramWrite, self.writes);
         self.reads = 0;
@@ -173,6 +173,7 @@ impl L2Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pels_sim::ActivitySet;
 
     #[test]
     fn read_write_roundtrip_counts() {

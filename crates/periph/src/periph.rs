@@ -4,7 +4,7 @@ use crate::traits::{PeriphCtx, Peripheral, SleepPlan};
 use crate::{Adc, Gpio, I2c, Spi, Timer, Uart, Watchdog};
 use pels_interconnect::apb::Dir;
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivitySet, ComponentId};
+use pels_sim::{ActivitySink, ComponentId};
 
 /// One of the SoC's seven peripherals, held by value in the APB fabric.
 ///
@@ -76,7 +76,7 @@ impl Peripheral for Periph {
         each!(self, p => p.catch_up(elapsed))
     }
 
-    fn drain_activity(&mut self, into: &mut ActivitySet) {
+    fn drain_activity(&mut self, into: &mut impl ActivitySink) {
         each!(self, p => p.drain_activity(into))
     }
 }

@@ -291,7 +291,7 @@ impl Peripheral for Spi {
         self.cycle_in_word += elapsed as u32;
     }
 
-    fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
+    fn drain_activity(&mut self, into: &mut impl pels_sim::ActivitySink) {
         self.activity.drain(self.id, into);
     }
 }

@@ -65,7 +65,7 @@ impl Harness {
 }
 
 /// What `p` drains now; its counts restart.
-pub(crate) fn drained(p: &mut dyn Peripheral) -> ActivitySet {
+pub(crate) fn drained(p: &mut impl Peripheral) -> ActivitySet {
     let mut set = ActivitySet::new();
     p.drain_activity(&mut set);
     set

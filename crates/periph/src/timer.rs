@@ -229,7 +229,7 @@ impl Peripheral for Timer {
         self.value = self.value.wrapping_add(actions as u32);
     }
 
-    fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
+    fn drain_activity(&mut self, into: &mut impl pels_sim::ActivitySink) {
         self.activity.drain(self.id, into);
     }
 }

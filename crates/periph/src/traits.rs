@@ -2,7 +2,7 @@
 
 use crate::l2::L2Memory;
 use pels_interconnect::ApbSlave;
-use pels_sim::{ActivityCounter, ActivitySet, ComponentId, EventVector, SimTime, Trace};
+use pels_sim::{ActivityCounter, ActivitySink, ComponentId, EventVector, SimTime, Trace};
 
 /// Everything a peripheral can see and touch during one clock cycle.
 ///
@@ -113,8 +113,10 @@ pub trait Peripheral: ApbSlave {
     /// Hands the activity the peripheral counted since its last drain
     /// (its [`ActivityCounter`]: register accesses, busy cycles, event
     /// pulses) to `into` and restarts the count. The only way a
-    /// peripheral's activity reaches an [`ActivitySet`].
-    fn drain_activity(&mut self, into: &mut ActivitySet);
+    /// peripheral's activity reaches an [`ActivitySink`].
+    fn drain_activity(&mut self, into: &mut impl ActivitySink)
+    where
+        Self: Sized;
 }
 
 /// How a peripheral may sleep, from [`Peripheral::sleep_plan`].

@@ -167,7 +167,7 @@ impl Peripheral for Watchdog {
         self.value -= elapsed as u32;
     }
 
-    fn drain_activity(&mut self, into: &mut pels_sim::ActivitySet) {
+    fn drain_activity(&mut self, into: &mut impl pels_sim::ActivitySink) {
         self.activity.drain(self.id, into);
     }
 }

@@ -139,7 +139,7 @@ impl fmt::Display for PowerReport {
 
 /// The model: a calibration plus the SoC's component inventory (areas in
 /// kGE drive clock-tree energy and leakage shares).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     calibration: Calibration,
     /// Logic area per registered component, indexed by

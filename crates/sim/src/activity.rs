@@ -12,9 +12,15 @@
 //! bounds-checked array add with no allocation and no string hashing. The
 //! string-keyed query API survives as a thin lookup layer over the
 //! interning registry.
+//!
+//! A component flushes its counts into any [`ActivitySink`]: an
+//! [`ActivitySet`] or an [`ActivityRow`] — one slot per counter the row
+//! has been given, the narrow form a timeline sampler hashes, compares
+//! and sums once per window.
 
 use crate::intern::ComponentId;
 use std::fmt;
+use std::sync::Arc;
 
 /// A class of energy-consuming activity.
 ///
@@ -284,33 +290,6 @@ impl ActivitySet {
         self.counts.fill(ZERO_ROW);
     }
 
-    /// A 64-bit hash of the counters that agrees with `==`: equal sets
-    /// hash equal, whatever trailing all-zero rows either holds. Four
-    /// independent multiply lanes keep the loop from waiting on one
-    /// multiply chain.
-    pub fn fingerprint(&self) -> u64 {
-        const K: u64 = 0x9E37_79B9_7F4A_7C15;
-        let len = self
-            .counts
-            .iter()
-            .rposition(|row| *row != ZERO_ROW)
-            .map_or(0, |i| i + 1);
-        let words = self.counts[..len].as_flattened();
-        let mut lanes = [1u64, 2, 3, 4];
-        let mut chunks = words.chunks_exact(lanes.len());
-        for chunk in &mut chunks {
-            for (h, &n) in lanes.iter_mut().zip(chunk) {
-                *h = (*h ^ n).wrapping_mul(K);
-            }
-        }
-        for (h, &n) in lanes.iter_mut().zip(chunks.remainder()) {
-            *h = (*h ^ n).wrapping_mul(K);
-        }
-        lanes
-            .into_iter()
-            .fold(words.len() as u64, |acc, h| (acc ^ h ^ (h >> 29)).wrapping_mul(K))
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counts.iter().all(|row| *row == ZERO_ROW)
@@ -337,7 +316,7 @@ pub struct ActivityCounter {
 
 impl ActivityCounter {
     /// Adds the counts to `into` under `component` and restarts them.
-    pub fn drain(&mut self, component: ComponentId, into: &mut ActivitySet) {
+    pub fn drain(&mut self, component: ComponentId, into: &mut impl ActivitySink) {
         let c = std::mem::take(self);
         into.record(component, ActivityKind::RegRead, c.reads);
         into.record(component, ActivityKind::RegWrite, c.writes);
@@ -345,6 +324,246 @@ impl ActivityCounter {
         into.record(component, ActivityKind::EventPulse, c.pulses);
     }
 }
+
+/// Where a component flushes the activity it counted: an
+/// [`ActivitySet`] or an [`ActivityRow`].
+///
+/// Flushes record every counter they keep, zero or not, so the first
+/// flush into a fresh row gives it a slot for each.
+pub trait ActivitySink {
+    /// Adds `n` occurrences of `kind` for `component`.
+    fn record(&mut self, component: ComponentId, kind: ActivityKind, n: u64);
+}
+
+impl ActivitySink for ActivitySet {
+    #[inline]
+    fn record(&mut self, component: ComponentId, kind: ActivityKind, n: u64) {
+        ActivitySet::record(self, component, kind, n);
+    }
+}
+
+/// The slots of an [`ActivityRow`]: one per `(component, kind)` counter,
+/// in the order the row first saw them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ActivityLayout {
+    /// The counter behind each slot.
+    slots: Vec<(ComponentId, ActivityKind)>,
+    /// `slot + 1` of each counter, indexed by component id then kind;
+    /// 0 for a counter without a slot.
+    index: Vec<[u16; ActivityKind::COUNT]>,
+}
+
+impl ActivityLayout {
+    /// Number of slots.
+    pub fn width(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The slot of `(component, kind)`, if it has one.
+    #[inline]
+    pub fn slot(&self, component: ComponentId, kind: ActivityKind) -> Option<usize> {
+        let at = self.index.get(component.index())?[kind.index()];
+        (at as usize).checked_sub(1)
+    }
+
+    /// Gives `(component, kind)`, which has no slot yet, the next one.
+    fn push(&mut self, component: ComponentId, kind: ActivityKind) {
+        let idx = component.index();
+        if idx >= self.index.len() {
+            self.index.resize(idx + 1, [0; ActivityKind::COUNT]);
+        }
+        self.slots.push((component, kind));
+        self.index[idx][kind.index()] =
+            u16::try_from(self.slots.len()).expect("a layout holds fewer than 65536 slots");
+    }
+}
+
+/// Activity counters in the narrow form: one `u64` per slot of an
+/// [`ActivityLayout`], which holds only the counters recorded into the
+/// row — a few dozen for a SoC's components, where a dense
+/// [`ActivitySet`] spans every interned component times
+/// [`ActivityKind::COUNT`]. Hashing, comparing, summing and clearing
+/// walk the slots alone.
+///
+/// A counter the layout lacks gets the next slot when it is first
+/// recorded. An empty row ([`ActivityRow::default`]) gives one to every
+/// counter it is handed, zero or not, until [`ActivityRow::fix_layout`]:
+/// so the first flush of a set of components lays the row out. A row
+/// with a fixed layout — every row [`ActivityRow::new`] makes — skips a
+/// zero count at once, and a flush into it only finds slots. Clones
+/// share the layout until one of them grows it.
+///
+/// Two rows are equal when they hold the same activity: rows of one
+/// layout compare slot by slot, rows of different layouts by their
+/// [`ActivitySet`] images.
+///
+/// ```
+/// use pels_sim::{ActivityKind, ActivityRow, ActivitySink, ComponentId};
+/// let spi = ComponentId::intern("spi");
+/// let mut row = ActivityRow::default();
+/// row.record(spi, ActivityKind::RegRead, 0);
+/// row.record(spi, ActivityKind::EventPulse, 2);
+/// assert_eq!(row.counts(), &[0, 2]);
+/// let mut next = ActivityRow::new(row.layout().clone());
+/// next.record(spi, ActivityKind::EventPulse, 1);
+/// next.add(&row);
+/// assert_eq!(next.to_set().count("spi", ActivityKind::EventPulse), 3);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ActivityRow {
+    layout: Arc<ActivityLayout>,
+    counts: Vec<u64>,
+    /// Whether a zero count is skipped rather than given a slot.
+    fixed: bool,
+}
+
+impl ActivityRow {
+    /// An all-zero row over `layout`, fixed.
+    pub fn new(layout: Arc<ActivityLayout>) -> Self {
+        ActivityRow {
+            counts: vec![0; layout.width()],
+            layout,
+            fixed: true,
+        }
+    }
+
+    /// Fixes the layout: from now on a zero count is skipped instead of
+    /// being given a slot.
+    pub fn fix_layout(&mut self) {
+        self.fixed = true;
+    }
+
+    /// A row holding `set`, laid out over the set's non-zero counters in
+    /// component-id then kind order: equal sets give equal rows.
+    pub(crate) fn from_set(set: &ActivitySet) -> Self {
+        let mut row = ActivityRow::default();
+        row.add_set(set);
+        row
+    }
+
+    /// The row's slots.
+    pub fn layout(&self) -> &Arc<ActivityLayout> {
+        &self.layout
+    }
+
+    /// The counts, in slot order.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Count of `kind` for `component` (0 without a slot).
+    pub fn count_id(&self, component: ComponentId, kind: ActivityKind) -> u64 {
+        self.layout
+            .slot(component, kind)
+            .map_or(0, |slot| self.counts[slot])
+    }
+
+    /// Adds `other`'s counts: slot by slot when the two rows share a
+    /// layout, counter by counter otherwise.
+    pub fn add(&mut self, other: &ActivityRow) {
+        if self.same_layout(other) {
+            for (m, t) in self.counts.iter_mut().zip(&other.counts) {
+                *m += t;
+            }
+        } else {
+            other.for_each_nonzero(|id, k, n| self.record(id, k, n));
+        }
+    }
+
+    /// Adds every non-zero counter of `set`.
+    pub fn add_set(&mut self, set: &ActivitySet) {
+        for (id, row) in set.rows() {
+            for k in ActivityKind::ALL {
+                if row[k.index()] > 0 {
+                    self.record(id, k, row[k.index()]);
+                }
+            }
+        }
+    }
+
+    /// Adds the counts to `set`.
+    pub fn add_to(&self, set: &mut ActivitySet) {
+        self.for_each_nonzero(|id, k, n| set.record(id, k, n));
+    }
+
+    /// The counts as an [`ActivitySet`].
+    pub fn to_set(&self) -> ActivitySet {
+        let mut set = ActivitySet::new();
+        self.add_to(&mut set);
+        set
+    }
+
+    /// Zeroes every slot, keeping the layout.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+    }
+
+    /// A 64-bit hash of the counts, equal for rows of one layout that
+    /// compare equal. Four independent multiply lanes keep the loop from
+    /// waiting on one multiply chain; the last step folds the high half
+    /// into the low one, so the hash can key a table as it is.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut lanes = [1u64, 2, 3, 4];
+        let mut chunks = self.counts.chunks_exact(lanes.len());
+        for chunk in &mut chunks {
+            for (h, &n) in lanes.iter_mut().zip(chunk) {
+                *h = (*h ^ n).wrapping_mul(K);
+            }
+        }
+        for (h, &n) in lanes.iter_mut().zip(chunks.remainder()) {
+            *h = (*h ^ n).wrapping_mul(K);
+        }
+        let h = lanes.into_iter().fold(self.counts.len() as u64, |acc, h| {
+            (acc ^ h ^ (h >> 29)).wrapping_mul(K)
+        });
+        h ^ (h >> 32)
+    }
+
+    fn same_layout(&self, other: &ActivityRow) -> bool {
+        Arc::ptr_eq(&self.layout, &other.layout) || self.layout == other.layout
+    }
+
+    fn for_each_nonzero(&self, mut f: impl FnMut(ComponentId, ActivityKind, u64)) {
+        for (&(id, k), &n) in self.layout.slots.iter().zip(&self.counts) {
+            if n > 0 {
+                f(id, k, n);
+            }
+        }
+    }
+
+    /// Records `n` into a new slot for `(component, kind)`.
+    #[cold]
+    fn push_slot(&mut self, component: ComponentId, kind: ActivityKind, n: u64) {
+        Arc::make_mut(&mut self.layout).push(component, kind);
+        self.counts.push(n);
+    }
+}
+
+impl ActivitySink for ActivityRow {
+    #[inline]
+    fn record(&mut self, component: ComponentId, kind: ActivityKind, n: u64) {
+        if n == 0 && self.fixed {
+            return;
+        }
+        match self.layout.slot(component, kind) {
+            Some(slot) => self.counts[slot] += n,
+            None => self.push_slot(component, kind, n),
+        }
+    }
+}
+
+impl PartialEq for ActivityRow {
+    fn eq(&self, other: &Self) -> bool {
+        if self.same_layout(other) {
+            self.counts == other.counts
+        } else {
+            self.to_set() == other.to_set()
+        }
+    }
+}
+
+impl Eq for ActivityRow {}
 
 /// Two sets are equal when every component has identical counters; rows of
 /// zeros (including trailing rows one set has and the other lacks) do not
@@ -436,26 +655,19 @@ mod tests {
     }
 
     #[test]
-    fn clear_zeroes_and_fingerprint_follows_equality() {
-        let x = ComponentId::intern("act-fpx");
-        let pad = ComponentId::intern("act-fppad");
+    fn clear_zeroes_and_keeps_the_row_storage() {
+        let x = ComponentId::intern("act-clrx");
+        let pad = ComponentId::intern("act-clrpad");
         let mut a = ActivitySet::new();
         a.record(x, ActivityKind::BusStall, 3);
-        let mut padded = a.clone();
-        padded.record(pad, ActivityKind::BusStall, 1);
-        let mut b = padded.clone();
+        let mut b = a.clone();
+        b.record(pad, ActivityKind::BusStall, 1);
         b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.fingerprint(), ActivitySet::new().fingerprint());
+        assert_eq!(b, ActivitySet::new());
         b.record(x, ActivityKind::BusStall, 3);
-        // b keeps pad's (now zero) row: equal to a, and hashed alike.
+        // b keeps pad's (now zero) row: still equal to a.
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), padded.fingerprint());
-        // The same count under another kind is another set.
-        let mut c = ActivitySet::new();
-        c.record(x, ActivityKind::BusTransfer, 3);
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
@@ -545,6 +757,117 @@ mod tests {
         assert_eq!(act.count("act-counter", ActivityKind::ActiveCycle), 5);
         assert_eq!(act.count("act-counter", ActivityKind::EventPulse), 3);
         assert_eq!(c, ActivityCounter::default());
+    }
+
+    /// A row laid out over `pairs`, recorded in that order.
+    fn row_of(pairs: &[(&str, ActivityKind)]) -> ActivityRow {
+        let mut row = ActivityRow::default();
+        for &(name, k) in pairs {
+            ActivitySink::record(&mut row, ComponentId::intern(name), k, 0);
+        }
+        row
+    }
+
+    #[test]
+    fn a_row_gives_each_new_counter_the_next_slot() {
+        let row = row_of(&[
+            ("act-lay-b", ActivityKind::RegRead),
+            ("act-lay-a", ActivityKind::ScmRead),
+            ("act-lay-b", ActivityKind::RegRead),
+            ("act-lay-b", ActivityKind::EventPulse),
+        ]);
+        let (a, b) = (
+            ComponentId::intern("act-lay-a"),
+            ComponentId::intern("act-lay-b"),
+        );
+        let layout = row.layout();
+        assert_eq!(layout.width(), 3);
+        assert_eq!(row.counts(), &[0, 0, 0]);
+        assert_eq!(layout.slot(b, ActivityKind::RegRead), Some(0));
+        assert_eq!(layout.slot(a, ActivityKind::ScmRead), Some(1));
+        assert_eq!(layout.slot(b, ActivityKind::EventPulse), Some(2));
+        assert_eq!(layout.slot(a, ActivityKind::RegRead), None);
+        assert_eq!(
+            layout.slot(ComponentId::intern("act-lay-none"), ActivityKind::RegRead),
+            None
+        );
+        // A clone that grows leaves the original's layout alone.
+        let mut grown = row.clone();
+        ActivitySink::record(&mut grown, a, ActivityKind::RegRead, 4);
+        assert_eq!((grown.layout().width(), row.layout().width()), (4, 3));
+        assert_eq!(grown.count_id(a, ActivityKind::RegRead), 4);
+        // A fixed layout skips a zero count; a non-zero one still gets a
+        // slot.
+        grown.fix_layout();
+        ActivitySink::record(&mut grown, a, ActivityKind::RegWrite, 0);
+        assert_eq!(grown.layout().width(), 4);
+        ActivitySink::record(&mut grown, a, ActivityKind::RegWrite, 1);
+        assert_eq!(grown.layout().width(), 5);
+        assert_eq!(ActivityRow::new(row.layout().clone()).counts(), &[0, 0, 0]);
+    }
+
+    #[test]
+    fn a_row_records_sums_and_expands_like_a_set() {
+        let pairs = [
+            ("act-row-x", ActivityKind::ClockCycle),
+            ("act-row-y", ActivityKind::SramRead),
+            ("act-row-x", ActivityKind::BusStall),
+        ];
+        let mut row = row_of(&pairs);
+        let mut set = ActivitySet::new();
+        for (i, &(name, k)) in pairs.iter().enumerate() {
+            let id = ComponentId::intern(name);
+            ActivitySink::record(&mut row, id, k, i as u64 * 3);
+            set.record(id, k, i as u64 * 3);
+        }
+        assert_eq!(row.counts(), &[0, 3, 6]);
+        assert_eq!(row.to_set(), set);
+        assert_eq!(row, ActivityRow::from_set(&set));
+        let mut twice = ActivityRow::new(row.layout().clone());
+        twice.add(&row);
+        twice.add(&row);
+        assert_eq!(
+            twice.count_id(ComponentId::intern("act-row-x"), ActivityKind::BusStall),
+            12
+        );
+        let mut doubled = set.clone();
+        row.add_to(&mut doubled);
+        assert_eq!(twice.to_set(), doubled);
+        // A row over another layout adds by counter.
+        let mut other = ActivityRow::from_set(&set);
+        other.add(&row);
+        assert_eq!(other.to_set(), doubled);
+        // Added into a row of the first layout, it lines up slot by slot.
+        let mut relaid = ActivityRow::new(row.layout().clone());
+        relaid.add(&other);
+        assert_eq!(relaid.counts(), twice.counts());
+        twice.clear();
+        assert_eq!(twice.counts(), &[0, 0, 0]);
+        assert_eq!(twice, ActivityRow::default());
+    }
+
+    #[test]
+    fn row_equality_and_fingerprint_follow_the_activity() {
+        let layout = row_of(&[
+            ("act-fp-x", ActivityKind::BusStall),
+            ("act-fp-x", ActivityKind::BusTransfer),
+        ])
+        .layout()
+        .clone();
+        let x = ComponentId::intern("act-fp-x");
+        let row = |stall, transfer| {
+            let mut r = ActivityRow::new(layout.clone());
+            ActivitySink::record(&mut r, x, ActivityKind::BusStall, stall);
+            ActivitySink::record(&mut r, x, ActivityKind::BusTransfer, transfer);
+            r
+        };
+        assert_eq!(row(3, 0), row(3, 0));
+        assert_eq!(row(3, 0).fingerprint(), row(3, 0).fingerprint());
+        // The same count under another kind is other activity.
+        assert_ne!(row(3, 0), row(0, 3));
+        assert_ne!(row(3, 0).fingerprint(), row(0, 3).fingerprint());
+        // Zero rows of any layouts hold the same (no) activity.
+        assert_eq!(row(0, 0), ActivityRow::default());
     }
 
     #[test]

@@ -46,7 +46,9 @@ pub mod timeline;
 pub mod trace;
 pub mod vcd;
 
-pub use activity::{ActivityCounter, ActivityKind, ActivitySet};
+pub use activity::{
+    ActivityCounter, ActivityKind, ActivityLayout, ActivityRow, ActivitySet, ActivitySink,
+};
 pub use error::SimError;
 pub use events::EventVector;
 pub use fifo::Fifo;

@@ -16,12 +16,16 @@
 //! A duty-cycled run repeats a handful of window shapes thousands of
 //! times, so the timeline stores each distinct `(span, activity)` pair
 //! once and keeps per window only its span and the index of its sample.
-//! [`ActivityTimeline::push`] recognises a repeat of *any* earlier
-//! sample, however far back, by a fingerprint lookup confirmed with `==`.
+//! [`ActivityTimeline::push_row`] recognises a repeat of *any* earlier
+//! sample, however far back, by the row's fingerprint — looked up as it
+//! is, without hashing it again — confirmed with `==` over the row's
+//! slots. Only a new sample is expanded into an [`ActivitySet`], the form
+//! [`ActivityTimeline::windows`] hands out.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::activity::ActivitySet;
+use crate::activity::{ActivityRow, ActivitySet};
 
 /// One sampling window, as [`ActivityTimeline::windows`] yields it: the
 /// half-open cycle span `[start_cycle, end_cycle)` and the activity
@@ -32,8 +36,9 @@ pub struct ActivityWindow<'a> {
     pub start_cycle: u64,
     /// First cycle after the window (exclusive).
     pub end_cycle: u64,
-    /// Index of the window's distinct sample: two windows share it
-    /// exactly when their spans and activities are equal.
+    /// Index of the window's distinct sample: two windows pushed in one
+    /// form share it exactly when their spans and activities are equal
+    /// (see [`ActivityTimeline::push`]).
     pub sample: usize,
     /// Activity delta accrued inside the window.
     pub activity: &'a ActivitySet,
@@ -54,6 +59,33 @@ struct Span {
     sample: u32,
 }
 
+/// One distinct `(span, activity)` pair: the row it was pushed as, for
+/// comparing later windows, and its expansion, for reading it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Sample {
+    cycles: u64,
+    row: ActivityRow,
+    activity: ActivitySet,
+}
+
+/// Hashes a lookup key, already a mixed 64-bit fingerprint, as itself.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("lookup keys are hashed with write_u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// A run's worth of consecutive windows, stored as distinct
 /// `(span in cycles, activity)` samples plus a per-window
 /// `(start, end, sample)` index.
@@ -63,14 +95,14 @@ pub struct ActivityTimeline {
     /// windows may be longer when a quiescence skip crossed a boundary.
     pub window_cycles: u64,
     /// Distinct samples in order of first appearance.
-    samples: Vec<(u64, ActivitySet)>,
+    samples: Vec<Sample>,
     /// Windows in cycle order; the sampler's spans are contiguous and
     /// non-overlapping.
     windows: Vec<Span>,
-    /// Sample by fingerprint of its span and activity. A fingerprint
-    /// shared by unequal samples keeps its first; the others are found
-    /// by a scan.
-    lookup: HashMap<u64, u32>,
+    /// Sample by fingerprint of its span and row. A fingerprint shared
+    /// by unequal samples keeps its first; the others are found by a
+    /// scan.
+    lookup: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
 }
 
 impl ActivityTimeline {
@@ -87,15 +119,46 @@ impl ActivityTimeline {
     /// activity equal an earlier window's shares that window's sample;
     /// only a new pair is copied.
     ///
+    /// The set goes in as an [`ActivityRow`] over its own non-zero
+    /// counters, so repeats pushed here are recognised among themselves;
+    /// a sampler pushes rows of one fixed layout through
+    /// [`Self::push_row`], and a repeat across the two forms may take a
+    /// sample of its own.
+    ///
     /// # Panics
     ///
     /// Panics if `end_cycle < start_cycle`.
     pub fn push(&mut self, start_cycle: u64, end_cycle: u64, activity: &ActivitySet) -> usize {
+        self.push_row(start_cycle, end_cycle, &ActivityRow::from_set(activity))
+    }
+
+    /// Appends the window `[start_cycle, end_cycle)` whose activity is
+    /// `row` and returns its sample, as [`Self::push`] does. A repeat
+    /// costs one hash of the row's slots, one table probe and one slot
+    /// comparison; a new sample also copies the row and expands it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end_cycle < start_cycle`.
+    pub fn push_row(&mut self, start_cycle: u64, end_cycle: u64, row: &ActivityRow) -> usize {
         let cycles = end_cycle
             .checked_sub(start_cycle)
             .expect("a window ends at or after its start");
-        let same = |(c, a): &(u64, ActivitySet)| *c == cycles && a == activity;
-        let key = activity.fingerprint() ^ cycles.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        let key = row.fingerprint() ^ cycles.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        self.push_keyed(start_cycle, end_cycle, key, row)
+    }
+
+    /// [`Self::push_row`] under a given lookup `key`, which must be
+    /// equal for equal `(span, row)` pairs.
+    fn push_keyed(
+        &mut self,
+        start_cycle: u64,
+        end_cycle: u64,
+        key: u64,
+        row: &ActivityRow,
+    ) -> usize {
+        let cycles = end_cycle - start_cycle;
+        let same = |s: &Sample| s.cycles == cycles && s.row == *row;
         let found = match self.lookup.get(&key) {
             Some(&i) if same(&self.samples[i as usize]) => Some(i),
             Some(_) => self.samples.iter().position(same).map(|i| i as u32),
@@ -103,7 +166,11 @@ impl ActivityTimeline {
         };
         let sample = found.unwrap_or_else(|| {
             let i = self.samples.len() as u32;
-            self.samples.push((cycles, activity.clone()));
+            self.samples.push(Sample {
+                cycles,
+                row: row.clone(),
+                activity: row.to_set(),
+            });
             self.lookup.entry(key).or_insert(i);
             i
         });
@@ -136,7 +203,7 @@ impl ActivityTimeline {
             start_cycle: w.start_cycle,
             end_cycle: w.end_cycle,
             sample: w.sample as usize,
-            activity: &self.samples[w.sample as usize].1,
+            activity: &self.samples[w.sample as usize].activity,
         })
     }
 
@@ -210,6 +277,52 @@ mod tests {
         let eighth = t.windows().nth(7).unwrap();
         assert_eq!((eighth.start_cycle, eighth.end_cycle), (80, 90));
         assert_eq!(eighth.activity, &pulses(1));
+    }
+
+    #[test]
+    fn unequal_rows_on_one_key_get_their_own_samples_through_the_scan() {
+        let mut t = ActivityTimeline::new(10);
+        let rows: Vec<ActivityRow> = (1..=3).map(|n| ActivityRow::from_set(&pulses(n))).collect();
+        // Every window on one key: only the first sample is in the
+        // table, the others are found by the scan.
+        for (k, r) in rows.iter().chain(&rows).enumerate() {
+            let at = 10 * k as u64;
+            t.push_keyed(at, at + 10, 7, r);
+        }
+        let samples: Vec<usize> = t.windows().map(|w| w.sample).collect();
+        assert_eq!(samples, vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(t.distinct(), 3);
+        for (w, n) in t.windows().zip([1, 2, 3, 1, 2, 3]) {
+            assert_eq!(w.activity, &pulses(n));
+        }
+        // The same row over another span is another sample, on the same
+        // key too.
+        assert_eq!(t.push_keyed(60, 80, 7, &rows[0]), 3);
+    }
+
+    #[test]
+    fn rows_of_one_layout_dedup_like_sets() {
+        let pulses_id = ComponentId::intern("timeline-test-periph");
+        let mut laid = ActivityRow::default();
+        crate::ActivitySink::record(&mut laid, pulses_id, ActivityKind::RegRead, 0);
+        crate::ActivitySink::record(&mut laid, pulses_id, ActivityKind::EventPulse, 0);
+        let layout = laid.layout();
+        let mut by_row = ActivityTimeline::new(10);
+        let mut by_set = ActivityTimeline::new(10);
+        for (k, n) in [2, 0, 2, 5, 0].into_iter().enumerate() {
+            let mut row = ActivityRow::new(layout.clone());
+            crate::ActivitySink::record(&mut row, pulses_id, ActivityKind::EventPulse, n);
+            let at = 10 * k as u64;
+            by_row.push_row(at, at + 10, &row);
+            by_set.push(at, at + 10, &pulses(n));
+        }
+        let windows = |t: &ActivityTimeline| -> Vec<(u64, usize, ActivitySet)> {
+            t.windows()
+                .map(|w| (w.start_cycle, w.sample, w.activity.clone()))
+                .collect()
+        };
+        assert_eq!(windows(&by_row), windows(&by_set));
+        assert_eq!(by_row.distinct(), 3);
     }
 
     #[test]

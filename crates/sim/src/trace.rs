@@ -130,19 +130,31 @@ impl Trace {
 
     /// Latencies for every `(from → next to)` pair, for jitter statistics.
     pub fn latencies_all(&self, from: (&str, &str), to: (&str, &str)) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        let ends: Vec<&TraceEntry> = self.all(to.0, to.1);
-        let mut ei = 0usize;
-        for s in self.all(from.0, from.1) {
-            while ei < ends.len() && ends[ei].time < s.time {
-                ei += 1;
+        let times = |(source, label)| -> Vec<SimTime> {
+            self.all(source, label).iter().map(|e| e.time).collect()
+        };
+        pair_latencies(&times(from), &times(to))
+    }
+
+    /// [`Self::latencies_all`] and the number of `to` entries, from one
+    /// pass over the trace that collects the `from` and `to` times
+    /// together.
+    pub fn latencies_and_count(
+        &self,
+        from: (&str, &str),
+        to: (&str, &str),
+    ) -> (Vec<SimTime>, usize) {
+        let (from_id, to_id) = (ComponentId::lookup(from.0), ComponentId::lookup(to.0));
+        let (mut starts, mut ends) = (Vec::new(), Vec::new());
+        for e in &self.entries {
+            if Some(e.source) == from_id && e.label == from.1 {
+                starts.push(e.time);
             }
-            if ei < ends.len() {
-                out.push(ends[ei].time - s.time);
-                ei += 1;
+            if Some(e.source) == to_id && e.label == to.1 {
+                ends.push(e.time);
             }
         }
-        out
+        (pair_latencies(&starts, &ends), ends.len())
     }
 
     /// Turns on causal flow tracing (off by default).
@@ -170,6 +182,23 @@ impl Trace {
     pub fn take_flow_trace(&mut self) -> Option<FlowTrace> {
         self.flows.take().map(|b| *b)
     }
+}
+
+/// Pairs each start with the first unpaired end at or after it, both in
+/// trace order, and returns the gaps.
+fn pair_latencies(starts: &[SimTime], ends: &[SimTime]) -> Vec<SimTime> {
+    let mut out = Vec::with_capacity(starts.len().min(ends.len()));
+    let mut ei = 0usize;
+    for &s in starts {
+        while ei < ends.len() && ends[ei] < s {
+            ei += 1;
+        }
+        if ei < ends.len() {
+            out.push(ends[ei] - s);
+            ei += 1;
+        }
+    }
+    out
 }
 
 impl fmt::Display for Trace {
@@ -210,6 +239,43 @@ mod tests {
         assert_eq!(
             ls.iter().map(|l| l.as_ns()).collect::<Vec<_>>(),
             vec![40, 70]
+        );
+    }
+
+    #[test]
+    fn one_pass_latencies_match_latencies_all_and_all() {
+        let mut rng = crate::Rng::seed_from_u64(0x7ACE_0001);
+        let names = [
+            ("trace-pass-spi", "eot"),
+            ("trace-pass-gpio", "set"),
+            ("trace-pass-spi", "other"),
+        ];
+        for case in 0..200 {
+            let mut t = Trace::new();
+            let mut at = 0;
+            for _ in 0..rng.range_u64(0, 40) {
+                // Often several entries in one cycle: an end in the
+                // cycle of its start, starts with no end between them.
+                at += rng.index(3) as u64;
+                let (source, label) = names[rng.index(names.len())];
+                t.record_named(SimTime::from_ns(at), source, label, 0);
+            }
+            let (from, to) = (names[0], names[1]);
+            let (latencies, ends) = t.latencies_and_count(from, to);
+            assert_eq!(latencies, t.latencies_all(from, to), "case {case}");
+            assert_eq!(ends, t.all(to.0, to.1).len(), "case {case}");
+        }
+        // A marker in the cycle of its start pairs with it; a start with
+        // no later marker stays unmatched; a name never interned counts 0.
+        let mut t = Trace::new();
+        t.record_named(SimTime::from_ns(5), "trace-pass-spi", "eot", 0);
+        t.record_named(SimTime::from_ns(5), "trace-pass-gpio", "set", 0);
+        t.record_named(SimTime::from_ns(9), "trace-pass-spi", "eot", 0);
+        let (latencies, ends) = t.latencies_and_count(names[0], names[1]);
+        assert_eq!((latencies, ends), (vec![SimTime::ZERO], 1));
+        assert_eq!(
+            t.latencies_and_count(names[0], ("trace-pass-never", "set")),
+            (Vec::new(), 0)
         );
     }
 

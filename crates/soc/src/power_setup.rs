@@ -7,6 +7,7 @@
 use pels_core::PelsConfig;
 use pels_power::area::{PELS_GLOBAL_KGE, PELS_LINK_KGE, PELS_SCM_LINE_KGE};
 use pels_power::{Calibration, PowerModel};
+use std::sync::Mutex;
 
 /// Logic areas (kGE) of the SoC components, matching the Figure 6b
 /// inventory: processing domain 45, peripherals 115 total, interconnect
@@ -38,13 +39,23 @@ pub fn component_areas(pels: PelsConfig) -> Vec<(String, f64)> {
     areas
 }
 
-/// Builds the calibrated power model for a SoC with the given PELS
-/// configuration.
+/// The calibrated power model for a SoC with the given PELS
+/// configuration. It depends on the link count and SCM lines alone:
+/// each pair of them is built once per process and copied after.
 pub fn power_model_for(pels: PelsConfig) -> PowerModel {
+    static BUILT: Mutex<Vec<((usize, usize), PowerModel)>> = Mutex::new(Vec::new());
+    let key = (pels.links, pels.scm_lines);
+    let mut built = BUILT
+        .lock()
+        .expect("no thread panics while holding the model memo");
+    if let Some((_, model)) = built.iter().find(|(k, _)| *k == key) {
+        return model.clone();
+    }
     let mut model = PowerModel::new(Calibration::tsmc65());
     for (name, kge) in component_areas(pels) {
         model.add_component(name, kge);
     }
+    built.push((key, model.clone()));
     model
 }
 

@@ -437,9 +437,10 @@ impl Scenario {
         // beyond the first reuse the FIFO path, which is equivalent for
         // the linking check (the `LAST` register always holds the newest
         // sample).
-        let latencies: Vec<u64> = soc
-            .trace()
-            .latencies_all(("spi", "eot"), marker)
+        // One pass over the trace gives the eot→marker latencies and the
+        // completed-event count.
+        let (latencies, completed) = soc.trace().latencies_and_count(("spi", "eot"), marker);
+        let latencies: Vec<u64> = latencies
             .into_iter()
             .map(|t| t.as_ps() / self.freq().period_ps())
             .collect();
@@ -451,7 +452,7 @@ impl Scenario {
         for &l in &latencies {
             latency_hist.record(l);
         }
-        let events_completed = soc.trace().all(marker.0, marker.1).len() as u32;
+        let events_completed = completed as u32;
         // Detach the flow record before the trace moves into the report:
         // flows are an analysis artifact, not part of the architectural
         // trace the differential suites compare.
@@ -471,18 +472,20 @@ impl Scenario {
         // completed so it cannot perturb architectural results
         // (`tests/observation_invariance.rs`). With a sampled timeline the
         // ledger integrates per window; without one it integrates the
-        // whole active window as a single sample.
-        let (energy, lifetime) = if self.lifetime {
-            let model = power_setup::power_model_for(self.pels());
+        // whole active window as a single sample. The report keeps the
+        // model and the power timeline, so reading them back evaluates
+        // nothing again.
+        let model = power_setup::power_model_for(self.pels());
+        let (power, energy, lifetime) = if self.lifetime {
             let pt = match &timeline {
                 Some(t) => PowerTimeline::from_activity(&model, t, self.freq()),
                 None => PowerTimeline::from_window(&model, &activity, window),
             };
             let ledger = EnergyLedger::from_timeline(&pt);
             let projection = Battery::coin_cell().project(&ledger);
-            (Some(ledger), Some(projection))
+            (Some(pt), Some(ledger), Some(projection))
         } else {
-            (None, None)
+            (None, None, None)
         };
 
         Ok(ScenarioReport {
@@ -506,6 +509,8 @@ impl Scenario {
             flows,
             energy,
             lifetime,
+            model,
+            power,
         })
     }
 
@@ -575,12 +580,18 @@ pub struct ScenarioReport {
     /// Battery-lifetime projection over [`Self::energy`] (the default
     /// coin cell) — `Some` exactly when `energy` is.
     pub lifetime: Option<LifetimeReport>,
+    /// The calibrated power model for [`Self::pels`].
+    model: PowerModel,
+    /// The power timeline [`Self::energy`] integrates — `Some` exactly
+    /// when `energy` is.
+    power: Option<PowerTimeline>,
 }
 
 impl ScenarioReport {
-    /// The calibrated power model for this configuration.
+    /// The calibrated power model for this configuration: a copy of the
+    /// one the run built.
     pub fn power_model(&self) -> PowerModel {
-        power_setup::power_model_for(self.pels)
+        self.model.clone()
     }
 
     /// Power report for the active window.
@@ -595,10 +606,15 @@ impl ScenarioReport {
 
     /// Per-window power over the active run — `Some` only when the
     /// scenario sampled a timeline ([`ScenarioDesc::timeline_window`]).
-    pub fn power_timeline(&self, model: &PowerModel) -> Option<pels_power::PowerTimeline> {
-        self.timeline
-            .as_ref()
-            .map(|t| pels_power::PowerTimeline::from_activity(model, t, self.freq))
+    /// Under the report's own model ([`Self::power_model`]) of a
+    /// [`ScenarioDesc::lifetime`] run this is a copy of the timeline
+    /// [`Self::energy`] integrates; any other model is evaluated afresh.
+    pub fn power_timeline(&self, model: &PowerModel) -> Option<PowerTimeline> {
+        let timeline = self.timeline.as_ref()?;
+        Some(match &self.power {
+            Some(kept) if *model == self.model => kept.clone(),
+            _ => PowerTimeline::from_activity(model, timeline, self.freq),
+        })
     }
 
     /// Mean latency as wall-clock time (for the 500 ns iso-latency
@@ -684,6 +700,69 @@ mod tests {
             soc.trace().first("gpio", "padout").is_none(),
             "no actuation below threshold"
         );
+    }
+
+    /// Every window of `pt` to the bit: span, total and per-component
+    /// power.
+    type WindowBits = (u64, u64, u64, Vec<(&'static str, u64)>);
+
+    fn window_bits(pt: &PowerTimeline) -> Vec<WindowBits> {
+        pt.windows()
+            .map(|w| {
+                let components = w
+                    .components
+                    .iter()
+                    .map(|&(n, uw)| (n, uw.to_bits()))
+                    .collect();
+                (
+                    w.start.as_ps(),
+                    w.end.as_ps(),
+                    w.total_uw.to_bits(),
+                    components,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_kept_power_timeline_is_what_a_fresh_evaluation_gives() {
+        for mediator in [Mediator::PelsSequenced, Mediator::IbexIrq] {
+            let scenario =
+                Scenario::duty_cycled(mediator, SimTime::from_us(50), SimTime::from_ms(1));
+            let report = scenario.run();
+            let model = power_setup::power_model_for(report.pels);
+            let activity = report.timeline.as_ref().expect("sampled");
+            let fresh = PowerTimeline::from_activity(&model, activity, report.freq);
+            let kept = report
+                .power_timeline(&report.power_model())
+                .expect("sampled");
+            assert_eq!(window_bits(&kept), window_bits(&fresh), "{mediator}");
+            assert_eq!(kept.samples().len(), fresh.samples().len(), "{mediator}");
+            // The report's energy integrates exactly that timeline.
+            let ledger = EnergyLedger::from_timeline(&fresh);
+            let energy = report.energy.as_ref().expect("lifetime run");
+            assert_eq!(energy.total_uj().to_bits(), ledger.total_uj().to_bits());
+            assert_eq!(energy.component_names(), ledger.component_names());
+            for name in ledger.component_names() {
+                assert_eq!(
+                    energy.component_uj(name).to_bits(),
+                    ledger.component_uj(name).to_bits(),
+                    "{mediator} {name}"
+                );
+            }
+            assert_eq!(
+                (energy.span(), energy.windows()),
+                (ledger.span(), ledger.windows())
+            );
+            // Any other model is evaluated afresh.
+            let bare = PowerModel::new(pels_power::Calibration::tsmc65());
+            let other = report.power_timeline(&bare).expect("sampled");
+            assert_eq!(
+                window_bits(&other),
+                window_bits(&PowerTimeline::from_activity(&bare, activity, report.freq))
+            );
+            assert_ne!(window_bits(&other), window_bits(&kept));
+        }
     }
 
     #[test]

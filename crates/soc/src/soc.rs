@@ -12,9 +12,10 @@ use pels_periph::{
     Uart, Variant, Watchdog,
 };
 use pels_sim::{
-    ActivityKind, ActivitySet, ActivityTimeline, ComponentId, EventVector, Frequency, SimTime,
-    Trace,
+    ActivityKind, ActivityRow, ActivitySet, ActivitySink, ActivityTimeline, ComponentId,
+    EventVector, Frequency, SimTime, Trace,
 };
+use std::sync::Arc;
 
 /// The synthetic analog source (defined in `pels-periph`, re-exported by
 /// `pels-desc` and here).
@@ -166,7 +167,7 @@ impl Soc {
             pels_masters,
             cpu: Cpu::new(RESET_PC),
             cpu_master,
-            closed: ActivitySet::new(),
+            closed: ActivityRow::default(),
             trace: Trace::new(),
             prev_wires: EventVector::EMPTY,
             injected: EventVector::EMPTY,
@@ -203,9 +204,12 @@ impl Soc {
 /// (`tests/observation_invariance.rs`). A close flushes the components
 /// into the sampler's reused row buffer, adds the row to the SoC's
 /// `closed` image, hands it with its clock share to the timeline and
-/// zeroes it. No cumulative image is copied or diffed, and everything
-/// the next drain returns stays in SoC fields: the components' counters
-/// and `closed`.
+/// zeroes it. Both are [`ActivityRow`]s, one `u64` per counter the
+/// SoC's components and clock accounting record (60 on the default
+/// SoC), laid out by the first close, so a close hashes, compares, sums
+/// and clears a few dozen words. No cumulative image is copied or
+/// diffed, and everything the next drain returns stays in SoC fields:
+/// the components' counters and `closed`.
 #[derive(Clone)]
 struct TimelineSampler {
     /// Nominal window width in cycles.
@@ -219,7 +223,7 @@ struct TimelineSampler {
     next_boundary: u64,
     /// The closing window's row: filled and emptied by each close, so
     /// all zeros in between.
-    row: ActivitySet,
+    row: ActivityRow,
     /// What the open window's components counted before a drain inside
     /// it took their counts; `None` for most windows.
     carry: Option<ActivitySet>,
@@ -471,9 +475,10 @@ pub struct Soc {
     cpu: Cpu,
     cpu_master: MasterId,
     /// Component activity of the sampling windows closed since the last
-    /// drain (empty when no sampler ran): with the components' unflushed
-    /// counters, what the next drain returns.
-    closed: ActivitySet,
+    /// drain (zero when no sampler ran): with the components' unflushed
+    /// counters, what the next drain returns. Laid out like the sampler's
+    /// row from the end of the first close on.
+    closed: ActivityRow,
     trace: Trace,
     /// Wire image peripherals sample next cycle: pulses + action lines.
     prev_wires: EventVector,
@@ -1383,7 +1388,7 @@ impl Soc {
             s.carry.get_or_insert_with(ActivitySet::new).merge(&set);
             s.awake_start = s.awake_start.wrapping_sub(self.cpu_awake_cycles);
         }
-        set.merge(&self.closed);
+        self.closed.add_to(&mut set);
         self.closed.clear();
 
         // Clock accounting: the core clock is gated during WFI sleep; the
@@ -1403,7 +1408,7 @@ impl Soc {
     /// accounting (`window_cycles` / `cpu_awake_cycles`) is deliberately
     /// untouched: it is derived, not accumulated, and the per-drain
     /// integer division (`cycles / 10`) must see the whole window.
-    fn flush_components_into(&mut self, set: &mut ActivitySet) {
+    fn flush_components_into(&mut self, set: &mut impl ActivitySink) {
         self.cpu.drain_activity(set);
         self.pels.drain_activity(set);
         self.fabric.drain_activity(set);
@@ -1419,7 +1424,7 @@ impl Soc {
     /// keep a ~10 % residual for gating logic and sampling flops. Busy
     /// peripheral cycles are charged separately, by the `ActiveCycle`
     /// count each peripheral keeps.
-    fn record_clock_activity(set: &mut ActivitySet, ids: &ClockIds, cycles: u64, awake: u64) {
+    fn record_clock_activity(set: &mut impl ActivitySink, ids: &ClockIds, cycles: u64, awake: u64) {
         set.record(ids.ibex, ActivityKind::ClockCycle, awake);
         set.record(ids.fabric, ActivityKind::ClockCycle, cycles);
         set.record(ids.soc_ctrl, ActivityKind::ClockCycle, cycles);
@@ -1457,7 +1462,10 @@ impl Soc {
             window_cycles,
             window_start: self.cycle,
             next_boundary: self.cycle.saturating_add(window_cycles),
-            row: ActivitySet::new(),
+            row: match self.closed.layout().width() {
+                0 => ActivityRow::default(),
+                _ => ActivityRow::new(self.closed.layout().clone()),
+            },
             carry: None,
             awake_start: 0,
             timeline: ActivityTimeline::new(window_cycles),
@@ -1496,9 +1504,9 @@ impl Soc {
     /// component counters into the sampler's row, which then holds
     /// exactly the window's component activity. That activity joins the
     /// `closed` image, takes its share of the clock accounting (the drain
-    /// counters stay untouched) and goes to the timeline, which copies it
-    /// only if no earlier window matches. Last, the row is zeroed for the
-    /// next window.
+    /// counters stay untouched) and goes to the timeline, which copies and
+    /// expands it only if no earlier window matches. Last, the row is
+    /// zeroed for the next window.
     fn close_timeline_window(&mut self) {
         self.sync_slaves();
         let Some(mut s) = self.accel.sampler.take() else {
@@ -1506,17 +1514,26 @@ impl Soc {
         };
         let row = &mut s.row;
         self.flush_components_into(row);
-        self.closed.merge(row);
+        self.closed.add(row);
         // A drain inside the window took its part so far; the window
         // still holds it.
         if let Some(carry) = s.carry.take() {
-            row.merge(&carry);
+            row.add_set(&carry);
         }
         let (start, end) = (s.window_start, self.cycle);
         let awake = self.cpu_awake_cycles.wrapping_sub(s.awake_start);
         Self::record_clock_activity(row, &self.clock_ids, end - start, awake);
-        s.timeline.push(start, end, row);
+        s.timeline.push_row(start, end, row);
         row.clear();
+        if !Arc::ptr_eq(self.closed.layout(), row.layout()) {
+            // The first close laid the row out with a slot for every
+            // counter: fix it, and lay `closed` out alike so that later
+            // closes add slot by slot.
+            row.fix_layout();
+            let mut closed = ActivityRow::new(row.layout().clone());
+            closed.add(&self.closed);
+            self.closed = closed;
+        }
         s.window_start = self.cycle;
         s.next_boundary = self.cycle.saturating_add(s.window_cycles);
         s.awake_start = self.cpu_awake_cycles;
@@ -1650,7 +1667,7 @@ mod tests {
         a.run(3000);
         let ibex = a.clock_ids.ibex;
         let retired = |set: &ActivitySet| set.count_id(ibex, ActivityKind::InstrRetired);
-        assert!(retired(&a.closed) > 0);
+        assert!(a.closed.count_id(ibex, ActivityKind::InstrRetired) > 0);
         // Two sampled SoCs that differ only in a closed window's counters
         // drain differently, so they must not compare equal.
         let mut b = a.clone();
@@ -1660,6 +1677,31 @@ mod tests {
         let (da, db) = (a.drain_activity(), b.drain_activity());
         assert_eq!(retired(&da) + 1, retired(&db));
         assert_eq!(a.first_difference(&b), None);
+    }
+
+    #[test]
+    fn the_window_row_has_one_slot_per_counter_the_soc_records() {
+        let mut soc = default_soc();
+        soc.load_program(RESET_PC, &[asm::wfi()]);
+        soc.start_timeline(20);
+        soc.run(50);
+        let sampler = soc.accel.sampler.as_ref().expect("sampling");
+        let layout = sampler.row.layout();
+        assert!(Arc::ptr_eq(layout, soc.closed.layout()));
+        // Default SoC (one PELS link): ibex 5 counters + clock, PELS
+        // config port 4 + clock, link0 4 + clock, a bus-stall slot per
+        // master (ibex, link0), fabric transfers, busy cycles + clock,
+        // SRAM reads and writes, 7 peripherals x (reads, writes, busy,
+        // pulses, clock), soc_ctrl and periph_misc clocks: 60 slots, not
+        // a dense row per interned component.
+        assert_eq!(layout.width(), 6 + 5 + 5 + 2 + 3 + 2 + 7 * 5 + 2);
+        assert_eq!(layout.width(), 60);
+        // Every counter a drain reports has a slot.
+        let layout = layout.clone();
+        for (name, kind, _) in soc.drain_activity().iter() {
+            let id = ComponentId::lookup(name).unwrap();
+            assert!(layout.slot(id, kind).is_some(), "{name}.{kind}");
+        }
     }
 
     #[test]

@@ -41,12 +41,15 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # lifetime probe: perfbench's lifetime workload times the release power
 # and ledger code. So do the SoC's unit tests: the seeded timeline
 # sampler reference (`sampler_reference`) and the scheduler, in-place
-# service and equality tests in soc.rs.
+# service and equality tests in soc.rs. So do the activity-row and
+# timeline dedup tests of pels-sim and the seeded ledger reference of
+# pels-power: the code perfbench's lifetime workload times.
 cargo test -q --release --test quiescence --test active_path \
     --test desc_fuzz --test observation_invariance \
     --test power_golden
 cargo test -q --release -p pels-periph --lib
 cargo test -q --release -p pels-soc --lib
+cargo test -q --release -p pels-sim -p pels-power --lib
 echo "bench_smoke: release fast-vs-naive differential OK"
 
 # Fleet digest gate: `reproduce -- fleet` runs the reference 8-job sweep
