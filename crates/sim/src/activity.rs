@@ -285,11 +285,6 @@ impl ActivitySet {
         out
     }
 
-    /// Zeroes every counter, keeping the row storage for reuse.
-    pub fn clear(&mut self) {
-        self.counts.fill(ZERO_ROW);
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counts.iter().all(|row| *row == ZERO_ROW)
@@ -387,11 +382,12 @@ impl ActivityLayout {
 ///
 /// A counter the layout lacks gets the next slot when it is first
 /// recorded. An empty row ([`ActivityRow::default`]) gives one to every
-/// counter it is handed, zero or not, until [`ActivityRow::fix_layout`]:
-/// so the first flush of a set of components lays the row out. A row
-/// with a fixed layout — every row [`ActivityRow::new`] makes — skips a
-/// zero count at once, and a flush into it only finds slots. Clones
-/// share the layout until one of them grows it.
+/// counter it is handed, zero or not, until its layout is fixed by
+/// [`ActivityRow::adopt_layout_of`]: so the first flush of a set of
+/// components lays the row out. A row with a fixed layout — every row
+/// [`ActivityRow::new`] makes — skips a zero count at once, and a flush
+/// into it only finds slots. Clones share the layout until one of them
+/// grows it.
 ///
 /// Two rows are equal when they hold the same activity: rows of one
 /// layout compare slot by slot, rows of different layouts by their
@@ -427,10 +423,23 @@ impl ActivityRow {
         }
     }
 
-    /// Fixes the layout: from now on a zero count is skipped instead of
-    /// being given a slot.
-    pub fn fix_layout(&mut self) {
-        self.fixed = true;
+    /// Fixes `row`'s layout and lays `self` out on it, keeping both
+    /// rows' counts, so that adding `row` into `self` goes slot by slot.
+    /// A counter only `self` holds gets a slot in the shared layout, so
+    /// the two always end on one layout. Once they share it this is one
+    /// pointer comparison; it re-lays `self` out only after `row` grew.
+    pub fn adopt_layout_of(&mut self, row: &mut ActivityRow) {
+        row.fixed = true;
+        if Arc::ptr_eq(&self.layout, &row.layout) {
+            return;
+        }
+        let mut relaid = ActivityRow::new(row.layout.clone());
+        relaid.add(self);
+        if !Arc::ptr_eq(&relaid.layout, &row.layout) {
+            row.counts.resize(relaid.counts.len(), 0);
+            row.layout = relaid.layout.clone();
+        }
+        *self = relaid;
     }
 
     /// A row holding `set`, laid out over the set's non-zero counters in
@@ -655,22 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_zeroes_and_keeps_the_row_storage() {
-        let x = ComponentId::intern("act-clrx");
-        let pad = ComponentId::intern("act-clrpad");
-        let mut a = ActivitySet::new();
-        a.record(x, ActivityKind::BusStall, 3);
-        let mut b = a.clone();
-        b.record(pad, ActivityKind::BusStall, 1);
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b, ActivitySet::new());
-        b.record(x, ActivityKind::BusStall, 3);
-        // b keeps pad's (now zero) row: still equal to a.
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "exceeds")]
     fn delta_from_a_larger_baseline_is_caught() {
@@ -798,12 +791,50 @@ mod tests {
         assert_eq!(grown.count_id(a, ActivityKind::RegRead), 4);
         // A fixed layout skips a zero count; a non-zero one still gets a
         // slot.
-        grown.fix_layout();
+        ActivityRow::default().adopt_layout_of(&mut grown);
         ActivitySink::record(&mut grown, a, ActivityKind::RegWrite, 0);
         assert_eq!(grown.layout().width(), 4);
         ActivitySink::record(&mut grown, a, ActivityKind::RegWrite, 1);
         assert_eq!(grown.layout().width(), 5);
         assert_eq!(ActivityRow::new(row.layout().clone()).counts(), &[0, 0, 0]);
+    }
+
+    #[test]
+    fn adopting_a_layout_shares_it_and_keeps_both_rows_counts() {
+        let (a, b, c) = (
+            ComponentId::intern("act-adopt-a"),
+            ComponentId::intern("act-adopt-b"),
+            ComponentId::intern("act-adopt-c"),
+        );
+        let mut row = row_of(&[
+            ("act-adopt-b", ActivityKind::RegRead),
+            ("act-adopt-c", ActivityKind::BusStall),
+        ]);
+        ActivitySink::record(&mut row, c, ActivityKind::BusStall, 2);
+        // `closed` holds a counter the row has no slot for.
+        let mut closed = ActivityRow::default();
+        ActivitySink::record(&mut closed, a, ActivityKind::RegWrite, 5);
+        ActivitySink::record(&mut closed, b, ActivityKind::RegRead, 1);
+        let (closed_set, row_set) = (closed.to_set(), row.to_set());
+        closed.adopt_layout_of(&mut row);
+        assert!(Arc::ptr_eq(closed.layout(), row.layout()));
+        assert_eq!(row.layout().width(), 3);
+        assert_eq!((closed.to_set(), row.to_set()), (closed_set, row_set));
+        // The row is fixed now: a zero count finds no new slot.
+        ActivitySink::record(&mut row, a, ActivityKind::EventPulse, 0);
+        assert_eq!(row.layout().width(), 3);
+        // Adopting again changes nothing, and adds go slot by slot.
+        let layout = row.layout().clone();
+        closed.adopt_layout_of(&mut row);
+        closed.add(&row);
+        assert!(Arc::ptr_eq(closed.layout(), &layout));
+        assert_eq!(closed.counts(), &[1, 2, 5]);
+        // A row that grows is adopted again.
+        ActivitySink::record(&mut row, a, ActivityKind::EventPulse, 3);
+        closed.adopt_layout_of(&mut row);
+        assert!(Arc::ptr_eq(closed.layout(), row.layout()));
+        assert_eq!(closed.count_id(a, ActivityKind::RegWrite), 5);
+        assert_eq!(closed.count_id(a, ActivityKind::EventPulse), 0);
     }
 
     #[test]

@@ -130,15 +130,13 @@ impl Trace {
 
     /// Latencies for every `(from → next to)` pair, for jitter statistics.
     pub fn latencies_all(&self, from: (&str, &str), to: (&str, &str)) -> Vec<SimTime> {
-        let times = |(source, label)| -> Vec<SimTime> {
-            self.all(source, label).iter().map(|e| e.time).collect()
-        };
-        pair_latencies(&times(from), &times(to))
+        self.latencies_and_count(from, to).0
     }
 
     /// [`Self::latencies_all`] and the number of `to` entries, from one
     /// pass over the trace that collects the `from` and `to` times
-    /// together.
+    /// together. Each start pairs with the first unpaired end at or after
+    /// it, both in trace order.
     pub fn latencies_and_count(
         &self,
         from: (&str, &str),
@@ -154,7 +152,18 @@ impl Trace {
                 ends.push(e.time);
             }
         }
-        (pair_latencies(&starts, &ends), ends.len())
+        let mut latencies = Vec::with_capacity(starts.len().min(ends.len()));
+        let mut ei = 0usize;
+        for s in starts {
+            while ei < ends.len() && ends[ei] < s {
+                ei += 1;
+            }
+            if ei < ends.len() {
+                latencies.push(ends[ei] - s);
+                ei += 1;
+            }
+        }
+        (latencies, ends.len())
     }
 
     /// Turns on causal flow tracing (off by default).
@@ -182,23 +191,6 @@ impl Trace {
     pub fn take_flow_trace(&mut self) -> Option<FlowTrace> {
         self.flows.take().map(|b| *b)
     }
-}
-
-/// Pairs each start with the first unpaired end at or after it, both in
-/// trace order, and returns the gaps.
-fn pair_latencies(starts: &[SimTime], ends: &[SimTime]) -> Vec<SimTime> {
-    let mut out = Vec::with_capacity(starts.len().min(ends.len()));
-    let mut ei = 0usize;
-    for &s in starts {
-        while ei < ends.len() && ends[ei] < s {
-            ei += 1;
-        }
-        if ei < ends.len() {
-            out.push(ends[ei] - s);
-            ei += 1;
-        }
-    }
-    out
 }
 
 impl fmt::Display for Trace {
@@ -242,8 +234,23 @@ mod tests {
         );
     }
 
+    /// Pairs the entries of `all()` by search: each start takes the first
+    /// end at or after it that follows the end the previous start took.
+    fn reference_latencies(t: &Trace, from: (&str, &str), to: (&str, &str)) -> Vec<SimTime> {
+        let ends = t.all(to.0, to.1);
+        let mut next = 0;
+        let mut out = Vec::new();
+        for s in t.all(from.0, from.1) {
+            if let Some(i) = (next..ends.len()).find(|&i| ends[i].time >= s.time) {
+                next = i + 1;
+                out.push(ends[i].time - s.time);
+            }
+        }
+        out
+    }
+
     #[test]
-    fn one_pass_latencies_match_latencies_all_and_all() {
+    fn one_pass_latencies_match_a_reference_built_from_all() {
         let mut rng = crate::Rng::seed_from_u64(0x7ACE_0001);
         let names = [
             ("trace-pass-spi", "eot"),
@@ -262,6 +269,7 @@ mod tests {
             }
             let (from, to) = (names[0], names[1]);
             let (latencies, ends) = t.latencies_and_count(from, to);
+            assert_eq!(latencies, reference_latencies(&t, from, to), "case {case}");
             assert_eq!(latencies, t.latencies_all(from, to), "case {case}");
             assert_eq!(ends, t.all(to.0, to.1).len(), "case {case}");
         }

@@ -472,18 +472,18 @@ impl Scenario {
         // completed so it cannot perturb architectural results
         // (`tests/observation_invariance.rs`). With a sampled timeline the
         // ledger integrates per window; without one it integrates the
-        // whole active window as a single sample. The report keeps the
-        // model and the power timeline, so reading them back evaluates
-        // nothing again.
-        let model = power_setup::power_model_for(self.pels());
+        // whole active window as a single sample. The report keeps a
+        // sampled power timeline, so reading it back under the same model
+        // evaluates nothing again.
         let (power, energy, lifetime) = if self.lifetime {
+            let model = power_setup::power_model_for(self.pels());
             let pt = match &timeline {
                 Some(t) => PowerTimeline::from_activity(&model, t, self.freq()),
                 None => PowerTimeline::from_window(&model, &activity, window),
             };
             let ledger = EnergyLedger::from_timeline(&pt);
             let projection = Battery::coin_cell().project(&ledger);
-            (Some(pt), Some(ledger), Some(projection))
+            (timeline.is_some().then_some(pt), Some(ledger), Some(projection))
         } else {
             (None, None, None)
         };
@@ -509,7 +509,6 @@ impl Scenario {
             flows,
             energy,
             lifetime,
-            model,
             power,
         })
     }
@@ -580,18 +579,16 @@ pub struct ScenarioReport {
     /// Battery-lifetime projection over [`Self::energy`] (the default
     /// coin cell) — `Some` exactly when `energy` is.
     pub lifetime: Option<LifetimeReport>,
-    /// The calibrated power model for [`Self::pels`].
-    model: PowerModel,
     /// The power timeline [`Self::energy`] integrates — `Some` exactly
-    /// when `energy` is.
+    /// when both `energy` and [`Self::timeline`] are.
     power: Option<PowerTimeline>,
 }
 
 impl ScenarioReport {
-    /// The calibrated power model for this configuration: a copy of the
-    /// one the run built.
+    /// The calibrated power model for this configuration, a copy of the
+    /// one built once per [`PelsConfig`].
     pub fn power_model(&self) -> PowerModel {
-        self.model.clone()
+        power_setup::power_model_for(self.pels)
     }
 
     /// Power report for the active window.
@@ -612,7 +609,7 @@ impl ScenarioReport {
     pub fn power_timeline(&self, model: &PowerModel) -> Option<PowerTimeline> {
         let timeline = self.timeline.as_ref()?;
         Some(match &self.power {
-            Some(kept) if *model == self.model => kept.clone(),
+            Some(kept) if *model == self.power_model() => kept.clone(),
             _ => PowerTimeline::from_activity(model, timeline, self.freq),
         })
     }
@@ -842,6 +839,9 @@ mod tests {
         assert_eq!(ledger.windows(), 1);
         assert_eq!(ledger.span(), report.active_window);
         assert!(ledger.mean_power().as_uw() > 0.0);
+        // With no timeline to read back, the report keeps no power
+        // timeline either.
+        assert!(report.power.is_none());
     }
 
     #[test]

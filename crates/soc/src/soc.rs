@@ -15,7 +15,6 @@ use pels_sim::{
     ActivityKind, ActivityRow, ActivitySet, ActivitySink, ActivityTimeline, ComponentId,
     EventVector, Frequency, SimTime, Trace,
 };
-use std::sync::Arc;
 
 /// The synthetic analog source (defined in `pels-periph`, re-exported by
 /// `pels-desc` and here).
@@ -1462,10 +1461,7 @@ impl Soc {
             window_cycles,
             window_start: self.cycle,
             next_boundary: self.cycle.saturating_add(window_cycles),
-            row: match self.closed.layout().width() {
-                0 => ActivityRow::default(),
-                _ => ActivityRow::new(self.closed.layout().clone()),
-            },
+            row: ActivityRow::default(),
             carry: None,
             awake_start: 0,
             timeline: ActivityTimeline::new(window_cycles),
@@ -1525,15 +1521,9 @@ impl Soc {
         Self::record_clock_activity(row, &self.clock_ids, end - start, awake);
         s.timeline.push_row(start, end, row);
         row.clear();
-        if !Arc::ptr_eq(self.closed.layout(), row.layout()) {
-            // The first close laid the row out with a slot for every
-            // counter: fix it, and lay `closed` out alike so that later
-            // closes add slot by slot.
-            row.fix_layout();
-            let mut closed = ActivityRow::new(row.layout().clone());
-            closed.add(&self.closed);
-            self.closed = closed;
-        }
+        // The first close laid the row out with a slot for every counter;
+        // from then on the row and `closed` share that layout.
+        self.closed.adopt_layout_of(row);
         s.window_start = self.cycle;
         s.next_boundary = self.cycle.saturating_add(s.window_cycles);
         s.awake_start = self.cpu_awake_cycles;
@@ -1687,7 +1677,7 @@ mod tests {
         soc.run(50);
         let sampler = soc.accel.sampler.as_ref().expect("sampling");
         let layout = sampler.row.layout();
-        assert!(Arc::ptr_eq(layout, soc.closed.layout()));
+        assert!(std::sync::Arc::ptr_eq(layout, soc.closed.layout()));
         // Default SoC (one PELS link): ibex 5 counters + clock, PELS
         // config port 4 + clock, link0 4 + clock, a bus-stall slot per
         // master (ibex, link0), fabric transfers, busy cycles + clock,

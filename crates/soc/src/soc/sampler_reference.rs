@@ -73,7 +73,7 @@ impl BaselineSampler {
         self.baseline = ActivitySet::new();
         self.baseline_awake = 0;
         let set = self.drained(soc);
-        self.image.clear();
+        self.image = ActivitySet::new();
         set
     }
 
