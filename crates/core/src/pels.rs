@@ -2,7 +2,9 @@
 
 use crate::exec::{ActionLines, LinkBus};
 use crate::link::{Link, DEFAULT_FIFO_DEPTH};
-use pels_sim::{ActivityCounter, ActivitySink, ComponentId, EventVector, SimTime, Trace};
+use pels_sim::{
+    ActivityCounter, ActivitySink, ComponentId, EventVector, SimTime, SleepPlan, Trace,
+};
 
 /// Static configuration of a PELS instance — the two knobs the paper
 /// sweeps in Figure 6a (links × SCM lines) plus the FIFO-depth and
@@ -251,32 +253,26 @@ impl Pels {
         }
     }
 
-    /// If every tick with `external` events would be a pure no-op —
-    /// nothing executing or buffered, no pulse raised, no trigger able to
-    /// fire, and the output image already latched — returns that stable
-    /// output image. Used by the SoC's quiescence scheduler to skip whole
-    /// idle spans; [`Pels::skip_cycles`] accounts the span afterwards.
-    pub fn steady_output(&self, external: EventVector) -> Option<EventVector> {
-        if !self.enabled {
-            return if self.prev_actions.is_empty() {
-                Some(EventVector::EMPTY)
-            } else {
-                None
-            };
-        }
-        let visible = self.actions.current();
-        let steady = self.actions.pulses_clear()
-            && visible == self.prev_actions
-            && (external | (visible & self.config.loopback)).is_empty()
-            && self.links.iter().all(Link::is_quiescent);
-        steady.then_some(visible)
+    /// How PELS may sleep while no peripheral pulses: every tick is then
+    /// a pure no-op when nothing is executing or buffered, no pulse is
+    /// raised and the output image is already latched. It wakes on its
+    /// loopback lines, where its own latched levels come back as events
+    /// (a disabled PELS ignores them, and its latched image is empty).
+    pub fn sleep_plan(&self) -> Option<SleepPlan> {
+        let steady = if self.enabled {
+            self.actions.pulses_clear()
+                && self.actions.current() == self.prev_actions
+                && self.links.iter().all(Link::is_quiescent)
+        } else {
+            self.prev_actions.is_empty()
+        };
+        steady.then_some(SleepPlan::until_wire(self.config.loopback))
     }
 
     /// Advances the cycle counter by `k` without ticking — the
-    /// whole-span equivalent of `k` quiescent ticks. Callers must have
-    /// checked [`Pels::steady_output`].
-    pub fn skip_cycles(&mut self, k: u64) {
-        debug_assert!(self.steady_output(EventVector::EMPTY).is_some());
+    /// whole-span equivalent of `k` ticks under [`Pels::sleep_plan`].
+    pub fn catch_up(&mut self, k: u64) {
+        debug_assert!(self.sleep_plan().is_some(), "catch_up of a busy PELS");
         self.cycle += k;
     }
 }

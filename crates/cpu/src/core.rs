@@ -7,7 +7,7 @@ use crate::decode::{decode, DecodeError};
 use crate::instr::{AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulDivOp, StoreOp};
 use crate::regs::RegFile;
 use crate::timing;
-use pels_sim::{ActivityKind, ActivitySink, ComponentId};
+use pels_sim::{ActivityKind, ActivitySink, ComponentId, EventVector, SleepPlan};
 
 /// Why the core stopped executing (tests and scenarios use [`Instr::Ecall`]
 /// / [`Instr::Ebreak`] as a program-exit convention).
@@ -192,28 +192,29 @@ impl Cpu {
         m.set("cpu.stall_cycles", self.stall_cycles);
     }
 
-    /// Accounts `k` cycles of WFI sleep (or halt) in one step, exactly as
-    /// `k` calls to [`Cpu::tick`] would: `mcycle`/cycle/sleep counters
-    /// advance, nothing else changes. Returns `false` — with no state
-    /// mutated beyond mirroring `irq` into `mip`, which every tick does
-    /// anyway — when the core is running, stalled, or a pending enabled
-    /// interrupt would wake it, in which case the caller must tick
-    /// normally.
-    pub fn skip_idle_cycles(&mut self, k: u64, irq: u32) -> bool {
+    /// How the core may sleep with interrupt lines `irq`: halted, or in
+    /// WFI with no line of `irq` enabled in `mie`, it is idle until a
+    /// wire changes `irq`; running or stalled, it must tick.
+    pub fn sleep_plan(&self, irq: u32) -> Option<SleepPlan> {
+        let idle = match self.state {
+            CpuState::Halted => true,
+            CpuState::Sleeping => irq & self.csrs.mie == 0,
+            CpuState::Running | CpuState::MemWait => false,
+        };
+        idle.then_some(SleepPlan::until_wire(EventVector::EMPTY))
+    }
+
+    /// Accounts `k` idle cycles under [`Cpu::sleep_plan`] exactly as `k`
+    /// calls to [`Cpu::tick`] would: `irq` is mirrored into `mip` and
+    /// the cycle, `mcycle` and sleep counters advance.
+    pub fn catch_up(&mut self, k: u64, irq: u32) {
+        debug_assert!(self.sleep_plan(irq).is_some(), "catch_up of a busy core");
         self.csrs.mip = irq;
-        match self.state {
-            CpuState::Halted => {}
-            CpuState::Sleeping => {
-                if self.csrs.pending_interrupt().is_some() {
-                    return false;
-                }
-                self.sleep_cycles += k;
-            }
-            _ => return false,
+        if self.state == CpuState::Sleeping {
+            self.sleep_cycles += k;
         }
         self.cycles += k;
         self.csrs.mcycle += k;
-        true
     }
 
     /// Advances one clock cycle. `irq` carries the sampled interrupt

@@ -3,7 +3,7 @@
 use crate::addr::{AddrRange, AddressMap};
 use crate::apb::{ApbRequest, ApbResponse, ApbSlave, BusError, Dir};
 use crate::arbiter::{Arbiter, ArbiterKind};
-use pels_sim::{ActivityKind, ActivitySink, ComponentId};
+use pels_sim::{ActivityKind, ActivitySink, ComponentId, EventVector, SleepPlan};
 use std::fmt;
 
 /// Handle to a master port, returned by [`ApbFabric::add_master`].
@@ -563,11 +563,17 @@ impl<S: ApbSlave> ApbFabric<S> {
         self.pending_count == 0 && self.in_flight_count == 0
     }
 
+    /// How the fabric may sleep: quiescent, it is idle until a master
+    /// issues (a CPU or PELS tick, which are themselves awake then).
+    pub fn sleep_plan(&self) -> Option<SleepPlan> {
+        self.is_quiescent()
+            .then_some(SleepPlan::until_wire(EventVector::EMPTY))
+    }
+
     /// Advances the cycle counter by `k` without ticking — the
     /// whole-span equivalent of `k` quiescent [`ApbFabric::tick`]s.
-    /// Callers must have checked [`ApbFabric::is_quiescent`].
-    pub fn skip_cycles(&mut self, k: u64) {
-        debug_assert!(self.is_quiescent());
+    pub fn catch_up(&mut self, k: u64) {
+        debug_assert!(self.is_quiescent(), "catch_up of a busy fabric");
         self.cycle += k;
     }
 

@@ -219,13 +219,12 @@ impl Peripheral for Gpio {
         // After a tick the pad state is fully reported (`seen_out` ==
         // `out`); anything that could change it — an action-line pulse or
         // an APB write — is a wake condition.
-        (self.out == self.seen_out).then(|| SleepPlan {
-            idle_for: SleepPlan::UNTIL_WIRE,
-            wake_mask: wake_mask_of(&[
+        (self.out == self.seen_out).then(|| {
+            SleepPlan::until_wire(wake_mask_of(&[
                 self.set_action.map(|(l, _)| l),
                 self.clear_action.map(|(l, _)| l),
                 self.toggle_action.map(|(l, _)| l),
-            ]),
+            ]))
         })
     }
 

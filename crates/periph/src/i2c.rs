@@ -335,10 +335,7 @@ impl Peripheral for I2c {
         // Bit-banging a transaction counts ActiveCycle each cycle, so a
         // busy master stays awake; an idle one waits for its start line
         // or a CMD write.
-        (!self.is_busy()).then(|| SleepPlan {
-            idle_for: SleepPlan::UNTIL_WIRE,
-            wake_mask: wake_mask_of(&[self.start_line]),
-        })
+        (!self.is_busy()).then(|| SleepPlan::until_wire(wake_mask_of(&[self.start_line])))
     }
 
     fn drain_activity(&mut self, into: &mut impl pels_sim::ActivitySink) {

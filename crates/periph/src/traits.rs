@@ -4,6 +4,9 @@ use crate::l2::L2Memory;
 use pels_interconnect::ApbSlave;
 use pels_sim::{ActivityCounter, ActivitySink, ComponentId, EventVector, SimTime, Trace};
 
+/// The sleep contract, shared with the SoC's other components.
+pub use pels_sim::SleepPlan;
+
 /// Everything a peripheral can see and touch during one clock cycle.
 ///
 /// The SoC harness constructs one `PeriphCtx` per cycle and threads it
@@ -117,35 +120,6 @@ pub trait Peripheral: ApbSlave {
     fn drain_activity(&mut self, into: &mut impl ActivitySink)
     where
         Self: Sized;
-}
-
-/// How a peripheral may sleep, from [`Peripheral::sleep_plan`].
-///
-/// The contract: *if no wire in `wake_mask` pulses*, ticking the
-/// peripheral during the next `idle_for - 1` cycles would leave its
-/// architectural state, its activity counters, its trace output and its
-/// event pulses exactly as [`Peripheral::catch_up`] over those cycles
-/// leaves them, and the `idle_for`-th tick (its next self-driven
-/// observable action, e.g. a timer compare fire) runs as a real tick. A
-/// plan with `idle_for` = [`SleepPlan::UNTIL_WIRE`] also promises that
-/// `catch_up` is a no-op for any span. A plan with `idle_for < 2` leaves
-/// no cycle to skip: the harness ticks the peripheral next cycle, as for
-/// `None`. A bus access to a sleeping peripheral is served in place: the
-/// harness catches it up through the access cycle, lets the bus read or
-/// write it, and asks for a fresh plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SleepPlan {
-    /// Cycles from the deciding cycle to the next tick that must run, or
-    /// [`SleepPlan::UNTIL_WIRE`].
-    pub idle_for: u64,
-    /// The wires that wake it (its wired instant-action inputs).
-    pub wake_mask: EventVector,
-}
-
-impl SleepPlan {
-    /// `idle_for` of a peripheral with no self-driven action left: only
-    /// a wire in its wake mask (or a bus access) can make it observable.
-    pub const UNTIL_WIRE: u64 = u64::MAX;
 }
 
 /// Builds the wake mask for a set of optional wired input lines.

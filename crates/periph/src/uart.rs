@@ -192,10 +192,7 @@ impl Peripheral for Uart {
     fn sleep_plan(&self) -> Option<SleepPlan> {
         // A transmitting UART counts ActiveCycle per cycle; a drained one
         // has no wired inputs and only wakes on a register access.
-        (!self.is_busy()).then_some(SleepPlan {
-            idle_for: SleepPlan::UNTIL_WIRE,
-            wake_mask: EventVector::EMPTY,
-        })
+        (!self.is_busy()).then_some(SleepPlan::until_wire(EventVector::EMPTY))
     }
 
     fn drain_activity(&mut self, into: &mut impl pels_sim::ActivitySink) {

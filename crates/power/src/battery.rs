@@ -183,7 +183,7 @@ impl Battery {
             })
             .collect();
         blame.push(LifetimeBlame {
-            name: "(sleep floor)".to_string(),
+            name: "(sleep floor)",
             uw: self.sleep_floor_uw,
             days_cost: days_for(self.sleep_floor_uw),
         });
@@ -213,7 +213,7 @@ impl Battery {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeBlame {
     /// Component name (or `"(analog floor)"` / `"(sleep floor)"`).
-    pub name: String,
+    pub name: &'static str,
     /// The row's share of the mean draw, µW.
     pub uw: f64,
     /// Days of battery this row consumes; rows sum to the projected

@@ -52,7 +52,7 @@ pub struct EnergyLedger {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlameRow {
     /// Component name; the residual row is named `"(analog floor)"`.
-    pub name: String,
+    pub name: &'static str,
     /// Integrated energy in microjoules.
     pub uj: f64,
     /// Fraction of the ledger total (0..=1; 0 if the total is zero).
@@ -189,7 +189,7 @@ impl EnergyLedger {
             .components
             .iter()
             .map(|(&name, &uwps)| BlameRow {
-                name: name.to_string(),
+                name,
                 uj: uwps / UWPS_PER_UJ,
                 share: share(uwps),
             })
@@ -197,10 +197,10 @@ impl EnergyLedger {
         // Sort by descending energy, name-ascending tiebreak: the
         // BTreeMap source plus total-order comparison keeps this
         // deterministic.
-        rows.sort_by(|a, b| b.uj.total_cmp(&a.uj).then(a.name.cmp(&b.name)));
+        rows.sort_by(|a, b| b.uj.total_cmp(&a.uj).then(a.name.cmp(b.name)));
         let floor = self.total_uwps - self.components_uwps();
         rows.push(BlameRow {
-            name: "(analog floor)".to_string(),
+            name: "(analog floor)",
             uj: floor / UWPS_PER_UJ,
             share: share(floor),
         });

@@ -171,6 +171,46 @@ impl FromIterator<u32> for EventVector {
     }
 }
 
+/// How a component may sleep: the one answer every component of the
+/// SoC gives its scheduler (`Peripheral::sleep_plan` for the
+/// peripherals, `sleep_plan` on the CPU, PELS and the APB fabric).
+///
+/// The contract: *if no wire in `wake_mask` pulses*, ticking the
+/// component during the next `idle_for - 1` cycles would leave its
+/// architectural state, its activity counters, its trace output and its
+/// event pulses exactly as its `catch_up` over those cycles leaves them,
+/// and the `idle_for`-th tick (its next self-driven observable action,
+/// e.g. a timer compare fire) runs as a real tick. A plan with
+/// `idle_for < 2` leaves no cycle to skip: the harness ticks the
+/// component next cycle, as for `None`. A peripheral's plan with
+/// `idle_for` = [`SleepPlan::UNTIL_WIRE`] also promises that its
+/// `catch_up` is a no-op for any span; the CPU, PELS and the fabric
+/// count cycles in theirs. A bus access to a sleeping peripheral is
+/// served in place: the harness catches it up through the access cycle,
+/// lets the bus read or write it, and asks for a fresh plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SleepPlan {
+    /// Cycles from the deciding cycle to the next tick that must run, or
+    /// [`SleepPlan::UNTIL_WIRE`].
+    pub idle_for: u64,
+    /// The wires that wake it (its wired inputs).
+    pub wake_mask: EventVector,
+}
+
+impl SleepPlan {
+    /// `idle_for` of a component with no self-driven action left: only
+    /// a wire in its wake mask (or a bus access) can make it observable.
+    pub const UNTIL_WIRE: u64 = u64::MAX;
+
+    /// The plan of a component idle until a wire in `wake_mask` pulses.
+    pub const fn until_wire(wake_mask: EventVector) -> SleepPlan {
+        SleepPlan {
+            idle_for: SleepPlan::UNTIL_WIRE,
+            wake_mask,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

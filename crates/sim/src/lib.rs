@@ -50,7 +50,7 @@ pub use activity::{
     ActivityCounter, ActivityKind, ActivityLayout, ActivityRow, ActivitySet, ActivitySink,
 };
 pub use error::SimError;
-pub use events::EventVector;
+pub use events::{EventVector, SleepPlan};
 pub use fifo::Fifo;
 pub use flow::{FlowHop, FlowId, FlowTrace, FLOW_STAGES};
 pub use intern::ComponentId;

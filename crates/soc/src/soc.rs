@@ -1087,10 +1087,12 @@ impl Soc {
                 }
             }
         }
-        // A core asleep in WFI with nothing pending, or halted, ticks
-        // exactly as it skips one idle cycle; only the naive reference
-        // builds the port and ticks it.
-        if naive || !self.cpu.skip_idle_cycles(1, self.irq_pending) {
+        // A core whose plan is idle ticks exactly as it catches up one
+        // cycle; only a busy core, or the naive reference, builds the
+        // port and ticks.
+        if !naive && self.cpu.sleep_plan(self.irq_pending).is_some() {
+            self.cpu.catch_up(1, self.irq_pending);
+        } else {
             let mut bus = CpuPort {
                 l2: &mut self.l2,
                 fabric: &mut self.fabric,
@@ -1232,59 +1234,46 @@ impl Soc {
     }
 
     /// Attempts to advance up to `budget` cycles in one jump, possible
-    /// only when the whole SoC is provably inert: the CPU asleep (or
-    /// halted) with no wakeable interrupt, every peripheral asleep (the
-    /// caller checks that) and none of their wake wires high, the fabric
-    /// empty, PELS steady, and the wire image self-reproducing. Returns
-    /// the cycles skipped (0 if any component might act). Skipped
-    /// peripherals are replayed by `catch_up` at the next wake or sync,
-    /// so the jump is observationally identical to stepping — the
-    /// differential test in `tests/quiescence.rs` exercises exactly this
-    /// path via random `run` segment lengths.
+    /// only when every component's [`SleepPlan`] allows it: the caller
+    /// has checked that every peripheral sleeps, and the CPU, the fabric
+    /// and PELS are asked here, in that order. No wire of last cycle may
+    /// be in any sleeper's wake mask, the span ends before the nearest
+    /// sleeper deadline, and last cycle's wires must be exactly PELS's
+    /// latched action lines (its pulses have decayed), so the wire image
+    /// reproduces itself. Returns the cycles skipped (0 if any component
+    /// might act). Skipped peripherals are replayed by `catch_up` at the
+    /// next wake or sync, the other three catch up here, so the jump is
+    /// observationally identical to stepping — the differential test in
+    /// `tests/quiescence.rs` exercises exactly this path via random
+    /// `run` segment lengths.
     fn try_skip(&mut self, budget: u64) -> u64 {
         debug_assert_eq!(self.accel.sched.active, 0, "try_skip with a slave awake");
         if self.accel.naive || budget == 0 || !self.injected.is_empty() {
             return 0;
         }
-        // A running (or bus-stalled) CPU always vetoes the skip — that is
-        // the last check below (`skip_idle_cycles`), but on the busy path
-        // it is the common exit, so take it first and skip the slave-state
-        // proof entirely.
-        if matches!(self.cpu.state(), CpuState::Running | CpuState::MemWait) {
+        // A running CPU is the common veto (every cycle of an IRQ
+        // handler while the peripherals sleep), so it is asked first.
+        let Some(plans) = self
+            .cpu
+            .sleep_plan(self.irq_pending)
+            .and_then(|cpu| Some([cpu, self.fabric.sleep_plan()?, self.pels.sleep_plan()?]))
+        else {
             return 0;
-        }
+        };
+        debug_assert!(
+            plans.iter().all(|p| p.idle_for == SleepPlan::UNTIL_WIRE),
+            "only the peripherals publish deadlines"
+        );
+        let sched = &self.accel.sched;
+        let wake = plans.iter().fold(sched.wake_union, |w, p| w | p.wake_mask);
+        let span = budget.min(sched.next_deadline.saturating_sub(self.cycle));
         let wires = self.prev_wires;
-        // Every slave is asleep; it must also be unwakeable by the
-        // current wires and strictly before its deadline, and the span
-        // is bounded by the nearest deadline. The `sched` aggregates
-        // answer both in O(1): the wake-mask union covers every
-        // sleeper's mask, and the minimum deadline bounds them all.
-        if wires.intersects(self.accel.sched.wake_union) {
+        if span == 0 || wires.intersects(wake) || wires != self.pels.action_lines() {
             return 0;
         }
-        let remain = self.accel.sched.next_deadline.saturating_sub(self.cycle);
-        if remain == 0 {
-            return 0;
-        }
-        let span = budget.min(remain);
-        if !self.fabric.is_quiescent() {
-            return 0;
-        }
-        // Peripheral pulses are empty while all slaves sleep, so PELS
-        // sees no external events; its output must already be latched
-        // and must be exactly the standing wire image (pulses would decay
-        // next cycle, so a mismatch means the image is still settling).
-        match self.pels.steady_output(EventVector::EMPTY) {
-            Some(visible) if visible == wires => {}
-            _ => return 0,
-        }
-        // The CPU commits the skip (or vetoes it if running/stalled or
-        // about to take an interrupt).
-        if !self.cpu.skip_idle_cycles(span, self.irq_pending) {
-            return 0;
-        }
-        self.pels.skip_cycles(span);
-        self.fabric.skip_cycles(span);
+        self.cpu.catch_up(span, self.irq_pending);
+        self.fabric.catch_up(span);
+        self.pels.catch_up(span);
         self.cycle += span;
         self.window_cycles += span;
         self.accel.sched.stats.skip_spans += 1;

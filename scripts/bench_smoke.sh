@@ -3,9 +3,10 @@
 # gate, the differential and property suites (the fast-vs-naive ones
 # in release too), the artifact schema gates
 # and one checked round of each perfbench workload, then gates the
-# workspace on clippy and rustdoc. Simulator speed is timed by perfbench
-# alone. Fails on any panic, lint or non-zero exit. Part of the tier-1
-# verify flow (ROADMAP.md).
+# workspace on clippy and rustdoc; with MUTANTS=1 it also runs the
+# mutation catalogue (scripts/mutants.sh). Simulator speed is timed by
+# perfbench alone. Fails on any panic, lint or non-zero exit. Part of
+# the tier-1 verify flow (ROADMAP.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -153,3 +154,11 @@ echo "bench_smoke: clippy OK"
 # the pass — the API docs are part of the reproduction artifact.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "bench_smoke: rustdoc OK"
+
+# Mutation catalogue: every committed mutant under tests/mutants/ must
+# still be killed by the test its patch names. It rebuilds once per
+# mutant, so it runs only when asked for with MUTANTS=1.
+if [ "${MUTANTS:-0}" = 1 ]; then
+    scripts/mutants.sh
+    echo "bench_smoke: mutation catalogue OK"
+fi

@@ -4,18 +4,18 @@
 //! snapshot (`obs`), the windowed activity timeline (`timeline_window`),
 //! causal event flows (`flows`) and the energy ledger with its battery
 //! projection (`lifetime`). The contract: traces, activity images,
-//! latencies, windows and scheduler and decode-cache counters are
-//! bit-identical with any subset of probes on, under every execution
-//! mode and mediator, and fleet digests do not move under a probe or
-//! the worker count. The first two tests run the shared harness in
-//! `tests/common`: the first over every non-empty probe subset, the
-//! second over each probe alone, the two pairs that sample a timeline
-//! under another probe, and all four; `obs_invariance`, `flow_invariance`
-//! and `lifetime_invariance` run it over each probe's own subsets. The
-//! tests after them pin what each probe records (timeline windows
-//! partition the run, a sampled SoC equals its unsampled twin once both
-//! are drained, flow attribution is mode-independent, the ledger
-//! partitions the power timeline, duty-cycled horizons stay cheap).
+//! latencies, windows and scheduler counters are bit-identical with any
+//! subset of probes on, under every execution mode and mediator, and
+//! fleet digests do not move under a probe or the worker count. The
+//! first two tests run the shared harness in `tests/common`: the first
+//! over every non-empty probe subset, the second over each probe alone,
+//! the two pairs that sample a timeline under another probe, and all
+//! four; every subset `flow_invariance` and `lifetime_invariance` check
+//! is among them. The tests after them pin what each probe records
+//! (timeline windows partition the run, a sampled SoC equals its
+//! unsampled twin once both are drained, flow attribution is
+//! mode-independent, the ledger partitions the power timeline,
+//! duty-cycled horizons stay cheap).
 
 mod common;
 

@@ -16,19 +16,19 @@
 //! naive path too. A third one has PELS read and write those peripherals
 //! over the bus while they count asleep, so bus accesses served in place
 //! replay live catch-ups. Each wake condition — timer deadline, event
-//! wire, APB access, injected external event — also gets a dedicated
-//! test.
+//! wire, APB access, injected external event, a latched PELS loopback
+//! line — also gets a dedicated test.
 
 mod common;
 
 use common::Lockstep;
-use pels_repro::core::{Command, Program};
+use pels_repro::core::{ActionMode, Command, Program};
 use pels_repro::cpu::asm;
 use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::{Adc, Gpio, I2c, Spi, Timer, Uart, Watchdog};
 use pels_repro::sim::{EventVector, Rng};
 use pels_repro::soc::event_map::{
-    AL_ADC_START, AL_I2C_START, AL_WDT_KICK, EV_GPIO_RISE, EV_TIMER_CMP,
+    AL_ADC_START, AL_I2C_START, AL_LOOPBACK_FIRST, AL_WDT_KICK, EV_GPIO_RISE, EV_TIMER_CMP,
 };
 use pels_repro::soc::mem_map::{
     apb_reg, pels_word_offset, ADC_OFFSET, APB_BASE, GPIO_OFFSET, L2_SIZE, RESET_PC, SPI_OFFSET,
@@ -370,6 +370,42 @@ fn injected_event_wakes_sleeping_peripheral() {
         "injected pulse started the sleeping SPI"
     );
     pair.drain("activity (power input)");
+}
+
+/// Wake condition 5 — PELS loopback: a level PELS latched on a loopback
+/// line comes back to it as an event every cycle, so PELS is not idle
+/// while one is high, even with every link halted and nothing pulsing.
+/// Link 1 latches loopback line 40 on an injected event; once the SoC
+/// has settled with the CPU in WFI, link 0 is re-armed on line 40 and
+/// must see it on the very next cycle.
+#[test]
+fn latched_loopback_line_keeps_pels_awake() {
+    let mut desc = SystemDesc::default();
+    desc.pels.links = 2;
+    let mut soc = Soc::from_desc(&desc).unwrap();
+    soc.load_program(RESET_PC, &[asm::wfi()]);
+    let set_40 = Command::Action {
+        mode: ActionMode::Set,
+        group: 1,
+        mask: 1 << (AL_LOOPBACK_FIRST - 32),
+    };
+    let link = soc.pels_mut().link_mut(1);
+    link.set_mask(EventVector::mask_of(&[9]));
+    let program = Program::new(vec![set_40, Command::Halt]).expect("valid");
+    link.load_program(&program).expect("fits");
+    let mut pair = Lockstep::new(soc);
+    pair.apply("inject line 9", |soc| soc.inject_event(9));
+    pair.apply("settle", |soc| soc.run(100));
+    assert!(pair.fast.pels().action_lines().is_set(AL_LOOPBACK_FIRST));
+    pair.apply("re-arm link 0 on line 40", |soc| {
+        let link = soc.pels_mut().link_mut(0);
+        link.set_mask(EventVector::mask_of(&[AL_LOOPBACK_FIRST]));
+        let halt = Program::new(vec![Command::Halt]).expect("valid");
+        link.load_program(&halt).expect("fits");
+    });
+    for n in [1, 3, 10, 50] {
+        pair.apply(&format!("run({n})"), |soc| soc.run(n));
+    }
 }
 
 /// The trace values of every `udma_err` entry (dropped µDMA words).
