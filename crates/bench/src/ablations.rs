@@ -46,11 +46,12 @@ pub fn scm_vs_shared_fetch() -> ScmAblation {
 
     let s = Scenario::latency_probe(Mediator::PelsSequenced);
     let mut soc = s_build_with_fetch_stall(&s, 3);
+    soc.trace_mut().pair(("spi", "eot"), ("gpio", "padout"));
     arm(&mut soc, 60);
     soc.run_for_trace_count(5_000, "gpio", "padout", 5);
     let shared = soc
         .trace()
-        .latencies_all(("spi", "eot"), ("gpio", "padout"))
+        .latencies()
         .iter()
         .map(|t| t.as_ps() / s.freq().period_ps())
         .min()
@@ -215,6 +216,7 @@ fn contention_latencies(
     desc.pels.links = writes.len();
     desc.pels.scm_lines = 4;
     let mut soc = Soc::from_desc(&desc).expect("valid contention system");
+    soc.trace_mut().enable_entries();
     for (i, &(offset, value)) in writes.iter().enumerate() {
         let link = soc.pels_mut().link_mut(i);
         link.set_mask(EventVector::mask_of(&[2])).set_base(APB_BASE);
@@ -307,12 +309,13 @@ pub fn jitter_under_contention() -> Vec<JitterPoint> {
             p.push(asm::jal(0, -8)); // -> d
             p.push(asm::jal(0, -20)); // -> poll
             soc.load_program(pels_soc::mem_map::RESET_PC, &p);
-            arm(&mut soc, 61);
             let marker = Scenario::completion_marker(mediator);
+            soc.trace_mut().pair(("spi", "eot"), marker);
+            arm(&mut soc, 61);
             soc.run_for_trace_count(30_000, marker.0, marker.1, 40);
             let lats: Vec<u64> = soc
                 .trace()
-                .latencies_all(("spi", "eot"), marker)
+                .latencies()
                 .iter()
                 .map(|t| t.as_ps() / s.freq().period_ps())
                 .collect();
@@ -420,11 +423,12 @@ pub fn polling_vs_pels() -> PollingAblation {
     for (addr, words) in &image.segments {
         soc.load_program(*addr, words);
     }
+    soc.trace_mut().pair(("spi", "eot"), ("gpio", "padout"));
     arm(&mut soc, s.timer_period_cycles());
     soc.run_for_trace_count(20_000, "gpio", "padout", 10);
     let polling_latency = soc
         .trace()
-        .latencies_all(("spi", "eot"), ("gpio", "padout"))
+        .latencies()
         .iter()
         .map(|t| t.as_ps() / s.freq().period_ps())
         .min()

@@ -30,13 +30,12 @@
 //! terminal alone shows the shape of the run. `obs_check` gates all
 //! three files' schemas in `scripts/bench_smoke.sh`.
 
-use pels_bench::{ablations, experiments, sota};
+use pels_bench::{ablations, experiments, lifetime, sota};
 use pels_desc::{DescFuzzer, FuzzCase};
 use pels_fleet::{report as fleet_report, FleetEngine, SweepSpec};
 use pels_interconnect::{ArbiterKind, Topology};
 use pels_obs::json::Writer;
 use pels_power::{Battery, EnergyLedger};
-use pels_sim::SimTime;
 use pels_soc::{Mediator, Scenario, ScenarioDesc, SensorKind, SystemDesc};
 use std::process::ExitCode;
 
@@ -96,135 +95,13 @@ fn run_fleet_artifact() -> Result<String, String> {
     ))
 }
 
-/// Serializes the lifetime artifact as `BENCH_lifetime.json`: the
-/// battery parameters, the headline duty-cycled PELS-vs-IRQ projection
-/// and the per-job sweep rows. `obs_check` schema-gates this file.
-fn lifetime_to_json(
-    quick: bool,
-    battery: &Battery,
-    period: SimTime,
-    horizon: SimTime,
-    pels: &pels_power::LifetimeReport,
-    irq: &pels_power::LifetimeReport,
-    fleet: &pels_fleet::FleetReport,
-) -> String {
-    let mut w = Writer::new();
-    w.begin_object().key("schema_version").uint(1).key("quick").bool(quick);
-    w.key("battery").begin_object();
-    w.key("capacity_mah").float(battery.capacity_mah);
-    w.key("nominal_v").float(battery.nominal_v);
-    w.key("rate_exponent").float(battery.rate_exponent);
-    w.key("sleep_floor_uw").float(battery.sleep_floor_uw);
-    w.key("cutoff_fraction").float(battery.cutoff_fraction);
-    w.end_object();
-    // A zero-draw projection lasts forever: its `days` is infinite and
-    // writes as `null`.
-    w.key("headline").begin_object();
-    w.key("sample_period_us").float(period.as_us_f64());
-    w.key("horizon_ms").float(horizon.as_us_f64() / 1e3);
-    w.key("pels_days").float(pels.days()).key("irq_days").float(irq.days());
-    w.key("lifetime_ratio").float(pels.seconds / irq.seconds);
-    w.key("pels_mean_uw").float(pels.mean_draw_uw);
-    w.key("irq_mean_uw").float(irq.mean_draw_uw);
-    w.end_object();
-    w.key("sweep").begin_array();
-    for (label, o) in fleet.succeeded() {
-        let ledger = o.report.energy.as_ref().expect("lifetime(true) ledger");
-        let projection = o.report.lifetime.as_ref().expect("lifetime(true) projection");
-        let desc = o.scenario.desc();
-        w.begin_object().key("label").str(label);
-        w.key("mediator").str(&desc.mediator.to_string());
-        w.key("sample_period_us").float(desc.sample_period.as_us_f64());
-        w.key("spi_words").uint(u64::from(desc.spi_words));
-        w.key("mean_uw").float(ledger.mean_power().as_uw());
-        w.key("days").float(projection.days());
-        w.end_object();
-    }
-    w.end_array();
-    w.key("digest").str(&format!("{:016x}", fleet.digest()));
-    w.end_object();
-    w.finish()
-}
-
-/// The `lifetime` artifact: how long does the node last on a coin cell?
-///
-/// Runs the duty-cycled preset (sleep → sense → burst every sample
-/// period) for PELS-sequenced mediation and the interrupt baseline over
-/// a long simulated horizon, projects both onto [`Battery::coin_cell`],
-/// then sweeps duty cycle (sample period) × sensor payload (SPI words)
-/// × mediator across a fleet with the energy ledger switched on.
-/// Quiescence skipping makes the sleep stretches nearly free, so hours
-/// of device time integrate in seconds of host time. `--quick` shrinks
-/// the horizon for smoke runs.
+/// The `lifetime` artifact ([`lifetime::run`]): writes
+/// `BENCH_lifetime.json` and returns the projection table.
 fn run_lifetime_artifact(quick: bool) -> Result<String, String> {
-    // 100 kHz sampling is where mediation energy is visible over the
-    // static leakage floor: the interrupt baseline wakes the core every
-    // 10 µs, PELS keeps it asleep, and the gap is worth ~2 days of
-    // coin cell. Longer periods amortize toward the leakage-only floor
-    // (the sweep below covers that regime).
-    let period = SimTime::from_us(10);
-    let horizon = if quick {
-        SimTime::from_ms(50)
-    } else {
-        SimTime::from_ms(1_000)
-    };
-    let project = |m: Mediator| -> Result<pels_power::LifetimeReport, String> {
-        let report = Scenario::duty_cycled(m, period, horizon)
-            .try_run()
-            .map_err(|e| format!("lifetime scenario ({m:?}) failed: {e}"))?;
-        report
-            .lifetime
-            .ok_or_else(|| format!("lifetime scenario ({m:?}) produced no projection"))
-    };
-    let pels = project(Mediator::PelsSequenced)?;
-    let irq = project(Mediator::IbexIrq)?;
-
-    // Duty cycle × sensor payload × mediator, ledger on for every job.
-    let periods_us: &[u64] = if quick { &[100, 500] } else { &[10, 100, 1_000] };
-    let spec = SweepSpec::over(ScenarioDesc {
-        lifetime: true,
-        ..ScenarioDesc::default()
-    })
-    .mediators(&[Mediator::PelsSequenced, Mediator::IbexIrq])
-    .sample_periods_us(periods_us)
-    .spi_word_counts(&[1, 4]);
-    let fleet = FleetEngine::auto()
-        .run_sweep(&spec)
-        .map_err(|e| format!("lifetime sweep invalid: {e}"))?;
-    if let Some((label, e)) = fleet.failed().next() {
-        return Err(format!("lifetime sweep job `{label}` failed: {e}"));
-    }
-
-    let battery = Battery::coin_cell();
-    std::fs::write(
-        "BENCH_lifetime.json",
-        lifetime_to_json(quick, &battery, period, horizon, &pels, &irq, &fleet),
-    )
-    .map_err(|e| format!("writing BENCH_lifetime.json: {e}"))?;
-
-    let mut sweep_table = String::new();
-    for (label, o) in fleet.succeeded() {
-        let projection = o.report.lifetime.as_ref().expect("lifetime(true) projection");
-        sweep_table.push_str(&format!(
-            "  {label:<44}  {:>9.1} days\n",
-            projection.days()
-        ));
-    }
-    Ok(format!(
-        "Lifetime - days-of-battery projection ({} duty periods over {:.1} s)\n\
-         PELS-sequenced node:\n{}\
-         Ibex interrupt baseline:\n{}\
-         PELS outlasts the baseline {:.2}x on the same cell\n\
-         duty cycle x payload x mediator sweep ({} jobs):\n{}\
-         (wrote BENCH_lifetime.json)\n",
-        (horizon.as_ps() / period.as_ps()),
-        horizon.as_secs_f64(),
-        pels.render(),
-        irq.render(),
-        pels.seconds / irq.seconds,
-        fleet.jobs.len(),
-        sweep_table,
-    ))
+    let artifact = lifetime::run(quick)?;
+    std::fs::write("BENCH_lifetime.json", artifact.to_json())
+        .map_err(|e| format!("writing BENCH_lifetime.json: {e}"))?;
+    Ok(format!("{}(wrote BENCH_lifetime.json)\n", artifact.render()))
 }
 
 /// Nominal sampling window (cycles) for the `--obs` pass's activity

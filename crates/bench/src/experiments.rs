@@ -4,7 +4,7 @@
 use pels_fleet::{FleetEngine, JobError, JobOutcome};
 use pels_power::{pels_area_kge, pulpissimo_breakdown, IBEX_KGE, PICORV32_KGE};
 use pels_soc::power_setup::power_model_for;
-use pels_soc::{Mediator, Scenario, Soc, SystemDesc};
+use pels_soc::{Mediator, Scenario, ScenarioDesc, Soc, SystemDesc};
 use std::fmt::Write as _;
 
 /// One measured stage of Figure 3's pseudocode annotations.
@@ -29,7 +29,13 @@ pub fn fig3() -> Vec<Fig3Row> {
     let instant = Scenario::latency_probe(Mediator::PelsInstant).run();
     let sequenced = Scenario::latency_probe(Mediator::PelsSequenced).run();
 
-    let threshold = Scenario::iso_frequency(Mediator::PelsInstant).run();
+    // `obs` keeps the trace entries the stage times are read from.
+    let threshold = Scenario::from_desc(ScenarioDesc {
+        obs: true,
+        ..Scenario::iso_frequency(Mediator::PelsInstant).desc().clone()
+    })
+    .expect("the preset is valid")
+    .run();
     let period = threshold.freq.period_ps();
     let cyc = |ps: u64| ps / period;
     let t_trigger = threshold

@@ -10,7 +10,9 @@
 //!   sweep) and **Figure 6b** (PULPissimo area breakdown);
 //! * [`ablations`] — the design-choice studies DESIGN.md calls out:
 //!   private SCM vs shared-memory fetch, trigger-FIFO depth, arbitration
-//!   policy and fabric topology.
+//!   policy and fabric topology;
+//! * [`lifetime`] — the days-of-battery projection of a duty-cycled
+//!   node, PELS against the interrupt baseline, and its sweep.
 //!
 //! The `reproduce` binary renders all of them as text tables, and the
 //! unit tests assert their results. The simulator's speed is measured
@@ -21,4 +23,5 @@
 
 pub mod ablations;
 pub mod experiments;
+pub mod lifetime;
 pub mod sota;

@@ -1,7 +1,8 @@
 //! Golden pin of every paper table and figure the library renders.
 //!
 //! Each target's text, the string its render returns (what
-//! `reproduce -- <target>` prints below its banner), is kept in
+//! `reproduce -- <target>` prints below its banner; for `lifetime
+//! --quick`, above the line naming the file it wrote), is kept in
 //! `tests/golden/<target>.txt`.
 //! The test renders each one in process and compares bytes; a mismatch
 //! names the target and its first differing line. A change that moves a
@@ -9,14 +10,14 @@
 //! --test paper_golden`, which rewrites the files, and says which line
 //! moved and why.
 
-use pels_bench::{ablations, experiments, sota};
+use pels_bench::{ablations, experiments, lifetime, sota};
 use std::path::PathBuf;
 
 /// A golden file stem and the render producing its text.
 type Target = (&'static str, fn() -> String);
 
 /// Every library render.
-const TARGETS: [Target; 8] = [
+const TARGETS: [Target; 9] = [
     ("table1", sota::render_table1),
     ("fig3", experiments::render_fig3),
     ("latency", experiments::render_latency),
@@ -25,6 +26,7 @@ const TARGETS: [Target; 8] = [
     ("fig6b", experiments::render_fig6b),
     ("extensions", experiments::render_extension_link_power),
     ("ablations", ablations::render_all),
+    ("lifetime_quick", lifetime::render_quick),
 ];
 
 fn golden_path(target: &str) -> PathBuf {

@@ -556,7 +556,7 @@ mod tests {
                 trigger,
                 bus: TestBus::new(),
                 actions: ActionLines::new(),
-                trace: Trace::new(),
+                trace: Trace::with_entries(),
                 cycle: 0,
             }
         }

@@ -40,8 +40,11 @@ pub struct ScenarioDesc {
     /// Which simulation path to run on (fast / naive); both are
     /// observationally identical.
     pub exec: ExecMode,
-    /// Collect an observability metrics snapshot with the report.
-    /// Publishing happens after the simulation windows complete, so the
+    /// Collect an observability metrics snapshot with the report, and
+    /// keep the active run's trace entries in it (the Chrome export
+    /// reads them; without `obs` the trace keeps only its digest,
+    /// counts and latencies). Publishing happens after the simulation
+    /// windows complete and keeping entries is observation, so the
     /// setting cannot perturb architectural results
     /// (`tests/observation_invariance.rs`).
     pub obs: bool,

@@ -27,7 +27,7 @@ pub const HOST_PID: u64 = 2;
 /// ```
 /// use pels_obs::ChromeTrace;
 /// use pels_sim::{SimTime, Trace};
-/// let mut t = Trace::new();
+/// let mut t = Trace::with_entries();
 /// t.record_named(SimTime::from_ns(10), "spi", "eot", 1);
 /// let mut ct = ChromeTrace::new();
 /// ct.add_sim_trace(&t);
@@ -337,7 +337,7 @@ mod tests {
     use pels_sim::SimTime;
 
     fn sample_trace() -> Trace {
-        let mut t = Trace::new();
+        let mut t = Trace::with_entries();
         t.record_named(SimTime::from_ns(10), "chrome-test-spi", "eot", 0);
         t.record_named(SimTime::from_ns(80), "chrome-test-gpio", "set", 1);
         t.record_named(SimTime::from_ns(120), "chrome-test-spi", "eot", 1);

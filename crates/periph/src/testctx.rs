@@ -17,7 +17,7 @@ impl Harness {
     pub fn new() -> Self {
         Harness {
             l2: L2Memory::new(4096),
-            trace: Trace::new(),
+            trace: Trace::with_entries(),
             cycle: 0,
             period: Frequency::from_mhz(55.0).period(),
         }

@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn raise_sets_line_and_traces() {
         let mut l2 = L2Memory::new(64);
-        let mut trace = Trace::new();
+        let mut trace = Trace::with_entries();
         let mut counter = ActivityCounter::default();
         let mut ctx = ctx_fixture(&mut l2, &mut trace);
         ctx.raise(7, ComponentId::intern("spi"), &mut counter, "eot");

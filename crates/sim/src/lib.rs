@@ -57,4 +57,4 @@ pub use intern::ComponentId;
 pub use rng::Rng;
 pub use time::{Frequency, SimTime};
 pub use timeline::{ActivityTimeline, ActivityWindow};
-pub use trace::{Trace, TraceEntry};
+pub use trace::{Trace, TraceEntry, Watch};

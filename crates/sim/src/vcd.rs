@@ -171,7 +171,7 @@ const FLOW_ID_BITS: u32 = 16;
 /// ```
 /// use pels_sim::vcd::trace_to_vcd;
 /// use pels_sim::{ComponentId, FlowTrace, SimTime, Trace};
-/// let mut t = Trace::new();
+/// let mut t = Trace::with_entries();
 /// t.record_named(SimTime::from_ns(10), "spi", "eot", 0);
 /// t.record_named(SimTime::from_ns(80), "gpio", "set", 1);
 /// let doc = trace_to_vcd(&t, None, "pels");
@@ -191,7 +191,7 @@ pub fn trace_to_vcd(trace: &Trace, flows: Option<&FlowTrace>, module: &str) -> S
     let mut ids: HashMap<(ComponentId, &'static str), SignalId> = HashMap::new();
     let hop_count = flows.map_or(0, FlowTrace::len);
     let mut changes: Vec<(SimTime, SignalId, u64)> =
-        Vec::with_capacity((trace.len() + 2 * hop_count) * 2);
+        Vec::with_capacity((trace.entries().len() + 2 * hop_count) * 2);
     for e in trace.entries() {
         let sig = *ids
             .entry((e.source, e.label))
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn trace_bridge_pulses_every_event_in_time_order() {
-        let mut t = Trace::new();
+        let mut t = Trace::with_entries();
         t.record_named(SimTime::from_ps(5), "vcd-test-a", "hit", 0);
         t.record_named(SimTime::from_ps(5), "vcd-test-b", "hit", 0);
         t.record_named(SimTime::from_ps(40), "vcd-test-a", "hit", 1);
@@ -315,7 +315,7 @@ mod tests {
     fn trace_bridge_emits_channel_and_stage_flow_tracks() {
         let link = ComponentId::intern("pels.vcd-test-link");
         let gpio = ComponentId::intern("vcd-test-gpio");
-        let mut t = Trace::new();
+        let mut t = Trace::with_entries();
         t.record(SimTime::from_ps(10), link, "trigger", 0);
         let mut flows = FlowTrace::default();
         flows.raise(SimTime::from_ps(10), link, 1, "trigger");

@@ -11,7 +11,7 @@ use pels_sim::{ActivityKind, ActivitySet, ComponentId, SimTime, Trace};
 fn sample_trace() -> Trace {
     let spi = ComponentId::intern("ta-spi");
     let gpio = ComponentId::intern("ta-gpio");
-    let mut t = Trace::new();
+    let mut t = Trace::with_entries();
     t.record(SimTime::from_ns(10), spi, "eot", 0);
     t.record(SimTime::from_ns(10), gpio, "set", 1); // same instant as the start
     t.record(SimTime::from_ns(100), spi, "eot", 1);

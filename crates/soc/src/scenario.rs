@@ -327,6 +327,9 @@ impl Scenario {
         if self.flows {
             soc.trace_mut().enable_flows();
         }
+        if self.obs {
+            soc.trace_mut().enable_entries();
+        }
 
         match self.mediator {
             Mediator::PelsSequenced | Mediator::PelsInstant => {
@@ -405,6 +408,10 @@ impl Scenario {
         // pristine original later runs the idle window.
         let mut idle_soc = self.build_soc();
         let mut soc = idle_soc.clone();
+        // The trace pairs eot→marker latencies and counts completed
+        // events as they happen, so nothing below reads its entries.
+        let marker = Self::completion_marker(self.mediator);
+        let done = soc.trace_mut().pair(("spi", "eot"), marker);
         // Start sampling before the timer is armed so the first window
         // covers the arming writes too: the window deltas then sum to
         // exactly the drained activity image of the whole active run.
@@ -413,7 +420,6 @@ impl Scenario {
         }
         Self::arm_timer(&mut soc, self.timer_period_cycles());
         let budget = self.cycle_budget();
-        let marker = Self::completion_marker(self.mediator);
         let wanted = self.events as usize;
         {
             let _span = pels_obs::profile::span("scenario.active");
@@ -437,11 +443,10 @@ impl Scenario {
         // beyond the first reuse the FIFO path, which is equivalent for
         // the linking check (the `LAST` register always holds the newest
         // sample).
-        // One pass over the trace gives the eot→marker latencies and the
-        // completed-event count.
-        let (latencies, completed) = soc.trace().latencies_and_count(("spi", "eot"), marker);
-        let latencies: Vec<u64> = latencies
-            .into_iter()
+        let latencies: Vec<u64> = soc
+            .trace()
+            .latencies()
+            .iter()
             .map(|t| t.as_ps() / self.freq().period_ps())
             .collect();
         let stats = LinkingStats::from_cycles(&latencies).ok_or(ScenarioError::NoEvents {
@@ -452,7 +457,7 @@ impl Scenario {
         for &l in &latencies {
             latency_hist.record(l);
         }
-        let events_completed = completed as u32;
+        let events_completed = soc.trace().count(done) as u32;
         // Detach the flow record before the trace moves into the report:
         // flows are an analysis artifact, not part of the architectural
         // trace the differential suites compare.
@@ -556,7 +561,9 @@ pub struct ScenarioReport {
     pub idle_window: SimTime,
     /// The PELS configuration used.
     pub pels: PelsConfig,
-    /// The full event trace of the active run (per-stage analysis).
+    /// The event trace of the active run: its digest, entry count and
+    /// the eot→marker pairer always; its entries (per-stage analysis,
+    /// the Chrome export) only when [`ScenarioDesc::obs`] is set.
     pub trace: Trace,
     /// Scheduler statistics of the active run (fast/stirred/naive cycle
     /// split, skip spans, aggregate updates).
@@ -690,6 +697,7 @@ mod tests {
     fn below_threshold_never_actuates() {
         let s = below_threshold();
         let mut soc = s.build_soc();
+        soc.trace_mut().enable_entries();
         Scenario::arm_timer(&mut soc, s.timer_period_cycles());
         soc.run(3_000);
         assert!(soc.trace().all("spi", "eot").len() >= 3, "readouts happen");
@@ -796,8 +804,11 @@ mod tests {
 
         // Zero perturbation: identical architectural results either way.
         assert_eq!(plain.latencies, observed.latencies);
-        assert_eq!(plain.trace.entries(), observed.trace.entries());
+        assert_eq!(plain.trace, observed.trace);
         assert_eq!(plain.sched_stats, observed.sched_stats);
+        // `obs` also keeps the trace's entries; a plain run streams them.
+        assert!(plain.trace.entries().is_empty());
+        assert_eq!(observed.trace.entries().len(), observed.trace.len());
         let retired = |r: &ScenarioReport| {
             r.active_activity
                 .count("ibex", pels_sim::ActivityKind::InstrRetired)

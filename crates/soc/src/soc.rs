@@ -1328,36 +1328,28 @@ impl Soc {
         pred(self)
     }
 
-    /// Runs until the trace holds at least `count` entries matching
-    /// `(source, label)`, or `max_cycles` elapse; returns `true` if the
-    /// count was reached. Pre-existing matching entries count.
+    /// Runs until the trace has counted at least `count` entries
+    /// matching `(source, label)`, or `max_cycles` elapse; returns `true`
+    /// if the count was reached. The count is [`Trace::watch`]'s: entries
+    /// recorded since the trace first watched the key, or every kept
+    /// entry, so a caller that wants earlier entries counted watches the
+    /// key before recording them.
     ///
     /// The scenario engine's completion condition. Unlike a
-    /// [`Soc::run_until`] closure re-scanning the trace, this scans each
-    /// entry exactly once (the trace is append-only) and jumps over
-    /// provably inert spans — no component may act during such a span,
-    /// so no trace entry can appear inside it and the stop cycle is
-    /// identical to single-stepping.
+    /// [`Soc::run_until`] closure, it reads one counter before each
+    /// advance and jumps over provably inert spans — no component may
+    /// act during such a span, so no trace entry can appear inside it
+    /// and the stop cycle is identical to single-stepping.
     pub fn run_for_trace_count(
         &mut self,
         max_cycles: u64,
         source: &str,
-        label: &str,
+        label: &'static str,
         count: usize,
     ) -> bool {
-        let id = ComponentId::intern(source);
+        let watch = self.trace.watch((source, label));
         let end = self.cycle.saturating_add(max_cycles);
-        let mut seen = 0usize;
-        let mut scanned = 0usize;
-        self.run_to(end, |soc| {
-            let entries = &soc.trace.entries()[scanned..];
-            seen += entries
-                .iter()
-                .filter(|e| e.source == id && e.label == label)
-                .count();
-            scanned += entries.len();
-            seen >= count
-        })
+        self.run_to(end, |soc| soc.trace.count(watch) >= count)
     }
 
     /// Drains all accumulated activity — peripheral register traffic,
@@ -1539,8 +1531,12 @@ mod tests {
     use pels_cpu::asm;
     use pels_interconnect::{ArbiterKind, Topology};
 
+    /// The default SoC, keeping its trace entries for the tests that
+    /// read them.
     fn default_soc() -> Soc {
-        Soc::from_desc(&SystemDesc::default()).unwrap()
+        let mut soc = Soc::from_desc(&SystemDesc::default()).unwrap();
+        soc.trace_mut().enable_entries();
+        soc
     }
 
     #[test]
@@ -1717,6 +1713,7 @@ mod tests {
             )
             .expect("fits");
         soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
+        soc.trace_mut().enable_entries();
         soc.inject_event(9);
         soc.run(6);
         assert!(
@@ -1879,6 +1876,43 @@ mod tests {
         naive.run(100);
         assert!(fast.trace().first("spi", "eot").is_some());
         assert_eq!(fast.first_difference(&naive), None);
+    }
+
+    #[test]
+    fn one_differing_trace_entry_makes_socs_differ_in_trace() {
+        let mut base = Soc::from_desc(&SystemDesc::default()).unwrap();
+        base.run(40);
+        let (spi, gpio) = (ComponentId::intern("spi"), ComponentId::intern("gpio"));
+        let entries = [
+            (base.freq.cycles(1), spi, "eot", 0),
+            (base.freq.cycles(3), gpio, "padout", 1),
+            (base.freq.cycles(3), gpio, "padout", 2),
+        ];
+        let recorded = |entries: &[(SimTime, ComponentId, &'static str, u64)], keep: bool| {
+            let mut soc = base.clone();
+            if keep {
+                soc.trace_mut().enable_entries();
+            }
+            for &(time, source, label, value) in entries {
+                soc.trace_mut().record(time, source, label, value);
+            }
+            soc
+        };
+        let reference = recorded(&entries, false);
+        assert_eq!(
+            recorded(&entries, true),
+            reference,
+            "keeping entries is observation"
+        );
+        let (mut later, mut valued, mut swapped) = (entries, entries, entries);
+        later[0].0 = base.freq.cycles(2);
+        valued[1].3 = 7;
+        swapped.swap(1, 2);
+        for (name, variant) in [("time", later), ("value", valued), ("order", swapped)] {
+            let other = recorded(&variant, true);
+            assert!(other != reference, "{name}");
+            assert_eq!(other.first_difference(&reference), Some("trace"), "{name}");
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // before it.
     let horizon = SimTime::from_us(400);
     let run_to = |soc: &mut Soc, soc_edges: u64| soc.run(soc_edges - soc.cycle());
+    let kicks = soc.trace_mut().watch(("pels.link0", "action"));
     let mut rtc_ticks = 0u64;
     let mut tick = SimTime::ZERO;
     while tick < horizon {
@@ -71,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Finish with every SoC edge strictly before the horizon.
     run_to(&mut soc, horizon.as_ps().div_ceil(soc_freq.period_ps()));
 
-    let kicks = soc.trace().all("pels.link0", "action").len();
+    let kicks = soc.trace().count(kicks);
     println!("simulated 400 us: {rtc_ticks} rtc ticks at 32.768 kHz");
     println!("pels delivered {kicks} watchdog kicks, {} bites", soc.wdt().bites());
     println!("core sleep cycles: {}", soc.cpu().sleep_cycles());

@@ -68,11 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     soc.timer_mut().write(Timer::CMP, 120).unwrap();
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
 
+    let detections = soc.trace_mut().watch(("pels.link0", "action"));
+    let alerts = soc.trace_mut().watch(("pels.link1", "halt"));
     soc.run(1_000);
 
     println!("uart transmitted: {:?}", String::from_utf8_lossy(soc.uart().sent()));
-    println!("link0 detections : {}", soc.trace().all("pels.link0", "action").len());
-    println!("link1 alerts     : {}", soc.trace().all("pels.link1", "halt").len());
+    println!("link0 detections : {}", soc.trace().count(detections));
+    println!("link1 alerts     : {}", soc.trace().count(alerts));
     assert!(!soc.uart().sent().is_empty(), "alert bytes were sent");
     assert!(soc.uart().sent().iter().all(|&b| b == b'!'));
 

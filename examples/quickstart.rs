@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Tick the unit: an event pulse on line 3 at cycle 0, then idle.
     //    (`NoBus` because this program uses no sequenced actions.)
-    let mut trace = Trace::new();
+    let mut trace = Trace::with_entries();
     let mut bus = NoBus;
     for cycle in 0..8u64 {
         let events = if cycle == 0 {

@@ -58,10 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     soc.timer_mut().write(Timer::CMP, 100).unwrap();
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
 
+    let spi_events = soc.trace_mut().watch(("spi", "eot"));
+    let adc_events = soc.trace_mut().watch(("adc", "done"));
+    let fused = soc.trace_mut().watch(("pels.link0", "action"));
     soc.run(600);
-    let spi_events = soc.trace().all("spi", "eot").len();
-    let adc_events = soc.trace().all("adc", "done").len();
-    let fused = soc.trace().all("pels.link0", "action").len();
+    let spi_events = soc.trace().count(spi_events);
+    let adc_events = soc.trace().count(adc_events);
+    let fused = soc.trace().count(fused);
     println!("SPI readouts: {spi_events}, ADC conversions: {adc_events}, fused alerts: {fused}");
     assert!(spi_events >= 4 && adc_events >= 4);
     assert_eq!(fused, spi_events, "16-cycle SPI aligns with the 16-cycle ADC");
@@ -88,8 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     soc.timer_mut().write(Timer::CMP, 100).unwrap();
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
+    let fused_skewed = soc.trace_mut().watch(("pels.link0", "action"));
     soc.run(600);
-    let fused_skewed = soc.trace().all("pels.link0", "action").len();
+    let fused_skewed = soc.trace().count(fused_skewed);
     println!("with skewed completions, fused alerts: {fused_skewed}");
     assert_eq!(fused_skewed, 0, "AND condition rejects non-coincident events");
 

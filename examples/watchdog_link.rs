@@ -62,11 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     soc.timer_mut().write(Timer::CMP, 25).unwrap();
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE).unwrap();
+    let kicks = soc.trace_mut().watch(("pels.link0", "action"));
     soc.run(RUN_CYCLES);
     println!(
         "PELS-serviced watchdog: {} bites in {RUN_CYCLES} cycles ({} kicks delivered)",
         soc.wdt().bites(),
-        soc.trace().all("pels.link0", "action").len()
+        soc.trace().count(kicks)
     );
     println!(
         "cpu stayed asleep: {} of its cycles were sleep",

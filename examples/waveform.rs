@@ -28,6 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // timer period so the linking event lands inside the capture window.
     let mut soc = scenario.build_soc();
     soc.trace_mut().enable_flows();
+    soc.trace_mut().enable_entries();
     soc.timer_mut().write(Timer::CMP, 20)?;
     soc.timer_mut().write(Timer::CTRL, Timer::CTRL_ENABLE)?;
 

@@ -147,6 +147,12 @@ for f in BENCH_lifetime.json BENCH_fleet_throughput.json \
 done
 echo "bench_smoke: artifact gitignore audit OK"
 
+# The parent-vs-change comparison (scripts/ab.sh <rev>) builds two
+# checkouts and runs perfbench pairs for minutes, so it is run by hand;
+# here it is only parsed.
+bash -n scripts/ab.sh
+echo "bench_smoke: ab.sh parses"
+
 cargo clippy --workspace --all-targets -q -- -D warnings
 echo "bench_smoke: clippy OK"
 

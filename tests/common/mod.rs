@@ -60,8 +60,11 @@ pub struct Lockstep {
 }
 
 impl Lockstep {
-    /// `soc` on the fast path, beside a naive-mode clone of it.
-    pub fn new(soc: Soc) -> Self {
+    /// `soc` on the fast path, beside a naive-mode clone of it. Both
+    /// keep their trace entries from here on, for the suites that
+    /// assert on single events.
+    pub fn new(mut soc: Soc) -> Self {
+        soc.trace_mut().enable_entries();
         let mut naive = soc.clone();
         naive.set_exec_mode(ExecMode::Naive);
         Lockstep { fast: soc, naive }
@@ -199,7 +202,8 @@ pub fn assert_same_measurement(a: &ScenarioReport, b: &ScenarioReport, ctx: &str
     assert_eq!(a.latencies, b.latencies, "{ctx}: latencies");
     assert_eq!(a.stats, b.stats, "{ctx}: LinkingStats");
     assert_eq!(a.events_completed, b.events_completed, "{ctx}: events");
-    assert_eq!(a.trace.entries(), b.trace.entries(), "{ctx}: trace");
+    assert_eq!(a.trace.len(), b.trace.len(), "{ctx}: trace entries");
+    assert_eq!(a.trace.digest(), b.trace.digest(), "{ctx}: trace digest");
     assert_eq!(a.active_activity, b.active_activity, "{ctx}: active activity");
     assert_eq!(a.idle_activity, b.idle_activity, "{ctx}: idle activity");
     assert_eq!(a.active_window, b.active_window, "{ctx}: active window");
@@ -221,6 +225,10 @@ pub fn assert_probe_records(report: &ScenarioReport, mask: usize, ctx: &str) {
     assert_eq!(report.flows.is_some(), on(FLOWS), "{ctx}: flows");
     assert_eq!(report.energy.is_some(), on(LIFETIME), "{ctx}: energy");
     assert_eq!(report.lifetime.is_some(), on(LIFETIME), "{ctx}: lifetime");
+    // `obs` is the probe that keeps the trace's entries: all of them
+    // with it, none without.
+    let kept = if on(OBS) { report.trace.len() } else { 0 };
+    assert_eq!(report.trace.entries().len(), kept, "{ctx}: kept trace entries");
     if let Some(flows) = &report.flows {
         assert!(!flows.is_empty(), "{ctx}: flows recorded");
     }

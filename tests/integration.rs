@@ -58,6 +58,7 @@ fn cpu_configures_and_launches_autonomous_linking_over_the_bus() {
     p.push(asm::jal(0, -4));
     soc.load_program(RESET_PC, &p);
 
+    soc.trace_mut().enable_entries();
     soc.run(1_500);
 
     assert!(soc.cpu().is_sleeping(), "boot finished and the core slept");
@@ -106,6 +107,7 @@ fn sequenced_latency_survives_cpu_bus_traffic() {
     soc.timer_mut().write(Timer::CMP, 60).unwrap();
     soc.timer_mut().write(Timer::CTRL, 1).unwrap();
 
+    soc.trace_mut().enable_entries();
     soc.run(2_000);
 
     let lats: Vec<u64> = soc
@@ -183,6 +185,7 @@ fn trigger_condition_all_links_two_peripherals() {
         soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
         soc.timer_mut().write(Timer::CMP, 50).unwrap();
         soc.timer_mut().write(Timer::CTRL, 1).unwrap();
+        soc.trace_mut().enable_entries();
         soc.run(500);
         let fired = soc.trace().first("pels.link0", "action").is_some();
         assert_eq!(fired, expect_fire, "condition {cond:?}");
@@ -194,8 +197,10 @@ fn capture_jump_if_paths_agree_with_cpu_computation() {
     // PELS's threshold decision must match what the CPU would compute on
     // the same sample: run the ramp until the crossing and compare the
     // first-actuation sample against the configured threshold.
+    // `obs` keeps the trace entries read below.
     let mut desc = ScenarioDesc {
         events: 40,
+        obs: true,
         ..ScenarioDesc::default()
     };
     desc.system.sensor = SensorKind::Ramp {
@@ -233,6 +238,7 @@ fn instant_and_sequenced_flavours_toggle_the_same_pad() {
         let s = Scenario::from_desc(ScenarioDesc {
             mediator,
             events: 5,
+            obs: true,
             ..ScenarioDesc::default()
         })
         .expect("valid scenario");
@@ -298,6 +304,7 @@ fn fabric_decode_error_reaches_pels_as_bus_error() {
     soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
     soc.timer_mut().write(Timer::CMP, 40).unwrap();
     soc.timer_mut().write(Timer::CTRL, 1).unwrap();
+    soc.trace_mut().enable_entries();
     soc.run(300);
     assert!(soc.trace().first("pels.link0", "bus_error").is_some());
     assert!(
@@ -349,6 +356,7 @@ fn jump_if_signed_condition_works_end_to_end() {
     soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
     soc.timer_mut().write(Timer::CMP, 20).unwrap();
     soc.timer_mut().write(Timer::CTRL, 1).unwrap();
+    soc.trace_mut().enable_entries();
     soc.run(200);
     assert!(soc.trace().first("pels.link0", "capture").is_some());
     assert!(
@@ -420,6 +428,7 @@ fn pels_generates_pwm_without_cpu_or_timer() {
     soc.timer_mut()
         .write(Timer::CTRL, Timer::CTRL_ENABLE | Timer::CTRL_ONE_SHOT)
         .unwrap();
+    soc.trace_mut().enable_entries();
     soc.run(200);
 
     let pulses = soc.trace().all("pels.link0", "action");
@@ -485,6 +494,7 @@ fn at_least_k_condition_votes_across_sensors() {
     soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
     soc.timer_mut().write(Timer::CMP, 100).unwrap();
     soc.timer_mut().write(Timer::CTRL, 1).unwrap();
+    soc.trace_mut().enable_entries();
     soc.run(600);
     let votes = soc.trace().all("pels.link0", "action").len();
     let eots = soc.trace().all("spi", "eot").len();
@@ -576,6 +586,7 @@ fn pels_sequenced_action_launches_uart_dma_message() {
         .write(Timer::CTRL, Timer::CTRL_ENABLE | Timer::CTRL_ONE_SHOT)
         .unwrap();
 
+    soc.trace_mut().enable_entries();
     soc.run(200);
     assert_eq!(soc.uart().sent(), msg, "the alert went out");
     assert!(soc.cpu().is_sleeping(), "without the core");
@@ -654,6 +665,7 @@ fn pels_links_i2c_sensor_end_to_end() {
     soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
     soc.timer_mut().write(Timer::CMP, 150).unwrap();
     soc.timer_mut().write(Timer::CTRL, 1).unwrap();
+    soc.trace_mut().enable_entries();
     soc.run(1_200);
 
     let transactions = soc.i2c().transactions();

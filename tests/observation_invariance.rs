@@ -3,16 +3,18 @@
 //! Four probes record what a run did without changing it: the metrics
 //! snapshot (`obs`), the windowed activity timeline (`timeline_window`),
 //! causal event flows (`flows`) and the energy ledger with its battery
-//! projection (`lifetime`). The contract: traces, activity images,
-//! latencies, windows and scheduler counters are bit-identical with any
-//! subset of probes on, under every execution mode and mediator, and
-//! fleet digests do not move under a probe or the worker count. The
+//! projection (`lifetime`). The contract: trace digests and entry
+//! counts, activity images, latencies, windows and scheduler counters
+//! are bit-identical with any subset of probes on, under every execution
+//! mode and mediator, and fleet digests do not move under a probe or the
+//! worker count. `obs` also keeps the trace's entries, which a plain run
+//! streams through the trace's digest, counts and latency pairer. The
 //! first two tests run the shared harness in `tests/common`: the first
 //! over every non-empty probe subset, the second over each probe alone,
 //! the two pairs that sample a timeline under another probe, and all
-//! four; every subset `flow_invariance` and `lifetime_invariance` check
-//! is among them. The tests after them pin what each probe records
-//! (timeline windows partition the run, a sampled SoC equals its
+//! four. The tests after them pin what each probe records (an unobserved
+//! report keeps no trace entry yet measures what its observed twin
+//! does, timeline windows partition the run, a sampled SoC equals its
 //! unsampled twin once both are drained, flow attribution is
 //! mode-independent, the ledger partitions the power timeline,
 //! duty-cycled horizons stay cheap).
@@ -48,6 +50,40 @@ fn fleet_digest_is_invariant_under_every_probe_and_worker_count() {
         LIFETIME | TIMELINE,
         ALL_PROBES,
     ]);
+}
+
+#[test]
+fn an_unobserved_report_keeps_no_trace_entry_and_measures_what_its_twin_does() {
+    for mediator in MEDIATORS {
+        for desc in [
+            Scenario::iso_frequency(mediator).desc().clone(),
+            Scenario::duty_cycled(mediator, SimTime::from_us(50), SimTime::from_ms(2))
+                .desc()
+                .clone(),
+        ] {
+            let ctx = format!("{mediator} {} events", desc.events);
+            let plain = run(desc.clone());
+            let kept = run(ScenarioDesc { obs: true, ..desc });
+            assert!(plain.trace.entries().is_empty(), "{ctx}: streamed");
+            assert_eq!(kept.trace.entries().len(), kept.trace.len(), "{ctx}: kept");
+            assert!(
+                plain.trace.len() as u32 > 2 * plain.events_completed,
+                "{ctx}"
+            );
+            assert_reports_identical(&plain, &kept, &ctx);
+            // The online pairer and completion count equal the offline
+            // pass over the kept entries.
+            let marker = Scenario::completion_marker(mediator);
+            let (latencies, completed) = kept.trace.latencies_and_count(("spi", "eot"), marker);
+            assert_eq!(plain.trace.latencies(), latencies, "{ctx}: pairer");
+            assert_eq!(plain.events_completed as usize, completed, "{ctx}: count");
+            let cycles: Vec<u64> = latencies
+                .iter()
+                .map(|t| t.as_ps() / plain.freq.period_ps())
+                .collect();
+            assert_eq!(plain.latencies, cycles, "{ctx}: report latencies");
+        }
+    }
 }
 
 #[test]
