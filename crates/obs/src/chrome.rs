@@ -93,8 +93,9 @@ impl ChromeTrace {
         }
     }
 
-    /// Adds every entry of a simulated-time trace as instant events, one
-    /// track per source component. 1 simulated µs maps to 1 trace µs.
+    /// Adds every kept entry of a simulated-time trace (see
+    /// [`Trace::enable_entries`]) as instant events, one track per source
+    /// component. 1 simulated µs maps to 1 trace µs.
     pub fn add_sim_trace(&mut self, trace: &Trace) {
         for e in trace.entries() {
             let next = self.sim_tids.len() as u64 + 1;

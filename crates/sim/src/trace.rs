@@ -111,9 +111,9 @@ impl Pairer {
         }
     }
 
-    /// Consumes the front end against the front start while both exist:
-    /// an end before its start can never pair with this or any later
-    /// start and is dropped, as the offline rule skips it.
+    /// Consumes the front end against the front start while both exist.
+    /// An end before the front start is dropped: the offline rule skips
+    /// it for this start and every later one.
     fn settle(&mut self) {
         while let (Some(&start), Some(&end)) = (self.starts.front(), self.ends.front()) {
             self.ends.pop_front();
@@ -322,6 +322,14 @@ impl Trace {
         self.pairer.as_deref().map_or(&[], |p| &p.latencies)
     }
 
+    /// Takes [`Trace::latencies`], leaving the pairer pairing on from an
+    /// empty list, so a report can keep the one copy.
+    pub fn take_latencies(&mut self) -> Vec<SimTime> {
+        self.pairer
+            .as_deref_mut()
+            .map_or_else(Vec::new, |p| std::mem::take(&mut p.latencies))
+    }
+
     /// First kept entry matching `(source, label)`.
     pub fn first(&self, source: &str, label: &str) -> Option<&TraceEntry> {
         let id = ComponentId::lookup(source)?;
@@ -528,6 +536,8 @@ mod tests {
             (kept.latencies(), kept.count(a))
         );
         assert_eq!(streamed, kept, "keeping entries is observation");
+        assert_eq!(streamed.take_latencies(), kept.latencies());
+        assert!(streamed.latencies().is_empty(), "taken");
         // Watching a key late counts only what the trace still holds.
         let (a, b) = (kept.watch(from), streamed.watch(from));
         assert_eq!((kept.count(a), streamed.count(b)), (3, 0));

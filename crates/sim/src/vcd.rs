@@ -151,8 +151,9 @@ impl VcdWriter {
 /// Width of the flow-id vector signals emitted by [`trace_to_vcd`].
 const FLOW_ID_BITS: u32 = 16;
 
-/// Renders `trace` (and optionally the causal `flows` recorded alongside
-/// it) as a VCD document:
+/// Renders `trace`'s kept entries (see [`Trace::enable_entries`]) and
+/// optionally the causal `flows` recorded alongside them as a VCD
+/// document:
 ///
 /// * one 1-bit pulse signal per distinct `source.label` track, driven to
 ///   1 at each event's timestamp and back to 0 one picosecond later, so

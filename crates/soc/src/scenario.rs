@@ -443,10 +443,11 @@ impl Scenario {
         // beyond the first reuse the FIFO path, which is equivalent for
         // the linking check (the `LAST` register always holds the newest
         // sample).
+        // Converted in place: the trace keeps no second copy.
         let latencies: Vec<u64> = soc
-            .trace()
-            .latencies()
-            .iter()
+            .trace_mut()
+            .take_latencies()
+            .into_iter()
             .map(|t| t.as_ps() / self.freq().period_ps())
             .collect();
         let stats = LinkingStats::from_cycles(&latencies).ok_or(ScenarioError::NoEvents {
