@@ -275,19 +275,16 @@ impl Trace {
         self.digest
     }
 
-    /// Counts the entries matching `key` from now on; a trace that keeps
-    /// its entries also counts those already kept. Watching a key twice
-    /// returns the same handle. Read the count with [`Trace::count`].
+    /// Counts the entries matching `key` recorded from now on, whether or
+    /// not the trace keeps entries, so a count never depends on what an
+    /// observer asked to keep. Watching a key twice returns the same
+    /// handle. Read the count with [`Trace::count`].
     pub fn watch(&mut self, key: (&str, &'static str)) -> Watch {
         let key = Key::new(key);
         if let Some(i) = self.counts.iter().position(|(k, _)| *k == key) {
             return Watch(i);
         }
-        let kept = self
-            .entries()
-            .iter()
-            .filter(|e| key.matches(e.source, e.label));
-        self.counts.push((key, kept.count() as u64));
+        self.counts.push((key, 0));
         Watch(self.counts.len() - 1)
     }
 
@@ -538,9 +535,13 @@ mod tests {
         assert_eq!(streamed, kept, "keeping entries is observation");
         assert_eq!(streamed.take_latencies(), kept.latencies());
         assert!(streamed.latencies().is_empty(), "taken");
-        // Watching a key late counts only what the trace still holds.
+        // A key watched late counts from then on, kept entries or not.
         let (a, b) = (kept.watch(from), streamed.watch(from));
-        assert_eq!((kept.count(a), streamed.count(b)), (3, 0));
+        assert_eq!((kept.count(a), streamed.count(b)), (0, 0));
+        for t in [&mut kept, &mut streamed] {
+            t.record_named(SimTime::from_ns(9), from.0, from.1, 9);
+        }
+        assert_eq!((kept.count(a), streamed.count(b)), (1, 1));
     }
 
     #[test]

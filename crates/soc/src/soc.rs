@@ -1331,9 +1331,9 @@ impl Soc {
     /// Runs until the trace has counted at least `count` entries
     /// matching `(source, label)`, or `max_cycles` elapse; returns `true`
     /// if the count was reached. The count is [`Trace::watch`]'s: entries
-    /// recorded since the trace first watched the key, or every kept
-    /// entry, so a caller that wants earlier entries counted watches the
-    /// key before recording them.
+    /// recorded since the trace first watched the key, whether or not the
+    /// trace keeps entries, so a caller that wants earlier entries counted
+    /// watches the key before recording them.
     ///
     /// The scenario engine's completion condition. Unlike a
     /// [`Soc::run_until`] closure, it reads one counter before each

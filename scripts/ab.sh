@@ -12,20 +12,21 @@
 #     `cmp`s BENCH_lifetime.json, OBS_timeline.json and OBS_flows.json.
 #     It compares OBS_metrics.json without the host-timing keys below,
 #     and the simulated-time events (pid 1) of OBS_trace.json;
-#   - it runs AB_PAIRS (default 10) perfbench pairs of AB_SECONDS
-#     (default 5) seconds per workload at seed AB_SEED (default 1),
-#     alternating which side runs first. Per end-to-end metric it prints
-#     the parent's median and quartiles, the change's median, the change
-#     in the median and the pairs the change won (ties count for
-#     neither side).
+#   - it runs AB_PAIRS (default 10) perfbench pairs per workload at seed
+#     AB_SEED (default 1), each run as long as BENCHMARK.json's
+#     `run_seconds`, alternating which side runs first. Per end-to-end
+#     metric it prints the parent's median and quartiles, the change's
+#     median, the change in the median and the pairs the change won
+#     (ties count for neither side).
 # Exits 1 if any output differs or a perfbench run is not correct.
-# Takes several minutes, so it is not part of bench_smoke.sh.
+# Takes most of an hour, so it is not part of bench_smoke.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo=$(pwd)
 rev=${1:?usage: scripts/ab.sh <rev>}
 pairs=${AB_PAIRS:-10}
-seconds=${AB_SECONDS:-5}
+seconds=$(sed -n -E 's/.*"run_seconds": *([0-9]+).*/\1/p' BENCHMARK.json)
+: "${seconds:?BENCHMARK.json has no run_seconds}"
 seed=${AB_SEED:-1}
 tmp=${TMPDIR:-/tmp}
 work=$(mktemp -d "$tmp/pels-ab.XXXXXX")

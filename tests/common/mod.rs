@@ -21,7 +21,7 @@ use pels_fleet::{FleetEngine, SweepSpec};
 use pels_repro::core as pels_core;
 use pels_repro::interconnect::ApbSlave;
 use pels_repro::periph::{Spi, Timer};
-use pels_repro::sim::EventVector;
+use pels_repro::sim::{EventVector, SimTime};
 use pels_repro::soc::event_map::{AL_GPIO_TOGGLE, EV_TIMER_CMP};
 use pels_repro::soc::mem_map::RESET_PC;
 use pels_repro::soc::{
@@ -229,6 +229,20 @@ pub fn assert_probe_records(report: &ScenarioReport, mask: usize, ctx: &str) {
     // with it, none without.
     let kept = if on(OBS) { report.trace.len() } else { 0 };
     assert_eq!(report.trace.entries().len(), kept, "{ctx}: kept trace entries");
+    // The report holds the one copy of the latencies the online pairer
+    // completed; with the entries kept, they and the completed count
+    // equal the offline pass over them.
+    assert!(report.trace.latencies().is_empty(), "{ctx}: latencies taken");
+    if on(OBS) {
+        let marker = Scenario::completion_marker(report.mediator);
+        let (latencies, completed) = report.trace.latencies_and_count(("spi", "eot"), marker);
+        let cycles: Vec<u64> = latencies
+            .iter()
+            .map(|t| t.as_ps() / report.freq.period_ps())
+            .collect();
+        assert_eq!(report.latencies, cycles, "{ctx}: latencies of the kept entries");
+        assert_eq!(report.events_completed as usize, completed, "{ctx}: completed count");
+    }
     if let Some(flows) = &report.flows {
         assert!(!flows.is_empty(), "{ctx}: flows recorded");
     }
@@ -238,32 +252,42 @@ pub fn assert_probe_records(report: &ScenarioReport, mask: usize, ctx: &str) {
 }
 
 /// Runs each probe subset in `masks` under every mediator and
-/// `ExecMode` against the plain run: the probes record exactly what
-/// they switch on and change nothing the simulation derives. Every
-/// subset with `obs` must also publish the metrics snapshot `obs`
-/// alone publishes: the other probes must not show in the counters.
+/// `ExecMode` against the plain run, for the default scenario and a
+/// 2 ms duty-cycled one (an event every 50 µs, asleep in between): the
+/// probes record exactly what they switch on and change nothing the
+/// simulation derives. Every subset with `obs` must also publish the
+/// metrics snapshot `obs` alone publishes: the other probes must not
+/// show in the counters.
 pub fn assert_subsets_pure(masks: &[usize]) {
-    for mediator in MEDIATORS {
-        for exec in [ExecMode::Fast, ExecMode::Naive] {
-            let base = ScenarioDesc {
-                mediator,
-                exec,
-                ..ScenarioDesc::default()
-            };
-            let plain = run(base.clone());
-            assert_probe_records(&plain, 0, &format!("{mediator} {exec:?} plain"));
-            let obs_alone = masks
-                .iter()
-                .any(|&mask| mask & OBS != 0)
-                .then(|| run(with_probes(&base, OBS)).metrics);
-            for &mask in masks {
-                let ctx = format!("{mediator} {exec:?} {}", probe_names(mask));
-                let observed = run(with_probes(&base, mask));
-                assert_probe_records(&observed, mask, &ctx);
-                assert_reports_identical(&plain, &observed, &ctx);
-                if mask & OBS != 0 {
-                    let want = obs_alone.as_ref().expect("run above for any obs subset");
-                    assert_eq!(&observed.metrics, want, "{ctx}: metrics snapshot");
+    let duty_cycled = ScenarioDesc {
+        sample_period: SimTime::from_us(50),
+        events: 40,
+        ..ScenarioDesc::default()
+    };
+    for shape in [ScenarioDesc::default(), duty_cycled] {
+        for mediator in MEDIATORS {
+            for exec in [ExecMode::Fast, ExecMode::Naive] {
+                let base = ScenarioDesc {
+                    mediator,
+                    exec,
+                    ..shape.clone()
+                };
+                let of = format!("{mediator} {exec:?} {} events", base.events);
+                let plain = run(base.clone());
+                assert_probe_records(&plain, 0, &format!("{of} plain"));
+                let obs_alone = masks
+                    .iter()
+                    .any(|&mask| mask & OBS != 0)
+                    .then(|| run(with_probes(&base, OBS)).metrics);
+                for &mask in masks {
+                    let ctx = format!("{of} {}", probe_names(mask));
+                    let observed = run(with_probes(&base, mask));
+                    assert_probe_records(&observed, mask, &ctx);
+                    assert_reports_identical(&plain, &observed, &ctx);
+                    if mask & OBS != 0 {
+                        let want = obs_alone.as_ref().expect("run above for any obs subset");
+                        assert_eq!(&observed.metrics, want, "{ctx}: metrics snapshot");
+                    }
                 }
             }
         }

@@ -10,14 +10,15 @@
 //! worker count. `obs` also keeps the trace's entries, which a plain run
 //! streams through the trace's digest, counts and latency pairer. The
 //! first two tests run the shared harness in `tests/common`: the first
-//! over every non-empty probe subset, the second over each probe alone,
-//! the two pairs that sample a timeline under another probe, and all
-//! four. The tests after them pin what each probe records (an unobserved
-//! report keeps no trace entry yet measures what its observed twin
-//! does, timeline windows partition the run, a sampled SoC equals its
-//! unsampled twin once both are drained, flow attribution is
-//! mode-independent, the ledger partitions the power timeline,
-//! duty-cycled horizons stay cheap).
+//! over every non-empty probe subset, on the default scenario and a
+//! duty-cycled one (where an unobserved report keeps no trace entry,
+//! and an observed one's entries give the latencies and completed count
+//! the online pairer did), the second over each probe alone, the two
+//! pairs that sample a timeline under another probe, and all four. The
+//! tests after them pin what each probe records (timeline windows
+//! partition the run, a sampled SoC equals its unsampled twin once both
+//! are drained, flow attribution is mode-independent, the ledger
+//! partitions the power timeline, duty-cycled horizons stay cheap).
 
 mod common;
 
@@ -50,41 +51,6 @@ fn fleet_digest_is_invariant_under_every_probe_and_worker_count() {
         LIFETIME | TIMELINE,
         ALL_PROBES,
     ]);
-}
-
-#[test]
-fn an_unobserved_report_keeps_no_trace_entry_and_measures_what_its_twin_does() {
-    for mediator in MEDIATORS {
-        for desc in [
-            Scenario::iso_frequency(mediator).desc().clone(),
-            Scenario::duty_cycled(mediator, SimTime::from_us(50), SimTime::from_ms(2))
-                .desc()
-                .clone(),
-        ] {
-            let ctx = format!("{mediator} {} events", desc.events);
-            let plain = run(desc.clone());
-            let kept = run(ScenarioDesc { obs: true, ..desc });
-            assert!(plain.trace.entries().is_empty(), "{ctx}: streamed");
-            assert_eq!(kept.trace.entries().len(), kept.trace.len(), "{ctx}: kept");
-            assert!(
-                plain.trace.len() as u32 > 2 * plain.events_completed,
-                "{ctx}"
-            );
-            assert_reports_identical(&plain, &kept, &ctx);
-            // The online pairer and completion count equal the offline
-            // pass over the kept entries, and the report holds the one
-            // copy of the latencies.
-            let marker = Scenario::completion_marker(mediator);
-            let (latencies, completed) = kept.trace.latencies_and_count(("spi", "eot"), marker);
-            assert_eq!(plain.events_completed as usize, completed, "{ctx}: count");
-            let cycles: Vec<u64> = latencies
-                .iter()
-                .map(|t| t.as_ps() / plain.freq.period_ps())
-                .collect();
-            assert_eq!(plain.latencies, cycles, "{ctx}: report latencies");
-            assert!(plain.trace.latencies().is_empty(), "{ctx}: taken");
-        }
-    }
 }
 
 #[test]
