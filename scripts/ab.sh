@@ -5,8 +5,12 @@
 #   scripts/ab.sh <rev>        # e.g. scripts/ab.sh HEAD~1
 #
 # It builds <rev> offline in a throwaway `git worktree` under $TMPDIR and
-# then the working tree, both into one shared CARGO_TARGET_DIR, and
-# copies each side's `reproduce` and `pels-perfbench` binaries out. Then:
+# then the working tree, each into its own subdirectory of one
+# CARGO_TARGET_DIR, and copies each side's `reproduce` and
+# `pels-perfbench` binaries out. (Cargo judges freshness by file times,
+# and the workspace's artifacts are named alike in every checkout, so in
+# one shared directory a side older than the other's build would be
+# taken as built and the other side's binary copied for it.) Then:
 #   - it diffs `reproduce` stdout for every paper target;
 #   - it runs `reproduce -- lifetime --quick --obs` on each side and
 #     `cmp`s BENCH_lifetime.json, OBS_timeline.json and OBS_flows.json.
@@ -30,7 +34,7 @@ seconds=$(sed -n -E 's/.*"run_seconds": *([0-9]+).*/\1/p' BENCHMARK.json)
 seed=${AB_SEED:-1}
 tmp=${TMPDIR:-/tmp}
 work=$(mktemp -d "$tmp/pels-ab.XXXXXX")
-export CARGO_TARGET_DIR=${CARGO_TARGET_DIR:-$tmp/pels-ab-target}
+target=${CARGO_TARGET_DIR:-$tmp/pels-ab-target}
 cleanup() {
     git -C "$repo" worktree remove --force "$work/tree" 2>/dev/null || true
     git -C "$repo" worktree prune
@@ -47,12 +51,11 @@ host_timing='"fleet\.(worker[0-9]+\.)?(busy_us|wall_us)"|"fleet\.steals"'
 
 # build <checkout> <side>: builds both binaries and copies them out.
 build() {
-    (cd "$1" &&
+    (cd "$1" && export CARGO_TARGET_DIR="$target/$2" &&
         cargo build -q --release --offline -p pels-bench --bin reproduce &&
         cargo build -q --release --offline --manifest-path perfbench/Cargo.toml)
     mkdir -p "$work/$2/bin" "$work/$2/out" "$work/$2/obs"
-    cp "$CARGO_TARGET_DIR/release/reproduce" "$CARGO_TARGET_DIR/release/pels-perfbench" \
-        "$work/$2/bin/"
+    cp "$target/$2/release/reproduce" "$target/$2/release/pels-perfbench" "$work/$2/bin/"
 }
 build "$work/tree" parent
 build "$repo" change
