@@ -124,9 +124,10 @@ fn timeline_to_json(
     w.key("window_cycles").uint(timeline.window_cycles);
     w.key("mean_total_uw").float(power.mean_total_uw());
     w.key("windows").begin_array();
-    for (win, p) in timeline.windows().zip(power.windows()) {
+    let cycle = |t: pels_sim::SimTime| report.freq.cycles_in(t);
+    for p in power.windows() {
         w.begin_object();
-        w.key("start_cycle").uint(win.start_cycle).key("end_cycle").uint(win.end_cycle);
+        w.key("start_cycle").uint(cycle(p.start)).key("end_cycle").uint(cycle(p.end));
         w.key("start_ns").uint(p.start.as_ns()).key("end_ns").uint(p.end.as_ns());
         w.key("total_uw").float(p.total_uw);
         w.key("components").begin_object();

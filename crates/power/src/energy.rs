@@ -93,14 +93,14 @@ impl EnergyLedger {
         }
         let mut ledger = EnergyLedger::new();
         let mut sums = vec![0.0; names.len()];
-        for w in &timeline.windows {
-            let s = &timeline.samples[w.sample as usize];
-            let d = (w.end_ps - w.start_ps) as f64;
-            ledger.span_ps += w.end_ps - w.start_ps;
+        for w in timeline.windows() {
+            let ps = w.duration().as_ps();
+            let d = ps as f64;
+            ledger.span_ps += ps;
             ledger.windows += 1;
-            ledger.total_uwps += s.total_uw * d;
-            let at = first[w.sample as usize];
-            for (&(_, uw), &slot) in s.components.iter().zip(&slots[at..]) {
+            ledger.total_uwps += w.total_uw * d;
+            let at = first[w.sample];
+            for (&(_, uw), &slot) in w.components.iter().zip(&slots[at..]) {
                 sums[slot] += uw * d;
             }
         }
@@ -265,19 +265,29 @@ mod tests {
         m
     }
 
-    fn timeline(stretch: u64) -> PowerTimeline {
+    /// A busy window and an idle one `stretch` cycles long.
+    fn activity(stretch: u64) -> ActivityTimeline {
         let mut t = ActivityTimeline::new(100);
         let mut activity = ActivitySet::new();
         activity.record(ComponentId::intern("ibex"), ActivityKind::ClockCycle, 100);
         activity.record(ComponentId::intern("sram"), ActivityKind::SramRead, 300);
         t.push(0, 100, &activity);
         t.push(100, 100 + stretch, &ActivitySet::new());
-        PowerTimeline::from_activity(&model(), &t, Frequency::from_mhz(100.0))
+        t
+    }
+
+    fn power(t: &ActivityTimeline) -> PowerTimeline<'_> {
+        PowerTimeline::from_activity(&model(), t, Frequency::from_mhz(100.0))
+    }
+
+    /// The ledger of [`activity`]`(stretch)`.
+    fn ledger(stretch: u64) -> EnergyLedger {
+        EnergyLedger::from_timeline(&power(&activity(stretch)))
     }
 
     #[test]
     fn blame_rows_partition_the_total_bit_exactly() {
-        let ledger = EnergyLedger::from_timeline(&timeline(10_000));
+        let ledger = ledger(10_000);
         let rows = ledger.blame();
         // Exact f64 equality: the floor row is the residual by
         // construction, so the partition telescopes bit-for-bit.
@@ -292,7 +302,8 @@ mod tests {
 
     #[test]
     fn total_telescopes_to_mean_power_times_span() {
-        let pt = timeline(50_000);
+        let t = activity(50_000);
+        let pt = power(&t);
         let ledger = EnergyLedger::from_timeline(&pt);
         // Same accumulation as PowerTimeline::mean_total_uw: mean × span
         // reconstructs the total within one rounding of the division.
@@ -305,8 +316,8 @@ mod tests {
 
     #[test]
     fn quiescence_stretch_weights_energy_by_duration() {
-        let short = EnergyLedger::from_timeline(&timeline(100));
-        let long = EnergyLedger::from_timeline(&timeline(1_000_000));
+        let short = ledger(100);
+        let long = ledger(1_000_000);
         // The stretched ledger covers more time, so it accrues more
         // leakage/floor energy...
         assert!(long.total_uj() > short.total_uj());
@@ -320,8 +331,8 @@ mod tests {
 
     #[test]
     fn merge_is_input_order_deterministic() {
-        let a = EnergyLedger::from_timeline(&timeline(100));
-        let b = EnergyLedger::from_timeline(&timeline(5_000));
+        let a = ledger(100);
+        let b = ledger(5_000);
         let mut ab = EnergyLedger::new();
         ab.merge(&a);
         ab.merge(&b);
@@ -352,7 +363,7 @@ mod tests {
 
     #[test]
     fn render_and_metrics_mention_components() {
-        let ledger = EnergyLedger::from_timeline(&timeline(1_000));
+        let ledger = ledger(1_000);
         let text = ledger.render();
         assert!(text.contains("sram"), "{text}");
         assert!(text.contains("(analog floor)"), "{text}");

@@ -7,7 +7,7 @@
 
 use super::EnergyLedger;
 use crate::model::PowerModel;
-use crate::timeline::{PowerSample, PowerTimeline, PowerWindow};
+use crate::timeline::{PowerSample, PowerTimeline};
 use crate::Calibration;
 use pels_sim::{ActivityKind, ActivitySet, ActivityTimeline, ComponentId, Frequency, Rng, SimTime};
 use std::collections::BTreeMap;
@@ -120,45 +120,46 @@ fn random_timeline(rng: &mut Rng) -> ActivityTimeline {
     t
 }
 
+/// One reference window: its span and its power, evaluated directly.
+type RefWindow = (SimTime, SimTime, PowerSample);
+
 /// The reference timeline: every non-empty window evaluated directly,
 /// one sample per window.
-fn reference_samples(model: &PowerModel, t: &ActivityTimeline, clock: Frequency) -> PowerTimeline {
-    let mut out = PowerTimeline::default();
-    for w in t.windows().filter(|w| w.end_cycle > w.start_cycle) {
-        let (start, end) = (clock.cycles(w.start_cycle), clock.cycles(w.end_cycle));
-        let report = model.report(w.activity, SimTime::from_ps(end.as_ps() - start.as_ps()));
-        out.push(
-            start,
-            end,
-            PowerSample {
+fn reference_samples(model: &PowerModel, t: &ActivityTimeline, clock: Frequency) -> Vec<RefWindow> {
+    t.windows()
+        .filter(|w| w.end_cycle > w.start_cycle)
+        .map(|w| {
+            let (start, end) = (clock.cycles(w.start_cycle), clock.cycles(w.end_cycle));
+            let report = model.report(w.activity, SimTime::from_ps(end.as_ps() - start.as_ps()));
+            let sample = PowerSample {
                 total_uw: report.total().as_uw(),
                 components: report
                     .components()
                     .iter()
                     .map(|c| (c.name, c.total().as_uw()))
                     .collect(),
-            },
-        );
-    }
-    out
+            };
+            (start, end, sample)
+        })
+        .collect()
 }
 
-fn assert_samples_bit_identical(got: &PowerTimeline, want: &PowerTimeline, ctx: &str) {
+fn assert_samples_bit_identical(got: &PowerTimeline, want: &[RefWindow], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: sample count");
-    for (i, (g, w)) in got.windows().zip(want.windows()).enumerate() {
-        assert_eq!((g.start, g.end), (w.start, w.end), "{ctx}: sample {i} span");
+    for (i, (g, (start, end, w))) in got.windows().zip(want).enumerate() {
+        assert_eq!((g.start, g.end), (*start, *end), "{ctx}: sample {i} span");
         assert_eq!(
             g.total_uw.to_bits(),
             w.total_uw.to_bits(),
             "{ctx}: sample {i} total"
         );
-        let bits = |s: PowerWindow| -> Vec<(&str, u64)> {
+        let bits = |s: &PowerSample| -> Vec<(&str, u64)> {
             s.components
                 .iter()
                 .map(|&(n, p)| (n, p.to_bits()))
                 .collect()
         };
-        assert_eq!(bits(g), bits(w), "{ctx}: sample {i} components");
+        assert_eq!(bits(&g), bits(w), "{ctx}: sample {i} components");
     }
 }
 
@@ -243,11 +244,22 @@ fn equal_names_at_distinct_addresses_share_one_ledger_row() {
         .collect();
     assert!(!std::ptr::eq(names[0], names[1]));
     let mut rng = Rng::seed_from_u64(0xAD_D2E5);
+    let clock = Frequency::from_period_ps(1_000);
     for case in 0..CASES {
-        let mut t = PowerTimeline::default();
+        // Every window draws a sample of its own: its activity is its
+        // index, and only the window's span reaches the ledger.
+        let mut activity = ActivityTimeline::new(100);
+        let mut samples = Vec::new();
         let mut at = 0;
-        for _ in 0..rng.range_u64(1, 30) {
-            let span = rng.range_u64(0, 5_000_000);
+        for k in 0..rng.range_u64(1, 30) {
+            let span = rng.range_u64(1, 5_000);
+            let mut pulses = ActivitySet::new();
+            pulses.record(
+                ComponentId::intern(UNREGISTERED[1]),
+                ActivityKind::EventPulse,
+                k + 1,
+            );
+            activity.push(at, at + span, &pulses);
             let mut components: Vec<(&'static str, f64)> = (0..rng.index(8))
                 .map(|_| (names[rng.index(names.len())], rng.f64() * 100.0))
                 .collect();
@@ -255,16 +267,18 @@ fn equal_names_at_distinct_addresses_share_one_ledger_row() {
             if rng.ratio(1, 3) {
                 components.reverse();
             }
-            t.push(
-                SimTime::from_ps(at),
-                SimTime::from_ps(at + span),
-                PowerSample {
-                    total_uw: rng.f64() * 500.0,
-                    components,
-                },
-            );
+            samples.push(PowerSample {
+                total_uw: rng.f64() * 500.0,
+                components,
+            });
             at += span;
         }
+        let t = PowerTimeline {
+            activity: &activity,
+            clock,
+            of: (0..samples.len() as u32).map(Some).collect(),
+            samples,
+        };
         let ledger = EnergyLedger::from_timeline(&t);
         assert_ledger_matches_reference(&ledger, &t, &format!("case {case}"));
         let mut want: Vec<&str> = t

@@ -22,9 +22,12 @@
 //! * **Time-resolved power** ([`timeline`]): evaluates the model once per
 //!   distinct window of a [`pels_sim::ActivityTimeline`], producing a
 //!   [`PowerTimeline`] of per-component samples over simulated time —
-//!   the Figure 5 bars as curves.
+//!   the Figure 5 bars as curves. The power timeline borrows the
+//!   activity timeline and reads its windows through the activity
+//!   timeline's own index; it stores only the distinct samples.
 //! * **Energy & lifetime** ([`energy`], [`battery`]): integrates a
-//!   [`PowerTimeline`] into a per-component [`EnergyLedger`] (blame rows
+//!   [`PowerTimeline`], window by window in time order, into a
+//!   per-component [`EnergyLedger`] (blame rows
 //!   partition the total exactly) and discharges a [`Battery`] model
 //!   with its mean draw to project days-to-empty — the paper's 2.5×
 //!   power ratio restated as the lifetime question ULP designers ask.

@@ -3,14 +3,16 @@
 //! Evaluates a [`PowerModel`] over an [`ActivityTimeline`], turning the
 //! whole-run averaged [`PowerReport`](crate::PowerReport) into a
 //! per-component power *curve* — the time-resolved view behind the
-//! paper's Figure 5 comparison. Like the activity timeline, a
-//! [`PowerTimeline`] stores each distinct sample once — total SoC power
-//! and the per-component breakdown — plus a per-window
-//! `(start, end, sample)` index in simulated time. Every sample comes
-//! from [`PowerModel::report`], the crate's one evaluator, called once
-//! per distinct `(span, activity)` pair: the report is a pure function
-//! of those two inputs, so a window that shares a sample reads exactly
-//! the value a fresh evaluation would give.
+//! paper's Figure 5 comparison. A [`PowerTimeline`] is a view over the
+//! activity timeline it was evaluated over: it stores one power sample
+//! — total SoC power and the per-component breakdown — per distinct
+//! activity sample that a non-empty window draws, and reads each
+//! window's span and sample from the activity timeline's own index.
+//! Every sample comes from [`PowerModel::report`], the crate's one
+//! evaluator, called once per distinct `(span, activity)` pair: the
+//! report is a pure function of those two inputs, so a window that
+//! shares a sample reads exactly the value a fresh evaluation would
+//! give.
 
 use std::ops::Deref;
 
@@ -80,100 +82,62 @@ impl Deref for PowerWindow<'_> {
     }
 }
 
-/// One entry of the per-window index, spans in ps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Span {
-    pub(crate) start_ps: u64,
-    pub(crate) end_ps: u64,
-    pub(crate) sample: u32,
-}
-
-/// A per-window power series derived from an activity timeline: distinct
-/// samples plus a per-window index in time order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PowerTimeline {
+/// A per-window power series over an activity timeline: distinct
+/// samples, read per window through the activity timeline's index in
+/// time order. Zero-width windows cover no time and are left out.
+#[derive(Debug, Clone)]
+pub struct PowerTimeline<'a> {
+    /// The timeline the samples were evaluated over.
+    pub(crate) activity: &'a ActivityTimeline,
+    /// The clock that converts its cycle spans to simulated time.
+    pub(crate) clock: Frequency,
     /// Distinct samples in order of first appearance.
     pub(crate) samples: Vec<PowerSample>,
-    /// Windows in time order; spans are contiguous and non-overlapping.
-    pub(crate) windows: Vec<Span>,
+    /// The power sample behind each activity sample; `None` for one
+    /// that only zero-width windows draw.
+    pub(crate) of: Vec<Option<u32>>,
 }
 
-impl PowerTimeline {
+impl<'a> PowerTimeline<'a> {
     /// Evaluates `model` over every window of `timeline`, converting
     /// window cycle spans to simulated time at `clock`'s period.
-    /// Zero-width windows cover no time and are left out.
     ///
     /// Windows are evaluated independently, so a quiescence-stretched
     /// window (long span, little activity) correctly averages down to a
     /// low power, while a busy nominal-width window shows the peak.
     /// The timeline already names each window's distinct
     /// `(span, activity)` sample, so each sample is evaluated once, the
-    /// first time a window draws it.
+    /// first time a non-empty window draws it.
     pub fn from_activity(
         model: &PowerModel,
-        timeline: &ActivityTimeline,
+        timeline: &'a ActivityTimeline,
         clock: Frequency,
     ) -> Self {
-        let mut out = PowerTimeline {
-            samples: Vec::with_capacity(timeline.distinct()),
-            windows: Vec::with_capacity(timeline.len()),
-        };
-        // The power sample behind each activity sample, once evaluated.
-        let mut evaluated: Vec<Option<u32>> = vec![None; timeline.distinct()];
+        let mut samples = Vec::with_capacity(timeline.distinct());
+        let mut of: Vec<Option<u32>> = vec![None; timeline.distinct()];
         for w in timeline.windows().filter(|w| w.end_cycle > w.start_cycle) {
-            let sample = *evaluated[w.sample].get_or_insert_with(|| {
+            of[w.sample].get_or_insert_with(|| {
                 let span = clock.cycles(w.cycles());
-                out.samples
-                    .push(PowerSample::evaluate(model, w.activity, span));
-                (out.samples.len() - 1) as u32
-            });
-            out.windows.push(Span {
-                start_ps: clock.cycles(w.start_cycle).as_ps(),
-                end_ps: clock.cycles(w.end_cycle).as_ps(),
-                sample,
+                samples.push(PowerSample::evaluate(model, w.activity, span));
+                (samples.len() - 1) as u32
             });
         }
-        out
-    }
-
-    /// A single-window timeline covering `[0, window)` — the whole
-    /// measurement window evaluated at once, for runs that sampled no
-    /// activity timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn from_window(model: &PowerModel, activity: &ActivitySet, window: SimTime) -> Self {
         PowerTimeline {
-            samples: vec![PowerSample::evaluate(model, activity, window)],
-            windows: vec![Span {
-                start_ps: 0,
-                end_ps: window.as_ps(),
-                sample: 0,
-            }],
+            activity: timeline,
+            clock,
+            samples,
+            of,
         }
-    }
-
-    /// Appends a window drawing a sample of its own — how tests build a
-    /// timeline by hand.
-    #[cfg(test)]
-    pub(crate) fn push(&mut self, start: SimTime, end: SimTime, sample: PowerSample) {
-        self.windows.push(Span {
-            start_ps: start.as_ps(),
-            end_ps: end.as_ps(),
-            sample: self.samples.len() as u32,
-        });
-        self.samples.push(sample);
     }
 
     /// Number of windows.
     pub fn len(&self) -> usize {
-        self.windows.len()
+        self.windows().count()
     }
 
     /// Whether the timeline holds no windows.
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
+        self.windows().next().is_none()
     }
 
     /// The distinct samples, in order of first appearance.
@@ -182,12 +146,16 @@ impl PowerTimeline {
     }
 
     /// The windows in time order, each with the sample it draws.
-    pub fn windows(&self) -> impl ExactSizeIterator<Item = PowerWindow<'_>> + '_ {
-        self.windows.iter().map(|w| PowerWindow {
-            start: SimTime::from_ps(w.start_ps),
-            end: SimTime::from_ps(w.end_ps),
-            sample: w.sample as usize,
-            power: &self.samples[w.sample as usize],
+    pub fn windows(&self) -> impl Iterator<Item = PowerWindow<'_>> + '_ {
+        self.activity.windows().filter_map(|w| {
+            // A zero-width window draws a sample with no power sample.
+            let sample = self.of[w.sample]? as usize;
+            Some(PowerWindow {
+                start: self.clock.cycles(w.start_cycle),
+                end: self.clock.cycles(w.end_cycle),
+                sample,
+                power: &self.samples[sample],
+            })
         })
     }
 
@@ -214,9 +182,9 @@ impl PowerTimeline {
     pub fn mean_total_uw(&self) -> f64 {
         let mut energy = 0.0; // µW·ps
         let mut span = 0.0;
-        for w in &self.windows {
-            let d = (w.end_ps - w.start_ps) as f64;
-            energy += self.samples[w.sample as usize].total_uw * d;
+        for w in self.windows() {
+            let d = w.duration().as_ps() as f64;
+            energy += w.total_uw * d;
             span += d;
         }
         if span > 0.0 {
@@ -287,13 +255,15 @@ mod tests {
 
     #[test]
     fn each_distinct_window_is_evaluated_once() {
-        // Shapes a b a b b a, with a zero-width window in the middle:
-        // two samples, five windows, each window with its own span.
+        // Shapes a b a b b a, with zero-width windows first and in the
+        // middle: two samples, six windows, each window with its own
+        // span. The zero-width windows' activity sample comes first, so
+        // the power samples are numbered apart from the activity ones.
         let mut t = ActivityTimeline::new(100);
         let (a, b) = (busy(100, 7), ActivitySet::new());
         let mut at = 0;
         for (k, act) in [&a, &b, &a, &b, &b, &a].into_iter().enumerate() {
-            if k == 3 {
+            if k == 0 || k == 3 {
                 t.push(at, at, &a);
             }
             t.push(at, at + 100, act);
@@ -322,9 +292,15 @@ mod tests {
         // The long idle window dominates the weighted mean.
         assert!(mean < naive);
         assert!(mean > 0.0);
-        // Degenerate case: no samples.
-        assert_eq!(PowerTimeline::default().mean_total_uw(), 0.0);
-        assert!(PowerTimeline::default().is_empty());
+        // Degenerate case: no windows, or only zero-width ones.
+        let mut empty = ActivityTimeline::new(100);
+        let none = PowerTimeline::from_activity(&model(), &empty, Frequency::from_mhz(100.0));
+        assert_eq!(none.mean_total_uw(), 0.0);
+        assert!(none.is_empty());
+        empty.push(0, 0, &busy(1, 1));
+        let zero = PowerTimeline::from_activity(&model(), &empty, Frequency::from_mhz(100.0));
+        assert!(zero.is_empty() && zero.samples().is_empty());
+        assert_eq!(zero.mean_total_uw(), 0.0);
     }
 
     #[test]
@@ -348,12 +324,17 @@ mod tests {
 
     #[test]
     fn single_window_timeline_matches_the_whole_window_report() {
+        // A run that sampled no timeline integrates its whole window as
+        // a one-window timeline.
         let m = model();
         let activity = busy(400, 70);
-        let window = SimTime::from_ns(4_000);
-        let pt = PowerTimeline::from_window(&m, &activity, window);
+        let clock = Frequency::from_mhz(100.0);
+        let mut t = ActivityTimeline::new(400);
+        t.push(0, 400, &activity);
+        let pt = PowerTimeline::from_activity(&m, &t, clock);
         assert_eq!(pt.len(), 1);
         let s = pt.windows().next().unwrap();
+        let window = SimTime::from_ns(4_000);
         assert_eq!((s.start, s.end), (SimTime::ZERO, window));
         let report = m.report(&activity, window);
         assert_eq!(s.total_uw.to_bits(), report.total().as_uw().to_bits());

@@ -15,7 +15,8 @@
 //! wants the entries themselves (an exporter, a test asserting on one
 //! event) opts in with [`Trace::enable_entries`], the way flows are opted
 //! into with [`Trace::enable_flows`]; only then do the string-keyed query
-//! helpers ([`Trace::first`], [`Trace::all`], [`Trace::latencies_all`])
+//! helpers ([`Trace::first`], [`Trace::all`],
+//! [`Trace::latencies_and_count`])
 //! see anything.
 //!
 //! The record path is allocation-free: sources are interned
@@ -347,12 +348,7 @@ impl Trace {
     }
 
     /// Latencies for every `(from → next to)` pair of kept entries, for
-    /// jitter statistics.
-    pub fn latencies_all(&self, from: (&str, &str), to: (&str, &str)) -> Vec<SimTime> {
-        self.latencies_and_count(from, to).0
-    }
-
-    /// [`Self::latencies_all`] and the number of `to` entries, from one
+    /// jitter statistics, and the number of `to` entries, from one
     /// pass over the kept entries that collects the `from` and `to` times
     /// together. Each start pairs with the first unpaired end at or after
     /// it, both in trace order. The reference for [`Trace::pair`].
@@ -446,7 +442,7 @@ mod tests {
     #[test]
     fn latencies_all_pairs_in_order() {
         let t = sample();
-        let ls = t.latencies_all(("spi", "eot"), ("gpio", "set"));
+        let (ls, _) = t.latencies_and_count(("spi", "eot"), ("gpio", "set"));
         assert_eq!(
             ls.iter().map(|l| l.as_ns()).collect::<Vec<_>>(),
             vec![40, 70]
@@ -490,7 +486,6 @@ mod tests {
             }
             let (latencies, ends) = t.latencies_and_count(from, to);
             assert_eq!(latencies, reference_latencies(&t, from, to), "case {case}");
-            assert_eq!(latencies, t.latencies_all(from, to), "case {case}");
             assert_eq!(ends, t.all(to.0, to.1).len(), "case {case}");
             assert_eq!(t.latencies(), latencies, "case {case}: online pairer");
             assert_eq!(t.count(done), ends, "case {case}: online count");

@@ -34,7 +34,7 @@ fn string_queries_distinguish_unknown_source_from_unknown_label() {
 #[test]
 fn latencies_all_drops_unmatched_trailing_starts() {
     let t = sample_trace();
-    let ls = t.latencies_all(("ta-spi", "eot"), ("ta-gpio", "set"));
+    let (ls, _) = t.latencies_and_count(("ta-spi", "eot"), ("ta-gpio", "set"));
     // Three eot starts, two set ends: the 300 ns start has no end left.
     // The first end shares its start's instant and still counts (>=, not
     // >): a same-cycle consumer measures 0.
@@ -43,9 +43,9 @@ fn latencies_all_drops_unmatched_trailing_starts() {
         vec![0, 70]
     );
     // A consumer that never recorded yields no measurement.
-    assert!(t
-        .latencies_all(("ta-gpio", "set"), ("ta-never-interned", "x"))
-        .is_empty());
+    let (none, ends) = t.latencies_and_count(("ta-gpio", "set"), ("ta-never-interned", "x"));
+    assert!(none.is_empty());
+    assert_eq!(ends, 0);
 }
 
 #[test]

@@ -25,7 +25,7 @@ use pels_desc::{DescError, ScenarioDesc};
 use pels_interconnect::ApbSlave;
 use pels_periph::{Spi, Timer};
 use pels_power::{Battery, EnergyLedger, LifetimeReport, PowerModel, PowerReport, PowerTimeline};
-use pels_sim::{ActivitySet, EventVector, Frequency, SimTime, Trace};
+use pels_sim::{ActivitySet, ActivityTimeline, EventVector, Frequency, SimTime, Trace};
 use std::fmt;
 use std::ops::Deref;
 
@@ -478,20 +478,25 @@ impl Scenario {
         // completed so it cannot perturb architectural results
         // (`tests/observation_invariance.rs`). With a sampled timeline the
         // ledger integrates per window; without one it integrates the
-        // whole active window as a single sample. The report keeps a
-        // sampled power timeline, so reading it back under the same model
-        // evaluates nothing again.
-        let (power, energy, lifetime) = if self.lifetime {
+        // whole active window as a one-window timeline.
+        let (energy, lifetime) = if self.lifetime {
             let model = power_setup::power_model_for(self.pels());
-            let pt = match &timeline {
-                Some(t) => PowerTimeline::from_activity(&model, t, self.freq()),
-                None => PowerTimeline::from_window(&model, &activity, window),
+            let whole;
+            let sampled = match &timeline {
+                Some(t) => t,
+                None => {
+                    let mut t = ActivityTimeline::new(cycles);
+                    t.push(0, cycles, &activity);
+                    whole = t;
+                    &whole
+                }
             };
+            let pt = PowerTimeline::from_activity(&model, sampled, self.freq());
             let ledger = EnergyLedger::from_timeline(&pt);
             let projection = Battery::coin_cell().project(&ledger);
-            (timeline.is_some().then_some(pt), Some(ledger), Some(projection))
+            (Some(ledger), Some(projection))
         } else {
-            (None, None, None)
+            (None, None)
         };
 
         Ok(ScenarioReport {
@@ -515,7 +520,6 @@ impl Scenario {
             flows,
             energy,
             lifetime,
-            power,
         })
     }
 
@@ -549,7 +553,7 @@ pub struct ScenarioReport {
     pub latency_hist: pels_obs::Histogram,
     /// Windowed activity timeline of the active run — `Some` exactly
     /// when [`ScenarioDesc::timeline_window`] is non-zero.
-    pub timeline: Option<pels_sim::ActivityTimeline>,
+    pub timeline: Option<ActivityTimeline>,
     /// Linking events completed.
     pub events_completed: u32,
     /// Switching activity of the active window.
@@ -587,9 +591,6 @@ pub struct ScenarioReport {
     /// Battery-lifetime projection over [`Self::energy`] (the default
     /// coin cell) — `Some` exactly when `energy` is.
     pub lifetime: Option<LifetimeReport>,
-    /// The power timeline [`Self::energy`] integrates — `Some` exactly
-    /// when both `energy` and [`Self::timeline`] are.
-    power: Option<PowerTimeline>,
 }
 
 impl ScenarioReport {
@@ -611,15 +612,12 @@ impl ScenarioReport {
 
     /// Per-window power over the active run — `Some` only when the
     /// scenario sampled a timeline ([`ScenarioDesc::timeline_window`]).
-    /// Under the report's own model ([`Self::power_model`]) of a
-    /// [`ScenarioDesc::lifetime`] run this is a copy of the timeline
-    /// [`Self::energy`] integrates; any other model is evaluated afresh.
-    pub fn power_timeline(&self, model: &PowerModel) -> Option<PowerTimeline> {
+    /// A view over [`Self::timeline`]: each distinct window is evaluated
+    /// once. Under [`Self::power_model`] it is the timeline
+    /// [`Self::energy`] integrated.
+    pub fn power_timeline(&self, model: &PowerModel) -> Option<PowerTimeline<'_>> {
         let timeline = self.timeline.as_ref()?;
-        Some(match &self.power {
-            Some(kept) if *model == self.power_model() => kept.clone(),
-            _ => PowerTimeline::from_activity(model, timeline, self.freq),
-        })
+        Some(PowerTimeline::from_activity(model, timeline, self.freq))
     }
 
     /// Mean latency as wall-clock time (for the 500 ns iso-latency
@@ -736,16 +734,33 @@ mod tests {
             let scenario =
                 Scenario::duty_cycled(mediator, SimTime::from_us(50), SimTime::from_ms(1));
             let report = scenario.run();
-            let model = power_setup::power_model_for(report.pels);
+            let model = report.power_model();
+            let power = report.power_timeline(&model).expect("sampled");
+            // Every window reads what a fresh evaluation of its own
+            // activity over its own span gives.
+            let clock = report.freq;
             let activity = report.timeline.as_ref().expect("sampled");
-            let fresh = PowerTimeline::from_activity(&model, activity, report.freq);
-            let kept = report
-                .power_timeline(&report.power_model())
-                .expect("sampled");
-            assert_eq!(window_bits(&kept), window_bits(&fresh), "{mediator}");
-            assert_eq!(kept.samples().len(), fresh.samples().len(), "{mediator}");
+            let fresh: Vec<WindowBits> = activity
+                .windows()
+                .map(|w| {
+                    let r = model.report(w.activity, clock.cycles(w.cycles()));
+                    let components = r
+                        .components()
+                        .iter()
+                        .map(|c| (c.name, c.total().as_uw().to_bits()))
+                        .collect();
+                    (
+                        clock.cycles(w.start_cycle).as_ps(),
+                        clock.cycles(w.end_cycle).as_ps(),
+                        r.total().as_uw().to_bits(),
+                        components,
+                    )
+                })
+                .collect();
+            assert_eq!(window_bits(&power), fresh, "{mediator}");
+            assert!(power.samples().len() < fresh.len(), "{mediator}: windows repeat");
             // The report's energy integrates exactly that timeline.
-            let ledger = EnergyLedger::from_timeline(&fresh);
+            let ledger = EnergyLedger::from_timeline(&power);
             let energy = report.energy.as_ref().expect("lifetime run");
             assert_eq!(energy.total_uj().to_bits(), ledger.total_uj().to_bits());
             assert_eq!(energy.component_names(), ledger.component_names());
@@ -760,14 +775,11 @@ mod tests {
                 (energy.span(), energy.windows()),
                 (ledger.span(), ledger.windows())
             );
-            // Any other model is evaluated afresh.
+            // Another model reads other power over the same windows.
             let bare = PowerModel::new(pels_power::Calibration::tsmc65());
             let other = report.power_timeline(&bare).expect("sampled");
-            assert_eq!(
-                window_bits(&other),
-                window_bits(&PowerTimeline::from_activity(&bare, activity, report.freq))
-            );
-            assert_ne!(window_bits(&other), window_bits(&kept));
+            assert_eq!(other.len(), power.len());
+            assert_ne!(window_bits(&other), window_bits(&power));
         }
     }
 
@@ -851,9 +863,9 @@ mod tests {
         assert_eq!(ledger.windows(), 1);
         assert_eq!(ledger.span(), report.active_window);
         assert!(ledger.mean_power().as_uw() > 0.0);
-        // With no timeline to read back, the report keeps no power
-        // timeline either.
-        assert!(report.power.is_none());
+        // With no timeline to read back, there is no power timeline
+        // either.
+        assert!(report.power_timeline(&report.power_model()).is_none());
     }
 
     #[test]

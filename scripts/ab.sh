@@ -11,7 +11,9 @@
 # and the workspace's artifacts are named alike in every checkout, so in
 # one shared directory a side older than the other's build would be
 # taken as built and the other side's binary copied for it.) Then:
-#   - it diffs `reproduce` stdout for every paper target;
+#   - it diffs `reproduce` stdout for every paper target, and prints
+#     each side's peak RSS of `reproduce -- lifetime` (the child's
+#     `ru_maxrss`, read through python3's `resource` module);
 #   - it runs `reproduce -- lifetime --quick --obs` on each side and
 #     `cmp`s BENCH_lifetime.json, OBS_timeline.json and OBS_flows.json.
 #     It compares OBS_metrics.json without the host-timing keys below,
@@ -60,22 +62,36 @@ build() {
 build "$work/tree" parent
 build "$repo" change
 
+# peak_rss <out> <cmd...>: runs <cmd> with stdout to <out> and prints
+# its peak resident set size in KiB (the waited-for child's ru_maxrss).
+peak_rss() {
+    python3 -c '
+import resource, subprocess, sys
+with open(sys.argv[1], "w") as out:
+    subprocess.run(sys.argv[2:], stdout=out, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+' "$@"
+}
+
 status=0
 differs() {
     echo "ab: DIFFERS: $1"
     status=1
 }
 
+declare -A rss=()
 for side in parent change; do
     (cd "$work/$side/out" && for t in "${targets[@]}"; do
-        "$work/$side/bin/reproduce" "$t" >"$t.txt"
+        [ "$t" = lifetime ] || "$work/$side/bin/reproduce" "$t" >"$t.txt"
     done)
+    rss[$side]=$(cd "$work/$side/out" && peak_rss lifetime.txt "$work/$side/bin/reproduce" lifetime)
     (cd "$work/$side/obs" && "$work/$side/bin/reproduce" lifetime --quick --obs >/dev/null)
 done
 for t in "${targets[@]}"; do
     diff -u "$work/parent/out/$t.txt" "$work/change/out/$t.txt" || differs "reproduce -- $t"
 done
 echo "ab: reproduce stdout compared for ${targets[*]}"
+echo "ab: peak RSS of reproduce -- lifetime: parent ${rss[parent]} KiB, change ${rss[change]} KiB"
 cmp "$work/parent/out/BENCH_lifetime.json" "$work/change/out/BENCH_lifetime.json" ||
     differs "BENCH_lifetime.json (lifetime)"
 for f in BENCH_lifetime.json OBS_timeline.json OBS_flows.json; do

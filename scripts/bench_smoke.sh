@@ -35,7 +35,9 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # the fast-vs-naive suites on that same optimised code too. Each compares
 # whole states through `Soc`'s `PartialEq` (`Soc::first_difference`). The
 # description fuzzer (fast vs naive on generated scenarios) and the
-# pure-observation suite run there as well, and so do the peripherals'
+# pure-observation suites (`observation_invariance` and the flow and
+# lifetime subsets it leaves to `flow_invariance` and
+# `lifetime_invariance`) run there as well, and so do the peripherals'
 # unit tests, whose catch-up-vs-tick table checks each peripheral's
 # sleep plan where its catch-up `debug_assert`s are compiled out. The
 # power golden runs there too, and the pure-observation suite covers the
@@ -47,7 +49,7 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # pels-power: the code perfbench's lifetime workload times.
 cargo test -q --release --test quiescence --test active_path \
     --test desc_fuzz --test observation_invariance \
-    --test power_golden
+    --test flow_invariance --test lifetime_invariance --test power_golden
 cargo test -q --release -p pels-periph --lib
 cargo test -q --release -p pels-soc --lib
 cargo test -q --release -p pels-sim -p pels-power --lib
@@ -69,8 +71,10 @@ echo "bench_smoke: fleet OK"
 # workers). Then the flow property suite: the per-stage attribution
 # telescopes exactly to the measured per-event latencies (paper probes
 # decompose to 7/2/16 cycles, randomized scenarios sum exactly,
-# FlowReport merge is order-invariant).
-cargo test -q --test observation_invariance
+# FlowReport merge is order-invariant). `observation_invariance` leaves
+# the flow probe's subsets and the ledger's to `flow_invariance` and
+# `lifetime_invariance`, so each subset runs once.
+cargo test -q --test observation_invariance --test flow_invariance --test lifetime_invariance
 cargo test -q --test flow_properties
 echo "bench_smoke: observation invariance + flow property suites OK"
 

@@ -1,8 +1,8 @@
 //! Causal flow recording is pure observation: the shared harness in
 //! `tests/common` runs the flow probe, alone and with the metrics and
 //! timeline probes, against the plain run and checks fleet digests under
-//! it. `tests/observation_invariance.rs` covers every subset of all four
-//! probes.
+//! it. `tests/observation_invariance.rs` runs every other subset of the
+//! four probes.
 
 mod common;
 

@@ -40,7 +40,7 @@ fn assert_attribution_is_exact(report: &ScenarioReport, scenario: &Scenario) {
     let e2e = flow_e2e_cycles(flows, scenario.freq().period_ps(), terminal);
     // One complete flow per measured event, with identical per-event
     // latencies: the causal pairing reproduces the trace pairing
-    // (`latencies_all`) exactly on an always-actuating workload.
+    // (`latencies_and_count`) exactly on an always-actuating workload.
     assert_eq!(
         e2e, report.latencies,
         "per-flow e2e must equal the measured per-event latencies"

@@ -112,7 +112,8 @@ fn sequenced_latency_survives_cpu_bus_traffic() {
 
     let lats: Vec<u64> = soc
         .trace()
-        .latencies_all(("spi", "eot"), ("gpio", "padout"))
+        .latencies_and_count(("spi", "eot"), ("gpio", "padout"))
+        .0
         .iter()
         .map(|t| t.as_ps() / soc.frequency().period_ps())
         .collect();

@@ -1,8 +1,8 @@
 //! The energy ledger and battery projection are pure observation: the
 //! shared harness in `tests/common` runs the lifetime probe, alone and
 //! over a sampled timeline, against the plain run and checks fleet
-//! digests under it. `tests/observation_invariance.rs` covers every
-//! subset of all four probes and pins what the ledger records.
+//! digests under it. `tests/observation_invariance.rs` runs every other
+//! subset of the four probes and pins what the ledger records.
 
 mod common;
 

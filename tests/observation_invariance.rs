@@ -10,12 +10,15 @@
 //! worker count. `obs` also keeps the trace's entries, which a plain run
 //! streams through the trace's digest, counts and latency pairer. The
 //! first two tests run the shared harness in `tests/common`: the first
-//! over every non-empty probe subset, on the default scenario and a
-//! duty-cycled one (where an unobserved report keeps no trace entry,
-//! and an observed one's entries give the latencies and completed count
-//! the online pairer did), the second over each probe alone, the two
-//! pairs that sample a timeline under another probe, and all four. The
-//! tests after them pin what each probe records (timeline windows
+//! over every non-empty probe subset that `tests/flow_invariance.rs` and
+//! `tests/lifetime_invariance.rs` do not run, on the default scenario
+//! and a duty-cycled one (where an unobserved report keeps no trace
+//! entry, and an observed one's entries give the latencies and
+//! completed count the online pairer did), the second over the metrics,
+//! timeline and lifetime probes alone, the metrics snapshot over a
+//! sampled timeline, and all four; those two files check the flow probe
+//! and the ledger over a sampled timeline. Each subset simulates once.
+//! The tests after them pin what each probe records (timeline windows
 //! partition the run, a sampled SoC equals its unsampled twin once both
 //! are drained, flow attribution is mode-independent, the ledger
 //! partitions the power timeline, duty-cycled horizons stay cheap).
@@ -32,25 +35,25 @@ use pels_repro::periph::Timer;
 use pels_repro::soc::{ExecMode, Mediator, Scenario, ScenarioDesc, Soc, SystemDesc};
 use pels_sim::{ActivityKind, ActivitySet, SimTime};
 
+/// The probe subsets `tests/flow_invariance.rs` and
+/// `tests/lifetime_invariance.rs` run through the same harness.
+const RUN_ELSEWHERE: [usize; 4] = [FLOWS, OBS | TIMELINE | FLOWS, LIFETIME, LIFETIME | TIMELINE];
+
 #[test]
 fn every_probe_subset_is_pure_observation() {
-    let every_subset: Vec<usize> = (1..=ALL_PROBES).collect();
-    common::assert_subsets_pure(&every_subset);
+    let rest: Vec<usize> = (1..=ALL_PROBES)
+        .filter(|mask| !RUN_ELSEWHERE.contains(mask))
+        .collect();
+    common::assert_subsets_pure(&rest);
 }
 
 #[test]
 fn fleet_digest_is_invariant_under_every_probe_and_worker_count() {
-    // Each probe alone, the metrics snapshot and the ledger over a
-    // sampled timeline, then all four together.
-    common::assert_fleet_digest_invariant(&[
-        OBS,
-        TIMELINE,
-        FLOWS,
-        LIFETIME,
-        OBS | TIMELINE,
-        LIFETIME | TIMELINE,
-        ALL_PROBES,
-    ]);
+    // The metrics, timeline and lifetime probes alone, the metrics
+    // snapshot over a sampled timeline, then all four together; the
+    // flow probe alone and the ledger over a sampled timeline are
+    // checked beside their subsets above.
+    common::assert_fleet_digest_invariant(&[OBS, TIMELINE, LIFETIME, OBS | TIMELINE, ALL_PROBES]);
 }
 
 #[test]
