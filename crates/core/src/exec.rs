@@ -21,7 +21,7 @@
 use crate::command::{ActionMode, Command};
 use crate::scm::Scm;
 use crate::trigger::TriggerUnit;
-use pels_sim::{ComponentId, EventVector, SimTime, Trace};
+use pels_sim::{ComponentId, EventVector, PeriodVisitor, Periodic, SimTime, Trace};
 
 /// The bus port a link masters sequenced actions on.
 ///
@@ -168,6 +168,23 @@ pub struct ExecutionUnit {
     stats: ExecStats,
 }
 
+/// The statistics are counters; the FSM, program counter and registers
+/// repeat.
+impl Periodic for ExecStats {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.commands);
+        v.counter(&mut self.busy_cycles);
+        v.counter(&mut self.triggers_serviced);
+        v.counter(&mut self.bus_errors);
+    }
+}
+
+impl Periodic for ExecutionUnit {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.stats.visit_period(v);
+    }
+}
+
 impl Default for ExecutionUnit {
     fn default() -> Self {
         Self::new()
@@ -269,7 +286,7 @@ impl ExecutionUnit {
                         State::Execute
                     };
                     self.stats.busy_cycles += 1;
-                    ctx.trace.record(ctx.time, ctx.id, "trigger", ctx.cycle);
+                    ctx.trace.record_cycle(ctx.time, ctx.id, "trigger", ctx.cycle);
                     // Adopt (or clear) the flow the token carried; the
                     // link's context threads every later hop of this
                     // program run.
@@ -383,7 +400,7 @@ impl ExecutionUnit {
 
     fn bus_error(&mut self, ctx: &mut ExecCtx<'_>) {
         self.stats.bus_errors += 1;
-        ctx.trace.record(ctx.time, ctx.id, "bus_error", ctx.cycle);
+        ctx.trace.record_cycle(ctx.time, ctx.id, "bus_error", ctx.cycle);
         ctx.flow_hop("bus_error");
         self.finish_program();
     }
@@ -393,7 +410,7 @@ impl ExecutionUnit {
         match cmd {
             Command::Nop => self.advance(),
             Command::Halt => {
-                ctx.trace.record(ctx.time, ctx.id, "halt", ctx.cycle);
+                ctx.trace.record_cycle(ctx.time, ctx.id, "halt", ctx.cycle);
                 ctx.flow_hop("halt");
                 self.finish_program();
             }

@@ -11,7 +11,10 @@ use crate::exec::{ExecCtx, ExecutionUnit, LinkBus, ActionLines};
 use crate::program::Program;
 use crate::scm::{Scm, ScmCapacityError};
 use crate::trigger::{TriggerCond, TriggerUnit};
-use pels_sim::{ActivityKind, ActivitySink, ComponentId, EventVector, SimTime, Trace};
+use std::sync::OnceLock;
+use pels_sim::{
+    ActivityKind, ActivitySink, ComponentId, EventVector, PeriodVisitor, Periodic, SimTime, Trace,
+};
 
 /// Default trigger-FIFO depth (matches a small RTL FIFO).
 pub const DEFAULT_FIFO_DEPTH: usize = 4;
@@ -27,6 +30,26 @@ pub struct Link {
     reported: crate::exec::ExecStats,
 }
 
+/// The component id of link `index`, `pels.link<index>`, interned once
+/// per process.
+///
+/// # Panics
+///
+/// Panics if `index` is 64 or more (PELS has at most 64 links).
+pub fn link_id(index: usize) -> ComponentId {
+    static LINKS: [OnceLock<ComponentId>; 64] = [const { OnceLock::new() }; 64];
+    *LINKS[index].get_or_init(|| ComponentId::intern(&format!("pels.link{index}")))
+}
+
+impl Periodic for Link {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.trigger.visit_period(v);
+        self.scm.visit_period(v);
+        self.exec.visit_period(v);
+        self.reported.visit_period(v);
+    }
+}
+
 impl Link {
     /// Creates link `index` with an SCM of `scm_lines` commands and the
     /// default FIFO depth.
@@ -38,7 +61,7 @@ impl Link {
     /// ablation uses depth 0).
     pub fn with_fifo_depth(index: usize, scm_lines: usize, fifo_depth: usize) -> Self {
         Link {
-            id: ComponentId::intern(&format!("pels.link{index}")),
+            id: link_id(index),
             trigger: TriggerUnit::new(fifo_depth),
             scm: Scm::new(scm_lines),
             exec: ExecutionUnit::new(),

@@ -109,6 +109,16 @@ pub struct Pels {
     pub(crate) config_port: ActivityCounter,
 }
 
+/// The cycle and the config port's counts are counters; each link
+/// names its own.
+impl pels_sim::Periodic for Pels {
+    fn visit_period(&mut self, v: &mut dyn pels_sim::PeriodVisitor) {
+        v.counter(&mut self.cycle);
+        self.config_port.visit_period(v);
+        self.links.visit_period(v);
+    }
+}
+
 impl Pels {
     /// Creates a PELS instance from a config.
     ///
@@ -131,7 +141,10 @@ impl Pels {
             prev_actions: EventVector::EMPTY,
             enabled: true,
             cycle: 0,
-            id: ComponentId::intern("pels"),
+            id: {
+                static PELS: pels_sim::intern::FixedName = pels_sim::intern::FixedName::new("pels");
+                PELS.id()
+            },
             config_port: ActivityCounter::default(),
         }
     }

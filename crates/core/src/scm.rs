@@ -10,6 +10,7 @@
 use crate::command::Command;
 use crate::encoding::{decode_command, encode_command};
 use crate::program::Program;
+use pels_sim::{PeriodVisitor, Periodic};
 use std::fmt;
 
 /// A small instruction memory of 48-bit lines with access accounting.
@@ -50,6 +51,13 @@ impl fmt::Display for ScmCapacityError {
 }
 
 impl std::error::Error for ScmCapacityError {}
+
+impl Periodic for Scm {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.reads);
+        v.counter(&mut self.writes);
+    }
+}
 
 impl Scm {
     /// Creates an SCM of `lines` 48-bit lines, initialized to `halt`.

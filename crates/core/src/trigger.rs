@@ -7,7 +7,7 @@
 //! generate an event"). Satisfied triggers are buffered in a FIFO so a
 //! running execution unit does not lose events.
 
-use pels_sim::{EventVector, Fifo};
+use pels_sim::{EventVector, Fifo, PeriodVisitor, Periodic};
 use std::fmt;
 
 /// The trigger condition over the masked event lines.
@@ -67,6 +67,19 @@ pub struct TriggerUnit {
     condition: TriggerCond,
     fifo: Fifo<TriggerToken>,
     triggers: u64,
+}
+
+/// The trigger count and FIFO statistics are counters; a queued
+/// token's cycle is a stamp and its flow a flow id.
+impl Periodic for TriggerUnit {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.triggers);
+        self.fifo.visit_period(v);
+        for token in self.fifo.items_mut() {
+            v.stamp(&mut token.cycle);
+            v.flow(&mut token.flow);
+        }
+    }
 }
 
 impl TriggerUnit {

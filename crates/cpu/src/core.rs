@@ -7,7 +7,10 @@ use crate::decode::{decode, DecodeError};
 use crate::instr::{AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulDivOp, StoreOp};
 use crate::regs::RegFile;
 use crate::timing;
-use pels_sim::{ActivityKind, ActivitySink, ComponentId, EventVector, SleepPlan};
+use pels_sim::intern::FixedName;
+use pels_sim::{
+    ActivityKind, ActivitySink, ComponentId, EventVector, PeriodVisitor, Periodic, SleepPlan,
+};
 
 /// Why the core stopped executing (tests and scenarios use [`Instr::Ecall`]
 /// / [`Instr::Ebreak`] as a program-exit convention).
@@ -82,16 +85,42 @@ pub struct Cpu {
     stall_cycles: u64,
 }
 
+/// The statistics, `mcycle` and `minstret` are counters (a firmware
+/// read of either lands in a register, which repeats or not); a taken
+/// `mret`'s cycle is a stamp.
+impl Periodic for Cpu {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        for c in [
+            &mut self.cycles,
+            &mut self.retired,
+            &mut self.fetches,
+            &mut self.irq_entries,
+            &mut self.irq_overhead_cycles,
+            &mut self.sleep_cycles,
+            &mut self.stall_cycles,
+            &mut self.csrs.mcycle,
+            &mut self.csrs.minstret,
+        ] {
+            v.counter(c);
+        }
+        self.regs.visit_period(v);
+        if let Some(c) = &mut self.mret_taken {
+            v.stamp(c);
+        }
+    }
+}
+
 impl Cpu {
     /// Creates a core that will start fetching at `reset_pc`.
     pub fn new(reset_pc: u32) -> Self {
-        Self::with_name("ibex", reset_pc)
+        static IBEX: FixedName = FixedName::new("ibex");
+        Self::with_name(IBEX.id(), reset_pc)
     }
 
     /// Creates a core with an explicit activity/trace name.
-    pub fn with_name(name: impl AsRef<str>, reset_pc: u32) -> Self {
+    pub fn with_name(name: impl Into<ComponentId>, reset_pc: u32) -> Self {
         Cpu {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             pc: reset_pc,
             regs: RegFile::new(),
             csrs: CsrFile::new(),

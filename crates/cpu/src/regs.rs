@@ -1,5 +1,6 @@
 //! The integer register file.
 
+use pels_sim::{PeriodVisitor, Periodic};
 use std::fmt;
 
 /// The 32 RV32 integer registers; `x0` is hardwired to zero.
@@ -22,6 +23,14 @@ pub struct RegFile {
 impl Default for RegFile {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The access counts are counters; the registers repeat.
+impl Periodic for RegFile {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.reads);
+        v.counter(&mut self.writes);
     }
 }
 

@@ -3,8 +3,13 @@
 use crate::addr::{AddrRange, AddressMap};
 use crate::apb::{ApbRequest, ApbResponse, ApbSlave, BusError, Dir};
 use crate::arbiter::{Arbiter, ArbiterKind};
-use pels_sim::{ActivityKind, ActivitySink, ComponentId, EventVector, SleepPlan};
+use pels_sim::{
+    ActivityKind, ActivitySink, ComponentId, EventVector, PeriodVisitor, Periodic, SleepPlan,
+};
 use std::fmt;
+
+/// The fabric's component name.
+static FABRIC: pels_sim::intern::FixedName = pels_sim::intern::FixedName::new("fabric");
 
 /// Handle to a master port, returned by [`ApbFabric::add_master`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -177,6 +182,35 @@ pub struct ApbFabric<S> {
     write_commits: Vec<(usize, usize)>,
 }
 
+/// The cycle and every statistic are counters, a registered response's
+/// completion cycle is a stamp, and each slave names its own.
+impl<S: Periodic> Periodic for ApbFabric<S> {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.cycle);
+        let s = &mut self.stats;
+        for c in [
+            &mut s.transfers,
+            &mut s.reads,
+            &mut s.writes,
+            &mut s.stall_cycles,
+            &mut s.busy_cycles,
+            &mut s.decode_errors,
+            &mut s.slave_errors,
+        ] {
+            v.counter(c);
+        }
+        for port in &mut self.masters {
+            v.counter(&mut port.stall_cycles);
+            v.counter(&mut port.grants);
+            v.counter(&mut port.stall_total);
+            if let Some(r) = &mut port.response {
+                v.stamp(&mut r.completed_cycle);
+            }
+        }
+        self.slaves.visit_period(v);
+    }
+}
+
 impl<S: ApbSlave> ApbFabric<S> {
     /// Creates a single-channel (shared) fabric with round-robin
     /// arbitration — the paper's configuration.
@@ -204,7 +238,7 @@ impl<S: ApbSlave> ApbFabric<S> {
             in_flight_count: 0,
             cycle: 0,
             stats: FabricStats::default(),
-            id: ComponentId::intern("fabric"),
+            id: FABRIC.id(),
             touched: 0,
             write_commits: Vec::new(),
         };
@@ -238,9 +272,9 @@ impl<S: ApbSlave> ApbFabric<S> {
     }
 
     /// Registers a master port.
-    pub fn add_master(&mut self, name: impl AsRef<str>) -> MasterId {
+    pub fn add_master(&mut self, name: impl Into<ComponentId>) -> MasterId {
         self.masters.push(MasterPort {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             pending: None,
             in_flight: false,
             response: None,

@@ -8,7 +8,7 @@
 use crate::sensor::Quantizer;
 use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityCounter, ComponentId};
+use pels_sim::{ActivityCounter, ComponentId, PeriodVisitor, Periodic};
 
 /// A successive-approximation-style ADC model with a fixed conversion
 /// latency in bus cycles.
@@ -39,6 +39,14 @@ pub struct Adc {
     conversions: u64,
 }
 
+impl Periodic for Adc {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.quantizer.visit_period(v);
+        self.activity.visit_period(v);
+        v.counter(&mut self.conversions);
+    }
+}
+
 impl Adc {
     /// `CTRL` byte offset.
     pub const CTRL: u32 = 0x00;
@@ -53,10 +61,10 @@ impl Adc {
     /// # Panics
     ///
     /// Panics if `conversion_cycles` is zero.
-    pub fn new(name: impl AsRef<str>, quantizer: Quantizer, conversion_cycles: u32) -> Self {
+    pub fn new(name: impl Into<ComponentId>, quantizer: Quantizer, conversion_cycles: u32) -> Self {
         assert!(conversion_cycles > 0, "conversion latency must be non-zero");
         Adc {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             quantizer,
             conversion_cycles,
             countdown: 0,

@@ -7,7 +7,7 @@
 
 use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityCounter, ComponentId};
+use pels_sim::{ActivityCounter, ComponentId, PeriodVisitor, Periodic};
 
 /// A 32-pin GPIO controller with set/clear/toggle registers and
 /// event-line-driven pad actions.
@@ -46,6 +46,13 @@ pub struct Gpio {
     pad_toggles: u64,
 }
 
+impl Periodic for Gpio {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.activity.visit_period(v);
+        v.counter(&mut self.pad_toggles);
+    }
+}
+
 impl Gpio {
     /// `PADDIR` byte offset.
     pub const PADDIR: u32 = 0x00;
@@ -61,9 +68,9 @@ impl Gpio {
     pub const PADOUTTGL: u32 = 0x14;
 
     /// Creates a GPIO instance named `name`.
-    pub fn new(name: impl AsRef<str>) -> Self {
+    pub fn new(name: impl Into<ComponentId>) -> Self {
         Gpio {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             dir: 0,
             out: 0,
             input: 0,

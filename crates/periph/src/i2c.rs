@@ -13,7 +13,7 @@
 use crate::sensor::Quantizer;
 use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityCounter, ComponentId, Fifo, SimTime};
+use pels_sim::{ActivityCounter, ComponentId, Fifo, SimTime, PeriodVisitor, Periodic};
 
 /// An I2C temperature-sensor-style device: writes select nothing, reads
 /// return the quantized sample, high byte first (big-endian, like most
@@ -117,6 +117,18 @@ const ADDRESS_BITS: u32 = 1 + 9;
 /// Bit-times charged for STOP.
 const STOP_BITS: u32 = 1;
 
+impl Periodic for I2c {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        for d in &mut self.devices {
+            d.quantizer.visit_period(v);
+        }
+        self.tx_fifo.visit_period(v);
+        self.rx_fifo.visit_period(v);
+        self.activity.visit_period(v);
+        v.counter(&mut self.transactions);
+    }
+}
+
 impl I2c {
     /// `STATUS` byte offset.
     pub const STATUS: u32 = 0x00;
@@ -135,9 +147,9 @@ impl I2c {
     pub const CMD_READ: u32 = 1 << 7;
 
     /// Creates a master with no devices, 4 cycles per bit.
-    pub fn new(name: impl AsRef<str>) -> Self {
+    pub fn new(name: impl Into<ComponentId>) -> Self {
         I2c {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             devices: Vec::new(),
             clkdiv: 4,
             current: None,

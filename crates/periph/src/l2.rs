@@ -6,7 +6,7 @@
 //! singles out — the activity counted here drives the `3.7×`/`4.3×`
 //! memory-system power gap of Figure 5.
 
-use pels_sim::{ActivityKind, ActivitySink, ComponentId};
+use pels_sim::{ActivityKind, ActivitySink, ComponentId, PeriodVisitor, Periodic};
 
 /// Words per page: memory is allocated in 4 KiB pages.
 const PAGE_WORDS: usize = 1024;
@@ -57,6 +57,14 @@ impl PartialEq for L2Memory {
     }
 }
 
+/// The access counts are counters; the contents repeat.
+impl Periodic for L2Memory {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.reads);
+        v.counter(&mut self.writes);
+    }
+}
+
 impl L2Memory {
     /// Creates a zeroed memory of `size_bytes` (rounded up to a word).
     /// No page is allocated until it is written.
@@ -72,7 +80,10 @@ impl L2Memory {
             words,
             reads: 0,
             writes: 0,
-            id: ComponentId::intern("sram"),
+            id: {
+                static SRAM: pels_sim::intern::FixedName = pels_sim::intern::FixedName::new("sram");
+                SRAM.id()
+            },
         }
     }
 

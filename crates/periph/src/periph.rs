@@ -4,7 +4,7 @@ use crate::traits::{PeriphCtx, Peripheral, SleepPlan};
 use crate::{Adc, Gpio, I2c, Spi, Timer, Uart, Watchdog};
 use pels_interconnect::apb::Dir;
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivitySink, ComponentId};
+use pels_sim::{ActivitySink, ComponentId, PeriodVisitor, Periodic};
 
 /// One of the SoC's seven peripherals, held by value in the APB fabric.
 ///
@@ -43,6 +43,20 @@ macro_rules! each {
             Periph::I2c($p) => $call,
         }
     };
+}
+
+impl Periodic for Periph {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        match self {
+            Periph::Gpio(p) => p.visit_period(v),
+            Periph::Timer(p) => p.visit_period(v),
+            Periph::Spi(p) => p.visit_period(v),
+            Periph::Adc(p) => p.visit_period(v),
+            Periph::Uart(p) => p.visit_period(v),
+            Periph::Wdt(p) => p.visit_period(v),
+            Periph::I2c(p) => p.visit_period(v),
+        }
+    }
 }
 
 impl ApbSlave for Periph {

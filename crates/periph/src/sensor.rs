@@ -9,7 +9,7 @@
 //! crosses thresholds at controllable times.
 
 use pels_sim::rng::Rng;
-use pels_sim::SimTime;
+use pels_sim::{PeriodVisitor, Periodic, SimTime};
 
 /// The synthetic analog source behind the SPI/ADC/I2C front-ends.
 ///
@@ -88,6 +88,16 @@ pub struct Quantizer {
     /// Measurement-noise generator; only [`SensorKind::NoisyRamp`] draws
     /// from it.
     rng: Rng,
+}
+
+/// A sensor that reads absolute time vetoes fast-forward; a constant
+/// one repeats.
+impl Periodic for Quantizer {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        if !matches!(self.sensor, SensorKind::Constant(_)) {
+            v.aperiodic();
+        }
+    }
 }
 
 impl Quantizer {

@@ -11,7 +11,7 @@ use crate::sensor::Quantizer;
 use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use crate::udma::UdmaChannel;
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityCounter, ComponentId, Fifo};
+use pels_sim::{ActivityCounter, ComponentId, Fifo, PeriodVisitor, Periodic};
 
 /// SPI master peripheral.
 ///
@@ -56,6 +56,16 @@ pub struct Spi {
     words_done: u64,
 }
 
+impl Periodic for Spi {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.sensor.visit_period(v);
+        self.rx_fifo.visit_period(v);
+        self.udma.visit_period(v);
+        self.activity.visit_period(v);
+        v.counter(&mut self.words_done);
+    }
+}
+
 impl Spi {
     /// `STATUS` byte offset.
     pub const STATUS: u32 = 0x00;
@@ -76,9 +86,9 @@ impl Spi {
 
     /// Creates an SPI master reading `sensor`, 8 cycles/word, RX FIFO
     /// depth 8.
-    pub fn new(name: impl AsRef<str>, sensor: Quantizer) -> Self {
+    pub fn new(name: impl Into<ComponentId>, sensor: Quantizer) -> Self {
         Spi {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             sensor,
             clkdiv: 8,
             words_remaining: 0,

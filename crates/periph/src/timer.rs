@@ -7,7 +7,7 @@
 
 use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityCounter, ComponentId};
+use pels_sim::{ActivityCounter, ComponentId, PeriodVisitor, Periodic};
 
 /// A 32-bit up-counting timer with prescaler and compare event.
 ///
@@ -41,6 +41,13 @@ pub struct Timer {
     fires: u64,
 }
 
+impl Periodic for Timer {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.activity.visit_period(v);
+        v.counter(&mut self.fires);
+    }
+}
+
 impl Timer {
     /// `CTRL` byte offset.
     pub const CTRL: u32 = 0x00;
@@ -57,9 +64,9 @@ impl Timer {
     pub const CTRL_ONE_SHOT: u32 = 1 << 1;
 
     /// Creates a timer named `name`, disabled, compare at `u32::MAX`.
-    pub fn new(name: impl AsRef<str>) -> Self {
+    pub fn new(name: impl Into<ComponentId>) -> Self {
         Timer {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             enable: false,
             one_shot: false,
             cmp: u32::MAX,

@@ -8,7 +8,7 @@
 use crate::traits::{PeriphCtx, Peripheral, SleepPlan};
 use crate::udma::UdmaTxChannel;
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityCounter, ComponentId, EventVector, Fifo};
+use pels_sim::{ActivityCounter, ComponentId, EventVector, Fifo, PeriodVisitor, Periodic};
 
 /// A TX-only UART with a small FIFO and a fixed per-byte cycle cost.
 ///
@@ -43,6 +43,14 @@ pub struct Uart {
     udma_word_bytes: u32,
 }
 
+impl Periodic for Uart {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.tx_fifo.visit_period(v);
+        self.udma.visit_period(v);
+        self.activity.visit_period(v);
+    }
+}
+
 impl Uart {
     /// `TXDATA` byte offset.
     pub const TXDATA: u32 = 0x00;
@@ -57,9 +65,9 @@ impl Uart {
 
     /// Creates a UART with FIFO depth 16 and 10 cycles per byte (8N1
     /// framing at clk/1).
-    pub fn new(name: impl AsRef<str>) -> Self {
+    pub fn new(name: impl Into<ComponentId>) -> Self {
         Uart {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             tx_fifo: Fifo::new(16),
             clkdiv: 10,
             cycle_in_byte: 0,

@@ -14,6 +14,7 @@
 //! channel still advances (its address wrapping at 4 GiB).
 
 use crate::l2::L2Memory;
+use pels_sim::{PeriodVisitor, Periodic};
 
 /// `size_bytes` rounded up to whole words, saturating at the largest
 /// whole-word `u32`.
@@ -46,6 +47,12 @@ pub struct UdmaChannel {
     continuous: bool,
     reload_addr: u32,
     reload_size: u32,
+}
+
+impl Periodic for UdmaChannel {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.transferred_words);
+    }
 }
 
 impl UdmaChannel {
@@ -159,6 +166,12 @@ pub struct UdmaTxChannel {
     done_pending: bool,
     fault: Option<u32>,
     transferred_words: u64,
+}
+
+impl Periodic for UdmaTxChannel {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.transferred_words);
+    }
 }
 
 impl UdmaTxChannel {

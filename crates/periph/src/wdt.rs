@@ -8,7 +8,7 @@
 
 use crate::traits::{wake_mask_of, PeriphCtx, Peripheral, SleepPlan};
 use pels_interconnect::{ApbSlave, BusError};
-use pels_sim::{ActivityCounter, ComponentId};
+use pels_sim::{ActivityCounter, ComponentId, PeriodVisitor, Periodic};
 
 /// A down-counting watchdog that pulses a *bite* event at zero and
 /// reloads.
@@ -39,6 +39,13 @@ pub struct Watchdog {
     bites: u64,
 }
 
+impl Periodic for Watchdog {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.activity.visit_period(v);
+        v.counter(&mut self.bites);
+    }
+}
+
 impl Watchdog {
     /// `CTRL` byte offset.
     pub const CTRL: u32 = 0x00;
@@ -50,9 +57,9 @@ impl Watchdog {
     pub const VALUE: u32 = 0x0C;
 
     /// Creates a disabled watchdog.
-    pub fn new(name: impl AsRef<str>) -> Self {
+    pub fn new(name: impl Into<ComponentId>) -> Self {
         Watchdog {
-            id: ComponentId::intern(name.as_ref()),
+            id: name.into(),
             enable: false,
             load: 0,
             value: 0,

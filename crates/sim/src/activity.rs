@@ -320,6 +320,15 @@ impl ActivityCounter {
     }
 }
 
+impl crate::Periodic for ActivityCounter {
+    fn visit_period(&mut self, v: &mut dyn crate::PeriodVisitor) {
+        v.counter(&mut self.reads);
+        v.counter(&mut self.writes);
+        v.counter(&mut self.active_cycles);
+        v.counter(&mut self.pulses);
+    }
+}
+
 /// Where a component flushes the activity it counted: an
 /// [`ActivitySet`] or an [`ActivityRow`].
 ///
@@ -558,6 +567,15 @@ impl ActivitySink for ActivityRow {
         match self.layout.slot(component, kind) {
             Some(slot) => self.counts[slot] += n,
             None => self.push_slot(component, kind, n),
+        }
+    }
+}
+
+/// Every slot is a counter; the layout repeats.
+impl crate::Periodic for ActivityRow {
+    fn visit_period(&mut self, v: &mut dyn crate::PeriodVisitor) {
+        for c in &mut self.counts {
+            v.counter(c);
         }
     }
 }

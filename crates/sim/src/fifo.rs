@@ -121,6 +121,20 @@ impl<T> Fifo<T> {
     pub fn max_occupancy(&self) -> usize {
         self.max_occupancy
     }
+
+    /// The queued items, oldest first, for a walk over their stamps.
+    pub fn items_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.items.iter_mut()
+    }
+}
+
+/// The push and drop counts are counters; the items and the high-water
+/// mark repeat.
+impl<T> crate::Periodic for Fifo<T> {
+    fn visit_period(&mut self, v: &mut dyn crate::PeriodVisitor) {
+        v.counter(&mut self.pushes);
+        v.counter(&mut self.drops);
+    }
 }
 
 impl<T> Extend<T> for Fifo<T> {

@@ -30,6 +30,7 @@
 //! a fresh flow — that is the "originating stimulus" rule.
 
 use crate::intern::ComponentId;
+use crate::period::{PeriodVisitor, Periodic};
 use crate::time::SimTime;
 use std::collections::HashMap;
 
@@ -285,6 +286,44 @@ impl FlowTrace {
         }
     }
 
+    /// A copy with every open flow and no recorded hop.
+    pub fn without_hops(&self) -> FlowTrace {
+        FlowTrace {
+            hops: Vec::new(),
+            minted: self.minted,
+            wire_now: self.wire_now,
+            wire_prev: self.wire_prev,
+            now_dirty: self.now_dirty,
+            prev_dirty: self.prev_dirty,
+            ctx: self.ctx.clone(),
+            reg_writes: self.reg_writes.clone(),
+        }
+    }
+
+    /// The hops from `from` on: one period's, for a caller to work out
+    /// how each one's flow id moves per period.
+    pub fn hops_since(&self, from: usize) -> &[FlowHop] {
+        &self.hops[from..]
+    }
+
+    /// Appends `periods` copies of the hops from `from` on (one period's),
+    /// each `period` later than the one before, hop `i`'s flow id
+    /// `shifts[i]` above it. The open flows and the mint count move with
+    /// the SoC's period walk.
+    pub fn repeat_period(&mut self, from: usize, periods: u64, period: SimTime, shifts: &[u64]) {
+        let end = self.hops.len();
+        for k in 1..=periods {
+            for (i, shift) in (from..end).zip(shifts) {
+                let h = self.hops[i];
+                self.hops.push(FlowHop {
+                    flow: FlowId(h.flow.0 + k * shift),
+                    time: SimTime::from_ps(h.time.as_ps() + k * period.as_ps()),
+                    ..h
+                });
+            }
+        }
+    }
+
     /// All recorded hops in order.
     pub fn hops(&self) -> &[FlowHop] {
         &self.hops
@@ -319,6 +358,22 @@ impl FlowTrace {
     /// All hops of one flow, in record order.
     pub fn hops_of(&self, flow: FlowId) -> impl Iterator<Item = &FlowHop> {
         self.hops.iter().filter(move |h| h.flow == flow)
+    }
+}
+
+/// The mint count is a counter and every open flow id a flow stamp;
+/// recorded hops are left to [`FlowTrace::repeat_period`].
+impl Periodic for FlowTrace {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.minted);
+        let wires = self.wire_now.iter_mut().chain(&mut self.wire_prev);
+        wires.for_each(|id| v.flow(id));
+        // By component, so two maps with one key set visit alike.
+        for map in [&mut self.ctx, &mut self.reg_writes] {
+            let mut open: Vec<_> = map.iter_mut().collect();
+            open.sort_unstable_by_key(|&(id, _)| *id);
+            open.into_iter().for_each(|(_, flow)| v.flow(flow));
+        }
     }
 }
 

@@ -94,6 +94,50 @@ impl ComponentId {
     }
 }
 
+/// Interns the name, so constructors can take a name or an id.
+impl From<&str> for ComponentId {
+    fn from(name: &str) -> ComponentId {
+        ComponentId::intern(name)
+    }
+}
+
+impl From<String> for ComponentId {
+    fn from(name: String) -> ComponentId {
+        ComponentId::intern(&name)
+    }
+}
+
+/// A fixed component name interned on first use and then read without
+/// the registry's lock: a model built many times per process names
+/// itself through one `static`.
+///
+/// ```
+/// use pels_sim::intern::FixedName;
+/// use pels_sim::ComponentId;
+/// static GPIO: FixedName = FixedName::new("gpio");
+/// assert_eq!(GPIO.id(), ComponentId::intern("gpio"));
+/// ```
+#[derive(Debug)]
+pub struct FixedName {
+    name: &'static str,
+    id: OnceLock<ComponentId>,
+}
+
+impl FixedName {
+    /// A name not interned yet.
+    pub const fn new(name: &'static str) -> FixedName {
+        FixedName {
+            name,
+            id: OnceLock::new(),
+        }
+    }
+
+    /// The name's id, interned by the first call.
+    pub fn id(&self) -> ComponentId {
+        *self.id.get_or_init(|| ComponentId::intern(self.name))
+    }
+}
+
 impl std::fmt::Display for ComponentId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())

@@ -40,6 +40,7 @@ pub mod events;
 pub mod fifo;
 pub mod flow;
 pub mod intern;
+pub mod period;
 pub mod rng;
 pub mod time;
 pub mod timeline;
@@ -54,6 +55,7 @@ pub use events::{EventVector, SleepPlan};
 pub use fifo::Fifo;
 pub use flow::{FlowHop, FlowId, FlowTrace, FLOW_STAGES};
 pub use intern::ComponentId;
+pub use period::{PeriodVisitor, PeriodWalk, Periodic};
 pub use rng::Rng;
 pub use time::{Frequency, SimTime};
 pub use timeline::{ActivityTimeline, ActivityWindow};

@@ -182,6 +182,24 @@ impl ActivityTimeline {
         sample as usize
     }
 
+    /// Appends `periods` copies of the windows from index `from` on (one
+    /// period's), each `cycles` later than the one before. Each copy
+    /// takes its original's sample, which is what [`Self::push_row`]
+    /// finds for an equal span and row.
+    pub fn repeat_period(&mut self, from: usize, periods: u64, cycles: u64) {
+        let end = self.windows.len();
+        for k in 1..=periods {
+            for i in from..end {
+                let w = self.windows[i];
+                self.windows.push(Span {
+                    start_cycle: w.start_cycle + k * cycles,
+                    end_cycle: w.end_cycle + k * cycles,
+                    sample: w.sample,
+                });
+            }
+        }
+    }
+
     /// Number of windows captured.
     pub fn len(&self) -> usize {
         self.windows.len()

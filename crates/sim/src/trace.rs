@@ -26,6 +26,7 @@
 
 use crate::flow::FlowTrace;
 use crate::intern::ComponentId;
+use crate::period::{PeriodVisitor, Periodic};
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::fmt;
@@ -88,7 +89,7 @@ impl Key {
 /// each start pairs with the first unpaired end at or after it, both in
 /// trace order. It holds only the starts and ends not yet settled, so a
 /// run whose every start meets its end holds at most a few.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Pairer {
     from: Key,
     to: Key,
@@ -193,6 +194,10 @@ pub struct Trace {
     /// `None` (the default) keeps every flow observation point in the
     /// models down to a single branch.
     flows: Option<Box<FlowTrace>>,
+    /// The entries recorded since [`Trace::start_period_log`], each with
+    /// whether its value is a cycle stamp: the side effects of a period
+    /// a fast-forward may replay.
+    period_log: Option<Vec<(TraceEntry, bool)>>,
 }
 
 impl PartialEq for Trace {
@@ -231,13 +236,106 @@ impl Trace {
         if let Some(p) = self.pairer.as_deref_mut() {
             p.observe(time, source, label);
         }
+        let entry = TraceEntry {
+            time,
+            source,
+            label,
+            value,
+        };
         if let Some(entries) = &mut self.entries {
-            entries.push(TraceEntry {
-                time,
-                source,
-                label,
-                value,
-            });
+            entries.push(entry);
+        }
+        if let Some(log) = &mut self.period_log {
+            log.push((entry, false));
+        }
+    }
+
+    /// Records an event whose value is the cycle it happened in, so a
+    /// replayed period moves the value with the time.
+    pub fn record_cycle(&mut self, time: SimTime, source: ComponentId, label: &'static str, cycle: u64) {
+        self.record(time, source, label, cycle);
+        if let Some((_, stamped)) = self.period_log.as_mut().and_then(|log| log.last_mut()) {
+            *stamped = true;
+        }
+    }
+
+    /// Starts (or restarts) logging the entries recorded from now on for
+    /// [`Trace::repeat_period`]. The log lives only while a fast-forward
+    /// probe watches one period.
+    pub fn start_period_log(&mut self) {
+        self.period_log = Some(Vec::new());
+    }
+
+    /// Stops the period log and returns it.
+    pub fn take_period_log(&mut self) -> Vec<(TraceEntry, bool)> {
+        self.period_log.take().unwrap_or_default()
+    }
+
+    /// Hops the flow layer has recorded, 0 without one: where a period's
+    /// hops start.
+    pub fn flow_hops(&self) -> usize {
+        self.flows.as_deref().map_or(0, FlowTrace::len)
+    }
+
+    /// Flows the flow layer has minted, 0 without one.
+    pub fn flows_minted(&self) -> u64 {
+        self.flows.as_deref().map_or(0, FlowTrace::minted)
+    }
+
+    /// The trace's repeating state for a period snapshot at `now`: the
+    /// pairer's unsettled starts and ends, relative to `now`, and the flow
+    /// layer's open flows, with no entry, digest, count, latency or hop
+    /// (replaying a period's entries rebuilds those). Compare two with
+    /// [`Trace::same_period_state`].
+    pub fn period_shell(&self, now: SimTime) -> Trace {
+        let since = |times: &VecDeque<SimTime>| {
+            let ago = |t: &SimTime| SimTime::from_ps(t.as_ps().wrapping_sub(now.as_ps()));
+            times.iter().map(ago).collect()
+        };
+        Trace {
+            counts: self.counts.iter().map(|&(key, _)| (key, 0)).collect(),
+            pairer: self.pairer.as_ref().map(|p| {
+                Box::new(Pairer {
+                    from: p.from,
+                    to: p.to,
+                    starts: since(&p.starts),
+                    ends: since(&p.ends),
+                    latencies: Vec::new(),
+                })
+            }),
+            flows: self.flows.as_ref().map(|f| Box::new(f.without_hops())),
+            ..Trace::default()
+        }
+    }
+
+    /// Whether two [`Trace::period_shell`]s hold the same state.
+    pub fn same_period_state(&self, other: &Trace) -> bool {
+        self == other && self.counts == other.counts && self.pairer == other.pairer
+    }
+
+    /// Replays `log`, one period's entries, `periods` more times, each
+    /// copy `period` later than the one before (and its cycle-stamped
+    /// values `cycles` larger), through [`Trace::record`], so the digest,
+    /// counts, pairer and kept entries see exactly what stepping records.
+    /// The flow layer repeats its hops from `hops_from` on, each moving
+    /// its flow id by its `hop_shifts` entry per period
+    /// ([`FlowTrace::repeat_period`]).
+    pub fn repeat_period(
+        &mut self,
+        log: &[(TraceEntry, bool)],
+        (hops_from, hop_shifts): (usize, &[u64]),
+        periods: u64,
+        (cycles, period): (u64, SimTime),
+    ) {
+        for k in 1..=periods {
+            let dt = k * period.as_ps();
+            for &(e, stamped) in log {
+                let value = if stamped { e.value + k * cycles } else { e.value };
+                self.record(SimTime::from_ps(e.time.as_ps() + dt), e.source, e.label, value);
+            }
+        }
+        if let Some(f) = self.flows.as_deref_mut() {
+            f.repeat_period(hops_from, periods, period, hop_shifts);
         }
     }
 
@@ -405,6 +503,14 @@ impl Trace {
     /// recording).
     pub fn take_flow_trace(&mut self) -> Option<FlowTrace> {
         self.flows.take().map(|b| *b)
+    }
+}
+
+/// The flow layer's open flows and mint count. The rest of a trace
+/// moves by replaying a period's entries ([`Trace::repeat_period`]).
+impl Periodic for Trace {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        self.flows.visit_period(v);
     }
 }
 

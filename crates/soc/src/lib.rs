@@ -46,4 +46,4 @@ pub use pels_desc::mem_map;
 
 pub use pels_desc::{freq_from_mhz, DescError, ExecMode, ScenarioDesc, SystemDesc};
 pub use scenario::{LinkingStats, Mediator, Scenario, ScenarioError, ScenarioReport};
-pub use soc::{SchedStats, SensorKind, Soc};
+pub use soc::{FastForwardStats, SchedStats, SensorKind, Soc};

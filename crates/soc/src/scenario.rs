@@ -19,7 +19,7 @@ use crate::baseline;
 use crate::event_map::*;
 use crate::mem_map::*;
 use crate::power_setup;
-use crate::soc::{SchedStats, Soc};
+use crate::soc::{FastForwardStats, SchedStats, Soc};
 use pels_core::{ActionMode, Command, Cond, PelsConfig, Program, TriggerCond};
 use pels_desc::{DescError, ScenarioDesc};
 use pels_interconnect::ApbSlave;
@@ -429,6 +429,7 @@ impl Scenario {
         let window = soc.window_time();
         let cycles = soc.window_cycles();
         let sched_stats = soc.sched_stats();
+        let fast_forward = soc.fast_forward_stats();
         // Snapshot before the drain: `drain_activity` resets the windowed
         // counters (retired, fetches, fabric transfers) to zero.
         let metrics = self.obs.then(|| {
@@ -514,6 +515,7 @@ impl Scenario {
             pels: self.pels(),
             trace: std::mem::take(soc.trace_mut()),
             sched_stats,
+            fast_forward,
             decode_cache_hits: 0,
             decode_cache_misses: 0,
             metrics,
@@ -573,6 +575,10 @@ pub struct ScenarioReport {
     /// Scheduler statistics of the active run (fast/stirred/naive cycle
     /// split, skip spans, aggregate updates).
     pub sched_stats: SchedStats,
+    /// What the active run's event-period fast-forward jumped
+    /// ([`Soc::fast_forward_stats`]). Host-side: it may differ between
+    /// exec modes and probe subsets that give identical results.
+    pub fast_forward: FastForwardStats,
     /// Always 0: the CPU no longer has a decoded-instruction cache. Kept
     /// only because the benchmark still reads it.
     pub decode_cache_hits: u64,

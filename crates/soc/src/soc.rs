@@ -2,6 +2,7 @@
 
 use crate::event_map::*;
 use crate::mem_map::*;
+use pels_core::link::link_id;
 use pels_core::pels::PelsBus;
 use pels_core::Pels;
 use pels_cpu::{Cpu, CpuBus, CpuState, DataReq, DataResult};
@@ -11,14 +12,29 @@ use pels_periph::{
     Adc, Gpio, I2c, L2Memory, Periph, PeriphCtx, Peripheral, SensorDevice, SleepPlan, Spi, Timer,
     Uart, Variant, Watchdog,
 };
+use pels_sim::intern::FixedName;
 use pels_sim::{
     ActivityKind, ActivityRow, ActivitySet, ActivitySink, ActivityTimeline, ComponentId,
-    EventVector, Frequency, SimTime, Trace,
+    EventVector, Frequency, PeriodVisitor, PeriodWalk, Periodic, SimTime, Trace, TraceEntry,
 };
 
 /// The synthetic analog source (defined in `pels-periph`, re-exported by
 /// `pels-desc` and here).
 pub use pels_desc::SensorKind;
+
+/// The SoC's fixed component names, interned once per process.
+static IBEX: FixedName = FixedName::new("ibex");
+static FABRIC: FixedName = FixedName::new("fabric");
+static SOC_CTRL: FixedName = FixedName::new("soc_ctrl");
+static PERIPH_MISC: FixedName = FixedName::new("periph_misc");
+static PELS: FixedName = FixedName::new("pels");
+static GPIO: FixedName = FixedName::new("gpio");
+static TIMER: FixedName = FixedName::new("timer");
+static SPI: FixedName = FixedName::new("spi");
+static ADC: FixedName = FixedName::new("adc");
+static UART: FixedName = FixedName::new("uart");
+static WDT: FixedName = FixedName::new("wdt");
+static I2C: FixedName = FixedName::new("i2c");
 
 impl Soc {
     /// Validates `desc` and assembles exactly the SoC it describes.
@@ -46,9 +62,9 @@ impl Soc {
         let pels = Pels::new(pels_cfg);
 
         let mut fabric: ApbFabric<Periph> = ApbFabric::with_config(desc.topology, desc.arbiter);
-        let cpu_master = fabric.add_master("ibex");
+        let cpu_master = fabric.add_master(IBEX.id());
         let pels_masters: Vec<MasterId> = (0..pels_cfg.links)
-            .map(|i| fabric.add_master(format!("pels.link{i}")))
+            .map(|i| fabric.add_master(link_id(i)))
             .collect();
 
         // Instantiate and wire each described peripheral, placing it on
@@ -56,12 +72,11 @@ impl Soc {
         let slot = |off: u32| AddrRange::new(APB_BASE + off, APB_STRIDE);
         let (mut gpio_id, mut timer_id, mut spi_id, mut adc_id) = (None, None, None, None);
         let (mut uart_id, mut wdt_id, mut i2c_id) = (None, None, None);
-        let mut periph_names = Vec::with_capacity(desc.peripherals.len());
+        let mut periph_ids = Vec::with_capacity(desc.peripherals.len());
         for inst in &desc.peripherals {
-            periph_names.push(inst.kind.name());
             let periph = match inst.kind {
                 PeriphKind::Gpio => {
-                    let mut gpio = Gpio::new("gpio");
+                    let mut gpio = Gpio::new(GPIO.id());
                     gpio.wire_set_action(AL_GPIO_SET, 1)
                         .wire_clear_action(AL_GPIO_CLEAR, 1)
                         .wire_toggle_action(AL_GPIO_TOGGLE, 1)
@@ -69,7 +84,7 @@ impl Soc {
                     Periph::Gpio(gpio)
                 }
                 PeriphKind::Timer => {
-                    let mut timer = Timer::new("timer");
+                    let mut timer = Timer::new(TIMER.id());
                     timer
                         .wire_compare_event(EV_TIMER_CMP)
                         .wire_start_action(AL_TIMER_START)
@@ -77,7 +92,7 @@ impl Soc {
                     Periph::Timer(timer)
                 }
                 PeriphKind::Spi { clkdiv } => {
-                    let mut spi = Spi::new("spi", desc.sensor.quantizer());
+                    let mut spi = Spi::new(SPI.id(), desc.sensor.quantizer());
                     spi.wire_eot_event(EV_SPI_EOT)
                         .wire_udma_done_event(EV_SPI_UDMA_DONE);
                     if desc.timer_starts_spi {
@@ -88,24 +103,24 @@ impl Soc {
                     Periph::Spi(spi)
                 }
                 PeriphKind::Adc { conversion_cycles } => {
-                    let mut adc = Adc::new("adc", desc.sensor.quantizer(), conversion_cycles);
+                    let mut adc = Adc::new(ADC.id(), desc.sensor.quantizer(), conversion_cycles);
                     adc.wire_done_event(EV_ADC_DONE)
                         .wire_start_action(AL_ADC_START);
                     Periph::Adc(adc)
                 }
                 PeriphKind::Uart => {
-                    let mut uart = Uart::new("uart");
+                    let mut uart = Uart::new(UART.id());
                     uart.wire_tx_done_event(EV_UART_TX_DONE);
                     Periph::Uart(uart)
                 }
                 PeriphKind::Wdt => {
-                    let mut wdt = Watchdog::new("wdt");
+                    let mut wdt = Watchdog::new(WDT.id());
                     wdt.wire_bite_event(EV_WDT_BITE)
                         .wire_kick_action(AL_WDT_KICK);
                     Periph::Wdt(wdt)
                 }
                 PeriphKind::I2c => {
-                    let mut i2c = I2c::new("i2c");
+                    let mut i2c = I2c::new(I2C.id());
                     i2c.attach(SensorDevice::new(0x48, desc.sensor.quantizer()))
                         .wire_done_event(EV_I2C_DONE)
                         .wire_nack_event(EV_I2C_NACK)
@@ -113,6 +128,7 @@ impl Soc {
                     Periph::I2c(i2c)
                 }
             };
+            periph_ids.push(periph.component());
             let id = fabric.add_slave(slot(inst.offset), periph);
             match inst.kind {
                 PeriphKind::Gpio => gpio_id = Some(id),
@@ -143,18 +159,13 @@ impl Soc {
         ];
 
         let clock_ids = ClockIds {
-            ibex: ComponentId::intern("ibex"),
-            fabric: ComponentId::intern("fabric"),
-            soc_ctrl: ComponentId::intern("soc_ctrl"),
-            periph_misc: ComponentId::intern("periph_misc"),
-            periphs: periph_names
-                .iter()
-                .map(|n| ComponentId::intern(n))
-                .collect(),
-            pels: ComponentId::intern("pels"),
-            links: (0..pels_cfg.links)
-                .map(|i| ComponentId::intern(&format!("pels.link{i}")))
-                .collect(),
+            ibex: IBEX.id(),
+            fabric: FABRIC.id(),
+            soc_ctrl: SOC_CTRL.id(),
+            periph_misc: PERIPH_MISC.id(),
+            periphs: periph_ids,
+            pels: PELS.id(),
+            links: (0..pels_cfg.links).map(link_id).collect(),
         };
 
         Ok(Soc {
@@ -188,6 +199,7 @@ impl Soc {
                 sched: SlaveSched::new(slave_count),
                 naive: false,
                 sampler: None,
+                fast_forward: FastForwardStats::default(),
             },
         })
     }
@@ -209,7 +221,7 @@ impl Soc {
 /// and clears a few dozen words. No cumulative image is copied or
 /// diffed, and everything the next drain returns stays in SoC fields:
 /// the components' counters and `closed`.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct TimelineSampler {
     /// Nominal window width in cycles.
     window_cycles: u64,
@@ -306,7 +318,7 @@ impl SchedStats {
 /// until a wire ([`SleepPlan::UNTIL_WIRE`]), whose `catch_up` is a no-op
 /// by contract: only sleepers with a finite deadline have a span to
 /// replay.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SlaveSched {
     /// Bit-per-index mask of awake slaves. Its set bits, taken in
     /// ascending order ([`set_bits`]), visit slaves in exactly the order
@@ -520,12 +532,156 @@ struct Accel {
     /// Windowed activity sampler; `None` (the default) keeps every run
     /// loop's sampling cost at a single predictable branch.
     sampler: Option<Box<TimelineSampler>>,
+    /// What [`Soc::run_for_trace_count`]'s fast-forward did.
+    fast_forward: FastForwardStats,
+}
+
+/// What event-period fast-forward did (see [`Soc::run_for_trace_count`]):
+/// host-side counts, kept out of [`SchedStats`] and the metrics, which
+/// must not depend on which observers a run has.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FastForwardStats {
+    /// Jumps taken.
+    pub jumps: u64,
+    /// Whole periods replayed by those jumps.
+    pub periods: u64,
+    /// Cycles those periods cover.
+    pub cycles: u64,
 }
 
 impl PartialEq for Accel {
     fn eq(&self, _: &Self) -> bool {
         true
     }
+}
+
+/// Sleeper stamps and the scheduler's statistics; the sampler's window
+/// bounds (stamps) and awake-cycle base (a counter, like the awake
+/// count it is subtracted from). The timeline itself grows with the
+/// horizon and is repeated by [`ActivityTimeline::repeat_period`].
+impl Periodic for Accel {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        let sched = &mut self.sched;
+        for stamp in sched.since.iter_mut().chain(&mut sched.deadline) {
+            v.stamp(stamp);
+        }
+        v.stamp(&mut sched.next_deadline);
+        let s = &mut sched.stats;
+        for c in [
+            &mut s.fast_cycles,
+            &mut s.stirred_cycles,
+            &mut s.naive_cycles,
+            &mut s.skip_spans,
+            &mut s.skipped_cycles,
+            &mut s.rebuilds,
+            &mut s.wakes,
+            &mut s.sleeps,
+        ] {
+            v.counter(c);
+        }
+        if let Some(s) = self.sampler.as_deref_mut() {
+            v.stamp(&mut s.window_start);
+            v.stamp(&mut s.next_boundary);
+            v.counter(&mut s.awake_start);
+        }
+    }
+}
+
+/// Every component's counters and stamps, the SoC's own cycle and clock
+/// accounting, the closed windows' counts and the flows latched with
+/// pending interrupts. The trace is left out: a replayed period's
+/// entries go through [`Trace::repeat_period`].
+impl Periodic for Soc {
+    fn visit_period(&mut self, v: &mut dyn PeriodVisitor) {
+        v.counter(&mut self.cycle);
+        v.counter(&mut self.cpu_awake_cycles);
+        v.counter(&mut self.window_cycles);
+        self.cpu.visit_period(v);
+        self.pels.visit_period(v);
+        self.fabric.visit_period(v);
+        self.l2.visit_period(v);
+        self.closed.visit_period(v);
+        for flow in &mut self.irq_flow {
+            v.flow(flow);
+        }
+        self.accel.visit_period(v);
+    }
+}
+
+/// A period snapshot (see [`Soc::run_for_trace_count`]): the SoC with
+/// every counter taken out and every stamp made relative to the cycle it
+/// was taken at, with the trace's repeating part only and no timeline.
+struct PeriodSnapshot {
+    /// The watched count it was taken at.
+    events: usize,
+    cycle: u64,
+    /// Flows minted, flow hops recorded and timeline windows closed so
+    /// far: where the next period's side effects start.
+    minted: u64,
+    hops: usize,
+    windows: usize,
+    /// The counters taken out, in visit order.
+    counters: Vec<u64>,
+    /// The flow ids taken out, in visit order.
+    flows: Vec<u64>,
+    state: Soc,
+}
+
+impl PeriodSnapshot {
+    /// Whether `self` and a later snapshot `next` hold the same repeating
+    /// state, so that the SoC repeats with their distance as its period.
+    /// `Accel`'s equality is always true, so its scheduler and sampler
+    /// are compared here (snapshots are taken only on the fast path).
+    fn repeats_at(&self, next: &PeriodSnapshot) -> bool {
+        let (a, b) = (&self.state, &next.state);
+        self.counters.len() == next.counters.len()
+            && self.flows.len() == next.flows.len()
+            && self.flows_relabel_to(next)
+            && a == b
+            && a.accel.sched == b.accel.sched
+            && a.accel.sampler == b.accel.sampler
+            && a.trace.same_period_state(&b.trace)
+    }
+
+    /// Whether `next`'s flow ids are `self`'s relabelled as one period
+    /// relabels them: each id either stays (a flow older than `self`) or
+    /// moves by the period's mint count to a flow minted in the period,
+    /// and every field that held one id at `self` holds one id at
+    /// `next`. Flow ids are only labels (the models compare them and
+    /// test them against 0), so such a relabelling repeats.
+    fn flows_relabel_to(&self, next: &PeriodSnapshot) -> bool {
+        let minted = next.minted - self.minted;
+        let mut pairs: Vec<(u64, u64)> = (self.flows.iter().copied())
+            .zip(next.flows.iter().copied())
+            .filter(|&(x, y)| x != 0 || y != 0)
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let moves = |&(x, y): &(u64, u64)| y == x || (y > self.minted && y - x == minted);
+        pairs.iter().all(|p| p.0 != 0 && moves(p)) && pairs.windows(2).all(|w| w[0].0 != w[1].0)
+    }
+}
+
+/// Fast-forward probing for one [`Soc::run_for_trace_count`]: a base
+/// snapshot at one completion marker, compared with a snapshot at each of
+/// the next [`Probe::MAX_PERIOD`] markers. A probe that finds no period
+/// gives way to the next one `gap` markers later, and the gap doubles,
+/// so a run that never repeats takes O(log events) snapshots.
+struct Probe {
+    /// The watched count at which to take the next snapshot.
+    next: usize,
+    gap: usize,
+    /// The base snapshot, while the trace logs the entries since.
+    base: Option<PeriodSnapshot>,
+}
+
+impl Probe {
+    /// The longest period, in events, a probe looks for. The GPIO pad
+    /// toggles on each event, so the SoC's period is often two events.
+    const MAX_PERIOD: usize = 4;
+    /// The first base: the first events warm up FIFO watermarks, L2 pages
+    /// and the sampler's row layout.
+    const FIRST: usize = 2;
 }
 
 impl std::fmt::Debug for Soc {
@@ -1340,6 +1496,19 @@ impl Soc {
     /// advance and jumps over provably inert spans — no component may
     /// act during such a span, so no trace entry can appear inside it
     /// and the stop cycle is identical to single-stepping.
+    ///
+    /// It also fast-forwards whole event periods (never under
+    /// [`ExecMode::Naive`]). At a few completion markers (each rise of
+    /// the count) it takes a period snapshot. When two snapshots `P`
+    /// events apart are equal, the SoC repeats with that period: each
+    /// counter grows by its per-period delta, each stamp by the period's
+    /// cycles, and every period records the same trace entries, flow hops
+    /// and timeline windows, shifted. The run then advances `M` whole
+    /// periods in closed form, replays their side effects and steps the
+    /// rest, stopping short of `count` and of `max_cycles`, so the stop
+    /// cycle is still found by stepping. The result equals stepping
+    /// (`tests/fast_forward.rs`); [`Soc::fast_forward_stats`] counts
+    /// what was jumped.
     pub fn run_for_trace_count(
         &mut self,
         max_cycles: u64,
@@ -1349,7 +1518,177 @@ impl Soc {
     ) -> bool {
         let watch = self.trace.watch((source, label));
         let end = self.cycle.saturating_add(max_cycles);
+        let mut probe = (!self.accel.naive).then_some(Probe {
+            next: Probe::FIRST,
+            gap: Probe::MAX_PERIOD,
+            base: None,
+        });
+        while let Some(p) = &mut probe {
+            let next = p.next;
+            if next >= count || !self.run_to(end, |soc| soc.trace.count(watch) >= next) {
+                break;
+            }
+            let seen = self.trace.count(watch);
+            if seen >= count {
+                break;
+            }
+            // A time-varying input ends the probing.
+            let Some(now) = self.period_snapshot(seen) else {
+                break;
+            };
+            match p.base.take() {
+                None => {
+                    self.trace.start_period_log();
+                    p.base = Some(now);
+                    p.next = seen + 1;
+                }
+                Some(base) if base.repeats_at(&now) => {
+                    let log = self.trace.take_period_log();
+                    // A hop whose flow's move per period is unclear ends
+                    // the probing, as a period that never repeats would.
+                    if let Some(shifts) = self.hop_shifts(&base, &now) {
+                        self.jump_periods(&base, &now, (count, end), &log, &shifts);
+                    }
+                    probe = None;
+                }
+                Some(base) if seen - base.events < Probe::MAX_PERIOD => {
+                    p.base = Some(base);
+                    p.next = seen + 1;
+                }
+                Some(_) => {
+                    self.trace.take_period_log();
+                    p.next = seen + p.gap;
+                    p.gap *= 2;
+                }
+            }
+        }
+        self.trace.take_period_log();
         self.run_to(end, |soc| soc.trace.count(watch) >= count)
+    }
+
+    /// Takes a period snapshot at watched count `events`, after syncing
+    /// the sleepers: a clone of the SoC without the trace's entries, hops
+    /// and counts and without the timeline's windows (what grows with the
+    /// horizon), whose counters are taken out and whose stamps are made
+    /// relative to the current cycle. `None` when a part of the state
+    /// reads absolute time ([`PeriodVisitor::aperiodic`]).
+    fn period_snapshot(&mut self, events: usize) -> Option<PeriodSnapshot> {
+        self.sync_slaves();
+        let shell = self.trace.period_shell(self.time());
+        let trace = std::mem::replace(&mut self.trace, shell);
+        let timeline = self
+            .accel
+            .sampler
+            .as_deref_mut()
+            .map(|s| std::mem::take(&mut s.timeline));
+        let mut state = self.clone();
+        self.trace = trace;
+        if let (Some(s), Some(t)) = (self.accel.sampler.as_deref_mut(), timeline) {
+            s.timeline = t;
+        }
+        // An idle-until-wire sleeper's catch-up is a no-op, so the cycle
+        // it fell asleep at is never read: count it as caught up.
+        let sched = &mut state.accel.sched;
+        for i in set_bits(sched.asleep) {
+            if sched.deadline[i] == u64::MAX {
+                sched.since[i] = self.cycle;
+            }
+        }
+        let (mut counters, mut flows) = (Vec::new(), Vec::new());
+        let mut walk = PeriodWalk::Snapshot {
+            counters: &mut counters,
+            flows: &mut flows,
+            cycle: self.cycle,
+            time: self.time(),
+            aperiodic: false,
+        };
+        state.visit_period(&mut walk);
+        state.trace.visit_period(&mut walk);
+        if matches!(walk, PeriodWalk::Snapshot { aperiodic: true, .. }) {
+            return None;
+        }
+        Some(PeriodSnapshot {
+            events,
+            cycle: self.cycle,
+            minted: self.trace.flows_minted(),
+            hops: self.trace.flow_hops(),
+            windows: self.accel.sampler.as_ref().map_or(0, |s| s.timeline.len()),
+            counters,
+            flows,
+            state,
+        })
+    }
+
+    /// How far each flow hop the trace recorded in the period from `base`
+    /// to `now` moves its flow id per period: a flow minted in the period
+    /// by the period's mint count, a flow open at `base` as the state
+    /// fields that held it moved ([`PeriodSnapshot::flows_relabel_to`]).
+    /// `None` when a hop carries an older flow no field held.
+    fn hop_shifts(&self, base: &PeriodSnapshot, now: &PeriodSnapshot) -> Option<Vec<u64>> {
+        let hops = self.trace.flow_trace().map_or(&[][..], |f| f.hops_since(base.hops));
+        let shift = |id: u64| {
+            if id > base.minted {
+                return Some(now.minted - base.minted);
+            }
+            let held = base.flows.iter().zip(&now.flows).find(|&(&a, _)| a == id);
+            held.map(|(a, b)| b - a)
+        };
+        hops.iter().map(|h| shift(h.flow.0)).collect()
+    }
+
+    /// Advances the SoC, which stands at snapshot `now` and repeats with
+    /// `base` as one period before it, by as many whole periods as keep
+    /// it short of the wanted count and of the end cycle. `log` is the
+    /// period's trace entries and `shifts` its flow hops' moves per
+    /// period ([`Soc::hop_shifts`]).
+    fn jump_periods(
+        &mut self,
+        base: &PeriodSnapshot,
+        now: &PeriodSnapshot,
+        (count, end): (usize, u64),
+        log: &[(TraceEntry, bool)],
+        shifts: &[u64],
+    ) {
+        let events = now.events - base.events;
+        let cycles = now.cycle - base.cycle;
+        let periods = ((count - 1 - now.events) / events)
+            .min((end.saturating_sub(now.cycle + 1) / cycles) as usize) as u64;
+        if periods == 0 {
+            return;
+        }
+        let growth = |now: &[u64], base: &[u64]| -> Vec<u64> {
+            now.iter().zip(base).map(|(b, a)| b.wrapping_sub(*a)).collect()
+        };
+        let deltas = growth(&now.counters, &base.counters);
+        let flow_deltas = growth(&now.flows, &base.flows);
+        let period = SimTime::from_ps(self.freq.period_ps() * cycles);
+        let mut walk = PeriodWalk::Advance {
+            deltas: &deltas,
+            flows: &flow_deltas,
+            next: (0, 0),
+            periods,
+            cycles,
+            time: period,
+        };
+        self.visit_period(&mut walk);
+        self.trace.visit_period(&mut walk);
+        self.trace
+            .repeat_period(log, (base.hops, shifts), periods, (cycles, period));
+        if let Some(s) = self.accel.sampler.as_deref_mut() {
+            s.timeline.repeat_period(base.windows, periods, cycles);
+        }
+        let ff = &mut self.accel.fast_forward;
+        ff.jumps += 1;
+        ff.periods += periods;
+        ff.cycles += periods * cycles;
+    }
+
+    /// What [`Soc::run_for_trace_count`]'s fast-forward jumped:
+    /// cumulative since construction. Host-side, like [`SchedStats`],
+    /// and kept out of the metrics: a probe's snapshots may fall at
+    /// different markers under different observers.
+    pub fn fast_forward_stats(&self) -> FastForwardStats {
+        self.accel.fast_forward
     }
 
     /// Drains all accumulated activity — peripheral register traffic,

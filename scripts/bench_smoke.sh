@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs every workspace test, the route-counter budget, the fleet digest
-# gate, the differential and property suites (the fast-vs-naive ones
-# in release too), the artifact schema gates
+# Runs every workspace test (the route-counter budget and the
+# differential, observation and property suites among them; the
+# fast-vs-naive and observation ones in release too), the fleet digest
+# gate, the artifact schema gates
 # and one checked round of each perfbench workload, then gates the
 # workspace on clippy and rustdoc; with MUTANTS=1 it also runs the
 # mutation catalogue (scripts/mutants.sh). Simulator speed is timed by
@@ -19,16 +20,19 @@ echo "bench_smoke: active_path differential suite compiles OK"
 # Whole-workspace tests: a bare `cargo test` at the root runs only the
 # root package (tests/ and examples/), not the unit and integration
 # tests of the crates under crates/ — the power model, ledger and JSON
-# parser among them. `--workspace` runs every package's tests.
+# parser among them. `--workspace` runs every package's tests, and so
+# every suite's debug run: among them the route-counter budget
+# (`route_budget`: the Fig. 5 workload's stepped cycles per linking
+# event and every scheduler counter, pinned exactly), the
+# pure-observation suites (`observation_invariance`, `flow_invariance`,
+# `lifetime_invariance`: every probe subset × ExecMode × mediator
+# bit-identical to the plain run, fleet digests invariant under probes
+# and workers), the flow properties (per-stage attribution telescopes to
+# the measured latencies), the seeded description fuzzer (`desc_fuzz`)
+# and the fast-forward differential (`fast_forward`). None is run a
+# second time in debug below.
 cargo test -q --workspace
 echo "bench_smoke: workspace tests OK"
-
-# Route-counter gate: the scheduler's route counters are a pure function
-# of the scenario, so the Fig. 5 workload's stepped (non-skipped) cycles
-# per linking event are bounded exactly, per mediator and readout length.
-# Wall-clock throughput drifts too much on a shared host to gate on.
-cargo test -q --test route_budget
-echo "bench_smoke: Fig. 5 route-counter budget OK"
 
 # Release differential: perfbench times release builds, where the
 # scheduler's debug-only consistency assertions are compiled out. Run
@@ -46,10 +50,13 @@ echo "bench_smoke: Fig. 5 route-counter budget OK"
 # sampler reference (`sampler_reference`) and the scheduler, in-place
 # service and equality tests in soc.rs. So do the activity-row and
 # timeline dedup tests of pels-sim and the seeded ledger reference of
-# pels-power: the code perfbench's lifetime workload times.
+# pels-power: the code perfbench's lifetime workload times. So does the
+# fast-forward differential: both perfbench workloads jump whole event
+# periods in release.
 cargo test -q --release --test quiescence --test active_path \
     --test desc_fuzz --test observation_invariance \
-    --test flow_invariance --test lifetime_invariance --test power_golden
+    --test flow_invariance --test lifetime_invariance --test power_golden \
+    --test fast_forward
 cargo test -q --release -p pels-periph --lib
 cargo test -q --release -p pels-soc --lib
 cargo test -q --release -p pels-sim -p pels-power --lib
@@ -60,23 +67,6 @@ echo "bench_smoke: release fast-vs-naive differential OK"
 # It writes BENCH_fleet_throughput.json, which obs_check gates below.
 cargo run -q --release -p pels-bench --bin reproduce -- fleet > /dev/null
 echo "bench_smoke: fleet OK"
-
-# Observation gate: run (not just compile) the suite that proves every
-# probe is pure observation — metrics snapshot, activity timeline,
-# causal flows and energy ledger, every non-empty subset × ExecMode ×
-# mediator bit-identical to the plain run, fleet digest invariant under
-# each probe and worker count — plus what each probe records (timeline
-# windows partition the run, flow attribution is mode-independent, the
-# ledger partitions the power timeline, merged ledgers match across
-# workers). Then the flow property suite: the per-stage attribution
-# telescopes exactly to the measured per-event latencies (paper probes
-# decompose to 7/2/16 cycles, randomized scenarios sum exactly,
-# FlowReport merge is order-invariant). `observation_invariance` leaves
-# the flow probe's subsets and the ledger's to `flow_invariance` and
-# `lifetime_invariance`, so each subset runs once.
-cargo test -q --test observation_invariance --test flow_invariance --test lifetime_invariance
-cargo test -q --test flow_properties
-echo "bench_smoke: observation invariance + flow property suites OK"
 
 # Observability gate: regenerate the OBS artifacts with the profiler on
 # (plus a reduced-horizon lifetime projection), then schema-check them —
@@ -110,14 +100,12 @@ echo "bench_smoke: obs + lifetime artifacts OK"
 # examples/descs/ (round-trip checked on emit) and fail if that rewrote
 # a committed file (a codec change moved the canonical layout), then
 # validate every committed file — parse, validate, round-trip identity
-# and a one-cycle smoke build — and run the seeded desc fuzzer (fixed
-# seed, 200+ generate -> validate -> fast-vs-naive differential
-# iterations).
+# and a one-cycle smoke build. (The seeded description fuzzer runs with
+# the workspace tests and in the release differential above.)
 cargo run -q --release -p pels-bench --bin reproduce -- desc > /dev/null
 git diff --exit-code -- examples/descs
 cargo run -q --release -p pels-bench --bin desc_check
-cargo test -q --test desc_fuzz
-echo "bench_smoke: description corpus + fuzzer OK"
+echo "bench_smoke: description corpus OK"
 
 # Benchmark gate: the perfbench package (its own Cargo workspace, built
 # against crates/ through path dependencies) must build, pass its unit
